@@ -137,12 +137,12 @@ class _FacetData:
     pass
 
 
-def facet_data(mesh, qdeg, _cache={}):
+def facet_data(mesh, qdeg):
     """Interior and boundary facet quadrature in the frames of the adjacent
-    cells; interior normals point from the plus to the minus side."""
-    key = (id(mesh), qdeg)
-    if key in _cache:
-        return _cache[key]
+    cells; interior normals point from the plus to the minus side.  Cached
+    on the mesh per quadrature degree."""
+    if qdeg in mesh.facet_cache:
+        return mesh.facet_cache[qdeg]
     rule = gauss_interval(qdeg)
     xi = rule.points
     fd = _FacetData()
@@ -192,7 +192,7 @@ def facet_data(mesh, qdeg, _cache={}):
     fd.bdry_len = Lb
     fd.bdry_pts = (pb[:, None, 0, :] * (1 - xi)[None, :, None]
                    + pb[:, None, 1, :] * xi[None, :, None])
-    _cache[key] = fd
+    mesh.facet_cache[qdeg] = fd
     return fd
 
 

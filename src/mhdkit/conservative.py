@@ -13,14 +13,19 @@ holds to machine precision and div B is preserved identically.
 Each step runs the fixed-point iteration of the midpoint system: update the
 auxiliary midpoint variables (j, H, w, E[, U, alpha]) from the current
 iterate, solve the velocity/pressure system, update B explicitly, and stop
-on the relative-increment criterion."""
+on the relative-increment criterion.
+
+The cross products of curl-type fields are a fixed trilinear form: the
+scheme tabulates T[c, i, j, k] = int_c phi_i . (phi_j x phi_k) over the six
+local curl-type basis functions once (216 doubles per cell), so each cross
+product is a gather, two batched matmuls and one scatter."""
 
 import numpy as np
 import scipy.sparse as sp
 
-from .elements import (FunctionSpace, Field, interpolate, complex_maps,
+from .elements import (FunctionSpace, interpolate, complex_maps,
                        grad_to_hcurl, curl_to_dg)
-from .assembly import cell_matrix, cell_vector, constrain_matrix
+from .assembly import cell_matrix, constrain_matrix
 from .linalg import LuSolver, fgmres
 
 QDEG = 5
@@ -43,13 +48,6 @@ class ProductSpace:
     def split(self, vec):
         return vec[:self.nt], vec[self.nt:]
 
-    def join(self, vt, vz):
-        return np.concatenate([vt, vz])
-
-    def fields(self, vec):
-        vt, vz = self.split(vec)
-        return Field(self.t, vt), Field(self.z, vz)
-
 
 def _blockdiag(A, B):
     return sp.block_diag([A, B], format="csr")
@@ -67,6 +65,7 @@ class ConservativeScheme:
         self.inv_Rem = inv_Rem
         self.tol = tol
         self.max_fp = max_fp
+        self._steppers = {}
 
         ned = FunctionSpace(mesh, "NED", 1)
         cg = FunctionSpace(mesh, "CG", 1)
@@ -75,11 +74,10 @@ class ConservativeScheme:
         self.curlsp = ProductSpace(ned, cg)
         self.divsp = ProductSpace(rt, dg)
 
-        V, _ = complex_maps(cg, rt, dg)        # vcurl: CG1 -> RT1
-        C = curl_to_dg(ned, dg)                # curl: NED1 -> DG0
-        n_c, n_d = self.curlsp.n, self.divsp.n
+        self.V, self.D = complex_maps(cg, rt, dg)   # vcurl, div
+        self.C = curl_to_dg(ned, dg)                # curl: NED1 -> DG0
         # 3D curl on coefficients: (Et, E3) -> (vcurl E3, curl Et)
-        self.CURL = sp.bmat([[None, V], [C, None]], format="csr")
+        self.CURL = sp.bmat([[None, self.V], [self.C, None]], format="csr")
         self.GRAD = sp.bmat([[grad_to_hcurl(cg, ned)],
                              [sp.csr_matrix((cg.total_dofs,
                                              cg.total_dofs))]],
@@ -87,8 +85,9 @@ class ConservativeScheme:
 
         self.M_c = _blockdiag(cell_matrix(ned, ned, qdeg=QDEG),
                               cell_matrix(cg, cg, qdeg=QDEG))
-        self.M_d = _blockdiag(cell_matrix(rt, rt, qdeg=QDEG),
-                              cell_matrix(dg, dg, qdeg=QDEG))
+        self.M_rt = cell_matrix(rt, rt, qdeg=QDEG)
+        self.M_dg = cell_matrix(dg, dg, qdeg=QDEG)
+        self.M_d = _blockdiag(self.M_rt, self.M_dg)
         # cross mass: curl-type test x div-type trial
         self.M_cd = _blockdiag(cell_matrix(ned, rt, qdeg=QDEG),
                                cell_matrix(cg, dg, qdeg=QDEG))
@@ -100,7 +99,37 @@ class ConservativeScheme:
         self.con_d = rt.boundary_dofs()  # B . n = 0; DG0 part unconstrained
         Mc_con = constrain_matrix(self.M_c, self.con_c)
         self.Mc_lu = LuSolver(Mc_con)
-        self._div_rt = None
+        self._build_cross_form()
+
+    def _build_cross_form(self):
+        """T[c, k, j, i] = int_c phi_i . (phi_j x phi_k) over the local
+        curl-type basis (NED1 tangential, then CG1 third component), stored
+        as (cell, k, j * n + i).  Summed one quadrature point at a time, so
+        no array spans all the points."""
+        ned, cg = self.curlsp.t, self.curlsp.z
+        _, w, vt, _ = ned.basis_at_quadrature(QDEG)
+        _, _, vz, _ = cg.basis_at_quadrature(QDEG)
+        nc, nq, n_t = vt.shape[:3]
+        n = n_t + vz.shape[2]
+        T = np.zeros((nc, n * n, n))
+        phi = np.zeros((nc, n, 3))
+        for q in range(nq):
+            phi[:, :n_t, :2] = vt[:, q]
+            phi[:, n_t:, 2] = vz[:, q, :, 0]
+            cross = np.cross(phi[:, None], phi[:, :, None])   # [c, k, j]
+            T += cross.reshape(nc, n * n, 3) @ (
+                w[:, q, None, None] * phi.transpose(0, 2, 1))
+        self._cross_T = T.reshape(nc, n, n * n)
+        self._cross_dofs = np.hstack([ned.dofmap,
+                                      ned.total_dofs + cg.dofmap])
+
+    def stepper(self, family, dt):
+        """The scheme's stepper of a family ("uxn" or "udotn") and dt, built
+        on first use."""
+        key = (family, dt)
+        if key not in self._steppers:
+            self._steppers[key] = STEPPERS[family](self, dt)
+        return self._steppers[key]
 
     # -- projections -------------------------------------------------------------
 
@@ -119,33 +148,20 @@ class ConservativeScheme:
 
     # -- pointwise products --------------------------------------------------------
 
-    def _eval(self, space, vec):
-        ft, fz = space.fields(vec)
-        vt = _fq(ft, QDEG)
-        vz = _fq(fz, QDEG)[..., 0]
-        return vt, vz
-
-    def cross_rhs(self, a, b, space_a, space_b):
+    def cross_rhs(self, a, b):
         """Functional vector over the curl-type tests of the pointwise
-        product a x b of two 2.5D fields."""
-        at, a3 = self._eval(space_a, a)
-        bt, b3 = self._eval(space_b, b)
-        cr_t = (b3[..., None] * _perp(at) - a3[..., None] * _perp(bt))
-        cr_3 = np.einsum("cqk,cqk->cq", at, _perp(bt))
-        out_t = cell_vector(self.curlsp.t, "val", cr_t, qdeg=QDEG)
-        out_z = cell_vector(self.curlsp.z, "val", cr_3[..., None], qdeg=QDEG)
-        return np.concatenate([out_t, out_z])
+        product a x b of two curl-type fields."""
+        dm = self._cross_dofs
+        nc, n = dm.shape
+        Tb = (b[dm][:, None] @ self._cross_T).reshape(nc, n, n)
+        local = a[dm][:, None] @ Tb
+        return np.bincount(dm.ravel(), weights=local.ravel(),
+                           minlength=self.curlsp.n)
 
-    def cross_pair_integral(self, a, b, c, space_a, space_b, space_c):
-        """Integral of (a x b) . c for three 2.5D fields (diagnostics)."""
-        at, a3 = self._eval(space_a, a)
-        bt, b3 = self._eval(space_b, b)
-        ct, c3 = self._eval(space_c, c)
-        cr_t = (b3[..., None] * _perp(at) - a3[..., None] * _perp(bt))
-        cr_3 = np.einsum("cqk,cqk->cq", at, _perp(bt))
-        _, w, _, _ = self.curlsp.t.basis_at_quadrature(QDEG)
-        val = np.sum((np.einsum("cqk,cqk->cq", cr_t, ct) + cr_3 * c3) * w)
-        return float(val)
+    def cross_pair_integral(self, a, b, c):
+        """Integral of (a x b) . c for three curl-type fields
+        (diagnostics)."""
+        return float(c @ self.cross_rhs(a, b))
 
     # -- diagnostics -----------------------------------------------------------------
 
@@ -160,77 +176,39 @@ class ConservativeScheme:
 
     def div_norm_d(self, vec_d):
         """L2 norm of div of the in-plane part of a div-type field."""
-        if self._div_rt is None:
-            rt = self.divsp.t
-            dg = self.divsp.z
-            _, D = complex_maps(FunctionSpace(self.mesh, "CG", 1), rt, dg)
-            self._div_rt = (D, cell_matrix(dg, dg, qdeg=QDEG))
-        D, Mdg = self._div_rt
-        vt, _ = self.divsp.split(vec_d)
-        d = D @ vt
-        return float(np.sqrt(d @ (Mdg @ d)))
+        d = self.D @ self.divsp.split(vec_d)[0]
+        return float(np.sqrt(d @ (self.M_dg @ d)))
 
-    def magnetic_helicity(self, B):
-        """int A . B with vcurl A3 = Bt (Poisson solve) and curl At = B3
-        (consistent singular solve by unpreconditioned Krylov)."""
+    def _vector_potential(self, B):
+        """Curl-type A with curl A = B: vcurl A3 = Bt by a Poisson solve
+        (one pinned dof fixes the gauge) and curl At = B3 by a consistent
+        singular solve with unpreconditioned Krylov."""
         Bt_c, B3_c = self.divsp.split(B)
-        ned, cg = self.curlsp.t, self.curlsp.z
-        rt, dg = self.divsp.t, self.divsp.z
-        V, _ = complex_maps(cg, rt, dg)
-        Mrt = cell_matrix(rt, rt, qdeg=QDEG)
-        K_a3 = (V.T @ Mrt @ V).tocsr()
-        rhs = V.T @ (Mrt @ Bt_c)
-        # natural gauge: pin one dof of the stream function
-        K_a3 = constrain_matrix(K_a3, [0])
-        rhs = rhs.copy()
+        V, C = self.V, self.C
+        K_a3 = constrain_matrix((V.T @ self.M_rt @ V).tocsr(), [0])
+        rhs = V.T @ (self.M_rt @ Bt_c)
         rhs[0] = 0.0
         A3 = LuSolver(K_a3).solve(rhs)
-        C = curl_to_dg(ned, dg)
-        Mdg = cell_matrix(dg, dg, qdeg=QDEG)
-        K_at = (C.T @ Mdg @ C).tocsr()
-        rhs_t = C.T @ (Mdg @ B3_c)
-        res = fgmres(K_at, rhs_t, rtol=1e-10, atol=1e-12, maxiter=2000,
-                     restart=200)
-        At = res.x
-        A = np.concatenate([At, A3])
-        # int A . B: A in curl-type, B in div-type
-        return float(A @ (self.M_cd @ B))
+        res = fgmres((C.T @ self.M_dg @ C).tocsr(), C.T @ (self.M_dg @ B3_c),
+                     rtol=1e-10, atol=1e-12, maxiter=2000, restart=200)
+        return np.concatenate([res.x, A3])
+
+    def magnetic_helicity(self, B):
+        """int A . B with curl A = B (A curl-type, B div-type)."""
+        return float(self._vector_potential(B) @ (self.M_cd @ B))
 
     def hybrid_helicity(self, u, B, omega, alpha, beta, u_space):
-        hm = self.magnetic_helicity(B)
+        """int (A + alpha u) . (B + beta w)."""
+        A = self._vector_potential(B)
+        hm = float(A @ (self.M_cd @ B))
         if u_space is self.curlsp:
             ub = float(u @ (self.M_cd @ B))
             uw = float(u @ (self.M_c @ omega))
         else:
             ub = float(B @ (self.M_d @ u))
             uw = float(omega @ (self.M_cd @ u))
-        # int (A + alpha u) . (B + beta w)
-        Bt_c, B3_c = self.divsp.split(B)
-        # A . w term
-        ned, cg = self.curlsp.t, self.curlsp.z
-        rt, dg = self.divsp.t, self.divsp.z
-        V, _ = complex_maps(cg, rt, dg)
-        Mrt = cell_matrix(rt, rt, qdeg=QDEG)
-        K_a3 = constrain_matrix((V.T @ Mrt @ V).tocsr(), [0])
-        rhs = V.T @ (Mrt @ Bt_c)
-        rhs[0] = 0.0
-        A3 = LuSolver(K_a3).solve(rhs)
-        C = curl_to_dg(ned, dg)
-        Mdg = cell_matrix(dg, dg, qdeg=QDEG)
-        res = fgmres((C.T @ Mdg @ C).tocsr(), C.T @ (Mdg @ B3_c),
-                     rtol=1e-10, atol=1e-12, maxiter=2000, restart=200)
-        A = np.concatenate([res.x, A3])
         aw = float(A @ (self.M_c @ omega))
         return hm + alpha * ub + beta * aw + alpha * beta * uw
-
-
-def _fq(field, qdeg):
-    from .assembly import field_at_quadrature
-    return field_at_quadrature(field, qdeg)
-
-
-def _perp(v):
-    return np.stack([v[..., 1], -v[..., 0]], axis=-1)
 
 
 class MidpointState:
@@ -310,7 +288,6 @@ class UxnStepper:
         sc = scheme
         cg = sc.curlsp.z
         n_u = sc.curlsp.n
-        n_p = cg.total_dofs
         A11 = (sc.M_c / dt + 0.5 * sc.inv_Re * sc.K_cc).tocsr()
         G = (sc.M_c @ sc.GRAD).tocsr()
         A = sp.bmat([[A11, G], [G.T, None]], format="csr")
@@ -338,12 +315,11 @@ class UxnStepper:
         omega = sc.qc_of_div(sc.CURL @ u_mid)
         # E = invRem j + Q_c[(R_H j - u_mid) x H]
         w = sc.R_H * j - u_mid
-        E = sc.inv_Rem * j + sc.project_curl(
-            sc.cross_rhs(w, H, sc.curlsp, sc.curlsp))
+        E = sc.inv_Rem * j + sc.project_curl(sc.cross_rhs(w, H))
         rhs_u = (sc.M_c @ u_k) / dt \
             - 0.5 * sc.inv_Re * (sc.K_cc @ u_k) \
-            + sc.cross_rhs(u_mid, omega, sc.curlsp, sc.curlsp) \
-            + sc.S * sc.cross_rhs(j, H, sc.curlsp, sc.curlsp)
+            + sc.cross_rhs(u_mid, omega) \
+            + sc.S * sc.cross_rhs(j, H)
         u_next, P = self.solve_velocity(rhs_u)
         B_next = B_k - dt * (sc.CURL @ E)
         aux = {"j": j, "H": H, "omega": omega, "E": E}
@@ -355,10 +331,8 @@ class UxnStepper:
         a = state.aux
         scale_u = max(np.linalg.norm(state.u), 1.0)
         scale_B = max(np.linalg.norm(state.B), 1.0)
-        i1 = abs(sc.cross_pair_integral(a["u_mid"], a["H"], a["H"],
-                                        sc.curlsp, sc.curlsp, sc.curlsp))
-        i2 = abs(sc.cross_pair_integral(a["j"], a["H"], a["H"],
-                                        sc.curlsp, sc.curlsp, sc.curlsp))
+        i1 = abs(sc.cross_pair_integral(a["u_mid"], a["H"], a["H"]))
+        i2 = abs(sc.cross_pair_integral(a["j"], a["H"], a["H"]))
         EH = float(a["E"] @ (sc.M_c @ a["H"]))
         if sc.inv_Rem:
             EH -= sc.inv_Rem * float(a["j"] @ (sc.M_c @ a["H"]))
@@ -379,13 +353,9 @@ class UdotnStepper:
                              "viscous limit (1/Re = 0)")
         self.dt = dt
         sc = scheme
-        rt, dg = sc.divsp.t, sc.divsp.z
         n_u = sc.divsp.n
-        _, D = complex_maps(FunctionSpace(sc.mesh, "CG", 1), rt, dg)
-        Mdg = cell_matrix(dg, dg, qdeg=QDEG)
-        DT = (D.T @ Mdg).tocsr()   # (p, div v) pairing
-        n_p = dg.total_dofs
-        Z = sp.csr_matrix((sc.divsp.nz, n_p))
+        DT = (sc.D.T @ sc.M_dg).tocsr()   # (p, div v) pairing
+        Z = sp.csr_matrix((sc.divsp.nz, sc.divsp.nz))
         A11 = (sc.M_d / dt).tocsr()
         B1 = sp.bmat([[DT], [Z]], format="csr")
         A = sp.bmat([[A11, B1], [B1.T, None]], format="csr")
@@ -414,11 +384,9 @@ class UdotnStepper:
         omega = sc.weak_curl(u_mid)
         U = sc.qc_of_div(u_mid)
         # alpha = Qc[w x U] - S Qc[j x H]
-        r_alpha = (sc.cross_rhs(omega, U, sc.curlsp, sc.curlsp)
-                   - sc.S * sc.cross_rhs(j, H, sc.curlsp, sc.curlsp))
+        r_alpha = sc.cross_rhs(omega, U) - sc.S * sc.cross_rhs(j, H)
         alpha = sc.project_curl(r_alpha)
-        E = sc.inv_Rem * j + sc.project_curl(
-            sc.cross_rhs(sc.R_H * j - U, H, sc.curlsp, sc.curlsp))
+        E = sc.inv_Rem * j + sc.project_curl(sc.cross_rhs(sc.R_H * j - U, H))
         rhs_u = (sc.M_d @ u_k) / dt - (sc.M_cd.T @ alpha)
         u_next, p = self.solve_velocity(rhs_u)
         B_next = B_k - dt * (sc.CURL @ E)
@@ -430,10 +398,8 @@ class UdotnStepper:
         a = state.aux
         scale_u = max(np.linalg.norm(state.u), 1.0)
         scale_B = max(np.linalg.norm(state.B), 1.0)
-        i1 = abs(sc.cross_pair_integral(a["U"], a["H"], a["H"],
-                                        sc.curlsp, sc.curlsp, sc.curlsp))
-        i2 = abs(sc.cross_pair_integral(a["j"], a["H"], a["H"],
-                                        sc.curlsp, sc.curlsp, sc.curlsp))
+        i1 = abs(sc.cross_pair_integral(a["U"], a["H"], a["H"]))
+        i2 = abs(sc.cross_pair_integral(a["j"], a["H"], a["H"]))
         EH = float(a["E"] @ (sc.M_c @ a["H"]))
         if sc.inv_Rem:
             EH -= sc.inv_Rem * float(a["j"] @ (sc.M_c @ a["H"]))
@@ -484,15 +450,14 @@ def _damped_fixed_point(sc, state, sweep):
         "iterations (after relaxation retries)")
 
 
-def step_conservative_uxn(state, dt, _cache={}):
-    key = (id(state.scheme), dt, "uxn")
-    if key not in _cache:
-        _cache[key] = UxnStepper(state.scheme, dt)
-    return _cache[key].step(state), _cache[key]
+STEPPERS = {"uxn": UxnStepper, "udotn": UdotnStepper}
 
 
-def step_conservative_udotn(state, dt, _cache={}):
-    key = (id(state.scheme), dt, "udotn")
-    if key not in _cache:
-        _cache[key] = UdotnStepper(state.scheme, dt)
-    return _cache[key].step(state), _cache[key]
+def step_conservative_uxn(state, dt):
+    stepper = state.scheme.stepper("uxn", dt)
+    return stepper.step(state), stepper
+
+
+def step_conservative_udotn(state, dt):
+    stepper = state.scheme.stepper("udotn", dt)
+    return stepper.step(state), stepper

@@ -34,6 +34,7 @@ class Mesh2D:
         self._check_orientation()
         self.edge_markers = np.zeros(self.num_edges, dtype=np.int64)
         self.marker_names = {}
+        self.facet_cache = {}   # qdeg -> assembly.facet_data
 
     # -- construction ------------------------------------------------------
 

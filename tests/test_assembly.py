@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +11,7 @@ from mhdkit.assembly import (cell_matrix, cell_vector, sipg_viscous,
                              upwind_advection_matrix,
                              upwind_advection_residual, burman_stabilisation,
                              apply_bcs, DirichletBC, FormTerm, FormDescriptor,
-                             assemble_matrix, EPS_CONTRACTION)
+                             assemble_matrix, EPS_CONTRACTION, facet_data)
 
 
 def test_quadrature_exactness():
@@ -241,3 +243,19 @@ def test_form_descriptor_assembles():
     blocks = assemble_matrix(form, {"u": cg})
     ref = (cell_matrix(cg, cg) + 2.0 * cell_matrix(cg, cg, "grad", "grad"))
     assert np.abs((blocks[("u", "u")] - ref)).max() < 1e-14
+
+
+def test_facet_data_cached_per_mesh():
+    # distinct meshes built and dropped in turn: facet data must never come
+    # back for a mesh other than the one it was built on
+    for i in range(12):
+        width = 1.0 + i
+        m = build_rect_mesh((0, width, 0, 1), 2 + i % 2, 2)
+        fd = facet_data(m, 3)
+        assert np.array_equal(fd.int_edges,
+                              np.flatnonzero(m.edge_cells[:, 1] >= 0))
+        assert np.isclose(fd.bdry_len.sum(), 2.0 * width + 2.0)
+        assert facet_data(m, 3) is fd
+        assert facet_data(m, 2) is not fd
+        del m, fd
+        gc.collect()

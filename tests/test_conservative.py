@@ -1,0 +1,161 @@
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from mhdkit.assembly import cell_vector, field_at_quadrature
+from mhdkit.conservative import (QDEG, ConservativeScheme, MidpointState,
+                                 initial_udotn_state, initial_uxn_state,
+                                 step_conservative_udotn,
+                                 step_conservative_uxn)
+from mhdkit.elements import Field
+from mhdkit.mesh import build_rect_mesh
+
+DT = 1e-4
+STEPS = 3
+# fixed-point sweeps per step on the 8x8 mesh with the fields below
+SWEEPS = {"uxn": [7, 7, 7], "udotn": [7, 7, 7]}
+FAMILIES = {"uxn": (initial_uxn_state, step_conservative_uxn),
+            "udotn": (initial_udotn_state, step_conservative_udotn)}
+
+
+def _b0(x, y):
+    pi, s, c = np.pi, np.sin, np.cos
+    return np.stack([pi * s(pi * x) * c(pi * y),
+                     -pi * c(pi * x) * s(pi * y),
+                     0.5 * s(pi * x) * s(pi * y)], axis=-1)
+
+
+def _u0(x, y):
+    # vcurl(sin^2(pi x) sin^2(pi y)) plus a bubble: zero trace, div-free
+    pi, s, c = np.pi, np.sin, np.cos
+    sx, cx, sy, cy = s(pi * x), c(pi * x), s(pi * y), c(pi * y)
+    return np.stack([2 * pi * sx ** 2 * sy * cy,
+                     -2 * pi * sx * cx * sy ** 2,
+                     0.3 * sx * sy], axis=-1)
+
+
+def _scheme(n=8):
+    mesh = build_rect_mesh((0.0, 1.0, 0.0, 1.0), n, n, "right")
+    return ConservativeScheme(mesh, S=1.0, R_H=1.0)
+
+
+@pytest.fixture(scope="module")
+def scheme():
+    return _scheme()
+
+
+def _random_pair(sc, seed=0):
+    return np.random.default_rng(seed).standard_normal((2, sc.curlsp.n))
+
+
+def _reference_cross_rhs(sc, a, b):
+    """a x b at the quadrature points, tested against the curl-type
+    basis."""
+    def at_points(vec):
+        vt, vz = sc.curlsp.split(vec)
+        return np.concatenate([
+            field_at_quadrature(Field(sc.curlsp.t, vt), QDEG),
+            field_at_quadrature(Field(sc.curlsp.z, vz), QDEG)], axis=-1)
+
+    cr = np.cross(at_points(a), at_points(b))
+    return np.concatenate([
+        cell_vector(sc.curlsp.t, "val", cr[..., :2], qdeg=QDEG),
+        cell_vector(sc.curlsp.z, "val", cr[..., 2:], qdeg=QDEG)])
+
+
+def test_cross_rhs_matches_quadrature_reference(scheme):
+    a, b = _random_pair(scheme)
+    ref = _reference_cross_rhs(scheme, a, b)
+    out = scheme.cross_rhs(a, b)
+    assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_cross_rhs_antisymmetric(scheme):
+    a, b = _random_pair(scheme, seed=1)
+    out = scheme.cross_rhs(a, b)
+    assert np.linalg.norm(out + scheme.cross_rhs(b, a)) <= (
+        1e-14 * np.linalg.norm(out))
+
+
+def test_cross_rhs_energy_identity(scheme):
+    # int a . (a x b) = 0: the cancellation behind energy conservation
+    a, b = _random_pair(scheme, seed=2)
+    out = scheme.cross_rhs(a, b)
+    assert abs(a @ out) <= 1e-14 * np.linalg.norm(a) * np.linalg.norm(out)
+    assert abs(scheme.cross_pair_integral(a, b, a)) == abs(a @ out)
+
+
+@pytest.fixture(scope="module")
+def runs(scheme):
+    """Each family stepped STEPS times from the same initial fields."""
+    out = {}
+    for fam, (initial, step) in FAMILIES.items():
+        state = initial(scheme, _u0, _b0)
+        states = [state]
+        for _ in range(STEPS):
+            state, stepper = step(state, DT)
+            states.append(state)
+        out[fam] = (states, stepper)
+    return out
+
+
+@pytest.mark.parametrize("fam", sorted(FAMILIES))
+def test_midpoint_sweep_counts(runs, fam):
+    states, _ = runs[fam]
+    assert [s.fp_iters for s in states[1:]] == SWEEPS[fam]
+
+
+@pytest.mark.parametrize("fam", sorted(FAMILIES))
+def test_midpoint_invariants(scheme, runs, fam):
+    states, stepper = runs[fam]
+    u_space = scheme.curlsp if fam == "uxn" else scheme.divsp
+    first, last = states[0], states[-1]
+    e0 = scheme.energy(first.u, first.B, u_space)
+    e1 = scheme.energy(last.u, last.B, u_space)
+    h0 = scheme.magnetic_helicity(first.B)
+    h1 = scheme.magnetic_helicity(last.B)
+    assert abs(e1 - e0) <= 1e-11 * abs(e0)
+    assert abs(h1 - h0) <= 1e-8 * abs(h0)
+    for state in states:
+        assert scheme.div_norm_d(state.B) <= 1e-11
+    for name, value in stepper.identities(last).items():
+        assert value <= 1e-12, name
+
+
+def test_hybrid_helicity_reduces_to_magnetic(scheme, runs):
+    states, _ = runs["uxn"]
+    state = states[-1]
+    omega = state.aux["omega"]
+    hm = scheme.magnetic_helicity(state.B)
+    hh = scheme.hybrid_helicity(state.u, state.B, omega, 0.0, 0.0,
+                                scheme.curlsp)
+    assert abs(hh - hm) <= 1e-14 * abs(hm)
+    # the alpha term is the cross helicity
+    ha = scheme.hybrid_helicity(state.u, state.B, omega, 2.0, 0.0,
+                                scheme.curlsp)
+    ch = scheme.cross_helicity(state.u, state.B, scheme.curlsp)
+    assert abs(ha - hm - 2.0 * ch) <= 1e-12 * (abs(hm) + abs(ch))
+
+
+def test_steppers_are_cached_per_scheme():
+    # schemes built and dropped in turn: a stepper must never come back
+    # for a scheme other than the one it was built on, and the cache must
+    # not keep a dropped scheme alive
+    for i in range(6):
+        sc = _scheme(2 + i % 2)
+        zero_u = np.zeros(sc.curlsp.n)
+        zero_b = np.zeros(sc.divsp.n)
+        for fam, (_, step) in FAMILIES.items():
+            u = zero_u if fam == "uxn" else zero_b
+            state = MidpointState(sc, u, zero_b, fam)
+            out, stepper = step(state, DT)
+            assert stepper.sc is sc and out.scheme is sc
+            assert step(state, DT)[1] is stepper
+            assert step(state, 2 * DT)[1] is not stepper
+            assert sc.stepper(fam, DT) is stepper
+        ref = weakref.ref(sc)
+        del sc, state, out, stepper
+        gc.collect()
+        assert ref() is None
