@@ -1,7 +1,11 @@
 """Geometric multigrid over nested mesh hierarchies: exact-embedding
 prolongation, vertex-star additive-Schwarz patch relaxation wrapped in a few
 GMRES iterations as the smoother, Galerkin coarse operators and a direct
-coarse solve.  Works monolithically on any ordered tuple of fields."""
+coarse solve.  Works monolithically on any ordered tuple of fields.
+
+Patch relaxation follows PCPATCH (Farrell, Knepley, Mitchell & Wechsung,
+ACM TOMS 2021): patches of equal size form a group whose dense blocks are
+gathered, inverted and applied as one batch."""
 
 import logging
 
@@ -53,102 +57,111 @@ def star_patches(spaces, constrained=None):
     mesh.  Patch i collects, for every space, the dofs attached to vertex i,
     to the edges meeting i and to the cells meeting i (their basis functions
     are supported inside the star); constrained dofs are excluded and empty
-    patches dropped."""
+    patches dropped.  Each patch is a sorted int64 array; patches come in
+    vertex order."""
     mesh = spaces[0].mesh
     nv = mesh.num_vertices
-    v2e = [[] for _ in range(nv)]
-    for e, (a, b) in enumerate(mesh.edges):
-        v2e[a].append(e)
-        v2e[b].append(e)
-    v2c = [[] for _ in range(nv)]
-    for c, vs in enumerate(mesh.cells):
-        for v in vs:
-            v2c[v].append(c)
+    # vertex-entity incidence: each edge meets its two vertices, each cell
+    # its three
+    edges = np.asarray(mesh.edges, dtype=np.int64)
+    cells = np.asarray(mesh.cells, dtype=np.int64)
+    incidence = ((np.arange(nv), np.arange(nv)),
+                 (edges.ravel(), np.repeat(np.arange(len(edges)), 2)),
+                 (cells.ravel(), np.repeat(np.arange(len(cells)), 3)))
     offsets = np.cumsum([0] + [s.total_dofs for s in spaces])
-    total = offsets[-1]
-    mask = np.ones(total, dtype=bool)
+    total = int(offsets[-1])
+    verts, dofs = [], []
+    for k, s in enumerate(spaces):
+        el = s.element
+        entity_dofs = ((s.vertex_offset, el.n_vertex),
+                       (s.edge_offset, el.n_edge),
+                       (s.cell_offset, el.n_cell))
+        for (v, ent), (first, n) in zip(incidence, entity_dofs):
+            if n:
+                verts.append(np.repeat(v, n))
+                dofs.append((offsets[k] + first + ent[:, None] * n
+                             + np.arange(n)).ravel())
+    verts = np.concatenate(verts)
+    dofs = np.concatenate(dofs)
     if constrained is not None and len(constrained):
-        mask[np.asarray(constrained, dtype=np.int64)] = False
-    patches = []
-    for v in range(nv):
-        idx = []
-        for k, s in enumerate(spaces):
-            el = s.element
-            off = offsets[k]
-            if el.n_vertex:
-                idx.extend(off + s.vertex_offset + v * el.n_vertex + j
-                           for j in range(el.n_vertex))
-            if el.n_edge:
-                for e in v2e[v]:
-                    idx.extend(off + s.edge_offset + e * el.n_edge + j
-                               for j in range(el.n_edge))
-            if el.n_cell:
-                for c in v2c[v]:
-                    idx.extend(off + s.cell_offset + c * el.n_cell + j
-                               for j in range(el.n_cell))
-        arr = np.array(sorted(set(idx)), dtype=np.int64)
-        arr = arr[mask[arr]]
-        if len(arr):
-            patches.append(arr)
-    return patches
+        keep = np.ones(total, dtype=bool)
+        keep[np.asarray(constrained, dtype=np.int64)] = False
+        verts, dofs = verts[keep[dofs]], dofs[keep[dofs]]
+    # sort by (vertex, dof) and drop repeats; then cut at vertex boundaries
+    key = np.unique(verts * total + dofs)
+    verts, dofs = np.divmod(key, total)
+    bounds = np.searchsorted(verts, np.arange(nv + 1))
+    return [dofs[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+
+
+def _gather_blocks(A, idx):
+    """Dense blocks A[p][:, p] for the rows p of an (n, s) index array, read
+    from a CSR matrix in one fancy-index call; the (n s^2) index arrays are
+    freed on return, before the blocks are inverted."""
+    n, s = idx.shape
+    rows = np.repeat(idx, s, axis=1).ravel()
+    cols = np.tile(idx, (1, s)).ravel()
+    return np.asarray(A[rows, cols]).reshape(n, s, s)
+
+
+def _invert_blocks(blocks):
+    """Batched inverse of a stack of dense patch blocks; a singular block is
+    regularised by a 1e-12 diagonal shift."""
+    try:
+        return np.linalg.inv(blocks)
+    except np.linalg.LinAlgError:
+        log.warning("singular patch block: regularising with 1e-12 "
+                    "diagonal shift")
+    shift = 1e-12 * np.eye(blocks.shape[-1])
+    inv = np.empty_like(blocks)
+    for i, block in enumerate(blocks):
+        try:
+            inv[i] = np.linalg.inv(block)
+        except np.linalg.LinAlgError:
+            inv[i] = np.linalg.inv(block + shift)
+    return inv
 
 
 class PatchSmoother:
-    """Additive Schwarz over precomputed patch index sets; the dense patch
-    blocks are factorised once per matrix."""
+    """Additive Schwarz over precomputed patch index sets:
+    x = omega * sum_p R_p^T A_p^{-1} R_p r.
 
-    def __init__(self, patches, omega=0.5):
-        self.patches = patches
-        self.omega = omega
-        self.groups = {}
+    Patches are grouped by size.  `setup` gathers each group's dense blocks
+    from the CSR matrix in one fancy-index call and inverts them in one
+    batched call; `apply` is a gather, one batched matmul per group and one
+    `bincount` scatter over all patches."""
+
+    def __init__(self, patches):
+        groups = {}
         for p in patches:
-            self.groups.setdefault(len(p), []).append(p)
-        self.group_idx = {s: np.array(g) for s, g in self.groups.items()}
+            groups.setdefault(len(p), []).append(p)
+        self.group_idx = [np.array(g) for g in groups.values()]
+        self._scatter = np.concatenate([np.zeros(0, dtype=np.int64)]
+                                       + [idx.ravel()
+                                          for idx in self.group_idx])
         self._inv = None
 
     def setup(self, A):
         A = A.tocsr()
-        self._inv = {}
-        for s, idx in self.group_idx.items():
-            blocks = np.empty((len(idx), s, s))
-            for i, p in enumerate(idx):
-                blocks[i] = A[p][:, p].toarray()
-            try:
-                inv = np.linalg.inv(blocks)
-            except np.linalg.LinAlgError:
-                log.warning("singular patch block: regularising with 1e-12 "
-                            "diagonal shift")
-                shift = 1e-12 * np.eye(s)
-                inv = np.empty_like(blocks)
-                for i in range(len(idx)):
-                    try:
-                        inv[i] = np.linalg.inv(blocks[i])
-                    except np.linalg.LinAlgError:
-                        inv[i] = np.linalg.inv(blocks[i] + shift)
-            self._inv[s] = inv
+        self._inv = [_invert_blocks(_gather_blocks(A, idx))
+                     for idx in self.group_idx]
 
-    def apply(self, r, omega=None):
-        """Sum of damped local solves of the restricted residual."""
-        if omega is None:
-            omega = 1.0  # inside a Krylov smoother the scaling is absorbed
-        out = np.zeros_like(r)
-        for s, idx in self.group_idx.items():
-            R = r[idx]
-            X = np.einsum("pij,pj->pi", self._inv[s], R)
-            np.add.at(out, idx.ravel(), omega * X.ravel())
-        return out
-
-    def standalone_apply(self, r):
-        return self.apply(r, omega=self.omega)
+    def apply(self, r, omega=1.0):
+        """Sum of damped local solves of the restricted residual; inside a
+        Krylov smoother the scaling is absorbed, hence omega = 1 by
+        default."""
+        local = [np.matmul(inv, r[idx][:, :, None]).ravel()
+                 for idx, inv in zip(self.group_idx, self._inv)]
+        x = np.concatenate([np.zeros(0)] + local)
+        return np.bincount(self._scatter, weights=omega * x, minlength=len(r))
 
 
 class MgConfig:
-    def __init__(self, smooth_iters=6, cycles=1, omega=0.5):
+    def __init__(self, smooth_iters=6, cycles=1):
         if smooth_iters < 1:
             raise ValueError("smoother iterations must be >= 1")
         self.smooth_iters = smooth_iters
         self.cycles = cycles
-        self.omega = omega
 
 
 class MgHierarchy:
@@ -229,7 +242,7 @@ class GeometricMultigrid:
         self.matrices = mats
         self.smoothers = []
         for lv in range(1, n):
-            sm = PatchSmoother(ctx.patches[lv], omega=self.config.omega)
+            sm = PatchSmoother(ctx.patches[lv])
             sm.setup(mats[lv])
             self.smoothers.append(sm)
         self.coarse_lu = LuSolver(mats[0])
@@ -259,5 +272,3 @@ class GeometricMultigrid:
         for _ in range(self.config.cycles):
             x = self.vcycle(self.ctx.nlevels - 1, r, x)
         return x
-
-    solve_update = vcycle

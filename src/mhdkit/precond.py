@@ -7,7 +7,7 @@ wiring and the Hall electromagnetic block."""
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import fgmres, LuSolver
+from .linalg import LuSolver, fgmres, fixed_iteration_solver
 from .multigrid import MgHierarchy, GeometricMultigrid, MgConfig
 
 
@@ -125,18 +125,6 @@ class BlockUpperPrecond:
         return y
 
 
-def inner_fgmres(A, M, iters):
-    """Fixed-iteration inner FGMRES solve (no tolerance): the outer solver
-    must be flexible."""
-
-    def apply(b):
-        res = fgmres(A, b, M=M, rtol=0.0, atol=0.0, restart=iters,
-                     maxiter=iters)
-        return res.x
-
-    return apply
-
-
 def lu_inverse(A):
     lu = LuSolver(A.tocsc())
     return lu.solve
@@ -192,12 +180,14 @@ class StandardMHDPrecond:
                                   -(1.0 / pr.Re + pr.gamma),
                                   self.nu_, self.np_, pin_local=[0])
         fluid.setup(A_up)
-        return inner_fgmres(A_up, fluid.apply, self.config.inner_iters)
+        return fixed_iteration_solver(A_up, fluid.apply,
+                                      self.config.inner_iters)
 
     def _em_inverse(self, A_eb):
         mg = GeometricMultigrid(self.em_ctx, self.config.mg_config)
         mg.setup(A_eb)
-        return inner_fgmres(A_eb, mg.apply, self.config.inner_iters)
+        return fixed_iteration_solver(A_eb, mg.apply,
+                                      self.config.inner_iters)
 
     def build(self, A, parts):
         cfg = self.config
@@ -389,10 +379,10 @@ class AnisothermalPrecond:
         inner = MonolithicBlockPrecond(mg_top, self.Mp_inv, -pr.gamma,
                                        self.n_uth, pin_local=[0])
         inner.setup(A_top)
-        inv_top = inner_fgmres(A_top, inner.apply, cfg.inner_iters)
+        inv_top = fixed_iteration_solver(A_top, inner.apply, cfg.inner_iters)
         mg_eb = GeometricMultigrid(self.em_ctx, cfg.mg_config)
         mg_eb.setup(A_eb)
-        inv_eb = inner_fgmres(A_eb, mg_eb.apply, cfg.inner_iters)
+        inv_eb = fixed_iteration_solver(A_eb, mg_eb.apply, cfg.inner_iters)
         return BlockUpperPrecond(A, self.top_idx, self.eb_idx,
                                  inv_top, inv_eb)
 
@@ -439,11 +429,12 @@ class HallPrecond:
                                        -(1.0 / pr.Re + pr.gamma),
                                        self.n_flow, pin_local=[0])
         inner.setup(A_top)
-        inv_top = inner_fgmres(A_top, inner.apply, cfg.inner_iters)
+        inv_top = fixed_iteration_solver(A_top, inner.apply, cfg.inner_iters)
         if cfg.hall_schur == "mg":
             mg_eb = GeometricMultigrid(self.em_ctx, cfg.mg_config)
             mg_eb.setup(A_eb)
-            inv_eb = inner_fgmres(A_eb, mg_eb.apply, cfg.inner_iters)
+            inv_eb = fixed_iteration_solver(A_eb, mg_eb.apply,
+                                            cfg.inner_iters)
         else:
             inv_eb = lu_inverse(A_eb)
         return BlockUpperPrecond(A, self.top_idx, self.eb_idx,

@@ -10,6 +10,53 @@ from mhdkit.multigrid import (build_transfer, star_patches, PatchSmoother,
 from mhdkit.linalg import fgmres
 
 
+def _star_patches_loop(spaces, constrained=None):
+    """Per-vertex loop form of star_patches, kept as its reference."""
+    mesh = spaces[0].mesh
+    nv = mesh.num_vertices
+    v2e = [[] for _ in range(nv)]
+    for e, (a, b) in enumerate(mesh.edges):
+        v2e[a].append(e)
+        v2e[b].append(e)
+    v2c = [[] for _ in range(nv)]
+    for c, vs in enumerate(mesh.cells):
+        for v in vs:
+            v2c[v].append(c)
+    offsets = np.cumsum([0] + [s.total_dofs for s in spaces])
+    mask = np.ones(offsets[-1], dtype=bool)
+    if constrained is not None and len(constrained):
+        mask[np.asarray(constrained, dtype=np.int64)] = False
+    patches = []
+    for v in range(nv):
+        idx = []
+        for k, s in enumerate(spaces):
+            el = s.element
+            off = offsets[k]
+            idx.extend(off + s.vertex_offset + v * el.n_vertex + j
+                       for j in range(el.n_vertex))
+            for e in v2e[v]:
+                idx.extend(off + s.edge_offset + e * el.n_edge + j
+                           for j in range(el.n_edge))
+            for c in v2c[v]:
+                idx.extend(off + s.cell_offset + c * el.n_cell + j
+                           for j in range(el.n_cell))
+        arr = np.array(sorted(set(idx)), dtype=np.int64)
+        arr = arr[mask[arr]]
+        if len(arr):
+            patches.append(arr)
+    return patches
+
+
+def _patch_solve_loop(A, patches, r):
+    """sum_p R_p^T A_p^{-1} R_p r, one block extraction and inverse per
+    patch (the smoother's arithmetic, summed in another order)."""
+    A = A.tocsr()
+    x = np.zeros_like(r)
+    for p in patches:
+        x[p] += np.linalg.inv(A[p][:, p].toarray()) @ r[p]
+    return x
+
+
 @pytest.fixture(scope="module")
 def hierarchy():
     return refine_uniform(build_rect_mesh((0, 1, 0, 1), 4, 4), 2)
@@ -77,6 +124,75 @@ def test_patch_union_covers_free_dofs(hierarchy):
     assert np.all(covered[free])
 
 
+def _spaces_and_constraints(mesh, fields):
+    spaces = tuple(FunctionSpace(mesh, fam, deg) for fam, deg in fields)
+    offs = np.cumsum([0] + [s.total_dofs for s in spaces])
+    con = np.concatenate([off + s.boundary_dofs()
+                          for off, s in zip(offs, spaces)])
+    return spaces, con
+
+
+@pytest.mark.parametrize("fields", [[("CG", 1)], [("CG", 2), ("RT", 2)],
+                                    [("BDM", 2)]],
+                         ids=["CG1", "CG2-RT2", "BDM2"])
+def test_star_patches_match_loop_reference(hierarchy, fields):
+    spaces, con = _spaces_and_constraints(hierarchy.levels[0], fields)
+    for constrained in (None, con):
+        got = star_patches(spaces, constrained)
+        ref = _star_patches_loop(spaces, constrained)
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, r)
+
+
+def _em_system(spaces, con):
+    # nonsymmetric (E, B)-type coupling: [[M, -K^T], [K, M + div div]]
+    cg, rt = spaces
+    K = cell_matrix(rt, cg, "val", "vcurl")
+    A = sp.bmat([[cell_matrix(cg, cg), -K.T],
+                 [K, cell_matrix(rt, rt) + cell_matrix(rt, rt, "div", "div")]],
+                format="csr")
+    return constrain_matrix(A, con)
+
+
+def _graddiv_constrained(spaces, con):
+    _, A = _graddiv_system(spaces[0].mesh, 1e2)
+    return constrain_matrix(A, con)
+
+
+@pytest.mark.parametrize("fields,system",
+                         [([("CG", 2), ("RT", 2)], _em_system),
+                          ([("BDM", 2)], _graddiv_constrained)],
+                         ids=["CG2-RT2", "BDM2"])
+def test_patch_smoother_matches_loop_reference(hierarchy, fields, system):
+    spaces, con = _spaces_and_constraints(hierarchy.levels[1], fields)
+    A = system(spaces, con)
+    patches = star_patches(spaces, con)
+    sm = PatchSmoother(patches)
+    sm.setup(A)
+    r = np.random.default_rng(6).standard_normal(A.shape[0])
+    ref = _patch_solve_loop(A, patches, r)
+    assert np.linalg.norm(sm.apply(r) - ref) <= 1e-13 * np.linalg.norm(ref)
+    # scaling by a power of two is exact
+    assert np.array_equal(sm.apply(r, omega=0.5), 0.5 * sm.apply(r))
+
+
+def test_patch_smoother_singular_block_regularised(caplog):
+    m = build_rect_mesh((0, 1, 0, 1), 3, 3)
+    cg = FunctionSpace(m, "CG", 2)
+    A = (cell_matrix(cg, cg, "grad", "grad") + cell_matrix(cg, cg)).tolil()
+    # a zero row and column make every patch block holding dof 5 singular
+    A[5, :] = 0.0
+    A[:, 5] = 0.0
+    sm = PatchSmoother(star_patches((cg,)))
+    with caplog.at_level("WARNING", logger="mhdkit.multigrid"):
+        sm.setup(A.tocsr())
+    assert "singular patch block" in caplog.text
+    r = np.random.default_rng(7).standard_normal(cg.total_dofs)
+    assert np.all(np.isfinite(sm.apply(r)))
+
+
 def test_patch_smoother_zero_residual():
     m = build_rect_mesh((0, 1, 0, 1), 3, 3)
     cg = FunctionSpace(m, "CG", 1)
@@ -97,7 +213,7 @@ def test_single_patch_exact_solve():
         cell_matrix(cg, cg, "grad", "grad") + cell_matrix(cg, cg), con)
     patches = star_patches((cg,), con)
     assert len(patches) == 1 and len(patches[0]) == 1
-    sm = PatchSmoother(patches, omega=1.0)
+    sm = PatchSmoother(patches)
     sm.setup(A)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(cg.total_dofs)
@@ -204,7 +320,7 @@ def test_graddiv_kernel_contraction_gamma_robust():
         A = constrain_matrix(gamma * cell_matrix(rt, rt, "div", "div")
                              + cell_matrix(rt, rt), con)
         patches = star_patches((rt,), con)
-        sm = PatchSmoother(patches, omega=0.5)
+        sm = PatchSmoother(patches)
         sm.setup(A)
         x = kernel_field.copy()
         # error-propagation: e <- (I - omega sum R^T A_i^-1 R A) e
