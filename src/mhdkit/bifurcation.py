@@ -83,7 +83,7 @@ def stability_eigs(model, state_vec, k=6, shifts=(0.0,), ncv=None, tol=1e-6):
     small positive real shifts, scanning the list when one shift does not
     surface k pairs."""
     A, _ = model.jacobian(state_vec, "newton")
-    M = model.mass_blocks_free()
+    M = model.mass_matrix()
     free = _free_indices(model)
     Af = (-A[free][:, free]).tocsr()
     Mf = M[free][:, free].tocsr()

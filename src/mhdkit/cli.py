@@ -267,10 +267,8 @@ def _run_transient(args, spec):
             probe = ReconnectionProbe(model, "Bt")
         model.apply_state_bcs(st)
         observers["reconnection_rate"] = probe
-    observers["div_u"] = lambda v: model.div_norms(v)[
-        "u" if "u" in model.fields else "ut"]
-    observers["div_B"] = lambda v: model.div_norms(v)[
-        "B" if "B" in model.fields else "Bt"]
+    observers["div_u"] = lambda v: model.div_norms(v)[model.velocity]
+    observers["div_B"] = lambda v: model.div_norms(v)[model.magnetic]
     fac = FrozenJacobianFactory()
     tcfg = TimeConfig(dt=args.dt, T=args.T)
     vec, rows = run_transient(model, st, tcfg,

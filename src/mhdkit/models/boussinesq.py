@@ -9,93 +9,35 @@ Ohm and augmented Faraday rows carry the Pr/Pm coefficient."""
 import numpy as np
 import scipy.sparse as sp
 
-from ..elements import FunctionSpace, Field
+from ..elements import FunctionSpace
 from ..assembly import (cell_matrix, cell_vector, field_at_quadrature,
                         sipg_viscous, upwind_advection_matrix,
                         upwind_advection_residual, burman_stabilisation,
-                        constrain_matrix, DirichletBC, EPS_CONTRACTION)
+                        EPS_CONTRACTION)
 from ..linalg import BlockMatrix
-from .base import MixedState, merge_bc_values
-
-QDEG = 6
-QDEG_RHS = 8
+from .base import QDEG, MixedModel, perp, velocity_pair
 
 
-class BoussinesqMHD:
+class BoussinesqMHD(MixedModel):
     fields = ("u", "p", "theta", "E", "B")
     mass_fields = ("u", "theta", "B")
-
-    def __init__(self, mesh, params, bcs=None, forcing=None,
-                 velocity_variant="hdiv", bc_markers=None):
-        self.mesh = mesh
-        self.params = params
-        self.variant = velocity_variant
-        if velocity_variant == "hdiv":
-            u_sp = FunctionSpace(mesh, "BDM", 2)
-            p_sp = FunctionSpace(mesh, "DG", 1)
-        elif velocity_variant == "taylor_hood":
-            u_sp = FunctionSpace(mesh, "VCG", 2)
-            p_sp = FunctionSpace(mesh, "CG", 1)
-        else:
-            raise ValueError(velocity_variant)
-        self.spaces = {
-            "u": u_sp,
-            "p": p_sp,
-            "theta": FunctionSpace(mesh, "CG", 2),
-            "E": FunctionSpace(mesh, "CG", 2),
-            "B": FunctionSpace(mesh, "RT", 2),
-        }
-        self.state_template = MixedState([(n, self.spaces[n])
-                                          for n in self.fields])
-        self.bcs = bcs or {}
-        self.forcing = forcing or {}
-        self.bc_markers = bc_markers or {
-            n: (self.bcs[n][0] if n in self.bcs else None)
-            for n in self.fields}
-        self._setup_constraints()
-        self._assemble_constant()
+    FORCING = {"f": "u", "q_theta": "theta"}
+    QDEG_RHS = 8
 
     # the buoyancy direction
     E3 = np.array([0.0, 1.0])
 
-    def _setup_constraints(self):
-        pairs = []
-        qbc = self.params.quad_degree_bc
-        for name in ("u", "theta", "E", "B"):
-            spec = self.bcs.get(name)
-            if spec is None:
-                continue
-            markers, value = spec
-            qd = qbc if qbc is not None else \
-                self.spaces[name].element.degree + 6
-            bc = DirichletBC(self.spaces[name],
-                             None if markers == "all" else markers,
-                             value, quad_degree=qd)
-            idx, vals = bc.values()
-            off = self.state_template.offsets[name]
-            pairs.append((idx + off, vals))
-        poff = self.state_template.offsets["p"]
-        pairs.append((np.array([poff]), np.array([0.0])))
-        self.constrained_idx, self.constrained_vals = merge_bc_values(pairs)
-
-    def apply_state_bcs(self, state):
-        state.vector[self.constrained_idx] = self.constrained_vals
-        return state
-
-    def initial_state(self):
-        st = self.state_template.copy()
-        st.vector[:] = 0.0
-        return self.apply_state_bcs(st)
-
-    def _vel_marker_list(self):
-        mk = self.bc_markers.get("u")
-        if mk == "all" or mk is None:
-            return list(self.mesh.marker_names.keys())
-        return mk
-
-    def _velocity_bc_data(self):
-        spec = self.bcs.get("u")
-        return spec[1] if spec else None
+    def __init__(self, mesh, params, bcs=None, forcing=None,
+                 velocity_variant="hdiv"):
+        self.variant = velocity_variant
+        u, p = velocity_pair(mesh, velocity_variant)
+        super().__init__(mesh, params, {
+            "u": u,
+            "p": p,
+            "theta": FunctionSpace(mesh, "CG", 2),
+            "E": FunctionSpace(mesh, "CG", 2),
+            "B": FunctionSpace(mesh, "RT", 2),
+        }, bcs, forcing)
 
     def _assemble_constant(self):
         u, p, th, E, B = (self.spaces[k] for k in self.fields)
@@ -115,29 +57,6 @@ class BoussinesqMHD:
         self.K_divdiv_B = cell_matrix(B, B, "div", "div", qdeg=QDEG)
         self.C_buoy = cell_matrix(u, th, "val", "val",
                                   weight=self.E3[:, None], qdeg=QDEG)
-        self.M_u = cell_matrix(u, u, qdeg=QDEG)
-        self.M_B = cell_matrix(B, B, qdeg=QDEG)
-        self.M_theta = cell_matrix(th, th, qdeg=QDEG)
-        self.M_p = cell_matrix(p, p, qdeg=QDEG)
-        self._rhs_const = self._assemble_forcing()
-
-    def _assemble_forcing(self):
-        st = self.state_template
-        rhs = np.zeros(st.total)
-        f = self.forcing.get("f")
-        if f is not None:
-            rhs[st.field_slice("u")] += cell_vector(
-                self.spaces["u"], "val", f, qdeg=QDEG_RHS)
-        q = self.forcing.get("q_theta")
-        if q is not None:
-            rhs[st.field_slice("theta")] += cell_vector(
-                self.spaces["theta"], "val", q, qdeg=QDEG_RHS)
-        return rhs
-
-    def _state_fields(self, vec):
-        st = self.state_template
-        return {n: Field(self.spaces[n], vec[st.field_slice(n)])
-                for n in self.fields}
 
     def residual(self, vec, constrain=True):
         pr = self.params
@@ -152,7 +71,7 @@ class BoussinesqMHD:
         thq, gthq = field_at_quadrature(th, QDEG, grad=True)
         Bq = field_at_quadrature(B, QDEG)
         Eq = field_at_quadrature(E, QDEG)
-        perpB = np.stack([Bq[..., 1], -Bq[..., 0]], axis=-1)
+        perpB = perp(Bq)
         uxB = np.einsum("cqk,cqk->cq", uq, perpB)
 
         r[su] += 2 * pr.Pr * (self.K_eps @ u.coefficients)
@@ -187,16 +106,12 @@ class BoussinesqMHD:
         r[sB] += (pr.Pr / pr.Pm) * (self.K_divdiv_B @ B.coefficients)
         r[sB] += self.A_curl.T @ E.coefficients
 
-        r -= self._rhs_const
-        if constrain:
-            r[self.constrained_idx] = 0.0
-        return r
+        return self._finish_residual(r, constrain)
 
     def jacobian(self, vec, linearisation="newton", mass_coeff=0.0,
                  steady_coeff=1.0, drop_buoyancy=False, drop_lorentz=False):
         pr = self.params
         delta = 1.0 if linearisation == "newton" else 0.0
-        st = self.state_template
         F = self._state_fields(vec)
         u, p, th, E, B = (F[k] for k in self.fields)
         spaces = self.spaces
@@ -205,8 +120,8 @@ class BoussinesqMHD:
         thq, gthq = field_at_quadrature(th, QDEG, grad=True)
         Bq = field_at_quadrature(B, QDEG)
         Eq = field_at_quadrature(E, QDEG)
-        perpB = np.stack([Bq[..., 1], -Bq[..., 0]], axis=-1)
-        perpU = np.stack([uq[..., 1], -uq[..., 0]], axis=-1)
+        perpB = perp(Bq)
+        perpU = perp(uq)
 
         J_uu = 2 * pr.Pr * self.K_eps
         if self.variant == "hdiv":
@@ -281,55 +196,9 @@ class BoussinesqMHD:
         bm.add("E", "B", J_EB)
         bm.add("B", "E", self.A_curl.T.tocsr())
         bm.add("B", "B", (pr.Pr / pr.Pm) * self.K_divdiv_B)
-        total = bm.tocsr()
-        if steady_coeff != 1.0:
-            total = steady_coeff * total
-        if mass_coeff:
-            total = total + mass_coeff * self._mass_glob()
-        A = constrain_matrix(total, self.constrained_idx)
-        _, wq, _, _ = spaces["u"].basis_at_quadrature(QDEG)
-        parts = {
-            "block_matrix": bm,
-            "D": D_mat,
-            "offsets": self.state_template.offsets,
-            "sizes": self.state_template.sizes(),
-            "mass_coeff": mass_coeff,
-            "delta": delta,
-            "u_l2": float(np.sqrt(np.sum(uq ** 2 * wq[..., None]))),
-        }
-        return A, parts
-
-
-    def _mass_glob(self):
-        if not hasattr(self, "_mass_csr"):
-            from ..linalg import BlockMatrix as _BM
-            bm = _BM(list(self.fields), self.state_template.sizes())
-            bm.add("u", "u", self.M_u.copy())
-            bm.add("B", "B", self.M_B.copy())
-            bm.add("theta", "theta", self.M_theta.copy())
-            self._mass_csr = bm.tocsr()
-        return self._mass_csr
-
-    def apply_mass(self, vec):
-        st = self.state_template
-        out = np.zeros(st.total)
-        out[st.field_slice("u")] = self.M_u @ vec[st.field_slice("u")]
-        out[st.field_slice("B")] = self.M_B @ vec[st.field_slice("B")]
-        out[st.field_slice("theta")] = (self.M_theta
-                                        @ vec[st.field_slice("theta")])
-        return out
+        return self._finish_jacobian(bm, delta, mass_coeff, steady_coeff)
 
     # -- eigen/deflation support -----------------------------------------------------
-
-    def mass_blocks_free(self):
-        """Singular mass of the growth-rate eigenproblem (identity rows on
-        u, theta, B only) as a global sparse matrix before constraining."""
-        st = self.state_template
-        bm = BlockMatrix(list(self.fields), st.sizes())
-        bm.add("u", "u", self.M_u.copy())
-        bm.add("theta", "theta", self.M_theta.copy())
-        bm.add("B", "B", self.M_B.copy())
-        return bm.tocsr()
 
     def deflation_gram(self):
         """|u-u1|^2 + |grad(u-u1)|^2 + |theta-theta1|^2 + |B-B1|^2."""
@@ -337,9 +206,9 @@ class BoussinesqMHD:
         bm = BlockMatrix(list(self.fields), st.sizes())
         Ku = cell_matrix(self.spaces["u"], self.spaces["u"], "grad", "grad",
                          qdeg=QDEG)
-        bm.add("u", "u", self.M_u + Ku)
-        bm.add("theta", "theta", self.M_theta.copy())
-        bm.add("B", "B", self.M_B.copy())
+        bm.add("u", "u", self.mass["u"] + Ku)
+        bm.add("theta", "theta", self.mass["theta"].copy())
+        bm.add("B", "B", self.mass["B"].copy())
         return bm.tocsr()
 
     def functionals(self, vec):
@@ -347,10 +216,11 @@ class BoussinesqMHD:
         u = vec[st.field_slice("u")]
         th = vec[st.field_slice("theta")]
         B = vec[st.field_slice("B")]
+        M = self.mass
         return {
-            "u_norm2": float(u @ (self.M_u @ u)),
-            "theta_norm2": float(th @ (self.M_theta @ th)),
-            "B_norm2": float(B @ (self.M_B @ B)),
+            "u_norm2": float(u @ (M["u"] @ u)),
+            "theta_norm2": float(th @ (M["theta"] @ th)),
+            "B_norm2": float(B @ (M["B"] @ B)),
         }
 
     def symmetry_reflect(self, vec):
@@ -376,15 +246,6 @@ class BoussinesqMHD:
                 return s * _pointwise_eval(f, 1.0 - x, y)[..., 0]
             out[st.field_slice(name)] = interpolate(
                 self.spaces[name], g, quad_degree=8).coefficients
-        return out
-
-    def norms(self, vec):
-        F = self._state_fields(vec)
-        out = {}
-        for n in self.fields:
-            q = field_at_quadrature(F[n], QDEG)
-            _, w, _, _ = self.spaces[n].basis_at_quadrature(QDEG)
-            out[n] = float(np.sqrt(np.sum(q ** 2 * w[..., None])))
         return out
 
 

@@ -12,96 +12,34 @@ augmentation used by the solvers."""
 import numpy as np
 import scipy.sparse as sp
 
-from ..elements import FunctionSpace, Field
+from ..elements import FunctionSpace
 from ..assembly import (cell_matrix, cell_vector, field_at_quadrature,
                         sipg_viscous, upwind_advection_matrix,
-                        upwind_advection_residual, constrain_matrix,
-                        DirichletBC)
+                        upwind_advection_residual)
 from ..linalg import BlockMatrix
-from .base import MixedState, merge_bc_values
-
-QDEG = 6
-QDEG_RHS = 10
-
-TILDE = ("ut", "Et", "Bt", "jt")
+from .base import QDEG, MixedModel, perp, velocity_pair
 
 
-def perp_arr(v):
-    return np.stack([v[..., 1], -v[..., 0]], axis=-1)
-
-
-class HallMHD:
+class HallMHD(MixedModel):
     fields = ("ut", "u3", "p", "Et", "E3", "Bt", "B3", "jt", "j3")
     mass_fields = ("ut", "u3", "Bt", "B3")
+    velocity = "ut"
+    magnetic = "Bt"
+    FORCING = {"f_t": "ut", "f_3": "u3", "gB_t": "Bt", "gB_3": "B3",
+               "gj_t": "jt", "gj_3": "j3"}
+    QDEG_RHS = 10
 
     def __init__(self, mesh, params, bcs=None, forcing=None,
-                 velocity_variant="hdiv", bc_markers=None):
-        self.mesh = mesh
-        self.params = params
+                 velocity_variant="hdiv"):
         self.variant = velocity_variant
-        if velocity_variant == "hdiv":
-            ut, p = FunctionSpace(mesh, "BDM", 2), FunctionSpace(mesh, "DG", 1)
-        elif velocity_variant == "taylor_hood":
-            ut, p = FunctionSpace(mesh, "VCG", 2), FunctionSpace(mesh, "CG", 1)
-        else:
-            raise ValueError(velocity_variant)
+        ut, p = velocity_pair(mesh, velocity_variant)
         cg2 = lambda: FunctionSpace(mesh, "CG", 2)
-        self.spaces = {
+        super().__init__(mesh, params, {
             "ut": ut, "u3": cg2(), "p": p,
             "Et": FunctionSpace(mesh, "NED", 2), "E3": cg2(),
             "Bt": FunctionSpace(mesh, "RT", 2), "B3": cg2(),
             "jt": FunctionSpace(mesh, "NED", 2), "j3": cg2(),
-        }
-        self.state_template = MixedState([(n, self.spaces[n])
-                                          for n in self.fields])
-        self.bcs = bcs or {}
-        self.forcing = forcing or {}
-        self.bc_markers = bc_markers or {
-            n: (self.bcs[n][0] if n in self.bcs else None)
-            for n in self.fields}
-        self._setup_constraints()
-        self._assemble_constant()
-
-    def _setup_constraints(self):
-        pairs = []
-        qbc = self.params.quad_degree_bc
-        for name in self.fields:
-            if name == "p":
-                continue
-            spec = self.bcs.get(name)
-            if spec is None:
-                continue
-            markers, value = spec
-            qd = qbc if qbc is not None else \
-                self.spaces[name].element.degree + 6
-            bc = DirichletBC(self.spaces[name],
-                             None if markers == "all" else markers,
-                             value, quad_degree=qd)
-            idx, vals = bc.values()
-            off = self.state_template.offsets[name]
-            pairs.append((idx + off, vals))
-        poff = self.state_template.offsets["p"]
-        pairs.append((np.array([poff]), np.array([0.0])))
-        self.constrained_idx, self.constrained_vals = merge_bc_values(pairs)
-
-    def apply_state_bcs(self, state):
-        state.vector[self.constrained_idx] = self.constrained_vals
-        return state
-
-    def initial_state(self):
-        st = self.state_template.copy()
-        st.vector[:] = 0.0
-        return self.apply_state_bcs(st)
-
-    def _vel_marker_list(self):
-        mk = self.bc_markers.get("ut")
-        if mk == "all" or mk is None:
-            return list(self.mesh.marker_names.keys())
-        return mk
-
-    def _velocity_bc_data(self):
-        spec = self.bcs.get("ut")
-        return spec[1] if spec else None
+        }, bcs, forcing)
 
     def _assemble_constant(self):
         s = self.spaces
@@ -127,29 +65,6 @@ class HallMHD:
                                    qdeg=QDEG)
         self.K_divdiv_B = cell_matrix(s["Bt"], s["Bt"], "div", "div",
                                       qdeg=QDEG)
-        self.M_ut = cell_matrix(s["ut"], s["ut"], qdeg=QDEG)
-        self.M_u3 = cell_matrix(s["u3"], s["u3"], qdeg=QDEG)
-        self.M_Bt = cell_matrix(s["Bt"], s["Bt"], qdeg=QDEG)
-        self.M_B3 = cell_matrix(s["B3"], s["B3"], qdeg=QDEG)
-        self.M_p = cell_matrix(s["p"], s["p"], qdeg=QDEG)
-        self._rhs_const = self._assemble_forcing()
-
-    def _assemble_forcing(self):
-        st = self.state_template
-        rhs = np.zeros(st.total)
-        table = {"f_t": "ut", "f_3": "u3", "gB_t": "Bt", "gB_3": "B3",
-                 "gj_t": "jt", "gj_3": "j3"}
-        for key, name in table.items():
-            fn = self.forcing.get(key)
-            if fn is not None:
-                rhs[st.field_slice(name)] += cell_vector(
-                    self.spaces[name], "val", fn, qdeg=QDEG_RHS)
-        return rhs
-
-    def _state_fields(self, vec):
-        st = self.state_template
-        return {n: Field(self.spaces[n], vec[st.field_slice(n)])
-                for n in self.fields}
 
     # -- residual ------------------------------------------------------------
 
@@ -169,9 +84,9 @@ class HallMHD:
         j3q = field_at_quadrature(F["j3"], QDEG)[..., 0]
         Etq = field_at_quadrature(F["Et"], QDEG)
         E3q = field_at_quadrature(F["E3"], QDEG)[..., 0]
-        pBt = perp_arr(Btq)
-        pjt = perp_arr(jtq)
-        put = perp_arr(utq)
+        pBt = perp(Btq)
+        pjt = perp(jtq)
+        put = perp(utq)
 
         inv_re = 1.0 / pr.Re
         # momentum, in-plane
@@ -216,7 +131,6 @@ class HallMHD:
             - self.C_Bt_F3 @ F["Bt"].coefficients
 
         # Faraday + augmentation
-        eta_dt = 0.0
         r[S["Bt"]] += self.C_Bt_F3.T @ F["E3"].coefficients \
             + self.K_divdiv_B @ F["Bt"].coefficients
         r[S["B3"]] += self.C_B3_Ft.T @ F["Et"].coefficients
@@ -231,10 +145,7 @@ class HallMHD:
         r[S["j3"]] += cell_vector(sp_["j3"], "val", ohm_3[..., None],
                                   qdeg=QDEG)
 
-        r -= self._rhs_const
-        if constrain:
-            r[self.constrained_idx] = 0.0
-        return r
+        return self._finish_residual(r, constrain)
 
     def _skew_vec_residual(self, uq, guq):
         adv = 0.5 * np.einsum("cqd,cqkd->cqk", uq, guq)
@@ -269,9 +180,9 @@ class HallMHD:
         B3q = field_at_quadrature(F["B3"], QDEG)[..., 0]
         jtq = field_at_quadrature(F["jt"], QDEG)
         j3q = field_at_quadrature(F["j3"], QDEG)[..., 0]
-        pBt = perp_arr(Btq)
-        pjt = perp_arr(jtq)
-        put = perp_arr(utq)
+        pBt = perp(Btq)
+        pjt = perp(jtq)
+        put = perp(utq)
         shp = utq.shape[:2]
         ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])  # perp(db) = ROT @ db
 
@@ -393,20 +304,7 @@ class HallMHD:
             bm.add("j3", "Bt", cell_matrix(
                 s["j3"], s["Bt"], "val", "val", weight=W, qdeg=QDEG))
 
-        total = bm.tocsr()
-        if steady_coeff != 1.0:
-            total = steady_coeff * total
-        if mass_coeff:
-            total = total + mass_coeff * self._mass_glob()
-        A = constrain_matrix(total, self.constrained_idx)
-        parts = {
-            "block_matrix": bm,
-            "offsets": st.offsets,
-            "sizes": st.sizes(),
-            "mass_coeff": mass_coeff,
-            "delta": delta,
-        }
-        return A, parts
+        return self._finish_jacobian(bm, delta, mass_coeff, steady_coeff)
 
     def _skew_vec_jacobian(self, uq, guq, delta):
         s = self.spaces["ut"]
@@ -453,26 +351,6 @@ class HallMHD:
         Wb = -0.5 * sq[..., None, None] * np.eye(2)
         return J + cell_matrix(s3, su, "grad", "val", weight=Wb, qdeg=QDEG)
 
-
-    def _mass_glob(self):
-        if not hasattr(self, "_mass_csr"):
-            from ..linalg import BlockMatrix as _BM
-            bm = _BM(list(self.fields), self.state_template.sizes())
-            bm.add("ut", "ut", self.M_ut.copy())
-            bm.add("u3", "u3", self.M_u3.copy())
-            bm.add("Bt", "Bt", self.M_Bt.copy())
-            bm.add("B3", "B3", self.M_B3.copy())
-            self._mass_csr = bm.tocsr()
-        return self._mass_csr
-
-    def apply_mass(self, vec):
-        st = self.state_template
-        out = np.zeros(st.total)
-        for n, M in (("ut", self.M_ut), ("u3", self.M_u3),
-                     ("Bt", self.M_Bt), ("B3", self.M_B3)):
-            out[st.field_slice(n)] = M @ vec[st.field_slice(n)]
-        return out
-
     # -- diagnostics ---------------------------------------------------------------
 
     def energy_identity_error(self, vec):
@@ -491,37 +369,6 @@ class HallMHD:
         lhs = grad2 / pr.Re + pr.S * j2 / pr.Rem
         return abs(lhs - fu) / max(1.0, abs(fu))
 
-    def div_norms(self, vec):
-        st = self.state_template
-        out = {}
-        for n in ("ut", "Bt"):
-            F = Field(self.spaces[n], vec[st.field_slice(n)])
-            _, g = field_at_quadrature(F, QDEG, grad=True)
-            _, w, _, _ = self.spaces[n].basis_at_quadrature(QDEG)
-            div = g[..., 0, 0] + g[..., 1, 1]
-            out[n] = float(np.sqrt(np.sum(div ** 2 * w)))
-        return out
-
-    def l2_error(self, vec, exact, fields=None, qdeg=10, zero_mean=()):
-        st = self.state_template
-        out = {}
-        for n in (fields or self.fields):
-            space = self.spaces[n]
-            F = Field(space, vec[st.field_slice(n)])
-            pts, w = space.cell_quadrature(qdeg)
-            vals = F.eval_cells(np.arange(self.mesh.num_cells), pts)
-            ev = np.asarray(exact[n](pts[..., 0], pts[..., 1]), dtype=float)
-            if ev.ndim == 2:
-                ev = ev[..., None]
-            if n in zero_mean:
-                area = w.sum()
-                vals = vals - np.sum(vals[..., 0] * w) / area
-                ev = ev - np.sum(ev[..., 0] * w) / area
-            err = np.sqrt(np.sum((vals - ev) ** 2 * w[..., None]))
-            ref = np.sqrt(np.sum(ev ** 2 * w[..., None]))
-            out[n] = err / max(ref, 1e-30)
-        return out
-
 
 def compatible_hall_bcs(params, lid_velocity=1.0, lid_marker="top"):
     """Boundary data for (Et, E3, jt, j3) compatible with the generalised
@@ -530,9 +377,6 @@ def compatible_hall_bcs(params, lid_velocity=1.0, lid_marker="top"):
     j x n = (Rem R_H, 0, 1)^T x n / (Rem^-1 + Rem R_H^2)."""
     Rem, RH = params.Rem, params.R_H
     denom = 1.0 / Rem + Rem * RH ** 2
-
-    def on_lid(y):
-        return np.abs(y - np.max(y)) < 1e-9 if np.ndim(y) else True
 
     def jt_data(x, y, tol=1e-9):
         lid = np.abs(y - 0.5) < tol

@@ -5,75 +5,31 @@ incompressible resistive MHD with the H(div) x L2 velocity pair:
 import numpy as np
 import scipy.sparse as sp
 
-from ..elements import FunctionSpace, Field
+from ..elements import FunctionSpace
 from ..assembly import (cell_matrix, cell_vector, field_at_quadrature,
                         sipg_viscous, upwind_advection_matrix,
                         upwind_advection_residual, burman_stabilisation,
-                        constrain_matrix, DirichletBC, EPS_CONTRACTION)
+                        EPS_CONTRACTION)
 from ..linalg import BlockMatrix
-from .base import MixedState, merge_bc_values
-
-QDEG = 6
-QDEG_RHS = 10
+from .base import QDEG, MixedModel, perp
 
 
-class StandardMHD:
+class StandardMHD(MixedModel):
     """Standard MHD model; Picard omits exactly the tilde coupling blocks
     (B x E^n, B x (u^n x B^n), B^n x (u^n x B), u^n x B)."""
 
     fields = ("u", "p", "E", "B")
     mass_fields = ("u", "B")
+    FORCING = {"f": "u", "g_E": "E", "g_B": "B"}
+    QDEG_RHS = 10
 
-    def __init__(self, mesh, params, bcs=None, forcing=None,
-                 dirichlet_velocity_markers="all"):
-        self.mesh = mesh
-        self.params = params
-        self.spaces = {
+    def __init__(self, mesh, params, bcs=None, forcing=None):
+        super().__init__(mesh, params, {
             "u": FunctionSpace(mesh, "BDM", 2),
             "p": FunctionSpace(mesh, "DG", 1),
             "E": FunctionSpace(mesh, "CG", 2),
             "B": FunctionSpace(mesh, "RT", 2),
-        }
-        self.state_template = MixedState([(n, self.spaces[n])
-                                          for n in self.fields])
-        self.bcs = bcs or {}
-        self.forcing = forcing or {}
-        self.vel_markers = dirichlet_velocity_markers
-        self._setup_constraints()
-        self._assemble_constant()
-
-    # -- constraints ------------------------------------------------------------
-
-    def _setup_constraints(self):
-        pairs = []
-        qbc = self.params.quad_degree_bc
-        self._bc_objects = {}
-        for name in ("u", "E", "B"):
-            spec = self.bcs.get(name)
-            if spec is None:
-                continue
-            markers, value = spec
-            qd = qbc if qbc is not None else self.spaces[name].element.degree + 6
-            bc = DirichletBC(self.spaces[name],
-                             None if markers == "all" else markers,
-                             value, quad_degree=qd)
-            self._bc_objects[name] = bc
-            idx, vals = bc.values()
-            off = self.state_template.offsets[name]
-            pairs.append((idx + off, vals))
-        # pin one pressure dof to fix the constant mode
-        poff = self.state_template.offsets["p"]
-        pairs.append((np.array([poff]), np.array([0.0])))
-        self.constrained_idx, self.constrained_vals = merge_bc_values(pairs)
-
-    def apply_state_bcs(self, state):
-        state.vector[self.constrained_idx] = self.constrained_vals
-        return state
-
-    def initial_state(self):
-        st = self.state_template.copy()
-        st.vector[:] = 0.0
-        return self.apply_state_bcs(st)
+        }, bcs, forcing)
 
     # -- cached constant kernels ---------------------------------------------------
 
@@ -81,57 +37,16 @@ class StandardMHD:
         u, p, E, B = (self.spaces[k] for k in self.fields)
         self.K_eps = cell_matrix(u, u, "grad", "grad",
                                  weight=EPS_CONTRACTION, qdeg=QDEG)
-        gd = self._velocity_bc_data()
         self.K_sipg_unit, self.r_sipg_unit = sipg_viscous(
             u, nu=1.0, sym=True, qdeg=QDEG,
-            dirichlet_markers=self._vel_marker_list(), g_d=gd)
+            dirichlet_markers=self._vel_marker_list(),
+            g_d=self._velocity_bc_data())
         self.K_divdiv_u = cell_matrix(u, u, "div", "div", qdeg=QDEG)
         self.D_up = cell_matrix(p, u, "val", "div", qdeg=QDEG)  # (div u, q)
         self.M_E = cell_matrix(E, E, qdeg=QDEG)
         self.A_curl = cell_matrix(E, B, "vcurl", "val", qdeg=QDEG)
         self.K_divdiv_B = cell_matrix(B, B, "div", "div", qdeg=QDEG)
         self.K_burman_unit = burman_stabilisation(u, mu=1.0, qdeg=QDEG)
-        self.M_u = cell_matrix(u, u, qdeg=QDEG)
-        self.M_B = cell_matrix(B, B, qdeg=QDEG)
-        self.M_p = cell_matrix(p, p, qdeg=QDEG)
-        self._rhs_const = self._assemble_forcing()
-
-    def _vel_marker_list(self):
-        if self.vel_markers == "all":
-            return list(self.mesh.marker_names.keys())
-        return self.vel_markers
-
-    def _velocity_bc_data(self):
-        spec = self.bcs.get("u")
-        if spec is None:
-            return None
-        return spec[1]
-
-    def _assemble_forcing(self):
-        st = self.state_template
-        rhs = np.zeros(st.total)
-        f = self.forcing.get("f")
-        if f is not None:
-            rhs[st.field_slice("u")] += cell_vector(self.spaces["u"], "val",
-                                                    f, qdeg=QDEG_RHS)
-        g_E = self.forcing.get("g_E")
-        if g_E is not None:
-            rhs[st.field_slice("E")] += cell_vector(self.spaces["E"], "val",
-                                                    g_E, qdeg=QDEG_RHS)
-        g_B = self.forcing.get("g_B")
-        if g_B is not None:
-            rhs[st.field_slice("B")] += cell_vector(self.spaces["B"], "val",
-                                                    g_B, qdeg=QDEG_RHS)
-        return rhs
-
-    # -- state evaluation ------------------------------------------------------------
-
-    def _state_fields(self, vec):
-        st = self.state_template
-        out = {}
-        for n in self.fields:
-            out[n] = Field(self.spaces[n], vec[st.field_slice(n)])
-        return out
 
     # -- residual -------------------------------------------------------------------
 
@@ -166,7 +81,7 @@ class StandardMHD:
         if pr.stab_mu:
             r[su] += pr.stab_mu * (self.K_burman_unit @ u.coefficients)
         # Lorentz: S (B x E, v) + S (B x (u x B), v) with B x s = s * perp(B)
-        perpB = np.stack([Bq[..., 1], -Bq[..., 0]], axis=-1)
+        perpB = perp(Bq)
         uxB = np.einsum("cqk,cqk->cq", uq, perpB)
         lor = pr.S * (Eq[..., 0] + uxB)[..., None] * perpB
         r[su] += cell_vector(self.spaces["u"], "val", lor, qdeg=QDEG)
@@ -181,10 +96,7 @@ class StandardMHD:
         r[sB] += (1.0 / pr.Rem) * (self.K_divdiv_B @ B.coefficients)
         r[sB] += self.A_curl.T @ E.coefficients
 
-        r -= self._rhs_const
-        if constrain:
-            r[self.constrained_idx] = 0.0
-        return r
+        return self._finish_residual(r, constrain)
 
     # -- jacobian --------------------------------------------------------------------
 
@@ -194,7 +106,6 @@ class StandardMHD:
         the block preconditioners need (field sizes, Lorentz block D)."""
         pr = self.params
         delta = 1.0 if linearisation == "newton" else 0.0
-        st = self.state_template
         F = self._state_fields(vec)
         u, p, E, B = (F[k] for k in self.fields)
         spaces = self.spaces
@@ -202,9 +113,8 @@ class StandardMHD:
         uq, guq = field_at_quadrature(u, QDEG, grad=True)
         Bq = field_at_quadrature(B, QDEG)
         Eq = field_at_quadrature(E, QDEG)
-        perpB = np.stack([Bq[..., 1], -Bq[..., 0]], axis=-1)
-        perpU = np.stack([uq[..., 1], -uq[..., 0]], axis=-1)
-        nq = uq.shape[1]
+        perpB = perp(Bq)
+        perpU = perp(uq)
 
         nu = 1.0 / pr.Re
         J_uu = (2 * nu) * self.K_eps + nu * self.K_sipg_unit \
@@ -274,81 +184,7 @@ class StandardMHD:
         bm.add("E", "B", J_EB)
         bm.add("B", "E", self.A_curl.T.tocsr())
         bm.add("B", "B", (1.0 / pr.Rem) * self.K_divdiv_B)
-        total = bm.tocsr()
-        if steady_coeff != 1.0:
-            total = steady_coeff * total
-        if mass_coeff:
-            total = total + mass_coeff * self._mass_glob()
-        A = constrain_matrix(total, self.constrained_idx)
         _, wq, _, _ = spaces["u"].basis_at_quadrature(QDEG)
-        parts = {
-            "block_matrix": bm,
-            "D": D_mat,
-            "offsets": self.state_template.offsets,
-            "sizes": self.state_template.sizes(),
-            "mass_coeff": mass_coeff,
-            "delta": delta,
-            "u_l2": float(np.sqrt(np.sum(uq ** 2 * wq[..., None]))),
-        }
-        return A, parts
-
-    # -- transient mass application ------------------------------------------------
-
-
-    def _mass_glob(self):
-        if not hasattr(self, "_mass_csr"):
-            from ..linalg import BlockMatrix as _BM
-            bm = _BM(list(self.fields), self.state_template.sizes())
-            bm.add("u", "u", self.M_u.copy())
-            bm.add("B", "B", self.M_B.copy())
-            self._mass_csr = bm.tocsr()
-        return self._mass_csr
-
-    def apply_mass(self, vec):
-        st = self.state_template
-        out = np.zeros(st.total)
-        out[st.field_slice("u")] = self.M_u @ vec[st.field_slice("u")]
-        out[st.field_slice("B")] = self.M_B @ vec[st.field_slice("B")]
-        return out
-
-    # -- diagnostics -----------------------------------------------------------------
-
-    def norms(self, vec):
-        F = self._state_fields(vec)
-        out = {}
-        for n in self.fields:
-            q = field_at_quadrature(F[n], QDEG)
-            _, w, _, _ = self.spaces[n].basis_at_quadrature(QDEG)
-            out[n] = float(np.sqrt(np.sum(q ** 2 * w[..., None])))
-        return out
-
-    def div_norms(self, vec):
-        F = self._state_fields(vec)
-        out = {}
-        for n in ("u", "B"):
-            _, g = field_at_quadrature(F[n], QDEG, grad=True)
-            _, w, _, _ = self.spaces[n].basis_at_quadrature(QDEG)
-            div = g[..., 0, 0] + g[..., 1, 1]
-            out[n] = float(np.sqrt(np.sum(div ** 2 * w)))
-        return out
-
-    def l2_error(self, vec, exact, fields=None, qdeg=10, zero_mean=()):
-        """Relative L2 errors against pointwise exact fields."""
-        F = self._state_fields(vec)
-        out = {}
-        for n in (fields or self.fields):
-            ex = exact[n]
-            space = self.spaces[n]
-            pts, w = space.cell_quadrature(qdeg)
-            vals = F[n].eval_cells(np.arange(self.mesh.num_cells), pts)
-            ev = np.asarray(ex(pts[..., 0], pts[..., 1]), dtype=float)
-            if ev.ndim == 2:
-                ev = ev[..., None]
-            if n in zero_mean:
-                area = w.sum()
-                vals = vals - np.sum(vals[..., 0] * w) / area
-                ev = ev - np.sum(ev[..., 0] * w) / area
-            err = np.sqrt(np.sum((vals - ev) ** 2 * w[..., None]))
-            ref = np.sqrt(np.sum(ev ** 2 * w[..., None]))
-            out[n] = err / max(ref, 1e-30)
-        return out
+        return self._finish_jacobian(
+            bm, delta, mass_coeff, steady_coeff, D=D_mat,
+            u_l2=float(np.sqrt(np.sum(uq ** 2 * wq[..., None]))))

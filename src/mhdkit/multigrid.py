@@ -168,17 +168,15 @@ class MgHierarchy:
     """Per-level spaces / transfers / patches for a tuple of fields over a
     MeshHierarchy; built once and reused across Jacobians."""
 
-    def __init__(self, hierarchy, field_specs, bc_markers, levels=None):
+    def __init__(self, hierarchy, field_specs, bc_markers):
         """field_specs: list of (family, degree); bc_markers: per field, None
         (no strong dofs), 'all', or list of marker names."""
         self.hierarchy = hierarchy
-        nlev = len(hierarchy) if levels is None else levels
+        nlev = len(hierarchy)
         self.nlevels = nlev
-        meshes = hierarchy.levels[-nlev:]
-        self.level_offset = len(hierarchy.levels) - nlev
         self.spaces = []
         self.constrained = []
-        for mesh in meshes:
+        for mesh in hierarchy.levels:
             sps = tuple(FunctionSpace(mesh, fam, deg)
                         for fam, deg in field_specs)
             self.spaces.append(sps)
@@ -194,7 +192,7 @@ class MgHierarchy:
                                     else np.zeros(0, dtype=np.int64))
         self.transfers = []
         for lv in range(nlev - 1):
-            child = hierarchy.cell_children[self.level_offset + lv]
+            child = hierarchy.cell_children[lv]
             blocks = [build_transfer(self.spaces[lv][k],
                                      self.spaces[lv + 1][k], child)
                       for k in range(len(field_specs))]
@@ -206,8 +204,10 @@ class MgHierarchy:
             maskc[self.constrained[lv]] = 0.0
             P = sp.diags(maskf) @ P @ sp.diags(maskc)
             self.transfers.append(P.tocsr())
-        self.patches = [star_patches(self.spaces[lv], self.constrained[lv])
-                        for lv in range(nlev)]
+        # the coarsest level is solved by LU, not smoothed
+        self.patches = [None] + [star_patches(self.spaces[lv],
+                                              self.constrained[lv])
+                                 for lv in range(1, nlev)]
         self.sizes = [sum(s.total_dofs for s in sps) for sps in self.spaces]
 
     @property

@@ -103,6 +103,9 @@ def solve_nonlinear(model, state, config=None, solver_factory=None,
             A, parts = None, None
         solve = solver_factory(A, parts)
         delta, nit = solve(-r)
+        # free this step's solver (a block preconditioner holds multigrid
+        # levels and factorisations) before the next one is built
+        del A, parts, solve
         if deflation is not None:
             tau = deflation.step_scale(x, delta)
             delta = tau * delta

@@ -1,25 +1,22 @@
 """Block preconditioners: block upper-triangular application over a 2x2 field
 grouping, outer Schur approximations for both elimination orders, the
-augmented-Lagrangian fluid-block inner preconditioner (velocity multigrid +
-scaled pressure mass), the monolithic electromagnetic / (u, theta) multigrid
-wiring and the Hall electromagnetic block."""
+augmented-Lagrangian inner block (star-patch multigrid on the coupled flow
+fields + scaled pressure mass), the electromagnetic multigrid wiring and the
+Hall electromagnetic block."""
 
 import numpy as np
 import scipy.sparse as sp
 
 from .linalg import LuSolver, fgmres, fixed_iteration_solver
-from .multigrid import MgHierarchy, GeometricMultigrid, MgConfig
+from .multigrid import MgHierarchy, GeometricMultigrid
+
+# FGMRES iterations of each inner block solve
+INNER_ITERS = 2
 
 
 class BlockPrecondConfig:
-    def __init__(self, elimination="eliminate_up", inner_iters=2,
-                 mg_config=None, mg_levels=None, hall_schur="direct",
-                 smooth_iters=6):
+    def __init__(self, elimination="eliminate_up"):
         self.elimination = elimination
-        self.inner_iters = inner_iters
-        self.mg_config = mg_config or MgConfig(smooth_iters=smooth_iters)
-        self.mg_levels = mg_levels
-        self.hall_schur = hall_schur
 
 
 class IterationLedger:
@@ -42,46 +39,35 @@ class IterationLedger:
                 f.write(f"{s},{i},{r:.6e}\n")
 
 
-def _identity_on(indices, n):
-    def wrap(apply):
-        def inner(r):
-            out = apply(r)
-            if len(indices):
-                out[indices] = r[indices]
-            return out
-        return inner
-    return wrap
+class AugmentedLagrangianPrecond:
+    """Block upper-triangular preconditioner of an augmented
+    (flow fields | pressure) block: star-patch multigrid on the flow fields,
+    and the pressure Schur complement by the scaled inverse pressure mass
+    schur_scale * M_p^{-1} (exactly invertible cellwise for the
+    discontinuous pressure); the pinned pressure dofs pass through."""
 
-
-class FluidBlockPrecond:
-    """Block upper-triangular preconditioner of the augmented (u, p) system:
-    velocity block by star-patch multigrid, pressure Schur complement by the
-    scaled inverse pressure mass -(1/Re + gamma) M_p^{-1} (exactly invertible
-    cellwise for the discontinuous pressure)."""
-
-    def __init__(self, mg, Mp_inv, schur_scale, nu, np_, pin_local=()):
+    def __init__(self, mg, Mp_inv, schur_scale, n_top, pin_local=()):
         self.mg = mg
         self.Mp_inv = Mp_inv
         self.schur_scale = schur_scale
-        self.nu = nu
-        self.np_ = np_
+        self.n_top = n_top
         self.pin_local = np.asarray(pin_local, dtype=np.int64)
         self.Bt = None
 
-    def setup(self, A_up):
-        n = self.nu
-        self.Bt = A_up[:n, n:]
-        self.mg.setup(A_up[:n, :n])
+    def setup(self, A_block):
+        n = self.n_top
+        self.Bt = A_block[:n, n:]
+        self.mg.setup(A_block[:n, :n])
         return self
 
     def apply(self, r):
-        ru = r[:self.nu]
-        rp = r[self.nu:]
+        rt = r[:self.n_top]
+        rp = r[self.n_top:]
         yp = self.schur_scale * (self.Mp_inv @ rp)
         if len(self.pin_local):
             yp[self.pin_local] = rp[self.pin_local]
-        yu = self.mg.apply(ru - self.Bt @ yp)
-        return np.concatenate([yu, yp])
+        yt = self.mg.apply(rt - self.Bt @ yp)
+        return np.concatenate([yt, yp])
 
 
 def pressure_mass_inverse(p_space, qdeg=6):
@@ -130,6 +116,31 @@ def lu_inverse(A):
     return lu.solve
 
 
+def mg_inverse(ctx, A):
+    """INNER_ITERS FGMRES iterations on A preconditioned by one V-cycle of
+    star-patch multigrid over the hierarchy ctx."""
+    mg = GeometricMultigrid(ctx).setup(A)
+    return fixed_iteration_solver(A, mg.apply, INNER_ITERS)
+
+
+def al_inverse(ctx, Mp_inv, schur_scale, A):
+    """INNER_ITERS FGMRES iterations on an augmented (flow | pressure) block
+    preconditioned by AugmentedLagrangianPrecond; the first pressure dof is
+    the model's pin."""
+    n_top = A.shape[0] - Mp_inv.shape[0]
+    inner = AugmentedLagrangianPrecond(GeometricMultigrid(ctx), Mp_inv,
+                                       schur_scale, n_top, pin_local=[0])
+    inner.setup(A)
+    return fixed_iteration_solver(A, inner.apply, INNER_ITERS)
+
+
+def field_indices(state_template, names):
+    """Global dof indices of the named fields, in the given order."""
+    return np.concatenate([np.arange(state_template.field_slice(n).start,
+                                     state_template.field_slice(n).stop)
+                           for n in names])
+
+
 class StandardMHDPrecond:
     """Outer block preconditioner for the standard-MHD Jacobian.
 
@@ -148,46 +159,22 @@ class StandardMHDPrecond:
     def __init__(self, model, hierarchy, config=None):
         self.model = model
         self.config = config or BlockPrecondConfig()
-        levels = self.config.mg_levels
-        markers = getattr(model, "bc_markers", {})
-
-        def mk(name):
-            m = markers.get(name, "all")
-            return m
-
-        self.vel_ctx = MgHierarchy(hierarchy, [("BDM", 2)], [mk("u")],
-                                   levels=levels)
+        mk = model.bc_markers
+        self.vel_ctx = MgHierarchy(hierarchy, [("BDM", 2)], [mk["u"]])
         self.em_ctx = MgHierarchy(hierarchy, [("CG", 2), ("RT", 2)],
-                                  [mk("E"), mk("B")], levels=levels)
+                                  [mk["E"], mk["B"]])
         self.Mp_inv = pressure_mass_inverse(model.spaces["p"])
         st = model.state_template
-        self.up_idx = np.concatenate([np.arange(st.field_slice("u").start,
-                                                st.field_slice("u").stop),
-                                      np.arange(st.field_slice("p").start,
-                                                st.field_slice("p").stop)])
-        self.eb_idx = np.concatenate([np.arange(st.field_slice("E").start,
-                                                st.field_slice("E").stop),
-                                      np.arange(st.field_slice("B").start,
-                                                st.field_slice("B").stop)])
+        self.up_idx = field_indices(st, ("u", "p"))
+        self.eb_idx = field_indices(st, ("E", "B"))
         self.nu_ = st.spaces["u"].total_dofs
         self.np_ = st.spaces["p"].total_dofs
         self._h = model.mesh.min_edge_length()
 
     def _fluid_inverse(self, A_up):
         pr = self.model.params
-        mg = GeometricMultigrid(self.vel_ctx, self.config.mg_config)
-        fluid = FluidBlockPrecond(mg, self.Mp_inv,
-                                  -(1.0 / pr.Re + pr.gamma),
-                                  self.nu_, self.np_, pin_local=[0])
-        fluid.setup(A_up)
-        return fixed_iteration_solver(A_up, fluid.apply,
-                                      self.config.inner_iters)
-
-    def _em_inverse(self, A_eb):
-        mg = GeometricMultigrid(self.em_ctx, self.config.mg_config)
-        mg.setup(A_eb)
-        return fixed_iteration_solver(A_eb, mg.apply,
-                                      self.config.inner_iters)
+        return al_inverse(self.vel_ctx, self.Mp_inv,
+                          -(1.0 / pr.Re + pr.gamma), A_up)
 
     def build(self, A, parts):
         cfg = self.config
@@ -195,7 +182,7 @@ class StandardMHDPrecond:
         A_eb = A[self.eb_idx][:, self.eb_idx].tocsr()
         if cfg.elimination == "eliminate_up":
             inv_up = self._fluid_inverse(A_up)
-            inv_eb = self._em_inverse(A_eb)
+            inv_eb = mg_inverse(self.em_ctx, A_eb)
             return BlockUpperPrecond(A, self.up_idx, self.eb_idx,
                                      inv_up, inv_eb)
         # eliminate_EB: Schur approximation is the fluid block with the
@@ -213,7 +200,7 @@ class StandardMHDPrecond:
                              [None, sp.csr_matrix((self.np_, self.np_))]],
                             format="csr")
             S = (A_up + (alpha - 1.0) * Dfull).tocsr()
-        inv_eb = self._em_inverse(A_eb)
+        inv_eb = mg_inverse(self.em_ctx, A_eb)
         inv_up = self._fluid_inverse(S)
         return BlockUpperPrecond(A, self.eb_idx, self.up_idx,
                                  inv_eb, inv_up)
@@ -260,129 +247,33 @@ class KrylovSolverFactory:
         return solve
 
 
-# -- dense Schur oracles --------------------------------------------------------
-
-
-def dense_outer_schur_eb(blocks, free, offsets, sizes, fields=("u", "p",
-                                                               "E", "B")):
-    """Dense S^(E,B): fluid block minus coupling through the inverted
-    electromagnetic block, all restricted to free dofs (oracle use only)."""
-    import numpy.linalg as la
-
-    def blk(r, c):
-        b = blocks.blocks.get((r, c))
-        n, m = sizes[r], sizes[c]
-        out = np.zeros((n, m))
-        if b is not None:
-            out = b.toarray()
-        return out[np.ix_(free[r], free[c])]
-
-    top = np.block([[blk("u", "u"), blk("u", "p")],
-                    [blk("p", "u"), blk("p", "p")]])
-    K = np.block([[blk("u", "E"), blk("u", "B")],
-                  [blk("p", "E"), blk("p", "B")]])
-    L = np.block([[blk("E", "u"), blk("E", "p")],
-                  [blk("B", "u"), blk("B", "p")]])
-    M = np.block([[blk("E", "E"), blk("E", "B")],
-                  [blk("B", "E"), blk("B", "B")]])
-    return top - K @ la.solve(M, L)
-
-
-def dense_outer_schur_up(blocks, free, sizes):
-    """Dense S^(u,p): electromagnetic block minus coupling through the
-    inverted fluid block (oracle use only)."""
-    import numpy.linalg as la
-
-    def blk(r, c):
-        b = blocks.blocks.get((r, c))
-        out = np.zeros((sizes[r], sizes[c]))
-        if b is not None:
-            out = b.toarray()
-        return out[np.ix_(free[r], free[c])]
-
-    M = np.block([[blk("E", "E"), blk("E", "B")],
-                  [blk("B", "E"), blk("B", "B")]])
-    L = np.block([[blk("E", "u"), blk("E", "p")],
-                  [blk("B", "u"), blk("B", "p")]])
-    K = np.block([[blk("u", "E"), blk("u", "B")],
-                  [blk("p", "E"), blk("p", "B")]])
-    top = np.block([[blk("u", "u"), blk("u", "p")],
-                    [blk("p", "u"), blk("p", "p")]])
-    return M - L @ la.solve(top, K)
-
-
-class MonolithicBlockPrecond:
-    """2x2 inner preconditioner of a (coupled-fields | pressure) block:
-    monolithic star-patch multigrid on the coupled fields and a scaled exact
-    inverse pressure mass for the AL Schur complement."""
-
-    def __init__(self, mg, Mp_inv, schur_scale, n_top, pin_local=()):
-        self.mg = mg
-        self.Mp_inv = Mp_inv
-        self.schur_scale = schur_scale
-        self.n_top = n_top
-        self.pin_local = np.asarray(pin_local, dtype=np.int64)
-        self.Bt = None
-
-    def setup(self, A_block):
-        n = self.n_top
-        self.Bt = A_block[:n, n:]
-        self.mg.setup(A_block[:n, :n])
-        return self
-
-    def apply(self, r):
-        rt = r[:self.n_top]
-        rp = r[self.n_top:]
-        yp = self.schur_scale * (self.Mp_inv @ rp)
-        if len(self.pin_local):
-            yp[self.pin_local] = rp[self.pin_local]
-        yt = self.mg.apply(rt - self.Bt @ yp)
-        return np.concatenate([yt, yp])
-
-
 class AnisothermalPrecond:
     """Outer preconditioner of the Boussinesq Jacobian: group (u, theta, p)
     against (E, B); the top block is inverted by 2 FGMRES iterations with a
     further ((u, theta) | p) splitting -- monolithic star-patch multigrid on
     the (u, theta) block and -gamma M_p^{-1} for the pressure Schur
     complement -- and the outer Schur approximation is the electromagnetic
-    diagonal block with its monolithic multigrid."""
+    diagonal block with its monolithic multigrid.  The grouping is fixed:
+    `config` is taken for the shared constructor signature only."""
 
     def __init__(self, model, hierarchy, config=None):
         self.model = model
-        self.config = config or BlockPrecondConfig()
-        levels = self.config.mg_levels
-        markers = getattr(model, "bc_markers", {})
-        self.uth_ctx = MgHierarchy(
-            hierarchy, [("BDM", 2), ("CG", 2)],
-            [markers.get("u", "all"), markers.get("theta", None)],
-            levels=levels)
-        self.em_ctx = MgHierarchy(
-            hierarchy, [("CG", 2), ("RT", 2)],
-            [markers.get("E", "all"), markers.get("B", "all")],
-            levels=levels)
+        mk = model.bc_markers
+        self.uth_ctx = MgHierarchy(hierarchy, [("BDM", 2), ("CG", 2)],
+                                   [mk["u"], mk["theta"]])
+        self.em_ctx = MgHierarchy(hierarchy, [("CG", 2), ("RT", 2)],
+                                  [mk["E"], mk["B"]])
         self.Mp_inv = pressure_mass_inverse(model.spaces["p"])
         st = model.state_template
-        idx = lambda n: np.arange(st.field_slice(n).start,
-                                  st.field_slice(n).stop)
-        self.top_idx = np.concatenate([idx("u"), idx("theta"), idx("p")])
-        self.eb_idx = np.concatenate([idx("E"), idx("B")])
-        self.n_uth = (st.spaces["u"].total_dofs
-                      + st.spaces["theta"].total_dofs)
+        self.top_idx = field_indices(st, ("u", "theta", "p"))
+        self.eb_idx = field_indices(st, ("E", "B"))
 
     def build(self, A, parts):
-        cfg = self.config
-        pr = self.model.params
         A_top = A[self.top_idx][:, self.top_idx].tocsr()
         A_eb = A[self.eb_idx][:, self.eb_idx].tocsr()
-        mg_top = GeometricMultigrid(self.uth_ctx, cfg.mg_config)
-        inner = MonolithicBlockPrecond(mg_top, self.Mp_inv, -pr.gamma,
-                                       self.n_uth, pin_local=[0])
-        inner.setup(A_top)
-        inv_top = fixed_iteration_solver(A_top, inner.apply, cfg.inner_iters)
-        mg_eb = GeometricMultigrid(self.em_ctx, cfg.mg_config)
-        mg_eb.setup(A_eb)
-        inv_eb = fixed_iteration_solver(A_eb, mg_eb.apply, cfg.inner_iters)
+        inv_top = al_inverse(self.uth_ctx, self.Mp_inv,
+                             -self.model.params.gamma, A_top)
+        inv_eb = mg_inverse(self.em_ctx, A_eb)
         return BlockUpperPrecond(A, self.top_idx, self.eb_idx,
                                  inv_top, inv_eb)
 
@@ -390,52 +281,25 @@ class AnisothermalPrecond:
 class HallPrecond:
     """Outer preconditioner of the 2.5D Hall Jacobian: fluid group
     (ut, u3, p) with a monolithic (ut, u3) multigrid and AL pressure Schur;
-    the six-field electromagnetic Schur block is inverted monolithically by
-    multigrid or, following the 2.5D practice, by a direct factorisation."""
+    the six-field electromagnetic Schur block is inverted, following the
+    2.5D practice, by a direct factorisation.  The grouping is fixed:
+    `config` is taken for the shared constructor signature only."""
 
     def __init__(self, model, hierarchy, config=None):
         self.model = model
-        self.config = config or BlockPrecondConfig()
-        levels = self.config.mg_levels
-        markers = getattr(model, "bc_markers", {})
-        self.flow_ctx = MgHierarchy(
-            hierarchy, [("BDM", 2), ("CG", 2)],
-            [markers.get("ut", "all"), markers.get("u3", "all")],
-            levels=levels)
-        if self.config.hall_schur == "mg":
-            self.em_ctx = MgHierarchy(
-                hierarchy,
-                [("NED", 2), ("CG", 2), ("RT", 2), ("CG", 2), ("NED", 2),
-                 ("CG", 2)],
-                [markers.get(n, "all") for n in
-                 ("Et", "E3", "Bt", "B3", "jt", "j3")], levels=levels)
+        mk = model.bc_markers
+        self.flow_ctx = MgHierarchy(hierarchy, [("BDM", 2), ("CG", 2)],
+                                    [mk["ut"], mk["u3"]])
         self.Mp_inv = pressure_mass_inverse(model.spaces["p"])
         st = model.state_template
-        idx = lambda n: np.arange(st.field_slice(n).start,
-                                  st.field_slice(n).stop)
-        self.top_idx = np.concatenate([idx("ut"), idx("u3"), idx("p")])
-        self.eb_idx = np.concatenate([idx(n) for n in
-                                      ("Et", "E3", "Bt", "B3", "jt", "j3")])
-        self.n_flow = (st.spaces["ut"].total_dofs
-                       + st.spaces["u3"].total_dofs)
+        self.top_idx = field_indices(st, ("ut", "u3", "p"))
+        self.eb_idx = field_indices(st, ("Et", "E3", "Bt", "B3", "jt", "j3"))
 
     def build(self, A, parts):
-        cfg = self.config
         pr = self.model.params
         A_top = A[self.top_idx][:, self.top_idx].tocsr()
         A_eb = A[self.eb_idx][:, self.eb_idx].tocsr()
-        mg_top = GeometricMultigrid(self.flow_ctx, cfg.mg_config)
-        inner = MonolithicBlockPrecond(mg_top, self.Mp_inv,
-                                       -(1.0 / pr.Re + pr.gamma),
-                                       self.n_flow, pin_local=[0])
-        inner.setup(A_top)
-        inv_top = fixed_iteration_solver(A_top, inner.apply, cfg.inner_iters)
-        if cfg.hall_schur == "mg":
-            mg_eb = GeometricMultigrid(self.em_ctx, cfg.mg_config)
-            mg_eb.setup(A_eb)
-            inv_eb = fixed_iteration_solver(A_eb, mg_eb.apply,
-                                            cfg.inner_iters)
-        else:
-            inv_eb = lu_inverse(A_eb)
+        inv_top = al_inverse(self.flow_ctx, self.Mp_inv,
+                             -(1.0 / pr.Re + pr.gamma), A_top)
         return BlockUpperPrecond(A, self.top_idx, self.eb_idx,
-                                 inv_top, inv_eb)
+                                 inv_top, lu_inverse(A_eb))

@@ -95,7 +95,7 @@ class HartmannModel(StandardMHD):
     profile when continuation changes the parameters."""
 
     def params_changed(self):
-        from .models.standard import QDEG
+        from .models.base import QDEG
         sol = analytic.hartmann_solution(self.params.Re, self.params.Rem,
                                          self.params.S)
         self.exact = sol
@@ -167,9 +167,7 @@ def make_problem(name, levels=None, params=None, mesh_base=None,
             hier.finest, pr,
             bcs={"u": (markers, None), "E": (markers, eq.fields["E"]),
                  "B": (markers, eq.fields["B"])},
-            forcing={"g_B": eq.forcing["g_B"]},
-            dirichlet_velocity_markers=markers)
-        model.bc_markers = {"u": markers, "E": markers, "B": markers}
+            forcing={"g_B": eq.forcing["g_B"]})
         return ProblemSpec(name, hier, model, StandardMHDPrecond, eq,
                            extras={"equilibrium": eq})
 

@@ -11,11 +11,23 @@ from mhdkit.models import analytic
 from mhdkit.nonlinear import NonlinearConfig, solve_nonlinear
 
 
-def _fd_check(model, state, lin="newton", n_cols=30, seed=0, tol=1e-5):
+def _fd_check(model, state, lin="newton", n_cols=30, seed=0, tol=1e-5,
+              mass_coeff=0.0, steady_coeff=1.0):
+    """Columns of jacobian(v, mass_coeff=c, steady_coeff=s) against central
+    differences of s residual(v) + c apply_mass(v), constrained rows zeroed
+    (the transient forms of the time steppers)."""
     rng = np.random.default_rng(seed)
     free = np.setdiff1d(np.arange(state.total), model.constrained_idx)
     state.vector[free] += 0.3 * rng.standard_normal(len(free))
-    A, _ = model.jacobian(state.vector, lin)
+    A, _ = model.jacobian(state.vector, lin, mass_coeff=mass_coeff,
+                          steady_coeff=steady_coeff)
+
+    def form(v):
+        r = (steady_coeff * model.residual(v, constrain=False)
+             + mass_coeff * model.apply_mass(v))
+        r[model.constrained_idx] = 0.0
+        return r
+
     h = 1e-6
     worst = 0.0
     for c in rng.choice(free, size=min(n_cols, len(free)), replace=False):
@@ -23,7 +35,7 @@ def _fd_check(model, state, lin="newton", n_cols=30, seed=0, tol=1e-5):
         vm = state.vector.copy()
         vp[c] += h
         vm[c] -= h
-        fd = (model.residual(vp) - model.residual(vm)) / (2 * h)
+        fd = (form(vp) - form(vm)) / (2 * h)
         col = np.asarray(A[:, c].todense()).ravel()
         worst = max(worst, np.abs(col - fd).max()
                     / max(np.abs(fd).max(), 1.0))
@@ -273,3 +285,27 @@ def test_boussinesq_symmetry_reflection():
     f2 = model.functionals(refl)
     for k in f1:
         assert f1[k] == pytest.approx(f2[k], abs=1e-8, rel=1e-6)
+
+
+def _unit_B(x, y):
+    return np.stack([0 * x, np.ones_like(y)], axis=-1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda mesh: StandardMHD(
+        mesh, ModelParams(Re=2.0, Rem=3.0, S=1.5, gamma=7.0),
+        bcs={"u": ("all", None), "E": ("all", None), "B": ("all", _unit_B)}),
+    lambda mesh: HallMHD(
+        mesh, ModelParams(Re=2.0, Rem=3.0, S=1.5, R_H=0.7, gamma=4.0),
+        bcs={n: ("all", None) for n in
+             ("ut", "u3", "Et", "E3", "Bt", "B3", "jt", "j3")}),
+    lambda mesh: BoussinesqMHD(
+        mesh, ModelParams(Ra=50.0, Pr=0.7, Pm=1.3, S=2.0, gamma=3.0),
+        bcs={"u": ("all", None), "theta": (["top", "bottom"], None),
+             "E": ("all", None), "B": ("all", _unit_B)}),
+], ids=["standard", "hall", "boussinesq"])
+def test_transient_fd_jacobian(make):
+    # the mass and steady scalings of the implicit time steppers
+    model = make(_mesh22())
+    _fd_check(model, model.initial_state(), n_cols=40, seed=5,
+              mass_coeff=2.5, steady_coeff=0.5)

@@ -223,6 +223,20 @@ def test_single_patch_exact_solve():
                   ).max() < 1e-12
 
 
+def test_no_star_patches_on_the_coarse_level(hierarchy, monkeypatch):
+    # the coarsest level is solved by LU and never smoothed
+    import mhdkit.multigrid as multigrid
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return star_patches(*args)
+
+    monkeypatch.setattr(multigrid, "star_patches", counted)
+    ctx = MgHierarchy(hierarchy, [("CG", 2), ("RT", 2)], ["all", "all"])
+    assert len(calls) == ctx.nlevels - 1 == 2
+
+
 def test_vcycle_zero_maps_to_zero(hierarchy):
     ctx = MgHierarchy(hierarchy, [("CG", 1)], ["all"])
     cg = ctx.fine_spaces[0]

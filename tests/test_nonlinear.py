@@ -161,3 +161,31 @@ def test_deflation_distinctness_guard():
     defl = DeflationOperator(sp.identity(2, format="csr"))
     defl.add(np.array([1.0, 0.0]))
     assert defl.min_distance(np.array([1.0, 1e-8])) < 1e-6
+
+
+def test_previous_preconditioner_freed_before_next_build():
+    # a block preconditioner holds multigrid levels and factorisations; the
+    # Newton loop must drop step k's before step k + 1 builds its own
+    import gc
+    import weakref
+    from mhdkit.precond import KrylovSolverFactory
+    from mhdkit.problems import make_problem
+
+    spec = make_problem("hartmann", levels=1, mesh_base=(2, 2))
+    precond = spec.make_precond()
+    built, alive = [], []
+
+    class Recording:
+        def build(self, A, parts):
+            gc.collect()
+            alive.append([ref() is not None for ref in built])
+            M = precond.build(A, parts)
+            built.append(weakref.ref(M))
+            return M
+
+    factory = KrylovSolverFactory(Recording(), rtol=1e-7, atol=1e-7,
+                                  maxiter=100)
+    _, rep = solve_nonlinear(spec.model, spec.model.initial_state(),
+                             NonlinearConfig(), factory)
+    assert rep.converged and rep.steps >= 2
+    assert alive == [[False] * k for k in range(rep.steps)]

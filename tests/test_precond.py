@@ -1,3 +1,6 @@
+import pytest
+
+from mhdkit import precond
 from mhdkit.nonlinear import NonlinearConfig, solve_nonlinear
 from mhdkit.precond import BlockPrecondConfig, KrylovSolverFactory
 from mhdkit.problems import make_problem
@@ -16,3 +19,15 @@ def test_hartmann_block_preconditioned_newton():
     assert report.linear_iters == [3, 5, 6]
     assert report.cell() == "( 3) 4.7"
     assert model.div_norms(state.vector)["B"] <= 1e-10
+
+
+@pytest.mark.parametrize("name, markers", [
+    ("hartmann", "all"), ("island_coalescence", ["top", "bottom"])])
+def test_preconditioner_markers_follow_model_bcs(monkeypatch, name, markers):
+    # the multigrid hierarchies constrain the dofs the model constrains
+    seen = []
+    monkeypatch.setattr(precond, "MgHierarchy",
+                        lambda hierarchy, specs, bc_markers:
+                        seen.append(bc_markers))
+    make_problem(name, levels=0, mesh_base=(4, 4)).make_precond()
+    assert seen == [[markers], [markers, markers]]
