@@ -14,9 +14,10 @@ from .models.base import ModelParams
 from .nonlinear import (NonlinearConfig, solve_nonlinear,
                         ContinuationSchedule, continue_parameters,
                         StageFailure, direct_solver_factory)
-from .precond import BlockPrecondConfig, KrylovSolverFactory, IterationLedger
-from .problems import (PROBLEM_NAMES, make_problem, parse_config,
-                       emit_config, ConfigError)
+from .precond import (ELIMINATIONS, BlockPrecondConfig, KrylovSolverFactory,
+                      IterationLedger)
+from .problems import (PROBLEM_NAMES, ISLAND_FIELDS, make_problem,
+                       parse_config, island_initial_state, ConfigError)
 from .timestepping import (TimeConfig, run_transient, FrozenJacobianFactory,
                            ReconnectionProbe, write_series_csv)
 
@@ -31,7 +32,7 @@ def _add_common(p):
     p.add_argument("--levels", type=int)
     p.add_argument("--linearisation", choices=["newton", "picard"],
                    default="newton")
-    p.add_argument("--elimination", choices=["eliminate_up", "eliminate_eb"],
+    p.add_argument("--elimination", choices=ELIMINATIONS,
                    default="eliminate_up")
     p.add_argument("--linear-solver", choices=["fgmres", "direct"],
                    default="direct")
@@ -101,7 +102,12 @@ def _apply_config_file(args):
 def _solver_factory(args, spec, ledger=None):
     if args.linear_solver == "direct":
         return direct_solver_factory
-    pc = spec.make_precond(BlockPrecondConfig(elimination=args.elimination))
+    try:
+        pc = spec.make_precond(
+            BlockPrecondConfig(elimination=args.elimination))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(1)
     return KrylovSolverFactory(pc, rtol=1e-7, atol=1e-7, maxiter=100,
                                ledger=ledger)
 
@@ -160,6 +166,13 @@ def cmd_run(args):
     if not args.problem:
         print("error: --problem is required", file=sys.stderr)
         return 1
+    transient = args.dt is not None and args.T is not None
+    if transient and args.linear_solver != "direct":
+        # time stepping solves with the frozen-Jacobian direct LU only
+        print(f"error: --linear-solver {args.linear_solver} is not "
+              "supported with --dt/--T; time steps use --linear-solver "
+              "direct", file=sys.stderr)
+        return 1
     params = _collect_params(args)
     spec = make_problem(args.problem, levels=args.levels, params=params,
                         bc_field=args.bc_field)
@@ -168,7 +181,7 @@ def cmd_run(args):
     if args.problem == "mms":
         return _run_mms(args, spec)
 
-    if args.dt is not None and args.T is not None:
+    if transient:
         return _run_transient(args, spec)
 
     ledger = IterationLedger()
@@ -240,33 +253,14 @@ def _run_mms(args, spec):
 
 
 def _run_transient(args, spec):
-    from .elements import interpolate, l2_project
     model = spec.model
-    st = model.initial_state()
     observers = {}
-    if args.problem in ("island_coalescence", "hall_island"):
-        eq = spec.extras["equilibrium"]
-        if args.problem == "island_coalescence":
-            fields = eq.fields
-            st.set_field("B", interpolate(
-                model.spaces["B"],
-                lambda x, y: fields["B"](x, y) + fields["dB"](x, y), 12))
-            st.set_field("E", interpolate(model.spaces["E"], fields["E"], 12))
-            pp = l2_project(model.spaces["p"], fields["p"]).coefficients
-            st.set_field("p", pp - pp[0])
-            probe = ReconnectionProbe(model, "B")
-        else:
-            st.set_field("Bt", interpolate(
-                model.spaces["Bt"],
-                lambda x, y: eq["Bt"](x, y) + eq["dB"](x, y), 12))
-            st.set_field("j3", interpolate(model.spaces["j3"], eq["j3"], 12))
-            st.set_field("E3", interpolate(model.spaces["E3"], eq["E3"], 12))
-            st.set_field("Et", interpolate(model.spaces["Et"], eq["Et"], 12))
-            pp = l2_project(model.spaces["p"], eq["p"]).coefficients
-            st.set_field("p", pp - pp[0])
-            probe = ReconnectionProbe(model, "Bt")
-        model.apply_state_bcs(st)
-        observers["reconnection_rate"] = probe
+    if args.problem in ISLAND_FIELDS:
+        st = island_initial_state(spec)
+        observers["reconnection_rate"] = ReconnectionProbe(model,
+                                                           model.magnetic)
+    else:
+        st = model.initial_state()
     observers["div_u"] = lambda v: model.div_norms(v)[model.velocity]
     observers["div_B"] = lambda v: model.div_norms(v)[model.magnetic]
     fac = FrozenJacobianFactory()

@@ -245,7 +245,8 @@ class MixedModel:
         A = constrain_matrix(total, self.constrained_idx)
         st = self.state_template
         parts.update(block_matrix=bm, offsets=st.offsets, sizes=st.sizes(),
-                     mass_coeff=mass_coeff, delta=delta)
+                     mass_coeff=mass_coeff, steady_coeff=steady_coeff,
+                     delta=delta)
         return A, parts
 
     # -- mass -----------------------------------------------------------------

@@ -14,8 +14,13 @@ from .multigrid import MgHierarchy, GeometricMultigrid
 INNER_ITERS = 2
 
 
+ELIMINATIONS = ("eliminate_up", "eliminate_eb")
+
+
 class BlockPrecondConfig:
     def __init__(self, elimination="eliminate_up"):
+        if elimination not in ELIMINATIONS:
+            raise ValueError(f"unknown elimination {elimination!r}")
         self.elimination = elimination
 
 
@@ -134,6 +139,15 @@ def al_inverse(ctx, Mp_inv, schur_scale, A):
     return fixed_iteration_solver(A, inner.apply, INNER_ITERS)
 
 
+def require_eliminate_up(model, config):
+    """A preconditioner with the one (flow | electromagnetic) grouping
+    rejects any other elimination order rather than ignore it."""
+    if config is not None and config.elimination != "eliminate_up":
+        raise ValueError(
+            f"{type(model).__name__} preconditioner has only the "
+            f"'eliminate_up' grouping, not {config.elimination!r}")
+
+
 def field_indices(state_template, names):
     """Global dof indices of the named fields, in the given order."""
     return np.concatenate([np.arange(state_template.field_slice(n).start,
@@ -210,7 +224,9 @@ class StandardMHDPrecond:
         mass_coeff = parts.get("mass_coeff", 0.0)
         if not mass_coeff:
             return 1.0
-        dt = 1.0 / mass_coeff
+        # the step size of the equivalent implicit-Euler Jacobian
+        # M / dt + J: dt / 2 for a Crank-Nicolson step (M / dt + J / 2)
+        dt = parts.get("steady_coeff", 1.0) / mass_coeff
         delta = parts.get("delta", 1.0)
         u_l2 = parts.get("u_l2", 0.0)
         h = self._h
@@ -254,9 +270,10 @@ class AnisothermalPrecond:
     the (u, theta) block and -gamma M_p^{-1} for the pressure Schur
     complement -- and the outer Schur approximation is the electromagnetic
     diagonal block with its monolithic multigrid.  The grouping is fixed:
-    `config` is taken for the shared constructor signature only."""
+    `config` may only ask for "eliminate_up"."""
 
     def __init__(self, model, hierarchy, config=None):
+        require_eliminate_up(model, config)
         self.model = model
         mk = model.bc_markers
         self.uth_ctx = MgHierarchy(hierarchy, [("BDM", 2), ("CG", 2)],
@@ -283,9 +300,10 @@ class HallPrecond:
     (ut, u3, p) with a monolithic (ut, u3) multigrid and AL pressure Schur;
     the six-field electromagnetic Schur block is inverted, following the
     2.5D practice, by a direct factorisation.  The grouping is fixed:
-    `config` is taken for the shared constructor signature only."""
+    `config` may only ask for "eliminate_up"."""
 
     def __init__(self, model, hierarchy, config=None):
+        require_eliminate_up(model, config)
         self.model = model
         mk = model.bc_markers
         self.flow_ctx = MgHierarchy(hierarchy, [("BDM", 2), ("CG", 2)],

@@ -5,6 +5,7 @@ format."""
 import numpy as np
 
 from .mesh import build_rect_mesh, refine_uniform
+from .elements import interpolate, l2_project
 from .models.base import ModelParams
 from .models.standard import StandardMHD
 from .models.boussinesq import BoussinesqMHD
@@ -237,6 +238,31 @@ def make_problem(name, levels=None, params=None, mesh_base=None,
         return ProblemSpec(name, hier, model, AnisothermalPrecond)
 
     raise AssertionError
+
+
+# the island problems' equilibrium fields interpolated into the initial
+# state, besides the perturbed magnetic field and the pressure
+ISLAND_FIELDS = {"island_coalescence": ("E",),
+                 "hall_island": ("j3", "E3", "Et")}
+
+
+def island_initial_state(spec):
+    """Initial state of an island problem: the equilibrium with the
+    perturbation dB added to the magnetic field, interpolated, and the
+    pressure L2-projected and shifted to vanish at its pinned first dof."""
+    model = spec.model
+    eq = spec.extras["equilibrium"]
+    fields = getattr(eq, "fields", eq)  # AnalyticSolution, or Hall's dict
+    st = model.initial_state()
+    mag = model.magnetic
+    st.set_field(mag, interpolate(
+        model.spaces[mag],
+        lambda x, y: fields[mag](x, y) + fields["dB"](x, y), 12))
+    for name in ISLAND_FIELDS[spec.name]:
+        st.set_field(name, interpolate(model.spaces[name], fields[name], 12))
+    pp = l2_project(model.spaces["p"], fields["p"]).coefficients
+    st.set_field("p", pp - pp[0])
+    return model.apply_state_bcs(st)
 
 
 def _lid_velocity(ytop, speed=1.0):

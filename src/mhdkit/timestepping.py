@@ -5,10 +5,10 @@ diagnostic via a weak curl solve."""
 
 import numpy as np
 
-from .elements import FunctionSpace, Field, l2_project
+from .elements import FunctionSpace
 from .assembly import cell_matrix
 from .linalg import LuSolver
-from .nonlinear import NonlinearConfig, SolverReport, solve_nonlinear
+from .nonlinear import NonlinearConfig, solve_nonlinear
 
 from .conservative import (MidpointState, ConservativeScheme,
                            step_conservative_uxn, step_conservative_udotn)
@@ -20,67 +20,59 @@ __all__ = [
 ]
 
 
+# The implicit step of each scheme as one table: mass weights w on
+# [x, x_n, x_{n-1}] and the implicit weight theta of the step residual
+#   M (w_0 x + w_1 x_n [+ w_2 x_{n-1}]) / dt + theta R(x) + (1 - theta) R(x_n),
+# whose exact Jacobian is (w_0 / dt) M + theta J.  "bdf2_cn_start" runs its
+# first step (one state of history) with the Crank-Nicolson row.
+SCHEMES = {
+    "implicit_euler": ((1.0, -1.0), 1.0),
+    "crank_nicolson": ((1.0, -1.0), 0.5),
+    "bdf2_cn_start": ((1.5, -2.0, 0.5), 1.0),
+}
+
+
 class TimeConfig:
-    def __init__(self, dt, T, scheme="bdf2_cn_start", startup_substeps=0,
-                 startup_factor=10.0):
+    def __init__(self, dt, T, scheme="bdf2_cn_start"):
         if dt <= 0 or T < dt:
             raise ValueError("need dt > 0 and T >= dt")
         self.dt = dt
         self.T = T
         self.scheme = scheme
-        self.startup_substeps = startup_substeps
-        self.startup_factor = startup_factor
 
 
 def _transient_forms(model, scheme, dt, history, linearisation="newton"):
-    """residual_fn/jacobian_fn closures for one implicit step.
+    """residual_fn/jacobian_fn closures for one implicit step, both read
+    from the scheme's row of SCHEMES.
 
     history: list of previous state vectors, newest last."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme == "bdf2_cn_start" and len(history) < 2:
+        scheme = "crank_nicolson"
+    weights, theta = SCHEMES[scheme]
+    past = history[::-1][:len(weights) - 1]  # x_n, x_{n-1}
     con = model.constrained_idx
+    explicit = None
+    if theta != 1.0:
+        explicit = (1.0 - theta) * model.residual(history[-1],
+                                                  constrain=False)
 
-    if scheme == "implicit_euler":
-        xp = history[-1]
+    def residual(x):
+        r = theta * model.residual(x, constrain=False)
+        if explicit is not None:
+            r += explicit
+        dx = weights[0] * x
+        for w, xk in zip(weights[1:], past):
+            dx += w * xk
+        r += model.apply_mass(dx) / dt
+        r[con] = 0.0
+        return r
 
-        def residual(x):
-            r = model.apply_mass(x - xp) / dt + model.residual(
-                x, constrain=False)
-            r[con] = 0.0
-            return r
-
-        def jacobian(x):
-            return model.jacobian(x, linearisation, mass_coeff=1.0 / dt)
-        return residual, jacobian
-
-    if scheme == "crank_nicolson" or (scheme == "bdf2_cn_start"
-                                      and len(history) < 2):
-        xp = history[-1]
-        rp = model.residual(xp, constrain=False)
-
-        def residual(x):
-            r = (model.apply_mass(x - xp) / dt
-                 + 0.5 * (model.residual(x, constrain=False) + rp))
-            r[con] = 0.0
-            return r
-
-        def jacobian(x):
-            return model.jacobian(x, linearisation, mass_coeff=2.0 / dt,
-                                  steady_coeff=0.5)
-        return residual, jacobian
-
-    if scheme == "bdf2_cn_start":
-        xp, xpp = history[-1], history[-2]
-
-        def residual(x):
-            r = (model.apply_mass(1.5 * x - 2.0 * xp + 0.5 * xpp) / dt
-                 + model.residual(x, constrain=False))
-            r[con] = 0.0
-            return r
-
-        def jacobian(x):
-            return model.jacobian(x, linearisation, mass_coeff=1.5 / dt)
-        return residual, jacobian
-
-    raise ValueError(f"unknown scheme {scheme!r}")
+    def jacobian(x):
+        return model.jacobian(x, linearisation, mass_coeff=weights[0] / dt,
+                              steady_coeff=theta)
+    return residual, jacobian
 
 
 def step_multistep(model, scheme, history, dt, nl_config=None,
@@ -98,8 +90,7 @@ def step_multistep(model, scheme, history, dt, nl_config=None,
         state.vector[model.constrained_idx] = model.constrained_vals
     out, rep = solve_nonlinear(
         model, state, nl_config, solver_factory,
-        residual_fn=residual,
-        jacobian_fn=lambda x: jacobian(x))
+        residual_fn=residual, jacobian_fn=jacobian)
     if not rep.converged:
         raise TimeStepFailure(rep)
     return out.vector, rep
