@@ -266,11 +266,14 @@ def sipg_viscous(space, nu, sigma=None, sym=True, qdeg=None,
             sgn_r = jump_sign[sr]
             # -cfac * {stress(u)}n . [v]  - cfac * [u] . {stress(v)}n
             loc = (-cfac * 0.5 * sgn_t
-                   * np.einsum("eqik,eqjk,eq->eij", vals[st], Sn[sr], wL)
+                   * np.einsum("eqik,eqjk,eq->eij", vals[st], Sn[sr], wL,
+                               optimize=True)
                    - cfac * 0.5 * sgn_r
-                   * np.einsum("eqik,eqjk,eq->eij", Sn[st], vals[sr], wL)
+                   * np.einsum("eqik,eqjk,eq->eij", Sn[st], vals[sr], wL,
+                               optimize=True)
                    + nu * sigma / fd.int_len[:, None, None] * sgn_t * sgn_r
-                   * np.einsum("eqik,eqjk,eq->eij", vals[st], vals[sr], wL))
+                   * np.einsum("eqik,eqjk,eq->eij", vals[st], vals[sr], wL,
+                               optimize=True))
             A = A + _facet_scatter(space, fd.int_cells[:, st],
                                    fd.int_cells[:, sr], loc)
 
@@ -290,16 +293,19 @@ def sipg_viscous(space, nu, sigma=None, sym=True, qdeg=None,
             e = g
         Sb = np.einsum("eqikd,ed->eqik", e, nb)
         wLb = wq[None, :] * Lb[:, None]
-        loc = (-cfac * np.einsum("eqik,eqjk,eq->eij", v, Sb, wLb)
-               - cfac * np.einsum("eqik,eqjk,eq->eij", Sb, v, wLb)
+        loc = (-cfac * np.einsum("eqik,eqjk,eq->eij", v, Sb, wLb,
+                                 optimize=True)
+               - cfac * np.einsum("eqik,eqjk,eq->eij", Sb, v, wLb,
+                                  optimize=True)
                + nu * sigma / Lb[:, None, None]
-               * np.einsum("eqik,eqjk,eq->eij", v, v, wLb))
+               * np.einsum("eqik,eqjk,eq->eij", v, v, wLb, optimize=True))
         A = A + _facet_scatter(space, cells, cells, loc)
         if g_d is not None:
             gv = np.asarray(g_d(pts[..., 0], pts[..., 1]), dtype=float)
             rloc = (nu * sigma / Lb[:, None]
-                    * np.einsum("eqik,eqk,eq->ei", v, gv, wLb)
-                    - cfac * np.einsum("eqik,eqk,eq->ei", Sb, gv, wLb))
+                    * np.einsum("eqik,eqk,eq->ei", v, gv, wLb, optimize=True)
+                    - cfac * np.einsum("eqik,eqk,eq->ei", Sb, gv, wLb,
+                                       optimize=True))
             np.add.at(rhs, space.dofmap[cells].ravel(), rloc.ravel())
     return A, rhs
 
@@ -334,7 +340,8 @@ def upwind_advection_residual(space, u_field, qdeg=None,
         flux.append(0.5 * w[..., None] * uv[s])
     jump_flux = flux[0] - flux[1]
     for s, sgn in ((0, 1.0), (1, -1.0)):
-        rloc = sgn * np.einsum("eqik,eqk,eq->ei", basis[s], jump_flux, wL)
+        rloc = sgn * np.einsum("eqik,eqk,eq->ei", basis[s], jump_flux, wL,
+                               optimize=True)
         np.add.at(out, space.dofmap[fd.int_cells[:, s]].ravel(), rloc.ravel())
 
     if dirichlet_markers is not None:
@@ -354,7 +361,7 @@ def upwind_advection_residual(space, u_field, qdeg=None,
         if g_d is not None:
             gv = np.asarray(g_d(pts[..., 0], pts[..., 1]), dtype=float)
             dens = dens + 0.5 * ((un - np.abs(un))[..., None] * gv)
-        rloc = np.einsum("eqik,eqk,eq->ei", v, dens, wLb)
+        rloc = np.einsum("eqik,eqk,eq->ei", v, dens, wLb, optimize=True)
         np.add.at(out, space.dofmap[cells].ravel(), rloc.ravel())
     return out
 
@@ -393,7 +400,8 @@ def upwind_advection_matrix(space, u_field, qdeg=None,
         sgn_r = 1.0 if sr == 0 else -1.0
         for st, sgn_t in ((0, 1.0), (1, -1.0)):
             loc = sgn_t * sgn_r * np.einsum("eqik,eqjk,eq->eij",
-                                            basis[st], dflux, wL)
+                                            basis[st], dflux, wL,
+                                            optimize=True)
             A = A + _facet_scatter(space, fd.int_cells[:, st],
                                    fd.int_cells[:, sr], loc)
 
@@ -421,7 +429,7 @@ def upwind_advection_matrix(space, u_field, qdeg=None,
             s2 = 1.0 - np.sign(un)
             dflux = dflux + (0.5 * s2[..., None, None] * dn[..., None]
                              * gv[:, :, None, :])
-        locm = np.einsum("eqik,eqjk,eq->eij", v, dflux, wLb)
+        locm = np.einsum("eqik,eqjk,eq->eij", v, dflux, wLb, optimize=True)
         A = A + _facet_scatter(space, cells, cells, locm)
     return A
 
@@ -447,7 +455,7 @@ def burman_stabilisation(space, mu, qdeg=None):
     for st, sgn_t in ((0, 1.0), (1, -1.0)):
         for sr, sgn_r in ((0, 1.0), (1, -1.0)):
             loc = mu * sgn_t * sgn_r * np.einsum(
-                "eqiA,eqjA,eq->eij", grads[st], grads[sr], wL)
+                "eqiA,eqjA,eq->eij", grads[st], grads[sr], wL, optimize=True)
             A = A + _facet_scatter(space, fd.int_cells[:, st],
                                    fd.int_cells[:, sr], loc)
     return A

@@ -229,8 +229,3 @@ def deflated_continuation(model, sweep, seeds, nl_config=None,
                 print(f"  {sweep.parameter}={value:g} branch {bid}: "
                       f"|u|^2={funcs['u_norm2']:.4e}", flush=True)
     return records
-
-
-def _defl_dist(W, a, b):
-    d = a - b
-    return float(np.sqrt(d @ (W @ d)))

@@ -41,10 +41,8 @@ def _add_common(p):
     p.add_argument("--dt", type=float)
     p.add_argument("--T", type=float)
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--stabilisation", type=float, default=0.0)
+    p.add_argument("--stabilisation", type=float)
     p.add_argument("--quad-degree-bc", type=int)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("MHDKIT_THREADS", "1")))
     p.add_argument("--bc-field", default="uniform")
 
 
@@ -81,7 +79,9 @@ def _apply_config_file(args):
             try:
                 setattr(args, flag, float(v))
             except ValueError:
-                pass
+                print(f"error: [params] {k} = {v!r} is not a number",
+                      file=sys.stderr)
+                sys.exit(1)
     sol = cfg.get("solver", {})
     if "linearisation" in sol:
         args.linearisation = sol["linearisation"]
@@ -129,9 +129,13 @@ def _write_report(args, rows):
 def _dump_fields(args, spec, vec):
     from .mesh import write_vtk
     from .elements import l2_project, Field, FunctionSpace
+    from .assembly import cell_matrix, cell_vector
+    from .linalg import LuSolver
     model = spec.model
     mesh = model.mesh
     cg1 = FunctionSpace(mesh, "CG", 1)
+    # componentwise CG1 projection for visualisation only
+    mass_cg1 = LuSolver(cell_matrix(cg1, cg1, qdeg=4))
     data = {}
     st = model.state_template
     for name in model.fields:
@@ -141,19 +145,11 @@ def _dump_fields(args, spec, vec):
             proj = l2_project(cg1, fld)
             data[name] = proj.coefficients
         else:
-            # componentwise CG1 projection for visualisation only
             qp, w = space.cell_quadrature(4)
             vals = fld.eval_cells(np.arange(mesh.num_cells), qp)
-            comps = []
-            for k in range(2):
-                class _F:
-                    pass
-                from .assembly import cell_vector
-                rhs = cell_vector(cg1, "val", vals[..., k:k + 1], qdeg=4)
-                from .linalg import LuSolver
-                from .assembly import cell_matrix
-                M = cell_matrix(cg1, cg1, qdeg=4)
-                comps.append(LuSolver(M.tocsc()).solve(rhs))
+            comps = [mass_cg1.solve(cell_vector(cg1, "val",
+                                                vals[..., k:k + 1], qdeg=4))
+                     for k in range(2)]
             data[name] = np.stack([comps[0], comps[1],
                                    np.zeros_like(comps[0])], axis=-1)
     path = _report_path(args, "fields.vtk")
@@ -399,7 +395,6 @@ def main(argv=None):
     pbif.add_argument("--count", type=int, default=2)
     pbif.add_argument("--stability", action="store_true")
     args = parser.parse_args(argv)
-    os.environ.setdefault("MHDKIT_THREADS", str(args.threads))
     if args.command == "run":
         return cmd_run(args)
     if args.command == "sweep":

@@ -344,7 +344,7 @@ class FunctionSpace:
         u = self.local_coords(np.arange(nc), pts)
         sm, _ = scalar_monomials(u, el.dmax)
         mono_vals = np.einsum("vks,cqs->cqvk", el.vmono, sm)
-        D = np.einsum("cqik,cqvk->civ", wts, mono_vals)
+        D = np.einsum("cqik,cqvk->civ", wts, mono_vals, optimize=True)
         try:
             self.coeff = np.linalg.inv(D).transpose(0, 2, 1)
         except np.linalg.LinAlgError as exc:
@@ -361,13 +361,25 @@ class FunctionSpace:
         cells = np.asarray(cells)
         u = self.local_coords(cells, pts)
         sm, smg = scalar_monomials(u, el.dmax, grad)
-        mono_vals = np.einsum("vks,cqs->cqvk", el.vmono, sm)
-        vals = np.einsum("civ,cqvk->cqik", self.coeff[cells], mono_vals)
+        n, nq, nsm = sm.shape
+        nvm, ncomp, _ = el.vmono.shape
+        nloc = self.coeff.shape[1]
+        # fold the monomial table into the cell coefficients with one GEMM,
+        # Ct[c, s, (i, k)] = sum_v coeff[c, i, v] vmono[v, k, s]; values and
+        # gradients are then one batched matmul each
+        Ct = (self.coeff[cells].reshape(-1, nvm)
+              @ el.vmono.reshape(nvm, ncomp * nsm)).reshape(
+                  n, nloc * ncomp, nsm).transpose(0, 2, 1)
+        vals = (sm @ Ct).reshape(n, nq, nloc, ncomp)
         if not grad:
             return vals, None
-        mono_grads = np.einsum("vks,cqsd->cqvkd", el.vmono, smg)
-        grads = np.einsum("civ,cqvkd->cqikd", self.coeff[cells], mono_grads)
-        grads /= self.cell_scale[cells][:, None, None, None, None]
+        G = (smg.swapaxes(-1, -2).reshape(n, nq * 2, nsm) @ Ct).reshape(
+            n, nq, 2, nloc, ncomp)
+        # C order, so the cached gradients reshape without copies downstream
+        grads = np.empty((n, nq, nloc, ncomp, 2))
+        np.divide(np.moveaxis(G, 2, -1),
+                  self.cell_scale[cells][:, None, None, None, None],
+                  out=grads)
         return vals, grads
 
     def cell_quadrature(self, degree):
@@ -517,7 +529,7 @@ def interpolate(space, f, quad_degree=None):
         edge_degree=quad_degree, cell_degree=quad_degree)
     shp = pts.shape
     fv = _eval_pointwise(f, pts.reshape(-1, 2)).reshape(shp[0], shp[1], -1)
-    local = np.einsum("cqik,cqk->ci", wts, fv)
+    local = np.einsum("cqik,cqk->ci", wts, fv, optimize=True)
     out = np.zeros(space.total_dofs)
     # "set" semantics; shared functionals agree across cells
     out[space.dofmap.ravel()] = local.ravel()
@@ -531,7 +543,7 @@ def mass_matrix(space, degree=None):
     if degree is None:
         degree = 2 * el.degree + 2
     _, w, vals, _ = space.basis_at_quadrature(degree)
-    local = np.einsum("cqik,cqjk,cq->cij", vals, vals, w)
+    local = np.einsum("cqik,cqjk,cq->cij", vals, vals, w, optimize=True)
     dm = space.dofmap
     nloc = dm.shape[1]
     rows = np.repeat(dm, nloc, axis=1).ravel()
@@ -557,7 +569,7 @@ def l2_project(space, source, quad_degree=None):
             shp[0], shp[1], -1)
     if sv.shape[-1] != el.ncomp:
         raise ValueError("source component count does not match space")
-    rhs_loc = np.einsum("cqik,cqk,cq->ci", vals, sv, w)
+    rhs_loc = np.einsum("cqik,cqk,cq->ci", vals, sv, w, optimize=True)
     b = np.zeros(space.total_dofs)
     np.add.at(b, space.dofmap.ravel(), rhs_loc.ravel())
     M = mass_matrix(space, quad_degree)
@@ -612,7 +624,7 @@ def _map_matrix(src, dst, op):
         mapped = (grads[..., 0, 0] + grads[..., 1, 1])[..., None]
     elif op == "curl":
         mapped = (grads[..., 1, 0] - grads[..., 0, 1])[..., None]
-    local = np.einsum("cqik,cqjk->cij", wts, mapped)
+    local = np.einsum("cqik,cqjk->cij", wts, mapped, optimize=True)
     rows = np.repeat(dst.dofmap, src.dofmap.shape[1], axis=1).ravel()
     cols = np.tile(src.dofmap, (1, dst.dofmap.shape[1])).ravel()
     # shared target dofs receive identical values from both cells: use "set"

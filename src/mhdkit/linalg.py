@@ -59,10 +59,6 @@ class LuSolver:
     __call__ = solve
 
 
-def lu_factor(A):
-    return LuSolver(A)
-
-
 class KrylovConfig:
     def __init__(self, method="FGMRES", restart=100, maxiter=500,
                  rtol=1e-7, atol=1e-7):

@@ -40,6 +40,23 @@ def _lamb_vec(e1, e2):
     return wrapped
 
 
+# fixed sample points inside (-1/2, 1/2)^2, which every reference's domain
+# contains; none lies on a symmetry line where a divergence could vanish by
+# accident
+_SAMPLES = tuple(np.meshgrid(np.linspace(-0.45, 0.45, 8),
+                             np.linspace(-0.4, 0.4, 8)))
+
+
+def _check_divfree(v, what):
+    """Raise ValueError unless the vector field v (sympy expressions) is
+    divergence-free to round-off at the sample points."""
+    dx = _lamb(sym.diff(v[0], X))(*_SAMPLES)
+    dy = _lamb(sym.diff(v[1], Y))(*_SAMPLES)
+    scale = np.abs(dx).max() + np.abs(dy).max()
+    if not np.all(np.abs(dx + dy) <= 1e-10 * scale):
+        raise ValueError(f"{what} must be divergence-free")
+
+
 def _grad(e):
     return (sym.diff(e, X), sym.diff(e, Y))
 
@@ -69,7 +86,7 @@ def _cross_bs(b, s):
 def standard_mhd_forcing(u, p, E, B, Re, Rem, S):
     """Momentum, Ohm and Faraday right-hand sides of the augmented B-E system
     for given smooth fields (sympy expressions); u must be divergence-free."""
-    assert sym.simplify(_div(u)) == 0, "manufactured velocity must be div-free"
+    _check_divfree(u, "manufactured velocity")
     gu = [[sym.diff(u[i], c) for c in (X, Y)] for i in range(2)]
     eps = [[sym.Rational(1, 2) * (gu[i][j] + gu[j][i]) for j in range(2)]
            for i in range(2)]
@@ -80,12 +97,12 @@ def standard_mhd_forcing(u, p, E, B, Re, Rem, S):
     gp = _grad(p)
     w = E + _cross_uv(u, B)
     lorentz = _cross_bs(B, w)
-    f = tuple(sym.simplify(-2 / Re * div_eps[i] + adv[i] + gp[i]
-                           + S * lorentz[i]) for i in range(2))
-    g_E = sym.simplify(E + _cross_uv(u, B) - _curl2(B) / Rem)
+    f = tuple(-2 / Re * div_eps[i] + adv[i] + gp[i] + S * lorentz[i]
+              for i in range(2))
+    g_E = E + _cross_uv(u, B) - _curl2(B) / Rem
     gd = _grad(_div(B))
     vc = _vcurl(E)
-    g_B = tuple(sym.simplify(-gd[i] / Rem + vc[i]) for i in range(2))
+    g_B = tuple(-gd[i] / Rem + vc[i] for i in range(2))
     return f, g_E, g_B
 
 
@@ -112,7 +129,7 @@ def hartmann_solution(Re, Rem, S):
     u = (u1, sym.Integer(0))
     B = (B1, sym.Integer(1))
     p = -G * X - B1 ** 2 / 2
-    E = sym.simplify(_curl2(B) / Rem - _cross_uv(u, B))
+    E = _curl2(B) / Rem - _cross_uv(u, B)
     f, g_E, g_B = standard_mhd_forcing(u, p, E, B, Re, Rem, S)
     fields = {
         "u": _lamb_vec(*u),
@@ -139,11 +156,11 @@ def island_equilibrium(Rem, S, k=0.2, eps=0.01):
     B = (sym.sinh(2 * sym.pi * Y) / D, k * sym.sin(2 * sym.pi * X) / D)
     p = (1 - k ** 2) / 2 * (1 + 1 / D ** 2)
     u = (sym.Integer(0), sym.Integer(0))
-    E = sym.simplify(_curl2(B) / Rem)
+    E = _curl2(B) / Rem
     f, g_E, g_B = standard_mhd_forcing(u, p, E, B, Re=1, Rem=Rem, S=S)
     dB = (-(eps / sym.pi) * sym.cos(sym.pi * X) * sym.sin(sym.pi * Y / 2),
           (2 * eps / sym.pi) * sym.cos(sym.pi * Y / 2) * sym.sin(sym.pi * X))
-    assert sym.simplify(_div(dB)) == 0
+    _check_divfree(dB, "island perturbation dB")
     fields = {
         "u": _lamb_vec(*u),
         "p": _lamb(p),

@@ -31,7 +31,7 @@ def build_transfer(coarse_space, fine_space, child_map):
     parents = np.repeat(np.arange(ncoarse), 4)
     pts, wts = fine_space.dual_points_weights(cells=children)
     vals, _ = coarse_space.tabulate_cells(parents, pts)
-    local = np.einsum("cqik,cqjk->cij", wts, vals)
+    local = np.einsum("cqik,cqjk->cij", wts, vals, optimize=True)
     rows = fine_space.dofmap[children]
     cols = coarse_space.dofmap[parents]
     nf = rows.shape[1]

@@ -7,6 +7,10 @@ import numpy as np
 
 from .linalg import LuSolver
 
+# an undeflated Newton/Picard solve gives up after this many steps that fail
+# to halve the residual norm since it last set a new minimum
+STALL_STEPS = 5
+
 
 class NonlinearConfig:
     def __init__(self, rtol=1e-10, atol=1e-6, max_steps=50,
@@ -50,13 +54,6 @@ class SolverReport:
             return "NF"
         return "(%2d) %.1f" % (self.steps, self.avg_linear)
 
-    def csv_row(self, problem="", params=None):
-        p = params.as_dict() if params is not None else {}
-        cols = [problem] + [f"{k}={v}" for k, v in p.items()]
-        cols += [str(self.steps), f"{self.avg_linear:.2f}",
-                 str(self.converged).lower()]
-        return ",".join(cols)
-
 
 def direct_solver_factory(A, parts=None):
     lu = LuSolver(A)
@@ -76,7 +73,9 @@ def solve_nonlinear(model, state, config=None, solver_factory=None,
     default is a sparse direct solve.  residual_fn/jacobian_fn override the
     model's steady forms (used by the time steppers).  With `deflation`, the
     driver finds a root of the deflated residual, which keeps the update
-    direction and rescales its length.
+    direction and rescales its length.  Without deflation, the iteration
+    stops unconverged once STALL_STEPS steps since the residual norm last
+    set a new minimum have failed to halve it.
     """
     config = config or NonlinearConfig()
     solver_factory = solver_factory or direct_solver_factory
@@ -95,6 +94,8 @@ def solve_nonlinear(model, state, config=None, solver_factory=None,
         report.converged = True
         out = state.with_vector(x)
         return out, report
+    rbest = rprev = rnorm0
+    stalled = 0
     for step in range(config.max_steps):
         needs = getattr(solver_factory, "needs_matrix", None)
         if needs is None or needs():
@@ -120,6 +121,17 @@ def solve_nonlinear(model, state, config=None, solver_factory=None,
             break
         if rnorm < config.atol or rnorm < config.rtol * rnorm0:
             report.converged = True
+            break
+        # a step that at least halves the residual, as on the way back from
+        # an overshoot, is progress too; round-off noise on a plateau is
+        # not.  A deflated search climbs out of a deflated root's basin on
+        # purpose, so it is never stopped here.
+        if rnorm < rbest:
+            rbest, stalled = rnorm, 0
+        elif rnorm > 0.5 * rprev:
+            stalled += 1
+        rprev = rnorm
+        if stalled >= STALL_STEPS and deflation is None:
             break
     out = state.with_vector(x)
     return out, report

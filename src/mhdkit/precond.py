@@ -83,7 +83,7 @@ def pressure_mass_inverse(p_space, qdeg=6):
         raise ValueError("cellwise mass inverse needs a discontinuous "
                          "pressure")
     _, w, vals, _ = p_space.basis_at_quadrature(qdeg)
-    local = np.einsum("cqik,cqjk,cq->cij", vals, vals, w)
+    local = np.einsum("cqik,cqjk,cq->cij", vals, vals, w, optimize=True)
     inv = np.linalg.inv(local)
     dm = p_space.dofmap
     nloc = dm.shape[1]

@@ -290,7 +290,7 @@ def _hall_island_equilibrium(pr):
     D = sym.cosh(2 * sym.pi * Y) + k * sym.cos(2 * sym.pi * X)
     Bt = (sym.sinh(2 * sym.pi * Y) / D, k * sym.sin(2 * sym.pi * X) / D)
     p = (1 - k ** 2) / 2 * (1 + 1 / D ** 2)
-    j3 = sym.simplify(_curl2(Bt))
+    j3 = _curl2(Bt)
     E3 = j3 / pr.Rem
     # Et = -R_H (Bt x j3) = -R_H j3 perp(Bt)
     Et = (-pr.R_H * j3 * Bt[1], pr.R_H * j3 * Bt[0])
@@ -316,7 +316,7 @@ KNOWN_KEYS = {
     "params": {"Re", "Rem", "S", "RH", "Ra", "Pr", "Pm", "gamma",
                "stabilisation", "quad_degree_bc"},
     "solver": {"linearisation", "elimination", "linear_solver", "rtol",
-               "atol", "max_steps", "threads", "continuation"},
+               "atol", "max_steps", "continuation"},
     "time": {"dt", "T", "scheme"},
     "output": {"out_dir", "vtk", "series"},
 }
@@ -349,15 +349,3 @@ def parse_config(text):
                               f"[{section}] (line {lineno})")
         out[section][key] = val
     return out
-
-
-def emit_config(cfg):
-    lines = []
-    for section in KNOWN_KEYS:
-        if section not in cfg:
-            continue
-        lines.append(f"[{section}]")
-        for k, v in cfg[section].items():
-            lines.append(f"{k} = {v}")
-        lines.append("")
-    return "\n".join(lines)

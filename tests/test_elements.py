@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from mhdkit.mesh import build_rect_mesh
+from mhdkit.mesh import build_rect_mesh, refine_uniform
 from mhdkit.elements import (FunctionSpace, Field, ReferenceElement,
                              UnsupportedElementError, interpolate, l2_project,
                              complex_maps, grad_to_hcurl, curl_to_dg,
-                             mass_matrix, tabulate)
+                             mass_matrix, tabulate, scalar_monomials)
+from mhdkit.assembly import sipg_viscous
+from mhdkit.multigrid import build_transfer
 
 ALL_FAMILIES = [("CG", 1), ("CG", 2), ("DG", 0), ("DG", 1), ("RT", 1),
                 ("RT", 2), ("BDM", 1), ("BDM", 2), ("NED", 1), ("NED", 2)]
@@ -240,3 +242,57 @@ def test_tabulate_module_level():
     pts = np.array([[0.25, 0.25]])
     vals = tabulate(("CG", 1), pts)
     assert np.allclose(vals[:, :, 0].sum(), 1.0)
+
+
+def _tabulate_two_einsum(space, cells, pts):
+    """The chained-einsum tabulation, the reference for the batched-matmul
+    one in FunctionSpace.tabulate_cells."""
+    el = space.element
+    u = space.local_coords(cells, pts)
+    sm, smg = scalar_monomials(u, el.dmax, True)
+    coeff = space.coeff[cells]
+    vals = np.einsum("civ,cqvk->cqik", coeff,
+                     np.einsum("vks,cqs->cqvk", el.vmono, sm))
+    grads = np.einsum("civ,cqvkd->cqikd", coeff,
+                      np.einsum("vks,cqsd->cqvkd", el.vmono, smg))
+    return vals, grads / space.cell_scale[cells][:, None, None, None, None]
+
+
+def _close(a, ref, rtol=1e-13):
+    return a.shape == ref.shape and (np.abs(a - ref).max()
+                                     <= rtol * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("fam,deg", ALL_FAMILIES)
+def test_tabulate_cells_matches_einsum_reference(fam, deg, unit_mesh):
+    space = FunctionSpace(unit_mesh, fam, deg)
+    pts, _ = space.cell_quadrature(5)
+    # cells out of order, as facet traces and transfers pass them
+    cells = np.arange(unit_mesh.num_cells)[::-1]
+    pts = pts[::-1]
+    vals, grads = space.tabulate_cells(cells, pts, grad=True)
+    ref_vals, ref_grads = _tabulate_two_einsum(space, cells, pts)
+    assert _close(vals, ref_vals) and _close(grads, ref_grads)
+    only_vals, none = space.tabulate_cells(cells, pts)
+    assert none is None and np.array_equal(only_vals, vals)
+
+
+def test_optimised_kernels_match_plain_einsum(monkeypatch):
+    # the transfer and SIPG kernels contract with einsum(optimize=True);
+    # plain einsum, one naive loop per call, is the reference
+    hierarchy = refine_uniform(build_rect_mesh((0, 1, 0, 1), 2, 2), 1)
+
+    def kernels():
+        coarse, fine = (FunctionSpace(m, "BDM", 2) for m in hierarchy.levels)
+        P = build_transfer(coarse, fine, hierarchy.cell_children[0])
+        A, rhs = sipg_viscous(
+            fine, nu=0.7, dirichlet_markers=["left", "bottom"],
+            g_d=lambda x, y: np.stack([1 + x * y, x - y * y], axis=-1))
+        return P.toarray(), A.toarray(), rhs
+
+    optimised = kernels()
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *operands, optimize=False,
+                        **kwargs: einsum(*operands, **kwargs))
+    for a, ref in zip(optimised, kernels()):
+        assert _close(a, ref)

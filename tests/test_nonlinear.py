@@ -8,7 +8,8 @@ from mhdkit.models.standard import StandardMHD
 from mhdkit.models import analytic
 from mhdkit.nonlinear import (NonlinearConfig, SolverReport, solve_nonlinear,
                               ContinuationSchedule, continue_parameters,
-                              StageFailure, DeflationOperator, deflated_solve)
+                              StageFailure, DeflationOperator, deflated_solve,
+                              STALL_STEPS)
 
 
 class _ScalarProblem:
@@ -51,6 +52,42 @@ def test_linear_problem_one_step():
     st, rep = solve_nonlinear(model, model.initial_state(),
                               NonlinearConfig(atol=1e-8))
     assert rep.converged and rep.steps <= 3
+
+
+def _scripted_solve(norms):
+    """solve_nonlinear on residual norms given in advance; returns the report
+    and the number of residual evaluations."""
+    prob = _ScalarProblem()
+    norms = iter(norms)
+    evaluations = []
+
+    def residual(x):
+        evaluations.append(x)
+        return np.array([next(norms)])
+
+    _, rep = solve_nonlinear(
+        prob, prob.initial_state(), NonlinearConfig(max_steps=50),
+        residual_fn=residual,
+        jacobian_fn=lambda x: (sp.identity(1, format="csr"), {}))
+    return rep, len(evaluations)
+
+
+@pytest.mark.parametrize("plateau", [[0.6], [0.6, 0.55, 0.58]])
+def test_stalled_residual_stops_unconverged(plateau):
+    # the residual halves once, then plateaus far above atol, flat or noisy:
+    # the loop stops after STALL_STEPS steps, not at max_steps
+    rep, evaluations = _scripted_solve([1.0, 0.5] + plateau * 100)
+    assert not rep.converged
+    assert rep.steps == 1 + STALL_STEPS <= 6
+    assert evaluations == rep.steps + 1
+
+
+def test_return_from_overshoot_is_not_a_stall():
+    # a first step that overshoots is followed by steps that each cut the
+    # residual to 0.3 of the last, but stay above the starting norm for
+    # more than STALL_STEPS steps
+    rep, _ = _scripted_solve([1.0] + [1e4 * 0.3 ** k for k in range(40)])
+    assert rep.converged and rep.steps == 21  # 1e4 * 0.3**20 < atol
 
 
 def test_report_totals_and_cell_format():
