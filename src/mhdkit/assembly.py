@@ -9,10 +9,11 @@ import scipy.sparse as sp
 from .quadrature import gauss_interval
 
 __all__ = [
-    "cell_matrix", "cell_vector", "facet_data", "sipg_viscous",
-    "upwind_advection_matrix", "upwind_advection_residual",
-    "burman_stabilisation", "apply_bcs", "DirichletBC",
-    "FormTerm", "FormDescriptor", "assemble_matrix",
+    "cell_local", "cell_matrix", "cell_vector",
+    "facet_data", "facet_pairings", "sipg_local", "sipg_viscous",
+    "upwind_advection_local", "upwind_advection_matrix",
+    "upwind_advection_residual", "burman_local", "burman_stabilisation",
+    "SparsityPattern", "apply_bcs", "constrain_matrix", "DirichletBC",
 ]
 
 
@@ -53,19 +54,27 @@ for _k in range(2):
                     (_k == _l) * (_d == _e) + (_k == _e) * (_d == _l))
 
 
-def _scatter(test_dm, trial_dm, local, shape):
+def _entries(test_dm, trial_dm):
+    """Row and column of every entry of local (n, nt, nr) arrays on the
+    pairs of dof rows test_dm (n, nt) and trial_dm (n, nr), row-major."""
     nt = test_dm.shape[1]
     nr = trial_dm.shape[1]
-    rows = np.repeat(test_dm, nr, axis=1).ravel()
-    cols = np.tile(trial_dm, (1, nt)).ravel()
-    # local is (n, nt, nr): row-major pairing matches repeat/tile above
-    return sp.coo_matrix((local.reshape(-1, nt * nr).ravel(), (rows, cols)),
+    return (np.repeat(test_dm, nr, axis=1).ravel(),
+            np.tile(trial_dm, (1, nt)).ravel())
+
+
+def _scatter(blocks, shape):
+    """CSR sum of local arrays; blocks: (test_dm, trial_dm, local)."""
+    rows, cols = zip(*(_entries(t, r) for t, r, _ in blocks))
+    vals = [np.ravel(local) for _, _, local in blocks]
+    return sp.coo_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
                          shape=shape).tocsr()
 
 
-def cell_matrix(test, trial, test_op="val", trial_op="val", weight=None,
-                qdeg=None):
-    """Assemble sum_K int (T_test v) . W . (T_trial u) dx.
+def cell_local(test, trial, test_op="val", trial_op="val", weight=None,
+               qdeg=None):
+    """Local arrays (nc, nt, nr) of int_K (T_test v) . W . (T_trial u) dx.
 
     weight: None (identity contraction), scalar, constant (Ct, Cr) array,
     per-point (nc, nq, Ct, Cr) array, or callable(x, y) -> (Ct, Cr) blocks.
@@ -82,19 +91,23 @@ def cell_matrix(test, trial, test_op="val", trial_op="val", weight=None,
         Wv = np.asarray(weight(pts[..., 0], pts[..., 1]), dtype=float)
         weight = np.broadcast_to(Wv, pts.shape[:2] + Wv.shape[-2:])
     if weight is None:
-        local = np.einsum("cqiA,cqjA,cq->cij", A, B, w, optimize=True)
-    elif np.isscalar(weight):
-        local = weight * np.einsum("cqiA,cqjA,cq->cij", A, B, w,
-                                   optimize=True)
-    else:
-        Wv = np.asarray(weight, dtype=float)
-        if Wv.ndim == 2:
-            local = np.einsum("cqiA,AB,cqjB,cq->cij", A, Wv, B, w,
-                              optimize=True)
-        else:
-            local = np.einsum("cqiA,cqAB,cqjB,cq->cij", A, Wv, B, w,
-                              optimize=True)
-    return _scatter(test.dofmap, trial.dofmap, local,
+        return np.einsum("cqiA,cqjA,cq->cij", A, B, w, optimize=True)
+    if np.isscalar(weight):
+        return weight * np.einsum("cqiA,cqjA,cq->cij", A, B, w,
+                                  optimize=True)
+    Wv = np.asarray(weight, dtype=float)
+    if Wv.ndim == 2:
+        return np.einsum("cqiA,AB,cqjB,cq->cij", A, Wv, B, w, optimize=True)
+    return np.einsum("cqiA,cqAB,cqjB,cq->cij", A, Wv, B, w, optimize=True)
+
+
+def cell_matrix(test, trial, test_op="val", trial_op="val", weight=None,
+                qdeg=None):
+    """Assemble sum_K int (T_test v) . W . (T_trial u) dx (see
+    `cell_local` for the weights)."""
+    return _scatter([(test.dofmap, trial.dofmap,
+                      cell_local(test, trial, test_op, trial_op, weight,
+                                 qdeg))],
                     (test.total_dofs, trial.total_dofs))
 
 
@@ -196,10 +209,38 @@ def facet_data(mesh, qdeg):
     return fd
 
 
-def _facet_scatter(space, cells_t, cells_r, local):
+def _boundary_selection(mesh, fd, dirichlet_markers):
+    """Boundary facets of fd on `dirichlet_markers`, and the trace cache
+    tag of that marker set."""
+    eb = mesh.edges_with_markers(dirichlet_markers)
+    keep = np.isin(fd.bdry_edges, eb)
+    return keep, tuple(sorted(map(str, dirichlet_markers)))
+
+
+def facet_pairings(space, qdeg, dirichlet_markers=None):
+    """The cell pairs that facet forms couple: ("int", st, sr) -> (test
+    cells, trial cells) over interior facets for the sides st, sr in
+    {0 (plus), 1 (minus)}, and "bdry" -> (cells, cells) over the boundary
+    facets on `dirichlet_markers` (when given)."""
+    fd = facet_data(space.mesh, qdeg)
+    out = {("int", st, sr): (fd.int_cells[:, st], fd.int_cells[:, sr])
+           for st in range(2) for sr in range(2)}
+    if dirichlet_markers is not None:
+        keep, _ = _boundary_selection(space.mesh, fd, dirichlet_markers)
+        out["bdry"] = (fd.bdry_cells[keep],) * 2
+    return out
+
+
+def _facet_matrix(space, qdeg, dirichlet_markers, locals_):
+    """CSR sum of facet local arrays keyed as in `facet_pairings`, without
+    stored zeros."""
+    pairs = facet_pairings(space, qdeg, dirichlet_markers)
     dm = space.dofmap
-    return _scatter(dm[cells_t], dm[cells_r], local,
-                    (space.total_dofs, space.total_dofs))
+    A = _scatter([(dm[pairs[k][0]], dm[pairs[k][1]], loc)
+                  for k, loc in locals_.items()],
+                 (space.total_dofs, space.total_dofs))
+    A.eliminate_zeros()
+    return A
 
 
 def _trace(space, cells, pts, grad=False, key=None):
@@ -219,15 +260,15 @@ def _trace(space, cells, pts, grad=False, key=None):
 
 # -- SIPG viscous term ---------------------------------------------------------
 
-def sipg_viscous(space, nu, sigma=None, sym=True, qdeg=None,
-                 dirichlet_markers=None, g_d=None):
+def sipg_local(space, nu, sigma=None, sym=True, qdeg=None,
+               dirichlet_markers=None, g_d=None):
     """Interior-penalty form of the viscous operator for a broken vector space.
 
     sym=True uses the symmetric gradient (consistency factor 2*nu), sym=False
     the full gradient (factor nu); the penalty is nu*sigma/h_F in both cases
-    with sigma = 10 k^2 by default.  Returns (matrix, rhs) where rhs collects
-    the boundary data terms for `g_d` on `dirichlet_markers` (rhs is zero if
-    g_d is None).
+    with sigma = 10 k^2 by default.  Returns (locals, rhs): the facet local
+    arrays keyed as in `facet_pairings`, and the boundary data terms for
+    `g_d` on `dirichlet_markers` (zero if g_d is None).
     """
     el = space.element
     k = el.degree
@@ -257,7 +298,7 @@ def sipg_viscous(space, nu, sigma=None, sym=True, qdeg=None,
         return np.einsum("eqikd,ed->eqik", e, n)
 
     Sn = [stress_n(g) for g in grads]
-    A = sp.csr_matrix((space.total_dofs, space.total_dofs))
+    out = {}
     jump_sign = [1.0, -1.0]
     wL = wq[None, :] * fd.int_len[:, None]
     for st in range(2):
@@ -265,27 +306,24 @@ def sipg_viscous(space, nu, sigma=None, sym=True, qdeg=None,
             sgn_t = jump_sign[st]
             sgn_r = jump_sign[sr]
             # -cfac * {stress(u)}n . [v]  - cfac * [u] . {stress(v)}n
-            loc = (-cfac * 0.5 * sgn_t
-                   * np.einsum("eqik,eqjk,eq->eij", vals[st], Sn[sr], wL,
-                               optimize=True)
-                   - cfac * 0.5 * sgn_r
-                   * np.einsum("eqik,eqjk,eq->eij", Sn[st], vals[sr], wL,
-                               optimize=True)
-                   + nu * sigma / fd.int_len[:, None, None] * sgn_t * sgn_r
-                   * np.einsum("eqik,eqjk,eq->eij", vals[st], vals[sr], wL,
-                               optimize=True))
-            A = A + _facet_scatter(space, fd.int_cells[:, st],
-                                   fd.int_cells[:, sr], loc)
+            out[("int", st, sr)] = (
+                -cfac * 0.5 * sgn_t
+                * np.einsum("eqik,eqjk,eq->eij", vals[st], Sn[sr], wL,
+                            optimize=True)
+                - cfac * 0.5 * sgn_r
+                * np.einsum("eqik,eqjk,eq->eij", Sn[st], vals[sr], wL,
+                            optimize=True)
+                + nu * sigma / fd.int_len[:, None, None] * sgn_t * sgn_r
+                * np.einsum("eqik,eqjk,eq->eij", vals[st], vals[sr], wL,
+                            optimize=True))
 
     rhs = np.zeros(space.total_dofs)
     if dirichlet_markers is not None:
-        eb = mesh.edges_with_markers(dirichlet_markers)
-        keep = np.isin(fd.bdry_edges, eb)
+        keep, mk = _boundary_selection(mesh, fd, dirichlet_markers)
         cells = fd.bdry_cells[keep]
         pts = fd.bdry_pts[keep]
         nb = fd.bdry_normal[keep]
         Lb = fd.bdry_len[keep]
-        mk = tuple(sorted(map(str, dirichlet_markers)))
         v, g = _trace(space, cells, pts, grad=True, key=(qdeg, "bdy", mk))
         if sym:
             e = 0.5 * (g + np.swapaxes(g, -2, -1))
@@ -293,13 +331,12 @@ def sipg_viscous(space, nu, sigma=None, sym=True, qdeg=None,
             e = g
         Sb = np.einsum("eqikd,ed->eqik", e, nb)
         wLb = wq[None, :] * Lb[:, None]
-        loc = (-cfac * np.einsum("eqik,eqjk,eq->eij", v, Sb, wLb,
-                                 optimize=True)
-               - cfac * np.einsum("eqik,eqjk,eq->eij", Sb, v, wLb,
-                                  optimize=True)
-               + nu * sigma / Lb[:, None, None]
-               * np.einsum("eqik,eqjk,eq->eij", v, v, wLb, optimize=True))
-        A = A + _facet_scatter(space, cells, cells, loc)
+        out["bdry"] = (
+            -cfac * np.einsum("eqik,eqjk,eq->eij", v, Sb, wLb, optimize=True)
+            - cfac * np.einsum("eqik,eqjk,eq->eij", Sb, v, wLb,
+                               optimize=True)
+            + nu * sigma / Lb[:, None, None]
+            * np.einsum("eqik,eqjk,eq->eij", v, v, wLb, optimize=True))
         if g_d is not None:
             gv = np.asarray(g_d(pts[..., 0], pts[..., 1]), dtype=float)
             rloc = (nu * sigma / Lb[:, None]
@@ -307,7 +344,17 @@ def sipg_viscous(space, nu, sigma=None, sym=True, qdeg=None,
                     - cfac * np.einsum("eqik,eqk,eq->ei", Sb, gv, wLb,
                                        optimize=True))
             np.add.at(rhs, space.dofmap[cells].ravel(), rloc.ravel())
-    return A, rhs
+    return out, rhs
+
+
+def sipg_viscous(space, nu, sigma=None, sym=True, qdeg=None,
+                 dirichlet_markers=None, g_d=None):
+    """`sipg_local` assembled: (matrix, rhs)."""
+    if qdeg is None:
+        qdeg = 2 * space.element.degree + 2
+    locals_, rhs = sipg_local(space, nu, sigma, sym, qdeg,
+                              dirichlet_markers, g_d)
+    return _facet_matrix(space, qdeg, dirichlet_markers, locals_), rhs
 
 
 # -- upwinded DG advection -----------------------------------------------------
@@ -345,13 +392,11 @@ def upwind_advection_residual(space, u_field, qdeg=None,
         np.add.at(out, space.dofmap[fd.int_cells[:, s]].ravel(), rloc.ravel())
 
     if dirichlet_markers is not None:
-        eb = mesh.edges_with_markers(dirichlet_markers)
-        keep = np.isin(fd.bdry_edges, eb)
+        keep, mk = _boundary_selection(mesh, fd, dirichlet_markers)
         cells = fd.bdry_cells[keep]
         pts = fd.bdry_pts[keep]
         nb = fd.bdry_normal[keep]
         Lb = fd.bdry_len[keep]
-        mk = tuple(sorted(map(str, dirichlet_markers)))
         v, _ = _trace(space, cells, pts, key=(qdeg, "bdy", mk))
         loc = u_field.coefficients[space.dofmap[cells]]
         ub = np.einsum("ei,eqik->eqk", loc, v)
@@ -366,17 +411,18 @@ def upwind_advection_residual(space, u_field, qdeg=None,
     return out
 
 
-def upwind_advection_matrix(space, u_field, qdeg=None,
-                            dirichlet_markers=None, g_d=None):
+def upwind_advection_local(space, u_field, qdeg=None,
+                           dirichlet_markers=None, g_d=None):
     """Derivative of c_h^DG(u; u, v) with respect to u at u_field (the upwind
-    switch |u.n| is differentiated with its sign frozen)."""
+    switch |u.n| is differentiated with its sign frozen), as facet local
+    arrays keyed as in `facet_pairings`."""
     el = space.element
     if qdeg is None:
         qdeg = 3 * el.degree + 1
     mesh = space.mesh
     fd = facet_data(mesh, qdeg)
     wq = fd.qweights
-    A = sp.csr_matrix((space.total_dofs, space.total_dofs))
+    out = {}
 
     n = fd.int_normal
     wL = wq[None, :] * fd.int_len[:, None]
@@ -399,20 +445,15 @@ def upwind_advection_matrix(space, u_field, qdeg=None,
                  * uv[sr][:, :, None, :])
         sgn_r = 1.0 if sr == 0 else -1.0
         for st, sgn_t in ((0, 1.0), (1, -1.0)):
-            loc = sgn_t * sgn_r * np.einsum("eqik,eqjk,eq->eij",
-                                            basis[st], dflux, wL,
-                                            optimize=True)
-            A = A + _facet_scatter(space, fd.int_cells[:, st],
-                                   fd.int_cells[:, sr], loc)
+            out[("int", st, sr)] = sgn_t * sgn_r * np.einsum(
+                "eqik,eqjk,eq->eij", basis[st], dflux, wL, optimize=True)
 
     if dirichlet_markers is not None:
-        eb = mesh.edges_with_markers(dirichlet_markers)
-        keep = np.isin(fd.bdry_edges, eb)
+        keep, mk = _boundary_selection(mesh, fd, dirichlet_markers)
         cells = fd.bdry_cells[keep]
         pts = fd.bdry_pts[keep]
         nb = fd.bdry_normal[keep]
         Lb = fd.bdry_len[keep]
-        mk = tuple(sorted(map(str, dirichlet_markers)))
         v, _ = _trace(space, cells, pts, key=(qdeg, "bdy", mk))
         loc = u_field.coefficients[space.dofmap[cells]]
         ub = np.einsum("ei,eqik->eqk", loc, v)
@@ -429,19 +470,26 @@ def upwind_advection_matrix(space, u_field, qdeg=None,
             s2 = 1.0 - np.sign(un)
             dflux = dflux + (0.5 * s2[..., None, None] * dn[..., None]
                              * gv[:, :, None, :])
-        locm = np.einsum("eqik,eqjk,eq->eij", v, dflux, wLb, optimize=True)
-        A = A + _facet_scatter(space, cells, cells, locm)
-    return A
+        out["bdry"] = np.einsum("eqik,eqjk,eq->eij", v, dflux, wLb,
+                                optimize=True)
+    return out
 
 
-def burman_stabilisation(space, mu, qdeg=None):
-    """Gradient-jump penalty sum_F mu h_F^2 int_F [grad u] : [grad v] ds over
-    interior facets."""
-    el = space.element
-    if mu == 0.0:
-        return sp.csr_matrix((space.total_dofs, space.total_dofs))
+def upwind_advection_matrix(space, u_field, qdeg=None,
+                            dirichlet_markers=None, g_d=None):
+    """`upwind_advection_local` assembled into a CSR matrix."""
     if qdeg is None:
-        qdeg = 2 * el.degree + 2
+        qdeg = 3 * space.element.degree + 1
+    locals_ = upwind_advection_local(space, u_field, qdeg,
+                                     dirichlet_markers, g_d)
+    return _facet_matrix(space, qdeg, dirichlet_markers, locals_)
+
+
+def burman_local(space, mu, qdeg=None):
+    """Gradient-jump penalty sum_F mu h_F^2 int_F [grad u] : [grad v] ds over
+    interior facets, as local arrays keyed as in `facet_pairings`."""
+    if qdeg is None:
+        qdeg = 2 * space.element.degree + 2
     fd = facet_data(space.mesh, qdeg)
     wq = fd.qweights
     grads = []
@@ -451,14 +499,19 @@ def burman_stabilisation(space, mu, qdeg=None):
         gs = g.reshape(g.shape[:3] + (-1,))
         grads.append(gs)
     wL = wq[None, :] * fd.int_len[:, None] * fd.int_len[:, None] ** 2
-    A = sp.csr_matrix((space.total_dofs, space.total_dofs))
-    for st, sgn_t in ((0, 1.0), (1, -1.0)):
-        for sr, sgn_r in ((0, 1.0), (1, -1.0)):
-            loc = mu * sgn_t * sgn_r * np.einsum(
+    return {("int", st, sr): mu * sgn_t * sgn_r * np.einsum(
                 "eqiA,eqjA,eq->eij", grads[st], grads[sr], wL, optimize=True)
-            A = A + _facet_scatter(space, fd.int_cells[:, st],
-                                   fd.int_cells[:, sr], loc)
-    return A
+            for st, sgn_t in ((0, 1.0), (1, -1.0))
+            for sr, sgn_r in ((0, 1.0), (1, -1.0))}
+
+
+def burman_stabilisation(space, mu, qdeg=None):
+    """`burman_local` assembled into a CSR matrix (empty for mu = 0)."""
+    if mu == 0.0:
+        return sp.csr_matrix((space.total_dofs, space.total_dofs))
+    if qdeg is None:
+        qdeg = 2 * space.element.degree + 2
+    return _facet_matrix(space, qdeg, None, burman_local(space, mu, qdeg))
 
 
 # -- Dirichlet boundary conditions ---------------------------------------------
@@ -514,69 +567,133 @@ def apply_bcs(A, b, constrained, values=None):
 
 
 def constrain_matrix(A, constrained):
-    """Zero rows/columns of constrained dofs and put 1 on their diagonal."""
+    """Zero rows/columns of constrained dofs and put 1 on their diagonal;
+    the result stores no zeros."""
+    A = sp.csr_matrix(A, copy=True)
     n = A.shape[0]
-    mask = np.ones(n)
-    mask[np.asarray(constrained, dtype=np.int64)] = 0.0
-    D = sp.diags(mask)
-    out = D @ A @ D
-    one = 1.0 - mask
-    return (out + sp.diags(one)).tocsr()
+    one = np.zeros(n)
+    one[np.asarray(constrained, dtype=np.int64)] = 1.0
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    A.data[(one[rows] + one[A.indices]) > 0] = 0.0
+    # the sum keeps no zero entries
+    return (A + sp.diags(one)).tocsr()
 
 
-# -- descriptor veneer ----------------------------------------------------------
+# -- fixed sparsity pattern ---------------------------------------------------
 
 
-class FormTerm:
-    def __init__(self, test, trial, kernel, coeffs=(), weight=1.0):
-        self.test = test
-        self.trial = trial
-        self.kernel = kernel
-        self.coeffs = tuple(coeffs)
-        self.weight = weight
+class SparsityPattern:
+    """One fixed CSR pattern over the dofs 0..n-1 of a mixed operator.
 
+    `pairings` maps a key to (rows, cols), (m, nt) and (m, nr) arrays of
+    global dofs: a local array (m, nt, nr) on that key couples rows[e] with
+    cols[e].  A pairing may instead be (key, index): the pairs `index`
+    (an index array) of the pairing `key` given earlier.  The pattern is
+    the union of all pairings plus the diagonal of the `constrained` dofs,
+    with sorted column indices; `slots[key]` maps the key's local entries,
+    row-major, to slots of the pattern's `data` (int32).  Constraining
+    zeroes the slots in constrained rows and columns and puts 1 in the
+    constrained diagonal slots."""
 
-class FormDescriptor:
-    def __init__(self, terms, domain="cells"):
-        self.terms = list(terms)
-        self.domain = domain
+    def __init__(self, n, pairings, constrained):
+        con = np.asarray(constrained, dtype=np.int64)
+        direct = {k: v for k, v in pairings.items()
+                  if not isinstance(v[0], tuple)}
+        sizes = [r.size * c.shape[1] for r, c in direct.values()]
+        bounds = np.cumsum([0] + sizes)
+        m = bounds[-1] + len(con)
+        # sort keys row * n + col, each packed with its entry's position
+        # into one int64 when they fit
+        shift = int(m).bit_length()
+        packed = (n * n).bit_length() + shift < 63
+        key = np.empty(m, dtype=np.int64)
+        for (rows, cols), a, b in zip(direct.values(), bounds, bounds[1:]):
+            r, c = _entries(rows, cols)
+            np.multiply(r, n, out=key[a:b])
+            key[a:b] += c
+        key[bounds[-1]:] = con * (n + 1)
+        if packed:
+            for a in range(0, m, 1 << 20):
+                b = min(m, a + (1 << 20))
+                key[a:b] <<= shift
+                key[a:b] |= np.arange(a, b)
+            key.sort()
+            order = np.empty(m, dtype=np.int32)
+            np.bitwise_and(key, (1 << shift) - 1, out=order,
+                           casting="unsafe")
+            key >>= shift
+        else:
+            order = np.argsort(key, kind="stable").astype(np.int32)
+            key = key[order]
+        first = np.ones(m, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        unique = key[first]
+        del key
+        slot_sorted = np.cumsum(first, dtype=np.int32)
+        del first
+        slot_sorted -= 1
+        slot = np.empty(m, dtype=np.int32)
+        slot[order] = slot_sorted
+        del order, slot_sorted
+        self.n = n
+        self.nnz = len(unique)
+        self.indptr = np.searchsorted(
+            unique, np.arange(n + 1) * n).astype(np.int32)
+        rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.indptr))
+        unique -= rows * np.int64(n)
+        self.indices = unique.astype(np.int32)
+        del unique
+        # matrices share these: a change in place would corrupt the pattern
+        self.indptr.flags.writeable = False
+        self.indices.flags.writeable = False
+        self.slots = {k: slot[a:b] for k, a, b in
+                      zip(direct, bounds[:-1], bounds[1:])}
+        for k, (base, index) in pairings.items():
+            if k not in direct:
+                pairs = len(pairings[base][0])
+                self.slots[k] = self.slots[base].reshape(
+                    pairs, -1)[index].ravel()
+        self.diag = slot[bounds[-1]:]
+        mask = np.zeros(n, dtype=bool)
+        mask[con] = True
+        self.dropped = np.flatnonzero(mask[rows] | mask[self.indices]).astype(
+            np.int32)
 
+    def scatter(self, terms, out=None):
+        """Add the local arrays `terms` (key -> local) to `out` (a new zero
+        array when None), one unbuffered add per key."""
+        if out is None:
+            out = np.zeros(self.nnz)
+        for key, local in terms.items():
+            np.add.at(out, self.slots[key], np.ravel(local))
+        return out
 
-_KERNELS = {
-    "mass": ("val", "val", None),
-    "stiffness": ("grad", "grad", None),
-    "divdiv": ("div", "div", None),
-    "eps_eps": ("grad", "grad", EPS_CONTRACTION),
-    "div_pressure": ("div", "val", None),     # (q?, div v): test vector
-    "pressure_div": ("val", "div", None),
-    "scalar_vcurl": ("vcurl", "val", None),   # (B, vcurl F): test scalar F
-    "vcurl_scalar": ("val", "vcurl", None),   # (vcurl E, C): test vector C
-}
+    def compact(self, terms):
+        """(slots, values) of the nonzero data of the sum of `terms`."""
+        data = self.scatter(terms)
+        nz = np.flatnonzero(data).astype(np.int32)
+        return nz, data[nz]
 
+    def expand(self, compact, weight=1.0, out=None):
+        """Add weight * a compact array to `out` (a new zero array when
+        None)."""
+        if out is None:
+            out = np.zeros(self.nnz)
+        slots, vals = compact
+        out[slots] += weight * vals
+        return out
 
-def assemble_matrix(form, spaces, state=None, qdeg=None):
-    """Assemble a FormDescriptor into per-(test, trial) sparse blocks.
+    def matrix(self, data):
+        """CSR matrix over the pattern, sharing its read-only index
+        arrays: operations that change a matrix's structure in place
+        (eliminate_zeros, sort_indices) need a copy."""
+        A = sp.csr_matrix((data, self.indices, self.indptr),
+                          shape=(self.n, self.n))
+        A.has_canonical_format = True
+        return A
 
-    `spaces` maps tags to FunctionSpaces; coefficient fields named in a term
-    are looked up in `state` (a mapping tag -> Field); a missing coefficient
-    raises an error naming the term.
-    """
-    if form.domain != "cells":
-        raise ValueError("descriptor assembly covers cell terms; facet "
-                         "terms use the dedicated builders")
-    blocks = {}
-    for term in form.terms:
-        if term.kernel not in _KERNELS:
-            raise ValueError(f"unknown kernel {term.kernel!r}")
-        for c in term.coeffs:
-            if state is None or c not in state:
-                raise ValueError(
-                    f"term {term.kernel!r} ({term.test},{term.trial}): "
-                    f"missing coefficient field {c!r}")
-        top, rop, W = _KERNELS[term.kernel]
-        mat = cell_matrix(spaces[term.test], spaces[term.trial], top, rop,
-                          weight=W, qdeg=qdeg)
-        key = (term.test, term.trial)
-        mat = mat * term.weight
-        blocks[key] = blocks[key] + mat if key in blocks else mat
-    return blocks
+    def constrain(self, data):
+        """Constrain `data` in place and return its matrix."""
+        data[self.dropped] = 0.0
+        data[self.diag] = 1.0
+        return self.matrix(data)

@@ -5,7 +5,7 @@ deflated-continuation driver producing branch records."""
 import numpy as np
 
 from .elements import interpolate, l2_project
-from .linalg import shift_invert_arnoldi, BlockMatrix
+from .linalg import shift_invert_arnoldi
 from .nonlinear import (NonlinearConfig, solve_nonlinear, DeflationOperator,
                         deflated_solve)
 from .models.analytic import conduction_state
@@ -123,10 +123,7 @@ def critical_parameter(model, which="Ra_c", count=2, ncv=None, tol=1e-6):
     pr = model.params
     if which == "Ra_c":
         A0, _ = model.jacobian(st.vector, "newton", drop_buoyancy=True)
-        stt = model.state_template
-        Cg = BlockMatrix(list(model.fields), stt.sizes())
-        Cg.add("u", "theta", pr.Pr * model.C_buoy)
-        Mmat = Cg.tocsr()
+        Mmat = pr.Pr * model.constant_matrix("buoyancy")
     elif which == "S_c":
         A0, _ = model.jacobian(st.vector, "newton", drop_lorentz=True)
         A1, _ = model.jacobian(st.vector.copy(), "newton")

@@ -36,14 +36,16 @@ def _add_common(p):
                    default="eliminate_up")
     p.add_argument("--linear-solver", choices=["fgmres", "direct"],
                    default="direct")
-    p.add_argument("--continuation", action="store_true",
+    p.add_argument("--continuation", action="store_true", default=None,
                    help="apply the stationary continuation schedules")
     p.add_argument("--dt", type=float)
     p.add_argument("--T", type=float)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--stabilisation", type=float)
     p.add_argument("--quad-degree-bc", type=int)
-    p.add_argument("--bc-field", default="uniform")
+    p.add_argument("--bc-field")
+    # Newton tolerances: config keys only, NonlinearConfig defaults if unset
+    p.set_defaults(rtol=None, atol=None, max_steps=None)
 
 
 def _collect_params(args):
@@ -59,7 +61,31 @@ def _collect_params(args):
     return out
 
 
+def _config_value(section, key, value, kind):
+    """value converted by kind; a value that does not convert stops the run
+    with exit code 1."""
+    try:
+        return kind(value)
+    except ValueError:
+        print(f"error: [{section}] {key} = {value!r} is not "
+              f"{_KIND_NAMES[kind]}", file=sys.stderr)
+        sys.exit(1)
+
+
+def _boolean(value):
+    v = value.strip().lower()
+    if v in ("true", "yes", "on", "1"):
+        return True
+    if v in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(value)
+
+
+_KIND_NAMES = {float: "a number", int: "an integer", _boolean: "a boolean"}
+
+
 def _apply_config_file(args):
+    """Config-file values for every setting the flags left unset."""
     if not args.config:
         return
     try:
@@ -72,16 +98,13 @@ def _apply_config_file(args):
     if "name" in prob and not args.problem:
         args.problem = prob["name"]
     if "levels" in prob and args.levels is None:
-        args.levels = int(prob["levels"])
+        args.levels = _config_value("problem", "levels", prob["levels"], int)
+    if "bc_field" in prob and args.bc_field is None:
+        args.bc_field = prob["bc_field"]
     for k, v in cfg.get("params", {}).items():
         flag = "RH" if k == "RH" else k
         if getattr(args, flag, None) is None:
-            try:
-                setattr(args, flag, float(v))
-            except ValueError:
-                print(f"error: [params] {k} = {v!r} is not a number",
-                      file=sys.stderr)
-                sys.exit(1)
+            setattr(args, flag, _config_value("params", k, v, float))
     sol = cfg.get("solver", {})
     if "linearisation" in sol:
         args.linearisation = sol["linearisation"]
@@ -89,14 +112,28 @@ def _apply_config_file(args):
         args.elimination = sol["elimination"]
     if "linear_solver" in sol:
         args.linear_solver = sol["linear_solver"]
+    if "continuation" in sol and args.continuation is None:
+        args.continuation = _config_value("solver", "continuation",
+                                          sol["continuation"], _boolean)
+    for key, kind in (("rtol", float), ("atol", float), ("max_steps", int)):
+        if key in sol:
+            setattr(args, key, _config_value("solver", key, sol[key], kind))
     tm = cfg.get("time", {})
     if "dt" in tm and args.dt is None:
-        args.dt = float(tm["dt"])
+        args.dt = _config_value("time", "dt", tm["dt"], float)
     if "T" in tm and args.T is None:
-        args.T = float(tm["T"])
+        args.T = _config_value("time", "T", tm["T"], float)
     out = cfg.get("output", {})
     if "out_dir" in out:
         args.out_dir = out["out_dir"]
+
+
+def _nonlinear_config(args):
+    """The Newton settings of the run: the linearisation and the [solver]
+    tolerances that were given."""
+    given = {k: getattr(args, k) for k in ("rtol", "atol", "max_steps")
+             if getattr(args, k) is not None}
+    return NonlinearConfig(linearisation=args.linearisation, **given)
 
 
 def _solver_factory(args, spec, ledger=None):
@@ -171,7 +208,7 @@ def cmd_run(args):
         return 1
     params = _collect_params(args)
     spec = make_problem(args.problem, levels=args.levels, params=params,
-                        bc_field=args.bc_field)
+                        bc_field=args.bc_field or "uniform")
     model = spec.model
 
     if args.problem == "mms":
@@ -182,7 +219,7 @@ def cmd_run(args):
 
     ledger = IterationLedger()
     fac = _solver_factory(args, spec, ledger)
-    cfg = NonlinearConfig(linearisation=args.linearisation)
+    cfg = _nonlinear_config(args)
     state = model.initial_state()
     try:
         if args.continuation:
@@ -217,17 +254,15 @@ def _pstr(model):
 
 
 def _run_mms(args, spec):
-    from .problems import make_problem as mk
     params = _collect_params(args)
     levels = args.levels if args.levels is not None else 3
     errs = []
     names = ("u", "p", "B", "E")
     hs = []
     for lev in range(levels + 1):
-        sp = mk("mms", levels=lev, params=params)
+        sp = make_problem("mms", levels=lev, params=params)
         st, rep = solve_nonlinear(sp.model, sp.model.initial_state(),
-                                  NonlinearConfig(
-                                      linearisation=args.linearisation))
+                                  _nonlinear_config(args))
         e = sp.model.l2_error(st.vector, sp.exact.fields, zero_mean=("p",))
         errs.append(e)
         hs.append(sp.mesh.min_edge_length())
@@ -261,9 +296,7 @@ def _run_transient(args, spec):
     observers["div_B"] = lambda v: model.div_norms(v)[model.magnetic]
     fac = FrozenJacobianFactory()
     tcfg = TimeConfig(dt=args.dt, T=args.T)
-    vec, rows = run_transient(model, st, tcfg,
-                              NonlinearConfig(
-                                  linearisation=args.linearisation),
+    vec, rows = run_transient(model, st, tcfg, _nonlinear_config(args),
                               fac, observers=observers)
     write_series_csv(_report_path(args, "series.csv"), rows)
     _dump_fields(args, spec, vec)
@@ -300,9 +333,10 @@ def cmd_sweep(args):
             if cv is not None:
                 params[cname] = cv
             spec = make_problem(args.problem, levels=args.levels,
-                                params=params)
+                                params=params,
+                                bc_field=args.bc_field or "uniform")
             fac = _solver_factory(args, spec)
-            cfg = NonlinearConfig(linearisation=args.linearisation)
+            cfg = _nonlinear_config(args)
             try:
                 if args.continuation:
                     sched = ContinuationSchedule.toward(
@@ -339,6 +373,7 @@ def cmd_bifurcate(args):
                               critical_parameter, stability_eigs,
                               seeded_guesses, deflated_continuation,
                               BranchRecord)
+    nl_config = _nonlinear_config(args)
     params = _collect_params(args)
     spec = make_problem("rayleigh_benard", levels=args.levels, params=params)
     model = spec.model
@@ -363,7 +398,7 @@ def cmd_bifurcate(args):
         return 1
     setattr(model.params, args.param, sweep.start)
     seeds = [conduction_state_vector(model).vector]
-    records = deflated_continuation(model, sweep, seeds,
+    records = deflated_continuation(model, sweep, seeds, nl_config=nl_config,
                                     compute_stability=args.stability)
     path = _report_path(args, "diagram.csv")
     with open(path, "w") as f:

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from .elements import (FunctionSpace, interpolate, complex_maps,
                        grad_to_hcurl, curl_to_dg)
 from .assembly import cell_matrix, constrain_matrix
-from .linalg import LuSolver, fgmres
+from .linalg import LuSolver
 
 QDEG = 5
 
@@ -66,6 +66,7 @@ class ConservativeScheme:
         self.tol = tol
         self.max_fp = max_fp
         self._steppers = {}
+        self._potential = None
 
         ned = FunctionSpace(mesh, "NED", 1)
         cg = FunctionSpace(mesh, "CG", 1)
@@ -179,19 +180,36 @@ class ConservativeScheme:
         d = self.D @ self.divsp.split(vec_d)[0]
         return float(np.sqrt(d @ (self.M_dg @ d)))
 
+    def _potential_solvers(self):
+        """Factorisations of the two state-independent vector-potential
+        operators, built on first use: vcurl^T M vcurl with one pinned dof,
+        and curl^T M curl on NED1 gauged by a CG1 multiplier q,
+        (At, grad q) = 0, with one pinned multiplier dof."""
+        if self._potential is None:
+            nt = self.curlsp.nt
+            K_a3 = constrain_matrix((self.V.T @ self.M_rt @ self.V).tocsr(),
+                                    [0])
+            K_at = (self.C.T @ self.M_dg @ self.C).tocsr()
+            G = (self.M_c[:nt, :nt] @ self.GRAD[:nt]).tocsr()
+            gauged = sp.bmat([[K_at, G], [G.T, None]], format="csr")
+            self._potential = (LuSolver(K_a3),
+                               LuSolver(constrain_matrix(gauged, [nt])))
+        return self._potential
+
     def _vector_potential(self, B):
-        """Curl-type A with curl A = B: vcurl A3 = Bt by a Poisson solve
-        (one pinned dof fixes the gauge) and curl At = B3 by a consistent
-        singular solve with unpreconditioned Krylov."""
+        """Curl-type A with curl A = B: vcurl A3 = Bt and curl At = B3, each
+        by a direct solve with the cached factorisations of
+        `_potential_solvers` (A is unique up to its gauge, which leaves the
+        helicity of a divergence-free B unchanged)."""
+        lu_a3, lu_at = self._potential_solvers()
         Bt_c, B3_c = self.divsp.split(B)
-        V, C = self.V, self.C
-        K_a3 = constrain_matrix((V.T @ self.M_rt @ V).tocsr(), [0])
-        rhs = V.T @ (self.M_rt @ Bt_c)
+        rhs = self.V.T @ (self.M_rt @ Bt_c)
         rhs[0] = 0.0
-        A3 = LuSolver(K_a3).solve(rhs)
-        res = fgmres((C.T @ self.M_dg @ C).tocsr(), C.T @ (self.M_dg @ B3_c),
-                     rtol=1e-10, atol=1e-12, maxiter=2000, restart=200)
-        return np.concatenate([res.x, A3])
+        A3 = lu_a3.solve(rhs)
+        nt = self.curlsp.nt
+        rhs = np.zeros(lu_at.shape[0])
+        rhs[:nt] = self.C.T @ (self.M_dg @ B3_c)
+        return np.concatenate([lu_at.solve(rhs)[:nt], A3])
 
     def magnetic_helicity(self, B):
         """int A . B with curl A = B (A curl-type, B div-type)."""

@@ -16,11 +16,14 @@ class SingularMatrixError(Exception):
 
 
 class LuSolver:
-    """LU factorisation handle for sparse or dense square matrices."""
+    """LU factorisation handle for sparse or dense square matrices.  A
+    sparse matrix is factorised without its stored zeros (a fixed-pattern
+    Jacobian keeps the zeros of its state-dependent terms)."""
 
     def __init__(self, A):
         if sp.issparse(A):
-            A = A.tocsc()
+            A = A.tocsc(copy=True)
+            A.eliminate_zeros()
             if A.shape[0] != A.shape[1]:
                 raise ValueError("matrix must be square")
             try:
@@ -59,19 +62,6 @@ class LuSolver:
     __call__ = solve
 
 
-class KrylovConfig:
-    def __init__(self, method="FGMRES", restart=100, maxiter=500,
-                 rtol=1e-7, atol=1e-7):
-        if rtol < 0 or atol < 0:
-            raise ValueError("tolerances must be non-negative")
-        self.method = method
-        self.restart = restart
-        self.maxiter = maxiter
-        self.rtol = rtol
-        self.atol = atol
-        self.side = "right"
-
-
 class FgmresResult:
     def __init__(self, x, iterations, residuals, converged):
         self.x = x
@@ -97,6 +87,7 @@ def fgmres(A, b, M=None, x0=None, rtol=1e-7, atol=1e-7, restart=100,
     """
     matvec = _as_operator(A)
     n = len(b)
+    fixed = rtol == 0 and atol == 0
     if maxiter is None:
         maxiter = 10 * restart
     if M is None:
@@ -165,6 +156,9 @@ def fgmres(A, b, M=None, x0=None, rtol=1e-7, atol=1e-7, restart=100,
         y = sla.solve_triangular(H[:k_used, :k_used], g[:k_used],
                                  check_finite=False)
         x = x + Z[:k_used].T @ y
+        if fixed and total >= maxiter:
+            # nothing reads the true residual of a spent fixed budget
+            return FgmresResult(x, total, residuals, False)
         r = b - matvec(x)
         beta = np.linalg.norm(r)
         residuals[-1] = beta

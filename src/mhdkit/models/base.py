@@ -4,8 +4,9 @@ forcing, mass and diagnostic plumbing of all three MHD models."""
 
 import numpy as np
 
-from ..assembly import (DirichletBC, cell_matrix, cell_vector,
-                        constrain_matrix, field_at_quadrature)
+from ..assembly import (DirichletBC, SparsityPattern, burman_local,
+                        cell_local, cell_vector, facet_pairings,
+                        field_at_quadrature)
 from ..elements import Field, FunctionSpace
 from ..linalg import BlockMatrix
 
@@ -111,6 +112,13 @@ def merge_bc_values(pairs):
     return idx[order], vals[order]
 
 
+def _drop_zeros(A):
+    """A copy of a pattern matrix without its zero entries."""
+    A = A.copy()
+    A.eliminate_zeros()
+    return A
+
+
 def perp(v):
     """(v2, -v1) componentwise; (u x B)_2d = u . perp(B)."""
     return np.stack([v[..., 1], -v[..., 0]], axis=-1)
@@ -126,17 +134,42 @@ def velocity_pair(mesh, variant):
     raise ValueError(variant)
 
 
+class JacobianParts(dict):
+    """The parts dict of a Jacobian: entries given in `lazy` as
+    zero-argument callables are built on first access."""
+
+    def __init__(self, lazy, **items):
+        super().__init__(**items)
+        self._lazy = lazy
+
+    def __missing__(self, key):
+        if key not in self._lazy:
+            raise KeyError(key)
+        value = self[key] = self._lazy.pop(key)()
+        return value
+
+
 class MixedModel:
-    """Constraint, state, forcing, mass and diagnostic plumbing shared by the
-    mixed MHD models.
+    """Constraint, state, forcing, mass, operator and diagnostic plumbing
+    shared by the mixed MHD models.
 
     A subclass declares `fields` (the state order, with a pressure "p"),
     `mass_fields` (the fields under a time derivative), `FORCING` (forcing
-    key -> field) and `QDEG_RHS`; `velocity` and `magnetic` name the fields
+    key -> field), `QDEG_RHS` and `COUPLINGS`, the (test, trial) field pairs
+    of the Jacobian's cell terms; `velocity` and `magnetic` name the fields
     whose divergence `div_norms` reports ("u" and "B" unless overridden).
-    It passes its spaces to `__init__`, assembles its operators in
-    `_assemble_constant`, and ends `residual`/`jacobian` with
-    `_finish_residual`/`_finish_jacobian`.
+    With the "hdiv" velocity variant the velocity's facet pairings join the
+    pattern too.  It passes its spaces to `__init__`, yields its constant
+    terms from `_constant_terms` as (weight name, pairing key, local array)
+    and maps the weight names to values in `_weights` ("stab_mu", when
+    present, weighs the velocity's gradient-jump penalty), and ends
+    `residual`/`jacobian` with `_finish_residual`/`_finish_jacobian`.
+
+    Every Jacobian lives on one CSR pattern, built here with int32 slot
+    maps per pairing key: (test, trial) for cell terms and (velocity,
+    velocity, facet key) for the velocity's facet terms (see
+    `assembly.facet_pairings`).  The constants are held once, in pattern
+    order, grouped by weight name.
 
     `bcs` maps a field to (markers, value): markers "all" or a list of facet
     marker names, value a callable or None (homogeneous).  One pressure dof
@@ -145,6 +178,7 @@ class MixedModel:
 
     velocity = "u"
     magnetic = "B"
+    variant = "hdiv"
 
     def __init__(self, mesh, params, spaces, bcs=None, forcing=None):
         self.mesh = mesh
@@ -155,11 +189,76 @@ class MixedModel:
         self.bcs = bcs or {}
         self.forcing = forcing or {}
         self._setup_constraints()
-        self.mass = {n: cell_matrix(spaces[n], spaces[n], qdeg=QDEG)
-                     for n in self.mass_fields}
+        self.pattern = self._build_pattern()
+        pat = self.pattern
+        groups = {}
+        for name, key, local in self._constant_terms():
+            terms = groups.setdefault(name, {})
+            terms[key] = terms[key] + local if key in terms else local
+        self._constants = {name: pat.compact(terms)
+                           for name, terms in groups.items()}
+        self._mass = pat.compact({
+            (n, n): cell_local(spaces[n], spaces[n], qdeg=QDEG)
+            for n in self.mass_fields})
         self._mass_csr = None
-        self._assemble_constant()
+        self._const_key = self._const_data = None
         self._rhs_const = self._assemble_forcing()
+
+    # -- pattern and constants ------------------------------------------------
+
+    def _build_pattern(self):
+        st = self.state_template
+        dofs = {n: st.offsets[n] + self.spaces[n].dofmap for n in self.fields}
+        pairs = dict.fromkeys(list(self.COUPLINGS)
+                              + [(n, n) for n in self.mass_fields])
+        pairings = {(t, r): (dofs[t], dofs[r]) for t, r in pairs}
+        if self.variant == "hdiv":
+            # facets pairing a cell with itself reuse the cell pairing's slots
+            v = self.velocity
+            for key, (ct, cr) in facet_pairings(
+                    self.spaces[v], QDEG, self._vel_marker_list()).items():
+                pairings[(v, v, key)] = (
+                    ((v, v), ct) if np.array_equal(ct, cr)
+                    else (dofs[v][ct], dofs[v][cr]))
+        return SparsityPattern(st.total, pairings, self.constrained_idx)
+
+    def _facet_terms(self, locals_):
+        """Facet local arrays of the velocity keyed for the pattern."""
+        v = self.velocity
+        return {(v, v, key): loc for key, loc in locals_.items()}
+
+    def _constant_data(self, weights):
+        """Pattern data of the weighted constants (unconstrained, shared:
+        copy before changing it); rebuilt when a weight changes."""
+        key = tuple(weights.items())
+        if key != self._const_key:
+            if (weights.get("stab_mu") and self.variant == "hdiv"
+                    and "stab_mu" not in self._constants):
+                self._constants["stab_mu"] = self._stabilisation()
+            data = np.zeros(self.pattern.nnz)
+            for name, compact in self._constants.items():
+                if weights[name]:
+                    self.pattern.expand(compact, weights[name], out=data)
+            self._const_key, self._const_data = key, data
+        return self._const_data
+
+    def _stabilisation(self):
+        """The gradient-jump penalty of an "hdiv" velocity at unit weight
+        (weight name "stab_mu"), built on first use: most runs have none."""
+        return self.pattern.compact(self._facet_terms(
+            burman_local(self.spaces[self.velocity], mu=1.0, qdeg=QDEG)))
+
+    def _linear_residual(self, vec):
+        """The constant terms of the residual: the weighted constants
+        applied to `vec`."""
+        return self.pattern.matrix(
+            self._constant_data(self._weights())) @ vec
+
+    def constant_matrix(self, name):
+        """The constant terms of one weight name at unit weight, as a CSR
+        matrix that stores no zeros."""
+        A = self.pattern.matrix(self.pattern.expand(self._constants[name]))
+        return _drop_zeros(A)
 
     # -- constraints ----------------------------------------------------------
 
@@ -234,20 +333,36 @@ class MixedModel:
             r[self.constrained_idx] = 0.0
         return r
 
-    def _finish_jacobian(self, bm, delta, mass_coeff, steady_coeff, **parts):
-        """steady_coeff * J + mass_coeff * M, constrained, and the parts dict
-        the block preconditioners read (with the model's own `parts`)."""
-        total = bm.tocsr()
-        if steady_coeff != 1.0:
-            total = steady_coeff * total
+    def _finish_jacobian(self, terms, delta, mass_coeff, steady_coeff,
+                         weights=None, lazy=None, **parts):
+        """steady_coeff * J + mass_coeff * M, constrained, on the model's
+        pattern: the weighted constants plus the state-dependent local
+        arrays `terms` (pairing key -> local), scattered into them.  Returns
+        the matrix and the parts dict the block preconditioners read, with
+        the model's own `parts`, its `lazy` parts and the unconstrained
+        steady `block_matrix`, built on first access."""
+        pat = self.pattern
+        steady = pat.scatter(
+            terms, self._constant_data(weights or self._weights()).copy())
+        total = steady_coeff * steady
         if mass_coeff:
-            total = total + mass_coeff * self.mass_matrix()
-        A = constrain_matrix(total, self.constrained_idx)
+            pat.expand(self._mass, mass_coeff, out=total)
+        A = pat.constrain(total)
         st = self.state_template
-        parts.update(block_matrix=bm, offsets=st.offsets, sizes=st.sizes(),
+        lazy = dict(lazy or {})
+        lazy["block_matrix"] = lambda: self._block_matrix(steady)
+        parts.update(offsets=st.offsets, sizes=st.sizes(),
                      mass_coeff=mass_coeff, steady_coeff=steady_coeff,
                      delta=delta)
-        return A, parts
+        return A, JacobianParts(lazy, **parts)
+
+    def _block_matrix(self, data):
+        """The field blocks of the pattern matrix with `data`."""
+        st = self.state_template
+        A = self.pattern.matrix(data)
+        return BlockMatrix(list(self.fields), st.sizes(), {
+            (t, r): A[st.field_slice(t), st.field_slice(r)]
+            for t, r in self.COUPLINGS})
 
     # -- mass -----------------------------------------------------------------
 
@@ -255,19 +370,12 @@ class MixedModel:
         """Global mass before constraining: the `mass_fields` mass blocks on
         the diagonal, zero rows elsewhere.  Built once."""
         if self._mass_csr is None:
-            bm = BlockMatrix(list(self.fields), self.state_template.sizes())
-            for n, M in self.mass.items():
-                bm.add(n, n, M)
-            self._mass_csr = bm.tocsr()
+            self._mass_csr = _drop_zeros(
+                self.pattern.matrix(self.pattern.expand(self._mass)))
         return self._mass_csr
 
     def apply_mass(self, vec):
-        st = self.state_template
-        out = np.zeros(st.total)
-        for n, M in self.mass.items():
-            s = st.field_slice(n)
-            out[s] = M @ vec[s]
-        return out
+        return self.mass_matrix() @ vec
 
     # -- diagnostics ----------------------------------------------------------
 

@@ -7,12 +7,11 @@ Stationary weak form: 2 Pr viscous + advection + grad p + S B x (E + u x B)
 Ohm and augmented Faraday rows carry the Pr/Pm coefficient."""
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..elements import FunctionSpace
-from ..assembly import (cell_matrix, cell_vector, field_at_quadrature,
-                        sipg_viscous, upwind_advection_matrix,
-                        upwind_advection_residual, burman_stabilisation,
+from ..assembly import (cell_local, cell_matrix, cell_vector,
+                        field_at_quadrature, sipg_local,
+                        upwind_advection_local, upwind_advection_residual,
                         EPS_CONTRACTION)
 from ..linalg import BlockMatrix
 from .base import QDEG, MixedModel, perp, velocity_pair
@@ -23,6 +22,9 @@ class BoussinesqMHD(MixedModel):
     mass_fields = ("u", "theta", "B")
     FORCING = {"f": "u", "q_theta": "theta"}
     QDEG_RHS = 8
+    COUPLINGS = (("u", "u"), ("u", "p"), ("u", "theta"), ("u", "E"),
+                 ("u", "B"), ("p", "u"), ("theta", "theta"), ("theta", "u"),
+                 ("E", "u"), ("E", "E"), ("E", "B"), ("B", "E"), ("B", "B"))
 
     # the buoyancy direction
     E3 = np.array([0.0, 1.0])
@@ -39,33 +41,46 @@ class BoussinesqMHD(MixedModel):
             "B": FunctionSpace(mesh, "RT", 2),
         }, bcs, forcing)
 
-    def _assemble_constant(self):
+    def _weights(self, drop_buoyancy=False):
+        pr = self.params
+        return {"one": 1.0, "Pr": pr.Pr, "gamma": pr.gamma,
+                "stab_mu": pr.stab_mu, "Pr_Pm": pr.Pr / pr.Pm,
+                "buoyancy": 0.0 if drop_buoyancy else -pr.Ra * pr.Pr}
+
+    def _constant_terms(self):
         u, p, th, E, B = (self.spaces[k] for k in self.fields)
-        self.K_eps = cell_matrix(u, u, "grad", "grad",
-                                 weight=EPS_CONTRACTION, qdeg=QDEG)
+        yield "Pr", ("u", "u"), 2.0 * cell_local(
+            u, u, "grad", "grad", weight=EPS_CONTRACTION, qdeg=QDEG)
+        self.r_sipg_unit = 0.0
         if self.variant == "hdiv":
-            self.K_sipg_unit, self.r_sipg_unit = sipg_viscous(
+            sipg, self.r_sipg_unit = sipg_local(
                 u, nu=1.0, sym=True, qdeg=QDEG,
                 dirichlet_markers=self._vel_marker_list(),
                 g_d=self._velocity_bc_data())
-            self.K_divdiv_u = cell_matrix(u, u, "div", "div", qdeg=QDEG)
-            self.K_burman_unit = burman_stabilisation(u, mu=1.0, qdeg=QDEG)
-        self.D_up = cell_matrix(p, u, "val", "div", qdeg=QDEG)
-        self.K_theta = cell_matrix(th, th, "grad", "grad", qdeg=QDEG)
-        self.M_E = cell_matrix(E, E, qdeg=QDEG)
-        self.A_curl = cell_matrix(E, B, "vcurl", "val", qdeg=QDEG)
-        self.K_divdiv_B = cell_matrix(B, B, "div", "div", qdeg=QDEG)
-        self.C_buoy = cell_matrix(u, th, "val", "val",
-                                  weight=self.E3[:, None], qdeg=QDEG)
+            for key, loc in self._facet_terms(sipg).items():
+                yield "Pr", key, loc
+            yield "gamma", ("u", "u"), cell_local(u, u, "div", "div",
+                                                  qdeg=QDEG)
+        D_up = cell_local(p, u, "val", "div", qdeg=QDEG)
+        yield "one", ("u", "p"), -D_up.transpose(0, 2, 1)
+        yield "one", ("p", "u"), -D_up
+        yield "buoyancy", ("u", "theta"), cell_local(
+            u, th, weight=self.E3[:, None], qdeg=QDEG)
+        yield "one", ("theta", "theta"), cell_local(th, th, "grad", "grad",
+                                                    qdeg=QDEG)
+        yield "one", ("E", "E"), cell_local(E, E, qdeg=QDEG)
+        A_curl = cell_local(E, B, "vcurl", "val", qdeg=QDEG)
+        yield "Pr_Pm", ("E", "B"), -A_curl
+        yield "one", ("B", "E"), A_curl.transpose(0, 2, 1)
+        yield "Pr_Pm", ("B", "B"), cell_local(B, B, "div", "div", qdeg=QDEG)
 
     def residual(self, vec, constrain=True):
         pr = self.params
         st = self.state_template
         F = self._state_fields(vec)
-        u, p, th, E, B = (F[k] for k in self.fields)
-        r = np.zeros(st.total)
-        su, sp_, sth = (st.field_slice(k) for k in ("u", "p", "theta"))
-        sE, sB = st.field_slice("E"), st.field_slice("B")
+        u, th, E, B = F["u"], F["theta"], F["E"], F["B"]
+        r = self._linear_residual(vec)
+        su, sth, sE = (st.field_slice(k) for k in ("u", "theta", "E"))
 
         uq, guq = field_at_quadrature(u, QDEG, grad=True)
         thq, gthq = field_at_quadrature(th, QDEG, grad=True)
@@ -74,38 +89,22 @@ class BoussinesqMHD(MixedModel):
         perpB = perp(Bq)
         uxB = np.einsum("cqk,cqk->cq", uq, perpB)
 
-        r[su] += 2 * pr.Pr * (self.K_eps @ u.coefficients)
         if self.variant == "hdiv":
-            r[su] += pr.Pr * (self.K_sipg_unit @ u.coefficients
-                              - self.r_sipg_unit)
-            r[su] += pr.gamma * (self.K_divdiv_u @ u.coefficients)
+            r[su] -= pr.Pr * self.r_sipg_unit
             r[su] += upwind_advection_residual(
                 self.spaces["u"], u, qdeg=QDEG,
                 dirichlet_markers=self._vel_marker_list(),
                 g_d=self._velocity_bc_data())
-            if pr.stab_mu:
-                r[su] += pr.stab_mu * (self.K_burman_unit @ u.coefficients)
         adv = np.einsum("cqd,cqkd->cqk", uq, guq)
         r[su] += cell_vector(self.spaces["u"], "val", adv, qdeg=QDEG)
-        r[su] -= self.D_up.T @ p.coefficients
         lor = pr.S * (Eq[..., 0] + uxB)[..., None] * perpB
         r[su] += cell_vector(self.spaces["u"], "val", lor, qdeg=QDEG)
-        r[su] -= pr.Ra * pr.Pr * (self.C_buoy @ th.coefficients)
 
-        r[sp_] -= self.D_up @ u.coefficients
-
-        r[sth] += self.K_theta @ th.coefficients
         advt = np.einsum("cqd,cqkd->cqk", uq, gthq)
         r[sth] += cell_vector(self.spaces["theta"], "val", advt, qdeg=QDEG)
 
-        r[sE] += self.M_E @ E.coefficients
         r[sE] += cell_vector(self.spaces["E"], "val", uxB[..., None],
                              qdeg=QDEG)
-        r[sE] -= (pr.Pr / pr.Pm) * (self.A_curl @ B.coefficients)
-
-        r[sB] += (pr.Pr / pr.Pm) * (self.K_divdiv_B @ B.coefficients)
-        r[sB] += self.A_curl.T @ E.coefficients
-
         return self._finish_residual(r, constrain)
 
     def jacobian(self, vec, linearisation="newton", mass_coeff=0.0,
@@ -113,41 +112,43 @@ class BoussinesqMHD(MixedModel):
         pr = self.params
         delta = 1.0 if linearisation == "newton" else 0.0
         F = self._state_fields(vec)
-        u, p, th, E, B = (F[k] for k in self.fields)
-        spaces = self.spaces
+        u, th, E, B = (self.spaces[k] for k in ("u", "theta", "E", "B"))
 
-        uq, guq = field_at_quadrature(u, QDEG, grad=True)
-        thq, gthq = field_at_quadrature(th, QDEG, grad=True)
-        Bq = field_at_quadrature(B, QDEG)
-        Eq = field_at_quadrature(E, QDEG)
+        uq, guq = field_at_quadrature(F["u"], QDEG, grad=True)
+        thq, gthq = field_at_quadrature(F["theta"], QDEG, grad=True)
+        Bq = field_at_quadrature(F["B"], QDEG)
+        Eq = field_at_quadrature(F["E"], QDEG)
         perpB = perp(Bq)
         perpU = perp(uq)
 
-        J_uu = 2 * pr.Pr * self.K_eps
-        if self.variant == "hdiv":
-            J_uu = J_uu + pr.Pr * self.K_sipg_unit \
-                + pr.gamma * self.K_divdiv_u
-            if pr.stab_mu:
-                J_uu = J_uu + pr.stab_mu * self.K_burman_unit
-            J_uu = J_uu + upwind_advection_matrix(
-                spaces["u"], u, qdeg=QDEG,
-                dirichlet_markers=self._vel_marker_list(),
-                g_d=self._velocity_bc_data())
         W1 = np.zeros(uq.shape[:2] + (2, 4))
         for kk in range(2):
             for d in range(2):
                 W1[..., kk, 2 * kk + d] = uq[..., d]
-        J_uu = J_uu + cell_matrix(spaces["u"], spaces["u"], "val", "grad",
-                                  weight=W1, qdeg=QDEG)
-        J_uu = J_uu + cell_matrix(spaces["u"], spaces["u"], "val", "val",
-                                  weight=guq, qdeg=QDEG)
         Sfac = 0.0 if drop_lorentz else pr.S
-        D_mat = cell_matrix(spaces["u"], spaces["u"], "val", "val",
-                            weight=Sfac * np.einsum("cqi,cqj->cqij",
-                                                    perpB, perpB), qdeg=QDEG)
-        J_uu = J_uu + D_mat
-        J_uE = cell_matrix(spaces["u"], spaces["E"], "val", "val",
-                           weight=Sfac * perpB[..., None], qdeg=QDEG)
+        # the velocity-velocity weights: (du . grad u^n) and the Lorentz D
+        Wuu = guq + Sfac * np.einsum("cqi,cqj->cqij", perpB, perpB)
+        # temperature rows: (u^n . grad dth, tau) + (du . grad th^n, tau)
+        Wadv = np.zeros(uq.shape[:2] + (1, 2))
+        Wadv[..., 0, :] = uq
+        terms = {
+            ("u", "u"): cell_local(u, u, "val", "grad", weight=W1, qdeg=QDEG)
+            + cell_local(u, u, weight=Wuu, qdeg=QDEG),
+            ("u", "E"): cell_local(u, E, weight=Sfac * perpB[..., None],
+                                   qdeg=QDEG),
+            ("theta", "theta"): cell_local(th, th, "val", "grad",
+                                           weight=Wadv, qdeg=QDEG),
+            ("theta", "u"): cell_local(th, u,
+                                       weight=gthq[..., 0, :][:, :, None, :],
+                                       qdeg=QDEG),
+            ("E", "u"): cell_local(E, u, weight=perpB[:, :, None, :],
+                                   qdeg=QDEG),
+        }
+        if self.variant == "hdiv":
+            terms.update(self._facet_terms(upwind_advection_local(
+                u, F["u"], qdeg=QDEG,
+                dirichlet_markers=self._vel_marker_list(),
+                g_d=self._velocity_bc_data())))
         if delta and not drop_lorentz:
             uxB = np.einsum("cqk,cqk->cq", uq, perpB)
             Wt = np.zeros(uq.shape[:2] + (2, 2))
@@ -155,48 +156,13 @@ class BoussinesqMHD(MixedModel):
             Wt[..., 0, 1] = scal
             Wt[..., 1, 0] = -scal
             Wt -= pr.S * np.einsum("cqi,cqj->cqij", perpB, perpU)
-            J_uB = cell_matrix(spaces["u"], spaces["B"], "val", "val",
-                               weight=Wt, qdeg=QDEG)
-        else:
-            J_uB = sp.csr_matrix((spaces["u"].total_dofs,
-                                  spaces["B"].total_dofs))
-
-        # temperature rows: (grad dth, grad tau) + (u^n . grad dth, tau)
-        #                   + (du . grad th^n, tau)
-        Wadv = np.zeros(uq.shape[:2] + (1, 2))
-        Wadv[..., 0, :] = uq
-        J_tt = self.K_theta + cell_matrix(spaces["theta"], spaces["theta"],
-                                          "val", "grad", weight=Wadv,
-                                          qdeg=QDEG)
-        J_tu = cell_matrix(spaces["theta"], spaces["u"], "val", "val",
-                           weight=gthq[..., 0, :][:, :, None, :], qdeg=QDEG)
-
-        J_Eu = cell_matrix(spaces["E"], spaces["u"], "val", "val",
-                           weight=perpB[:, :, None, :], qdeg=QDEG)
+            terms[("u", "B")] = cell_local(u, B, weight=Wt, qdeg=QDEG)
         if delta:
-            J_EB_G = cell_matrix(spaces["E"], spaces["B"], "val", "val",
-                                 weight=-perpU[:, :, None, :], qdeg=QDEG)
-        else:
-            J_EB_G = sp.csr_matrix((spaces["E"].total_dofs,
-                                    spaces["B"].total_dofs))
-        J_EB = J_EB_G - (pr.Pr / pr.Pm) * self.A_curl
-
-        bm = BlockMatrix(list(self.fields), self.state_template.sizes())
-        bm.add("u", "u", J_uu)
-        bm.add("u", "p", -self.D_up.T)
-        if not drop_buoyancy:
-            bm.add("u", "theta", -pr.Ra * pr.Pr * self.C_buoy)
-        bm.add("u", "E", J_uE)
-        bm.add("u", "B", J_uB)
-        bm.add("p", "u", -self.D_up)
-        bm.add("theta", "theta", J_tt)
-        bm.add("theta", "u", J_tu)
-        bm.add("E", "u", J_Eu)
-        bm.add("E", "E", self.M_E.copy())
-        bm.add("E", "B", J_EB)
-        bm.add("B", "E", self.A_curl.T.tocsr())
-        bm.add("B", "B", (pr.Pr / pr.Pm) * self.K_divdiv_B)
-        return self._finish_jacobian(bm, delta, mass_coeff, steady_coeff)
+            terms[("E", "B")] = cell_local(E, B, weight=-perpU[:, :, None, :],
+                                           qdeg=QDEG)
+        return self._finish_jacobian(
+            terms, delta, mass_coeff, steady_coeff,
+            weights=self._weights(drop_buoyancy))
 
     # -- eigen/deflation support -----------------------------------------------------
 
@@ -204,24 +170,19 @@ class BoussinesqMHD(MixedModel):
         """|u-u1|^2 + |grad(u-u1)|^2 + |theta-theta1|^2 + |B-B1|^2."""
         st = self.state_template
         bm = BlockMatrix(list(self.fields), st.sizes())
-        Ku = cell_matrix(self.spaces["u"], self.spaces["u"], "grad", "grad",
-                         qdeg=QDEG)
-        bm.add("u", "u", self.mass["u"] + Ku)
-        bm.add("theta", "theta", self.mass["theta"].copy())
-        bm.add("B", "B", self.mass["B"].copy())
-        return bm.tocsr()
+        bm.add("u", "u", cell_matrix(self.spaces["u"], self.spaces["u"],
+                                     "grad", "grad", qdeg=QDEG))
+        return (self.mass_matrix() + bm.tocsr()).tocsr()
 
     def functionals(self, vec):
         st = self.state_template
-        u = vec[st.field_slice("u")]
-        th = vec[st.field_slice("theta")]
-        B = vec[st.field_slice("B")]
-        M = self.mass
-        return {
-            "u_norm2": float(u @ (M["u"] @ u)),
-            "theta_norm2": float(th @ (M["theta"] @ th)),
-            "B_norm2": float(B @ (M["B"] @ B)),
-        }
+        Mv = self.mass_matrix() @ vec
+        out = {}
+        for name, key in (("u", "u_norm2"), ("theta", "theta_norm2"),
+                          ("B", "B_norm2")):
+            s = st.field_slice(name)
+            out[key] = float(vec[s] @ Mv[s])
+        return out
 
     def symmetry_reflect(self, vec):
         """[u1,u2,theta,B1,B2](x,y) -> [-u1,u2,theta,B1,-B2](1-x,y) applied

@@ -10,14 +10,15 @@ no grad-div term) reproduces the discrete energy identity exactly; the
 augmentation used by the solvers."""
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..elements import FunctionSpace
-from ..assembly import (cell_matrix, cell_vector, field_at_quadrature,
-                        sipg_viscous, upwind_advection_matrix,
-                        upwind_advection_residual)
-from ..linalg import BlockMatrix
+from ..assembly import (cell_local, cell_matrix, cell_vector,
+                        field_at_quadrature, sipg_local,
+                        upwind_advection_local, upwind_advection_residual)
 from .base import QDEG, MixedModel, perp, velocity_pair
+
+# perp(b) = ROT @ b
+ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 class HallMHD(MixedModel):
@@ -28,6 +29,13 @@ class HallMHD(MixedModel):
     FORCING = {"f_t": "ut", "f_3": "u3", "gB_t": "Bt", "gB_3": "B3",
                "gj_t": "jt", "gj_3": "j3"}
     QDEG_RHS = 10
+    COUPLINGS = (
+        ("ut", "ut"), ("ut", "p"), ("ut", "jt"), ("ut", "j3"), ("ut", "B3"),
+        ("ut", "Bt"), ("u3", "u3"), ("u3", "ut"), ("u3", "jt"), ("u3", "Bt"),
+        ("p", "ut"), ("Et", "jt"), ("Et", "B3"), ("E3", "j3"), ("E3", "Bt"),
+        ("Bt", "E3"), ("Bt", "Bt"), ("B3", "Et"), ("jt", "jt"), ("jt", "Et"),
+        ("jt", "ut"), ("jt", "u3"), ("jt", "j3"), ("jt", "B3"), ("jt", "Bt"),
+        ("j3", "j3"), ("j3", "E3"), ("j3", "ut"), ("j3", "jt"), ("j3", "Bt"))
 
     def __init__(self, mesh, params, bcs=None, forcing=None,
                  velocity_variant="hdiv"):
@@ -41,30 +49,51 @@ class HallMHD(MixedModel):
             "jt": FunctionSpace(mesh, "NED", 2), "j3": cg2(),
         }, bcs, forcing)
 
-    def _assemble_constant(self):
+    def _weights(self):
+        pr = self.params
+        return {"one": 1.0, "inv_Re": 1.0 / pr.Re, "gamma": pr.gamma,
+                "inv_Rem": 1.0 / pr.Rem}
+
+    def _constant_terms(self):
         s = self.spaces
-        self.K_ut = cell_matrix(s["ut"], s["ut"], "grad", "grad", qdeg=QDEG)
+        yield "inv_Re", ("ut", "ut"), cell_local(s["ut"], s["ut"], "grad",
+                                                 "grad", qdeg=QDEG)
+        self.r_sipg_unit = 0.0
         if self.variant == "hdiv":
-            self.K_sipg_unit, self.r_sipg_unit = sipg_viscous(
+            sipg, self.r_sipg_unit = sipg_local(
                 s["ut"], nu=1.0, sym=False, qdeg=QDEG,
                 dirichlet_markers=self._vel_marker_list(),
                 g_d=self._velocity_bc_data())
-            self.K_divdiv_u = cell_matrix(s["ut"], s["ut"], "div", "div",
-                                          qdeg=QDEG)
-        self.K_u3 = cell_matrix(s["u3"], s["u3"], "grad", "grad", qdeg=QDEG)
-        self.D_up = cell_matrix(s["p"], s["ut"], "val", "div", qdeg=QDEG)
-        # complex pairings
-        self.M_jt = cell_matrix(s["jt"], s["jt"], qdeg=QDEG)
-        self.M_j3 = cell_matrix(s["j3"], s["j3"], qdeg=QDEG)
-        self.M_Et = cell_matrix(s["Et"], s["Et"], qdeg=QDEG)
-        self.M_E3 = cell_matrix(s["E3"], s["E3"], qdeg=QDEG)
+            for key, loc in self._facet_terms(sipg).items():
+                yield "inv_Re", key, loc
+            yield "gamma", ("ut", "ut"), cell_local(s["ut"], s["ut"], "div",
+                                                    "div", qdeg=QDEG)
+        yield "inv_Re", ("u3", "u3"), cell_local(s["u3"], s["u3"], "grad",
+                                                 "grad", qdeg=QDEG)
+        D_up = cell_local(s["p"], s["ut"], "val", "div", qdeg=QDEG)
+        yield "one", ("ut", "p"), -D_up.transpose(0, 2, 1)
+        yield "one", ("p", "ut"), -D_up
+        # current definitions: (j, F) - (B, curl F)
+        M_jt = cell_local(s["jt"], s["jt"], qdeg=QDEG)
+        M_j3 = cell_local(s["j3"], s["j3"], qdeg=QDEG)
         # (B3, curl Ft): test NED (curl), trial CG val
-        self.C_B3_Ft = cell_matrix(s["Et"], s["B3"], "curl", "val", qdeg=QDEG)
+        C_B3_Ft = cell_local(s["Et"], s["B3"], "curl", "val", qdeg=QDEG)
         # (Bt, vcurl F3): test CG (vcurl), trial RT val
-        self.C_Bt_F3 = cell_matrix(s["E3"], s["Bt"], "vcurl", "val",
-                                   qdeg=QDEG)
-        self.K_divdiv_B = cell_matrix(s["Bt"], s["Bt"], "div", "div",
-                                      qdeg=QDEG)
+        C_Bt_F3 = cell_local(s["E3"], s["Bt"], "vcurl", "val", qdeg=QDEG)
+        yield "one", ("Et", "jt"), M_jt
+        yield "one", ("Et", "B3"), -C_B3_Ft
+        yield "one", ("E3", "j3"), M_j3
+        yield "one", ("E3", "Bt"), -C_Bt_F3
+        # Faraday + augmentation
+        yield "one", ("Bt", "E3"), C_Bt_F3.transpose(0, 2, 1)
+        yield "one", ("Bt", "Bt"), cell_local(s["Bt"], s["Bt"], "div", "div",
+                                              qdeg=QDEG)
+        yield "one", ("B3", "Et"), C_B3_Ft.transpose(0, 2, 1)
+        # Ohm's law: Rem^-1 (j, K) - (E, K)
+        yield "inv_Rem", ("jt", "jt"), M_jt
+        yield "inv_Rem", ("j3", "j3"), M_j3
+        yield "one", ("jt", "Et"), -cell_local(s["jt"], s["Et"], qdeg=QDEG)
+        yield "one", ("j3", "E3"), -cell_local(s["j3"], s["E3"], qdeg=QDEG)
 
     # -- residual ------------------------------------------------------------
 
@@ -72,7 +101,7 @@ class HallMHD(MixedModel):
         pr = self.params
         st = self.state_template
         F = self._state_fields(vec)
-        r = np.zeros(st.total)
+        r = self._linear_residual(vec)
         S = {n: st.field_slice(n) for n in self.fields}
         sp_ = self.spaces
 
@@ -82,20 +111,13 @@ class HallMHD(MixedModel):
         B3q = field_at_quadrature(F["B3"], QDEG)[..., 0]
         jtq = field_at_quadrature(F["jt"], QDEG)
         j3q = field_at_quadrature(F["j3"], QDEG)[..., 0]
-        Etq = field_at_quadrature(F["Et"], QDEG)
-        E3q = field_at_quadrature(F["E3"], QDEG)[..., 0]
         pBt = perp(Btq)
         pjt = perp(jtq)
         put = perp(utq)
 
-        inv_re = 1.0 / pr.Re
         # momentum, in-plane
-        r[S["ut"]] += inv_re * (self.K_ut @ F["ut"].coefficients)
         if self.variant == "hdiv":
-            r[S["ut"]] += inv_re * (self.K_sipg_unit @ F["ut"].coefficients
-                                    - self.r_sipg_unit)
-            r[S["ut"]] += pr.gamma * (self.K_divdiv_u
-                                      @ F["ut"].coefficients)
+            r[S["ut"]] -= (1.0 / pr.Re) * self.r_sipg_unit
             r[S["ut"]] += upwind_advection_residual(
                 sp_["ut"], F["ut"], qdeg=QDEG,
                 dirichlet_markers=self._vel_marker_list(),
@@ -106,10 +128,8 @@ class HallMHD(MixedModel):
             r[S["ut"]] += self._skew_vec_residual(utq, gutq)
         lor_t = -pr.S * (B3q[..., None] * pjt - j3q[..., None] * pBt)
         r[S["ut"]] += cell_vector(sp_["ut"], "val", lor_t, qdeg=QDEG)
-        r[S["ut"]] -= self.D_up.T @ F["p"].coefficients
 
         # momentum, out-of-plane
-        r[S["u3"]] += inv_re * (self.K_u3 @ F["u3"].coefficients)
         if self.variant == "hdiv":
             adv3 = np.einsum("cqd,cqd->cq", utq, gu3q[..., 0, :])
             r[S["u3"]] += cell_vector(sp_["u3"], "val", adv3[..., None],
@@ -121,27 +141,12 @@ class HallMHD(MixedModel):
         r[S["u3"]] += cell_vector(sp_["u3"], "val",
                                   (-pr.S * jxB)[..., None], qdeg=QDEG)
 
-        # continuity
-        r[S["p"]] -= self.D_up @ F["ut"].coefficients
-
-        # current definitions
-        r[S["Et"]] += self.M_jt @ F["jt"].coefficients \
-            - self.C_B3_Ft @ F["B3"].coefficients
-        r[S["E3"]] += self.M_j3 @ F["j3"].coefficients \
-            - self.C_Bt_F3 @ F["Bt"].coefficients
-
-        # Faraday + augmentation
-        r[S["Bt"]] += self.C_Bt_F3.T @ F["E3"].coefficients \
-            + self.K_divdiv_B @ F["Bt"].coefficients
-        r[S["B3"]] += self.C_B3_Ft.T @ F["Et"].coefficients
-
-        # Ohm's law
-        ohm_t = (1.0 / pr.Rem) * jtq - (
-            Etq + B3q[..., None] * put - u3q * pBt
-            - pr.R_H * (B3q[..., None] * pjt - j3q[..., None] * pBt))
+        # Ohm's law, nonlinear part
+        ohm_t = -(B3q[..., None] * put - u3q * pBt
+                  - pr.R_H * (B3q[..., None] * pjt - j3q[..., None] * pBt))
         r[S["jt"]] += cell_vector(sp_["jt"], "val", ohm_t, qdeg=QDEG)
         uxB = np.einsum("cqk,cqk->cq", utq, pBt)
-        ohm_3 = (1.0 / pr.Rem) * j3q - (E3q + uxB - pr.R_H * jxB)
+        ohm_3 = -(uxB - pr.R_H * jxB)
         r[S["j3"]] += cell_vector(sp_["j3"], "val", ohm_3[..., None],
                                   qdeg=QDEG)
 
@@ -170,7 +175,6 @@ class HallMHD(MixedModel):
                  steady_coeff=1.0):
         pr = self.params
         delta = 1.0 if linearisation == "newton" else 0.0
-        st = self.state_template
         F = self._state_fields(vec)
         s = self.spaces
 
@@ -184,127 +188,73 @@ class HallMHD(MixedModel):
         pjt = perp(jtq)
         put = perp(utq)
         shp = utq.shape[:2]
-        ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])  # perp(db) = ROT @ db
 
-        bm = BlockMatrix(list(self.fields), st.sizes())
-        inv_re = 1.0 / pr.Re
+        def term(test, trial, weight, test_op="val", trial_op="val"):
+            return cell_local(s[test], s[trial], test_op, trial_op,
+                              weight=weight, qdeg=QDEG)
 
-        # -- ut row
-        J_uu = inv_re * self.K_ut
+        terms = {}
+        # -- ut and u3 rows: advection
         if self.variant == "hdiv":
-            J_uu = J_uu + inv_re * self.K_sipg_unit \
-                + pr.gamma * self.K_divdiv_u
-            J_uu = J_uu + upwind_advection_matrix(
+            terms.update(self._facet_terms(upwind_advection_local(
                 s["ut"], F["ut"], qdeg=QDEG,
                 dirichlet_markers=self._vel_marker_list(),
-                g_d=self._velocity_bc_data())
+                g_d=self._velocity_bc_data())))
             W1 = np.zeros(shp + (2, 4))
             for kk in range(2):
                 for d in range(2):
                     W1[..., kk, 2 * kk + d] = utq[..., d]
-            J_uu = J_uu + cell_matrix(s["ut"], s["ut"], "val", "grad",
-                                      weight=W1, qdeg=QDEG)
+            terms[("ut", "ut")] = term("ut", "ut", W1, trial_op="grad")
             if delta:
-                J_uu = J_uu + cell_matrix(s["ut"], s["ut"], "val", "val",
-                                          weight=gutq, qdeg=QDEG)
-        else:
-            J_uu = J_uu + self._skew_vec_jacobian(utq, gutq, delta)
-        bm.add("ut", "ut", J_uu)
-        bm.add("ut", "p", -self.D_up.T)
-        # Lorentz: -S (B3 perp(djt) - j3 perp(dBt) + [dB3 perp(jt) - dj3 perp(Bt)])
-        bm.add("ut", "jt", cell_matrix(
-            s["ut"], s["jt"], "val", "val",
-            weight=-pr.S * B3q[..., None, None] * ROT, qdeg=QDEG))
-        bm.add("ut", "j3", cell_matrix(
-            s["ut"], s["j3"], "val", "val",
-            weight=pr.S * pBt[..., None], qdeg=QDEG))
-        if delta:
-            bm.add("ut", "B3", cell_matrix(
-                s["ut"], s["B3"], "val", "val",
-                weight=-pr.S * pjt[..., None], qdeg=QDEG))
-            bm.add("ut", "Bt", cell_matrix(
-                s["ut"], s["Bt"], "val", "val",
-                weight=pr.S * j3q[..., None, None] * ROT, qdeg=QDEG))
-
-        # -- u3 row
-        J_33 = inv_re * self.K_u3
-        if self.variant == "hdiv":
+                terms[("ut", "ut")] += term("ut", "ut", gutq)
             Wadv = np.zeros(shp + (1, 2))
             Wadv[..., 0, :] = utq
-            J_33 = J_33 + cell_matrix(s["u3"], s["u3"], "val", "grad",
-                                      weight=Wadv, qdeg=QDEG)
-            bm.add("u3", "ut", cell_matrix(
-                s["u3"], s["ut"], "val", "val",
-                weight=(gu3q[..., 0, :][:, :, None, :]
-                        if delta else np.zeros(shp + (1, 2))), qdeg=QDEG))
+            terms[("u3", "u3")] = term("u3", "u3", Wadv, trial_op="grad")
+            if delta:
+                terms[("u3", "ut")] = term("u3", "ut",
+                                           gu3q[..., 0, :][:, :, None, :])
         else:
-            J_33 = J_33 + self._skew_scalar_jacobian_33(utq)
-            bm.add("u3", "ut", self._skew_scalar_jacobian_3u(
-                u3q[..., 0], gu3q[..., 0, :], delta))
-        bm.add("u3", "u3", J_33)
+            terms[("ut", "ut")] = self._skew_vec_jacobian(utq, gutq, delta)
+            terms[("u3", "u3")] = self._skew_scalar_jacobian_33(utq)
+            if delta:
+                terms[("u3", "ut")] = self._skew_scalar_jacobian_3u(
+                    u3q[..., 0], gu3q[..., 0, :])
+        # Lorentz: -S (B3 perp(djt) - j3 perp(dBt)
+        #              + [dB3 perp(jt) - dj3 perp(Bt)])
+        terms[("ut", "jt")] = term("ut", "jt",
+                                   -pr.S * B3q[..., None, None] * ROT)
+        terms[("ut", "j3")] = term("ut", "j3", pr.S * pBt[..., None])
         # -S (djt x Bt + jt x dBt)
-        bm.add("u3", "jt", cell_matrix(
-            s["u3"], s["jt"], "val", "val",
-            weight=-pr.S * pBt[:, :, None, :], qdeg=QDEG))
+        terms[("u3", "jt")] = term("u3", "jt", -pr.S * pBt[:, :, None, :])
         if delta:
+            terms[("ut", "B3")] = term("ut", "B3", -pr.S * pjt[..., None])
+            terms[("ut", "Bt")] = term("ut", "Bt",
+                                       pr.S * j3q[..., None, None] * ROT)
             # jt x dBt = -dBt . perp(jt) => derivative + S perp(jt)
-            bm.add("u3", "Bt", cell_matrix(
-                s["u3"], s["Bt"], "val", "val",
-                weight=pr.S * pjt[:, :, None, :], qdeg=QDEG))
-
-        bm.add("p", "ut", -self.D_up)
-
-        # -- current definitions
-        bm.add("Et", "jt", self.M_jt.copy())
-        bm.add("Et", "B3", -self.C_B3_Ft)
-        bm.add("E3", "j3", self.M_j3.copy())
-        bm.add("E3", "Bt", -self.C_Bt_F3)
-
-        # -- Faraday rows
-        bm.add("Bt", "E3", self.C_Bt_F3.T.tocsr())
-        bm.add("Bt", "Bt", self.K_divdiv_B.copy())
-        bm.add("B3", "Et", self.C_B3_Ft.T.tocsr())
+            terms[("u3", "Bt")] = term("u3", "Bt", pr.S * pjt[:, :, None, :])
 
         # -- Ohm rows (jt tests)
-        bm.add("jt", "jt", (1.0 / pr.Rem) * self.M_jt
-               + cell_matrix(s["jt"], s["jt"], "val", "val",
-                             weight=pr.R_H * B3q[..., None, None] * ROT,
-                             qdeg=QDEG))
-        bm.add("jt", "Et", -self.M_Et)
-        bm.add("jt", "ut", cell_matrix(
-            s["jt"], s["ut"], "val", "val",
-            weight=-B3q[..., None, None] * ROT, qdeg=QDEG))
-        bm.add("jt", "u3", cell_matrix(
-            s["jt"], s["u3"], "val", "val", weight=pBt[..., None],
-            qdeg=QDEG))
-        bm.add("jt", "j3", cell_matrix(
-            s["jt"], s["j3"], "val", "val",
-            weight=-pr.R_H * pBt[..., None], qdeg=QDEG))
+        terms[("jt", "jt")] = term("jt", "jt",
+                                   pr.R_H * B3q[..., None, None] * ROT)
+        terms[("jt", "ut")] = term("jt", "ut", -B3q[..., None, None] * ROT)
+        terms[("jt", "u3")] = term("jt", "u3", pBt[..., None])
+        terms[("jt", "j3")] = term("jt", "j3", -pr.R_H * pBt[..., None])
         if delta:
-            bm.add("jt", "B3", cell_matrix(
-                s["jt"], s["B3"], "val", "val", weight=-put[..., None]
-                + pr.R_H * pjt[..., None], qdeg=QDEG))
-            bm.add("jt", "Bt", cell_matrix(
-                s["jt"], s["Bt"], "val", "val",
-                weight=(u3q[..., 0] - pr.R_H * j3q)[..., None, None] * ROT,
-                qdeg=QDEG))
+            terms[("jt", "B3")] = term("jt", "B3", -put[..., None]
+                                       + pr.R_H * pjt[..., None])
+            terms[("jt", "Bt")] = term(
+                "jt", "Bt",
+                (u3q[..., 0] - pr.R_H * j3q)[..., None, None] * ROT)
 
         # -- Ohm rows (j3 tests)
-        bm.add("j3", "j3", (1.0 / pr.Rem) * self.M_j3)
-        bm.add("j3", "E3", -self.M_E3)
-        bm.add("j3", "ut", cell_matrix(
-            s["j3"], s["ut"], "val", "val", weight=-pBt[:, :, None, :],
-            qdeg=QDEG))
-        bm.add("j3", "jt", cell_matrix(
-            s["j3"], s["jt"], "val", "val",
-            weight=pr.R_H * pBt[:, :, None, :], qdeg=QDEG))
+        terms[("j3", "ut")] = term("j3", "ut", -pBt[:, :, None, :])
+        terms[("j3", "jt")] = term("j3", "jt", pr.R_H * pBt[:, :, None, :])
         if delta:
             # d/dBt of -(ut x Bt) + R_H jt x Bt: x dB = -perp(w).dB pattern
-            W = (put - pr.R_H * pjt)[:, :, None, :]
-            bm.add("j3", "Bt", cell_matrix(
-                s["j3"], s["Bt"], "val", "val", weight=W, qdeg=QDEG))
+            terms[("j3", "Bt")] = term("j3", "Bt",
+                                       (put - pr.R_H * pjt)[:, :, None, :])
 
-        return self._finish_jacobian(bm, delta, mass_coeff, steady_coeff)
+        return self._finish_jacobian(terms, delta, mass_coeff, steady_coeff)
 
     def _skew_vec_jacobian(self, uq, guq, delta):
         s = self.spaces["ut"]
@@ -313,22 +263,22 @@ class HallMHD(MixedModel):
         for kk in range(2):
             for d in range(2):
                 W1[..., kk, 2 * kk + d] = 0.5 * uq[..., d]
-        J = cell_matrix(s, s, "val", "grad", weight=W1, qdeg=QDEG)
+        J = cell_local(s, s, "val", "grad", weight=W1, qdeg=QDEG)
         # -1/2 (u . grad v) . du: test grad (k,d), trial val k'
         W3 = np.zeros(shp + (4, 2))
         for kk in range(2):
             for d in range(2):
                 W3[..., 2 * kk + d, kk] = -0.5 * uq[..., d]
-        J = J + cell_matrix(s, s, "grad", "val", weight=W3, qdeg=QDEG)
+        J = J + cell_local(s, s, "grad", "val", weight=W3, qdeg=QDEG)
         if delta:
-            J = J + cell_matrix(s, s, "val", "val", weight=0.5 * guq,
-                                qdeg=QDEG)
+            J = J + cell_local(s, s, "val", "val", weight=0.5 * guq,
+                               qdeg=QDEG)
             # -1/2 (du . grad v) . u: test grad (k,d), trial val d'
             W4 = np.zeros(shp + (4, 2))
             for kk in range(2):
                 for d in range(2):
                     W4[..., 2 * kk + d, d] = -0.5 * uq[..., kk]
-            J = J + cell_matrix(s, s, "grad", "val", weight=W4, qdeg=QDEG)
+            J = J + cell_local(s, s, "grad", "val", weight=W4, qdeg=QDEG)
         return J
 
     def _skew_scalar_jacobian_33(self, uq):
@@ -336,20 +286,17 @@ class HallMHD(MixedModel):
         shp = uq.shape[:2]
         Wa = np.zeros(shp + (1, 2))
         Wa[..., 0, :] = 0.5 * uq
-        J = cell_matrix(s3, s3, "val", "grad", weight=Wa, qdeg=QDEG)
+        J = cell_local(s3, s3, "val", "grad", weight=Wa, qdeg=QDEG)
         Wb = np.zeros(shp + (2, 1))
         Wb[..., :, 0] = -0.5 * uq
-        return J + cell_matrix(s3, s3, "grad", "val", weight=Wb, qdeg=QDEG)
+        return J + cell_local(s3, s3, "grad", "val", weight=Wb, qdeg=QDEG)
 
-    def _skew_scalar_jacobian_3u(self, sq, gsq, delta):
+    def _skew_scalar_jacobian_3u(self, sq, gsq):
         s3, su = self.spaces["u3"], self.spaces["ut"]
-        shp = sq.shape[:2]
-        if not delta:
-            return sp.csr_matrix((s3.total_dofs, su.total_dofs))
         Wa = gsq[:, :, None, :] * 0.5
-        J = cell_matrix(s3, su, "val", "val", weight=Wa, qdeg=QDEG)
+        J = cell_local(s3, su, "val", "val", weight=Wa, qdeg=QDEG)
         Wb = -0.5 * sq[..., None, None] * np.eye(2)
-        return J + cell_matrix(s3, su, "grad", "val", weight=Wb, qdeg=QDEG)
+        return J + cell_local(s3, su, "grad", "val", weight=Wb, qdeg=QDEG)
 
     # -- diagnostics ---------------------------------------------------------------
 
@@ -358,12 +305,16 @@ class HallMHD(MixedModel):
         identity of any discrete solution with homogeneous BCs."""
         pr = self.params
         st = self.state_template
+        s = self.spaces
         ut = vec[st.field_slice("ut")]
         u3 = vec[st.field_slice("u3")]
         jt = vec[st.field_slice("jt")]
         j3 = vec[st.field_slice("j3")]
-        grad2 = ut @ (self.K_ut @ ut) + u3 @ (self.K_u3 @ u3)
-        j2 = jt @ (self.M_jt @ jt) + j3 @ (self.M_j3 @ j3)
+
+        def form(name, v, op):
+            return v @ (cell_matrix(s[name], s[name], op, op, qdeg=QDEG) @ v)
+        grad2 = form("ut", ut, "grad") + form("u3", u3, "grad")
+        j2 = form("jt", jt, "val") + form("j3", j3, "val")
         fu = (self._rhs_const[st.field_slice("ut")] @ ut
               + self._rhs_const[st.field_slice("u3")] @ u3)
         lhs = grad2 / pr.Re + pr.S * j2 / pr.Rem

@@ -3,14 +3,12 @@ incompressible resistive MHD with the H(div) x L2 velocity pair:
 (u, p, E, B) in BDM2 x DG1 x CG2 x RT2."""
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..elements import FunctionSpace
-from ..assembly import (cell_matrix, cell_vector, field_at_quadrature,
-                        sipg_viscous, upwind_advection_matrix,
-                        upwind_advection_residual, burman_stabilisation,
+from ..assembly import (cell_local, cell_matrix, cell_vector,
+                        field_at_quadrature, sipg_local,
+                        upwind_advection_local, upwind_advection_residual,
                         EPS_CONTRACTION)
-from ..linalg import BlockMatrix
 from .base import QDEG, MixedModel, perp
 
 
@@ -22,6 +20,8 @@ class StandardMHD(MixedModel):
     mass_fields = ("u", "B")
     FORCING = {"f": "u", "g_E": "E", "g_B": "B"}
     QDEG_RHS = 10
+    COUPLINGS = (("u", "u"), ("u", "p"), ("u", "E"), ("u", "B"), ("p", "u"),
+                 ("E", "u"), ("E", "E"), ("E", "B"), ("B", "E"), ("B", "B"))
 
     def __init__(self, mesh, params, bcs=None, forcing=None):
         super().__init__(mesh, params, {
@@ -31,22 +31,34 @@ class StandardMHD(MixedModel):
             "B": FunctionSpace(mesh, "RT", 2),
         }, bcs, forcing)
 
-    # -- cached constant kernels ---------------------------------------------------
+    # -- constant terms ---------------------------------------------------------
 
-    def _assemble_constant(self):
+    def _weights(self):
+        pr = self.params
+        return {"one": 1.0, "nu": 1.0 / pr.Re, "gamma": pr.gamma,
+                "stab_mu": pr.stab_mu, "inv_Rem": 1.0 / pr.Rem}
+
+    def _sipg(self):
+        return sipg_local(self.spaces["u"], nu=1.0, sym=True, qdeg=QDEG,
+                          dirichlet_markers=self._vel_marker_list(),
+                          g_d=self._velocity_bc_data())
+
+    def _constant_terms(self):
         u, p, E, B = (self.spaces[k] for k in self.fields)
-        self.K_eps = cell_matrix(u, u, "grad", "grad",
-                                 weight=EPS_CONTRACTION, qdeg=QDEG)
-        self.K_sipg_unit, self.r_sipg_unit = sipg_viscous(
-            u, nu=1.0, sym=True, qdeg=QDEG,
-            dirichlet_markers=self._vel_marker_list(),
-            g_d=self._velocity_bc_data())
-        self.K_divdiv_u = cell_matrix(u, u, "div", "div", qdeg=QDEG)
-        self.D_up = cell_matrix(p, u, "val", "div", qdeg=QDEG)  # (div u, q)
-        self.M_E = cell_matrix(E, E, qdeg=QDEG)
-        self.A_curl = cell_matrix(E, B, "vcurl", "val", qdeg=QDEG)
-        self.K_divdiv_B = cell_matrix(B, B, "div", "div", qdeg=QDEG)
-        self.K_burman_unit = burman_stabilisation(u, mu=1.0, qdeg=QDEG)
+        sipg, self.r_sipg_unit = self._sipg()
+        yield "nu", ("u", "u"), 2.0 * cell_local(
+            u, u, "grad", "grad", weight=EPS_CONTRACTION, qdeg=QDEG)
+        for key, loc in self._facet_terms(sipg).items():
+            yield "nu", key, loc
+        yield "gamma", ("u", "u"), cell_local(u, u, "div", "div", qdeg=QDEG)
+        D_up = cell_local(p, u, "val", "div", qdeg=QDEG)  # (div u, q)
+        yield "one", ("u", "p"), -D_up.transpose(0, 2, 1)
+        yield "one", ("p", "u"), -D_up
+        yield "one", ("E", "E"), cell_local(E, E, qdeg=QDEG)
+        A_curl = cell_local(E, B, "vcurl", "val", qdeg=QDEG)
+        yield "inv_Rem", ("E", "B"), -A_curl
+        yield "one", ("B", "E"), A_curl.transpose(0, 2, 1)
+        yield "inv_Rem", ("B", "B"), cell_local(B, B, "div", "div", qdeg=QDEG)
 
     # -- residual -------------------------------------------------------------------
 
@@ -55,22 +67,16 @@ class StandardMHD(MixedModel):
         pr = self.params
         st = self.state_template
         F = self._state_fields(vec)
-        u, p, E, B = (F[k] for k in self.fields)
-        r = np.zeros(st.total)
+        u, E, B = F["u"], F["E"], F["B"]
+        r = self._linear_residual(vec)
         su = st.field_slice("u")
-        sp_ = st.field_slice("p")
         sE = st.field_slice("E")
-        sB = st.field_slice("B")
 
         uq, guq = field_at_quadrature(u, QDEG, grad=True)
         Bq = field_at_quadrature(B, QDEG)
         Eq = field_at_quadrature(E, QDEG)
 
-        nu = 1.0 / pr.Re
-        r[su] += (2 * nu) * (self.K_eps @ u.coefficients)
-        r[su] += nu * (self.K_sipg_unit @ u.coefficients - self.r_sipg_unit)
-        r[su] += pr.gamma * (self.K_divdiv_u @ u.coefficients)
-        r[su] -= self.D_up.T @ p.coefficients
+        r[su] -= (1.0 / pr.Re) * self.r_sipg_unit
         # advection: cell part + upwinded facet part
         adv = np.einsum("cqd,cqkd->cqk", uq, guq)
         r[su] += cell_vector(self.spaces["u"], "val", adv, qdeg=QDEG)
@@ -78,24 +84,14 @@ class StandardMHD(MixedModel):
             self.spaces["u"], u, qdeg=QDEG,
             dirichlet_markers=self._vel_marker_list(),
             g_d=self._velocity_bc_data())
-        if pr.stab_mu:
-            r[su] += pr.stab_mu * (self.K_burman_unit @ u.coefficients)
         # Lorentz: S (B x E, v) + S (B x (u x B), v) with B x s = s * perp(B)
         perpB = perp(Bq)
         uxB = np.einsum("cqk,cqk->cq", uq, perpB)
         lor = pr.S * (Eq[..., 0] + uxB)[..., None] * perpB
         r[su] += cell_vector(self.spaces["u"], "val", lor, qdeg=QDEG)
 
-        r[sp_] -= self.D_up @ u.coefficients
-
-        r[sE] += self.M_E @ E.coefficients
         r[sE] += cell_vector(self.spaces["E"], "val", uxB[..., None],
                              qdeg=QDEG)
-        r[sE] -= (1.0 / pr.Rem) * (self.A_curl @ B.coefficients)
-
-        r[sB] += (1.0 / pr.Rem) * (self.K_divdiv_B @ B.coefficients)
-        r[sB] += self.A_curl.T @ E.coefficients
-
         return self._finish_residual(r, constrain)
 
     # -- jacobian --------------------------------------------------------------------
@@ -107,44 +103,34 @@ class StandardMHD(MixedModel):
         pr = self.params
         delta = 1.0 if linearisation == "newton" else 0.0
         F = self._state_fields(vec)
-        u, p, E, B = (F[k] for k in self.fields)
-        spaces = self.spaces
+        u, E, B = (self.spaces[k] for k in ("u", "E", "B"))
 
-        uq, guq = field_at_quadrature(u, QDEG, grad=True)
-        Bq = field_at_quadrature(B, QDEG)
-        Eq = field_at_quadrature(E, QDEG)
+        uq, guq = field_at_quadrature(F["u"], QDEG, grad=True)
+        Bq = field_at_quadrature(F["B"], QDEG)
+        Eq = field_at_quadrature(F["E"], QDEG)
         perpB = perp(Bq)
         perpU = perp(uq)
 
-        nu = 1.0 / pr.Re
-        J_uu = (2 * nu) * self.K_eps + nu * self.K_sipg_unit \
-            + pr.gamma * self.K_divdiv_u
-        if pr.stab_mu:
-            J_uu = J_uu + pr.stab_mu * self.K_burman_unit
         # advection derivative: (u^n . grad du, v) + (du . grad u^n, v)
         W1 = np.zeros(uq.shape[:2] + (2, 4))
         for kk in range(2):
             for d in range(2):
                 W1[..., kk, 2 * kk + d] = uq[..., d]
-        J_uu = J_uu + cell_matrix(spaces["u"], spaces["u"], "val", "grad",
-                                  weight=W1, qdeg=QDEG)
-        W2 = np.einsum("cqkd->cqkd", guq)  # grad u^n as (k, l) weight
-        J_uu = J_uu + cell_matrix(spaces["u"], spaces["u"], "val", "val",
-                                  weight=W2, qdeg=QDEG)
-        J_uu = J_uu + upwind_advection_matrix(
-            spaces["u"], u, qdeg=QDEG,
-            dirichlet_markers=self._vel_marker_list(),
-            g_d=self._velocity_bc_data())
         # D: S (B^n x (du x B^n), v) = S (du . perp B)(perp B . v)
-        D_mat = cell_matrix(spaces["u"], spaces["u"], "val", "val",
-                            weight=pr.S * np.einsum("cqi,cqj->cqij",
-                                                    perpB, perpB),
-                            qdeg=QDEG)
-        J_uu = J_uu + D_mat
-
-        # J: S (B^n x dE, v): (2 x 1) weight S perp(B)
-        J_uE = cell_matrix(spaces["u"], spaces["E"], "val", "val",
-                           weight=pr.S * perpB[..., None], qdeg=QDEG)
+        W_D = pr.S * np.einsum("cqi,cqj->cqij", perpB, perpB)
+        terms = {
+            ("u", "u"): cell_local(u, u, "val", "grad", weight=W1, qdeg=QDEG)
+            + cell_local(u, u, weight=guq + W_D, qdeg=QDEG),
+            # J: S (B^n x dE, v): (2 x 1) weight S perp(B)
+            ("u", "E"): cell_local(u, E, weight=pr.S * perpB[..., None],
+                                   qdeg=QDEG),
+            # G: (du x B^n, F): (1 x 2) weight perp(B)
+            ("E", "u"): cell_local(E, u, weight=perpB[:, :, None, :],
+                                   qdeg=QDEG),
+        }
+        terms.update(self._facet_terms(upwind_advection_local(
+            u, F["u"], qdeg=QDEG, dirichlet_markers=self._vel_marker_list(),
+            g_d=self._velocity_bc_data())))
         # tilde blocks: S (dB x E^n, v) + S(dB x (u^n x B^n), v)
         #             + S(B^n x (u^n x dB), v)
         if delta:
@@ -155,36 +141,12 @@ class StandardMHD(MixedModel):
             Wt[..., 1, 0] = -scal
             # u^n x dB = -perp(u^n) . dB, so B^n x (u^n x dB) carries a minus
             Wt -= pr.S * np.einsum("cqi,cqj->cqij", perpB, perpU)
-            J_uB = cell_matrix(spaces["u"], spaces["B"], "val", "val",
-                               weight=Wt, qdeg=QDEG)
-        else:
-            J_uB = sp.csr_matrix((spaces["u"].total_dofs,
-                                  spaces["B"].total_dofs))
-
-        # G: (du x B^n, F): (1 x 2) weight perp(B)
-        J_Eu = cell_matrix(spaces["E"], spaces["u"], "val", "val",
-                           weight=perpB[:, :, None, :], qdeg=QDEG)
-        # G tilde: (u^n x dB, F) = -(dB . perp u^n) F
-        if delta:
-            J_EB_G = cell_matrix(spaces["E"], spaces["B"], "val", "val",
-                                 weight=-perpU[:, :, None, :], qdeg=QDEG)
-        else:
-            J_EB_G = sp.csr_matrix((spaces["E"].total_dofs,
-                                    spaces["B"].total_dofs))
-        J_EB = J_EB_G - (1.0 / pr.Rem) * self.A_curl
-
-        bm = BlockMatrix(list(self.fields), self.state_template.sizes())
-        bm.add("u", "u", J_uu)
-        bm.add("u", "p", -self.D_up.T)
-        bm.add("u", "E", J_uE)
-        bm.add("u", "B", J_uB)
-        bm.add("p", "u", -self.D_up)
-        bm.add("E", "u", J_Eu)
-        bm.add("E", "E", self.M_E.copy())
-        bm.add("E", "B", J_EB)
-        bm.add("B", "E", self.A_curl.T.tocsr())
-        bm.add("B", "B", (1.0 / pr.Rem) * self.K_divdiv_B)
-        _, wq, _, _ = spaces["u"].basis_at_quadrature(QDEG)
+            terms[("u", "B")] = cell_local(u, B, weight=Wt, qdeg=QDEG)
+            # G tilde: (u^n x dB, F) = -(dB . perp u^n) F
+            terms[("E", "B")] = cell_local(E, B, weight=-perpU[:, :, None, :],
+                                           qdeg=QDEG)
+        _, wq, _, _ = u.basis_at_quadrature(QDEG)
         return self._finish_jacobian(
-            bm, delta, mass_coeff, steady_coeff, D=D_mat,
+            terms, delta, mass_coeff, steady_coeff,
+            lazy={"D": lambda: cell_matrix(u, u, weight=W_D, qdeg=QDEG)},
             u_l2=float(np.sqrt(np.sum(uq ** 2 * wq[..., None]))))

@@ -255,20 +255,20 @@ class GeometricMultigrid:
                      maxiter=self.config.smooth_iters)
         return res.x
 
-    def vcycle(self, lv, b, x):
+    def vcycle(self, lv, b, x=None):
+        """One V-cycle from x on level lv; x=None is the zero start."""
         if lv == 0:
             return self.coarse_lu.solve(b)
         x = self._smooth(lv, b, x)
         r = b - self.matrices[lv] @ x
         P = self.ctx.transfers[lv - 1]
-        rc = P.T @ r
-        xc = self.vcycle(lv - 1, rc, np.zeros_like(rc))
+        xc = self.vcycle(lv - 1, P.T @ r)
         x = x + P @ xc
         return self._smooth(lv, b, x)
 
     def apply(self, r):
         """Preconditioner application: `cycles` V-cycles from zero."""
-        x = np.zeros_like(r)
+        x = None
         for _ in range(self.config.cycles):
             x = self.vcycle(self.ctx.nlevels - 1, r, x)
         return x

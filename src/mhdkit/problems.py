@@ -11,7 +11,6 @@ from .models.standard import StandardMHD
 from .models.boussinesq import BoussinesqMHD
 from .models.hall import HallMHD, compatible_hall_bcs
 from .models import analytic
-from .assembly import sipg_viscous
 from .precond import (StandardMHDPrecond, AnisothermalPrecond, HallPrecond,
                       BlockPrecondConfig)
 
@@ -96,7 +95,6 @@ class HartmannModel(StandardMHD):
     profile when continuation changes the parameters."""
 
     def params_changed(self):
-        from .models.base import QDEG
         sol = analytic.hartmann_solution(self.params.Re, self.params.Rem,
                                          self.params.S)
         self.exact = sol
@@ -106,10 +104,7 @@ class HartmannModel(StandardMHD):
         self.forcing = {"f": sol.forcing["f"], "g_E": sol.forcing["g_E"],
                         "g_B": sol.forcing["g_B"]}
         self._setup_constraints()
-        self.K_sipg_unit, self.r_sipg_unit = sipg_viscous(
-            self.spaces["u"], nu=1.0, sym=True, qdeg=QDEG,
-            dirichlet_markers=self._vel_marker_list(),
-            g_d=self._velocity_bc_data())
+        _, self.r_sipg_unit = self._sipg()
         self._rhs_const = self._assemble_forcing()
 
 
@@ -311,14 +306,13 @@ def _hall_island_equilibrium(pr):
 # -- run configuration files ------------------------------------------------------
 
 KNOWN_KEYS = {
-    "problem": {"name", "levels", "nx", "ny", "pattern", "bc_field",
-                "velocity_variant"},
+    "problem": {"name", "levels", "bc_field"},
     "params": {"Re", "Rem", "S", "RH", "Ra", "Pr", "Pm", "gamma",
                "stabilisation", "quad_degree_bc"},
     "solver": {"linearisation", "elimination", "linear_solver", "rtol",
                "atol", "max_steps", "continuation"},
-    "time": {"dt", "T", "scheme"},
-    "output": {"out_dir", "vtk", "series"},
+    "time": {"dt", "T"},
+    "output": {"out_dir"},
 }
 
 

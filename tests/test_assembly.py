@@ -10,8 +10,8 @@ from mhdkit.quadrature import triangle_rule, monomial_integral_triangle
 from mhdkit.assembly import (cell_matrix, cell_vector, sipg_viscous,
                              upwind_advection_matrix,
                              upwind_advection_residual, burman_stabilisation,
-                             apply_bcs, DirichletBC, FormTerm, FormDescriptor,
-                             assemble_matrix, EPS_CONTRACTION, facet_data)
+                             apply_bcs, DirichletBC, EPS_CONTRACTION,
+                             facet_data)
 
 
 def test_quadrature_exactness():
@@ -225,24 +225,6 @@ def test_bc_conflict_detection():
     v2 = np.array([3.0, 4.0])
     with pytest.raises(ValueError):
         merge_bc_values([(i1, v1), (i2, v2)])
-
-
-def test_form_descriptor_missing_coefficient():
-    m = build_rect_mesh((0, 1, 0, 1), 2, 2)
-    cg = FunctionSpace(m, "CG", 1)
-    form = FormDescriptor([FormTerm("u", "u", "mass", coeffs=("wind",))])
-    with pytest.raises(ValueError, match="wind"):
-        assemble_matrix(form, {"u": cg}, state={})
-
-
-def test_form_descriptor_assembles():
-    m = build_rect_mesh((0, 1, 0, 1), 2, 2)
-    cg = FunctionSpace(m, "CG", 1)
-    form = FormDescriptor([FormTerm("u", "u", "mass"),
-                           FormTerm("u", "u", "stiffness", weight=2.0)])
-    blocks = assemble_matrix(form, {"u": cg})
-    ref = (cell_matrix(cg, cg) + 2.0 * cell_matrix(cg, cg, "grad", "grad"))
-    assert np.abs((blocks[("u", "u")] - ref)).max() < 1e-14
 
 
 def test_facet_data_cached_per_mesh():

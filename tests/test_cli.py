@@ -84,3 +84,120 @@ def test_threads_flag_and_key_are_rejected(monkeypatch, tmp_path, capsys):
         cli.main(["run", "--problem", "hartmann", "--config", str(cfg)])
     assert exit_.value.code == 1
     assert "'threads'" in capsys.readouterr().err
+
+
+class _Stop(Exception):
+    pass
+
+
+class _FakeModel:
+    """Just enough of a model for the CLI to reach its Newton settings."""
+
+    velocity, magnetic = "u", "B"
+
+    def __init__(self):
+        from mhdkit.models.base import ModelParams
+        self.params = ModelParams()
+
+    def initial_state(self):
+        return None
+
+
+def _fake_problem(name, levels=None, params=None, **extras):
+    import types
+    return types.SimpleNamespace(model=_FakeModel(), extras=extras)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--problem", "hartmann"],
+    ["run", "--problem", "mms", "--levels", "0"],
+    ["run", "--problem", "hartmann", "--dt", "0.1", "--T", "0.2"],
+    ["sweep", "--problem", "hartmann", "--grid", "S=1,2"],
+    ["bifurcate", "--from", "1", "--to", "2", "--step", "1"],
+], ids=["stationary", "mms", "transient", "sweep", "bifurcate"])
+def test_solver_tolerances_reach_every_newton_config(monkeypatch, tmp_path,
+                                                     argv):
+    # [solver] rtol/atol/max_steps set the Newton stopping rule on every
+    # path that builds one
+    seen = []
+
+    def record(**kwargs):
+        seen.append(kwargs)
+        raise _Stop
+
+    monkeypatch.setattr(cli, "make_problem", _fake_problem)
+    monkeypatch.setattr(cli, "NonlinearConfig", record)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[solver]\nrtol = 1e-9\natol = 2e-8\nmax_steps = 7\n")
+    with pytest.raises(_Stop):
+        cli.main(argv + ["--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert seen == [dict(linearisation="newton", rtol=1e-9, atol=2e-8,
+                         max_steps=7)]
+
+
+def test_config_bc_field_acts_like_the_flag(monkeypatch, tmp_path):
+    seen = []
+
+    def record(name, levels=None, params=None, **extras):
+        seen.append(extras["bc_field"])
+        raise _Stop
+
+    monkeypatch.setattr(cli, "make_problem", record)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[problem]\nname = ldc2d\nbc_field = trig\n")
+    for flags, field in (([], "trig"), (["--bc-field", "uniform"], "uniform")):
+        for command in ("run", "sweep"):
+            extra = ["--grid", "S=1"] if command == "sweep" else []
+            with pytest.raises(_Stop):
+                cli.main([command, "--config", str(cfg), *extra, *flags])
+            assert seen.pop() == field
+
+
+@pytest.mark.parametrize("value, continued", [("true", True),
+                                              ("false", False)])
+def test_config_continuation_acts_like_the_flag(monkeypatch, tmp_path,
+                                                value, continued):
+    calls = []
+
+    def stop(name):
+        def fn(*args, **kwargs):
+            calls.append(name)
+            raise _Stop
+        return fn
+
+    monkeypatch.setattr(cli, "make_problem", _fake_problem)
+    monkeypatch.setattr(cli, "continue_parameters", stop("continue"))
+    monkeypatch.setattr(cli, "solve_nonlinear", stop("solve"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[solver]\ncontinuation = {value}\n")
+    for command in ("run", "sweep"):
+        extra = ["--grid", "S=1"] if command == "sweep" else []
+        with pytest.raises(_Stop):
+            cli.main([command, "--problem", "hartmann", "--config", str(cfg),
+                      *extra])
+        assert calls.pop() == ("continue" if continued else "solve")
+    # the flag turns it on whatever the file says
+    with pytest.raises(_Stop):
+        cli.main(["run", "--problem", "hartmann", "--config", str(cfg),
+                  "--continuation"])
+    assert calls.pop() == "continue"
+
+
+def test_non_boolean_continuation_is_rejected(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "make_problem", _no_problem)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[solver]\ncontinuation = maybe\n")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", "--problem", "hartmann", "--config", str(cfg)])
+    assert exit_.value.code == 1
+    assert "[solver] continuation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [
+    ("problem", "nx"), ("problem", "ny"), ("problem", "pattern"),
+    ("problem", "velocity_variant"), ("time", "scheme"), ("output", "vtk"),
+    ("output", "series")])
+def test_keys_nothing_reads_are_rejected(section, key):
+    from mhdkit.problems import ConfigError, parse_config
+    with pytest.raises(ConfigError, match=repr(key)):
+        parse_config(f"[{section}]\n{key} = 1\n")

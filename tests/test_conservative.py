@@ -159,3 +159,48 @@ def test_steppers_are_cached_per_scheme():
         del sc, state, out, stepper
         gc.collect()
         assert ref() is None
+
+
+def _fgmres_vector_potential(sc, B):
+    """The former potential: the pinned Poisson solve for A3 and
+    unpreconditioned FGMRES on the singular curl-curl system for At."""
+    import scipy.sparse as sp
+    from mhdkit.assembly import constrain_matrix
+    from mhdkit.linalg import LuSolver, fgmres
+    Bt_c, B3_c = sc.divsp.split(B)
+    K_a3 = constrain_matrix((sc.V.T @ sc.M_rt @ sc.V).tocsr(), [0])
+    rhs = sc.V.T @ (sc.M_rt @ Bt_c)
+    rhs[0] = 0.0
+    A3 = LuSolver(K_a3).solve(rhs)
+    res = fgmres(sp.csr_matrix(sc.C.T @ sc.M_dg @ sc.C),
+                 sc.C.T @ (sc.M_dg @ B3_c), rtol=1e-10, atol=1e-12,
+                 maxiter=2000, restart=200)
+    return np.concatenate([res.x, A3])
+
+
+@pytest.mark.parametrize("fam", sorted(FAMILIES))
+def test_gauged_potential_keeps_the_helicity(scheme, runs, fam):
+    for state in (runs[fam][0][0], runs[fam][0][-1]):
+        ref = float(_fgmres_vector_potential(scheme, state.B)
+                    @ (scheme.M_cd @ state.B))
+        h = scheme.magnetic_helicity(state.B)
+        assert abs(h - ref) <= 1e-9 * abs(ref)
+        # curl A = B exactly on coefficients
+        A = scheme._vector_potential(state.B)
+        assert np.abs(scheme.CURL @ A - state.B).max() <= 1e-10 * np.abs(
+            state.B).max()
+
+
+def test_potential_factorisations_are_cached(monkeypatch):
+    import mhdkit.conservative as conservative
+    sc = _scheme(4)
+    B = initial_uxn_state(sc, _u0, _b0).B
+    h = sc.magnetic_helicity(B)
+    built = []
+    monkeypatch.setattr(conservative, "LuSolver",
+                        lambda *a: built.append(1))
+    assert sc.magnetic_helicity(B) == h
+    assert sc.hybrid_helicity(np.zeros(sc.curlsp.n), B,
+                              np.zeros(sc.curlsp.n), 1.0, 1.0,
+                              sc.curlsp) == pytest.approx(h)
+    assert built == []

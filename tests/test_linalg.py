@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from mhdkit.linalg import (LuSolver, SingularMatrixError, fgmres,
                            fixed_iteration_solver, shift_invert_arnoldi,
-                           BlockMatrix, KrylovConfig,
+                           BlockMatrix,
                            write_matrix_market, read_matrix_market)
 
 
@@ -136,6 +136,24 @@ def test_fixed_iteration_solver_runs_exactly_k():
     assert len(count) == 2
 
 
+def test_fixed_iteration_solver_forms_no_unread_residual():
+    # two Arnoldi products; neither the zero start nor the spent budget
+    # costs a product with A, and the iterate is the one with them
+    A = _laplacian_1d(32)
+    products = []
+
+    def matvec(v):
+        products.append(1)
+        return A @ v
+
+    b = np.linspace(1.0, 2.0, 32)
+    x = fixed_iteration_solver(matvec, lambda v: 0.5 * v, iters=2)(b)
+    assert len(products) == 2
+    ref = fgmres(A, b, M=lambda v: 0.5 * v, x0=np.zeros(32), rtol=0.0,
+                 atol=0.0, restart=2, maxiter=2)
+    assert np.array_equal(x, ref.x)
+
+
 def test_arnoldi_diagonal():
     A = sp.diags([1.0, 2.0, 3.0]).tocsr()
     res = shift_invert_arnoldi(A, shift=0.0, k=1)
@@ -179,13 +197,6 @@ def test_block_matrix_assembly():
     assert np.allclose(A.toarray()[:3, 3:], 1.0)
     assert np.allclose(A.toarray()[3:, 3:], 0.0)
     assert list(bm.group_indices(["p"])) == [3, 4]
-
-
-def test_krylov_config_validation():
-    with pytest.raises(ValueError):
-        KrylovConfig(rtol=-1.0)
-    cfg = KrylovConfig()
-    assert cfg.side == "right"
 
 
 def test_matrix_market_roundtrip(tmp_path):

@@ -376,3 +376,49 @@ def test_patch_residual_reduction_on_kernel():
             x = res.x
         r = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
         assert r < 0.1
+
+
+class _CountingOperator:
+    """A matrix whose products are counted."""
+
+    def __init__(self, A):
+        self.A = A
+        self.calls = 0
+
+    def __matmul__(self, v):
+        self.calls += 1
+        return self.A @ v
+
+
+def _vcycle_reference(mg, lv, b, x):
+    """The V-cycle that started every smoothing from an explicit zero
+    vector, kept as the reference for the zero-start one."""
+    if lv == 0:
+        return mg.coarse_lu.solve(b)
+
+    def smooth(x):
+        return fgmres(mg.matrices[lv], b, M=mg.smoothers[lv - 1].apply,
+                      x0=x, rtol=0.0, atol=0.0,
+                      restart=mg.config.smooth_iters,
+                      maxiter=mg.config.smooth_iters).x
+
+    x = smooth(x)
+    P = mg.ctx.transfers[lv - 1]
+    rc = P.T @ (b - mg.matrices[lv] @ x)
+    xc = _vcycle_reference(mg, lv - 1, rc, np.zeros_like(rc))
+    return smooth(x + P @ xc)
+
+
+def test_zero_start_vcycle_is_bitwise_the_reference(hierarchy):
+    ctx = MgHierarchy(hierarchy, [("CG", 2), ("RT", 2)], ["all", "all"])
+    A = _em_system(ctx.fine_spaces, ctx.constrained[-1])
+    mg = GeometricMultigrid(ctx).setup(A)
+    r = np.random.default_rng(5).standard_normal(A.shape[0])
+    ref = _vcycle_reference(mg, ctx.nlevels - 1, r, np.zeros_like(r))
+    counted = [_CountingOperator(M) for M in mg.matrices]
+    mg.matrices = counted
+    out = mg.apply(r)
+    assert np.array_equal(out, ref)
+    # per smoothed level: 6 + (1 + 6) smoother products and one residual;
+    # no A @ 0 and no final residual of a spent smoother budget
+    assert [c.calls for c in counted] == [0] + [14] * (ctx.nlevels - 1)
