@@ -2,6 +2,8 @@
 Arnoldi eigensolver for generalized problems, block-matrix plumbing and
 Matrix Market round trips."""
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -98,7 +100,10 @@ def fgmres(A, b, M=None, x0=None, rtol=1e-7, atol=1e-7, restart=100,
     else:
         x = np.array(x0, dtype=float)
         r = b - matvec(x)
-    beta = np.linalg.norm(r)
+    # norms as sqrt(w @ w), which is what np.linalg.norm computes for a real
+    # vector; the Hessenberg column and the Givens rotations are Python
+    # floats, so the loop does no scalar indexing into numpy arrays
+    beta = math.sqrt(r @ r)
     residuals = [beta]
     tol = max(rtol * beta, atol)
     if beta <= tol:
@@ -106,44 +111,47 @@ def fgmres(A, b, M=None, x0=None, rtol=1e-7, atol=1e-7, restart=100,
     total = 0
     while total < maxiter:
         m = min(restart, maxiter - total)
-        V = np.zeros((m + 1, n))
-        Z = np.zeros((m, n))
-        H = np.zeros((m + 1, m))
-        cs = np.zeros(m)
-        sn = np.zeros(m)
-        g = np.zeros(m + 1)
+        V = np.empty((m + 1, n))
+        Z = np.empty((m, n))
+        H = np.zeros((m, m))
+        cs, sn = [], []
+        g = [beta]
         V[0] = r / beta
-        g[0] = beta
         k_used = 0
         for k in range(m):
             Z[k] = M(V[k])
             w = matvec(Z[k])
             # modified Gram-Schmidt (+ one reorthogonalisation pass)
-            norm0 = np.linalg.norm(w)
+            norm0 = math.sqrt(w @ w)
+            h = []
             for i in range(k + 1):
-                H[i, k] = V[i] @ w
-                w -= H[i, k] * V[i]
-            if np.linalg.norm(w) < 1e-8 * norm0:
+                hi = float(V[i] @ w)
+                w -= hi * V[i]
+                h.append(hi)
+            if math.sqrt(w @ w) < 1e-8 * norm0:
                 for i in range(k + 1):
-                    h2 = V[i] @ w
-                    H[i, k] += h2
+                    h2 = float(V[i] @ w)
+                    h[i] += h2
                     w -= h2 * V[i]
-            H[k + 1, k] = np.linalg.norm(w)
-            if H[k + 1, k] > 0:
-                V[k + 1] = w / H[k + 1, k]
+            # a zero norm makes sn[k] = 0 and the residual 0 below, so the
+            # unset row V[k + 1] is never read
+            h_next = math.sqrt(w @ w)
+            if h_next > 0:
+                V[k + 1] = w / h_next
             for i in range(k):
-                t = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
-                H[i + 1, k] = -sn[i] * H[i, k] + cs[i] * H[i + 1, k]
-                H[i, k] = t
-            d = np.hypot(H[k, k], H[k + 1, k])
+                t = cs[i] * h[i] + sn[i] * h[i + 1]
+                h[i + 1] = -sn[i] * h[i] + cs[i] * h[i + 1]
+                h[i] = t
+            d = float(np.hypot(h[k], h_next))
             if d == 0.0:
-                cs[k], sn[k] = 1.0, 0.0
+                cs.append(1.0)
+                sn.append(0.0)
             else:
-                cs[k] = H[k, k] / d
-                sn[k] = H[k + 1, k] / d
-            H[k, k] = d
-            H[k + 1, k] = 0.0
-            g[k + 1] = -sn[k] * g[k]
+                cs.append(h[k] / d)
+                sn.append(h_next / d)
+            h[k] = d
+            H[:k + 1, k] = h
+            g.append(-sn[k] * g[k])
             g[k] = cs[k] * g[k]
             k_used = k + 1
             total += 1
@@ -160,7 +168,7 @@ def fgmres(A, b, M=None, x0=None, rtol=1e-7, atol=1e-7, restart=100,
             # nothing reads the true residual of a spent fixed budget
             return FgmresResult(x, total, residuals, False)
         r = b - matvec(x)
-        beta = np.linalg.norm(r)
+        beta = math.sqrt(r @ r)
         residuals[-1] = beta
         if beta <= tol:
             return FgmresResult(x, total, residuals, True)

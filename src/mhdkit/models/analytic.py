@@ -1,7 +1,12 @@
-"""Closed-form reference solutions (Hartmann channel flow, island-coalescence
-equilibrium, conduction state, manufactured smooth fields) with forcing terms
-derived symbolically so each reference satisfies the discretised system's
-strong form exactly."""
+"""Reference solutions and the forcing terms that make each one an exact
+solution of the discretised system's strong form.
+
+The Hartmann channel flow and the manufactured smooth fields are derived
+symbolically (sympy) at run time, from `standard_mhd_forcing`, because there
+the derivation is the check.  The island-coalescence equilibrium (the
+Fadeev cat's eye, `CatsEye`, shared with the Hall island of
+`problems._hall_island_equilibrium`) and the Boussinesq conduction state are
+closed forms evaluated with numpy; they need no sympy."""
 
 import numpy as np
 import sympy as sym
@@ -24,7 +29,8 @@ class AnalyticSolution:
 
 
 def _lamb(expr):
-    fn = sym.lambdify((X, Y), expr, modules="numpy")
+    # docstring_limit=0 skips printing expr into the generated docstring
+    fn = sym.lambdify((X, Y), expr, modules="numpy", docstring_limit=0)
 
     def wrapped(x, y):
         out = fn(x, y)
@@ -149,29 +155,72 @@ def hartmann_solution(Re, Rem, S):
     return sol
 
 
+class CatsEye:
+    """The Fadeev cat's-eye equilibrium (Fadeev, Kvabtskhava & Komarov,
+    Nucl. Fusion 5, 1965) at points (x, y), with D = cosh 2 pi y
+    + k cos 2 pi x:
+
+    D, grad_D       D and its gradient (..., 2)
+    B               (D_y, -D_x) / (2 pi D), the field of the flux log(D)/2pi
+    p               (1 - k^2) / 2 (1 + 1/D^2), which balances j B
+    j               curl B = -2 pi (1 - k^2) / D^2
+    vcurl_j         (j_y, -j_x) = 4 pi (1 - k^2) (D_y, -D_x) / D^3
+    dB              the divergence-free perturbation of amplitude eps
+    """
+
+    def __init__(self, x, y, k=0.2, eps=0.01):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        tx, ty = 2 * np.pi * x, 2 * np.pi * y
+        sinh_y, sin_x = np.sinh(ty), np.sin(tx)
+        D = np.cosh(ty) + k * np.cos(tx)
+        Dx, Dy = -2 * np.pi * k * sin_x, 2 * np.pi * sinh_y
+        self.D = D
+        self.grad_D = np.stack([Dx, Dy], axis=-1)
+        self.B = np.stack([sinh_y / D, k * sin_x / D], axis=-1)
+        self.p = (1 - k ** 2) / 2 * (1 + 1 / D ** 2)
+        self.j = -2 * np.pi * (1 - k ** 2) / D ** 2
+        self.vcurl_j = (4 * np.pi * (1 - k ** 2) / D[..., None] ** 3
+                        * np.stack([Dy, -Dx], axis=-1))
+        self.dB = np.stack(
+            [-(eps / np.pi) * np.cos(np.pi * x) * np.sin(np.pi * y / 2),
+             (2 * eps / np.pi) * np.cos(np.pi * y / 2) * np.sin(np.pi * x)],
+            axis=-1)
+
+
+def _zero(x, y):
+    return np.zeros(np.shape(x))
+
+
+def _zero_vec(x, y):
+    return np.zeros(np.shape(x) + (2,))
+
+
 def island_equilibrium(Rem, S, k=0.2, eps=0.01):
     """Island-coalescence equilibrium on (-1, 1)^2 (periodic in x), the
-    Faraday forcing that balances it, and the divergence-free perturbation."""
-    D = sym.cosh(2 * sym.pi * Y) + k * sym.cos(2 * sym.pi * X)
-    B = (sym.sinh(2 * sym.pi * Y) / D, k * sym.sin(2 * sym.pi * X) / D)
-    p = (1 - k ** 2) / 2 * (1 + 1 / D ** 2)
-    u = (sym.Integer(0), sym.Integer(0))
-    E = _curl2(B) / Rem
-    f, g_E, g_B = standard_mhd_forcing(u, p, E, B, Re=1, Rem=Rem, S=S)
-    dB = (-(eps / sym.pi) * sym.cos(sym.pi * X) * sym.sin(sym.pi * Y / 2),
-          (2 * eps / sym.pi) * sym.cos(sym.pi * Y / 2) * sym.sin(sym.pi * X))
-    _check_divfree(dB, "island perturbation dB")
+    forcing that balances it at u = 0 and the divergence-free perturbation.
+
+    With E = j / Rem the Ohm forcing vanishes; the Faraday forcing is
+    vcurl E (div B = 0); the momentum forcing grad p + S E (B_y, -B_x)
+    = (S/Rem - 1)(1 - k^2) grad D / D^3 vanishes for S = Rem."""
+    def eye(x, y):
+        return CatsEye(x, y, k, eps)
+
+    def f(x, y):
+        c = eye(x, y)
+        return ((S / Rem - 1) * (1 - k ** 2) * c.grad_D
+                / c.D[..., None] ** 3)
+
     fields = {
-        "u": _lamb_vec(*u),
-        "p": _lamb(p),
-        "E": _lamb(E),
-        "B": _lamb_vec(*B),
-        "dB": _lamb_vec(*dB),
+        "u": _zero_vec,
+        "p": lambda x, y: eye(x, y).p,
+        "E": lambda x, y: eye(x, y).j / Rem,
+        "B": lambda x, y: eye(x, y).B,
+        "dB": lambda x, y: eye(x, y).dB,
     }
     forcing = {
-        "f": _lamb_vec(*f),
-        "g_E": _lamb(g_E),
-        "g_B": _lamb_vec(*g_B),
+        "f": f,
+        "g_E": _zero,
+        "g_B": lambda x, y: eye(x, y).vcurl_j / Rem,
     }
     return AnalyticSolution(fields, forcing,
                             params={"Rem": Rem, "S": S, "k": k, "eps": eps})
@@ -197,12 +246,12 @@ def mms_solution(Re, Rem, S, gamma=0.0):
 def conduction_state(Ra, Pr):
     """Trivial steady solution of the Boussinesq system on the unit square
     with hot bottom plate: zero flow, linear temperature, vertical field."""
-    p = Ra * Pr * (Y - Y ** 2 / 2 - sym.Rational(1, 3))
     fields = {
-        "u": _lamb_vec(sym.Integer(0), sym.Integer(0)),
-        "p": _lamb(p),
-        "theta": _lamb(1 - Y),
-        "E": _lamb(sym.Integer(0)),
-        "B": _lamb_vec(sym.Integer(0), sym.Integer(1)),
+        "u": _zero_vec,
+        "p": lambda x, y: Ra * Pr * (y - y ** 2 / 2 - 1 / 3),
+        "theta": lambda x, y: 1 - y,
+        "E": _zero,
+        "B": lambda x, y: np.stack([np.zeros(np.shape(x)),
+                                    np.ones(np.shape(x))], axis=-1),
     }
     return AnalyticSolution(fields, {}, params={"Ra": Ra, "Pr": Pr})

@@ -321,21 +321,21 @@ class HallMHD(MixedModel):
         return abs(lhs - fu) / max(1.0, abs(fu))
 
 
-def compatible_hall_bcs(params, lid_velocity=1.0, lid_marker="top"):
+def compatible_hall_bcs(params, lid_velocity=1.0, ytop=0.5):
     """Boundary data for (Et, E3, jt, j3) compatible with the generalised
-    Ohm's law on a lid-driven cavity: E x n = 0 everywhere, j x n = 0 away
-    from the lid, and on the lid the closed form
+    Ohm's law on a lid-driven cavity whose lid is the edge y = ytop: E x n = 0
+    everywhere, j x n = 0 away from the lid, and on the lid the closed form
     j x n = (Rem R_H, 0, 1)^T x n / (Rem^-1 + Rem R_H^2)."""
     Rem, RH = params.Rem, params.R_H
     denom = 1.0 / Rem + Rem * RH ** 2
 
     def jt_data(x, y, tol=1e-9):
-        lid = np.abs(y - 0.5) < tol
+        lid = np.abs(y - ytop) < tol
         j1 = np.where(lid, lid_velocity * Rem * RH / denom, 0.0)
         return np.stack([j1, np.zeros_like(x)], axis=-1)
 
     def j3_data(x, y, tol=1e-9):
-        lid = np.abs(y - 0.5) < tol
+        lid = np.abs(y - ytop) < tol
         return np.where(lid, lid_velocity / denom, 0.0)
 
     return {

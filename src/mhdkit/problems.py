@@ -169,8 +169,9 @@ def make_problem(name, levels=None, params=None, mesh_base=None,
 
     if name == "hall_ldc":
         hier = _hierarchy(name, levels, mesh_base, pattern)
-        lid = _lid_velocity(0.5)
-        hall_bcs = compatible_hall_bcs(pr)
+        ytop = DEFAULT_MESH[name]["domain"][3]
+        lid = _lid_velocity(ytop)
+        hall_bcs = compatible_hall_bcs(pr, ytop=ytop)
         Bbc = lambda x, y: np.stack([np.zeros_like(x), np.ones_like(y)],
                                     axis=-1)
         bcs = {"ut": ("all", lid), "u3": ("all", None),
@@ -278,28 +279,25 @@ def _trig_divfree_field():
 
 
 def _hall_island_equilibrium(pr):
-    """Hall island equilibrium fields and Faraday forcings (S = 1)."""
-    import sympy as sym
-    from .models.analytic import X, Y, _lamb, _lamb_vec, _curl2, _vcurl
-    k = 0.2
-    D = sym.cosh(2 * sym.pi * Y) + k * sym.cos(2 * sym.pi * X)
-    Bt = (sym.sinh(2 * sym.pi * Y) / D, k * sym.sin(2 * sym.pi * X) / D)
-    p = (1 - k ** 2) / 2 * (1 + 1 / D ** 2)
-    j3 = _curl2(Bt)
-    E3 = j3 / pr.Rem
-    # Et = -R_H (Bt x j3) = -R_H j3 perp(Bt)
-    Et = (-pr.R_H * j3 * Bt[1], pr.R_H * j3 * Bt[0])
-    gBt = _vcurl(E3)
-    gB3 = sym.diff(Et[1], X) - sym.diff(Et[0], Y)
-    eps = 0.01
-    dB = (-(eps / sym.pi) * sym.cos(sym.pi * X) * sym.sin(sym.pi * Y / 2),
-          (2 * eps / sym.pi) * sym.cos(sym.pi * Y / 2)
-          * sym.sin(sym.pi * X))
+    """Hall island equilibrium fields and Faraday forcings (S = 1): the
+    cat's eye with E3 = j3 / Rem and Et = -R_H (Bt x j3) = R_H j3 (-B_y, B_x).
+    The out-of-plane forcing curl Et = R_H (Bt . grad j3 + j3 div Bt)
+    vanishes, because j3 is a function of D and Bt is tangent to its level
+    lines."""
+    eye = analytic.CatsEye
+
+    def Et(x, y):
+        c = eye(x, y)
+        return pr.R_H * c.j[..., None] * np.stack([-c.B[..., 1], c.B[..., 0]],
+                                                  axis=-1)
+
     return {
-        "Bt": _lamb_vec(*Bt), "p": _lamb(p), "j3": _lamb(j3),
-        "E3": _lamb(E3), "Et": _lamb_vec(*Et),
-        "gB_t": _lamb_vec(*gBt), "gB_3": _lamb(gB3),
-        "dB": _lamb_vec(*dB),
+        "Bt": lambda x, y: eye(x, y).B, "p": lambda x, y: eye(x, y).p,
+        "j3": lambda x, y: eye(x, y).j,
+        "E3": lambda x, y: eye(x, y).j / pr.Rem, "Et": Et,
+        "gB_t": lambda x, y: eye(x, y).vcurl_j / pr.Rem,
+        "gB_3": analytic._zero,
+        "dB": lambda x, y: eye(x, y).dB,
     }
 
 

@@ -105,7 +105,7 @@ def test_upwind_zero_wind():
     bdm = FunctionSpace(m, "BDM", 2)
     zero = Field(bdm)
     A = upwind_advection_matrix(bdm, zero)
-    assert np.abs(A).max() if A.nnz else 0.0 == 0.0
+    assert (np.abs(A).max() if A.nnz else 0.0) == 0.0
     r = upwind_advection_residual(bdm, zero)
     assert np.abs(r).max() == 0.0
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from mhdkit.linalg import (LuSolver, SingularMatrixError, fgmres,
@@ -121,6 +122,130 @@ def test_fgmres_nonconvergence_report():
     res = fgmres(A, b, rtol=1e-14, atol=0.0, restart=5, maxiter=10)
     assert not res.converged
     assert res.iterations == 10
+
+
+def _reference_fgmres(A, b, M, x0, rtol, atol, restart, maxiter):
+    """The FGMRES loop with the Hessenberg matrix, the Givens rotations and
+    the norms in numpy arrays and np.linalg.norm, kept as the reference for
+    the float loop of linalg.fgmres."""
+    n = len(b)
+    fixed = rtol == 0 and atol == 0
+    if M is None:
+        M = lambda v: v
+    if x0 is None:
+        x = np.zeros(n)
+        r = b.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = b - A @ x
+    beta = np.linalg.norm(r)
+    residuals = [beta]
+    tol = max(rtol * beta, atol)
+    if beta <= tol:
+        return x, residuals
+    total = 0
+    while total < maxiter:
+        m = min(restart, maxiter - total)
+        V = np.zeros((m + 1, n))
+        Z = np.zeros((m, n))
+        H = np.zeros((m + 1, m))
+        cs = np.zeros(m)
+        sn = np.zeros(m)
+        g = np.zeros(m + 1)
+        V[0] = r / beta
+        g[0] = beta
+        k_used = 0
+        for k in range(m):
+            Z[k] = M(V[k])
+            w = A @ Z[k]
+            norm0 = np.linalg.norm(w)
+            for i in range(k + 1):
+                H[i, k] = V[i] @ w
+                w -= H[i, k] * V[i]
+            if np.linalg.norm(w) < 1e-8 * norm0:
+                for i in range(k + 1):
+                    h2 = V[i] @ w
+                    H[i, k] += h2
+                    w -= h2 * V[i]
+            H[k + 1, k] = np.linalg.norm(w)
+            if H[k + 1, k] > 0:
+                V[k + 1] = w / H[k + 1, k]
+            for i in range(k):
+                t = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
+                H[i + 1, k] = -sn[i] * H[i, k] + cs[i] * H[i + 1, k]
+                H[i, k] = t
+            d = np.hypot(H[k, k], H[k + 1, k])
+            if d == 0.0:
+                cs[k], sn[k] = 1.0, 0.0
+            else:
+                cs[k] = H[k, k] / d
+                sn[k] = H[k + 1, k] / d
+            H[k, k] = d
+            H[k + 1, k] = 0.0
+            g[k + 1] = -sn[k] * g[k]
+            g[k] = cs[k] * g[k]
+            k_used = k + 1
+            total += 1
+            res = abs(g[k + 1])
+            residuals.append(res)
+            if res <= tol or total >= maxiter:
+                break
+        y = sla.solve_triangular(H[:k_used, :k_used], g[:k_used],
+                                 check_finite=False)
+        x = x + Z[:k_used].T @ y
+        if fixed and total >= maxiter:
+            return x, residuals
+        r = b - A @ x
+        beta = np.linalg.norm(r)
+        residuals[-1] = beta
+        if beta <= tol:
+            return x, residuals
+    return x, residuals
+
+
+def _convection_diffusion(n=80, wind=30.0):
+    h = 1.0 / (n + 1)
+    return sp.diags([-1 / h ** 2 - wind / (2 * h), 2 / h ** 2,
+                     -1 / h ** 2 + wind / (2 * h)], [-1, 0, 1],
+                    shape=(n, n)).tocsr()
+
+
+def _flexible_scaling(d):
+    # changes from one application to the next, as an inner solve does
+    calls = [0]
+
+    def apply(v):
+        calls[0] += 1
+        return v / d * (1.0 + 0.1 * (calls[0] % 3))
+    return apply
+
+
+@pytest.mark.parametrize("case", ["fixed", "fixed_x0", "restarted",
+                                  "reorthogonalised"])
+def test_fgmres_iterates_are_bitwise_the_reference(case):
+    A = _convection_diffusion()
+    n = A.shape[0]
+    b = np.sin(np.linspace(0.0, 3.0, n)) + 0.5
+    d = A.diagonal()
+    x0 = None
+    kw = dict(rtol=0.0, atol=0.0, restart=12, maxiter=12)
+    if case == "fixed_x0":
+        x0 = np.cos(np.linspace(0.0, 2.0, n))
+    elif case == "restarted":
+        x0 = np.cos(np.linspace(0.0, 2.0, n))
+        kw = dict(rtol=1e-10, atol=0.0, restart=7, maxiter=400)
+    elif case == "reorthogonalised":
+        # three distinct eigenvalues: the Krylov space is exhausted after
+        # three steps and the next products trigger the second MGS pass
+        A = sp.diags(np.tile([1.0, 2.0, 5.0], n // 3 + 1)[:n]).tocsr()
+        d = np.ones(n)
+        kw = dict(rtol=0.0, atol=0.0, restart=6, maxiter=6)
+    got = fgmres(A, b, M=_flexible_scaling(d), x0=x0, **kw)
+    x, residuals = _reference_fgmres(A, b, _flexible_scaling(d), x0, **kw)
+    if case == "restarted":
+        assert got.converged and got.iterations > kw["restart"]
+    assert np.array_equal(got.x, x)
+    assert got.residuals == residuals
 
 
 def test_fixed_iteration_solver_runs_exactly_k():

@@ -268,6 +268,19 @@ def test_compatible_hall_bcs():
     assert np.abs(bcsz["j3"][1](x, ylid)).max() == 0.0
 
 
+def test_compatible_hall_bcs_follow_the_lid():
+    pr = ModelParams(Re=1.0, Rem=2.0, S=1.0, R_H=0.5)
+    x = np.zeros(3)
+    y = np.array([0.5, 1.0, -0.5])
+    for ytop, on in ((0.5, 0), (1.0, 1)):
+        bcs = compatible_hall_bcs(pr, ytop=ytop)
+        jt, j3 = bcs["jt"][1](x, y), bcs["j3"][1](x, y)
+        assert np.flatnonzero(jt[:, 0]).tolist() == [on]
+        assert np.flatnonzero(j3).tolist() == [on]
+    with pytest.raises(TypeError):
+        compatible_hall_bcs(pr, lid_marker="top")
+
+
 def test_boussinesq_symmetry_reflection():
     # applying the x-reflection to a converged nontrivial state gives equal
     # functionals (discovered solutions come in symmetry orbits)
