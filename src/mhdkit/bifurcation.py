@@ -2,6 +2,8 @@
 critical Rayleigh/coupling numbers as generalized eigenvalues) and the
 deflated-continuation driver producing branch records."""
 
+import logging
+
 import numpy as np
 
 from .elements import interpolate, l2_project
@@ -9,6 +11,8 @@ from .linalg import shift_invert_arnoldi
 from .nonlinear import (NonlinearConfig, solve_nonlinear, DeflationOperator,
                         deflated_solve)
 from .models.analytic import conduction_state
+
+log = logging.getLogger(__name__)
 
 
 class BranchRecord:
@@ -77,31 +81,18 @@ def _free_indices(model):
                         model.constrained_idx)
 
 
-def stability_eigs(model, state_vec, k=6, shifts=(0.0,), ncv=None, tol=1e-6):
+def stability_eigs(model, state_vec, k=6):
     """Leading eigenvalues of the linearised time evolution -J x = lambda M x
-    with the singular mass (u, theta, B rows only); shift-invert Arnoldi at
-    small positive real shifts, scanning the list when one shift does not
-    surface k pairs."""
+    with the singular mass (u, theta, B rows only): the k pairs nearest 0 by
+    shift-invert Arnoldi, sorted by decreasing real part."""
     A, _ = model.jacobian(state_vec, "newton")
     M = model.mass_matrix()
     free = _free_indices(model)
     Af = (-A[free][:, free]).tocsr()
     Mf = M[free][:, free].tocsr()
-    found = []
-    for sigma in shifts:
-        res = shift_invert_arnoldi(Af, Mf, shift=sigma, k=k, ncv=ncv,
-                                   tol=tol)
-        for lam, vec in zip(res.values, res.vectors.T):
-            if all(abs(lam - lam0) > 1e-8 * max(1.0, abs(lam0))
-                   for lam0, _ in found):
-                found.append((lam, vec))
-        if len(found) >= k:
-            break
-    found.sort(key=lambda lv: -lv[0].real)
-    lam = np.array([lv[0] for lv in found[:k]])
-    vecs = np.array([lv[1] for lv in found[:k]]).T if found else \
-        np.zeros((len(free), 0))
-    return lam, vecs, free
+    res = shift_invert_arnoldi(Af, Mf, k=k, tol=1e-6)
+    order = np.argsort(-res.values.real, kind="stable")
+    return res.values[order], res.vectors[:, order], free
 
 
 def stability_tag(eigenvalues, tol=1e-7):
@@ -114,7 +105,7 @@ def stability_tag(eigenvalues, tol=1e-7):
             else "unstable-steady")
 
 
-def critical_parameter(model, which="Ra_c", count=2, ncv=None, tol=1e-6):
+def critical_parameter(model, which="Ra_c", count=2):
     """Smallest positive critical values of Ra (buoyancy moved to the
     right-hand side) or S (Lorentz coupling moved to the right-hand side),
     linearised at the conduction state, plus the eigenmodes."""
@@ -133,8 +124,7 @@ def critical_parameter(model, which="Ra_c", count=2, ncv=None, tol=1e-6):
         raise ValueError(which)
     Af = A0[free][:, free].tocsr()
     Mf = Mmat[free][:, free].tocsr()
-    res = shift_invert_arnoldi(Af, Mf, shift=0.0, k=3 * count + 4,
-                               ncv=ncv or (6 * count + 40), tol=tol)
+    res = shift_invert_arnoldi(Af, Mf, k=3 * count + 4, tol=1e-6)
     lam = res.values
     real = lam[np.abs(lam.imag) <= 1e-6 * np.maximum(np.abs(lam.real), 1.0)]
     pos = np.sort(real.real[real.real > 0])
@@ -163,7 +153,7 @@ def seeded_guesses(model, base_vec, modes, free, amplitudes=(1.0,)):
 def deflated_continuation(model, sweep, seeds, nl_config=None,
                           solver_factory=None, compute_stability=False,
                           eig_k=6, deflation_shift=1.0,
-                          distinct_tol=1e-4, verbose=False):
+                          distinct_tol=1e-4):
     """Fixed-step deflated continuation: at each parameter value every live
     branch is continued (plain Newton from its previous state), then deflated
     searches run from the continued solutions until NF; branch identity is
@@ -222,7 +212,6 @@ def deflated_continuation(model, sweep, seeds, nl_config=None,
                 stable = stability_tag(lam) == "stable"
             records.append(BranchRecord(bid, value, funcs, lam, stable,
                                         state=v.copy()))
-            if verbose:
-                print(f"  {sweep.parameter}={value:g} branch {bid}: "
-                      f"|u|^2={funcs['u_norm2']:.4e}", flush=True)
+            log.info("%s=%g branch %d: |u|^2=%.4e", sweep.parameter, value,
+                     bid, funcs["u_norm2"])
     return records

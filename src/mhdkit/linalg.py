@@ -1,6 +1,5 @@
-"""Sparse/dense LU, flexible GMRES with right preconditioning, a shift-invert
-Arnoldi eigensolver for generalized problems, block-matrix plumbing and
-Matrix Market round trips."""
+"""Sparse LU, flexible GMRES with right preconditioning, ARPACK shift-invert
+eigenpairs of generalized problems and block-matrix plumbing."""
 
 import math
 
@@ -8,58 +7,31 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 import scipy.linalg as sla
-import scipy.io
 
 
 class SingularMatrixError(Exception):
-    def __init__(self, message, pivot=None):
-        super().__init__(message)
-        self.pivot = pivot
+    pass
 
 
 class LuSolver:
-    """LU factorisation handle for sparse or dense square matrices.  A
-    sparse matrix is factorised without its stored zeros (a fixed-pattern
-    Jacobian keeps the zeros of its state-dependent terms)."""
+    """Sparse LU factorisation handle for a square matrix (a dense array is
+    converted).  The matrix is factorised without its stored zeros (a
+    fixed-pattern Jacobian keeps the zeros of its state-dependent terms)."""
 
     def __init__(self, A):
-        if sp.issparse(A):
-            A = A.tocsc(copy=True)
-            A.eliminate_zeros()
-            if A.shape[0] != A.shape[1]:
-                raise ValueError("matrix must be square")
-            try:
-                self._lu = spla.splu(A)
-            except RuntimeError as exc:
-                msg = str(exc)
-                pivot = None
-                for tok in msg.split():
-                    if tok.strip(".,]").isdigit():
-                        pivot = int(tok.strip(".,]"))
-                        break
-                raise SingularMatrixError(
-                    f"singular pivot during sparse LU: {msg}", pivot) from exc
-            self._dense = None
-        else:
-            A = np.asarray(A, dtype=float)
-            if A.shape[0] != A.shape[1]:
-                raise ValueError("matrix must be square")
-            lu, piv = sla.lu_factor(A)
-            d = np.abs(np.diag(lu))
-            if d.size and d.min() <= 1e-300:
-                raise SingularMatrixError(
-                    "singular pivot in dense LU",
-                    pivot=int(np.argmin(d)))
-            self._dense = (lu, piv)
-            self._lu = None
+        A = sp.csc_matrix(A, dtype=float, copy=True)
+        A.eliminate_zeros()
+        if A.shape[0] != A.shape[1]:
+            raise ValueError("matrix must be square")
+        try:
+            self._lu = spla.splu(A)
+        except RuntimeError as exc:
+            raise SingularMatrixError(
+                f"singular pivot during sparse LU: {exc}") from exc
         self.shape = A.shape
 
     def solve(self, b):
-        b = np.asarray(b, dtype=float)
-        if self._lu is not None:
-            return self._lu.solve(b)
-        lu, piv = self._dense
-        return sla.lu_solve((lu, piv), b)
+        return self._lu.solve(np.asarray(b, dtype=float))
 
     __call__ = solve
 
@@ -198,105 +170,35 @@ class EigenResult:
         self.residuals = residuals
 
 
-def shift_invert_arnoldi(A, M=None, shift=0.0, k=6, ncv=None, tol=1e-8,
-                         maxrestart=3, seed=0):
-    """k eigenpairs of A x = lambda M x nearest `shift`.
+def shift_invert_arnoldi(A, M=None, shift=0.0, k=6, tol=1e-8):
+    """k eigenpairs of A x = lambda M x nearest `shift`, for sparse A and M.
 
-    Arnoldi on OP = (A - shift M)^{-1} M with explicit restarts; returned
-    pairs satisfy ||A x - lambda M x|| <= tol ||x|| scaled by the operator
-    norms and are sorted by |lambda - shift|.
+    ARPACK's implicitly restarted Arnoldi (`scipy.sparse.linalg.eigs`) on
+    OP = (A - shift M)^{-1} M, with A - shift M factorised once and a fixed
+    start vector.  Pairs are sorted by |lambda - shift| and carry unit
+    vectors and relative residuals ||A x - lambda M x|| / (||A|| + |lambda|
+    ||M||).  Non-convergence raises `ArpackNoConvergence` (a RuntimeError).
     """
     n = A.shape[0]
     if M is None:
         M = sp.identity(n, format="csr")
-    K = (A - shift * M).tocsc() if sp.issparse(A) else A - shift * M
     try:
-        solver = LuSolver(K)
+        lu = LuSolver(A - shift * M)
     except SingularMatrixError:
         shift = shift + 1e-8 * (1.0 + abs(shift))
-        K = (A - shift * M).tocsc() if sp.issparse(A) else A - shift * M
-        solver = LuSolver(K)
-    Mop = _as_operator(M)
-    Aop = _as_operator(A)
-
-    def op(v):
-        return solver.solve(Mop(v))
-
-    if ncv is None:
-        ncv = min(n, max(3 * k + 12, 30))
-    ncv = min(ncv, n)
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    scaleA = spla.norm(A) if sp.issparse(A) else np.linalg.norm(A)
-    scaleM = spla.norm(M) if sp.issparse(M) else np.linalg.norm(M)
-
-    best = None
-    for attempt in range(maxrestart):
-        V = np.zeros((ncv + 1, n))
-        H = np.zeros((ncv + 1, ncv))
-        nv0 = np.linalg.norm(v0)
-        if nv0 == 0:
-            v0 = rng.standard_normal(n)
-            nv0 = np.linalg.norm(v0)
-        V[0] = v0 / nv0
-        j_used = ncv
-        for j in range(ncv):
-            w = op(V[j])
-            for i in range(j + 1):
-                H[i, j] = V[i] @ w
-                w -= H[i, j] * V[i]
-            for i in range(j + 1):
-                h2 = V[i] @ w
-                H[i, j] += h2
-                w -= h2 * V[i]
-            H[j + 1, j] = np.linalg.norm(w)
-            if H[j + 1, j] < 1e-13:
-                j_used = j + 1
-                break
-            V[j + 1] = w / H[j + 1, j]
-        Hm = H[:j_used, :j_used]
-        theta, Y = np.linalg.eig(Hm)
-        nonzero = np.abs(theta) > 1e-14
-        lam = np.full(theta.shape, np.inf, dtype=complex)
-        lam[nonzero] = shift + 1.0 / theta[nonzero]
-        order = np.argsort(np.abs(lam - shift))
-        vals = []
-        vecs = []
-        resids = []
-        for idx in order:
-            if not np.isfinite(lam[idx]):
-                continue
-            x = (V[:j_used].T @ Y[:, idx])
-            nx = np.linalg.norm(x)
-            if nx == 0:
-                continue
-            x = x / nx
-            Ax = Aop(x.real) + 1j * Aop(x.imag)
-            Mx = Mop(x.real) + 1j * Mop(x.imag)
-            res = np.linalg.norm(Ax - lam[idx] * Mx)
-            rel = res / max(scaleA + abs(lam[idx]) * scaleM, 1e-30)
-            if rel <= tol:
-                vals.append(lam[idx])
-                vecs.append(x)
-                resids.append(rel)
-            if len(vals) >= k:
-                break
-        if len(vals) >= min(k, j_used):
-            return EigenResult(np.array(vals), np.array(vecs).T,
-                               np.array(resids))
-        best = EigenResult(np.array(vals), (np.array(vecs).T if vecs
-                                            else np.zeros((n, 0))),
-                           np.array(resids))
-        # restart from a perturbed combination of the current Ritz vectors
-        if vecs:
-            v0 = np.real(np.sum(vecs, axis=0)) + 0.1 * rng.standard_normal(n)
-        else:
-            v0 = rng.standard_normal(n)
-        ncv = min(n, ncv + ncv // 2)
-    if best is None or best.values.size == 0:
-        raise RuntimeError("Arnoldi failed to converge any eigenpair "
-                           f"after {maxrestart} restarts")
-    return best
+        lu = LuSolver(A - shift * M)
+    # the explicit dtype spares scipy a probing matvec, an extra LU solve
+    op = spla.LinearOperator((n, n), matvec=lambda v: lu.solve(M @ v),
+                             dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    theta, X = spla.eigs(op, k=k, tol=tol, v0=v0)
+    lam = shift + 1.0 / theta
+    order = np.argsort(np.abs(lam - shift))
+    lam, X = lam[order], X[:, order]
+    X = X / np.linalg.norm(X, axis=0)
+    residuals = (np.linalg.norm(A @ X - (M @ X) * lam, axis=0)
+                 / (spla.norm(A) + np.abs(lam) * spla.norm(M)))
+    return EigenResult(lam, X, residuals)
 
 
 # -- block matrices ----------------------------------------------------------------
@@ -342,18 +244,3 @@ class BlockMatrix:
     def field_slice(self, field):
         o = self.offsets[field]
         return slice(o, o + self.sizes[field])
-
-    def group_indices(self, fields):
-        return np.concatenate([np.arange(self.offsets[f],
-                                         self.offsets[f] + self.sizes[f])
-                               for f in fields])
-
-
-def write_matrix_market(path, A):
-    scipy.io.mmwrite(path, sp.coo_matrix(A) if sp.issparse(A)
-                     else np.atleast_2d(A))
-
-
-def read_matrix_market(path):
-    out = scipy.io.mmread(path)
-    return out.tocsr() if sp.issparse(out) else np.asarray(out)

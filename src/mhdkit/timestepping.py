@@ -3,6 +3,8 @@ Crank-Nicolson and BDF2 (with a Crank-Nicolson first step), quasi-Newton
 Jacobian reuse across steps, and the island-coalescence reconnection-rate
 diagnostic via a weak curl solve."""
 
+import logging
+
 import numpy as np
 
 from .elements import FunctionSpace
@@ -12,6 +14,8 @@ from .nonlinear import NonlinearConfig, solve_nonlinear
 
 from .conservative import (MidpointState, ConservativeScheme,
                            step_conservative_uxn, step_conservative_udotn)
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "TimeConfig", "step_multistep", "run_transient", "ReconnectionProbe",
@@ -148,8 +152,7 @@ class FrozenJacobianFactory:
 
 
 def run_transient(model, state0, tconfig, nl_config=None,
-                  solver_factory=None, observers=None, linearisation="newton",
-                  verbose=False):
+                  solver_factory=None, observers=None, linearisation="newton"):
     """Advance to T; returns (final state vector, rows) with one observer row
     per accepted step.  BDF2 runs its first step with Crank-Nicolson."""
     nl_config = nl_config or NonlinearConfig()
@@ -192,9 +195,7 @@ def run_transient(model, state0, tconfig, nl_config=None,
         if len(history) > 2:
             history.pop(0)
         observe(t, vec, rep)
-        if verbose:
-            print(f"  t={t:.3f} newton={rep.steps} lin={rep.avg_linear:.1f}",
-                  flush=True)
+        log.info("t=%.3f newton=%d lin=%.1f", t, rep.steps, rep.avg_linear)
     return history[-1], rows
 
 

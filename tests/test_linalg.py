@@ -5,18 +5,17 @@ import scipy.sparse as sp
 
 from mhdkit.linalg import (LuSolver, SingularMatrixError, fgmres,
                            fixed_iteration_solver, shift_invert_arnoldi,
-                           BlockMatrix,
-                           write_matrix_market, read_matrix_market)
+                           BlockMatrix)
 
 
 def test_lu_identity():
     b = np.arange(5.0)
-    assert np.allclose(LuSolver(np.eye(5)).solve(b), b)
+    assert np.allclose(LuSolver(sp.csr_matrix(np.eye(5))).solve(b), b)
 
 
 def test_lu_pivoting():
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
-    x = LuSolver(A).solve(np.array([2.0, 3.0]))
+    x = LuSolver(sp.csr_matrix(A)).solve(np.array([2.0, 3.0]))
     assert np.allclose(x, [3.0, 2.0])
 
 
@@ -25,7 +24,7 @@ def test_lu_spd_residual():
     B = rng.standard_normal((50, 50))
     A = B @ B.T + 50 * np.eye(50)
     b = rng.standard_normal(50)
-    x = LuSolver(A).solve(b)
+    x = LuSolver(sp.csr_matrix(A)).solve(b)
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-12
 
 
@@ -42,7 +41,7 @@ def test_lu_sparse_roundtrip_many():
 
 def test_lu_singular():
     with pytest.raises(SingularMatrixError):
-        LuSolver(np.zeros((3, 3)))
+        LuSolver(sp.csr_matrix(np.zeros((3, 3))))
 
 
 def test_fgmres_identity_one_iteration():
@@ -286,8 +285,9 @@ def test_arnoldi_diagonal():
 
 
 def test_arnoldi_generalized_degenerate():
-    A = sp.diags([2.0, 4.0]).tocsr()
-    M = sp.diags([1.0, 2.0]).tocsr()
+    # every eigenvalue is 2; ARPACK needs k < n - 1
+    A = sp.diags([2.0, 4.0, 6.0, 8.0]).tocsr()
+    M = sp.diags([1.0, 2.0, 3.0, 4.0]).tocsr()
     res = shift_invert_arnoldi(A, M, shift=0.0, k=2)
     assert np.allclose(sorted(res.values.real), [2.0, 2.0], atol=1e-9)
 
@@ -321,12 +321,3 @@ def test_block_matrix_assembly():
     assert A.shape == (5, 5)
     assert np.allclose(A.toarray()[:3, 3:], 1.0)
     assert np.allclose(A.toarray()[3:, 3:], 0.0)
-    assert list(bm.group_indices(["p"])) == [3, 4]
-
-
-def test_matrix_market_roundtrip(tmp_path):
-    A = sp.random(10, 10, density=0.3, random_state=1).tocsr()
-    p = tmp_path / "a.mtx"
-    write_matrix_market(p, A)
-    B = read_matrix_market(p)
-    assert np.abs((A - B)).max() < 1e-15

@@ -85,6 +85,19 @@ def test_hall_island_newton_counts_and_factorisations(monkeypatch):
     assert factorised.count(n) == 2
 
 
+def test_run_transient_logs_one_record_per_accepted_step(caplog):
+    spec = make_problem("hall_island", levels=0, mesh_base=(4, 4))
+    with caplog.at_level("INFO", logger="mhdkit.timestepping"):
+        _, rows = run_transient(spec.model, island_initial_state(spec),
+                                TimeConfig(dt=0.05, T=0.1), NonlinearConfig(),
+                                FrozenJacobianFactory())
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "mhdkit.timestepping"]
+    assert len(messages) == len(rows) - 1 == 2
+    assert messages[0].startswith("t=0.050 newton=")
+    assert messages[1].startswith("t=0.100 newton=")
+
+
 def test_crank_nicolson_step_converges_quadratically():
     spec = make_problem("hall_island", levels=0, mesh_base=(4, 4))
     model = spec.model
