@@ -135,21 +135,6 @@ def critical_parameter(model, which="Ra_c", count=2):
     return pos[:count], modes, free
 
 
-def seeded_guesses(model, base_vec, modes, free, amplitudes=(1.0,)):
-    """Conduction state plus normalised unstable eigenmodes."""
-    W = model.deflation_gram()
-    out = []
-    for mode in modes:
-        full = np.zeros(model.state_template.total)
-        full[free] = np.real(mode)
-        nrm = np.sqrt(full @ (W @ full))
-        if nrm == 0:
-            continue
-        for a in amplitudes:
-            out.append(base_vec + a * full / nrm)
-    return out
-
-
 def deflated_continuation(model, sweep, seeds, nl_config=None,
                           solver_factory=None, compute_stability=False,
                           eig_k=6, deflation_shift=1.0,

@@ -370,8 +370,7 @@ def cmd_sweep(args):
 def cmd_bifurcate(args):
     _apply_config_file(args)
     from .bifurcation import (SweepConfig, conduction_state_vector,
-                              critical_parameter, stability_eigs,
-                              seeded_guesses, deflated_continuation,
+                              critical_parameter, deflated_continuation,
                               BranchRecord)
     nl_config = _nonlinear_config(args)
     params = _collect_params(args)

@@ -1,17 +1,15 @@
 """Reference solutions and the forcing terms that make each one an exact
 solution of the discretised system's strong form.
 
-The Hartmann channel flow and the manufactured smooth fields are derived
-symbolically (sympy) at run time, from `standard_mhd_forcing`, because there
-the derivation is the check.  The island-coalescence equilibrium (the
-Fadeev cat's eye, `CatsEye`, shared with the Hall island of
-`problems._hall_island_equilibrium`) and the Boussinesq conduction state are
-closed forms evaluated with numpy; they need no sympy."""
+Every reference is a closed form evaluated with numpy: the Hartmann channel
+flow and the manufactured smooth fields, whose forcing
+`standard_mhd_forcing` builds from pointwise values and derivatives; the
+island-coalescence equilibrium (the Fadeev cat's eye, `CatsEye`, shared with
+the Hall island of `problems._hall_island_equilibrium`); and the Boussinesq
+conduction state.  `tests/test_analytic.py` derives each one symbolically and
+checks the closed forms against those derivations."""
 
 import numpy as np
-import sympy as sym
-
-X, Y = sym.symbols("x y", real=True)
 
 
 class AnalyticSolution:
@@ -28,131 +26,98 @@ class AnalyticSolution:
         self.guard = guard
 
 
-def _lamb(expr):
-    # docstring_limit=0 skips printing expr into the generated docstring
-    fn = sym.lambdify((X, Y), expr, modules="numpy", docstring_limit=0)
+def standard_mhd_forcing(v, Re, Rem, S):
+    """Momentum, Ohm and Faraday right-hand sides (f, g_E, g_B) of the
+    augmented B-E system for smooth fields with div u = div B = 0, from the
+    pointwise values and derivatives in the mapping v:
 
-    def wrapped(x, y):
-        out = fn(x, y)
-        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(x))
-    return wrapped
+    u, B            (..., 2)
+    E, curl_B       (...), curl_B = d_x B_2 - d_y B_1
+    grad_u          (..., 2, 2), grad_u[..., i, j] = d_j u_i
+    lap_u, grad_p   (..., 2)
+    vcurl_E         (..., 2), (d_y E, -d_x E)
 
-
-def _lamb_vec(e1, e2):
-    f1, f2 = _lamb(e1), _lamb(e2)
-
-    def wrapped(x, y):
-        return np.stack([f1(x, y), f2(x, y)], axis=-1)
-    return wrapped
-
-
-# fixed sample points inside (-1/2, 1/2)^2, which every reference's domain
-# contains; none lies on a symmetry line where a divergence could vanish by
-# accident
-_SAMPLES = tuple(np.meshgrid(np.linspace(-0.45, 0.45, 8),
-                             np.linspace(-0.4, 0.4, 8)))
+    With div u = 0 the viscous term -2/Re div eps(u) is -lap_u / Re and the
+    augmentation vanishes; with div B = 0 so does g_B's grad div B term."""
+    u, B = v["u"], v["B"]
+    w = v["E"] + u[..., 0] * B[..., 1] - u[..., 1] * B[..., 0]  # E + u x B
+    lorentz = np.stack([B[..., 1] * w, -B[..., 0] * w], axis=-1)  # B x w
+    adv = np.einsum("...ij,...j->...i", v["grad_u"], u)
+    f = -v["lap_u"] / Re + adv + v["grad_p"] + S * lorentz
+    return f, w - v["curl_B"] / Rem, v["vcurl_E"]
 
 
-def _check_divfree(v, what):
-    """Raise ValueError unless the vector field v (sympy expressions) is
-    divergence-free to round-off at the sample points."""
-    dx = _lamb(sym.diff(v[0], X))(*_SAMPLES)
-    dy = _lamb(sym.diff(v[1], Y))(*_SAMPLES)
-    scale = np.abs(dx).max() + np.abs(dy).max()
-    if not np.all(np.abs(dx + dy) <= 1e-10 * scale):
-        raise ValueError(f"{what} must be divergence-free")
+def _standard_solution(at, Re, Rem, S, **kw):
+    """AnalyticSolution read from at(x, y): the mapping that
+    `standard_mhd_forcing` takes, plus the pressure p."""
+    def field(name):
+        return lambda x, y: at(x, y)[name]
+
+    def force(i):
+        return lambda x, y: standard_mhd_forcing(at(x, y), Re, Rem, S)[i]
+
+    return AnalyticSolution({n: field(n) for n in ("u", "p", "E", "B")},
+                            {n: force(i) for i, n in
+                             enumerate(("f", "g_E", "g_B"))}, **kw)
 
 
-def _grad(e):
-    return (sym.diff(e, X), sym.diff(e, Y))
-
-
-def _div(v):
-    return sym.diff(v[0], X) + sym.diff(v[1], Y)
-
-
-def _curl2(v):
-    return sym.diff(v[1], X) - sym.diff(v[0], Y)
-
-
-def _vcurl(e):
-    return (sym.diff(e, Y), -sym.diff(e, X))
-
-
-def _cross_uv(u, b):
-    # scalar u x B in 2D
-    return u[0] * b[1] - u[1] * b[0]
-
-
-def _cross_bs(b, s):
-    # vector B x s for scalar s
-    return (b[1] * s, -b[0] * s)
-
-
-def standard_mhd_forcing(u, p, E, B, Re, Rem, S):
-    """Momentum, Ohm and Faraday right-hand sides of the augmented B-E system
-    for given smooth fields (sympy expressions); u must be divergence-free."""
-    _check_divfree(u, "manufactured velocity")
-    gu = [[sym.diff(u[i], c) for c in (X, Y)] for i in range(2)]
-    eps = [[sym.Rational(1, 2) * (gu[i][j] + gu[j][i]) for j in range(2)]
-           for i in range(2)]
-    div_eps = (sym.diff(eps[0][0], X) + sym.diff(eps[0][1], Y),
-               sym.diff(eps[1][0], X) + sym.diff(eps[1][1], Y))
-    adv = (u[0] * gu[0][0] + u[1] * gu[0][1],
-           u[0] * gu[1][0] + u[1] * gu[1][1])
-    gp = _grad(p)
-    w = E + _cross_uv(u, B)
-    lorentz = _cross_bs(B, w)
-    f = tuple(-2 / Re * div_eps[i] + adv[i] + gp[i] + S * lorentz[i]
-              for i in range(2))
-    g_E = E + _cross_uv(u, B) - _curl2(B) / Rem
-    gd = _grad(_div(B))
-    vc = _vcurl(E)
-    g_B = tuple(-gd[i] / Rem + vc[i] for i in range(2))
-    return f, g_E, g_B
+def _points(x, y):
+    return np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
 
 
 def hartmann_solution(Re, Rem, S):
-    """Hartmann channel profile on (-1/2, 1/2)^2 with transverse field
-    (0, 1); the exponential large-Ha branch is selected for Ha >= 100 to
-    avoid overflow of cosh/sinh; forcing terms make the profile an exact
-    solution at every parameter value."""
+    """Hartmann channel profile u = (u1(y), 0), B = (B1(y), 1) on
+    (-1/2, 1/2)^2, Ha = sqrt(S Re Rem); forcing terms make the profile an
+    exact solution at every parameter value.
+
+    u1 = a (1 - c(y)) and B1 = G/2 (s(y) - 2y), where c'' = Ha^2 c and
+    s'' = Ha^2 s.  Below Ha = 100, c = cosh(Ha y) / cosh(Ha/2) and
+    s = sinh(Ha y) / sinh(Ha/2).  From Ha = 100 on, where cosh/sinh would
+    overflow, the large-Ha branch takes c, s = e_+ +- e_- with
+    e_+- = exp(Ha (+-y - 1/2)), whose exponents are never positive on the
+    domain; u(+-1/2) = 0 and B1(+-1/2) = 0 hold to exp(-Ha)."""
     Ha = float(np.sqrt(S * Re * Rem))
-    if Ha < 100.0:
-        G = 2 * Ha * np.sinh(Ha / 2) / (Re * (np.cosh(Ha / 2) - 1.0))
-        u1 = (G * Re / (2 * Ha * sym.tanh(sym.Float(Ha) / 2))
-              * (1 - sym.cosh(Y * Ha) / sym.cosh(sym.Float(Ha) / 2)))
-        B1 = (G / 2) * (sym.sinh(Y * Ha) / sym.sinh(sym.Float(Ha) / 2)
-                        - 2 * Y)
-    else:
-        # large-Ha asymptotics of the cosh/sinh profile (signs fixed so the
-        # no-slip values u(+-1/2) = 0 and B(+-1/2) = 0 survive the limit)
+    large = Ha >= 100.0
+    if large:
         G = 2 * Ha / Re
-        u1 = (G * Re / (2 * Ha)) * (1 - sym.exp(Ha * (-Y - sym.Rational(1, 2)))
-                                    - sym.exp(Ha * (Y - sym.Rational(1, 2))))
-        B1 = (G / 2) * (sym.exp(Ha * (Y - sym.Rational(1, 2)))
-                        - sym.exp(Ha * (-Y - sym.Rational(1, 2))) - 2 * Y)
-    u = (u1, sym.Integer(0))
-    B = (B1, sym.Integer(1))
-    p = -G * X - B1 ** 2 / 2
-    E = _curl2(B) / Rem - _cross_uv(u, B)
-    f, g_E, g_B = standard_mhd_forcing(u, p, E, B, Re, Rem, S)
-    fields = {
-        "u": _lamb_vec(*u),
-        "p": _lamb(p),
-        "E": _lamb(E),
-        "B": _lamb_vec(*B),
-    }
-    forcing = {
-        "f": _lamb_vec(*f),
-        "g_E": _lamb(g_E),
-        "g_B": _lamb_vec(*g_B),
-    }
-    sol = AnalyticSolution(fields, forcing,
-                           params={"Re": Re, "Rem": Rem, "S": S, "Ha": Ha,
-                                   "G": float(G)},
-                           guard="large-Ha branch" if Ha >= 100 else None)
-    return sol
+        a = G * Re / (2 * Ha)
+    else:
+        G = 2 * Ha * np.sinh(Ha / 2) / (Re * (np.cosh(Ha / 2) - 1.0))
+        a = G * Re / (2 * Ha * np.tanh(Ha / 2))
+    b = G / 2
+
+    def at(x, y):
+        x, y = _points(x, y)
+        if large:
+            ep, em = np.exp(Ha * (y - 0.5)), np.exp(Ha * (-y - 0.5))
+            c, s = ep + em, ep - em
+            dc, ds = Ha * s, Ha * c
+        else:
+            ch, sh = np.cosh(Ha * y), np.sinh(Ha * y)
+            c, s = ch / np.cosh(Ha / 2), sh / np.sinh(Ha / 2)
+            dc, ds = Ha * sh / np.cosh(Ha / 2), Ha * ch / np.sinh(Ha / 2)
+        u1, du1 = a * (1 - c), -a * dc
+        B1, dB1 = b * (s - 2 * y), b * (ds - 2)
+        zero, one = np.zeros_like(y), np.ones_like(y)
+        return {
+            "u": np.stack([u1, zero], axis=-1),
+            "p": -G * x - B1 ** 2 / 2,
+            "E": -dB1 / Rem - u1,  # curl B / Rem - u x B
+            "B": np.stack([B1, one], axis=-1),
+            "grad_u": np.stack([np.stack([zero, du1], axis=-1),
+                                np.stack([zero, zero], axis=-1)], axis=-2),
+            "lap_u": np.stack([-a * Ha ** 2 * c, zero], axis=-1),
+            "grad_p": np.stack([-G * one, -B1 * dB1], axis=-1),
+            "vcurl_E": np.stack([-b * Ha ** 2 * s / Rem - du1, zero],
+                                axis=-1),
+            "curl_B": -dB1,
+        }
+
+    return _standard_solution(at, Re, Rem, S,
+                              params={"Re": Re, "Rem": Rem, "S": S, "Ha": Ha,
+                                      "G": float(G)},
+                              guard="large-Ha branch" if large else None)
 
 
 class CatsEye:
@@ -226,21 +191,35 @@ def island_equilibrium(Rem, S, k=0.2, eps=0.01):
                             params={"Rem": Rem, "S": S, "k": k, "eps": eps})
 
 
-def mms_solution(Re, Rem, S, gamma=0.0):
-    """Smooth manufactured solution on (-1/2, 1/2)^2 for convergence tests."""
-    psi = sym.sin(sym.pi * X) * sym.sin(sym.pi * Y) / sym.pi
-    u = _vcurl(psi)
-    p = sym.sin(sym.pi * X) * sym.cos(2 * sym.pi * Y)
-    phi = sym.cos(sym.pi * X) * sym.cos(sym.pi * Y) / sym.pi
-    B = tuple(b + c for b, c in zip(_vcurl(phi), (sym.Integer(0),
-                                                  sym.Integer(1))))
-    E = sym.sin(2 * sym.pi * X) * sym.sin(sym.pi * Y)
-    f, g_E, g_B = standard_mhd_forcing(u, p, E, B, Re, Rem, S)
-    fields = {"u": _lamb_vec(*u), "p": _lamb(p), "E": _lamb(E),
-              "B": _lamb_vec(*B)}
-    forcing = {"f": _lamb_vec(*f), "g_E": _lamb(g_E), "g_B": _lamb_vec(*g_B)}
-    return AnalyticSolution(fields, forcing,
-                            params={"Re": Re, "Rem": Rem, "S": S})
+def mms_solution(Re, Rem, S):
+    """Smooth manufactured solution on (-1/2, 1/2)^2 for convergence tests:
+    u = vcurl(sin(pi x) sin(pi y) / pi), p = sin(pi x) cos(2 pi y),
+    E = sin(2 pi x) sin(pi y), B = vcurl(cos(pi x) cos(pi y) / pi) + (0, 1)."""
+    pi = np.pi
+
+    def at(x, y):
+        x, y = _points(x, y)
+        sx, cx = np.sin(pi * x), np.cos(pi * x)
+        sy, cy = np.sin(pi * y), np.cos(pi * y)
+        s2x, s2y = np.sin(2 * pi * x), np.sin(2 * pi * y)
+        c2x, c2y = np.cos(2 * pi * x), np.cos(2 * pi * y)
+        u = np.stack([sx * cy, -cx * sy], axis=-1)
+        return {
+            "u": u,
+            "p": sx * c2y,
+            "E": s2x * sy,
+            "B": np.stack([-cx * sy, sx * cy + 1], axis=-1),
+            "grad_u": pi * np.stack([np.stack([cx * cy, -sx * sy], axis=-1),
+                                     np.stack([sx * sy, -cx * cy], axis=-1)],
+                                    axis=-2),
+            "lap_u": -2 * pi ** 2 * u,
+            "grad_p": pi * np.stack([cx * c2y, -2 * sx * s2y], axis=-1),
+            "vcurl_E": pi * np.stack([s2x * cy, -2 * c2x * sy], axis=-1),
+            "curl_B": 2 * pi * cx * cy,
+        }
+
+    return _standard_solution(at, Re, Rem, S,
+                              params={"Re": Re, "Rem": Rem, "S": S})
 
 
 def conduction_state(Ra, Pr):

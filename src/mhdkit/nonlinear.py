@@ -14,15 +14,13 @@ STALL_STEPS = 5
 
 class NonlinearConfig:
     def __init__(self, rtol=1e-10, atol=1e-6, max_steps=50,
-                 lin_rtol=1e-7, lin_atol=1e-7, linearisation="newton"):
-        for t in (rtol, atol, lin_rtol, lin_atol):
+                 linearisation="newton"):
+        for t in (rtol, atol):
             if t <= 0:
                 raise ValueError("tolerances must be positive")
         self.rtol = rtol
         self.atol = atol
         self.max_steps = max_steps
-        self.lin_rtol = lin_rtol
-        self.lin_atol = lin_atol
         self.linearisation = linearisation
 
 

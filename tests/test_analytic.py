@@ -1,70 +1,122 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy as sym
 
+import mhdkit
 from mhdkit import problems
-from mhdkit.bifurcation import conduction_state_vector
 from mhdkit.models import analytic
-from mhdkit.models.analytic import X, hartmann_solution, standard_mhd_forcing
 from mhdkit.models.base import ModelParams
+from mhdkit.nonlinear import NonlinearConfig
+
+# -- the symbolic derivations: the references the closed forms are checked
+# against, in the strong form of the augmented B-E system ---------------------
+
+X, Y = sym.symbols("x y", real=True)
 
 
-def test_forcing_rejects_velocity_that_is_not_divergence_free():
-    zero, one = sym.Integer(0), sym.Integer(1)
-    with pytest.raises(ValueError, match="velocity must be divergence-free"):
-        standard_mhd_forcing((X, zero), zero, zero, (zero, one),
-                             Re=1, Rem=1, S=1)
+def _grad(e):
+    return (sym.diff(e, X), sym.diff(e, Y))
 
 
-def test_hartmann_matches_simplified_expressions(monkeypatch):
-    # the references are lambdified without sym.simplify; the simplified
-    # expressions, built here only, take the same values at 64 points
-    x, y = np.meshgrid(np.linspace(-0.49, 0.49, 8),
-                       np.linspace(-0.47, 0.47, 8))
-    plain = hartmann_solution(1, 1, 1)
-    lamb = analytic._lamb
-    monkeypatch.setattr(analytic, "_lamb",
-                        lambda expr: lamb(sym.simplify(expr)))
-    simplified = hartmann_solution(1, 1, 1)
-    for kind in ("fields", "forcing"):
-        ref_fns = getattr(simplified, kind)
-        for name, fn in getattr(plain, kind).items():
-            ref = ref_fns[name](x, y)
-            # g_E vanishes for the exact Hartmann profile
-            scale = max(np.abs(ref).max(), 1.0)
-            assert np.abs(fn(x, y) - ref).max() <= 1e-12 * scale, name
+def _div(v):
+    return sym.diff(v[0], X) + sym.diff(v[1], Y)
 
 
-def test_lamb_without_docstring_is_bitwise_the_default(monkeypatch):
-    # _lamb skips the docstring render of each expression; the values stay
-    # those of a default lambdify build
-    x, y = analytic._SAMPLES
-    lean = hartmann_solution(2.0, 3.0, 5.0)
-
-    def default_lamb(expr):
-        fn = sym.lambdify((X, analytic.Y), expr, modules="numpy")
-        return lambda x, y: np.broadcast_to(
-            np.asarray(fn(x, y), dtype=float), np.shape(x))
-
-    monkeypatch.setattr(analytic, "_lamb", default_lamb)
-    default = hartmann_solution(2.0, 3.0, 5.0)
-    for kind in ("fields", "forcing"):
-        ref_fns = getattr(default, kind)
-        for name, fn in getattr(lean, kind).items():
-            assert np.array_equal(fn(x, y), ref_fns[name](x, y)), name
+def _curl2(v):
+    return sym.diff(v[1], X) - sym.diff(v[0], Y)
 
 
-# -- closed-form references against their symbolic derivations ---------------
+def _vcurl(e):
+    return (sym.diff(e, Y), -sym.diff(e, X))
 
-# 9 x 8 points inside the island domain (-1, 1)^2
+
+def _cross_uv(u, b):
+    # scalar u x B in 2D
+    return u[0] * b[1] - u[1] * b[0]
+
+
+def _cross_bs(b, s):
+    # vector B x s for scalar s
+    return (b[1] * s, -b[0] * s)
+
+
+def _sym_forcing(u, p, E, B, Re, Rem, S):
+    """Momentum, Ohm and Faraday right-hand sides for smooth fields given as
+    sympy expressions, with the full viscous term -2/Re div eps(u) and the
+    grad div B term; the augmentation term drops out only for div u = 0."""
+    assert _div(u) == 0
+    gu = [[sym.diff(u[i], c) for c in (X, Y)] for i in range(2)]
+    eps = [[sym.Rational(1, 2) * (gu[i][j] + gu[j][i]) for j in range(2)]
+           for i in range(2)]
+    div_eps = (sym.diff(eps[0][0], X) + sym.diff(eps[0][1], Y),
+               sym.diff(eps[1][0], X) + sym.diff(eps[1][1], Y))
+    adv = (u[0] * gu[0][0] + u[1] * gu[0][1],
+           u[0] * gu[1][0] + u[1] * gu[1][1])
+    gp = _grad(p)
+    w = E + _cross_uv(u, B)
+    lorentz = _cross_bs(B, w)
+    f = tuple(-2 / Re * div_eps[i] + adv[i] + gp[i] + S * lorentz[i]
+              for i in range(2))
+    g_E = E + _cross_uv(u, B) - _curl2(B) / Rem
+    gd = _grad(_div(B))
+    vc = _vcurl(E)
+    g_B = tuple(-gd[i] / Rem + vc[i] for i in range(2))
+    return f, g_E, g_B
+
+
+def _sym_standard(u, p, E, B, Re, Rem, S):
+    f, g_E, g_B = _sym_forcing(u, p, E, B, Re, Rem, S)
+    return {"u": u, "p": (p,), "E": (E,), "B": B, "f": f, "g_E": (g_E,),
+            "g_B": g_B}
+
+
+def _sym_hartmann(Re, Rem, S):
+    """The Hartmann profile as the sympy expressions the library derived at
+    run time before the closed forms."""
+    Ha = float(np.sqrt(S * Re * Rem))
+    if Ha < 100.0:
+        G = 2 * Ha * np.sinh(Ha / 2) / (Re * (np.cosh(Ha / 2) - 1.0))
+        u1 = (G * Re / (2 * Ha * sym.tanh(sym.Float(Ha) / 2))
+              * (1 - sym.cosh(Y * Ha) / sym.cosh(sym.Float(Ha) / 2)))
+        B1 = (G / 2) * (sym.sinh(Y * Ha) / sym.sinh(sym.Float(Ha) / 2)
+                        - 2 * Y)
+    else:
+        G = 2 * Ha / Re
+        half = sym.Rational(1, 2)
+        u1 = (G * Re / (2 * Ha)) * (1 - sym.exp(Ha * (-Y - half))
+                                    - sym.exp(Ha * (Y - half)))
+        B1 = (G / 2) * (sym.exp(Ha * (Y - half)) - sym.exp(Ha * (-Y - half))
+                        - 2 * Y)
+    u = (u1, sym.Integer(0))
+    B = (B1, sym.Integer(1))
+    E = _curl2(B) / Rem - _cross_uv(u, B)
+    return _sym_standard(u, -G * X - B1 ** 2 / 2, E, B, Re, Rem, S)
+
+
+def _sym_mms(Re, Rem, S):
+    psi = sym.sin(sym.pi * X) * sym.sin(sym.pi * Y) / sym.pi
+    phi = sym.cos(sym.pi * X) * sym.cos(sym.pi * Y) / sym.pi
+    B = tuple(b + c for b, c in zip(_vcurl(phi), (0, 1)))
+    return _sym_standard(_vcurl(psi), sym.sin(sym.pi * X)
+                         * sym.cos(2 * sym.pi * Y),
+                         sym.sin(2 * sym.pi * X) * sym.sin(sym.pi * Y), B,
+                         Re, Rem, S)
+
+
+# 9 x 8 points inside the island domain (-1, 1)^2, and their halves inside
+# the Hartmann and MMS domain (-1/2, 1/2)^2
 _ISLAND_POINTS = tuple(np.meshgrid(np.linspace(-0.97, 0.97, 9),
                                    np.linspace(-0.95, 0.95, 8)))
+_HALF_POINTS = tuple(c / 2 for c in _ISLAND_POINTS)
 
 
 def _sym_cats_eye(k=0.2, eps=0.01):
     """The cat's-eye equilibrium and its perturbation as sympy expressions,
     as they were derived at run time before the closed forms."""
-    Y = analytic.Y
     D = sym.cosh(2 * sym.pi * Y) + k * sym.cos(2 * sym.pi * X)
     B = (sym.sinh(2 * sym.pi * Y) / D, k * sym.sin(2 * sym.pi * X) / D)
     p = (1 - k ** 2) / 2 * (1 + 1 / D ** 2)
@@ -74,7 +126,7 @@ def _sym_cats_eye(k=0.2, eps=0.01):
 
 
 def _lambdified(exprs):
-    fns = [sym.lambdify((X, analytic.Y), e, modules="numpy") for e in exprs]
+    fns = [sym.lambdify((X, Y), e, modules="numpy") for e in exprs]
 
     def at(x, y):
         vals = [np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
@@ -83,11 +135,11 @@ def _lambdified(exprs):
     return at
 
 
-def _assert_matches(closed, ref, scale_of):
+def _assert_matches(closed, ref, scale_of, points=_ISLAND_POINTS):
     """Each closed form equals its symbolic reference to 1e-12 relative to
     the reference's size, or, for a quantity that vanishes in exact
     arithmetic, to the size of the field it is derived from."""
-    x, y = _ISLAND_POINTS
+    x, y = points
     assert closed.keys() == ref.keys()
     values = {name: _lambdified(ref[name])(x, y) for name in ref}
     for name, fn in closed.items():
@@ -98,15 +150,31 @@ def _assert_matches(closed, ref, scale_of):
         assert np.abs(got - want).max() <= 1e-12 * scale, name
 
 
+# Ha = 1 and 50 take the cosh/sinh branch, Ha = 150 and 1000 the large-Ha one
+@pytest.mark.parametrize("Re, Rem, S", [(1.0, 0.5, 2.0), (2.0, 5.0, 250.0),
+                                        (3.0, 7.5, 1000.0),
+                                        (10.0, 100.0, 1000.0)])
+def test_hartmann_closed_forms_match_sympy(Re, Rem, S):
+    sol = analytic.hartmann_solution(Re, Rem, S)
+    ref = _sym_hartmann(Re, Rem, S)
+    # g_E vanishes: E balances curl B / Rem - u x B
+    _assert_matches({**sol.fields, **sol.forcing}, ref, {"g_E": "E"},
+                    _HALF_POINTS)
+
+
+def test_mms_closed_forms_match_sympy():
+    sol = analytic.mms_solution(2.0, 3.0, 5.0)
+    _assert_matches({**sol.fields, **sol.forcing}, _sym_mms(2.0, 3.0, 5.0),
+                    {}, _HALF_POINTS)
+
+
 @pytest.mark.parametrize("Rem, S", [(1000.0, 1000.0), (100.0, 10.0)])
 def test_island_closed_forms_match_sympy(Rem, S):
     B, p, dB = _sym_cats_eye()
     zero = sym.Integer(0)
-    E = analytic._curl2(B) / Rem
-    f, g_E, g_B = standard_mhd_forcing((zero, zero), p, E, B, Re=1, Rem=Rem,
-                                       S=S)
-    ref = {"u": (zero, zero), "p": (p,), "E": (E,), "B": B, "dB": dB,
-           "f": f, "g_E": (g_E,), "g_B": g_B}
+    ref = _sym_standard((zero, zero), p, _curl2(B) / Rem, B, Re=1, Rem=Rem,
+                        S=S)
+    ref["dB"] = dB
     eq = analytic.island_equilibrium(Rem, S)
     # f vanishes at S = Rem and g_E always: both balance grad p and E
     _assert_matches({**eq.fields, **eq.forcing}, ref,
@@ -116,12 +184,11 @@ def test_island_closed_forms_match_sympy(Rem, S):
 @pytest.mark.parametrize("Rem, R_H", [(500.0, 0.1), (10.0, 1.0)])
 def test_hall_island_closed_forms_match_sympy(Rem, R_H):
     B, p, dB = _sym_cats_eye()
-    j3 = analytic._curl2(B)
+    j3 = _curl2(B)
     E3 = j3 / Rem
     Et = (-R_H * j3 * B[1], R_H * j3 * B[0])
-    gB_3 = sym.diff(Et[1], X) - sym.diff(Et[0], analytic.Y)
     ref = {"Bt": B, "p": (p,), "j3": (j3,), "E3": (E3,), "Et": Et,
-           "gB_t": analytic._vcurl(E3), "gB_3": (gB_3,), "dB": dB}
+           "gB_t": _vcurl(E3), "gB_3": (_curl2(Et),), "dB": dB}
     eq = problems._hall_island_equilibrium(
         ModelParams(Re=Rem, Rem=Rem, S=1.0, R_H=R_H))
     # gB_3 = curl Et vanishes: Bt is tangent to the level lines of j3
@@ -129,7 +196,6 @@ def test_hall_island_closed_forms_match_sympy(Rem, R_H):
 
 
 def test_conduction_state_matches_sympy():
-    Y = analytic.Y
     zero = sym.Integer(0)
     x, y = _ISLAND_POINTS
     x, y = (x + 1) / 2, (y + 1) / 2  # the unit square
@@ -144,15 +210,20 @@ def test_conduction_state_matches_sympy():
             np.abs(want).max(), 1.0), name
 
 
-def test_closed_form_references_need_no_lambdify(monkeypatch):
-    def refuse(expr):
-        raise AssertionError("lambdify called")
+def test_importing_the_cli_loads_no_sympy():
+    src = str(Path(mhdkit.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import mhdkit.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('sympy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
-    monkeypatch.setattr(analytic, "_lamb", refuse)
-    small = dict(levels=0, mesh_base=(4, 4))
-    problems.make_problem("hall_island", **small)
-    problems.make_problem("island_coalescence", **small)
-    spec = problems.make_problem("rayleigh_benard", **small)
-    conduction_state_vector(spec.model)
-    with pytest.raises(AssertionError, match="lambdify called"):
-        problems.make_problem("hartmann", **small)
+
+@pytest.mark.parametrize("call", [
+    lambda: NonlinearConfig(lin_rtol=1e-7),
+    lambda: NonlinearConfig(lin_atol=1e-7),
+    lambda: analytic.mms_solution(1.0, 1.0, 1.0, gamma=1.0),
+], ids=["lin_rtol", "lin_atol", "mms_gamma"])
+def test_inputs_nothing_reads_are_gone(call):
+    with pytest.raises(TypeError):
+        call()

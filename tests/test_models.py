@@ -7,6 +7,7 @@ from mhdkit.models.base import ModelParams
 from mhdkit.models.standard import StandardMHD
 from mhdkit.models.boussinesq import BoussinesqMHD
 from mhdkit.models.hall import HallMHD, compatible_hall_bcs
+from mhdkit import problems
 from mhdkit.models import analytic
 from mhdkit.nonlinear import NonlinearConfig, solve_nonlinear
 
@@ -120,6 +121,26 @@ def test_hartmann_large_ha_branch():
     assert sol.guard == "large-Ha branch"
     u = sol.fields["u"](np.array([0.0, 0.0]), np.array([-0.5, 0.5]))
     assert np.abs(u[:, 0]).max() < 1e-10
+
+
+# Ha = sqrt(S Re Rem) = 15811, 1449 and 1e6: past Ha = 1420, exp(Ha/2)
+# overflows, so no branch may form it
+@pytest.mark.parametrize("Re, Rem, S", [(500.0, 500.0, 1000.0),
+                                        (1.0, 1.0, 2.1e6),
+                                        (1e4, 1e4, 1e4)])
+def test_hartmann_is_finite_at_large_ha(Re, Rem, S):
+    sol = analytic.hartmann_solution(Re, Rem, S)
+    x, y = np.meshgrid(np.linspace(-0.5, 0.5, 9), np.linspace(-0.5, 0.5, 41))
+    for fn in (*sol.fields.values(), *sol.forcing.values()):
+        assert np.all(np.isfinite(fn(x, y)))
+    ends = (np.zeros(2), np.array([-0.5, 0.5]))
+    assert np.abs(sol.fields["u"](*ends)).max() < 1e-12
+    assert np.abs(sol.fields["B"](*ends)[:, 0]).max() < 1e-12
+    spec = problems.make_problem("hartmann", levels=0, mesh_base=(4, 4),
+                                 params={"Re": Re, "Rem": Rem, "S": S})
+    model = spec.model
+    assert np.all(np.isfinite(model.constrained_vals))
+    assert np.all(np.isfinite(model.residual(model.initial_state().vector)))
 
 
 def test_hartmann_forcing_consistency():
