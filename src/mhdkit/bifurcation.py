@@ -109,6 +109,8 @@ def critical_parameter(model, which="Ra_c", count=2):
     """Smallest positive critical values of Ra (buoyancy moved to the
     right-hand side) or S (Lorentz coupling moved to the right-hand side),
     linearised at the conduction state, plus the eigenmodes."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     st = conduction_state_vector(model)
     free = _free_indices(model)
     pr = model.params

@@ -369,6 +369,10 @@ def cmd_sweep(args):
 
 def cmd_bifurcate(args):
     _apply_config_file(args)
+    if args.count < 1:
+        print(f"error: --count must be at least 1, got {args.count}",
+              file=sys.stderr)
+        return 1
     from .bifurcation import (SweepConfig, conduction_state_vector,
                               critical_parameter, deflated_continuation,
                               BranchRecord)

@@ -20,6 +20,8 @@ scheme tabulates T[c, i, j, k] = int_c phi_i . (phi_j x phi_k) over the six
 local curl-type basis functions once (216 doubles per cell), so each cross
 product is a gather, two batched matmuls and one scatter."""
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -321,9 +323,14 @@ class UxnStepper:
         return out[:self.n_u], out[self.n_u:]
 
     def step(self, state):
-        return _damped_fixed_point(self.sc, state, self._sweep)
+        sc = self.sc
+        # the u_k terms of the momentum right-hand side, fixed within a step
+        rhs_k = (sc.M_c @ state.u) / self.dt \
+            - 0.5 * sc.inv_Re * (sc.K_cc @ state.u)
+        return _damped_fixed_point(sc, state,
+                                   functools.partial(self._sweep, rhs_k))
 
-    def _sweep(self, u_k, B_k, u_new, B_new):
+    def _sweep(self, rhs_k, u_k, B_k, u_new, B_new):
         sc = self.sc
         dt = self.dt
         u_mid = 0.5 * (u_k + u_new)
@@ -334,10 +341,7 @@ class UxnStepper:
         # E = invRem j + Q_c[(R_H j - u_mid) x H]
         w = sc.R_H * j - u_mid
         E = sc.inv_Rem * j + sc.project_curl(sc.cross_rhs(w, H))
-        rhs_u = (sc.M_c @ u_k) / dt \
-            - 0.5 * sc.inv_Re * (sc.K_cc @ u_k) \
-            + sc.cross_rhs(u_mid, omega) \
-            + sc.S * sc.cross_rhs(j, H)
+        rhs_u = rhs_k + sc.cross_rhs(u_mid, omega) + sc.S * sc.cross_rhs(j, H)
         u_next, P = self.solve_velocity(rhs_u)
         B_next = B_k - dt * (sc.CURL @ E)
         aux = {"j": j, "H": H, "omega": omega, "E": E}
@@ -390,9 +394,12 @@ class UdotnStepper:
         return out[:self.n_u], out[self.n_u:]
 
     def step(self, state):
-        return _damped_fixed_point(self.sc, state, self._sweep)
+        # the u_k term of the momentum right-hand side, fixed within a step
+        rhs_k = (self.sc.M_d @ state.u) / self.dt
+        return _damped_fixed_point(self.sc, state,
+                                   functools.partial(self._sweep, rhs_k))
 
-    def _sweep(self, u_k, B_k, u_new, B_new):
+    def _sweep(self, rhs_k, u_k, B_k, u_new, B_new):
         sc = self.sc
         dt = self.dt
         u_mid = 0.5 * (u_k + u_new)
@@ -405,7 +412,7 @@ class UdotnStepper:
         r_alpha = sc.cross_rhs(omega, U) - sc.S * sc.cross_rhs(j, H)
         alpha = sc.project_curl(r_alpha)
         E = sc.inv_Rem * j + sc.project_curl(sc.cross_rhs(sc.R_H * j - U, H))
-        rhs_u = (sc.M_d @ u_k) / dt - (sc.M_cd.T @ alpha)
+        rhs_u = rhs_k - (sc.M_cd.T @ alpha)
         u_next, p = self.solve_velocity(rhs_u)
         B_next = B_k - dt * (sc.CURL @ E)
         aux = {"j": j, "H": H, "omega": omega, "E": E, "U": U}

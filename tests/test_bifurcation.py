@@ -53,6 +53,29 @@ def test_critical_rayleigh_matches_dense_shift_invert(rb):
     assert np.allclose(vals, ref, rtol=1e-7, atol=0.0)
 
 
+def test_critical_coupling_matches_dense_shift_invert(rb, monkeypatch):
+    # above Ra_c the conduction state regains stability at a positive S; at
+    # the default Ra = 1000 every critical S is negative
+    model = rb[0]
+    monkeypatch.setattr(model.params, "Ra", 1e4)
+    state = conduction_state_vector(model).vector
+    vals, modes, free = critical_parameter(model, "S_c", count=2)
+    assert len(vals) == len(modes) == 2
+    A0, _ = model.jacobian(state, "newton", drop_lorentz=True)
+    A1, _ = model.jacobian(state.copy(), "newton")
+    M = -(A1 - A0) / model.params.S
+    lam = _dense_shift_invert(A0[free][:, free], M[free][:, free])
+    real = lam[np.abs(lam.imag) <= 1e-6 * np.maximum(np.abs(lam.real), 1.0)]
+    ref = np.sort(real.real[real.real > 0])[:2]
+    assert np.allclose(vals, ref, rtol=1e-7, atol=0.0)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_critical_parameter_rejects_count_below_one(rb, count):
+    with pytest.raises(ValueError, match="count"):
+        critical_parameter(rb[0], "Ra_c", count=count)
+
+
 def test_deflated_continuation_logs_one_record_per_branch_and_value(caplog):
     model = make_problem("rayleigh_benard", mesh_base=(4, 4)).model
     model.params.Ra = 1000.0

@@ -201,3 +201,14 @@ def test_keys_nothing_reads_are_rejected(section, key):
     from mhdkit.problems import ConfigError, parse_config
     with pytest.raises(ConfigError, match=repr(key)):
         parse_config(f"[{section}]\n{key} = 1\n")
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_critical_count_below_one_is_rejected(monkeypatch, tmp_path, capsys,
+                                              count):
+    # no empty critical.csv: the count is checked before the problem is built
+    monkeypatch.setattr(cli, "make_problem", _no_problem)
+    assert cli.main(["bifurcate", "--critical", "Ra", "--count", count,
+                     "--out-dir", str(tmp_path)]) == 1
+    assert "--count" in capsys.readouterr().err
+    assert not (tmp_path / "critical.csv").exists()

@@ -331,7 +331,7 @@ def test_jacobian_matches_per_term_assembly(name, variant, lin, mass_coeff,
     ref = old(model, x, lin, mass_coeff, steady_coeff)
     assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()
     # the factorised matrix has the reference's nonzeros
-    assert LuSolver(A)._lu.nnz == LuSolver(ref)._lu.nnz
+    assert LuSolver(A).nnz == LuSolver(ref).nnz
 
 
 @pytest.mark.parametrize("name", list(CASES))

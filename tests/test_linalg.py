@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
+from mhdkit.assembly import constrain_matrix
+from mhdkit.bifurcation import critical_parameter
 from mhdkit.linalg import (LuSolver, SingularMatrixError, fgmres,
                            fixed_iteration_solver, shift_invert_arnoldi,
                            BlockMatrix)
+from mhdkit.problems import make_problem
 
 
 def test_lu_identity():
@@ -42,6 +47,76 @@ def test_lu_sparse_roundtrip_many():
 def test_lu_singular():
     with pytest.raises(SingularMatrixError):
         LuSolver(sp.csr_matrix(np.zeros((3, 3))))
+
+
+def _lu_block_sizes(caplog, A):
+    """The LU of A and the diagonal block sizes its DEBUG record gives."""
+    with caplog.at_level("DEBUG", logger="mhdkit.linalg"):
+        lu = LuSolver(A)
+    record = caplog.records[-1]
+    assert record.name == "mhdkit.linalg" and record.args[0] == A.shape[0]
+    return lu, record.args[1]
+
+
+def test_lu_block_triangular_matches_dense_solve(caplog):
+    # three multi-dof blocks and singletons, each reading every earlier dof,
+    # symmetrically permuted so that no block is contiguous
+    rng = np.random.default_rng(4)
+    sizes = [1, 5, 1, 6, 1, 1, 4, 1]
+    n = sum(sizes)
+    A = np.tril(rng.standard_normal((n, n)))
+    start = 0
+    for m in sizes:
+        A[start:start + m, start:start + m] = (
+            rng.standard_normal((m, m)) + 2 * m * np.eye(m))
+        start += m
+    p = rng.permutation(n)
+    A = A[p][:, p]
+    lu, blocks = _lu_block_sizes(caplog, sp.csr_matrix(A))
+    assert blocks == [7, 8, 5]
+    for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        x = lu.solve(b)
+        ref = np.linalg.solve(A, b)
+        assert x.shape == b.shape
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_lu_with_decoupled_unit_rows_is_plain_splu(caplog, parts):
+    # one multi-dof component, or two that do not couple, and constrained
+    # unit rows: factorised whole, so the solution is bitwise that of splu
+    rng = np.random.default_rng(5)
+    n = 40
+    A = sp.block_diag([sp.random(n // parts, n // parts, density=0.2 * parts,
+                                 random_state=6 + k) for k in range(parts)])
+    A = (A + sp.diags(np.abs(A).sum(axis=1).A1 + 1.0)).tocsr()
+    A = constrain_matrix(A, [0, 7, 8, 39])
+    _, labels = connected_components(A, directed=True, connection="strong")
+    assert np.count_nonzero(np.bincount(labels) > 1) == parts
+    lu, blocks = _lu_block_sizes(caplog, A)
+    assert blocks == [n]
+    b = rng.standard_normal(n)
+    assert np.array_equal(lu.solve(b), spla.splu(A.tocsc()).solve(b))
+
+
+def test_lu_singular_diagonal_block_raises():
+    A = np.array([[2.0, 1.0, 0.0, 0.0],
+                  [1.0, 3.0, 0.0, 0.0],
+                  [1.0, 0.0, 1.0, 1.0],
+                  [0.0, 1.0, 1.0, 1.0]])
+    with pytest.raises(SingularMatrixError, match="diagonal block 1"):
+        LuSolver(sp.csr_matrix(A))
+
+
+def test_rayleigh_operator_factorises_as_two_blocks(caplog):
+    # no (u, p, E, B) row reads theta once buoyancy is on the right-hand
+    # side, so the Ra_c operator splits into those dofs and theta's
+    model = make_problem("rayleigh_benard", mesh_base=(4, 4)).model
+    with caplog.at_level("DEBUG", logger="mhdkit.linalg"):
+        critical_parameter(model, "Ra_c", count=1)
+    blocks = [r.args[1] for r in caplog.records
+              if r.name == "mhdkit.linalg" and r.args[0] == 1191]
+    assert blocks == [[1064, 127]]
 
 
 def test_fgmres_identity_one_iteration():
