@@ -81,15 +81,19 @@ def _free_indices(model):
                         model.constrained_idx)
 
 
+def _free_block(A, free):
+    """The rows and columns `free` of A, as CSR."""
+    return A[free][:, free].tocsr()
+
+
 def stability_eigs(model, state_vec, k=6):
     """Leading eigenvalues of the linearised time evolution -J x = lambda M x
     with the singular mass (u, theta, B rows only): the k pairs nearest 0 by
     shift-invert Arnoldi, sorted by decreasing real part."""
-    A, _ = model.jacobian(state_vec, "newton")
-    M = model.mass_matrix()
     free = _free_indices(model)
-    Af = (-A[free][:, free]).tocsr()
-    Mf = M[free][:, free].tocsr()
+    # only the free-dof blocks are kept, not the whole Jacobian
+    Af = -_free_block(model.jacobian(state_vec, "newton")[0], free)
+    Mf = _free_block(model.mass_matrix(), free)
     res = shift_invert_arnoldi(Af, Mf, k=k, tol=1e-6)
     order = np.argsort(-res.values.real, kind="stable")
     return res.values[order], res.vectors[:, order], free
@@ -119,13 +123,14 @@ def critical_parameter(model, which="Ra_c", count=2):
         Mmat = pr.Pr * model.constant_matrix("buoyancy")
     elif which == "S_c":
         A0, _ = model.jacobian(st.vector, "newton", drop_lorentz=True)
-        A1, _ = model.jacobian(st.vector.copy(), "newton")
         # S-proportional coupling, normalised to S = 1
-        Mmat = -(A1 - A0) / pr.S
+        Mmat = -(model.jacobian(st.vector.copy(), "newton")[0] - A0) / pr.S
     else:
         raise ValueError(which)
-    Af = A0[free][:, free].tocsr()
-    Mf = Mmat[free][:, free].tocsr()
+    Af = _free_block(A0, free)
+    Mf = _free_block(Mmat, free)
+    # the whole matrices are not needed during the eigen-solve
+    del A0, Mmat
     res = shift_invert_arnoldi(Af, Mf, k=3 * count + 4, tol=1e-6)
     lam = res.values
     real = lam[np.abs(lam.imag) <= 1e-6 * np.maximum(np.abs(lam.real), 1.0)]

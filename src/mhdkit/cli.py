@@ -2,7 +2,8 @@
 bifurcation analyses, writing iteration tables, time series and field dumps.
 
 Exit codes: 0 success, 1 bad configuration, 2 nonlinear non-convergence
-(an NF row is still written, mirroring the iteration-table convention)."""
+(an NF row is still written, mirroring the iteration-table convention) or
+fewer critical values than `--count` (those found are still written)."""
 
 import argparse
 import os
@@ -389,6 +390,10 @@ def cmd_bifurcate(args):
             f.write("index,value\n")
             for i, v in enumerate(vals):
                 f.write(f"{i + 1},{v:.6e}\n")
+        if len(vals) < args.count:
+            print(f"found {len(vals)} of {args.count} positive critical "
+                  f"{args.critical} values", file=sys.stderr)
+            return 2
         return 0
     if args.to_ is None or args.from_ is None or args.step is None:
         print("error: bifurcate requires --from/--to/--step or --critical",

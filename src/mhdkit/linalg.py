@@ -265,16 +265,19 @@ def shift_invert_arnoldi(A, M=None, shift=0.0, k=6, tol=1e-8):
     """k eigenpairs of A x = lambda M x nearest `shift`, for sparse A and M.
 
     ARPACK's implicitly restarted Arnoldi (`scipy.sparse.linalg.eigs`) on
-    OP = (A - shift M)^{-1} M, with A - shift M factorised once and a fixed
-    start vector.  Pairs are sorted by |lambda - shift| and carry unit
-    vectors and relative residuals ||A x - lambda M x|| / (||A|| + |lambda|
-    ||M||).  Non-convergence raises `ArpackNoConvergence` (a RuntimeError).
+    OP = (A - shift M)^{-1} M, with A - shift M factorised once (A itself at
+    zero shift) and a fixed start vector.  Pairs are sorted by |lambda -
+    shift| and carry unit vectors and relative residuals ||A x - lambda M
+    x|| / (||A|| + |lambda| ||M||).  Non-convergence raises
+    `ArpackNoConvergence` (a RuntimeError).
     """
     n = A.shape[0]
     if M is None:
         M = sp.identity(n, format="csr")
     try:
-        lu = LuSolver(A - shift * M)
+        # LuSolver drops stored zeros, so A - 0 M and A give it the same
+        # matrix; A is factorised without forming the shifted copy
+        lu = LuSolver(A if shift == 0 else A - shift * M)
     except SingularMatrixError:
         shift = shift + 1e-8 * (1.0 + abs(shift))
         lu = LuSolver(A - shift * M)
@@ -283,11 +286,19 @@ def shift_invert_arnoldi(A, M=None, shift=0.0, k=6, tol=1e-8):
                              dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)
     theta, X = spla.eigs(op, k=k, tol=tol, v0=v0)
+    # free the factorisation before the residuals are formed
+    del op, lu
     lam = shift + 1.0 / theta
     order = np.argsort(np.abs(lam - shift))
     lam, X = lam[order], X[:, order]
     X = X / np.linalg.norm(X, axis=0)
-    residuals = (np.linalg.norm(A @ X - (M @ X) * lam, axis=0)
+
+    def apply(B):
+        # B X from the parts of X: a complex product makes a complex copy
+        # of B
+        return B @ X.real + 1j * (B @ X.imag)
+
+    residuals = (np.linalg.norm(apply(A) - apply(M) * lam, axis=0)
                  / (spla.norm(A) + np.abs(lam) * spla.norm(M)))
     return EigenResult(lam, X, residuals)
 

@@ -101,16 +101,28 @@ def step_multistep(model, scheme, history, dt, nl_config=None,
 
 
 class TimeStepFailure(Exception):
-    def __init__(self, report):
-        super().__init__("nonlinear iteration failed within a time step")
+    """A time step whose nonlinear solve did not converge.  `report` is the
+    solve's SolverReport; run_transient also names the step (`step`,
+    counted from 1), the time `t` it advances to and its size `dt`."""
+
+    def __init__(self, report, step=None, t=None, dt=None):
+        where = ("a time step" if step is None
+                 else f"time step {step} (t = {t:g}, dt = {dt:g})")
+        super().__init__(f"nonlinear iteration failed in {where} after "
+                         f"{report.steps} Newton steps")
         self.report = report
+        self.step = step
+        self.t = t
+        self.dt = dt
 
 
 class FrozenJacobianFactory:
     """Direct solver with quasi-Newton reuse: the factorisation is refreshed
     every `refresh_every` time steps or whenever a nonlinear solve needs more
     than `max_newton` iterations (the residual stays exact, so reuse affects
-    only the convergence rate)."""
+    only the convergence rate).  run_transient invalidates it before its
+    first step and again when it returns or raises, so a factorisation
+    lives no longer than the run that made it."""
 
     def __init__(self, refresh_every=20, max_newton=6):
         self.refresh_every = refresh_every
@@ -154,13 +166,18 @@ class FrozenJacobianFactory:
 def run_transient(model, state0, tconfig, nl_config=None,
                   solver_factory=None, observers=None, linearisation="newton"):
     """Advance to T; returns (final state vector, rows) with one observer row
-    per accepted step.  BDF2 runs its first step with Crank-Nicolson."""
+    per accepted step.  BDF2 runs its first step with Crank-Nicolson.  With
+    a FrozenJacobianFactory, a failed step is retried once with a fresh
+    factorisation; a step that still fails raises TimeStepFailure naming
+    it."""
     nl_config = nl_config or NonlinearConfig()
     rows = []
     history = [state0.vector.copy()]
     t = 0.0
     nsteps = int(round(tconfig.T / tconfig.dt))
     observers = observers or {}
+    frozen = (solver_factory
+              if isinstance(solver_factory, FrozenJacobianFactory) else None)
 
     def observe(t, vec, rep):
         row = {"t": t}
@@ -171,31 +188,43 @@ def run_transient(model, state0, tconfig, nl_config=None,
             row["lin_its"] = rep.avg_linear
         rows.append(row)
 
-    observe(0.0, history[0], None)
-    for n in range(nsteps):
-        if isinstance(solver_factory, FrozenJacobianFactory):
-            solver_factory.new_step()
-            if tconfig.scheme == "bdf2_cn_start" and n == 1:
-                solver_factory.invalidate()  # CN -> BDF2 operator switch
-        scheme = tconfig.scheme
-        try:
-            vec, rep = step_multistep(model, scheme, history, tconfig.dt,
-                                      nl_config, solver_factory,
+    def advance(step, t_next):
+        for attempt in range(2 if frozen is not None else 1):
+            if attempt:
+                log.warning("time step %d (t = %g) failed with a frozen "
+                            "factorisation; refactorising and retrying",
+                            step, t_next)
+                frozen.invalidate()
+            try:
+                return step_multistep(model, tconfig.scheme, history,
+                                      tconfig.dt, nl_config, solver_factory,
                                       linearisation)
-        except TimeStepFailure:
-            if isinstance(solver_factory, FrozenJacobianFactory):
-                solver_factory.invalidate()
-                vec, rep = step_multistep(model, scheme, history, tconfig.dt,
-                                          nl_config, solver_factory,
-                                          linearisation)
-            else:
-                raise
-        t += tconfig.dt
-        history.append(vec)
-        if len(history) > 2:
-            history.pop(0)
-        observe(t, vec, rep)
-        log.info("t=%.3f newton=%d lin=%.1f", t, rep.steps, rep.avg_linear)
+            except TimeStepFailure as exc:
+                report = exc.report
+        raise TimeStepFailure(report, step, t_next, tconfig.dt)
+
+    if frozen is not None:
+        # a factorisation left by an earlier run is of another operator
+        frozen.invalidate()
+    observe(0.0, history[0], None)
+    try:
+        for n in range(nsteps):
+            if frozen is not None:
+                frozen.new_step()
+                if tconfig.scheme == "bdf2_cn_start" and n == 1:
+                    frozen.invalidate()  # CN -> BDF2 operator switch
+            vec, rep = advance(n + 1, t + tconfig.dt)
+            t += tconfig.dt
+            history.append(vec)
+            if len(history) > 2:
+                history.pop(0)
+            observe(t, vec, rep)
+            log.info("t=%.3f newton=%d lin=%.1f", t, rep.steps,
+                     rep.avg_linear)
+    finally:
+        if frozen is not None:
+            # free the factorisation with the run that made it
+            frozen.invalidate()
     return history[-1], rows
 
 

@@ -212,3 +212,39 @@ def test_critical_count_below_one_is_rejected(monkeypatch, tmp_path, capsys,
                      "--out-dir", str(tmp_path)]) == 1
     assert "--count" in capsys.readouterr().err
     assert not (tmp_path / "critical.csv").exists()
+
+
+@pytest.mark.parametrize("found", [[], [220.09]], ids=["none", "one"])
+def test_critical_shortfall_is_reported(monkeypatch, tmp_path, capsys,
+                                        found):
+    # fewer positive critical values than --count: the ones found are
+    # written, one stderr line says how many, and the exit code is 2
+    import mhdkit.bifurcation as bif
+
+    def fake_critical(model, which, count):
+        assert (which, count) == ("S_c", 2)
+        return found, [], None
+
+    monkeypatch.setattr(cli, "make_problem", _fake_problem)
+    monkeypatch.setattr(bif, "critical_parameter", fake_critical)
+    assert cli.main(["bifurcate", "--critical", "S", "--count", "2",
+                     "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"found {len(found)} of 2 positive critical S values"]
+    rows = (tmp_path / "critical.csv").read_text().splitlines()
+    assert rows == ["index,value"] + [f"{i + 1},{v:.6e}"
+                                      for i, v in enumerate(found)]
+
+
+def test_critical_values_at_the_count_exit_zero(monkeypatch, tmp_path,
+                                                capsys):
+    import mhdkit.bifurcation as bif
+    monkeypatch.setattr(cli, "make_problem", _fake_problem)
+    monkeypatch.setattr(bif, "critical_parameter",
+                        lambda model, which, count: ([2609.0, 6759.4], [],
+                                                     None))
+    assert cli.main(["bifurcate", "--critical", "Ra", "--count", "2",
+                     "--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr()
+    assert out.out.strip() == "2609.0,6759.4" and out.err == ""
+    assert len((tmp_path / "critical.csv").read_text().splitlines()) == 3

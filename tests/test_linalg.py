@@ -388,6 +388,38 @@ def test_arnoldi_residual_quality():
     assert np.all(res.residuals <= 1e-8)
 
 
+def test_arnoldi_complex_conjugate_pair_residuals():
+    # block upper-triangular: the 2x2 block gives 1 +- 2i, the diagonal
+    # 3..n; the residuals of the complex vectors are formed from their
+    # real and imaginary parts
+    n = 50
+    rng = np.random.default_rng(3)
+    A = sp.diags(np.arange(1.0, n + 1)).tolil()
+    A[0, 1], A[1, 0], A[1, 1] = -2.0, 2.0, 1.0
+    A = (A.tocsr() + sp.triu(sp.random(n, n, density=0.1, random_state=rng),
+                             k=2)).tocsr()
+    res = shift_invert_arnoldi(A, k=3)
+    assert np.allclose(np.sort_complex(res.values), [1 - 2j, 1 + 2j, 3.0],
+                       atol=1e-10)
+    assert np.all(res.residuals <= 1e-12)
+
+
+def test_arnoldi_zero_shift_factorises_a_itself():
+    # at zero shift A is factorised as it is, without forming A - 0 M;
+    # the two are the same matrix once zeros are dropped, so the eigenvalues
+    # are bitwise those of the explicit A - 0 M (M is singular, and some of
+    # its entries lie outside A's pattern)
+    n = 60
+    rng = np.random.default_rng(5)
+    A = (sp.diags(rng.uniform(1.0, 2.0, n))
+         + sp.random(n, n, density=0.05, random_state=rng)).tocsr()
+    M = sp.diags([np.r_[np.ones(n - 10), np.zeros(10)], np.full(n - 1, 0.1)],
+                 [0, 1]).tocsr()
+    res = shift_invert_arnoldi(A, M, k=4)
+    ref = shift_invert_arnoldi((A - 0.0 * M).tocsr(), M, k=4)
+    assert np.array_equal(res.values, ref.values)
+
+
 def test_block_matrix_assembly():
     bm = BlockMatrix(["u", "p"], {"u": 3, "p": 2})
     bm.add("u", "u", sp.identity(3, format="csr"))

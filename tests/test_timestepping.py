@@ -66,7 +66,9 @@ def test_step_jacobian_is_derivative_of_step_residual(make, scheme, nhist):
 def test_hall_island_newton_counts_and_factorisations(monkeypatch):
     # BDF2 with a Crank-Nicolson start and frozen-Jacobian LU: an exact
     # Jacobian gives quadratic convergence in every step, so one
-    # factorisation serves the CN step and one the two BDF2 steps
+    # factorisation serves the CN step and one the two BDF2 steps.  A
+    # second run with the same factory starts from a fresh factorisation,
+    # not from the first run's BDF2 one, and repeats the first run.
     spec = make_problem("hall_island", levels=0, mesh_base=(8, 8))
     model = spec.model
     n = model.state_template.total
@@ -78,11 +80,42 @@ def test_hall_island_newton_counts_and_factorisations(monkeypatch):
             super().__init__(A)
 
     monkeypatch.setattr(timestepping, "LuSolver", CountingLu)
-    _, rows = run_transient(model, island_initial_state(spec),
-                            TimeConfig(dt=0.05, T=0.15), NonlinearConfig(),
-                            FrozenJacobianFactory())
-    assert [r["newton_its"] for r in rows[1:]] == [4, 4, 4]
-    assert factorised.count(n) == 2
+    factory = FrozenJacobianFactory()
+    rates = []
+    for _ in range(2):
+        factorised.clear()
+        _, rows = run_transient(
+            model, island_initial_state(spec), TimeConfig(dt=0.05, T=0.15),
+            NonlinearConfig(), factory,
+            observers={"rate": timestepping.ReconnectionProbe(model, "Bt")})
+        assert [r["newton_its"] for r in rows[1:]] == [4, 4, 4]
+        assert factorised.count(n) == 2
+        # the run's factorisation is freed when it returns
+        assert factory.needs_matrix()
+        rates.append([r["rate"] for r in rows])
+    assert rates[0] == rates[1]
+
+
+def test_failed_step_names_its_step_and_time(caplog):
+    # one Newton step cannot converge: the frozen factory refactorises and
+    # retries once (one WARNING), then the run raises naming the step, and
+    # the factorisation is freed
+    spec = make_problem("hall_island", levels=0, mesh_base=(4, 4))
+    factory = FrozenJacobianFactory()
+    with caplog.at_level("WARNING", logger="mhdkit.timestepping"):
+        with pytest.raises(timestepping.TimeStepFailure) as failure:
+            run_transient(spec.model, island_initial_state(spec),
+                          TimeConfig(dt=0.05, T=0.1),
+                          NonlinearConfig(max_steps=1), factory)
+    exc = failure.value
+    assert (exc.step, exc.t, exc.dt) == (1, 0.05, 0.05)
+    assert "time step 1 (t = 0.05, dt = 0.05)" in str(exc)
+    assert exc.report.steps == 1 and not exc.report.converged
+    warnings = [r.getMessage() for r in caplog.records
+                if r.name == "mhdkit.timestepping"]
+    assert warnings == ["time step 1 (t = 0.05) failed with a frozen "
+                        "factorisation; refactorising and retrying"]
+    assert factory.needs_matrix()
 
 
 def test_run_transient_logs_one_record_per_accepted_step(caplog):
