@@ -1,7 +1,13 @@
 """Cell and facet assembly of bilinear/linear forms: mass/stiffness/grad-div
 kernels, interior-penalty (SIPG) viscous terms and upwinded advection for the
 H(div) x L2 velocity pair, gradient-jump stabilisation, and strong Dirichlet
-application with right-hand-side lifting."""
+application with right-hand-side lifting.
+
+Every sparse matrix built from local arrays comes out of this module:
+`scatter` sums local arrays into a CSR matrix, `interpolation_matrix`
+applies one space's dual functionals to another's basis (the exact
+complex maps and the multigrid embeddings), and `SparsityPattern` keeps a
+fixed pattern for repeated Jacobians."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -9,7 +15,8 @@ import scipy.sparse as sp
 from .quadrature import gauss_interval
 
 __all__ = [
-    "cell_local", "cell_matrix", "cell_vector",
+    "scatter", "cell_local", "cell_matrix", "cell_vector",
+    "interpolation_matrix",
     "facet_data", "facet_pairings", "sipg_local", "sipg_viscous",
     "upwind_advection_local", "upwind_advection_matrix",
     "upwind_advection_residual", "burman_local", "burman_stabilisation",
@@ -63,7 +70,7 @@ def _entries(test_dm, trial_dm):
             np.tile(trial_dm, (1, nt)).ravel())
 
 
-def _scatter(blocks, shape):
+def scatter(blocks, shape):
     """CSR sum of local arrays; blocks: (test_dm, trial_dm, local)."""
     rows, cols = zip(*(_entries(t, r) for t, r, _ in blocks))
     vals = [np.ravel(local) for _, _, local in blocks]
@@ -105,10 +112,10 @@ def cell_matrix(test, trial, test_op="val", trial_op="val", weight=None,
                 qdeg=None):
     """Assemble sum_K int (T_test v) . W . (T_trial u) dx (see
     `cell_local` for the weights)."""
-    return _scatter([(test.dofmap, trial.dofmap,
-                      cell_local(test, trial, test_op, trial_op, weight,
-                                 qdeg))],
-                    (test.total_dofs, trial.total_dofs))
+    return scatter([(test.dofmap, trial.dofmap,
+                     cell_local(test, trial, test_op, trial_op, weight,
+                                qdeg))],
+                   (test.total_dofs, trial.total_dofs))
 
 
 def cell_vector(test, test_op="val", density=None, qdeg=None):
@@ -129,6 +136,33 @@ def cell_vector(test, test_op="val", density=None, qdeg=None):
     out = np.zeros(test.total_dofs)
     np.add.at(out, test.dofmap.ravel(), local.ravel())
     return out
+
+
+def interpolation_matrix(src, dst, op="val", src_cells=None, dst_cells=None):
+    """Coefficient matrix of the map u -> T_op u from `src` to `dst`: dst's
+    dual functionals applied to op of src's basis, on the cell pairs
+    (src_cells[e], dst_cells[e]) (each the mesh's cells when None).  A dof
+    that cells share keeps the first cell's value; entries below 1e-12 of
+    the largest are dropped."""
+    if dst_cells is None:
+        dst_cells = np.arange(dst.mesh.num_cells)
+    if src_cells is None:
+        src_cells = dst_cells
+    pts, wts = dst.dual_points_weights(cells=dst_cells)
+    vals, grads = src.tabulate_cells(src_cells, pts, grad=op in _NEEDS_GRAD)
+    local = np.einsum("cqik,cqjk->cij", wts,
+                      _op_arrays(src, vals, grads, op), optimize=True)
+    rows, cols = _entries(dst.dofmap[dst_cells], src.dofmap[src_cells])
+    key = rows.astype(np.int64) * src.total_dofs + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    keep = order[np.r_[True, key[1:] != key[:-1]]]
+    indptr = np.searchsorted(rows[keep], np.arange(dst.total_dofs + 1))
+    M = sp.csr_matrix((local.ravel()[keep], cols[keep], indptr),
+                      shape=(dst.total_dofs, src.total_dofs))
+    M.data[np.abs(M.data) < 1e-12 * np.abs(M.data).max()] = 0.0
+    M.eliminate_zeros()
+    return M
 
 
 def field_at_quadrature(field, qdeg, grad=False):
@@ -236,9 +270,9 @@ def _facet_matrix(space, qdeg, dirichlet_markers, locals_):
     stored zeros."""
     pairs = facet_pairings(space, qdeg, dirichlet_markers)
     dm = space.dofmap
-    A = _scatter([(dm[pairs[k][0]], dm[pairs[k][1]], loc)
-                  for k, loc in locals_.items()],
-                 (space.total_dofs, space.total_dofs))
+    A = scatter([(dm[pairs[k][0]], dm[pairs[k][1]], loc)
+                 for k, loc in locals_.items()],
+                (space.total_dofs, space.total_dofs))
     A.eliminate_zeros()
     return A
 

@@ -167,29 +167,19 @@ def _write_report(args, rows):
 def _dump_fields(args, spec, vec):
     from .mesh import write_vtk
     from .elements import l2_project, Field, FunctionSpace
-    from .assembly import cell_matrix, cell_vector
-    from .linalg import LuSolver
     model = spec.model
     mesh = model.mesh
+    # L2 projections onto vertex values, for visualisation only
     cg1 = FunctionSpace(mesh, "CG", 1)
-    # componentwise CG1 projection for visualisation only
-    mass_cg1 = LuSolver(cell_matrix(cg1, cg1, qdeg=4))
+    vcg1 = FunctionSpace(mesh, "VCG", 1)
     data = {}
     st = model.state_template
     for name in model.fields:
-        space = model.spaces[name]
-        fld = Field(space, vec[st.field_slice(name)])
-        if space.element.ncomp == 1:
-            proj = l2_project(cg1, fld)
-            data[name] = proj.coefficients
+        fld = Field(model.spaces[name], vec[st.field_slice(name)])
+        if fld.space.element.ncomp == 1:
+            data[name] = l2_project(cg1, fld).coefficients
         else:
-            qp, w = space.cell_quadrature(4)
-            vals = fld.eval_cells(np.arange(mesh.num_cells), qp)
-            comps = [mass_cg1.solve(cell_vector(cg1, "val",
-                                                vals[..., k:k + 1], qdeg=4))
-                     for k in range(2)]
-            data[name] = np.stack([comps[0], comps[1],
-                                   np.zeros_like(comps[0])], axis=-1)
+            data[name] = l2_project(vcg1, fld).coefficients.reshape(-1, 2)
     path = _report_path(args, "fields.vtk")
     write_vtk(path, mesh, data)
     return path

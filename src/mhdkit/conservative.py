@@ -67,7 +67,6 @@ class ConservativeScheme:
         self.inv_Rem = inv_Rem
         self.tol = tol
         self.max_fp = max_fp
-        self._steppers = {}
         self._potential = None
 
         ned = FunctionSpace(mesh, "NED", 1)
@@ -125,14 +124,6 @@ class ConservativeScheme:
         self._cross_T = T.reshape(nc, n, n * n)
         self._cross_dofs = np.hstack([ned.dofmap,
                                       ned.total_dofs + cg.dofmap])
-
-    def stepper(self, family, dt):
-        """The scheme's stepper of a family ("uxn" or "udotn") and dt, built
-        on first use."""
-        key = (family, dt)
-        if key not in self._steppers:
-            self._steppers[key] = STEPPERS[family](self, dt)
-        return self._steppers[key]
 
     # -- projections -------------------------------------------------------------
 
@@ -298,7 +289,18 @@ def initial_udotn_state(scheme, u0_fn, B0_fn, quad_degree=10):
     return MidpointState(sc, u, B, "udotn")
 
 
-class UxnStepper:
+class _Stepper:
+    """The velocity/pressure solve of a family's constrained saddle-point
+    matrix, factorised once per stepper in `A_lu`."""
+
+    def solve_velocity(self, rhs_u):
+        rhs = np.concatenate([rhs_u, np.zeros(self.A_lu.shape[0] - self.n_u)])
+        rhs[self.con] = 0.0
+        out = self.A_lu.solve(rhs)
+        return out[:self.n_u], out[self.n_u:]
+
+
+class UxnStepper(_Stepper):
     """u x n = 0 family: velocity in the H(curl)-type product, total
     pressure in H0^1."""
 
@@ -315,12 +317,6 @@ class UxnStepper:
         self.con = con
         self.n_u = n_u
         self.A_lu = LuSolver(constrain_matrix(A, con))
-
-    def solve_velocity(self, rhs_u):
-        rhs = np.concatenate([rhs_u, np.zeros(self.A_lu.shape[0] - self.n_u)])
-        rhs[self.con] = 0.0
-        out = self.A_lu.solve(rhs)
-        return out[:self.n_u], out[self.n_u:]
 
     def step(self, state):
         sc = self.sc
@@ -364,7 +360,7 @@ class UxnStepper:
                 "E_dot_H": i3 / (scale_B ** 2 + 1e-30)}
 
 
-class UdotnStepper:
+class UdotnStepper(_Stepper):
     """u . n = 0 family: velocity in the H(div)-type product, DG0 pressure;
     enforces div u = 0 exactly in addition to the conservation laws."""
 
@@ -386,12 +382,6 @@ class UdotnStepper:
         self.con = con
         self.n_u = n_u
         self.A_lu = LuSolver(constrain_matrix(A, con))
-
-    def solve_velocity(self, rhs_u):
-        rhs = np.concatenate([rhs_u, np.zeros(self.A_lu.shape[0] - self.n_u)])
-        rhs[self.con] = 0.0
-        out = self.A_lu.solve(rhs)
-        return out[:self.n_u], out[self.n_u:]
 
     def step(self, state):
         # the u_k term of the momentum right-hand side, fixed within a step
@@ -473,16 +463,3 @@ def _damped_fixed_point(sc, state, sweep):
     raise FixedPointFailure(
         f"fixed point did not reach TOL={sc.tol} within {sc.max_fp} "
         "iterations (after relaxation retries)")
-
-
-STEPPERS = {"uxn": UxnStepper, "udotn": UdotnStepper}
-
-
-def step_conservative_uxn(state, dt):
-    stepper = state.scheme.stepper("uxn", dt)
-    return stepper.step(state), stepper
-
-
-def step_conservative_udotn(state, dt):
-    stepper = state.scheme.stepper("udotn", dt)
-    return stepper.step(state), stepper

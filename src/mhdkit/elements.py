@@ -8,11 +8,15 @@ cell the local basis is the dual of a set of *globally defined* functionals
 direction, interior moments).  Shared functionals then automatically produce
 normal/tangential continuity without any sign bookkeeping, and the same
 machinery evaluates traces of a cell's basis at arbitrary physical points,
-which is what the facet assembly needs.
+which is what the facet assembly needs.  The sparse operators themselves
+(mass matrices, the complex maps) are built by `assembly`: `cell_matrix` and
+`interpolation_matrix`.
 """
 
 import numpy as np
+from scipy.sparse.linalg import spsolve
 
+from .assembly import cell_matrix, cell_vector, interpolation_matrix
 from .quadrature import gauss_interval, triangle_rule
 
 SUPPORTED = {
@@ -536,45 +540,22 @@ def interpolate(space, f, quad_degree=None):
     return Field(space, out)
 
 
-def mass_matrix(space, degree=None):
-    import scipy.sparse as sp
-
-    el = space.element
-    if degree is None:
-        degree = 2 * el.degree + 2
-    _, w, vals, _ = space.basis_at_quadrature(degree)
-    local = np.einsum("cqik,cqjk,cq->cij", vals, vals, w, optimize=True)
-    dm = space.dofmap
-    nloc = dm.shape[1]
-    rows = np.repeat(dm, nloc, axis=1).ravel()
-    cols = np.tile(dm, (1, nloc)).ravel()
-    M = sp.coo_matrix((local.ravel(), (rows, cols)),
-                      shape=(space.total_dofs, space.total_dofs))
-    return M.tocsr()
-
-
 def l2_project(space, source, quad_degree=None):
     """L2 projection of a Field or pointwise function onto `space`."""
-    import scipy.sparse.linalg as spla
-
-    el = space.element
     if quad_degree is None:
-        quad_degree = 2 * el.degree + 2
-    pts, w, vals, _ = space.basis_at_quadrature(quad_degree)
+        quad_degree = 2 * space.element.degree + 2
+    pts, _ = space.cell_quadrature(quad_degree)
     if isinstance(source, Field):
         sv = source.eval_cells(np.arange(space.mesh.num_cells), pts)
     else:
         shp = pts.shape
         sv = _eval_pointwise(source, pts.reshape(-1, 2)).reshape(
             shp[0], shp[1], -1)
-    if sv.shape[-1] != el.ncomp:
+    if sv.shape[-1] != space.element.ncomp:
         raise ValueError("source component count does not match space")
-    rhs_loc = np.einsum("cqik,cqk,cq->ci", vals, sv, w, optimize=True)
-    b = np.zeros(space.total_dofs)
-    np.add.at(b, space.dofmap.ravel(), rhs_loc.ravel())
-    M = mass_matrix(space, quad_degree)
-    x = spla.spsolve(M.tocsc(), b)
-    return Field(space, x)
+    M = cell_matrix(space, space, qdeg=quad_degree)
+    b = cell_vector(space, "val", sv, qdeg=quad_degree)
+    return Field(space, spsolve(M.tocsc(), b))
 
 
 def complex_maps(cg, rt, dg):
@@ -590,8 +571,8 @@ def complex_maps(cg, rt, dg):
     if not (cg.element.degree == rt.element.degree
             == dg.element.degree + 1):
         raise ValueError("incompatible degrees for the discrete complex")
-    V = _map_matrix(cg, rt, op="vcurl")
-    D = _map_matrix(rt, dg, op="div")
+    V = interpolation_matrix(cg, rt, op="vcurl")
+    D = interpolation_matrix(rt, dg, op="div")
     return V, D
 
 
@@ -599,45 +580,14 @@ def grad_to_hcurl(cg, ned):
     """Coefficient matrix of grad: CG_k -> NED_k."""
     if cg.element.degree != ned.element.degree:
         raise ValueError("incompatible degrees")
-    return _map_matrix(cg, ned, op="grad")
+    return interpolation_matrix(cg, ned, op="grad")
 
 
 def curl_to_dg(ned, dg):
     """Coefficient matrix of curl: NED_k -> DG_{k-1}."""
     if ned.element.degree != dg.element.degree + 1:
         raise ValueError("incompatible degrees")
-    return _map_matrix(ned, dg, op="curl")
-
-
-def _map_matrix(src, dst, op):
-    import scipy.sparse as sp
-
-    nc = src.mesh.num_cells
-    cells = np.arange(nc)
-    pts, wts = dst.dual_points_weights()
-    _, grads = src.tabulate_cells(cells, pts, grad=True)
-    if op == "vcurl":
-        mapped = np.stack([grads[..., 0, 1], -grads[..., 0, 0]], axis=-1)
-    elif op == "grad":
-        mapped = np.stack([grads[..., 0, 0], grads[..., 0, 1]], axis=-1)
-    elif op == "div":
-        mapped = (grads[..., 0, 0] + grads[..., 1, 1])[..., None]
-    elif op == "curl":
-        mapped = (grads[..., 1, 0] - grads[..., 0, 1])[..., None]
-    local = np.einsum("cqik,cqjk->cij", wts, mapped, optimize=True)
-    rows = np.repeat(dst.dofmap, src.dofmap.shape[1], axis=1).ravel()
-    cols = np.tile(src.dofmap, (1, dst.dofmap.shape[1])).ravel()
-    # shared target dofs receive identical values from both cells: use "set"
-    order = np.argsort(rows, kind="stable")
-    r, c, v = rows[order], cols[order], local.ravel()[order]
-    key = r * (src.total_dofs + 1) + c
-    _, first = np.unique(key, return_index=True)
-    M = sp.coo_matrix((v[first], (r[first], c[first])),
-                      shape=(dst.total_dofs, src.total_dofs))
-    M = M.tocsr()
-    M.data[np.abs(M.data) < 1e-13] = 0.0
-    M.eliminate_zeros()
-    return M
+    return interpolation_matrix(ned, dg, op="curl")
 
 
 # -- reference element view ---------------------------------------------------

@@ -1,6 +1,6 @@
 """Sparse LU (one diagonal block at a time for a block-triangular matrix),
 flexible GMRES with right preconditioning, ARPACK shift-invert eigenpairs of
-generalized problems and block-matrix plumbing."""
+generalized problems."""
 
 import logging
 import math
@@ -301,48 +301,3 @@ def shift_invert_arnoldi(A, M=None, shift=0.0, k=6, tol=1e-8):
     residuals = (np.linalg.norm(apply(A) - apply(M) * lam, axis=0)
                  / (spla.norm(A) + np.abs(lam) * spla.norm(M)))
     return EigenResult(lam, X, residuals)
-
-
-# -- block matrices ----------------------------------------------------------------
-
-
-class BlockMatrix:
-    """Grid of sparse blocks tagged by (row field, col field)."""
-
-    def __init__(self, fields, sizes, blocks=None):
-        self.fields = list(fields)
-        self.sizes = dict(sizes)
-        self.offsets = {}
-        off = 0
-        for f in self.fields:
-            self.offsets[f] = off
-            off += self.sizes[f]
-        self.total = off
-        self.blocks = dict(blocks or {})
-
-    def add(self, row, col, mat):
-        if mat.shape != (self.sizes[row], self.sizes[col]):
-            raise ValueError(f"block ({row},{col}) has wrong shape")
-        key = (row, col)
-        self.blocks[key] = (self.blocks[key] + mat if key in self.blocks
-                            else mat.tocsr())
-
-    def tocsr(self):
-        rows = []
-        cols = []
-        vals = []
-        for (r, c), mat in self.blocks.items():
-            coo = mat.tocoo()
-            rows.append(coo.row + self.offsets[r])
-            cols.append(coo.col + self.offsets[c])
-            vals.append(coo.data)
-        if not rows:
-            return sp.csr_matrix((self.total, self.total))
-        return sp.coo_matrix(
-            (np.concatenate(vals),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.total, self.total)).tocsr()
-
-    def field_slice(self, field):
-        o = self.offsets[field]
-        return slice(o, o + self.sizes[field])

@@ -8,7 +8,6 @@ from ..assembly import (DirichletBC, SparsityPattern, burman_local,
                         cell_local, cell_vector, facet_pairings,
                         field_at_quadrature)
 from ..elements import Field, FunctionSpace
-from ..linalg import BlockMatrix
 
 QDEG = 6
 
@@ -339,8 +338,8 @@ class MixedModel:
         pattern: the weighted constants plus the state-dependent local
         arrays `terms` (pairing key -> local), scattered into them.  Returns
         the matrix and the parts dict the block preconditioners read, with
-        the model's own `parts`, its `lazy` parts and the unconstrained
-        steady `block_matrix`, built on first access."""
+        the model's own `parts` and its `lazy` parts, built on first
+        access."""
         pat = self.pattern
         steady = pat.scatter(
             terms, self._constant_data(weights or self._weights()).copy())
@@ -349,20 +348,10 @@ class MixedModel:
             pat.expand(self._mass, mass_coeff, out=total)
         A = pat.constrain(total)
         st = self.state_template
-        lazy = dict(lazy or {})
-        lazy["block_matrix"] = lambda: self._block_matrix(steady)
         parts.update(offsets=st.offsets, sizes=st.sizes(),
                      mass_coeff=mass_coeff, steady_coeff=steady_coeff,
                      delta=delta)
-        return A, JacobianParts(lazy, **parts)
-
-    def _block_matrix(self, data):
-        """The field blocks of the pattern matrix with `data`."""
-        st = self.state_template
-        A = self.pattern.matrix(data)
-        return BlockMatrix(list(self.fields), st.sizes(), {
-            (t, r): A[st.field_slice(t), st.field_slice(r)]
-            for t, r in self.COUPLINGS})
+        return A, JacobianParts(lazy or {}, **parts)
 
     # -- mass -----------------------------------------------------------------
 

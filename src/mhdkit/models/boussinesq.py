@@ -7,13 +7,13 @@ Stationary weak form: 2 Pr viscous + advection + grad p + S B x (E + u x B)
 Ohm and augmented Faraday rows carry the Pr/Pm coefficient."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..elements import FunctionSpace
 from ..assembly import (cell_local, cell_matrix, cell_vector,
                         field_at_quadrature, sipg_local,
                         upwind_advection_local, upwind_advection_residual,
                         EPS_CONTRACTION)
-from ..linalg import BlockMatrix
 from .base import QDEG, MixedModel, perp, velocity_pair
 
 
@@ -168,11 +168,12 @@ class BoussinesqMHD(MixedModel):
 
     def deflation_gram(self):
         """|u-u1|^2 + |grad(u-u1)|^2 + |theta-theta1|^2 + |B-B1|^2."""
-        st = self.state_template
-        bm = BlockMatrix(list(self.fields), st.sizes())
-        bm.add("u", "u", cell_matrix(self.spaces["u"], self.spaces["u"],
-                                     "grad", "grad", qdeg=QDEG))
-        return (self.mass_matrix() + bm.tocsr()).tocsr()
+        K = cell_matrix(self.spaces["u"], self.spaces["u"], "grad", "grad",
+                        qdeg=QDEG)
+        # u leads the state: K is the top-left block
+        n = self.state_template.total - K.shape[0]
+        return (self.mass_matrix()
+                + sp.block_diag([K, sp.csr_matrix((n, n))])).tocsr()
 
     def functionals(self, vec):
         st = self.state_template

@@ -12,6 +12,7 @@ import logging
 import numpy as np
 import scipy.sparse as sp
 
+from .assembly import _entries, interpolation_matrix
 from .elements import FunctionSpace
 from .linalg import LuSolver, fgmres
 
@@ -26,30 +27,9 @@ def build_transfer(coarse_space, fine_space, child_map):
         raise ValueError("transfer requires matching element families")
     if child_map.shape[0] != coarse_space.mesh.num_cells:
         raise ValueError("hierarchy is not nested with these spaces")
-    ncoarse = coarse_space.mesh.num_cells
-    children = child_map.ravel()
-    parents = np.repeat(np.arange(ncoarse), 4)
-    pts, wts = fine_space.dual_points_weights(cells=children)
-    vals, _ = coarse_space.tabulate_cells(parents, pts)
-    local = np.einsum("cqik,cqjk->cij", wts, vals, optimize=True)
-    rows = fine_space.dofmap[children]
-    cols = coarse_space.dofmap[parents]
-    nf = rows.shape[1]
-    ncl = cols.shape[1]
-    R = np.repeat(rows, ncl, axis=1).ravel()
-    C = np.tile(cols, (1, nf)).ravel()
-    V = local.reshape(-1)
-    key = R.astype(np.int64) * coarse_space.total_dofs + C
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    P = sp.coo_matrix((V[order][first], (R[order][first], C[order][first])),
-                      shape=(fine_space.total_dofs, coarse_space.total_dofs))
-    P = P.tocsr()
-    P.data[np.abs(P.data) < 1e-12] = 0.0
-    P.eliminate_zeros()
-    return P
+    parents = np.repeat(np.arange(coarse_space.mesh.num_cells), 4)
+    return interpolation_matrix(coarse_space, fine_space,
+                                src_cells=parents, dst_cells=child_map.ravel())
 
 
 def star_patches(spaces, constrained=None):
@@ -99,9 +79,7 @@ def _gather_blocks(A, idx):
     from a CSR matrix in one fancy-index call; the (n s^2) index arrays are
     freed on return, before the blocks are inverted."""
     n, s = idx.shape
-    rows = np.repeat(idx, s, axis=1).ravel()
-    cols = np.tile(idx, (1, s)).ravel()
-    return np.asarray(A[rows, cols]).reshape(n, s, s)
+    return np.asarray(A[_entries(idx, idx)]).reshape(n, s, s)
 
 
 def _invert_blocks(blocks):

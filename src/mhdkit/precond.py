@@ -7,6 +7,7 @@ Hall electromagnetic block."""
 import numpy as np
 import scipy.sparse as sp
 
+from .assembly import cell_local, scatter
 from .linalg import LuSolver, fgmres, fixed_iteration_solver
 from .multigrid import MgHierarchy, GeometricMultigrid
 
@@ -77,20 +78,12 @@ class AugmentedLagrangianPrecond:
 
 def pressure_mass_inverse(p_space, qdeg=6):
     """Exact cellwise inverse of the DG pressure mass matrix."""
-    from .assembly import cell_matrix
-    el = p_space.element
-    if el.family != "DG":
+    if p_space.element.family != "DG":
         raise ValueError("cellwise mass inverse needs a discontinuous "
                          "pressure")
-    _, w, vals, _ = p_space.basis_at_quadrature(qdeg)
-    local = np.einsum("cqik,cqjk,cq->cij", vals, vals, w, optimize=True)
-    inv = np.linalg.inv(local)
-    dm = p_space.dofmap
-    nloc = dm.shape[1]
-    rows = np.repeat(dm, nloc, axis=1).ravel()
-    cols = np.tile(dm, (1, nloc)).ravel()
-    return sp.coo_matrix((inv.ravel(), (rows, cols)),
-                         shape=(p_space.total_dofs,) * 2).tocsr()
+    inv = np.linalg.inv(cell_local(p_space, p_space, qdeg=qdeg))
+    return scatter([(p_space.dofmap, p_space.dofmap, inv)],
+                   (p_space.total_dofs,) * 2)
 
 
 class BlockUpperPrecond:

@@ -12,15 +12,13 @@ from .assembly import cell_matrix
 from .linalg import LuSolver
 from .nonlinear import NonlinearConfig, solve_nonlinear
 
-from .conservative import (MidpointState, ConservativeScheme,
-                           step_conservative_uxn, step_conservative_udotn)
+from .conservative import MidpointState, ConservativeScheme
 
 log = logging.getLogger(__name__)
 
 __all__ = [
     "TimeConfig", "step_multistep", "run_transient", "ReconnectionProbe",
     "FrozenJacobianFactory", "MidpointState", "ConservativeScheme",
-    "step_conservative_uxn", "step_conservative_udotn",
 ]
 
 

@@ -241,3 +241,28 @@ def test_facet_data_cached_per_mesh():
         assert facet_data(m, 2) is not fd
         del m, fd
         gc.collect()
+
+
+def test_complex_maps_store_no_round_off():
+    # entries far below the map's scale are round-off of exact zeros
+    mesh = build_rect_mesh((0, 1, 0, 1), 8, 8, "right")
+    V, D = complex_maps(*(FunctionSpace(mesh, f, d)
+                          for f, d in [("CG", 2), ("RT", 2), ("DG", 1)]))
+    for M in (V, D):
+        a = np.abs(M.data)
+        assert np.count_nonzero(a < 1e-12 * a.max()) == 0
+
+
+def test_only_assembly_builds_coo_matrices():
+    # one assembly path: every sparse matrix built from local arrays comes
+    # out of assembly.py
+    import pathlib
+    import re
+
+    import mhdkit
+
+    root = pathlib.Path(mhdkit.__file__).parent
+    offenders = [str(p.relative_to(root)) for p in sorted(root.rglob("*.py"))
+                 if p != root / "assembly.py"
+                 and re.search(r"\bcoo_(matrix|array)\b", p.read_text())]
+    assert offenders == []

@@ -248,3 +248,34 @@ def test_critical_values_at_the_count_exit_zero(monkeypatch, tmp_path,
     out = capsys.readouterr()
     assert out.out.strip() == "2609.0,6759.4" and out.err == ""
     assert len((tmp_path / "critical.csv").read_text().splitlines()) == 3
+
+
+def test_dumped_fields_are_exact_on_linear_fields(tmp_path):
+    # the CG1 / VCG1 projections reproduce linear fields at the vertices
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    from mhdkit.elements import interpolate
+    from mhdkit.mesh import read_vtk
+    from mhdkit.problems import make_problem
+
+    spec = make_problem("ldc2d", levels=0, mesh_base=(4, 4))
+    model = spec.model
+    exact = {
+        "u": lambda x, y: np.stack([1 + x - y, 2 * x + 0.5 * y], axis=-1),
+        "E": lambda x, y: 0.3 - x + 4 * y,
+        "B": lambda x, y: np.stack([x + 2 * y, 3 * x - y], axis=-1)}
+    st = model.state_template
+    vec = np.zeros(st.total)
+    for name, f in exact.items():
+        vec[st.field_slice(name)] = interpolate(model.spaces[name],
+                                                f).coefficients
+    path = cli._dump_fields(SimpleNamespace(out_dir=str(tmp_path)), spec,
+                            vec)
+    mesh, data = read_vtk(path)
+    x, y = mesh.vertices.T
+    assert data["E"].shape == (len(x),)
+    for name, f in exact.items():
+        got = data[name][:, :2] if data[name].ndim == 2 else data[name]
+        assert np.abs(got - f(x, y)).max() <= 1e-10, name

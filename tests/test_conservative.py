@@ -1,14 +1,10 @@
-import gc
-import weakref
-
 import numpy as np
 import pytest
 
 from mhdkit.assembly import cell_vector, field_at_quadrature
-from mhdkit.conservative import (QDEG, ConservativeScheme, MidpointState,
-                                 initial_udotn_state, initial_uxn_state,
-                                 step_conservative_udotn,
-                                 step_conservative_uxn)
+from mhdkit.conservative import (QDEG, ConservativeScheme, UdotnStepper,
+                                 UxnStepper, initial_udotn_state,
+                                 initial_uxn_state)
 from mhdkit.elements import Field
 from mhdkit.mesh import build_rect_mesh
 
@@ -16,8 +12,8 @@ DT = 1e-4
 STEPS = 3
 # fixed-point sweeps per step on the 8x8 mesh with the fields below
 SWEEPS = {"uxn": [7, 7, 7], "udotn": [7, 7, 7]}
-FAMILIES = {"uxn": (initial_uxn_state, step_conservative_uxn),
-            "udotn": (initial_udotn_state, step_conservative_udotn)}
+FAMILIES = {"uxn": (initial_uxn_state, UxnStepper),
+            "udotn": (initial_udotn_state, UdotnStepper)}
 
 
 def _b0(x, y):
@@ -91,11 +87,12 @@ def test_cross_rhs_energy_identity(scheme):
 def runs(scheme):
     """Each family stepped STEPS times from the same initial fields."""
     out = {}
-    for fam, (initial, step) in FAMILIES.items():
+    for fam, (initial, stepper_class) in FAMILIES.items():
+        stepper = stepper_class(scheme, DT)
         state = initial(scheme, _u0, _b0)
         states = [state]
         for _ in range(STEPS):
-            state, stepper = step(state, DT)
+            state = stepper.step(state)
             states.append(state)
         out[fam] = (states, stepper)
     return out
@@ -137,28 +134,6 @@ def test_hybrid_helicity_reduces_to_magnetic(scheme, runs):
                                 scheme.curlsp)
     ch = scheme.cross_helicity(state.u, state.B, scheme.curlsp)
     assert abs(ha - hm - 2.0 * ch) <= 1e-12 * (abs(hm) + abs(ch))
-
-
-def test_steppers_are_cached_per_scheme():
-    # schemes built and dropped in turn: a stepper must never come back
-    # for a scheme other than the one it was built on, and the cache must
-    # not keep a dropped scheme alive
-    for i in range(6):
-        sc = _scheme(2 + i % 2)
-        zero_u = np.zeros(sc.curlsp.n)
-        zero_b = np.zeros(sc.divsp.n)
-        for fam, (_, step) in FAMILIES.items():
-            u = zero_u if fam == "uxn" else zero_b
-            state = MidpointState(sc, u, zero_b, fam)
-            out, stepper = step(state, DT)
-            assert stepper.sc is sc and out.scheme is sc
-            assert step(state, DT)[1] is stepper
-            assert step(state, 2 * DT)[1] is not stepper
-            assert sc.stepper(fam, DT) is stepper
-        ref = weakref.ref(sc)
-        del sc, state, out, stepper
-        gc.collect()
-        assert ref() is None
 
 
 def _fgmres_vector_potential(sc, B):

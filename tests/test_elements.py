@@ -5,8 +5,8 @@ from mhdkit.mesh import build_rect_mesh, refine_uniform
 from mhdkit.elements import (FunctionSpace, Field, ReferenceElement,
                              UnsupportedElementError, interpolate, l2_project,
                              complex_maps, grad_to_hcurl, curl_to_dg,
-                             mass_matrix, tabulate, scalar_monomials)
-from mhdkit.assembly import sipg_viscous
+                             tabulate, scalar_monomials)
+from mhdkit.assembly import cell_matrix, sipg_viscous
 from mhdkit.multigrid import build_transfer
 
 ALL_FAMILIES = [("CG", 1), ("CG", 2), ("DG", 0), ("DG", 1), ("RT", 1),
@@ -164,8 +164,8 @@ def test_l2_project_nonexpansive(unit_mesh):
     rng = np.random.default_rng(7)
     rt = FunctionSpace(unit_mesh, "RT", 2)
     ned = FunctionSpace(unit_mesh, "NED", 2)
-    Mrt = mass_matrix(rt)
-    Mned = mass_matrix(ned)
+    Mrt = cell_matrix(rt, rt)
+    Mned = cell_matrix(ned, ned)
     f = Field(rt, rng.standard_normal(rt.total_dofs))
     p = l2_project(ned, f)
     nf = np.sqrt(f.coefficients @ (Mrt @ f.coefficients))
@@ -207,13 +207,13 @@ def test_mass_traversal_order_independent(unit_mesh):
     # the dof functionals are global, so assembling from a permuted cell
     # ordering gives the same matrix up to renumbering of cell-interior dofs
     rt = FunctionSpace(unit_mesh, "RT", 2)
-    M1 = mass_matrix(rt)
+    M1 = cell_matrix(rt, rt)
     perm = np.random.default_rng(0).permutation(unit_mesh.num_cells)
     from mhdkit.mesh import Mesh2D
     m2 = Mesh2D(unit_mesh.vertices, unit_mesh.cells[perm],
                 cell_coords=unit_mesh.cell_coords[perm])
     rt2 = FunctionSpace(m2, "RT", 2)
-    M2 = mass_matrix(rt2)
+    M2 = cell_matrix(rt2, rt2)
     npc = rt.element.n_cell
     dofmap = np.arange(rt.total_dofs)
     for new_c, old_c in enumerate(perm):

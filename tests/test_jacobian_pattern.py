@@ -1,7 +1,7 @@
 """The fixed-pattern Jacobians against the per-term assembly they replaced.
 
 The reference below is the former assembly, kept here: one CSR matrix per
-term, summed per field block, joined by BlockMatrix.tocsr and constrained by
+term, summed per field block, joined by sp.bmat and constrained by
 D A D plus a unit diagonal."""
 
 import numpy as np
@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from mhdkit.assembly import (EPS_CONTRACTION, burman_stabilisation,
                              cell_matrix, field_at_quadrature, sipg_viscous,
                              upwind_advection_matrix)
-from mhdkit.linalg import BlockMatrix, LuSolver
+from mhdkit.linalg import LuSolver
 from mhdkit.mesh import build_rect_mesh
 from mhdkit.models import base
 from mhdkit.models.base import QDEG, ModelParams, perp
@@ -22,6 +22,22 @@ from mhdkit.models.standard import StandardMHD
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+class _Blocks(dict):
+    """Field blocks (row field, col field) -> matrix, summed on `add`."""
+
+    def add(self, row, col, mat):
+        key = (row, col)
+        self[key] = self[key] + mat if key in self else mat
+
+
+def _join(model, blocks):
+    """The field blocks joined by sp.bmat, zero where none was added."""
+    sizes = model.state_template.sizes()
+    return sp.bmat([[blocks.get((t, r), sp.csr_matrix((sizes[t], sizes[r])))
+                     for r in model.fields] for t in model.fields],
+                   format="csr")
+
+
 def _old_constrain(A, constrained):
     mask = np.ones(A.shape[0])
     mask[constrained] = 0.0
@@ -30,15 +46,15 @@ def _old_constrain(A, constrained):
 
 
 def _old_finish(model, bm, mass_coeff, steady_coeff):
-    total = bm.tocsr()
+    total = _join(model, bm)
     if steady_coeff != 1.0:
         total = steady_coeff * total
     if mass_coeff:
-        mass = BlockMatrix(list(model.fields), model.state_template.sizes())
+        mass = _Blocks()
         for n in model.mass_fields:
             mass.add(n, n, cell_matrix(model.spaces[n], model.spaces[n],
                                        qdeg=QDEG))
-        total = total + mass_coeff * mass.tocsr()
+        total = total + mass_coeff * _join(model, mass)
     return _old_constrain(total, model.constrained_idx)
 
 
@@ -86,7 +102,7 @@ def old_standard(model, vec, lin, mass_coeff, steady_coeff):
             + cell_matrix(u, u, weight=guq, qdeg=QDEG)
             + cell_matrix(u, u, weight=pr.S * np.einsum(
                 "cqi,cqj->cqij", perpB, perpB), qdeg=QDEG))
-    bm = BlockMatrix(list(model.fields), model.state_template.sizes())
+    bm = _Blocks()
     bm.add("u", "u", J_uu)
     bm.add("u", "p", -D_up.T)
     bm.add("u", "E", cell_matrix(u, E, weight=pr.S * perpB[..., None],
@@ -137,7 +153,7 @@ def old_boussinesq(model, vec, lin, mass_coeff, steady_coeff):
                 + _velocity_facets(model, F["u"], True, pr.Pr, pr.stab_mu))
     Wadv = np.zeros(uq.shape[:2] + (1, 2))
     Wadv[..., 0, :] = uq
-    bm = BlockMatrix(list(model.fields), model.state_template.sizes())
+    bm = _Blocks()
     bm.add("u", "u", J_uu)
     bm.add("u", "p", -D_up.T)
     bm.add("u", "theta", -pr.Ra * pr.Pr * cell_matrix(
@@ -205,7 +221,7 @@ def old_hall(model, vec, lin, mass_coeff, steady_coeff):
     def cm(t, r, weight=None, top="val", rop="val"):
         return cell_matrix(s[t], s[r], top, rop, weight=weight, qdeg=QDEG)
 
-    bm = BlockMatrix(list(model.fields), model.state_template.sizes())
+    bm = _Blocks()
     J_uu = inv_re * cm("ut", "ut", top="grad", rop="grad")
     J_33 = inv_re * cm("u3", "u3", top="grad", rop="grad")
     if model.variant == "hdiv":

@@ -8,8 +8,7 @@ from scipy.sparse.csgraph import connected_components
 from mhdkit.assembly import constrain_matrix
 from mhdkit.bifurcation import critical_parameter
 from mhdkit.linalg import (LuSolver, SingularMatrixError, fgmres,
-                           fixed_iteration_solver, shift_invert_arnoldi,
-                           BlockMatrix)
+                           fixed_iteration_solver, shift_invert_arnoldi)
 from mhdkit.problems import make_problem
 
 
@@ -418,13 +417,3 @@ def test_arnoldi_zero_shift_factorises_a_itself():
     res = shift_invert_arnoldi(A, M, k=4)
     ref = shift_invert_arnoldi((A - 0.0 * M).tocsr(), M, k=4)
     assert np.array_equal(res.values, ref.values)
-
-
-def test_block_matrix_assembly():
-    bm = BlockMatrix(["u", "p"], {"u": 3, "p": 2})
-    bm.add("u", "u", sp.identity(3, format="csr"))
-    bm.add("u", "p", sp.csr_matrix(np.ones((3, 2))))
-    A = bm.tocsr()
-    assert A.shape == (5, 5)
-    assert np.allclose(A.toarray()[:3, 3:], 1.0)
-    assert np.allclose(A.toarray()[3:, 3:], 0.0)

@@ -66,3 +66,13 @@ def test_lorentz_alpha_uses_the_effective_step():
     assert pc.lorentz_alpha(cn) == pytest.approx(pc.lorentz_alpha(half),
                                                  rel=1e-14)
     assert pc.lorentz_alpha(cn) < pc.lorentz_alpha(full) < 1.0
+
+
+def test_pressure_mass_inverse_inverts_the_mass():
+    from mhdkit.assembly import cell_matrix
+    from mhdkit.elements import FunctionSpace
+    from mhdkit.mesh import build_rect_mesh
+
+    p = FunctionSpace(build_rect_mesh((0, 1, 0, 1), 4, 4, "crossed"), "DG", 1)
+    prod = precond.pressure_mass_inverse(p) @ cell_matrix(p, p, qdeg=6)
+    assert np.abs(prod - np.eye(p.total_dofs)).max() <= 1e-12
