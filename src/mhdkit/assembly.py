@@ -7,7 +7,13 @@ Every sparse matrix built from local arrays comes out of this module:
 `scatter` sums local arrays into a CSR matrix, `interpolation_matrix`
 applies one space's dual functionals to another's basis (the exact
 complex maps and the multigrid embeddings), and `SparsityPattern` keeps a
-fixed pattern for repeated Jacobians."""
+fixed pattern for repeated Jacobians.
+
+The basis tables these forms read are held by the spaces: cell tables per
+quadrature degree (`FunctionSpace.basis_at_quadrature`) and facet traces per
+key (qdeg, "int", side) or (qdeg, "bdy", marker tag)
+(`FunctionSpace.trace_table`); facet geometry is held by the mesh
+(`facet_data`)."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -244,8 +250,8 @@ def facet_data(mesh, qdeg):
 
 
 def _boundary_selection(mesh, fd, dirichlet_markers):
-    """Boundary facets of fd on `dirichlet_markers`, and the trace cache
-    tag of that marker set."""
+    """Boundary facets of fd on `dirichlet_markers`, and the tag of that
+    marker set in trace keys."""
     eb = mesh.edges_with_markers(dirichlet_markers)
     keep = np.isin(fd.bdry_edges, eb)
     return keep, tuple(sorted(map(str, dirichlet_markers)))
@@ -277,21 +283,6 @@ def _facet_matrix(space, qdeg, dirichlet_markers, locals_):
     return A
 
 
-def _trace(space, cells, pts, grad=False, key=None):
-    """Basis traces at facet quadrature points; cached on the space when a
-    hashable key (facet-data id, side, qdeg) is supplied."""
-    if key is None:
-        return space.tabulate_cells(cells, pts, grad)
-    cache = getattr(space, "_trace_cache", None)
-    if cache is None:
-        cache = space._trace_cache = {}
-    if key not in cache:
-        # gradients subsume values; store both at once
-        cache[key] = space.tabulate_cells(cells, pts, True)
-    vals, grads = cache[key]
-    return (vals, grads) if grad else (vals, None)
-
-
 # -- SIPG viscous term ---------------------------------------------------------
 
 def sipg_local(space, nu, sigma=None, sym=True, qdeg=None,
@@ -319,8 +310,8 @@ def sipg_local(space, nu, sigma=None, sym=True, qdeg=None,
     vals = []
     grads = []
     for s in range(2):
-        v, g = _trace(space, fd.int_cells[:, s], fd.int_pts[s], grad=True,
-                      key=(qdeg, "int", s))
+        v, g = space.trace_table((qdeg, "int", s), fd.int_cells[:, s],
+                                 fd.int_pts[s], grad=True)
         vals.append(v)
         grads.append(g)
 
@@ -358,7 +349,7 @@ def sipg_local(space, nu, sigma=None, sym=True, qdeg=None,
         pts = fd.bdry_pts[keep]
         nb = fd.bdry_normal[keep]
         Lb = fd.bdry_len[keep]
-        v, g = _trace(space, cells, pts, grad=True, key=(qdeg, "bdy", mk))
+        v, g = space.trace_table((qdeg, "bdy", mk), cells, pts, grad=True)
         if sym:
             e = 0.5 * (g + np.swapaxes(g, -2, -1))
         else:
@@ -409,8 +400,8 @@ def upwind_advection_residual(space, u_field, qdeg=None,
     uv = []
     basis = []
     for s in range(2):
-        v, _ = _trace(space, fd.int_cells[:, s], fd.int_pts[s],
-                      key=(qdeg, "int", s))
+        v, _ = space.trace_table((qdeg, "int", s), fd.int_cells[:, s],
+                                 fd.int_pts[s])
         basis.append(v)
         loc = u_field.coefficients[space.dofmap[fd.int_cells[:, s]]]
         uv.append(np.einsum("ei,eqik->eqk", loc, v))
@@ -431,7 +422,7 @@ def upwind_advection_residual(space, u_field, qdeg=None,
         pts = fd.bdry_pts[keep]
         nb = fd.bdry_normal[keep]
         Lb = fd.bdry_len[keep]
-        v, _ = _trace(space, cells, pts, key=(qdeg, "bdy", mk))
+        v, _ = space.trace_table((qdeg, "bdy", mk), cells, pts)
         loc = u_field.coefficients[space.dofmap[cells]]
         ub = np.einsum("ei,eqik->eqk", loc, v)
         un = np.einsum("eqk,ek->eq", ub, nb)
@@ -463,8 +454,8 @@ def upwind_advection_local(space, u_field, qdeg=None,
     basis = []
     uv = []
     for s in range(2):
-        v, _ = _trace(space, fd.int_cells[:, s], fd.int_pts[s],
-                      key=(qdeg, "int", s))
+        v, _ = space.trace_table((qdeg, "int", s), fd.int_cells[:, s],
+                                 fd.int_pts[s])
         basis.append(v)
         loc = u_field.coefficients[space.dofmap[fd.int_cells[:, s]]]
         uv.append(np.einsum("ei,eqik->eqk", loc, v))
@@ -488,7 +479,7 @@ def upwind_advection_local(space, u_field, qdeg=None,
         pts = fd.bdry_pts[keep]
         nb = fd.bdry_normal[keep]
         Lb = fd.bdry_len[keep]
-        v, _ = _trace(space, cells, pts, key=(qdeg, "bdy", mk))
+        v, _ = space.trace_table((qdeg, "bdy", mk), cells, pts)
         loc = u_field.coefficients[space.dofmap[cells]]
         ub = np.einsum("ei,eqik->eqk", loc, v)
         un = np.einsum("eqk,ek->eq", ub, nb)
@@ -528,8 +519,8 @@ def burman_local(space, mu, qdeg=None):
     wq = fd.qweights
     grads = []
     for s in range(2):
-        _, g = _trace(space, fd.int_cells[:, s], fd.int_pts[s], grad=True,
-                      key=(qdeg, "int", s))
+        _, g = space.trace_table((qdeg, "int", s), fd.int_cells[:, s],
+                                 fd.int_pts[s], grad=True)
         gs = g.reshape(g.shape[:3] + (-1,))
         grads.append(gs)
     wL = wq[None, :] * fd.int_len[:, None] * fd.int_len[:, None] ** 2
@@ -616,6 +607,50 @@ def constrain_matrix(A, constrained):
 # -- fixed sparsity pattern ---------------------------------------------------
 
 
+def _sorted_entries(lo, hi, n, pairs, con):
+    """Sort the entries of rows lo..hi-1: those of the local arrays on
+    `pairs` ((rows, cols) each, row-major) and the diagonal at `con`.
+    Returns the sorted distinct keys (row - lo) * n + col (int64), the slot
+    of each entry among them (int32, in input order: pairs, then con) and
+    the bounds of each pair's entries in that order."""
+    sizes = [r.size * c.shape[1] for r, c in pairs]
+    bounds = np.cumsum([0] + sizes)
+    m = int(bounds[-1]) + len(con)
+    # sort keys, each packed with its entry's position into one int64 when
+    # they fit
+    shift = m.bit_length()
+    packed = int((hi - lo) * n).bit_length() + shift < 63
+    key = np.empty(m, dtype=np.int64)
+    for (rows, cols), a, b in zip(pairs, bounds, bounds[1:]):
+        r, c = _entries(rows, cols)
+        np.subtract(r, lo, out=key[a:b])
+        key[a:b] *= n
+        key[a:b] += c
+    key[bounds[-1]:] = (con - lo) * n + con
+    if packed:
+        for a in range(0, m, 1 << 20):
+            b = min(m, a + (1 << 20))
+            key[a:b] <<= shift
+            key[a:b] |= np.arange(a, b)
+        key.sort()
+        order = np.empty(m, dtype=np.int32)
+        np.bitwise_and(key, (1 << shift) - 1, out=order, casting="unsafe")
+        key >>= shift
+    else:
+        order = np.argsort(key, kind="stable").astype(np.int32)
+        key = key[order]
+    first = np.ones(m, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    unique = key[first]
+    del key
+    slot_sorted = np.cumsum(first, dtype=np.int32)
+    del first
+    slot_sorted -= 1
+    slot = np.empty(m, dtype=np.int32)
+    slot[order] = slot_sorted
+    return unique, slot, bounds
+
+
 class SparsityPattern:
     """One fixed CSR pattern over the dofs 0..n-1 of a mixed operator.
 
@@ -633,65 +668,57 @@ class SparsityPattern:
         con = np.asarray(constrained, dtype=np.int64)
         direct = {k: v for k, v in pairings.items()
                   if not isinstance(v[0], tuple)}
-        sizes = [r.size * c.shape[1] for r, c in direct.values()]
-        bounds = np.cumsum([0] + sizes)
-        m = bounds[-1] + len(con)
-        # sort keys row * n + col, each packed with its entry's position
-        # into one int64 when they fit
-        shift = int(m).bit_length()
-        packed = (n * n).bit_length() + shift < 63
-        key = np.empty(m, dtype=np.int64)
-        for (rows, cols), a, b in zip(direct.values(), bounds, bounds[1:]):
-            r, c = _entries(rows, cols)
-            np.multiply(r, n, out=key[a:b])
-            key[a:b] += c
-        key[bounds[-1]:] = con * (n + 1)
-        if packed:
-            for a in range(0, m, 1 << 20):
-                b = min(m, a + (1 << 20))
-                key[a:b] <<= shift
-                key[a:b] |= np.arange(a, b)
-            key.sort()
-            order = np.empty(m, dtype=np.int32)
-            np.bitwise_and(key, (1 << shift) - 1, out=order,
-                           casting="unsafe")
-            key >>= shift
-        else:
-            order = np.argsort(key, kind="stable").astype(np.int32)
-            key = key[order]
-        first = np.ones(m, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        unique = key[first]
-        del key
-        slot_sorted = np.cumsum(first, dtype=np.int32)
-        del first
-        slot_sorted -= 1
-        slot = np.empty(m, dtype=np.int32)
-        slot[order] = slot_sorted
-        del order, slot_sorted
+        # row blocks: the merged row ranges of the pairings (one per test
+        # field of a mixed operator) and the gaps between them, sorted one
+        # at a time so that the sort keys span one block
+        merged = []
+        for a, b in sorted((r.min(), r.max() + 1)
+                           for r, _ in direct.values() if r.size):
+            if merged and a < merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], b)
+            else:
+                merged.append([a, b])
+        cuts = np.unique(np.r_[0, n, np.ravel(merged)]).astype(np.int64)
+        block = {k: np.searchsorted(cuts, r.min(), side="right") - 1
+                 for k, (r, _) in direct.items() if r.size}
+        mask = np.zeros(n, dtype=bool)
+        mask[con] = True
         self.n = n
-        self.nnz = len(unique)
-        self.indptr = np.searchsorted(
-            unique, np.arange(n + 1) * n).astype(np.int32)
-        rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.indptr))
-        unique -= rows * np.int64(n)
-        self.indices = unique.astype(np.int32)
-        del unique
+        self.slots = {k: np.zeros(0, dtype=np.int32) for k in direct}
+        self.diag = np.empty(len(con), dtype=np.int32)
+        indptr = [np.zeros(1, dtype=np.int32)]
+        indices, dropped = [], []
+        nnz = 0
+        for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+            keys = [k for k in direct if block.get(k) == i]
+            on = np.flatnonzero((con >= lo) & (con < hi))
+            unique, slot, bounds = _sorted_entries(
+                lo, hi, n, [direct[k] for k in keys], con[on])
+            slot += nnz
+            for k, a, b in zip(keys, bounds[:-1], bounds[1:]):
+                self.slots[k] = slot[a:b]
+            self.diag[on] = slot[bounds[-1]:]
+            starts = np.searchsorted(unique, np.arange(1, hi - lo + 1) * n)
+            indptr.append((starts + nnz).astype(np.int32))
+            rows = np.repeat(np.arange(hi - lo), np.diff(np.r_[0, starts]))
+            unique -= rows * n
+            indices.append(unique.astype(np.int32))
+            dropped.append(nnz + np.flatnonzero(mask[lo + rows]
+                                                | mask[indices[-1]]))
+            nnz += len(unique)
+            del unique, rows
+        self.nnz = nnz
+        self.indptr = np.concatenate(indptr)
+        self.indices = np.concatenate(indices)
+        self.dropped = np.concatenate(dropped).astype(np.int32)
         # matrices share these: a change in place would corrupt the pattern
         self.indptr.flags.writeable = False
         self.indices.flags.writeable = False
-        self.slots = {k: slot[a:b] for k, a, b in
-                      zip(direct, bounds[:-1], bounds[1:])}
         for k, (base, index) in pairings.items():
             if k not in direct:
                 pairs = len(pairings[base][0])
                 self.slots[k] = self.slots[base].reshape(
                     pairs, -1)[index].ravel()
-        self.diag = slot[bounds[-1]:]
-        mask = np.zeros(n, dtype=bool)
-        mask[con] = True
-        self.dropped = np.flatnonzero(mask[rows] | mask[self.indices]).astype(
-            np.int32)
 
     def scatter(self, terms, out=None):
         """Add the local arrays `terms` (key -> local) to `out` (a new zero

@@ -11,7 +11,16 @@ machinery evaluates traces of a cell's basis at arbitrary physical points,
 which is what the facet assembly needs.  The sparse operators themselves
 (mass matrices, the complex maps) are built by `assembly`: `cell_matrix` and
 `interpolation_matrix`.
+
+A FunctionSpace holds the basis tables that assembly reads: one per cell
+quadrature degree and one per facet trace, each with gradients once they
+are first asked for.  The tables are read-only, since fields and models may
+share a space.  Code that builds operators and keeps only the operators
+runs inside `transient_tables`, and a model keeps only the tables its
+residual, Jacobian and diagnostics read (`FunctionSpace.keep_tables`).
 """
+
+import contextlib
 
 import numpy as np
 from scipy.sparse.linalg import spsolve
@@ -173,7 +182,9 @@ class FunctionSpace:
         self._build_geometry()
         self._build_dofmap()
         self._build_coefficients()
-        self._basis_cache = {}
+        # basis tables: cell quadrature degree (int) or facet trace key
+        # (tuple) -> [points, weights, values, gradients or None]
+        self._tables = {}
 
     # geometry helpers ------------------------------------------------------
 
@@ -379,7 +390,7 @@ class FunctionSpace:
             return vals, None
         G = (smg.swapaxes(-1, -2).reshape(n, nq * 2, nsm) @ Ct).reshape(
             n, nq, 2, nloc, ncomp)
-        # C order, so the cached gradients reshape without copies downstream
+        # C order, so the held gradients reshape without copies downstream
         grads = np.empty((n, nq, nloc, ncomp, 2))
         np.divide(np.moveaxis(G, 2, -1),
                   self.cell_scale[cells][:, None, None, None, None],
@@ -398,13 +409,53 @@ class FunctionSpace:
         return pts, w
 
     def basis_at_quadrature(self, degree, grad=False):
-        key = (degree, grad)
-        if key not in self._basis_cache:
-            pts, w = self.cell_quadrature(degree)
-            vals, grads = self.tabulate_cells(
-                np.arange(self.mesh.num_cells), pts, grad)
-            self._basis_cache[key] = (pts, w, vals, grads)
-        return self._basis_cache[key]
+        """(points, weights, values, gradients) of the basis at the cell
+        quadrature of exactness `degree`, held per degree; gradients are
+        None unless `grad`."""
+        entry = self._tables.get(degree)
+        if entry is None or (grad and entry[3] is None):
+            pts, w = (self.cell_quadrature(degree) if entry is None
+                      else entry[:2])
+            entry = self._tabulated(degree, np.arange(self.mesh.num_cells),
+                                    pts, grad, (pts, w))
+        pts, w, vals, grads = entry
+        return pts, w, vals, grads if grad else None
+
+    def trace_table(self, key, cells, pts, grad=False):
+        """Basis values (and gradients) on `cells` at facet points `pts`,
+        held under the hashable `key`, which names the facet set, side and
+        quadrature degree (see `assembly`)."""
+        entry = self._tables.get(key)
+        if entry is None or (grad and entry[3] is None):
+            entry = self._tabulated(key, cells, pts, grad)
+        return entry[2], entry[3] if grad else None
+
+    def _tabulated(self, key, cells, pts, grad, quadrature=(None, None)):
+        """Tabulate and hold the table `key`, with its quadrature (points,
+        weights) when given; gradients join the values already held, which
+        stay the same arrays."""
+        vals, grads = self.tabulate_cells(cells, pts, grad)
+        entry = self._tables.setdefault(key, [*quadrature, vals, None])
+        if grad:
+            entry[3] = grads
+        for a in entry:
+            if a is not None:
+                a.flags.writeable = False
+        return entry
+
+    def table_layout(self):
+        """The tables held: key -> whether with gradients."""
+        return {k: e[3] is not None for k, e in self._tables.items()}
+
+    def keep_tables(self, layout):
+        """Drop every table that `layout` (key -> with gradients, as from
+        `table_layout`) does not list, and the gradients it does not ask
+        for."""
+        for key in list(self._tables):
+            if key not in layout:
+                del self._tables[key]
+            elif not layout[key]:
+                self._tables[key][3] = None
 
     # boundary dofs -------------------------------------------------------------
 
@@ -495,6 +546,19 @@ def _eval_pointwise(g, pts):
     return out
 
 
+@contextlib.contextmanager
+def transient_tables(*spaces):
+    """Drop, when the body ends, the tables it added to `spaces` and the
+    gradients it added to their tables: for set-up code that keeps the
+    operators it builds, not the tables it builds them from."""
+    layouts = [s.table_layout() for s in spaces]
+    try:
+        yield
+    finally:
+        for s, layout in zip(spaces, layouts):
+            s.keep_tables(layout)
+
+
 class Field:
     """Coefficient vector over a FunctionSpace."""
 
@@ -553,8 +617,9 @@ def l2_project(space, source, quad_degree=None):
             shp[0], shp[1], -1)
     if sv.shape[-1] != space.element.ncomp:
         raise ValueError("source component count does not match space")
-    M = cell_matrix(space, space, qdeg=quad_degree)
-    b = cell_vector(space, "val", sv, qdeg=quad_degree)
+    with transient_tables(space):
+        M = cell_matrix(space, space, qdeg=quad_degree)
+        b = cell_vector(space, "val", sv, qdeg=quad_degree)
     return Field(space, spsolve(M.tocsc(), b))
 
 

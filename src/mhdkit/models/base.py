@@ -7,7 +7,7 @@ import numpy as np
 from ..assembly import (DirichletBC, SparsityPattern, burman_local,
                         cell_local, cell_vector, facet_pairings,
                         field_at_quadrature)
-from ..elements import Field, FunctionSpace
+from ..elements import Field, FunctionSpace, transient_tables
 
 QDEG = 6
 
@@ -154,9 +154,11 @@ class MixedModel:
 
     A subclass declares `fields` (the state order, with a pressure "p"),
     `mass_fields` (the fields under a time derivative), `FORCING` (forcing
-    key -> field), `QDEG_RHS` and `COUPLINGS`, the (test, trial) field pairs
-    of the Jacobian's cell terms; `velocity` and `magnetic` name the fields
-    whose divergence `div_norms` reports ("u" and "B" unless overridden).
+    key -> field), `QDEG_RHS`, `COUPLINGS`, the (test, trial) field pairs
+    of the Jacobian's cell terms, and `SOLVE_TABLES`, the fields whose QDEG
+    basis tables its residual and Jacobian read (field -> whether with
+    gradients); `velocity` and `magnetic` name the fields whose divergence
+    `div_norms` reports ("u" and "B" unless overridden).
     With the "hdiv" velocity variant the velocity's facet pairings join the
     pattern too.  It passes its spaces to `__init__`, yields its constant
     terms from `_constant_terms` as (weight name, pairing key, local array)
@@ -168,7 +170,8 @@ class MixedModel:
     maps per pairing key: (test, trial) for cell terms and (velocity,
     velocity, facet key) for the velocity's facet terms (see
     `assembly.facet_pairings`).  The constants are held once, in pattern
-    order, grouped by weight name.
+    order, grouped by weight name.  Set-up ends by dropping the basis
+    tables that only set-up read (`_keep_solve_tables`).
 
     `bcs` maps a field to (markers, value): markers "all" or a list of facet
     marker names, value a callable or None (homogeneous).  One pressure dof
@@ -202,6 +205,26 @@ class MixedModel:
         self._mass_csr = None
         self._const_key = self._const_data = None
         self._rhs_const = self._assemble_forcing()
+        self._keep_solve_tables()
+
+    def _keep_solve_tables(self):
+        """Drop the basis tables that only set-up reads.  Each space keeps
+        its QDEG table if a field of `SOLVE_TABLES` lives on it, with
+        gradients if one of them asks for them or is the velocity or the
+        magnetic field (`div_norms`), and its facet traces without
+        gradients (upwind advection reads their values)."""
+        grads = dict(self.SOLVE_TABLES)
+        grads[self.velocity] = grads[self.magnetic] = True
+        keep = {}
+        for name, space in self.spaces.items():
+            layout = keep.setdefault(id(space), (space, {}))[1]
+            if name in grads:
+                layout[QDEG] = layout.get(QDEG, False) or grads[name]
+        for space, layout in keep.values():
+            # facet traces are the tables with tuple keys
+            layout.update((k, False) for k in space.table_layout()
+                          if isinstance(k, tuple))
+            space.keep_tables(layout)
 
     # -- pattern and constants ------------------------------------------------
 
@@ -244,8 +267,10 @@ class MixedModel:
     def _stabilisation(self):
         """The gradient-jump penalty of an "hdiv" velocity at unit weight
         (weight name "stab_mu"), built on first use: most runs have none."""
-        return self.pattern.compact(self._facet_terms(
-            burman_local(self.spaces[self.velocity], mu=1.0, qdeg=QDEG)))
+        space = self.spaces[self.velocity]
+        with transient_tables(space):
+            local = burman_local(space, mu=1.0, qdeg=QDEG)
+        return self.pattern.compact(self._facet_terms(local))
 
     def _linear_residual(self, vec):
         """The constant terms of the residual: the weighted constants
@@ -341,12 +366,13 @@ class MixedModel:
         the model's own `parts` and its `lazy` parts, built on first
         access."""
         pat = self.pattern
-        steady = pat.scatter(
+        data = pat.scatter(
             terms, self._constant_data(weights or self._weights()).copy())
-        total = steady_coeff * steady
+        if steady_coeff != 1.0:
+            data *= steady_coeff
         if mass_coeff:
-            pat.expand(self._mass, mass_coeff, out=total)
-        A = pat.constrain(total)
+            pat.expand(self._mass, mass_coeff, out=data)
+        A = pat.constrain(data)
         st = self.state_template
         parts.update(offsets=st.offsets, sizes=st.sizes(),
                      mass_coeff=mass_coeff, steady_coeff=steady_coeff,
@@ -374,7 +400,7 @@ class MixedModel:
         out = {}
         for n in (self.velocity, self.magnetic):
             _, g = field_at_quadrature(F[n], QDEG, grad=True)
-            _, w, _, _ = self.spaces[n].basis_at_quadrature(QDEG)
+            _, w = self.spaces[n].cell_quadrature(QDEG)
             div = g[..., 0, 0] + g[..., 1, 1]
             out[n] = float(np.sqrt(np.sum(div ** 2 * w)))
         return out

@@ -22,6 +22,7 @@ class BoussinesqMHD(MixedModel):
     mass_fields = ("u", "theta", "B")
     FORCING = {"f": "u", "q_theta": "theta"}
     QDEG_RHS = 8
+    SOLVE_TABLES = {"u": True, "theta": True, "E": False, "B": False}
     COUPLINGS = (("u", "u"), ("u", "p"), ("u", "theta"), ("u", "E"),
                  ("u", "B"), ("p", "u"), ("theta", "theta"), ("theta", "u"),
                  ("E", "u"), ("E", "E"), ("E", "B"), ("B", "E"), ("B", "B"))
@@ -33,11 +34,12 @@ class BoussinesqMHD(MixedModel):
                  velocity_variant="hdiv"):
         self.variant = velocity_variant
         u, p = velocity_pair(mesh, velocity_variant)
+        cg2 = FunctionSpace(mesh, "CG", 2)  # theta and E share it
         super().__init__(mesh, params, {
             "u": u,
             "p": p,
-            "theta": FunctionSpace(mesh, "CG", 2),
-            "E": FunctionSpace(mesh, "CG", 2),
+            "theta": cg2,
+            "E": cg2,
             "B": FunctionSpace(mesh, "RT", 2),
         }, bcs, forcing)
 

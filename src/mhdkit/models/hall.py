@@ -29,6 +29,8 @@ class HallMHD(MixedModel):
     FORCING = {"f_t": "ut", "f_3": "u3", "gB_t": "Bt", "gB_3": "B3",
                "gj_t": "jt", "gj_3": "j3"}
     QDEG_RHS = 10
+    SOLVE_TABLES = {"ut": True, "u3": True, "Bt": False, "B3": False,
+                    "jt": False, "j3": False}
     COUPLINGS = (
         ("ut", "ut"), ("ut", "p"), ("ut", "jt"), ("ut", "j3"), ("ut", "B3"),
         ("ut", "Bt"), ("u3", "u3"), ("u3", "ut"), ("u3", "jt"), ("u3", "Bt"),
@@ -41,12 +43,13 @@ class HallMHD(MixedModel):
                  velocity_variant="hdiv"):
         self.variant = velocity_variant
         ut, p = velocity_pair(mesh, velocity_variant)
-        cg2 = lambda: FunctionSpace(mesh, "CG", 2)
+        # the out-of-plane parts share one CG2 space, Et and jt one NED2
+        cg2 = FunctionSpace(mesh, "CG", 2)
+        ned2 = FunctionSpace(mesh, "NED", 2)
         super().__init__(mesh, params, {
-            "ut": ut, "u3": cg2(), "p": p,
-            "Et": FunctionSpace(mesh, "NED", 2), "E3": cg2(),
-            "Bt": FunctionSpace(mesh, "RT", 2), "B3": cg2(),
-            "jt": FunctionSpace(mesh, "NED", 2), "j3": cg2(),
+            "ut": ut, "u3": cg2, "p": p, "Et": ned2, "E3": cg2,
+            "Bt": FunctionSpace(mesh, "RT", 2), "B3": cg2, "jt": ned2,
+            "j3": cg2,
         }, bcs, forcing)
 
     def _weights(self):

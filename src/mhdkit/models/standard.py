@@ -20,6 +20,7 @@ class StandardMHD(MixedModel):
     mass_fields = ("u", "B")
     FORCING = {"f": "u", "g_E": "E", "g_B": "B"}
     QDEG_RHS = 10
+    SOLVE_TABLES = {"u": True, "E": False, "B": False}
     COUPLINGS = (("u", "u"), ("u", "p"), ("u", "E"), ("u", "B"), ("p", "u"),
                  ("E", "u"), ("E", "E"), ("E", "B"), ("B", "E"), ("B", "B"))
 
@@ -145,7 +146,7 @@ class StandardMHD(MixedModel):
             # G tilde: (u^n x dB, F) = -(dB . perp u^n) F
             terms[("E", "B")] = cell_local(E, B, weight=-perpU[:, :, None, :],
                                            qdeg=QDEG)
-        _, wq, _, _ = u.basis_at_quadrature(QDEG)
+        _, wq = u.cell_quadrature(QDEG)
         return self._finish_jacobian(
             terms, delta, mass_coeff, steady_coeff,
             lazy={"D": lambda: cell_matrix(u, u, weight=W_D, qdeg=QDEG)},

@@ -74,6 +74,11 @@ def star_patches(spaces, constrained=None):
     return [dofs[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
+# patches gathered and inverted at a time: the gather's index arrays are
+# two int64 arrays of chunk * s^2 entries, and they die with each chunk
+PATCH_CHUNK = 32
+
+
 def _gather_blocks(A, idx):
     """Dense blocks A[p][:, p] for the rows p of an (n, s) index array, read
     from a CSR matrix in one fancy-index call; the (n s^2) index arrays are
@@ -105,9 +110,10 @@ class PatchSmoother:
     x = omega * sum_p R_p^T A_p^{-1} R_p r.
 
     Patches are grouped by size.  `setup` gathers each group's dense blocks
-    from the CSR matrix in one fancy-index call and inverts them in one
-    batched call; `apply` is a gather, one batched matmul per group and one
-    `bincount` scatter over all patches."""
+    from the CSR matrix and inverts them in batches of `PATCH_CHUNK`
+    patches, one fancy-index call and one batched inverse each; `apply` is
+    a gather, one batched matmul per group and one `bincount` scatter over
+    all patches."""
 
     def __init__(self, patches):
         groups = {}
@@ -121,8 +127,14 @@ class PatchSmoother:
 
     def setup(self, A):
         A = A.tocsr()
-        self._inv = [_invert_blocks(_gather_blocks(A, idx))
-                     for idx in self.group_idx]
+        self._inv = []
+        for idx in self.group_idx:
+            n, s = idx.shape
+            inv = np.empty((n, s, s))
+            for a in range(0, n, PATCH_CHUNK):
+                b = a + PATCH_CHUNK
+                inv[a:b] = _invert_blocks(_gather_blocks(A, idx[a:b]))
+            self._inv.append(inv)
 
     def apply(self, r, omega=1.0):
         """Sum of damped local solves of the restricted residual; inside a
@@ -146,18 +158,23 @@ class MgHierarchy:
     """Per-level spaces / transfers / patches for a tuple of fields over a
     MeshHierarchy; built once and reused across Jacobians."""
 
-    def __init__(self, hierarchy, field_specs, bc_markers):
-        """field_specs: list of (family, degree); bc_markers: per field, None
-        (no strong dofs), 'all', or list of marker names."""
+    def __init__(self, hierarchy, fine_spaces, bc_markers):
+        """fine_spaces: per field, its space on the finest mesh (a model's
+        own), whose element the coarser levels repeat; bc_markers: per
+        field, None (no strong dofs), 'all', or list of marker names."""
+        if any(s.mesh is not hierarchy.finest for s in fine_spaces):
+            raise ValueError("the fine spaces must live on the finest mesh")
         self.hierarchy = hierarchy
         nlev = len(hierarchy)
         self.nlevels = nlev
         self.spaces = []
         self.constrained = []
-        for mesh in hierarchy.levels:
-            sps = tuple(FunctionSpace(mesh, fam, deg)
-                        for fam, deg in field_specs)
-            self.spaces.append(sps)
+        for mesh in hierarchy.levels[:-1]:
+            self.spaces.append(tuple(
+                FunctionSpace(mesh, s.element.family, s.element.degree)
+                for s in fine_spaces))
+        self.spaces.append(tuple(fine_spaces))
+        for sps in self.spaces:
             offs = np.cumsum([0] + [s.total_dofs for s in sps])
             con = []
             for k, s in enumerate(sps):
@@ -173,7 +190,7 @@ class MgHierarchy:
             child = hierarchy.cell_children[lv]
             blocks = [build_transfer(self.spaces[lv][k],
                                      self.spaces[lv + 1][k], child)
-                      for k in range(len(field_specs))]
+                      for k in range(len(fine_spaces))]
             P = sp.block_diag(blocks, format="csr")
             # corrections vanish on constrained dofs
             maskf = np.ones(P.shape[0])

@@ -8,6 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import cell_local, scatter
+from .elements import transient_tables
 from .linalg import LuSolver, fgmres, fixed_iteration_solver
 from .multigrid import MgHierarchy, GeometricMultigrid
 
@@ -81,7 +82,8 @@ def pressure_mass_inverse(p_space, qdeg=6):
     if p_space.element.family != "DG":
         raise ValueError("cellwise mass inverse needs a discontinuous "
                          "pressure")
-    inv = np.linalg.inv(cell_local(p_space, p_space, qdeg=qdeg))
+    with transient_tables(p_space):
+        inv = np.linalg.inv(cell_local(p_space, p_space, qdeg=qdeg))
     return scatter([(p_space.dofmap, p_space.dofmap, inv)],
                    (p_space.total_dofs,) * 2)
 
@@ -167,8 +169,9 @@ class StandardMHDPrecond:
         self.model = model
         self.config = config or BlockPrecondConfig()
         mk = model.bc_markers
-        self.vel_ctx = MgHierarchy(hierarchy, [("BDM", 2)], [mk["u"]])
-        self.em_ctx = MgHierarchy(hierarchy, [("CG", 2), ("RT", 2)],
+        s = model.spaces
+        self.vel_ctx = MgHierarchy(hierarchy, [s["u"]], [mk["u"]])
+        self.em_ctx = MgHierarchy(hierarchy, [s["E"], s["B"]],
                                   [mk["E"], mk["B"]])
         self.Mp_inv = pressure_mass_inverse(model.spaces["p"])
         st = model.state_template
@@ -269,9 +272,10 @@ class AnisothermalPrecond:
         require_eliminate_up(model, config)
         self.model = model
         mk = model.bc_markers
-        self.uth_ctx = MgHierarchy(hierarchy, [("BDM", 2), ("CG", 2)],
+        s = model.spaces
+        self.uth_ctx = MgHierarchy(hierarchy, [s["u"], s["theta"]],
                                    [mk["u"], mk["theta"]])
-        self.em_ctx = MgHierarchy(hierarchy, [("CG", 2), ("RT", 2)],
+        self.em_ctx = MgHierarchy(hierarchy, [s["E"], s["B"]],
                                   [mk["E"], mk["B"]])
         self.Mp_inv = pressure_mass_inverse(model.spaces["p"])
         st = model.state_template
@@ -299,7 +303,8 @@ class HallPrecond:
         require_eliminate_up(model, config)
         self.model = model
         mk = model.bc_markers
-        self.flow_ctx = MgHierarchy(hierarchy, [("BDM", 2), ("CG", 2)],
+        s = model.spaces
+        self.flow_ctx = MgHierarchy(hierarchy, [s["ut"], s["u3"]],
                                     [mk["ut"], mk["u3"]])
         self.Mp_inv = pressure_mass_inverse(model.spaces["p"])
         st = model.state_template

@@ -7,8 +7,8 @@ import logging
 
 import numpy as np
 
-from .elements import FunctionSpace
-from .assembly import cell_matrix
+from .elements import FunctionSpace, transient_tables
+from .assembly import cell_matrix, constrain_matrix
 from .linalg import LuSolver
 from .nonlinear import NonlinearConfig, solve_nonlinear
 
@@ -234,17 +234,21 @@ class ReconnectionProbe:
         mesh = model.mesh
         self.model = model
         self.field = field
-        self.cg2 = FunctionSpace(mesh, "CG", 2)
+        # the model's CG2 space when it has one
+        self.cg2 = next((s for s in model.spaces.values()
+                         if (s.element.family, s.element.degree)
+                         == ("CG", 2)), None) or FunctionSpace(mesh, "CG", 2)
         self.cg1 = FunctionSpace(mesh, "CG", 1)
         con = self.cg2.boundary_dofs()
-        from .assembly import constrain_matrix
-        M = cell_matrix(self.cg2, self.cg2, qdeg=6)
+        B_space = model.spaces[field]
+        with transient_tables(self.cg2, self.cg1, B_space):
+            M = cell_matrix(self.cg2, self.cg2, qdeg=6)
+            self.C = cell_matrix(self.cg2, B_space, "vcurl", "val", qdeg=6)
+            M1 = cell_matrix(self.cg1, self.cg1, qdeg=4)
+            self.M12 = cell_matrix(self.cg1, self.cg2, qdeg=6)
         self.Mlu = LuSolver(constrain_matrix(M, con))
         self.con = con
-        B_space = model.spaces[field]
-        self.C = cell_matrix(self.cg2, B_space, "vcurl", "val", qdeg=6)
-        self.M1lu = LuSolver(cell_matrix(self.cg1, self.cg1, qdeg=4).tocsc())
-        self.M12 = cell_matrix(self.cg1, self.cg2, qdeg=6)
+        self.M1lu = LuSolver(M1.tocsc())
         # origin must be a mesh vertex
         d = np.linalg.norm(mesh.vertices, axis=1)
         i = int(np.argmin(d))

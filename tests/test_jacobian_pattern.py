@@ -388,3 +388,50 @@ def test_second_jacobian_builds_no_pattern(monkeypatch):
     for A in (A1, A2):
         assert np.shares_memory(A.indices, model.pattern.indices)
         assert np.shares_memory(A.indptr, model.pattern.indptr)
+
+
+def _one_sort_pattern(n, pairings, constrained):
+    """The pattern from one sort of every entry, kept as the reference of
+    the row-block build: (indptr, indices, slots, diag, dropped)."""
+    direct = {k: v for k, v in pairings.items()
+              if not isinstance(v[0], tuple)}
+    keys = [np.repeat(r, c.shape[1], axis=1).ravel() * n
+            + np.tile(c, (1, r.shape[1])).ravel()
+            for r, c in direct.values()]
+    con = np.asarray(constrained, dtype=np.int64)
+    unique = np.unique(np.concatenate(keys + [con * (n + 1)]))
+    rows, cols = np.divmod(unique, n)
+    slots = {k: np.searchsorted(unique, key) for k, key in zip(direct, keys)}
+    for k, (base, index) in pairings.items():
+        if k not in direct:
+            slots[k] = slots[base].reshape(len(pairings[base][0]),
+                                           -1)[index].ravel()
+    mask = np.zeros(n, dtype=bool)
+    mask[con] = True
+    return (np.searchsorted(rows, np.arange(n + 1)), cols, slots,
+            np.searchsorted(unique, con * (n + 1)),
+            np.flatnonzero(mask[rows] | mask[cols]))
+
+
+@pytest.mark.parametrize("name, variant", [
+    (name, variant) for name, (_, _, variants) in CASES.items()
+    for variant in variants])
+def test_row_block_pattern_is_the_one_sort_pattern(monkeypatch, name,
+                                                    variant):
+    seen = []
+
+    class Recording(base.SparsityPattern):
+        def __init__(self, *args):
+            seen.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(base, "SparsityPattern", Recording)
+    pat = CASES[name][0](_mesh(), variant).pattern
+    indptr, indices, slots, diag, dropped = _one_sort_pattern(*seen[0])
+    for got, ref in ((pat.indptr, indptr), (pat.indices, indices),
+                     (pat.diag, diag), (pat.dropped, dropped)):
+        assert got.dtype == np.int32 and np.array_equal(got, ref)
+    assert list(pat.slots) == list(slots)
+    for k, ref in slots.items():
+        assert pat.slots[k].dtype == np.int32
+        assert np.array_equal(pat.slots[k], ref)

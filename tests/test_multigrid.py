@@ -10,6 +10,12 @@ from mhdkit.multigrid import (build_transfer, star_patches, PatchSmoother,
 from mhdkit.linalg import fgmres
 
 
+def _mg_hierarchy(hierarchy, specs, bc_markers):
+    """MgHierarchy over new (family, degree) spaces on the finest mesh."""
+    return MgHierarchy(hierarchy, [FunctionSpace(hierarchy.finest, f, d)
+                                   for f, d in specs], bc_markers)
+
+
 def _star_patches_loop(spaces, constrained=None):
     """Per-vertex loop form of star_patches, kept as its reference."""
     mesh = spaces[0].mesh
@@ -233,12 +239,12 @@ def test_no_star_patches_on_the_coarse_level(hierarchy, monkeypatch):
         return star_patches(*args)
 
     monkeypatch.setattr(multigrid, "star_patches", counted)
-    ctx = MgHierarchy(hierarchy, [("CG", 2), ("RT", 2)], ["all", "all"])
+    ctx = _mg_hierarchy(hierarchy, [("CG", 2), ("RT", 2)], ["all", "all"])
     assert len(calls) == ctx.nlevels - 1 == 2
 
 
 def test_vcycle_zero_maps_to_zero(hierarchy):
-    ctx = MgHierarchy(hierarchy, [("CG", 1)], ["all"])
+    ctx = _mg_hierarchy(hierarchy, [("CG", 1)], ["all"])
     cg = ctx.fine_spaces[0]
     A = constrain_matrix(cell_matrix(cg, cg, "grad", "grad"),
                          ctx.constrained[-1])
@@ -249,7 +255,7 @@ def test_vcycle_zero_maps_to_zero(hierarchy):
 
 def test_poisson_vcycle_contraction():
     hier = refine_uniform(build_rect_mesh((0, 1, 0, 1), 4, 4), 2)
-    ctx = MgHierarchy(hier, [("CG", 1)], ["all"])
+    ctx = _mg_hierarchy(hier, [("CG", 1)], ["all"])
     cg = ctx.fine_spaces[0]
     con = ctx.constrained[-1]
     A = constrain_matrix(cell_matrix(cg, cg, "grad", "grad"), con)
@@ -269,7 +275,7 @@ def test_poisson_vcycle_contraction():
 
 
 def test_vcycle_deterministic(hierarchy):
-    ctx = MgHierarchy(hierarchy, [("CG", 1)], ["all"])
+    ctx = _mg_hierarchy(hierarchy, [("CG", 1)], ["all"])
     cg = ctx.fine_spaces[0]
     A = constrain_matrix(cell_matrix(cg, cg, "grad", "grad"),
                          ctx.constrained[-1])
@@ -286,7 +292,7 @@ def test_poisson_h_independence():
     rates = []
     for lev in (2, 4):
         hier = refine_uniform(build_rect_mesh((0, 1, 0, 1), 2, 2), lev)
-        ctx = MgHierarchy(hier, [("CG", 1)], ["all"])
+        ctx = _mg_hierarchy(hier, [("CG", 1)], ["all"])
         cg = ctx.fine_spaces[0]
         con = ctx.constrained[-1]
         A = constrain_matrix(cell_matrix(cg, cg, "grad", "grad"), con)
@@ -410,7 +416,7 @@ def _vcycle_reference(mg, lv, b, x):
 
 
 def test_zero_start_vcycle_is_bitwise_the_reference(hierarchy):
-    ctx = MgHierarchy(hierarchy, [("CG", 2), ("RT", 2)], ["all", "all"])
+    ctx = _mg_hierarchy(hierarchy, [("CG", 2), ("RT", 2)], ["all", "all"])
     A = _em_system(ctx.fine_spaces, ctx.constrained[-1])
     mg = GeometricMultigrid(ctx).setup(A)
     r = np.random.default_rng(5).standard_normal(A.shape[0])
@@ -422,3 +428,26 @@ def test_zero_start_vcycle_is_bitwise_the_reference(hierarchy):
     # per smoothed level: 6 + (1 + 6) smoother products and one residual;
     # no A @ 0 and no final residual of a spent smoother budget
     assert [c.calls for c in counted] == [0] + [14] * (ctx.nlevels - 1)
+
+
+def test_chunked_patch_inverses_are_bitwise_unchunked(monkeypatch):
+    # the fine levels of the hartmann preconditioner (4x4, levels=1): the
+    # patches are gathered and inverted in chunks, each block on its own
+    from mhdkit import multigrid, problems
+    from mhdkit.precond import field_indices
+
+    spec = problems.make_problem("hartmann", levels=1, mesh_base=(4, 4))
+    model = spec.model
+    pc = spec.make_precond()
+    A, _ = model.jacobian(model.initial_state().vector)
+    for ctx, fields in ((pc.vel_ctx, ("u",)), (pc.em_ctx, ("E", "B"))):
+        idx = field_indices(model.state_template, fields)
+        block = A[idx][:, idx].tocsr()
+        inverses = []
+        for chunk in (7, 10 ** 9):
+            monkeypatch.setattr(multigrid, "PATCH_CHUNK", chunk)
+            sm = PatchSmoother(ctx.patches[-1])
+            sm.setup(block)
+            inverses.append(sm._inv)
+        assert max(len(g) for g in sm.group_idx) > 7
+        assert all(np.array_equal(a, b) for a, b in zip(*inverses))
