@@ -9,15 +9,18 @@ applies one space's dual functionals to another's basis (the exact
 complex maps and the multigrid embeddings), and `SparsityPattern` keeps a
 fixed pattern for repeated Jacobians.
 
-The basis tables these forms read are held by the spaces: cell tables per
-quadrature degree (`FunctionSpace.basis_at_quadrature`) and facet traces per
-key (qdeg, "int", side) or (qdeg, "bdy", marker tag)
-(`FunctionSpace.trace_table`); facet geometry is held by the mesh
+The cell and facet forms never tabulate the basis cell by cell.  They
+contract the element's shared reference table (`elements.reference_table`)
+with the space's per-cell coefficients and the per-cell maps T_c and
+J_c^-1 (`_Basis`); a local matrix is the product of the per-point weights,
+pulled back to the reference components, with the reference tensor of the
+two tables (`_local`).  Facet geometry is held by the mesh
 (`facet_data`)."""
 
 import numpy as np
 import scipy.sparse as sp
 
+from .mesh import _LOCAL_EDGE_VERTICES
 from .quadrature import gauss_interval
 
 __all__ = [
@@ -32,31 +35,29 @@ __all__ = [
 
 # -- operator tabulation -----------------------------------------------------
 
-def _op_arrays(space, vals, grads, op):
-    """Flatten basis (derivative) arrays for an operator code.
+# the derivative operators as linear maps of the gradient flattened
+# (component, derivative); vcurl of a scalar is (d/dy, -d/dx)
+_FROM_GRAD = {"div": np.array([[1.0, 0.0, 0.0, 1.0]]),
+              "curl": np.array([[0.0, -1.0, 1.0, 0.0]]),
+              "vcurl": np.array([[0.0, 1.0], [-1.0, 0.0]])}
+_NEEDS_GRAD = {"grad", *_FROM_GRAD}
 
-    Returns (..., nloc, C):
-      val: components as-is; grad: flattened (comp, deriv); div/curl: scalar;
-      vcurl of a scalar: 2 components (d/dy, -d/dx).
-    """
-    el = space.element
+
+def _check_op(space, op):
+    if op != "val" and op not in _NEEDS_GRAD:
+        raise ValueError(f"unknown operator {op!r}")
+    if op == "vcurl" and space.element.ncomp != 1:
+        raise ValueError("vcurl applies to scalar spaces")
+
+
+def _op_arrays(space, vals, grads, op):
+    """op of physical basis values (..., nloc, C) and gradients (..., nloc,
+    C, 2) as (..., nloc, C'), gradients flattened (component, derivative)."""
+    _check_op(space, op)
     if op == "val":
         return vals
-    if op == "grad":
-        n = grads.shape
-        return grads.reshape(n[:-2] + (n[-2] * n[-1],))
-    if op == "div":
-        return (grads[..., 0, 0] + grads[..., 1, 1])[..., None]
-    if op == "curl":
-        return (grads[..., 1, 0] - grads[..., 0, 1])[..., None]
-    if op == "vcurl":
-        if el.ncomp != 1:
-            raise ValueError("vcurl applies to scalar spaces")
-        return np.stack([grads[..., 0, 1], -grads[..., 0, 0]], axis=-1)
-    raise ValueError(f"unknown operator {op!r}")
-
-
-_NEEDS_GRAD = {"grad", "div", "curl", "vcurl"}
+    g = grads.reshape(grads.shape[:-2] + (-1,))
+    return g if op == "grad" else g @ _FROM_GRAD[op].T
 
 EPS_CONTRACTION = np.zeros((4, 4))
 for _k in range(2):
@@ -65,6 +66,128 @@ for _k in range(2):
             for _e in range(2):
                 EPS_CONTRACTION[2 * _k + _d, 2 * _l + _e] = 0.5 * (
                     (_k == _l) * (_d == _e) + (_k == _e) * (_d == _l))
+
+
+def _op_table(space, table, op):
+    """(R, P) of op of the basis of `space` on the reference points of
+    `table` (values, gradients of the prime basis): R (nvar, nq, nvm, C^) the
+    reference table of the op and P (nc, C, C^) the per-cell map to its
+    physical components, None for the identity."""
+    el = space.element
+    vals, grads = table
+    _check_op(space, op)
+    if op == "val":
+        return vals, space.piola
+    if op == "div" and el.family in ("RT", "BDM"):
+        # div (J psihat) = div^ psihat
+        return (grads[..., 0, 0] + grads[..., 1, 1])[..., None], None
+    if op == "curl" and el.family == "NED":
+        # curl (J^-T psihat) = curl^ psihat / det J
+        return ((grads[..., 1, 0] - grads[..., 0, 1])[..., None],
+                (0.5 / space.cell_area)[:, None, None])
+    # grad (T psihat(xi(x)))[k, d] = T[k, K] dpsihat[K, D] Jinv[D, d]
+    T = np.eye(el.ncomp)[None] if space.piola is None else space.piola
+    P = (T[:, :, None, :, None] * space.jac_inv.transpose(0, 2, 1)[
+        :, None, :, None, :]).reshape(-1, 2 * el.ncomp, 2 * el.ncomp)
+    R = grads.reshape(grads.shape[:-2] + (-1,))
+    return R, P if op == "grad" else _FROM_GRAD[op] @ P
+
+
+def _groups(*variants):
+    """(variants, items) of each group of items that read the same reference
+    tables: every item when there are no variants (cell points)."""
+    if variants[0] is None:
+        return [((0,) * len(variants), slice(None))]
+    key = np.ravel_multi_index(variants, (6,) * len(variants))
+    return [(np.unravel_index(k, (6,) * len(variants)),
+             np.flatnonzero(key == k)) for k in np.unique(key)]
+
+
+class _Basis:
+    """op of the basis of `space` at the points of the rule of exactness
+    `qdeg`: on every cell, or on the facets of `cells`, each reading its
+    reference facet variant `var`.  Holds the reference table R (nvar, nq,
+    m, C^), the per-item maps P (n, C, C^) (None for the identity) and the
+    per-item coefficients coeff (n, nloc, nvm), None where the space's
+    shared coefficients are folded into R (m = nloc)."""
+
+    def __init__(self, space, op, qdeg, cells=None, var=None):
+        R, P = _op_table(space, space.reference_table(
+            qdeg, facet=cells is not None), op)
+        sel = slice(None) if cells is None else cells
+        self.var = var
+        self.P = None if P is None else P[sel]
+        if space.element.nodal:
+            self.R = np.einsum("iv,gqva->gqia", space.coeff[0], R)
+            self.coeff = None
+        else:
+            self.R, self.coeff = R, space.coeff[sel]
+        self.ncomp = R.shape[-1] if P is None else P.shape[1]
+
+    def evaluate(self, loc):
+        """op of the fields with local coefficients loc (n, nloc) at each
+        item's points: (n, nq, C)."""
+        a = loc if self.coeff is None else (loc[:, None] @ self.coeff)[:, 0]
+        _, nq, m, c = self.R.shape
+        out = np.empty((len(a), nq, c))
+        for (g,), idx in _groups(self.var):
+            out[idx] = (a[idx] @ self.R[g].transpose(1, 0, 2).reshape(
+                m, nq * c)).reshape(-1, nq, c)
+        return out if self.P is None else out @ self.P.transpose(0, 2, 1)
+
+    def project(self, rho, w):
+        """Local vectors (n, nloc): sum_q w (op phi_i) . rho over each item's
+        points, for rho (n, nq, C) and weights w (n, nq)."""
+        r = rho * w[..., None]
+        if self.P is not None:
+            r = r @ self.P
+        _, nq, m, c = self.R.shape
+        r = r.reshape(len(r), nq * c)
+        b = np.empty((len(r), m))
+        for (g,), idx in _groups(self.var):
+            b[idx] = r[idx] @ self.R[g].transpose(0, 2, 1).reshape(nq * c, m)
+        return b if self.coeff is None else (self.coeff @ b[..., None])[..., 0]
+
+
+def _geometry(tb, W, rb, w):
+    """The weights w P_t^T W P_r (n, nq, a * b) in the reference components
+    a, b of the test and trial bases; W as in `cell_local`, or per item
+    (n, 1, Ct, Cr)."""
+    if W is None or np.ndim(W) == 0:
+        W = np.eye(tb.ncomp) * (1.0 if W is None else W)
+    W = np.asarray(W, dtype=float)
+    if W.ndim == 2:
+        W = W[None, None]
+    n = len(w)
+    A, B = W.shape[2:]
+    W = W.reshape(W.shape[:2] + (A * B,)) * w[..., None]
+    if tb.P is not None or rb.P is not None:
+        # Q[n, (A, B), (a, b)] = P_t[n, A, a] P_r[n, B, b]
+        Pt, Pr = (np.broadcast_to(np.eye(c), (n, c, c)) if P is None else P
+                  for P, c in ((tb.P, A), (rb.P, B)))
+        Q = Pt[:, :, None, :, None] * Pr[:, None, :, None, :]
+        W = W @ Q.reshape(n, A * B, -1)
+    return W
+
+
+def _local(tb, rb, W, w):
+    """Local arrays (n, nt, nr) of sum_q w (op v) . W . (op u) over the
+    items of the test basis tb and the trial basis rb (the same items and
+    points): the weights in reference components times the reference tensor
+    of the two tables, then the per-item coefficients."""
+    G = _geometry(tb, W, rb, w)
+    G = G.reshape(len(G), -1)
+    mt, mr = tb.R.shape[2], rb.R.shape[2]
+    K = np.empty((len(G), mt, mr))
+    for (gt, gr), idx in _groups(tb.var, rb.var):
+        A0 = np.einsum("qva,qub->qabvu", tb.R[gt], rb.R[gr])
+        K[idx] = (G[idx] @ A0.reshape(G.shape[1], mt * mr)).reshape(
+            -1, mt, mr)
+    if tb.coeff is not None:
+        K = tb.coeff @ K
+    if rb.coeff is not None:
+        K = K @ rb.coeff.transpose(0, 2, 1)
+    return K
 
 
 def _entries(test_dm, trial_dm):
@@ -94,24 +217,13 @@ def cell_local(test, trial, test_op="val", trial_op="val", weight=None,
     """
     if qdeg is None:
         qdeg = 2 * max(test.element.degree, trial.element.degree) + 2
-    gt = test_op in _NEEDS_GRAD
-    gr = trial_op in _NEEDS_GRAD
-    pts, w, tvals, tgrads = test.basis_at_quadrature(qdeg, grad=gt)
-    _, _, rvals, rgrads = trial.basis_at_quadrature(qdeg, grad=gr)
-    A = _op_arrays(test, tvals, tgrads, test_op)
-    B = _op_arrays(trial, rvals, rgrads, trial_op)
     if callable(weight):
+        pts, _ = test.cell_quadrature(qdeg)
         Wv = np.asarray(weight(pts[..., 0], pts[..., 1]), dtype=float)
         weight = np.broadcast_to(Wv, pts.shape[:2] + Wv.shape[-2:])
-    if weight is None:
-        return np.einsum("cqiA,cqjA,cq->cij", A, B, w, optimize=True)
-    if np.isscalar(weight):
-        return weight * np.einsum("cqiA,cqjA,cq->cij", A, B, w,
-                                  optimize=True)
-    Wv = np.asarray(weight, dtype=float)
-    if Wv.ndim == 2:
-        return np.einsum("cqiA,AB,cqjB,cq->cij", A, Wv, B, w, optimize=True)
-    return np.einsum("cqiA,cqAB,cqjB,cq->cij", A, Wv, B, w, optimize=True)
+    return _local(_Basis(test, test_op, qdeg),
+                  _Basis(trial, trial_op, qdeg), weight,
+                  test.quadrature_weights(qdeg))
 
 
 def cell_matrix(test, trial, test_op="val", trial_op="val", weight=None,
@@ -129,16 +241,15 @@ def cell_vector(test, test_op="val", density=None, qdeg=None):
     array (nc, nq, C)."""
     if qdeg is None:
         qdeg = 2 * test.element.degree + 2
-    gt = test_op in _NEEDS_GRAD
-    pts, w, tvals, tgrads = test.basis_at_quadrature(qdeg, grad=gt)
-    A = _op_arrays(test, tvals, tgrads, test_op)
     if callable(density):
+        pts, _ = test.cell_quadrature(qdeg)
         rho = np.asarray(density(pts[..., 0], pts[..., 1]), dtype=float)
         if rho.ndim == 2:
             rho = rho[..., None]
     else:
         rho = np.asarray(density, dtype=float)
-    local = np.einsum("cqiA,cqA,cq->ci", A, rho, w, optimize=True)
+    local = _Basis(test, test_op, qdeg).project(
+        rho, test.quadrature_weights(qdeg))
     out = np.zeros(test.total_dofs)
     np.add.at(out, test.dofmap.ravel(), local.ravel())
     return out
@@ -171,15 +282,19 @@ def interpolation_matrix(src, dst, op="val", src_cells=None, dst_cells=None):
     return M
 
 
+def field_op_at_quadrature(field, op, qdeg):
+    """op of a Field (nc, nq, C) at cell quadrature; gradients flattened
+    (component, derivative)."""
+    sp_ = field.space
+    return _Basis(sp_, op, qdeg).evaluate(field.coefficients[sp_.dofmap])
+
+
 def field_at_quadrature(field, qdeg, grad=False):
     """Values (nc, nq, C) (and gradients) of a Field at cell quadrature."""
-    sp_ = field.space
-    pts, w, vals, grads = sp_.basis_at_quadrature(qdeg, grad=grad)
-    loc = field.coefficients[sp_.dofmap]
-    out = np.einsum("ci,cqik->cqk", loc, vals)
+    out = field_op_at_quadrature(field, "val", qdeg)
     if grad:
-        g = np.einsum("ci,cqikd->cqkd", loc, grads)
-        return out, g
+        g = field_op_at_quadrature(field, "grad", qdeg)
+        return out, g.reshape(g.shape[:-1] + (-1, 2))
     return out
 
 
@@ -188,6 +303,16 @@ def field_at_quadrature(field, qdeg, grad=False):
 
 class _FacetData:
     pass
+
+
+def _facet_variants(mesh, edges, side):
+    """The reference facet variant 2 le + d of each edge in its cell `side`:
+    its local edge le, traversed along the global direction from the local
+    edge's first vertex (d = 0) or from its second (d = 1)."""
+    cells = mesh.edge_cells[edges, side]
+    le = mesh.edge_local[edges, side]
+    first = mesh.cells[cells, _LOCAL_EDGE_VERTICES[le, 0]]
+    return 2 * le + (first != mesh.edges[edges, 0])
 
 
 def facet_data(mesh, qdeg):
@@ -200,11 +325,9 @@ def facet_data(mesh, qdeg):
     xi = rule.points
     fd = _FacetData()
     fd.qweights = rule.weights
-    fd.nq = len(xi)
 
     interior = np.flatnonzero(mesh.edge_cells[:, 1] >= 0)
     p0 = mesh.edge_endpoints_in_cell(interior, 0)
-    p1 = mesh.edge_endpoints_in_cell(interior, 1)
     t = p0[:, 1] - p0[:, 0]
     L = np.linalg.norm(t, axis=1)
     t = t / L[:, None]
@@ -216,18 +339,13 @@ def facet_data(mesh, qdeg):
                     mesh.edge_cells[interior, 1])
     minus = np.where(outward0, mesh.edge_cells[interior, 1],
                      mesh.edge_cells[interior, 0])
-    pts_plus = np.where(outward0[:, None, None], p0, p1)
-    pts_minus = np.where(outward0[:, None, None], p1, p0)
     fd.int_edges = interior
     fd.int_cells = np.stack([plus, minus], axis=1)
+    var0, var1 = (_facet_variants(mesh, interior, s) for s in range(2))
+    fd.int_var = [np.where(outward0, var0, var1),
+                  np.where(outward0, var1, var0)]
     fd.int_normal = n
     fd.int_len = L
-    fd.int_pts = [
-        pts_plus[:, None, 0, :] * (1 - xi)[None, :, None]
-        + pts_plus[:, None, 1, :] * xi[None, :, None],
-        pts_minus[:, None, 0, :] * (1 - xi)[None, :, None]
-        + pts_minus[:, None, 1, :] * xi[None, :, None],
-    ]
 
     bdry = mesh.boundary_edges
     pb = mesh.edge_endpoints_in_cell(bdry, 0)
@@ -241,6 +359,7 @@ def facet_data(mesh, qdeg):
     nb[flip] *= -1
     fd.bdry_edges = bdry
     fd.bdry_cells = mesh.edge_cells[bdry, 0]
+    fd.bdry_var = _facet_variants(mesh, bdry, 0)
     fd.bdry_normal = nb
     fd.bdry_len = Lb
     fd.bdry_pts = (pb[:, None, 0, :] * (1 - xi)[None, :, None]
@@ -250,11 +369,8 @@ def facet_data(mesh, qdeg):
 
 
 def _boundary_selection(mesh, fd, dirichlet_markers):
-    """Boundary facets of fd on `dirichlet_markers`, and the tag of that
-    marker set in trace keys."""
-    eb = mesh.edges_with_markers(dirichlet_markers)
-    keep = np.isin(fd.bdry_edges, eb)
-    return keep, tuple(sorted(map(str, dirichlet_markers)))
+    """Mask of the boundary facets of fd on `dirichlet_markers`."""
+    return np.isin(fd.bdry_edges, mesh.edges_with_markers(dirichlet_markers))
 
 
 def facet_pairings(space, qdeg, dirichlet_markers=None):
@@ -266,7 +382,7 @@ def facet_pairings(space, qdeg, dirichlet_markers=None):
     out = {("int", st, sr): (fd.int_cells[:, st], fd.int_cells[:, sr])
            for st in range(2) for sr in range(2)}
     if dirichlet_markers is not None:
-        keep, _ = _boundary_selection(space.mesh, fd, dirichlet_markers)
+        keep = _boundary_selection(space.mesh, fd, dirichlet_markers)
         out["bdry"] = (fd.bdry_cells[keep],) * 2
     return out
 
@@ -284,6 +400,15 @@ def _facet_matrix(space, qdeg, dirichlet_markers, locals_):
 
 
 # -- SIPG viscous term ---------------------------------------------------------
+
+def _stress(normal, sym):
+    """S (ne, 2, 4): S[k, (K, D)] g[K, D] = (sym(g) n)_k (or (g n)_k)."""
+    eye = np.eye(2)
+    S = np.einsum("kK,eD->ekKD", eye, normal)
+    if sym:
+        S = 0.5 * (S + np.einsum("kD,eK->ekKD", eye, normal))
+    return S.reshape(len(normal), 2, 4)
+
 
 def sipg_local(space, nu, sigma=None, sym=True, qdeg=None,
                dirichlet_markers=None, g_d=None):
@@ -304,70 +429,47 @@ def sipg_local(space, nu, sigma=None, sym=True, qdeg=None,
     mesh = space.mesh
     fd = facet_data(mesh, qdeg)
     cfac = 2.0 * nu if sym else nu
-    n = fd.int_normal
     wq = fd.qweights
+    eye = np.eye(2)
 
-    vals = []
-    grads = []
-    for s in range(2):
-        v, g = space.trace_table((qdeg, "int", s), fd.int_cells[:, s],
-                                 fd.int_pts[s], grad=True)
-        vals.append(v)
-        grads.append(g)
+    def form(bases, st, sr, S, ct, cr, pen, wL):
+        # ct {stress(v)}n . [u] + cr [v] . {stress(u)}n + pen [v] . [u]
+        (vt, gt), (vr, gr) = bases[st], bases[sr]
+        return (_local(vt, gr, cr * S[:, None], wL)
+                + _local(gt, vr, ct * S.transpose(0, 2, 1)[:, None], wL)
+                + _local(vt, vr, pen[:, None, None, None] * eye, wL))
 
-    def stress_n(g):
-        if sym:
-            e = 0.5 * (g + np.swapaxes(g, -2, -1))
-        else:
-            e = g
-        return np.einsum("eqikd,ed->eqik", e, n)
+    def sides(cells, var):
+        return tuple(_Basis(space, op, qdeg, cells, var)
+                     for op in ("val", "grad"))
 
-    Sn = [stress_n(g) for g in grads]
-    out = {}
-    jump_sign = [1.0, -1.0]
+    bases = [sides(fd.int_cells[:, s], fd.int_var[s]) for s in range(2)]
+    S = _stress(fd.int_normal, sym)
     wL = wq[None, :] * fd.int_len[:, None]
-    for st in range(2):
-        for sr in range(2):
-            sgn_t = jump_sign[st]
-            sgn_r = jump_sign[sr]
-            # -cfac * {stress(u)}n . [v]  - cfac * [u] . {stress(v)}n
-            out[("int", st, sr)] = (
-                -cfac * 0.5 * sgn_t
-                * np.einsum("eqik,eqjk,eq->eij", vals[st], Sn[sr], wL,
-                            optimize=True)
-                - cfac * 0.5 * sgn_r
-                * np.einsum("eqik,eqjk,eq->eij", Sn[st], vals[sr], wL,
-                            optimize=True)
-                + nu * sigma / fd.int_len[:, None, None] * sgn_t * sgn_r
-                * np.einsum("eqik,eqjk,eq->eij", vals[st], vals[sr], wL,
-                            optimize=True))
+    pen = nu * sigma / fd.int_len
+    # -cfac * {stress(u)}n . [v]  - cfac * [u] . {stress(v)}n
+    out = {("int", st, sr): form(bases, st, sr, S, -cfac * 0.5 * sgn_r,
+                                 -cfac * 0.5 * sgn_t, pen * sgn_t * sgn_r, wL)
+           for st, sgn_t in ((0, 1.0), (1, -1.0))
+           for sr, sgn_r in ((0, 1.0), (1, -1.0))}
 
     rhs = np.zeros(space.total_dofs)
     if dirichlet_markers is not None:
-        keep, mk = _boundary_selection(mesh, fd, dirichlet_markers)
+        keep = _boundary_selection(mesh, fd, dirichlet_markers)
         cells = fd.bdry_cells[keep]
         pts = fd.bdry_pts[keep]
-        nb = fd.bdry_normal[keep]
         Lb = fd.bdry_len[keep]
-        v, g = space.trace_table((qdeg, "bdy", mk), cells, pts, grad=True)
-        if sym:
-            e = 0.5 * (g + np.swapaxes(g, -2, -1))
-        else:
-            e = g
-        Sb = np.einsum("eqikd,ed->eqik", e, nb)
+        bdry = [sides(cells, fd.bdry_var[keep])]
+        Sb = _stress(fd.bdry_normal[keep], sym)
         wLb = wq[None, :] * Lb[:, None]
-        out["bdry"] = (
-            -cfac * np.einsum("eqik,eqjk,eq->eij", v, Sb, wLb, optimize=True)
-            - cfac * np.einsum("eqik,eqjk,eq->eij", Sb, v, wLb,
-                               optimize=True)
-            + nu * sigma / Lb[:, None, None]
-            * np.einsum("eqik,eqjk,eq->eij", v, v, wLb, optimize=True))
+        out["bdry"] = form(bdry, 0, 0, Sb, -cfac, -cfac, nu * sigma / Lb,
+                           wLb)
         if g_d is not None:
             gv = np.asarray(g_d(pts[..., 0], pts[..., 1]), dtype=float)
-            rloc = (nu * sigma / Lb[:, None]
-                    * np.einsum("eqik,eqk,eq->ei", v, gv, wLb, optimize=True)
-                    - cfac * np.einsum("eqik,eqk,eq->ei", Sb, gv, wLb,
-                                       optimize=True))
+            v, g = bdry[0]
+            rloc = (v.project((nu * sigma / Lb)[:, None, None] * gv, wLb)
+                    - cfac * g.project(np.einsum("ekA,eqk->eqA", Sb, gv),
+                                       wLb))
             np.add.at(rhs, space.dofmap[cells].ravel(), rloc.ravel())
     return out, rhs
 
@@ -384,6 +486,29 @@ def sipg_viscous(space, nu, sigma=None, sym=True, qdeg=None,
 
 # -- upwinded DG advection -----------------------------------------------------
 
+def _upwind_sides(space, u_field, fd, qdeg):
+    """The value bases of the two sides of the interior facets and the
+    velocity u_field on each."""
+    basis, uv = [], []
+    for s in range(2):
+        cells = fd.int_cells[:, s]
+        basis.append(_Basis(space, "val", qdeg, cells, fd.int_var[s]))
+        uv.append(basis[s].evaluate(
+            u_field.coefficients[space.dofmap[cells]]))
+    return basis, uv
+
+
+def _upwind_boundary(space, u_field, fd, qdeg, mesh, dirichlet_markers):
+    """The boundary facets on `dirichlet_markers`: (cells, points, normals,
+    weights, value basis, velocity)."""
+    keep = _boundary_selection(mesh, fd, dirichlet_markers)
+    cells = fd.bdry_cells[keep]
+    v = _Basis(space, "val", qdeg, cells, fd.bdry_var[keep])
+    ub = v.evaluate(u_field.coefficients[space.dofmap[cells]])
+    wLb = fd.qweights[None, :] * fd.bdry_len[keep][:, None]
+    return cells, fd.bdry_pts[keep], fd.bdry_normal[keep], wLb, v, ub
+
+
 def upwind_advection_residual(space, u_field, qdeg=None,
                               dirichlet_markers=None, g_d=None):
     """Residual vector of the upwind facet form c_h^DG(u; u, v)."""
@@ -392,19 +517,11 @@ def upwind_advection_residual(space, u_field, qdeg=None,
         qdeg = 3 * el.degree + 1
     mesh = space.mesh
     fd = facet_data(mesh, qdeg)
-    wq = fd.qweights
     out = np.zeros(space.total_dofs)
 
     n = fd.int_normal
-    wL = wq[None, :] * fd.int_len[:, None]
-    uv = []
-    basis = []
-    for s in range(2):
-        v, _ = space.trace_table((qdeg, "int", s), fd.int_cells[:, s],
-                                 fd.int_pts[s])
-        basis.append(v)
-        loc = u_field.coefficients[space.dofmap[fd.int_cells[:, s]]]
-        uv.append(np.einsum("ei,eqik->eqk", loc, v))
+    wL = fd.qweights[None, :] * fd.int_len[:, None]
+    basis, uv = _upwind_sides(space, u_field, fd, qdeg)
     flux = []
     for s in range(2):
         un = np.einsum("eqk,ek->eq", uv[s], n)
@@ -412,26 +529,18 @@ def upwind_advection_residual(space, u_field, qdeg=None,
         flux.append(0.5 * w[..., None] * uv[s])
     jump_flux = flux[0] - flux[1]
     for s, sgn in ((0, 1.0), (1, -1.0)):
-        rloc = sgn * np.einsum("eqik,eqk,eq->ei", basis[s], jump_flux, wL,
-                               optimize=True)
+        rloc = sgn * basis[s].project(jump_flux, wL)
         np.add.at(out, space.dofmap[fd.int_cells[:, s]].ravel(), rloc.ravel())
 
     if dirichlet_markers is not None:
-        keep, mk = _boundary_selection(mesh, fd, dirichlet_markers)
-        cells = fd.bdry_cells[keep]
-        pts = fd.bdry_pts[keep]
-        nb = fd.bdry_normal[keep]
-        Lb = fd.bdry_len[keep]
-        v, _ = space.trace_table((qdeg, "bdy", mk), cells, pts)
-        loc = u_field.coefficients[space.dofmap[cells]]
-        ub = np.einsum("ei,eqik->eqk", loc, v)
+        cells, pts, nb, wLb, v, ub = _upwind_boundary(
+            space, u_field, fd, qdeg, mesh, dirichlet_markers)
         un = np.einsum("eqk,ek->eq", ub, nb)
-        wLb = wq[None, :] * Lb[:, None]
         dens = 0.5 * ((un + np.abs(un))[..., None] * ub)
         if g_d is not None:
             gv = np.asarray(g_d(pts[..., 0], pts[..., 1]), dtype=float)
             dens = dens + 0.5 * ((un - np.abs(un))[..., None] * gv)
-        rloc = np.einsum("eqik,eqk,eq->ei", v, dens, wLb, optimize=True)
+        rloc = v.project(dens, wLb)
         np.add.at(out, space.dofmap[cells].ravel(), rloc.ravel())
     return out
 
@@ -446,57 +555,34 @@ def upwind_advection_local(space, u_field, qdeg=None,
         qdeg = 3 * el.degree + 1
     mesh = space.mesh
     fd = facet_data(mesh, qdeg)
-    wq = fd.qweights
     out = {}
 
-    n = fd.int_normal
-    wL = wq[None, :] * fd.int_len[:, None]
-    basis = []
-    uv = []
-    for s in range(2):
-        v, _ = space.trace_table((qdeg, "int", s), fd.int_cells[:, s],
-                                 fd.int_pts[s])
-        basis.append(v)
-        loc = u_field.coefficients[space.dofmap[fd.int_cells[:, s]]]
-        uv.append(np.einsum("ei,eqik->eqk", loc, v))
-    for sr in range(2):
-        un = np.einsum("eqk,ek->eq", uv[sr], n)
-        w = un + np.abs(un)
-        s1 = 1.0 + np.sign(un)
-        dn = np.einsum("eqjk,ek->eqj", basis[sr], n)
-        # d flux_sr = 0.5*[ w * dphi + s1*(dphi.n) u ]
-        dflux = (0.5 * w[..., None, None] * basis[sr]
-                 + 0.5 * s1[..., None, None] * dn[..., None]
-                 * uv[sr][:, :, None, :])
-        sgn_r = 1.0 if sr == 0 else -1.0
+    def dflux(ub, normal, gv=None):
+        # d flux = 0.5 * [ w * dphi + s1 * (dphi . n) u ] (+ the inflow data
+        # term 0.5 * s2 * (dphi . n) g): the weight (test k, trial K) of dphi
+        un = np.einsum("eqk,ek->eq", ub, normal)
+        W = (0.5 * (un + np.abs(un))[..., None, None] * np.eye(2)
+             + 0.5 * (1.0 + np.sign(un))[..., None, None]
+             * ub[..., :, None] * normal[:, None, None, :])
+        if gv is not None:
+            W += (0.5 * (1.0 - np.sign(un))[..., None, None]
+                  * gv[..., :, None] * normal[:, None, None, :])
+        return W
+
+    wL = fd.qweights[None, :] * fd.int_len[:, None]
+    basis, uv = _upwind_sides(space, u_field, fd, qdeg)
+    for sr, sgn_r in ((0, 1.0), (1, -1.0)):
+        W = dflux(uv[sr], fd.int_normal)
         for st, sgn_t in ((0, 1.0), (1, -1.0)):
-            out[("int", st, sr)] = sgn_t * sgn_r * np.einsum(
-                "eqik,eqjk,eq->eij", basis[st], dflux, wL, optimize=True)
+            out[("int", st, sr)] = sgn_t * sgn_r * _local(
+                basis[st], basis[sr], W, wL)
 
     if dirichlet_markers is not None:
-        keep, mk = _boundary_selection(mesh, fd, dirichlet_markers)
-        cells = fd.bdry_cells[keep]
-        pts = fd.bdry_pts[keep]
-        nb = fd.bdry_normal[keep]
-        Lb = fd.bdry_len[keep]
-        v, _ = space.trace_table((qdeg, "bdy", mk), cells, pts)
-        loc = u_field.coefficients[space.dofmap[cells]]
-        ub = np.einsum("ei,eqik->eqk", loc, v)
-        un = np.einsum("eqk,ek->eq", ub, nb)
-        wLb = wq[None, :] * Lb[:, None]
-        dn = np.einsum("eqjk,ek->eqj", v, nb)
-        w = un + np.abs(un)
-        s1 = 1.0 + np.sign(un)
-        dflux = (0.5 * w[..., None, None] * v
-                 + 0.5 * s1[..., None, None] * dn[..., None]
-                 * ub[:, :, None, :])
-        if g_d is not None:
-            gv = np.asarray(g_d(pts[..., 0], pts[..., 1]), dtype=float)
-            s2 = 1.0 - np.sign(un)
-            dflux = dflux + (0.5 * s2[..., None, None] * dn[..., None]
-                             * gv[:, :, None, :])
-        out["bdry"] = np.einsum("eqik,eqjk,eq->eij", v, dflux, wLb,
-                                optimize=True)
+        _, pts, nb, wLb, v, ub = _upwind_boundary(
+            space, u_field, fd, qdeg, mesh, dirichlet_markers)
+        gv = (None if g_d is None
+              else np.asarray(g_d(pts[..., 0], pts[..., 1]), dtype=float))
+        out["bdry"] = _local(v, v, dflux(ub, nb, gv), wLb)
     return out
 
 
@@ -516,16 +602,11 @@ def burman_local(space, mu, qdeg=None):
     if qdeg is None:
         qdeg = 2 * space.element.degree + 2
     fd = facet_data(space.mesh, qdeg)
-    wq = fd.qweights
-    grads = []
-    for s in range(2):
-        _, g = space.trace_table((qdeg, "int", s), fd.int_cells[:, s],
-                                 fd.int_pts[s], grad=True)
-        gs = g.reshape(g.shape[:3] + (-1,))
-        grads.append(gs)
-    wL = wq[None, :] * fd.int_len[:, None] * fd.int_len[:, None] ** 2
-    return {("int", st, sr): mu * sgn_t * sgn_r * np.einsum(
-                "eqiA,eqjA,eq->eij", grads[st], grads[sr], wL, optimize=True)
+    grads = [_Basis(space, "grad", qdeg, fd.int_cells[:, s],
+                          fd.int_var[s]) for s in range(2)]
+    wL = fd.qweights[None, :] * fd.int_len[:, None] * fd.int_len[:, None] ** 2
+    return {("int", st, sr): mu * sgn_t * sgn_r * _local(
+                grads[st], grads[sr], None, wL)
             for st, sgn_t in ((0, 1.0), (1, -1.0))
             for sr, sgn_r in ((0, 1.0), (1, -1.0))}
 
@@ -729,9 +810,8 @@ class SparsityPattern:
             np.add.at(out, self.slots[key], np.ravel(local))
         return out
 
-    def compact(self, terms):
-        """(slots, values) of the nonzero data of the sum of `terms`."""
-        data = self.scatter(terms)
+    def compact(self, data):
+        """(slots, values) of the nonzero entries of pattern data."""
         nz = np.flatnonzero(data).astype(np.int32)
         return nz, data[nz]
 

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .elements import (FunctionSpace, interpolate, complex_maps,
-                       grad_to_hcurl, curl_to_dg, transient_tables)
+                       grad_to_hcurl, curl_to_dg)
 from .assembly import cell_matrix, constrain_matrix
 from .linalg import LuSolver
 
@@ -75,36 +75,34 @@ class ConservativeScheme:
         dg = FunctionSpace(mesh, "DG", 0)
         self.curlsp = ProductSpace(ned, cg)
         self.divsp = ProductSpace(rt, dg)
-        # the steps read the operators built here, not the basis tables
-        with transient_tables(ned, cg, rt, dg):
-            self.V, self.D = complex_maps(cg, rt, dg)   # vcurl, div
-            self.C = curl_to_dg(ned, dg)                # curl: NED1 -> DG0
-            # 3D curl on coefficients: (Et, E3) -> (vcurl E3, curl Et)
-            self.CURL = sp.bmat([[None, self.V], [self.C, None]],
-                                format="csr")
-            self.GRAD = sp.bmat([[grad_to_hcurl(cg, ned)],
-                                 [sp.csr_matrix((cg.total_dofs,
-                                                 cg.total_dofs))]],
-                                format="csr")
+        self.V, self.D = complex_maps(cg, rt, dg)   # vcurl, div
+        self.C = curl_to_dg(ned, dg)                # curl: NED1 -> DG0
+        # 3D curl on coefficients: (Et, E3) -> (vcurl E3, curl Et)
+        self.CURL = sp.bmat([[None, self.V], [self.C, None]],
+                            format="csr")
+        self.GRAD = sp.bmat([[grad_to_hcurl(cg, ned)],
+                             [sp.csr_matrix((cg.total_dofs,
+                                             cg.total_dofs))]],
+                            format="csr")
 
-            self.M_c = _blockdiag(cell_matrix(ned, ned, qdeg=QDEG),
-                                  cell_matrix(cg, cg, qdeg=QDEG))
-            self.M_rt = cell_matrix(rt, rt, qdeg=QDEG)
-            self.M_dg = cell_matrix(dg, dg, qdeg=QDEG)
-            self.M_d = _blockdiag(self.M_rt, self.M_dg)
-            # cross mass: curl-type test x div-type trial
-            self.M_cd = _blockdiag(cell_matrix(ned, rt, qdeg=QDEG),
-                                   cell_matrix(cg, dg, qdeg=QDEG))
-            self.K_cc = (self.CURL.T @ self.M_d @ self.CURL).tocsr()
+        self.M_c = _blockdiag(cell_matrix(ned, ned, qdeg=QDEG),
+                              cell_matrix(cg, cg, qdeg=QDEG))
+        self.M_rt = cell_matrix(rt, rt, qdeg=QDEG)
+        self.M_dg = cell_matrix(dg, dg, qdeg=QDEG)
+        self.M_d = _blockdiag(self.M_rt, self.M_dg)
+        # cross mass: curl-type test x div-type trial
+        self.M_cd = _blockdiag(cell_matrix(ned, rt, qdeg=QDEG),
+                               cell_matrix(cg, dg, qdeg=QDEG))
+        self.K_cc = (self.CURL.T @ self.M_d @ self.CURL).tocsr()
 
-            # H0(curl) constraints for the auxiliary fields
-            self.con_c = np.concatenate([
-                ned.boundary_dofs(), ned.total_dofs + cg.boundary_dofs()])
-            # B . n = 0; the DG0 part is unconstrained
-            self.con_d = rt.boundary_dofs()
-            Mc_con = constrain_matrix(self.M_c, self.con_c)
-            self.Mc_lu = LuSolver(Mc_con)
-            self._build_cross_form()
+        # H0(curl) constraints for the auxiliary fields
+        self.con_c = np.concatenate([
+            ned.boundary_dofs(), ned.total_dofs + cg.boundary_dofs()])
+        # B . n = 0; the DG0 part is unconstrained
+        self.con_d = rt.boundary_dofs()
+        Mc_con = constrain_matrix(self.M_c, self.con_c)
+        self.Mc_lu = LuSolver(Mc_con)
+        self._build_cross_form()
 
     def _build_cross_form(self):
         """T[c, k, j, i] = int_c phi_i . (phi_j x phi_k) over the local
@@ -112,8 +110,9 @@ class ConservativeScheme:
         as (cell, k, j * n + i).  Summed one quadrature point at a time, so
         no array spans all the points."""
         ned, cg = self.curlsp.t, self.curlsp.z
-        _, w, vt, _ = ned.basis_at_quadrature(QDEG)
-        _, _, vz, _ = cg.basis_at_quadrature(QDEG)
+        pts, w = ned.cell_quadrature(QDEG)
+        vt, vz = (s.tabulate_cells(np.arange(len(pts)), pts)[0]
+                  for s in (ned, cg))
         nc, nq, n_t = vt.shape[:3]
         n = n_t + vz.shape[2]
         T = np.zeros((nc, n * n, n))

@@ -2,30 +2,33 @@
 discrete differential-complex maps (CG -vcurl-> RT -div-> DG and the rotated
 H(curl) family).
 
-Basis functions are constructed cell by cell in physical coordinates: on each
-cell the local basis is the dual of a set of *globally defined* functionals
-(point evaluations, edge moments taken along the global low-to-high edge
-direction, interior moments).  Shared functionals then automatically produce
-normal/tangential continuity without any sign bookkeeping, and the same
-machinery evaluates traces of a cell's basis at arbitrary physical points,
-which is what the facet assembly needs.  The sparse operators themselves
+Basis functions are constructed cell by cell: on each cell the local basis is
+the dual of a set of *globally defined* functionals (point evaluations, edge
+moments taken along the global low-to-high edge direction, interior
+moments).  Shared functionals then automatically produce normal/tangential
+continuity without any sign bookkeeping.  The sparse operators themselves
 (mass matrices, the complex maps) are built by `assembly`: `cell_matrix` and
 `interpolation_matrix`.
 
-A FunctionSpace holds the basis tables that assembly reads: one per cell
-quadrature degree and one per facet trace, each with gradients once they
-are first asked for.  The tables are read-only, since fields and models may
-share a space.  Code that builds operators and keeps only the operators
-runs inside `transient_tables`, and a model keeps only the tables its
-residual, Jacobian and diagnostics read (`FunctionSpace.keep_tables`).
+The per-cell coefficients `coeff` combine a prime basis that is written in
+each cell's affine reference coordinates xi = J_c^-1 (x - p_c0) and mapped by
+T_c: psi_v(x) = T_c psihat_v(xi), with T_c = I (CG, DG, VCG), J_c (RT, BDM:
+the contravariant Piola map) or J_c^-T (NED: the covariant one).  So one
+table of psihat and its reference gradients per element and quadrature rule
+(`reference_table`), and one per reference facet variant, serves every cell
+of every mesh, and a space holds no per-cell table: `assembly` contracts the
+shared table with `coeff`, T_c and J_c^-1.  Nodal families share one `coeff`
+for all cells.  `FunctionSpace.tabulate_cells` evaluates the basis at
+arbitrary physical points (transfers, interpolation, projection).
 """
 
-import contextlib
+import functools
 
 import numpy as np
 from scipy.sparse.linalg import spsolve
 
 from .assembly import cell_matrix, cell_vector, interpolation_matrix
+from .mesh import _LOCAL_EDGE_VERTICES
 from .quadrature import gauss_interval, triangle_rule
 
 SUPPORTED = {
@@ -156,6 +159,20 @@ class ElementFamily:
             self.n_cell = 3 * (k - 1)
         self.nloc = 3 * self.n_vertex + 3 * self.n_edge + self.n_cell
 
+    def prime_basis(self, xi, grad=True):
+        """The prime basis psihat (..., nvm, ncomp) and its reference
+        gradients (..., nvm, ncomp, 2) (None unless `grad`) at reference
+        points xi (..., 2)."""
+        sm, smg = scalar_monomials(xi, self.dmax, grad)
+        nvm, ncomp, nsm = self.vmono.shape
+        M = self.vmono.reshape(nvm * ncomp, nsm).T
+        vals = (sm @ M).reshape(sm.shape[:-1] + (nvm, ncomp))
+        if not grad:
+            return vals, None
+        G = (np.swapaxes(smg, -1, -2) @ M).reshape(
+            smg.shape[:-2] + (2, nvm, ncomp))
+        return vals, np.moveaxis(G, -3, -1)
+
     @property
     def edge_trace_component(self):
         """'normal' or 'tangent' for vector families."""
@@ -182,9 +199,6 @@ class FunctionSpace:
         self._build_geometry()
         self._build_dofmap()
         self._build_coefficients()
-        # basis tables: cell quadrature degree (int) or facet trace key
-        # (tuple) -> [points, weights, values, gradients or None]
-        self._tables = {}
 
     # geometry helpers ------------------------------------------------------
 
@@ -198,8 +212,14 @@ class FunctionSpace:
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         self.cell_area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        # the affine map x = p0 + J xi from the reference cell, and T_c
+        self.jac = np.stack([d1, d2], axis=-1)
+        self.jac_inv = np.linalg.inv(self.jac)
+        family = self.element.family
+        self.piola = (self.jac if family in ("RT", "BDM")
+                      else self.jac_inv.transpose(0, 2, 1) if family == "NED"
+                      else None)
         # per (cell, local edge): endpoints ordered along global direction
-        from .mesh import _LOCAL_EDGE_VERTICES
         coords = p[:, _LOCAL_EDGE_VERTICES]          # (nc, 3, 2pts, 2)
         cv = m.cells[:, _LOCAL_EDGE_VERTICES]        # (nc, 3, 2)
         glob = m.edges[m.cell_edges]                 # (nc, 3, 2)
@@ -214,9 +234,11 @@ class FunctionSpace:
         self.cell_edge_tangent = t
         self.cell_edge_normal = np.stack([t[..., 1], -t[..., 0]], axis=-1)
 
-    def local_coords(self, cells, pts):
-        return ((pts - self.cell_centers[cells][:, None, :])
-                / self.cell_scale[cells][:, None, None])
+    def reference_coords(self, cells, pts):
+        """Reference coordinates (n, nq, 2) of points pts (n, nq, 2)."""
+        p0 = self.mesh.cell_coords[cells, 0]
+        return np.einsum("cij,cqj->cqi", self.jac_inv[cells],
+                         pts - p0[:, None, :])
 
     # dofmap ------------------------------------------------------------------
 
@@ -355,107 +377,77 @@ class FunctionSpace:
     def _build_coefficients(self):
         el = self.element
         nc = self.mesh.num_cells
-        pts, wts = self.dual_points_weights()
-        u = self.local_coords(np.arange(nc), pts)
-        sm, _ = scalar_monomials(u, el.dmax)
-        mono_vals = np.einsum("vks,cqs->cqvk", el.vmono, sm)
-        D = np.einsum("cqik,cqvk->civ", wts, mono_vals, optimize=True)
+        # nodal functionals evaluate at fixed reference points, so the first
+        # cell's coefficients serve every cell
+        cells = np.arange(1 if el.nodal else nc)
+        pts, wts = self.dual_points_weights(cells)
+        prime, _ = el.prime_basis(self.reference_coords(cells, pts),
+                                  grad=False)
+        if self.piola is not None:
+            n, nq, nvm, ncomp = prime.shape
+            prime = (prime.reshape(n, nq * nvm, ncomp)
+                     @ self.piola[cells].transpose(0, 2, 1)).reshape(
+                         prime.shape)
+        D = np.einsum("cqik,cqvk->civ", wts, prime, optimize=True)
         try:
-            self.coeff = np.linalg.inv(D).transpose(0, 2, 1)
+            coeff = np.linalg.inv(D).transpose(0, 2, 1).copy()
         except np.linalg.LinAlgError as exc:
             raise UnsupportedElementError(
                 f"dual basis of {el.family}{el.degree} is singular") from exc
-        # coeff: (nc, nloc, nvm) with basis_i = sum_v coeff[c,i,v] vmono_v
+        # coeff: (nc, nloc, nvm) with basis_i = sum_v coeff[c,i,v] psi_v
+        self.coeff = np.broadcast_to(coeff, (nc,) + coeff.shape[1:])
 
     # evaluation ---------------------------------------------------------------
+
+    def reference_table(self, qdeg, facet=False):
+        """The element's shared table (module-level `reference_table`)."""
+        el = self.element
+        return reference_table(el.family, el.degree, qdeg, facet)
 
     def tabulate_cells(self, cells, pts, grad=False):
         """Basis values (n, nq, nloc, ncomp) (and gradients
         (n, nq, nloc, ncomp, 2)) at physical points pts (n, nq, 2)."""
         el = self.element
         cells = np.asarray(cells)
-        u = self.local_coords(cells, pts)
-        sm, smg = scalar_monomials(u, el.dmax, grad)
+        xi = self.reference_coords(cells, pts)
+        sm, smg = scalar_monomials(xi, el.dmax, grad)
         n, nq, nsm = sm.shape
         nvm, ncomp, _ = el.vmono.shape
         nloc = self.coeff.shape[1]
-        # fold the monomial table into the cell coefficients with one GEMM,
-        # Ct[c, s, (i, k)] = sum_v coeff[c, i, v] vmono[v, k, s]; values and
-        # gradients are then one batched matmul each
-        Ct = (self.coeff[cells].reshape(-1, nvm)
-              @ el.vmono.reshape(nvm, ncomp * nsm)).reshape(
-                  n, nloc * ncomp, nsm).transpose(0, 2, 1)
+        # fold the monomial table and T into the cell coefficients,
+        # Ct[c, s, (i, k)] = sum_v,K coeff[c, i, v] vmono[v, K, s] T[c, k, K];
+        # values and gradients are then one batched matmul each
+        C = (self.coeff[cells].reshape(-1, nvm)
+             @ el.vmono.reshape(nvm, ncomp * nsm)).reshape(
+                 n, nloc, ncomp, nsm)
+        if self.piola is None:
+            Ct = C.reshape(n, nloc * ncomp, nsm).transpose(0, 2, 1)
+        else:
+            Ct = np.einsum("ckK,ciKs->csik", self.piola[cells], C).reshape(
+                n, nsm, nloc * ncomp)
         vals = (sm @ Ct).reshape(n, nq, nloc, ncomp)
         if not grad:
             return vals, None
-        G = (smg.swapaxes(-1, -2).reshape(n, nq * 2, nsm) @ Ct).reshape(
-            n, nq, 2, nloc, ncomp)
-        # C order, so the held gradients reshape without copies downstream
-        grads = np.empty((n, nq, nloc, ncomp, 2))
-        np.divide(np.moveaxis(G, 2, -1),
-                  self.cell_scale[cells][:, None, None, None, None],
-                  out=grads)
-        return vals, grads
+        # physical monomial gradients: d/dx_d = sum_D Jinv[D, d] d/dxi_D
+        smg = np.einsum("cqsD,cDd->cqds", smg, self.jac_inv[cells])
+        G = (smg.reshape(n, nq * 2, nsm) @ Ct).reshape(n, nq, 2, nloc, ncomp)
+        # C order, so the gradients reshape without copies downstream
+        return vals, np.ascontiguousarray(np.moveaxis(G, 2, -1))
+
+    def quadrature_weights(self, degree):
+        """Physical quadrature weights (nc, nq) of the cell rule of exactness
+        `degree`."""
+        return (triangle_rule(degree).weights[None, :]
+                * (2.0 * self.cell_area)[:, None])
 
     def cell_quadrature(self, degree):
         """Physical quadrature points and weights on every cell."""
-        rule = triangle_rule(degree)
+        ref = triangle_rule(degree).points
         p = self.mesh.cell_coords
-        ref = rule.points
         pts = (p[:, None, 0, :]
                + ref[None, :, 0:1] * (p[:, None, 1, :] - p[:, None, 0, :])
                + ref[None, :, 1:2] * (p[:, None, 2, :] - p[:, None, 0, :]))
-        w = rule.weights[None, :] * (2.0 * self.cell_area)[:, None]
-        return pts, w
-
-    def basis_at_quadrature(self, degree, grad=False):
-        """(points, weights, values, gradients) of the basis at the cell
-        quadrature of exactness `degree`, held per degree; gradients are
-        None unless `grad`."""
-        entry = self._tables.get(degree)
-        if entry is None or (grad and entry[3] is None):
-            pts, w = (self.cell_quadrature(degree) if entry is None
-                      else entry[:2])
-            entry = self._tabulated(degree, np.arange(self.mesh.num_cells),
-                                    pts, grad, (pts, w))
-        pts, w, vals, grads = entry
-        return pts, w, vals, grads if grad else None
-
-    def trace_table(self, key, cells, pts, grad=False):
-        """Basis values (and gradients) on `cells` at facet points `pts`,
-        held under the hashable `key`, which names the facet set, side and
-        quadrature degree (see `assembly`)."""
-        entry = self._tables.get(key)
-        if entry is None or (grad and entry[3] is None):
-            entry = self._tabulated(key, cells, pts, grad)
-        return entry[2], entry[3] if grad else None
-
-    def _tabulated(self, key, cells, pts, grad, quadrature=(None, None)):
-        """Tabulate and hold the table `key`, with its quadrature (points,
-        weights) when given; gradients join the values already held, which
-        stay the same arrays."""
-        vals, grads = self.tabulate_cells(cells, pts, grad)
-        entry = self._tables.setdefault(key, [*quadrature, vals, None])
-        if grad:
-            entry[3] = grads
-        for a in entry:
-            if a is not None:
-                a.flags.writeable = False
-        return entry
-
-    def table_layout(self):
-        """The tables held: key -> whether with gradients."""
-        return {k: e[3] is not None for k, e in self._tables.items()}
-
-    def keep_tables(self, layout):
-        """Drop every table that `layout` (key -> with gradients, as from
-        `table_layout`) does not list, and the gradients it does not ask
-        for."""
-        for key in list(self._tables):
-            if key not in layout:
-                del self._tables[key]
-            elif not layout[key]:
-                self._tables[key][3] = None
+        return pts, self.quadrature_weights(degree)
 
     # boundary dofs -------------------------------------------------------------
 
@@ -546,19 +538,6 @@ def _eval_pointwise(g, pts):
     return out
 
 
-@contextlib.contextmanager
-def transient_tables(*spaces):
-    """Drop, when the body ends, the tables it added to `spaces` and the
-    gradients it added to their tables: for set-up code that keeps the
-    operators it builds, not the tables it builds them from."""
-    layouts = [s.table_layout() for s in spaces]
-    try:
-        yield
-    finally:
-        for s, layout in zip(spaces, layouts):
-            s.keep_tables(layout)
-
-
 class Field:
     """Coefficient vector over a FunctionSpace."""
 
@@ -617,9 +596,8 @@ def l2_project(space, source, quad_degree=None):
             shp[0], shp[1], -1)
     if sv.shape[-1] != space.element.ncomp:
         raise ValueError("source component count does not match space")
-    with transient_tables(space):
-        M = cell_matrix(space, space, qdeg=quad_degree)
-        b = cell_vector(space, "val", sv, qdeg=quad_degree)
+    M = cell_matrix(space, space, qdeg=quad_degree)
+    b = cell_vector(space, "val", sv, qdeg=quad_degree)
     return Field(space, spsolve(M.tocsc(), b))
 
 
@@ -655,6 +633,32 @@ def curl_to_dg(ned, dg):
     return interpolation_matrix(ned, dg, op="curl")
 
 
+# -- reference tables ---------------------------------------------------------
+
+REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+@functools.lru_cache(maxsize=None)
+def reference_table(family, degree, qdeg, facet=False):
+    """The prime basis psihat of (family, degree) and its reference
+    gradients, shared by every cell of every mesh, read-only: at the points
+    of the reference cell rule of exactness `qdeg`, shapes (1, nq, nvm,
+    ncomp) and (1, nq, nvm, ncomp, 2); or, with `facet`, at the Gauss points
+    of each reference facet variant 2 le + d, shapes (6, nq, ...): local edge
+    le traversed from its first vertex (d = 0) or from its second (d = 1)."""
+    if facet:
+        t = gauss_interval(qdeg).points[:, None]
+        ends = REF_VERTICES[_LOCAL_EDGE_VERTICES]
+        ends = np.stack([ends, ends[:, ::-1]], axis=1).reshape(6, 2, 1, 2)
+        xi = ends[:, 0] * (1.0 - t) + ends[:, 1] * t
+    else:
+        xi = triangle_rule(qdeg).points[None]
+    tables = ElementFamily(family, degree).prime_basis(xi)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
 # -- reference element view ---------------------------------------------------
 
 _REF_MESH = None
@@ -664,8 +668,7 @@ def _reference_mesh():
     global _REF_MESH
     if _REF_MESH is None:
         from .mesh import Mesh2D
-        _REF_MESH = Mesh2D(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                           np.array([[0, 1, 2]]))
+        _REF_MESH = Mesh2D(REF_VERTICES, np.array([[0, 1, 2]]))
         _REF_MESH.mark_boundary()
     return _REF_MESH
 

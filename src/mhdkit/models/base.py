@@ -6,8 +6,8 @@ import numpy as np
 
 from ..assembly import (DirichletBC, SparsityPattern, burman_local,
                         cell_local, cell_vector, facet_pairings,
-                        field_at_quadrature)
-from ..elements import Field, FunctionSpace, transient_tables
+                        field_op_at_quadrature)
+from ..elements import Field, FunctionSpace
 
 QDEG = 6
 
@@ -154,11 +154,9 @@ class MixedModel:
 
     A subclass declares `fields` (the state order, with a pressure "p"),
     `mass_fields` (the fields under a time derivative), `FORCING` (forcing
-    key -> field), `QDEG_RHS`, `COUPLINGS`, the (test, trial) field pairs
-    of the Jacobian's cell terms, and `SOLVE_TABLES`, the fields whose QDEG
-    basis tables its residual and Jacobian read (field -> whether with
-    gradients); `velocity` and `magnetic` name the fields whose divergence
-    `div_norms` reports ("u" and "B" unless overridden).
+    key -> field), `QDEG_RHS` and `COUPLINGS`, the (test, trial) field pairs
+    of the Jacobian's cell terms; `velocity` and `magnetic` name the fields
+    whose divergence `div_norms` reports ("u" and "B" unless overridden).
     With the "hdiv" velocity variant the velocity's facet pairings join the
     pattern too.  It passes its spaces to `__init__`, yields its constant
     terms from `_constant_terms` as (weight name, pairing key, local array)
@@ -170,8 +168,9 @@ class MixedModel:
     maps per pairing key: (test, trial) for cell terms and (velocity,
     velocity, facet key) for the velocity's facet terms (see
     `assembly.facet_pairings`).  The constants are held once, in pattern
-    order, grouped by weight name.  Set-up ends by dropping the basis
-    tables that only set-up read (`_keep_solve_tables`).
+    order, grouped by weight name: each constant term is scattered into its
+    group's pattern data as it is generated.  No basis table is held: the
+    forms contract the elements' shared reference tables (`assembly`).
 
     `bcs` maps a field to (markers, value): markers "all" or a list of facet
     marker names, value a callable or None (homogeneous).  One pressure dof
@@ -193,38 +192,19 @@ class MixedModel:
         self._setup_constraints()
         self.pattern = self._build_pattern()
         pat = self.pattern
-        groups = {}
+        data = {}
         for name, key, local in self._constant_terms():
-            terms = groups.setdefault(name, {})
-            terms[key] = terms[key] + local if key in terms else local
-        self._constants = {name: pat.compact(terms)
-                           for name, terms in groups.items()}
-        self._mass = pat.compact({
+            if name not in data:
+                data[name] = np.zeros(pat.nnz)
+            pat.scatter({key: local}, data[name])
+        self._constants = {name: pat.compact(data.pop(name))
+                           for name in list(data)}
+        self._mass = pat.compact(pat.scatter({
             (n, n): cell_local(spaces[n], spaces[n], qdeg=QDEG)
-            for n in self.mass_fields})
+            for n in self.mass_fields}))
         self._mass_csr = None
         self._const_key = self._const_data = None
         self._rhs_const = self._assemble_forcing()
-        self._keep_solve_tables()
-
-    def _keep_solve_tables(self):
-        """Drop the basis tables that only set-up reads.  Each space keeps
-        its QDEG table if a field of `SOLVE_TABLES` lives on it, with
-        gradients if one of them asks for them or is the velocity or the
-        magnetic field (`div_norms`), and its facet traces without
-        gradients (upwind advection reads their values)."""
-        grads = dict(self.SOLVE_TABLES)
-        grads[self.velocity] = grads[self.magnetic] = True
-        keep = {}
-        for name, space in self.spaces.items():
-            layout = keep.setdefault(id(space), (space, {}))[1]
-            if name in grads:
-                layout[QDEG] = layout.get(QDEG, False) or grads[name]
-        for space, layout in keep.values():
-            # facet traces are the tables with tuple keys
-            layout.update((k, False) for k in space.table_layout()
-                          if isinstance(k, tuple))
-            space.keep_tables(layout)
 
     # -- pattern and constants ------------------------------------------------
 
@@ -267,10 +247,9 @@ class MixedModel:
     def _stabilisation(self):
         """The gradient-jump penalty of an "hdiv" velocity at unit weight
         (weight name "stab_mu"), built on first use: most runs have none."""
-        space = self.spaces[self.velocity]
-        with transient_tables(space):
-            local = burman_local(space, mu=1.0, qdeg=QDEG)
-        return self.pattern.compact(self._facet_terms(local))
+        local = burman_local(self.spaces[self.velocity], mu=1.0, qdeg=QDEG)
+        return self.pattern.compact(self.pattern.scatter(
+            self._facet_terms(local)))
 
     def _linear_residual(self, vec):
         """The constant terms of the residual: the weighted constants
@@ -399,9 +378,8 @@ class MixedModel:
         F = self._state_fields(vec)
         out = {}
         for n in (self.velocity, self.magnetic):
-            _, g = field_at_quadrature(F[n], QDEG, grad=True)
-            _, w = self.spaces[n].cell_quadrature(QDEG)
-            div = g[..., 0, 0] + g[..., 1, 1]
+            div = field_op_at_quadrature(F[n], "div", QDEG)[..., 0]
+            w = self.spaces[n].quadrature_weights(QDEG)
             out[n] = float(np.sqrt(np.sum(div ** 2 * w)))
         return out
 

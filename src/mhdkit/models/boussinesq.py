@@ -22,7 +22,6 @@ class BoussinesqMHD(MixedModel):
     mass_fields = ("u", "theta", "B")
     FORCING = {"f": "u", "q_theta": "theta"}
     QDEG_RHS = 8
-    SOLVE_TABLES = {"u": True, "theta": True, "E": False, "B": False}
     COUPLINGS = (("u", "u"), ("u", "p"), ("u", "theta"), ("u", "E"),
                  ("u", "B"), ("p", "u"), ("theta", "theta"), ("theta", "u"),
                  ("E", "u"), ("E", "E"), ("E", "B"), ("B", "E"), ("B", "B"))

@@ -29,8 +29,6 @@ class HallMHD(MixedModel):
     FORCING = {"f_t": "ut", "f_3": "u3", "gB_t": "Bt", "gB_3": "B3",
                "gj_t": "jt", "gj_3": "j3"}
     QDEG_RHS = 10
-    SOLVE_TABLES = {"ut": True, "u3": True, "Bt": False, "B3": False,
-                    "jt": False, "j3": False}
     COUPLINGS = (
         ("ut", "ut"), ("ut", "p"), ("ut", "jt"), ("ut", "j3"), ("ut", "B3"),
         ("ut", "Bt"), ("u3", "u3"), ("u3", "ut"), ("u3", "jt"), ("u3", "Bt"),

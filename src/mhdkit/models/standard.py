@@ -20,7 +20,6 @@ class StandardMHD(MixedModel):
     mass_fields = ("u", "B")
     FORCING = {"f": "u", "g_E": "E", "g_B": "B"}
     QDEG_RHS = 10
-    SOLVE_TABLES = {"u": True, "E": False, "B": False}
     COUPLINGS = (("u", "u"), ("u", "p"), ("u", "E"), ("u", "B"), ("p", "u"),
                  ("E", "u"), ("E", "E"), ("E", "B"), ("B", "E"), ("B", "B"))
 

@@ -8,7 +8,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import cell_local, scatter
-from .elements import transient_tables
 from .linalg import LuSolver, fgmres, fixed_iteration_solver
 from .multigrid import MgHierarchy, GeometricMultigrid
 
@@ -82,8 +81,7 @@ def pressure_mass_inverse(p_space, qdeg=6):
     if p_space.element.family != "DG":
         raise ValueError("cellwise mass inverse needs a discontinuous "
                          "pressure")
-    with transient_tables(p_space):
-        inv = np.linalg.inv(cell_local(p_space, p_space, qdeg=qdeg))
+    inv = np.linalg.inv(cell_local(p_space, p_space, qdeg=qdeg))
     return scatter([(p_space.dofmap, p_space.dofmap, inv)],
                    (p_space.total_dofs,) * 2)
 

@@ -5,7 +5,7 @@ format."""
 import numpy as np
 
 from .mesh import build_rect_mesh, refine_uniform
-from .elements import interpolate, l2_project, transient_tables
+from .elements import interpolate, l2_project
 from .models.base import ModelParams
 from .models.standard import StandardMHD
 from .models.boussinesq import BoussinesqMHD
@@ -104,9 +104,8 @@ class HartmannModel(StandardMHD):
         self.forcing = {"f": sol.forcing["f"], "g_E": sol.forcing["g_E"],
                         "g_B": sol.forcing["g_B"]}
         self._setup_constraints()
-        with transient_tables(*self.spaces.values()):
-            _, self.r_sipg_unit = self._sipg()
-            self._rhs_const = self._assemble_forcing()
+        _, self.r_sipg_unit = self._sipg()
+        self._rhs_const = self._assemble_forcing()
 
 
 def make_problem(name, levels=None, params=None, mesh_base=None,

@@ -7,7 +7,7 @@ import logging
 
 import numpy as np
 
-from .elements import FunctionSpace, transient_tables
+from .elements import FunctionSpace
 from .assembly import cell_matrix, constrain_matrix
 from .linalg import LuSolver
 from .nonlinear import NonlinearConfig, solve_nonlinear
@@ -241,11 +241,10 @@ class ReconnectionProbe:
         self.cg1 = FunctionSpace(mesh, "CG", 1)
         con = self.cg2.boundary_dofs()
         B_space = model.spaces[field]
-        with transient_tables(self.cg2, self.cg1, B_space):
-            M = cell_matrix(self.cg2, self.cg2, qdeg=6)
-            self.C = cell_matrix(self.cg2, B_space, "vcurl", "val", qdeg=6)
-            M1 = cell_matrix(self.cg1, self.cg1, qdeg=4)
-            self.M12 = cell_matrix(self.cg1, self.cg2, qdeg=6)
+        M = cell_matrix(self.cg2, self.cg2, qdeg=6)
+        self.C = cell_matrix(self.cg2, B_space, "vcurl", "val", qdeg=6)
+        M1 = cell_matrix(self.cg1, self.cg1, qdeg=4)
+        self.M12 = cell_matrix(self.cg1, self.cg2, qdeg=6)
         self.Mlu = LuSolver(constrain_matrix(M, con))
         self.con = con
         self.M1lu = LuSolver(M1.tocsc())

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from mhdkit.mesh import build_rect_mesh, refine_uniform
-from mhdkit.elements import (FunctionSpace, Field, ReferenceElement,
-                             UnsupportedElementError, interpolate, l2_project,
-                             complex_maps, grad_to_hcurl, curl_to_dg,
+from mhdkit.elements import (SUPPORTED, FunctionSpace, Field,
+                             ReferenceElement, UnsupportedElementError,
+                             interpolate, l2_project, complex_maps,
+                             grad_to_hcurl, curl_to_dg, reference_table,
                              tabulate, scalar_monomials)
-from mhdkit.assembly import cell_matrix, sipg_viscous
+from mhdkit.assembly import _Basis, cell_matrix, facet_data, sipg_viscous
+from mhdkit.quadrature import gauss_interval
 from mhdkit.multigrid import build_transfer
 
 ALL_FAMILIES = [("CG", 1), ("CG", 2), ("DG", 0), ("DG", 1), ("RT", 1),
@@ -244,13 +246,32 @@ def test_tabulate_module_level():
     assert np.allclose(vals[:, :, 0].sum(), 1.0)
 
 
-def _tabulate_two_einsum(space, cells, pts):
-    """The chained-einsum tabulation, the reference for the batched-matmul
-    one in FunctionSpace.tabulate_cells."""
+def _scaled(space, cells, pts):
+    """Scaled local coordinates (x - centroid) / h of the cells."""
+    return ((pts - space.cell_centers[cells][:, None, :])
+            / space.cell_scale[cells][:, None, None])
+
+
+def _scaled_monomial_coeff(space):
+    """Per-cell coefficients of the basis in monomials of the scaled local
+    coordinates: the construction the shared reference tables replaced."""
     el = space.element
-    u = space.local_coords(cells, pts)
-    sm, smg = scalar_monomials(u, el.dmax, True)
-    coeff = space.coeff[cells]
+    pts, wts = space.dual_points_weights()
+    sm, _ = scalar_monomials(_scaled(space, np.arange(len(pts)), pts),
+                             el.dmax)
+    D = np.einsum("cqik,vks,cqs->civ", wts, el.vmono, sm)
+    return np.linalg.inv(D).transpose(0, 2, 1)
+
+
+def _scaled_monomial_tabulation(space, cells, pts, coeff=None):
+    """Basis values (n, nq, nloc, ncomp) and gradients at physical points
+    through the scaled monomials, by chained einsums: the reference for the
+    shared-table evaluation and for FunctionSpace.tabulate_cells."""
+    el = space.element
+    if coeff is None:
+        coeff = _scaled_monomial_coeff(space)
+    sm, smg = scalar_monomials(_scaled(space, cells, pts), el.dmax, True)
+    coeff = coeff[cells]
     vals = np.einsum("civ,cqvk->cqik", coeff,
                      np.einsum("vks,cqs->cqvk", el.vmono, sm))
     grads = np.einsum("civ,cqvkd->cqikd", coeff,
@@ -271,7 +292,7 @@ def test_tabulate_cells_matches_einsum_reference(fam, deg, unit_mesh):
     cells = np.arange(unit_mesh.num_cells)[::-1]
     pts = pts[::-1]
     vals, grads = space.tabulate_cells(cells, pts, grad=True)
-    ref_vals, ref_grads = _tabulate_two_einsum(space, cells, pts)
+    ref_vals, ref_grads = _scaled_monomial_tabulation(space, cells, pts)
     assert _close(vals, ref_vals) and _close(grads, ref_grads)
     only_vals, none = space.tabulate_cells(cells, pts)
     assert none is None and np.array_equal(only_vals, vals)
@@ -296,3 +317,117 @@ def test_optimised_kernels_match_plain_einsum(monkeypatch):
                         **kwargs: einsum(*operands, **kwargs))
     for a, ref in zip(optimised, kernels()):
         assert _close(a, ref)
+
+
+# -- the shared reference tables against the scaled-monomial basis -----------
+
+COVERAGE_MESHES = {
+    # both edge orientations occur on each; the periodic mesh has cells
+    # whose frames are unwrapped across x = +-1
+    "right": lambda: build_rect_mesh((0, 1, 0, 1), 3, 2, "right"),
+    "crossed": lambda: build_rect_mesh((0, 2, -1, 0), 2, 2, "crossed"),
+    "periodic_x": lambda: build_rect_mesh((-1, 1, -1, 1), 4, 2,
+                                          periodic_x=True),
+}
+
+
+def _ops(space):
+    scalar = space.element.ncomp == 1
+    return ("val", "grad") + (("vcurl",) if scalar else ("div", "curl"))
+
+
+def _reference_op(vals, grads, op):
+    """op of reference basis values and gradients, from the gradients."""
+    if op == "val":
+        return vals
+    if op == "grad":
+        return grads.reshape(grads.shape[:-2] + (-1,))
+    if op == "div":
+        return (grads[..., 0, 0] + grads[..., 1, 1])[..., None]
+    if op == "curl":
+        return (grads[..., 1, 0] - grads[..., 0, 1])[..., None]
+    return np.stack([grads[..., 0, 1], -grads[..., 0, 0]], axis=-1)
+
+
+def _per_basis(basis, n, nloc):
+    """op of each basis function through the shared-table evaluation:
+    (n, nq, nloc, C)."""
+    return np.stack([basis.evaluate(np.broadcast_to(e, (n, nloc)))
+                     for e in np.eye(nloc)], axis=2)
+
+
+def _facet_points(mesh, fd, qdeg):
+    """Physical Gauss points (ne, nq, 2) of the interior facets in the
+    frames of their plus and minus cells, and of the boundary facets."""
+    t = gauss_interval(qdeg).points[None, :, None]
+    sides = []
+    for s in range(2):
+        cells = fd.int_cells[:, s]
+        ends = [mesh.edge_endpoints_in_cell(fd.int_edges, side)
+                for side in range(2)]
+        first = (mesh.edge_cells[fd.int_edges, 0] == cells)[:, None, None]
+        e = np.where(first, ends[0], ends[1])
+        sides.append(e[:, None, 0] * (1 - t) + e[:, None, 1] * t)
+    return sides, fd.bdry_pts
+
+
+def _close_rel(a, ref, rtol=1e-12):
+    return a.shape == ref.shape and (np.abs(a - ref).max()
+                                     <= rtol * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("mesh_name", list(COVERAGE_MESHES))
+@pytest.mark.parametrize("fam,deg", sorted(SUPPORTED))
+def test_dual_functionals_invert_the_basis(fam, deg, mesh_name):
+    space = FunctionSpace(COVERAGE_MESHES[mesh_name](), fam, deg)
+    pts, wts = space.dual_points_weights()
+    vals, _ = space.tabulate_cells(np.arange(len(pts)), pts)
+    D = np.einsum("cqik,cqjk->cij", wts, vals)
+    assert np.abs(D - np.eye(space.element.nloc)).max() < 1e-12
+
+
+@pytest.mark.parametrize("mesh_name", list(COVERAGE_MESHES))
+@pytest.mark.parametrize("fam,deg", sorted(SUPPORTED))
+def test_shared_tables_reproduce_the_scaled_monomial_basis(fam, deg,
+                                                           mesh_name):
+    # values, gradients and the derivative operators at cell quadrature and
+    # at the facet points of both sides, through the shared reference
+    # tables, against the per-cell scaled-monomial tabulation
+    mesh = COVERAGE_MESHES[mesh_name]()
+    space = FunctionSpace(mesh, fam, deg)
+    coeff = _scaled_monomial_coeff(space)
+    nloc = space.element.nloc
+    qdeg = 5
+    fd = facet_data(mesh, qdeg)
+    int_pts, bdry_pts = _facet_points(mesh, fd, qdeg)
+    pts, _ = space.cell_quadrature(qdeg)
+    sets = [(None, None, np.arange(mesh.num_cells), pts),
+            (fd.int_cells[:, 0], fd.int_var[0], fd.int_cells[:, 0],
+             int_pts[0]),
+            (fd.int_cells[:, 1], fd.int_var[1], fd.int_cells[:, 1],
+             int_pts[1]),
+            (fd.bdry_cells, fd.bdry_var, fd.bdry_cells, bdry_pts)]
+    for cells, var, ref_cells, ref_pts in sets:
+        ref = _scaled_monomial_tabulation(space, ref_cells, ref_pts, coeff)
+        if cells is None:
+            got = space.tabulate_cells(ref_cells, ref_pts, grad=True)
+            assert _close_rel(got[0], ref[0]) and _close_rel(got[1], ref[1])
+        for op in _ops(space):
+            basis = _Basis(space, op, qdeg, cells, var)
+            assert _close_rel(_per_basis(basis, len(ref_cells), nloc),
+                              _reference_op(*ref, op))
+
+
+def test_reference_table_points_are_the_facet_points():
+    # the CG1 prime basis is (1, x, y), so its table gives the points:
+    # variant 2 le + d runs along local edge le from its first vertex
+    # (d = 0) or from its second (d = 1)
+    vals, _ = reference_table("CG", 1, 3, facet=True)
+    xi = vals[..., 1:, 0]
+    t = gauss_interval(3).points[:, None]
+    ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for le, (a, b) in enumerate([(1, 2), (0, 2), (0, 1)]):
+        assert np.allclose(xi[2 * le], ref[a] * (1 - t) + ref[b] * t)
+        assert np.allclose(xi[2 * le + 1], ref[b] * (1 - t) + ref[a] * t)
+    with pytest.raises(ValueError):
+        vals[0, 0, 0, 0] = 1.0

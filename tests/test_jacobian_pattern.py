@@ -435,3 +435,26 @@ def test_row_block_pattern_is_the_one_sort_pattern(monkeypatch, name,
     for k, ref in slots.items():
         assert pat.slots[k].dtype == np.int32
         assert np.array_equal(pat.slots[k], ref)
+
+
+@pytest.mark.parametrize("name, variant", [
+    (name, variant) for name, (_, _, variants) in CASES.items()
+    for variant in variants] + [("hartmann", "hdiv")])
+def test_streamed_constants_match_the_summed_terms(name, variant):
+    # each constant term is scattered into its group's data as it is
+    # generated; the reference sums each group's local arrays per key first
+    if name == "hartmann":
+        from mhdkit.problems import make_problem
+        model = make_problem("hartmann", levels=0, mesh_base=(4, 4)).model
+    else:
+        model = CASES[name][0](_mesh(), variant)
+    pat = model.pattern
+    groups = {}
+    for gname, key, local in model._constant_terms():
+        terms = groups.setdefault(gname, {})
+        terms[key] = terms[key] + local if key in terms else local
+    assert list(model._constants) == list(groups)
+    for gname, terms in groups.items():
+        ref = pat.scatter(terms)
+        got = pat.expand(model._constants[gname])
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()

@@ -197,7 +197,7 @@ def test_interpolated_island_divfree():
     fld = interpolate(rt, eq.fields["B"], quad_degree=14)
     from mhdkit.assembly import field_at_quadrature
     _, g = field_at_quadrature(fld, 8, grad=True)
-    _, w, _, _ = rt.basis_at_quadrature(8)
+    w = rt.quadrature_weights(8)
     div = g[..., 0, 0] + g[..., 1, 1]
     assert np.sqrt(np.sum(div ** 2 * w)) < 1e-10
 
@@ -343,3 +343,36 @@ def test_transient_fd_jacobian(make):
     model = make(_mesh22())
     _fd_check(model, model.initial_state(), n_cols=40, seed=5,
               mass_coeff=2.5, steady_coeff=0.5)
+
+
+def _full_gradient_div_norms(model, vec):
+    """The div norms from each field's whole gradient at the QDEG points,
+    tabulated at the physical points: the formula div_norms replaced."""
+    from mhdkit.models.base import QDEG
+    F = model._state_fields(vec)
+    out = {}
+    for n in (model.velocity, model.magnetic):
+        pts, w = model.spaces[n].cell_quadrature(QDEG)
+        _, g = F[n].eval_cells(np.arange(model.mesh.num_cells), pts,
+                               grad=True)
+        div = g[..., 0, 0] + g[..., 1, 1]
+        out[n] = float(np.sqrt(np.sum(div ** 2 * w)))
+    return out
+
+
+def test_div_norms_match_the_full_gradient_formula():
+    from mhdkit.precond import BlockPrecondConfig, KrylovSolverFactory
+    spec = problems.make_problem("hartmann", levels=1, mesh_base=(4, 4))
+    model = spec.model
+    factory = KrylovSolverFactory(spec.make_precond(BlockPrecondConfig()),
+                                  rtol=1e-7, atol=1e-7, maxiter=100)
+    st, rep = solve_nonlinear(model, model.initial_state(),
+                              NonlinearConfig(), factory)
+    assert rep.converged
+    hall = problems.make_problem("hall_island", levels=0, mesh_base=(8, 8))
+    for m, vec in ((model, st.vector), (hall.model, problems.
+                                        island_initial_state(hall).vector)):
+        new, old = m.div_norms(vec), _full_gradient_div_norms(m, vec)
+        assert new.keys() == old.keys()
+        for n in new:
+            assert abs(new[n] - old[n]) <= 1e-13

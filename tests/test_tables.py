@@ -1,17 +1,15 @@
-"""The basis tables a FunctionSpace holds: one per quadrature degree or facet
-trace, read-only, and after a model's set-up only those its residual,
-Jacobian and diagnostics read."""
-
-import inspect
-import tracemalloc
+"""The basis tables: one shared, read-only reference table per element and
+rule, and no table with a cell-by-point axis held by any FunctionSpace,
+after set-up or after a solve."""
 
 import numpy as np
 import pytest
 
 from mhdkit import problems
-from mhdkit.elements import FunctionSpace, transient_tables
+from mhdkit.elements import FunctionSpace, reference_table
 from mhdkit.mesh import build_rect_mesh
-from mhdkit.precond import BlockPrecondConfig
+from mhdkit.nonlinear import NonlinearConfig, solve_nonlinear
+from mhdkit.precond import BlockPrecondConfig, KrylovSolverFactory
 from mhdkit.timestepping import ReconnectionProbe
 
 
@@ -37,47 +35,45 @@ def _distinct(spaces):
     return out
 
 
-def _layouts(spaces):
-    return [s.table_layout() for s in spaces]
+def _held(space):
+    """The arrays a space holds, each by the buffer that owns its memory
+    (views and broadcasts count once, at their base's size)."""
+    bases = {}
+
+    def walk(x):
+        if isinstance(x, np.ndarray):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            bases[id(x)] = x
+        elif isinstance(x, dict):
+            for v in x.values():
+                walk(v)
+        elif isinstance(x, (list, tuple)):
+            for v in x:
+                walk(v)
+
+    for v in vars(space).values():
+        walk(v)
+    return list(bases.values())
 
 
-def _held_bytes(space):
-    return sum(a.nbytes for entry in space._tables.values() for a in entry
-               if a is not None)
+def _byte_bound(space):
+    """8 * nc * (nloc * (nloc + 1) + 40) bytes: the dof map, the per-cell
+    coefficients and 40 floats of cell geometry per cell.  A table of the
+    basis at one cell quadrature (16 points at degree 6) would exceed it."""
+    nloc = space.element.nloc
+    return 8 * space.mesh.num_cells * (nloc * (nloc + 1) + 40)
 
 
-def test_held_tables_are_read_only():
-    rt = FunctionSpace(build_rect_mesh((0, 1, 0, 1), 2, 2), "RT", 2)
-    for a in rt.basis_at_quadrature(4, grad=True):
-        with pytest.raises(ValueError):
-            a[...] = 0.0
-    vals, _ = rt.trace_table("key", np.arange(2), np.zeros((2, 3, 2)))
-    with pytest.raises(ValueError):
-        vals[0] = 1.0
-
-
-def test_one_table_per_degree(tabulations):
-    # gradients join the values already held: one entry per degree, and
-    # values asked for after gradients cost nothing
-    cg = FunctionSpace(build_rect_mesh((0, 1, 0, 1), 2, 2), "CG", 2)
-    _, _, vals, none = cg.basis_at_quadrature(6)
-    assert none is None and cg.table_layout() == {6: False}
-    _, _, vals_g, grads = cg.basis_at_quadrature(6, grad=True)
-    assert vals_g is vals and grads is not None
-    assert cg.table_layout() == {6: True}
-    cg.basis_at_quadrature(6)
-    cg.basis_at_quadrature(6, grad=True)
-    assert len(tabulations) == 2
-
-
-def test_transient_tables_drop_what_the_body_adds():
-    cg = FunctionSpace(build_rect_mesh((0, 1, 0, 1), 2, 2), "CG", 2)
-    cg.basis_at_quadrature(6)
-    with transient_tables(cg):
-        cg.basis_at_quadrature(6, grad=True)
-        cg.basis_at_quadrature(4)
-        cg.trace_table("key", np.arange(2), np.zeros((2, 3, 2)))
-    assert cg.table_layout() == {6: False}
+def _check_no_point_tables(spaces):
+    for s in spaces:
+        nc, nloc = s.mesh.num_cells, s.element.nloc
+        for a in _held(s):
+            # per-cell arrays run over coordinates (2), local edges (3) or
+            # local dofs, never over quadrature points
+            if a.ndim >= 2 and a.shape[0] == nc:
+                assert a.shape[1] in (2, 3, nloc), a.shape
+        assert sum(a.nbytes for a in _held(s)) <= _byte_bound(s)
 
 
 def _hartmann():
@@ -85,47 +81,49 @@ def _hartmann():
     return spec, spec.make_precond(BlockPrecondConfig())
 
 
-def _tabulation_lines():
-    """(first, last) source line of the two functions whose arrays a held
-    table keeps: tabulate_cells (values, gradients) and cell_quadrature
-    (points, weights)."""
-    out = []
-    for fn in (FunctionSpace.tabulate_cells, FunctionSpace.cell_quadrature):
-        lines, first = inspect.getsourcelines(fn)
-        out.append((first, first + len(lines) - 1))
-    return out
+def _all_spaces(spec, pc):
+    return _distinct(list(spec.model.spaces.values())
+                     + [s for ctx in (pc.vel_ctx, pc.em_ctx)
+                        for level in ctx.spaces for s in level])
 
 
-def test_hartmann_setup_keeps_only_the_solve_tables():
-    tracemalloc.start()
-    try:
-        spec, pc = _hartmann()
-        snapshot = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
+def test_held_tables_are_read_only():
+    # the reference tables are shared by every space of an element, and
+    # so are the coefficients of a nodal space
+    for facet in (False, True):
+        for a in reference_table("RT", 2, 4, facet):
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+    cg = FunctionSpace(build_rect_mesh((0, 1, 0, 1), 2, 2), "CG", 2)
+    with pytest.raises(ValueError):
+        cg.coeff[0, 0, 0] = 1.0
+
+
+def test_one_table_per_degree():
+    # one table per (element, rule), whatever the mesh
+    spaces = [FunctionSpace(build_rect_mesh((0, 1, 0, 1), n, n), "BDM", 2)
+              for n in (2, 3)]
+    first, second = (s.reference_table(6) for s in spaces)
+    assert all(a is b for a, b in zip(first, second))
+    assert spaces[0].reference_table(6, facet=True)[0].shape[0] == 6
+    assert spaces[0].reference_table(4)[0] is not first[0]
+
+
+def test_hartmann_spaces_hold_no_point_tables():
+    spec, pc = _hartmann()
+    spaces = _all_spaces(spec, pc)
+    _check_no_point_tables(spaces)
     model = spec.model
-    spaces = _distinct(list(model.spaces.values())
-                       + [s for ctx in (pc.vel_ctx, pc.em_ctx)
-                          for level in ctx.spaces for s in level])
-    assert [model.spaces[n].table_layout() for n in model.fields] == [
-        {6: True, (6, "int", 0): False, (6, "int", 1): False,
-         (6, "bdy", ("bottom", "left", "right", "top")): False},
-        {}, {6: False}, {6: True}]
-    held = sum(_held_bytes(s) for s in spaces)
-    # 2,506,752 bytes on the 8x8 mesh; the tables of set-up (forcing at
-    # degree 10, the constants' gradients, the pressure's values and the
-    # facet gradients) would more than double it
-    assert held <= 2.6e6
-    # the memory that tabulation keeps alive is the held tables: no table
-    # outlives set-up elsewhere
-    filename = inspect.getsourcefile(FunctionSpace)
-    # numpy traces array data in its own domain
-    data = snapshot.filter_traces([tracemalloc.DomainFilter(True, 389047)])
-    kept = sum(stat.size for stat in data.statistics("lineno")
-               if stat.traceback[0].filename == filename
-               and any(a <= stat.traceback[0].lineno <= b
-                       for a, b in _tabulation_lines()))
-    assert kept == held
+    factory = KrylovSolverFactory(pc, rtol=1e-7, atol=1e-7, maxiter=100)
+    state, report = solve_nonlinear(model, model.initial_state(),
+                                    NonlinearConfig(), factory)
+    assert report.converged
+    model.div_norms(state.vector)
+    _check_no_point_tables(spaces)
+    # continuation re-assembles the forcing and the boundary terms
+    model.params.Re = 2.0
+    model.params_changed()
+    _check_no_point_tables(spaces)
 
 
 @pytest.mark.parametrize("name, variant", [
@@ -134,12 +132,12 @@ def test_hartmann_setup_keeps_only_the_solve_tables():
     ("rayleigh_benard", "hdiv"), ("rayleigh_benard", "taylor_hood")])
 def test_solve_phase_builds_no_table(tabulations, name, variant):
     # the residual, both Jacobians, a transient Jacobian and the
-    # diagnostics read only the tables set-up kept
+    # diagnostics read the shared tables: no basis is tabulated
     spec = problems.make_problem(name, levels=0, mesh_base=(4, 4),
                                  velocity_variant=variant)
     model = spec.model
     spaces = _distinct(model.spaces.values())
-    layouts = _layouts(spaces)
+    held = [len(_held(s)) for s in spaces]
     rng = np.random.default_rng(5)
     x = model.initial_state().vector + 0.1 * rng.standard_normal(
         model.state_template.total)
@@ -150,7 +148,8 @@ def test_solve_phase_builds_no_table(tabulations, name, variant):
     model.jacobian(x, mass_coeff=2.0, steady_coeff=0.5)
     model.div_norms(x)
     assert tabulations == []
-    assert _layouts(spaces) == layouts
+    assert [len(_held(s)) for s in spaces] == held
+    _check_no_point_tables(spaces)
 
 
 def test_hartmann_solve_and_preconditioner_build_no_table(tabulations):
@@ -164,28 +163,16 @@ def test_hartmann_solve_and_preconditioner_build_no_table(tabulations):
     assert tabulations == []
 
 
-def test_continuation_keeps_the_solve_tables():
-    spec, _ = _hartmann()
-    model = spec.model
-    layouts = _layouts(model.spaces.values())
-    model.params.Re = 2.0
-    model.params_changed()
-    assert _layouts(model.spaces.values()) == layouts
-
-
 def test_identical_spaces_are_built_once():
     spec = problems.make_problem("hall_island", levels=1, mesh_base=(4, 4))
     model = spec.model
     s = model.spaces
     assert s["u3"] is s["E3"] is s["B3"] is s["j3"]
     assert s["Et"] is s["jt"]
-    layouts = _layouts(_distinct(s.values()))
     probe = ReconnectionProbe(model, "Bt")
     assert probe.cg2 is s["u3"]
     pc = spec.make_precond()
     assert pc.flow_ctx.fine_spaces == (s["ut"], s["u3"])
-    # the probe's and the preconditioner's set-up keep no table
-    assert _layouts(_distinct(s.values())) == layouts
     spec, pc = _hartmann()
     s = spec.model.spaces
     assert pc.vel_ctx.fine_spaces == (s["u"],)
@@ -195,8 +182,23 @@ def test_identical_spaces_are_built_once():
 def test_stabilisation_built_on_first_use_keeps_no_table():
     spec = problems.make_problem("hartmann", levels=0, mesh_base=(4, 4))
     model = spec.model
-    layouts = _layouts(model.spaces.values())
+    spaces = _distinct(model.spaces.values())
+    held = [len(_held(s)) for s in spaces]
     model.params.stab_mu = 1e-3
     model.jacobian(model.initial_state().vector)
     assert "stab_mu" in model._constants
-    assert _layouts(model.spaces.values()) == layouts
+    assert [len(_held(s)) for s in spaces] == held
+
+
+def test_setup_memory_tool_reports_every_space(capsys):
+    import importlib.util
+    import pathlib
+    path = pathlib.Path(__file__).parents[1] / "tools" / "setup_memory.py"
+    spec = importlib.util.spec_from_file_location("setup_memory", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main(["hartmann", "--base", "2", "2", "--levels", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "after model set-up" in out and "after preconditioner set-up" in out
+    # the model's four spaces and the coarse level's three
+    assert out.count(" holds ") == 7
