@@ -109,20 +109,21 @@ def test_one_table_per_degree():
     assert spaces[0].reference_table(4)[0] is not first[0]
 
 
-def test_hartmann_spaces_hold_no_point_tables():
+def test_hartmann_setup_keeps_only_the_solve_tables():
+    # the solve reads the shared reference tables: after set-up and after
+    # a Newton solve no space holds a table over quadrature points
     spec, pc = _hartmann()
     spaces = _all_spaces(spec, pc)
     _check_no_point_tables(spaces)
+    # 492,936 bytes on the 8x8 mesh, where per-cell solve tables held
+    # 2,506,752
+    assert sum(a.nbytes for s in spaces for a in _held(s)) <= 0.6e6
     model = spec.model
     factory = KrylovSolverFactory(pc, rtol=1e-7, atol=1e-7, maxiter=100)
     state, report = solve_nonlinear(model, model.initial_state(),
                                     NonlinearConfig(), factory)
     assert report.converged
     model.div_norms(state.vector)
-    _check_no_point_tables(spaces)
-    # continuation re-assembles the forcing and the boundary terms
-    model.params.Re = 2.0
-    model.params_changed()
     _check_no_point_tables(spaces)
 
 
@@ -161,6 +162,21 @@ def test_hartmann_solve_and_preconditioner_build_no_table(tabulations):
     pc.build(A, parts).apply(model.residual(x))
     model.div_norms(x)
     assert tabulations == []
+
+
+def test_continuation_keeps_the_solve_tables(tabulations):
+    # continuation re-assembles the forcing and the boundary terms from
+    # the shared tables, and leaves the spaces as set-up left them
+    spec, _ = _hartmann()
+    model = spec.model
+    spaces = _distinct(model.spaces.values())
+    held = [sorted(a.nbytes for a in _held(s)) for s in spaces]
+    del tabulations[:]
+    model.params.Re = 2.0
+    model.params_changed()
+    assert tabulations == []
+    assert [sorted(a.nbytes for a in _held(s)) for s in spaces] == held
+    _check_no_point_tables(spaces)
 
 
 def test_identical_spaces_are_built_once():
