@@ -86,13 +86,25 @@ def _free_block(A, free):
     return A[free][:, free].tocsr()
 
 
+def _free_operator(model, vec, free, **drop):
+    """The free-dof block of the Newton Jacobian at `vec`, without the
+    grad-div term gamma (div u, div v) and the terms `drop` names."""
+    A, _ = model.jacobian(vec, "newton", drop_graddiv=True, **drop)
+    return _free_block(A, free)
+
+
 def stability_eigs(model, state_vec, k=6):
     """Leading eigenvalues of the linearised time evolution -J x = lambda M x
     with the singular mass (u, theta, B rows only): the k pairs nearest 0 by
-    shift-invert Arnoldi, sorted by decreasing real part."""
+    shift-invert Arnoldi, sorted by decreasing real part.
+
+    J is taken at gamma = 0, which moves no eigenpair: M has no pressure
+    rows, so an eigenvector's velocity passes every continuity test, and as
+    div BDM2 lies in DG1 (the no-flux wall stands in for the pinned test)
+    it is divergence-free and the grad-div term vanishes on it.  The
+    operator is far better conditioned without it."""
     free = _free_indices(model)
-    # only the free-dof blocks are kept, not the whole Jacobian
-    Af = -_free_block(model.jacobian(state_vec, "newton")[0], free)
+    Af = -_free_operator(model, state_vec, free)
     Mf = _free_block(model.mass_matrix(), free)
     res = shift_invert_arnoldi(Af, Mf, k=k, tol=1e-6)
     order = np.argsort(-res.values.real, kind="stable")
@@ -112,25 +124,26 @@ def stability_tag(eigenvalues, tol=1e-7):
 def critical_parameter(model, which="Ra_c", count=2):
     """Smallest positive critical values of Ra (buoyancy moved to the
     right-hand side) or S (Lorentz coupling moved to the right-hand side),
-    linearised at the conduction state, plus the eigenmodes."""
+    linearised at the conduction state, plus the eigenmodes.
+
+    Both operators are taken at gamma = 0, which moves no eigenpair: the
+    right-hand side has no pressure rows either, so the argument of
+    `stability_eigs` holds.  ARPACK then takes fewer steps, in a count
+    that round-off does not move."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     st = conduction_state_vector(model)
     free = _free_indices(model)
     pr = model.params
     if which == "Ra_c":
-        A0, _ = model.jacobian(st.vector, "newton", drop_buoyancy=True)
-        Mmat = pr.Pr * model.constant_matrix("buoyancy")
+        Af = _free_operator(model, st.vector, free, drop_buoyancy=True)
+        Mf = _free_block(pr.Pr * model.constant_matrix("buoyancy"), free)
     elif which == "S_c":
-        A0, _ = model.jacobian(st.vector, "newton", drop_lorentz=True)
+        Af = _free_operator(model, st.vector, free, drop_lorentz=True)
         # S-proportional coupling, normalised to S = 1
-        Mmat = -(model.jacobian(st.vector.copy(), "newton")[0] - A0) / pr.S
+        Mf = -(_free_operator(model, st.vector.copy(), free) - Af) / pr.S
     else:
         raise ValueError(which)
-    Af = _free_block(A0, free)
-    Mf = _free_block(Mmat, free)
-    # the whole matrices are not needed during the eigen-solve
-    del A0, Mmat
     res = shift_invert_arnoldi(Af, Mf, k=3 * count + 4, tol=1e-6)
     lam = res.values
     real = lam[np.abs(lam.imag) <= 1e-6 * np.maximum(np.abs(lam.real), 1.0)]

@@ -23,6 +23,8 @@ from .timestepping import (TimeConfig, run_transient, FrozenJacobianFactory,
                            ReconnectionProbe, write_series_csv)
 
 PARAM_FLAGS = ("Re", "Rem", "S", "RH", "Ra", "Pr", "Pm", "gamma")
+DEFAULTS = {"linearisation": "newton", "elimination": "eliminate_up",
+            "linear_solver": "direct", "out_dir": "."}
 
 
 def _add_common(p):
@@ -31,17 +33,15 @@ def _add_common(p):
     for f in PARAM_FLAGS:
         p.add_argument(f"--{f}", type=float)
     p.add_argument("--levels", type=int)
-    p.add_argument("--linearisation", choices=["newton", "picard"],
-                   default="newton")
-    p.add_argument("--elimination", choices=ELIMINATIONS,
-                   default="eliminate_up")
-    p.add_argument("--linear-solver", choices=["fgmres", "direct"],
-                   default="direct")
+    # these four take DEFAULTS only after the config file is read
+    p.add_argument("--linearisation", choices=["newton", "picard"])
+    p.add_argument("--elimination", choices=ELIMINATIONS)
+    p.add_argument("--linear-solver", choices=["fgmres", "direct"])
     p.add_argument("--continuation", action="store_true", default=None,
                    help="apply the stationary continuation schedules")
     p.add_argument("--dt", type=float)
     p.add_argument("--T", type=float)
-    p.add_argument("--out-dir", default=".")
+    p.add_argument("--out-dir")
     p.add_argument("--stabilisation", type=float)
     p.add_argument("--quad-degree-bc", type=int)
     p.add_argument("--bc-field")
@@ -107,12 +107,9 @@ def _apply_config_file(args):
         if getattr(args, flag, None) is None:
             setattr(args, flag, _config_value("params", k, v, float))
     sol = cfg.get("solver", {})
-    if "linearisation" in sol:
-        args.linearisation = sol["linearisation"]
-    if "elimination" in sol:
-        args.elimination = sol["elimination"]
-    if "linear_solver" in sol:
-        args.linear_solver = sol["linear_solver"]
+    for key in ("linearisation", "elimination", "linear_solver"):
+        if key in sol and getattr(args, key) is None:
+            setattr(args, key, sol[key])
     if "continuation" in sol and args.continuation is None:
         args.continuation = _config_value("solver", "continuation",
                                           sol["continuation"], _boolean)
@@ -125,8 +122,15 @@ def _apply_config_file(args):
     if "T" in tm and args.T is None:
         args.T = _config_value("time", "T", tm["T"], float)
     out = cfg.get("output", {})
-    if "out_dir" in out:
+    if "out_dir" in out and args.out_dir is None:
         args.out_dir = out["out_dir"]
+
+
+def _apply_defaults(args):
+    """DEFAULTS for the settings neither the flags nor the file gave."""
+    for key, value in DEFAULTS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
 
 
 def _nonlinear_config(args):
@@ -187,6 +191,7 @@ def _dump_fields(args, spec, vec):
 
 def cmd_run(args):
     _apply_config_file(args)
+    _apply_defaults(args)
     if not args.problem:
         print("error: --problem is required", file=sys.stderr)
         return 1
@@ -297,6 +302,7 @@ def _run_transient(args, spec):
 
 def cmd_sweep(args):
     _apply_config_file(args)
+    _apply_defaults(args)
     if not args.problem:
         print("error: --problem is required", file=sys.stderr)
         return 1
@@ -360,6 +366,21 @@ def cmd_sweep(args):
 
 def cmd_bifurcate(args):
     _apply_config_file(args)
+    # it builds rayleigh_benard, solves with direct LU and never time-steps
+    # or continues: a setting it would ignore is an error
+    for flag, given in (
+            ("--problem", args.problem not in (None, "rayleigh_benard")),
+            ("--linear-solver", args.linear_solver not in (None, "direct")),
+            ("--elimination", args.elimination is not None),
+            ("--continuation", args.continuation),
+            ("--dt", args.dt is not None), ("--T", args.T is not None),
+            ("--bc-field", args.bc_field is not None),
+            ("--stability", args.stability and args.critical)):
+        if given:
+            print(f"error: bifurcate does not support {flag}",
+                  file=sys.stderr)
+            return 1
+    _apply_defaults(args)
     if args.count < 1:
         print(f"error: --count must be at least 1, got {args.count}",
               file=sys.stderr)

@@ -42,9 +42,10 @@ class BoussinesqMHD(MixedModel):
             "B": FunctionSpace(mesh, "RT", 2),
         }, bcs, forcing)
 
-    def _weights(self, drop_buoyancy=False):
+    def _weights(self, drop_buoyancy=False, drop_graddiv=False):
         pr = self.params
-        return {"one": 1.0, "Pr": pr.Pr, "gamma": pr.gamma,
+        return {"one": 1.0, "Pr": pr.Pr,
+                "gamma": 0.0 if drop_graddiv else pr.gamma,
                 "stab_mu": pr.stab_mu, "Pr_Pm": pr.Pr / pr.Pm,
                 "buoyancy": 0.0 if drop_buoyancy else -pr.Ra * pr.Pr}
 
@@ -109,7 +110,8 @@ class BoussinesqMHD(MixedModel):
         return self._finish_residual(r, constrain)
 
     def jacobian(self, vec, linearisation="newton", mass_coeff=0.0,
-                 steady_coeff=1.0, drop_buoyancy=False, drop_lorentz=False):
+                 steady_coeff=1.0, drop_buoyancy=False, drop_lorentz=False,
+                 drop_graddiv=False):
         pr = self.params
         delta = 1.0 if linearisation == "newton" else 0.0
         F = self._state_fields(vec)
@@ -163,7 +165,7 @@ class BoussinesqMHD(MixedModel):
                                            qdeg=QDEG)
         return self._finish_jacobian(
             terms, delta, mass_coeff, steady_coeff,
-            weights=self._weights(drop_buoyancy))
+            weights=self._weights(drop_buoyancy, drop_graddiv))
 
     # -- eigen/deflation support -----------------------------------------------------
 

@@ -279,3 +279,91 @@ def test_dumped_fields_are_exact_on_linear_fields(tmp_path):
     for name, f in exact.items():
         got = data[name][:, :2] if data[name].ndim == 2 else data[name]
         assert np.abs(got - f(x, y)).max() <= 1e-10, name
+
+
+@pytest.mark.parametrize("flag, section, key, flag_value, file_value", [
+    ("--linearisation", "solver", "linearisation", "newton", "picard"),
+    ("--elimination", "solver", "elimination", "eliminate_up",
+     "eliminate_eb"),
+    ("--linear-solver", "solver", "linear_solver", "direct", "fgmres"),
+    ("--out-dir", "output", "out_dir", ".", "elsewhere"),
+])
+def test_flag_beats_config_and_config_beats_default(monkeypatch, tmp_path,
+                                                    flag, section, key,
+                                                    flag_value, file_value):
+    # the flag gives the default value, so only the flag itself can win
+    # over the file
+    seen = []
+
+    def record(args, spec, ledger=None):
+        seen.append(getattr(args, key))
+        raise _Stop
+
+    monkeypatch.setattr(cli, "make_problem", _fake_problem)
+    monkeypatch.setattr(cli, "_solver_factory", record)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[{section}]\n{key} = {file_value}\n")
+    assert cli.DEFAULTS[key] == flag_value
+    for extra, value in ((["--config", str(cfg), flag, flag_value],
+                          flag_value),
+                         (["--config", str(cfg)], file_value),
+                         ([], flag_value)):
+        with pytest.raises(_Stop):
+            cli.main(["run", "--problem", "hartmann", *extra])
+        assert seen.pop() == value
+
+
+@pytest.mark.parametrize("extra, flag", [
+    (["--problem", "hartmann"], "--problem"),
+    (["--linear-solver", "fgmres"], "--linear-solver"),
+    (["--elimination", "eliminate_up"], "--elimination"),
+    (["--continuation"], "--continuation"),
+    (["--dt", "0.1"], "--dt"),
+    (["--T", "1"], "--T"),
+    (["--bc-field", "trig"], "--bc-field"),
+    (["--stability"], "--stability"),
+])
+def test_bifurcate_rejects_flags_it_would_ignore(monkeypatch, tmp_path,
+                                                 capsys, extra, flag):
+    monkeypatch.setattr(cli, "make_problem", _no_problem)
+    assert cli.main(["bifurcate", "--critical", "Ra", *extra,
+                     "--out-dir", str(tmp_path)]) == 1
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "critical.csv").exists()
+
+
+@pytest.mark.parametrize("text, flag", [
+    ("[problem]\nname = hartmann\n", "--problem"),
+    ("[solver]\nlinear_solver = fgmres\n", "--linear-solver"),
+    ("[solver]\nelimination = eliminate_eb\n", "--elimination"),
+    ("[solver]\ncontinuation = true\n", "--continuation"),
+    ("[time]\ndt = 0.1\n", "--dt"),
+    ("[problem]\nbc_field = trig\n", "--bc-field"),
+])
+def test_bifurcate_rejects_config_keys_it_would_ignore(monkeypatch, tmp_path,
+                                                       capsys, text, flag):
+    monkeypatch.setattr(cli, "make_problem", _no_problem)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert cli.main(["bifurcate", "--from", "1", "--to", "2", "--step", "1",
+                     "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["--problem", "rayleigh_benard"]],
+                         ids=["default", "named"])
+def test_bifurcate_builds_rayleigh_benard(monkeypatch, tmp_path, extra):
+    import mhdkit.bifurcation as bif
+    built = []
+
+    def record(name, **kwargs):
+        built.append(name)
+        return _fake_problem(name, **kwargs)
+
+    monkeypatch.setattr(cli, "make_problem", record)
+    monkeypatch.setattr(bif, "critical_parameter",
+                        lambda model, which, count: ([2609.0, 6759.4], [],
+                                                     None))
+    assert cli.main(["bifurcate", "--critical", "Ra", *extra,
+                     "--out-dir", str(tmp_path)]) == 0
+    assert built == ["rayleigh_benard"]
