@@ -127,7 +127,9 @@ def _apply_config_file(args):
 
 
 def _apply_defaults(args):
-    """DEFAULTS for the settings neither the flags nor the file gave."""
+    """DEFAULTS for the settings neither the flags nor the file gave; the
+    names of those they gave are kept in `args.given`."""
+    args.given = {key for key in DEFAULTS if getattr(args, key) is not None}
     for key, value in DEFAULTS.items():
         if getattr(args, key) is None:
             setattr(args, key, value)
@@ -141,8 +143,18 @@ def _nonlinear_config(args):
     return NonlinearConfig(linearisation=args.linearisation, **given)
 
 
+def _reject_elimination(args):
+    """The direct LU reads no elimination: one that was given stops the run
+    with exit code 1 instead of being ignored."""
+    if "elimination" in args.given:
+        print("error: --elimination is only read by --linear-solver fgmres",
+              file=sys.stderr)
+        sys.exit(1)
+
+
 def _solver_factory(args, spec, ledger=None):
     if args.linear_solver == "direct":
+        _reject_elimination(args)
         return direct_solver_factory
     try:
         pc = spec.make_precond(
@@ -202,6 +214,10 @@ def cmd_run(args):
               "supported with --dt/--T; time steps use --linear-solver "
               "direct", file=sys.stderr)
         return 1
+    if transient or (args.problem == "mms"
+                     and args.linear_solver == "direct"):
+        # the stationary path checks in _solver_factory
+        _reject_elimination(args)
     params = _collect_params(args)
     spec = make_problem(args.problem, levels=args.levels, params=params,
                         bc_field=args.bc_field or "uniform")
@@ -375,7 +391,12 @@ def cmd_bifurcate(args):
             ("--continuation", args.continuation),
             ("--dt", args.dt is not None), ("--T", args.T is not None),
             ("--bc-field", args.bc_field is not None),
-            ("--stability", args.stability and args.critical)):
+            ("--stability", args.stability and args.critical),
+            # the critical path solves no Newton problem
+            ("--linearisation",
+             args.critical and args.linearisation is not None),
+            *((f"[solver] {key}", args.critical and getattr(args, key)
+               is not None) for key in ("rtol", "atol", "max_steps"))):
         if given:
             print(f"error: bifurcate does not support {flag}",
                   file=sys.stderr)

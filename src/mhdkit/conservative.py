@@ -10,15 +10,21 @@ with 3D curl (Et, E3) -> (vcurl E3, curl Et) realised exactly on
 coefficients by the discrete complex maps, so D_t B + curl E^{k+1/2} = 0
 holds to machine precision and div B is preserved identically.
 
-Each step runs the fixed-point iteration of the midpoint system: update the
-auxiliary midpoint variables (j, H, w, E[, U, alpha]) from the current
-iterate, solve the velocity/pressure system, update B explicitly, and stop
-on the relative-increment criterion.
+Each step runs the fixed-point iteration of the midpoint system.  A sweep
+updates the auxiliary midpoint variables (j, H, w, E[, U, alpha]) from the
+current iterate, solves the velocity/pressure system and updates B
+explicitly.  The next iterate is the Anderson mixing of the last
+ANDERSON_DEPTH + 1 sweeps (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011);
+the step stops on the relative-increment criterion and accepts the last
+sweep's output.  A sweep makes three LU solve calls: the projections of the
+fields it reads in one call with several right-hand sides, those of the
+cross products in another, and the velocity solve.
 
 The cross products of curl-type fields are a fixed trilinear form: the
 scheme tabulates T[c, i, j, k] = int_c phi_i . (phi_j x phi_k) over the six
 local curl-type basis functions once (216 doubles per cell), so each cross
-product is a gather, two batched matmuls and one scatter."""
+product is a gather, two batched matmuls and one scatter, and the products
+of several fields with one field contract T with it once."""
 
 import functools
 
@@ -31,6 +37,9 @@ from .assembly import cell_matrix, constrain_matrix
 from .linalg import LuSolver
 
 QDEG = 5
+# sweeps of history, beyond the last, in the Anderson mixing of the
+# midpoint fixed point
+ANDERSON_DEPTH = 3
 
 
 class FixedPointFailure(Exception):
@@ -130,29 +139,30 @@ class ConservativeScheme:
     # -- projections -------------------------------------------------------------
 
     def project_curl(self, rhs):
-        """Q_c of a functional vector over the curl-type test space with
-        homogeneous tangential boundary values."""
-        r = rhs.copy()
-        r[self.con_c] = 0.0
-        return self.Mc_lu.solve(r)
-
-    def weak_curl(self, vec_d):
-        return self.project_curl(self.CURL.T @ (self.M_d @ vec_d))
-
-    def qc_of_div(self, vec_d):
-        return self.project_curl(self.M_cd @ vec_d)
+        """Q_c of a functional vector, or of each row of a (k, n) stack,
+        over the curl-type test space with homogeneous tangential boundary
+        values; a stack is one solve with k right-hand sides."""
+        r = np.array(rhs, dtype=float)
+        r[..., self.con_c] = 0.0
+        return self.Mc_lu.solve(r.T).T
 
     # -- pointwise products --------------------------------------------------------
 
     def cross_rhs(self, a, b):
         """Functional vector over the curl-type tests of the pointwise
-        product a x b of two curl-type fields."""
+        product a x b of two curl-type fields.  For a (k, n) stack `a` it
+        returns the k products with the one `b`, contracting T with b
+        once."""
         dm = self._cross_dofs
         nc, n = dm.shape
         Tb = (b[dm][:, None] @ self._cross_T).reshape(nc, n, n)
-        local = a[dm][:, None] @ Tb
-        return np.bincount(dm.ravel(), weights=local.ravel(),
-                           minlength=self.curlsp.n)
+        stack = np.atleast_2d(a)
+        k, n_c = stack.shape
+        local = stack.T[dm].transpose(0, 2, 1) @ Tb          # [c, row, i]
+        rows = dm[:, None] + n_c * np.arange(k)[:, None]     # [c, row, i]
+        out = np.bincount(rows.ravel(), weights=local.ravel(),
+                          minlength=k * n_c).reshape(k, n_c)
+        return out if np.ndim(a) == 2 else out[0]
 
     def cross_pair_integral(self, a, b, c):
         """Integral of (a x b) . c for three curl-type fields
@@ -233,6 +243,8 @@ class MidpointState:
         self.B = np.asarray(B, dtype=float)
         self.family = family
         self.aux = {}
+        # sweeps of the step that made this state, restarted attempts
+        # included
         self.fp_iters = 0
 
     def copy_with(self, u, B):
@@ -333,13 +345,13 @@ class UxnStepper(_Stepper):
         dt = self.dt
         u_mid = 0.5 * (u_k + u_new)
         B_mid = 0.5 * (B_k + B_new)
-        j = sc.weak_curl(B_mid)
-        H = sc.qc_of_div(B_mid)
-        omega = sc.qc_of_div(sc.CURL @ u_mid)
+        j, H, omega = sc.project_curl([
+            sc.CURL.T @ (sc.M_d @ B_mid), sc.M_cd @ B_mid,
+            sc.M_cd @ (sc.CURL @ u_mid)])
         # E = invRem j + Q_c[(R_H j - u_mid) x H]
-        w = sc.R_H * j - u_mid
-        E = sc.inv_Rem * j + sc.project_curl(sc.cross_rhs(w, H))
-        rhs_u = rhs_k + sc.cross_rhs(u_mid, omega) + sc.S * sc.cross_rhs(j, H)
+        wH, jH = sc.cross_rhs([sc.R_H * j - u_mid, j], H)
+        E = sc.inv_Rem * j + sc.project_curl(wH)
+        rhs_u = rhs_k + sc.cross_rhs(u_mid, omega) + sc.S * jH
         u_next, P = self.solve_velocity(rhs_u)
         B_next = B_k - dt * (sc.CURL @ E)
         aux = {"j": j, "H": H, "omega": omega, "E": E}
@@ -396,14 +408,13 @@ class UdotnStepper(_Stepper):
         dt = self.dt
         u_mid = 0.5 * (u_k + u_new)
         B_mid = 0.5 * (B_k + B_new)
-        j = sc.weak_curl(B_mid)
-        H = sc.qc_of_div(B_mid)
-        omega = sc.weak_curl(u_mid)
-        U = sc.qc_of_div(u_mid)
-        # alpha = Qc[w x U] - S Qc[j x H]
-        r_alpha = sc.cross_rhs(omega, U) - sc.S * sc.cross_rhs(j, H)
-        alpha = sc.project_curl(r_alpha)
-        E = sc.inv_Rem * j + sc.project_curl(sc.cross_rhs(sc.R_H * j - U, H))
+        j, H, omega, U = sc.project_curl([
+            sc.CURL.T @ (sc.M_d @ B_mid), sc.M_cd @ B_mid,
+            sc.CURL.T @ (sc.M_d @ u_mid), sc.M_cd @ u_mid])
+        # alpha = Qc[w x U] - S Qc[j x H], E = invRem j + Qc[(R_H j - U) x H]
+        jH, wH = sc.cross_rhs([j, sc.R_H * j - U], H)
+        alpha, E = sc.project_curl([sc.cross_rhs(omega, U) - sc.S * jH, wH])
+        E = sc.inv_Rem * j + E
         rhs_u = rhs_k - (sc.M_cd.T @ alpha)
         u_next, p = self.solve_velocity(rhs_u)
         B_next = B_k - dt * (sc.CURL @ E)
@@ -426,19 +437,39 @@ class UdotnStepper(_Stepper):
                 "div_u": sc.div_norm_d(state.u)}
 
 
+def _anderson_mix(g, f):
+    """Type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49(4),
+    2011) of the sweep outputs g[i] and their residuals f[i], oldest first:
+    g[-1] - dG gamma with gamma = argmin |f[-1] - dF gamma|, over the
+    differences of consecutive entries."""
+    if len(g) == 1:
+        return g[0]
+    dF = np.diff(f, axis=0).T
+    dG = np.diff(g, axis=0).T
+    gamma = np.linalg.lstsq(dF, f[-1], rcond=None)[0]
+    return g[-1] - dG @ gamma
+
+
 def _damped_fixed_point(sc, state, sweep):
-    """Run the midpoint fixed point; on stagnation/divergence restart with a
-    halved under-relaxation factor (the converged limit is unaffected, only
-    the iteration path is damped)."""
+    """Run the midpoint fixed point with Anderson mixing of the last
+    ANDERSON_DEPTH + 1 sweeps; on stagnation/divergence restart with a
+    halved under-relaxation factor and no history (the converged limit is
+    unaffected, only the iteration path changes).  The accepted state is a
+    sweep's output, and every iterate is an affine combination of outputs,
+    so B stays in B_k + range(CURL) and div B is kept exactly."""
     u_k, B_k = state.u, state.B
+    n_u = len(u_k)
     theta = 1.0
-    for attempt in range(6):
+    sweeps = 0
+    for _ in range(6):
         u_new = u_k.copy()
         B_new = B_k.copy()
+        g, f = [], []
         prev = np.inf
         grow = 0
-        for it in range(sc.max_fp):
+        for _ in range(sc.max_fp):
             u_next, B_next, aux = sweep(u_k, B_k, u_new, B_new)
+            sweeps += 1
             if theta != 1.0:
                 u_next = u_new + theta * (u_next - u_new)
                 B_next = B_new + theta * (B_next - B_new)
@@ -446,21 +477,26 @@ def _damped_fixed_point(sc, state, sweep):
                 np.linalg.norm(u_new), 1e-14)
             dB = np.linalg.norm(B_next - B_new) / max(
                 np.linalg.norm(B_new), 1e-14)
-            u_new, B_new = u_next, B_next
             inc = du + dB
             if not np.isfinite(inc):
                 break
             if inc < sc.tol * theta:
-                out = state.copy_with(u_new, B_new)
-                out.fp_iters = it + 1
-                aux["u_mid"] = 0.5 * (u_k + u_new)
-                aux["B_mid"] = 0.5 * (B_k + B_new)
+                out = state.copy_with(u_next, B_next)
+                out.fp_iters = sweeps
+                aux["u_mid"] = 0.5 * (u_k + u_next)
+                aux["B_mid"] = 0.5 * (B_k + B_next)
                 out.aux = aux
                 return out
             grow = grow + 1 if inc > prev else 0
             if grow >= 5:
                 break
             prev = inc
+            x_next = np.concatenate([u_next, B_next])
+            g = g[-ANDERSON_DEPTH:] + [x_next]
+            f = f[-ANDERSON_DEPTH:] + [
+                x_next - np.concatenate([u_new, B_new])]
+            x = _anderson_mix(g, f)
+            u_new, B_new = x[:n_u], x[n_u:]
         theta *= 0.5
     raise FixedPointFailure(
         f"fixed point did not reach TOL={sc.tol} within {sc.max_fp} "

@@ -367,3 +367,46 @@ def test_bifurcate_builds_rayleigh_benard(monkeypatch, tmp_path, extra):
     assert cli.main(["bifurcate", "--critical", "Ra", *extra,
                      "--out-dir", str(tmp_path)]) == 0
     assert built == ["rayleigh_benard"]
+
+
+@pytest.mark.parametrize("extra, text, flag", [
+    (["--linearisation", "picard"], "", "--linearisation"),
+    ([], "[solver]\nlinearisation = picard\n", "--linearisation"),
+    ([], "[solver]\nrtol = 1e-9\n", "[solver] rtol"),
+    ([], "[solver]\natol = 1e-9\n", "[solver] atol"),
+    ([], "[solver]\nmax_steps = 7\n", "[solver] max_steps"),
+])
+def test_critical_rejects_newton_settings(monkeypatch, tmp_path, capsys,
+                                          extra, text, flag):
+    # the critical path solves no Newton problem, so its settings are errors
+    monkeypatch.setattr(cli, "make_problem", _no_problem)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert cli.main(["bifurcate", "--critical", "Ra", *extra,
+                     "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "critical.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--problem", "hartmann"],
+    ["run", "--problem", "mms", "--levels", "0"],
+    ["run", "--problem", "hartmann", "--dt", "0.1", "--T", "0.2"],
+    ["sweep", "--problem", "hartmann", "--grid", "S=1,2"],
+], ids=["stationary", "mms", "transient", "sweep"])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_direct_solver_rejects_elimination(monkeypatch, tmp_path, capsys,
+                                           argv, how):
+    # the direct LU reads no elimination; giving one is an error, not a
+    # setting that is ignored
+    monkeypatch.setattr(cli, "make_problem", _fake_problem)
+    monkeypatch.setattr(cli, "NonlinearConfig", _no_problem)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[solver]\nelimination = eliminate_eb\n"
+                   if how == "config" else "")
+    extra = ["--elimination", "eliminate_eb"] if how == "flag" else []
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv + extra + ["--config", str(cfg),
+                                 "--out-dir", str(tmp_path)])
+    assert exit_.value.code == 1
+    assert "--elimination" in capsys.readouterr().err

@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -81,6 +84,29 @@ def test_cross_rhs_energy_identity(scheme):
     out = scheme.cross_rhs(a, b)
     assert abs(a @ out) <= 1e-14 * np.linalg.norm(a) * np.linalg.norm(out)
     assert abs(scheme.cross_pair_integral(a, b, a)) == abs(a @ out)
+
+
+def test_stacked_cross_rhs_equals_separate_calls(scheme):
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((3, scheme.curlsp.n))
+    b = rng.standard_normal(scheme.curlsp.n)
+    out = scheme.cross_rhs(stack, b)
+    assert out.shape == stack.shape
+    for row, a in zip(out, stack):
+        ref = scheme.cross_rhs(a, b)
+        assert np.linalg.norm(row - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_project_curl_on_a_stack_equals_row_solves(scheme):
+    rhs = np.random.default_rng(4).standard_normal((4, scheme.curlsp.n))
+    out = scheme.project_curl(rhs)
+    assert out.shape == rhs.shape
+    for row, r in zip(out, rhs):
+        ref = scheme.project_curl(r)
+        assert np.linalg.norm(row - ref) <= 1e-14 * np.linalg.norm(ref)
+    # the stack is left as it was, and the constrained dofs are zero
+    assert np.all(rhs[:, scheme.con_c] != 0.0)
+    assert np.all(out[:, scheme.con_c] == 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +205,52 @@ def test_potential_factorisations_are_cached(monkeypatch):
                               np.zeros(sc.curlsp.n), 1.0, 1.0,
                               sc.curlsp) == pytest.approx(h)
     assert built == []
+
+
+def _stepped(n, R_H, dt, fam, steps):
+    """The states and stepper of `steps` steps from the fields above."""
+    mesh = build_rect_mesh((0.0, 1.0, 0.0, 1.0), n, n, "right")
+    sc = ConservativeScheme(mesh, S=1.0, R_H=R_H)
+    initial, stepper_class = FAMILIES[fam]
+    stepper = stepper_class(sc, dt)
+    states = [initial(sc, _u0, _b0)]
+    for _ in range(steps):
+        states.append(stepper.step(states[-1]))
+    return sc, states, stepper
+
+
+@pytest.mark.parametrize("fam", sorted(FAMILIES))
+def test_stiff_hall_steps_converge_and_conserve(fam):
+    # R_H dt / h^2 = 0.64: undamped Picard takes 40-49 sweeps per step here
+    sc, states, stepper = _stepped(8, 0.1, 1e-2, fam, 3)
+    assert max(s.fp_iters for s in states[1:]) <= 30
+    u_space = sc.curlsp if fam == "uxn" else sc.divsp
+    e0 = sc.energy(states[0].u, states[0].B, u_space)
+    e1 = sc.energy(states[-1].u, states[-1].B, u_space)
+    assert abs(e1 - e0) <= 1e-11 * abs(e0)
+    for state in states:
+        assert sc.div_norm_d(state.B) <= 1e-11
+    for name, value in stepper.identities(states[-1]).items():
+        assert value <= 1e-12, name
+
+
+def test_hall_steps_converge_on_16x16_at_unit_hall_number():
+    # the undamped Picard iteration raises FixedPointFailure here
+    _, states, _ = _stepped(16, 1.0, 1e-3, "uxn", 1)
+    assert states[-1].fp_iters > 0
+
+
+def test_midpoint_sweeps_tool_on_4x4(capsys):
+    path = pathlib.Path(__file__).parents[1] / "tools" / "midpoint_sweeps.py"
+    spec = importlib.util.spec_from_file_location("midpoint_sweeps", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main(["--meshes", "4", "--rh", "0", "10", "--dt", "1e-3",
+                      "1e-1", "--steps", "1"]) == 0
+    rows = [line.split(" | ") for line in capsys.readouterr().out.splitlines()
+            if line.startswith("4x4")]
+    # one row per family and R_H; at R_H = 10, dt = 0.1 the step fails
+    assert [row[:2] for row in rows] == [["4x4", "0"], ["4x4", "10"]] * 2
+    for row in rows:
+        assert all(c.isdigit() for c in row[2:] if c != "fail")
+    assert [row[3] for row in rows if row[1] == "10"] == ["fail", "fail"]

@@ -98,6 +98,36 @@ def test_lu_with_decoupled_unit_rows_is_plain_splu(caplog, parts):
     assert np.array_equal(lu.solve(b), spla.splu(A.tocsc()).solve(b))
 
 
+def _block_lower_triangular(rng, sizes):
+    """A dense block lower-triangular matrix with the given diagonal block
+    sizes, symmetrically permuted so that no block is contiguous."""
+    n = sum(sizes)
+    A = np.tril(rng.standard_normal((n, n)))
+    start = 0
+    for m in sizes:
+        A[start:start + m, start:start + m] = (
+            rng.standard_normal((m, m)) + 2 * m * np.eye(m))
+        start += m
+    p = rng.permutation(n)
+    return A[p][:, p]
+
+
+@pytest.mark.parametrize("sizes, blocks", [([12], [12]),
+                                           ([1, 5, 1, 6, 1, 1, 4, 1],
+                                            [7, 8, 5])],
+                         ids=["whole", "block-triangular"])
+def test_lu_multi_rhs_equals_column_solves(caplog, sizes, blocks):
+    rng = np.random.default_rng(7)
+    A = _block_lower_triangular(rng, sizes)
+    lu, found = _lu_block_sizes(caplog, sp.csr_matrix(A))
+    assert found == blocks
+    b = rng.standard_normal((A.shape[0], 4))
+    x = lu.solve(b)
+    cols = np.column_stack([lu.solve(b[:, k]) for k in range(4)])
+    assert x.shape == b.shape
+    assert np.linalg.norm(x - cols) <= 1e-14 * np.linalg.norm(cols)
+
+
 def test_lu_singular_diagonal_block_raises():
     A = np.array([[2.0, 1.0, 0.0, 0.0],
                   [1.0, 3.0, 0.0, 0.0],
