@@ -49,12 +49,17 @@ def _add_common(p):
     p.set_defaults(rtol=None, atol=None, max_steps=None)
 
 
+def _param_name(flag):
+    """The ModelParams name of a parameter flag."""
+    return "R_H" if flag == "RH" else flag
+
+
 def _collect_params(args):
     out = {}
     for f in PARAM_FLAGS:
         v = getattr(args, f, None)
         if v is not None:
-            out["R_H" if f == "RH" else f] = v
+            out[_param_name(f)] = v
     if args.stabilisation:
         out["stab_mu"] = args.stabilisation
     if args.quad_degree_bc is not None:
@@ -214,17 +219,15 @@ def cmd_run(args):
               "supported with --dt/--T; time steps use --linear-solver "
               "direct", file=sys.stderr)
         return 1
-    if transient or (args.problem == "mms"
-                     and args.linear_solver == "direct"):
-        # the stationary path checks in _solver_factory
+    if transient:
+        # the stationary paths check in _solver_factory
         _reject_elimination(args)
+    if args.problem == "mms":
+        return _run_mms(args)
     params = _collect_params(args)
     spec = make_problem(args.problem, levels=args.levels, params=params,
                         bc_field=args.bc_field or "uniform")
     model = spec.model
-
-    if args.problem == "mms":
-        return _run_mms(args, spec)
 
     if transient:
         return _run_transient(args, spec)
@@ -235,13 +238,8 @@ def cmd_run(args):
     state = model.initial_state()
     try:
         if args.continuation:
-            targets = {}
-            for name in ("S", "Re", "Rem", "Ra", "Pr"):
-                if name in params and hasattr(model.params, name):
-                    targets[name] = params[name]
-            sched = ContinuationSchedule.toward(targets or
-                                                {"Re": model.params.Re})
-            state, rep = continue_parameters(model, sched, state, cfg, fac)
+            state, rep = continue_parameters(
+                model, _continuation(params, model), state, cfg, fac)
         else:
             state, rep = solve_nonlinear(model, state, cfg, fac)
     except StageFailure as exc:
@@ -260,12 +258,23 @@ def cmd_run(args):
     return 0 if rep.converged else 2
 
 
+def _continuation(params, model, lead=()):
+    """The stationary continuation toward the given parameters that have
+    default steps, the `lead` ones traversed first; toward the model's Re
+    when none is given."""
+    targets = {k: params[k] for k in ContinuationSchedule.DEFAULT_STEPS
+               if k in params} or {"Re": model.params.Re}
+    order = [k for k in lead if k in targets]
+    return ContinuationSchedule.toward(
+        targets, order=order + [k for k in targets if k not in order])
+
+
 def _pstr(model):
     d = model.params.as_dict()
     return ";".join(f"{k}={v}" for k, v in d.items() if v is not None)
 
 
-def _run_mms(args, spec):
+def _run_mms(args):
     params = _collect_params(args)
     levels = args.levels if args.levels is not None else 3
     errs = []
@@ -273,8 +282,9 @@ def _run_mms(args, spec):
     hs = []
     for lev in range(levels + 1):
         sp = make_problem("mms", levels=lev, params=params)
+        fac = _solver_factory(args, sp)
         st, rep = solve_nonlinear(sp.model, sp.model.initial_state(),
-                                  _nonlinear_config(args))
+                                  _nonlinear_config(args), fac)
         e = sp.model.l2_error(st.vector, sp.exact.fields, zero_mean=("p",))
         errs.append(e)
         hs.append(sp.mesh.min_edge_length())
@@ -322,19 +332,13 @@ def cmd_sweep(args):
     if not args.problem:
         print("error: --problem is required", file=sys.stderr)
         return 1
-    grid = []
-    for spec_str in (args.grid or "").split(";"):
-        if not spec_str:
-            continue
-        name, vals = spec_str.split("=")
-        grid.append((name, [float(v) for v in vals.split(",")]))
-    if not grid or len(grid) > 2:
-        print("error: sweep needs --grid with 1 or 2 parameters",
-              file=sys.stderr)
+    grid = _parse_grid(args.grid)
+    if grid is None:
         return 1
     if len(grid) == 1:
         grid.append(("_", [None]))
     (rname, rvals), (cname, cvals) = grid
+    rkey, ckey = _param_name(rname), _param_name(cname)
     table = []
     any_nf = False
     for rv in rvals:
@@ -342,9 +346,9 @@ def cmd_sweep(args):
         for cv in cvals:
             params = _collect_params(args)
             if rv is not None:
-                params[rname] = rv
+                params[rkey] = rv
             if cv is not None:
-                params[cname] = cv
+                params[ckey] = cv
             spec = make_problem(args.problem, levels=args.levels,
                                 params=params,
                                 bc_field=args.bc_field or "uniform")
@@ -352,12 +356,10 @@ def cmd_sweep(args):
             cfg = _nonlinear_config(args)
             try:
                 if args.continuation:
-                    sched = ContinuationSchedule.toward(
-                        {k: v for k, v in params.items()
-                         if k in ("S", "Re", "Rem", "Ra", "Pr")},
-                        order=[cname, rname] if cname in params else None)
                     state, rep = continue_parameters(
-                        spec.model, sched, None, cfg, fac)
+                        spec.model,
+                        _continuation(params, spec.model, (ckey, rkey)),
+                        None, cfg, fac)
                 else:
                     state, rep = solve_nonlinear(
                         spec.model, spec.model.initial_state(), cfg, fac)
@@ -378,6 +380,31 @@ def cmd_sweep(args):
             f.write(f"{rv}," + ",".join(row) + "\n")
     print(open(path).read())
     return 2 if any_nf else 0
+
+
+def _parse_grid(text):
+    """[(flag name, values)] of a --grid "A=a1,a2;B=b1" spec, one or two
+    parameter flags; None, with a message, when it is malformed."""
+    grid = []
+    for item in (text or "").split(";"):
+        if not item:
+            continue
+        name, _, vals = item.partition("=")
+        if name not in PARAM_FLAGS:
+            print(f"error: --grid names {name!r}; choose from "
+                  f"{', '.join(PARAM_FLAGS)}", file=sys.stderr)
+            return None
+        try:
+            grid.append((name, [float(v) for v in vals.split(",")]))
+        except ValueError:
+            print(f"error: --grid {item!r} is not NAME=v1,v2,...",
+                  file=sys.stderr)
+            return None
+    if not grid or len(grid) > 2:
+        print("error: sweep needs --grid with 1 or 2 parameters",
+              file=sys.stderr)
+        return None
+    return grid
 
 
 def cmd_bifurcate(args):

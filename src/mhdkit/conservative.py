@@ -248,8 +248,19 @@ class MidpointState:
         self.fp_iters = 0
 
     def copy_with(self, u, B):
-        out = MidpointState(self.scheme, u, B, self.family)
-        return out
+        return MidpointState(self.scheme, u, B, self.family)
+
+
+def _interpolate_product(space, fn, con, quad_degree):
+    """Coefficients of the interpolant of fn (x, y) -> (..., 3) in a
+    (tangential, third) product space, the dofs `con` zeroed."""
+    t = interpolate(space.t, lambda x, y: fn(x, y)[..., :2],
+                    quad_degree).coefficients
+    z = interpolate(space.z, lambda x, y: fn(x, y)[..., 2],
+                    quad_degree).coefficients
+    out = np.concatenate([t, z])
+    out[con] = 0.0
+    return out
 
 
 def initial_uxn_state(scheme, u0_fn, B0_fn, quad_degree=10):
@@ -257,20 +268,9 @@ def initial_uxn_state(scheme, u0_fn, B0_fn, quad_degree=10):
     discrete constraint (u, grad Q) = 0 so the pressure term is exactly
     orthogonal from step one."""
     sc = scheme
-    ut = interpolate(sc.curlsp.t, lambda x, y: u0_fn(x, y)[..., :2],
-                     quad_degree).coefficients
-    u3 = interpolate(sc.curlsp.z, lambda x, y: u0_fn(x, y)[..., 2],
-                     quad_degree).coefficients
-    u = np.concatenate([ut, u3])
-    u[sc.con_c] = 0.0
-    u = _project_constraint_uxn(sc, u)
-    Bt = interpolate(sc.divsp.t, lambda x, y: B0_fn(x, y)[..., :2],
-                     quad_degree).coefficients
-    B3 = interpolate(sc.divsp.z, lambda x, y: B0_fn(x, y)[..., 2],
-                     quad_degree).coefficients
-    B = np.concatenate([Bt, B3])
-    B[sc.con_d] = 0.0
-    return MidpointState(sc, u, B, "uxn")
+    u = _interpolate_product(sc.curlsp, u0_fn, sc.con_c, quad_degree)
+    B = _interpolate_product(sc.divsp, B0_fn, sc.con_d, quad_degree)
+    return MidpointState(sc, _project_constraint_uxn(sc, u), B, "uxn")
 
 
 def _project_constraint_uxn(sc, u):
@@ -287,25 +287,33 @@ def _project_constraint_uxn(sc, u):
 
 
 def initial_udotn_state(scheme, u0_fn, B0_fn, quad_degree=10):
+    """Interpolate initial data, both fields in the H(div)-type product."""
     sc = scheme
-    ut = interpolate(sc.divsp.t, lambda x, y: u0_fn(x, y)[..., :2],
-                     quad_degree).coefficients
-    u3 = interpolate(sc.divsp.z, lambda x, y: u0_fn(x, y)[..., 2],
-                     quad_degree).coefficients
-    u = np.concatenate([ut, u3])
-    u[sc.con_d] = 0.0
-    Bt = interpolate(sc.divsp.t, lambda x, y: B0_fn(x, y)[..., :2],
-                     quad_degree).coefficients
-    B3 = interpolate(sc.divsp.z, lambda x, y: B0_fn(x, y)[..., 2],
-                     quad_degree).coefficients
-    B = np.concatenate([Bt, B3])
-    B[sc.con_d] = 0.0
+    u = _interpolate_product(sc.divsp, u0_fn, sc.con_d, quad_degree)
+    B = _interpolate_product(sc.divsp, B0_fn, sc.con_d, quad_degree)
     return MidpointState(sc, u, B, "udotn")
 
 
 class _Stepper:
     """The velocity/pressure solve of a family's constrained saddle-point
-    matrix, factorised once per stepper in `A_lu`."""
+    matrix, factorised once per stepper in `A_lu`, and the proof-level
+    identities of an accepted step, whose Ohm's law advects B with the aux
+    field `ADVECTING`."""
+
+    def identities(self, state):
+        """The proof-level identities at the accepted step, scaled."""
+        sc = self.sc
+        a = state.aux
+        scale_u = max(np.linalg.norm(state.u), 1.0)
+        scale_B = max(np.linalg.norm(state.B), 1.0)
+        i1 = abs(sc.cross_pair_integral(a[self.ADVECTING], a["H"], a["H"]))
+        i2 = abs(sc.cross_pair_integral(a["j"], a["H"], a["H"]))
+        EH = float(a["E"] @ (sc.M_c @ a["H"]))
+        if sc.inv_Rem:
+            EH -= sc.inv_Rem * float(a["j"] @ (sc.M_c @ a["H"]))
+        return {"u_x_QcB_QcB": i1 / (scale_u * scale_B ** 2 + 1e-30),
+                "j_x_QcB_QcB": i2 / (scale_B ** 3 + 1e-30),
+                "E_dot_H": abs(EH) / (scale_B ** 2 + 1e-30)}
 
     def solve_velocity(self, rhs_u):
         rhs = np.concatenate([rhs_u, np.zeros(self.A_lu.shape[0] - self.n_u)])
@@ -317,6 +325,8 @@ class _Stepper:
 class UxnStepper(_Stepper):
     """u x n = 0 family: velocity in the H(curl)-type product, total
     pressure in H0^1."""
+
+    ADVECTING = "u_mid"
 
     def __init__(self, scheme, dt):
         self.sc = scheme
@@ -357,26 +367,12 @@ class UxnStepper(_Stepper):
         aux = {"j": j, "H": H, "omega": omega, "E": E}
         return u_next, B_next, aux
 
-    def identities(self, state):
-        """The proof-level identities at the accepted step, scaled."""
-        sc = self.sc
-        a = state.aux
-        scale_u = max(np.linalg.norm(state.u), 1.0)
-        scale_B = max(np.linalg.norm(state.B), 1.0)
-        i1 = abs(sc.cross_pair_integral(a["u_mid"], a["H"], a["H"]))
-        i2 = abs(sc.cross_pair_integral(a["j"], a["H"], a["H"]))
-        EH = float(a["E"] @ (sc.M_c @ a["H"]))
-        if sc.inv_Rem:
-            EH -= sc.inv_Rem * float(a["j"] @ (sc.M_c @ a["H"]))
-        i3 = abs(EH)
-        return {"u_x_QcB_QcB": i1 / (scale_u * scale_B ** 2 + 1e-30),
-                "j_x_QcB_QcB": i2 / (scale_B ** 3 + 1e-30),
-                "E_dot_H": i3 / (scale_B ** 2 + 1e-30)}
-
 
 class UdotnStepper(_Stepper):
     """u . n = 0 family: velocity in the H(div)-type product, DG0 pressure;
     enforces div u = 0 exactly in addition to the conservation laws."""
+
+    ADVECTING = "U"
 
     def __init__(self, scheme, dt):
         self.sc = scheme
@@ -422,19 +418,9 @@ class UdotnStepper(_Stepper):
         return u_next, B_next, aux
 
     def identities(self, state):
-        sc = self.sc
-        a = state.aux
-        scale_u = max(np.linalg.norm(state.u), 1.0)
-        scale_B = max(np.linalg.norm(state.B), 1.0)
-        i1 = abs(sc.cross_pair_integral(a["U"], a["H"], a["H"]))
-        i2 = abs(sc.cross_pair_integral(a["j"], a["H"], a["H"]))
-        EH = float(a["E"] @ (sc.M_c @ a["H"]))
-        if sc.inv_Rem:
-            EH -= sc.inv_Rem * float(a["j"] @ (sc.M_c @ a["H"]))
-        return {"u_x_QcB_QcB": i1 / (scale_u * scale_B ** 2 + 1e-30),
-                "j_x_QcB_QcB": i2 / (scale_B ** 3 + 1e-30),
-                "E_dot_H": abs(EH) / (scale_B ** 2 + 1e-30),
-                "div_u": sc.div_norm_d(state.u)}
+        """The proof-level identities and div u at the accepted step."""
+        return dict(super().identities(state),
+                    div_u=self.sc.div_norm_d(state.u))
 
 
 def _anderson_mix(g, f):

@@ -6,7 +6,8 @@ import numpy as np
 
 from ..assembly import (DirichletBC, SparsityPattern, burman_local,
                         cell_local, cell_vector, facet_pairings,
-                        field_op_at_quadrature)
+                        field_op_at_quadrature, sipg_local,
+                        upwind_advection_local, upwind_advection_residual)
 from ..elements import Field, FunctionSpace
 
 QDEG = 6
@@ -123,6 +124,16 @@ def perp(v):
     return np.stack([v[..., 1], -v[..., 0]], axis=-1)
 
 
+def advection_weight(wq, scale=1.0):
+    """The weight of scale * (w . grad du, v) for a vector trial du under
+    cell_local's "val"/"grad" pairing: row k, column 2k + d holds
+    scale * w_d (the trial gradient is flattened as 2k + d)."""
+    W = np.zeros(wq.shape[:2] + (2, 2, 2))
+    for k in range(2):
+        W[..., k, k, :] = scale * wq
+    return W.reshape(wq.shape[:2] + (2, 4))
+
+
 def velocity_pair(mesh, variant):
     """(velocity, pressure) spaces: BDM2 x DG1 for "hdiv", vector CG2 x CG1
     for "taylor_hood"."""
@@ -158,11 +169,20 @@ class MixedModel:
     of the Jacobian's cell terms; `velocity` and `magnetic` name the fields
     whose divergence `div_norms` reports ("u" and "B" unless overridden).
     With the "hdiv" velocity variant the velocity's facet pairings join the
-    pattern too.  It passes its spaces to `__init__`, yields its constant
-    terms from `_constant_terms` as (weight name, pairing key, local array)
-    and maps the weight names to values in `_weights` ("stab_mu", when
-    present, weighs the velocity's gradient-jump penalty), and ends
-    `residual`/`jacobian` with `_finish_residual`/`_finish_jacobian`.
+    pattern too.  A subclass passes its spaces to `__init__`, yields its
+    constant terms from `_constant_terms` as (weight name, pairing key,
+    local array) and maps the weight names to values in `_weights`
+    ("stab_mu", when present, weighs the velocity's gradient-jump penalty),
+    and ends `residual`/`jacobian` with `_finish_residual`/
+    `_finish_jacobian`.
+
+    The velocity block of the "hdiv" variant is written here once for all
+    models: `_velocity_constants` yields the SIPG facet terms and the
+    grad-div term and sets `r_sipg_unit`, the SIPG boundary data at unit
+    viscosity (`_sipg` alone recomputes it when the boundary data change);
+    `_add_advection` adds the boundary data, the upwind facets and the cell
+    advection to a residual; `_upwind_terms` gives the upwind facets'
+    derivative, and `advection_weight` the cell advection's weight.
 
     Every Jacobian lives on one CSR pattern, built here with int32 slot
     maps per pairing key: (test, trial) for cell terms and (velocity,
@@ -250,6 +270,54 @@ class MixedModel:
         local = burman_local(self.spaces[self.velocity], mu=1.0, qdeg=QDEG)
         return self.pattern.compact(self.pattern.scatter(
             self._facet_terms(local)))
+
+    # -- the "hdiv" velocity block --------------------------------------------
+
+    def _sipg(self, sym):
+        """The velocity's SIPG facet terms at unit viscosity, keyed for the
+        pattern, and the residual of their boundary data; `sym` picks the
+        symmetric gradient."""
+        sipg, r_unit = sipg_local(
+            self.spaces[self.velocity], nu=1.0, sym=sym, qdeg=QDEG,
+            dirichlet_markers=self._vel_marker_list(),
+            g_d=self._velocity_bc_data())
+        return self._facet_terms(sipg), r_unit
+
+    def _velocity_constants(self, nu, sym):
+        """The constant terms of an "hdiv" velocity besides its cell viscous
+        term: the SIPG facet terms (weight name `nu`) and the grad-div term
+        (weight name "gamma").  Sets `r_sipg_unit`, zero for other
+        variants."""
+        self.r_sipg_unit = 0.0
+        if self.variant != "hdiv":
+            return
+        v = self.velocity
+        sipg, self.r_sipg_unit = self._sipg(sym)
+        for key, loc in sipg.items():
+            yield nu, key, loc
+        yield "gamma", (v, v), cell_local(self.spaces[v], self.spaces[v],
+                                          "div", "div", qdeg=QDEG)
+
+    def _add_advection(self, ru, u, uq, guq, nu):
+        """Add to the velocity rows `ru` of a residual: for an "hdiv"
+        velocity the SIPG boundary data under viscosity `nu` and the upwind
+        facet advection, then the cell advection (u . grad u, v); `uq`, `guq`
+        are u and grad u at the quadrature points."""
+        if self.variant == "hdiv":
+            ru -= nu * self.r_sipg_unit
+            ru += upwind_advection_residual(
+                self.spaces[self.velocity], u, qdeg=QDEG,
+                dirichlet_markers=self._vel_marker_list(),
+                g_d=self._velocity_bc_data())
+        ru += cell_vector(self.spaces[self.velocity], "val",
+                          np.einsum("cqd,cqkd->cqk", uq, guq), qdeg=QDEG)
+
+    def _upwind_terms(self, u):
+        """The facet terms of the upwind advection's derivative at u."""
+        return self._facet_terms(upwind_advection_local(
+            self.spaces[self.velocity], u, qdeg=QDEG,
+            dirichlet_markers=self._vel_marker_list(),
+            g_d=self._velocity_bc_data()))
 
     def _linear_residual(self, vec):
         """The constant terms of the residual: the weighted constants

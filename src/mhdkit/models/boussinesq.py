@@ -2,22 +2,23 @@
 H(div) x L2 velocity pair (BDM2 x DG1, DG viscous/advection forms, grad-div
 augmentation) or Taylor-Hood (vector CG2 x CG1) for the bifurcation studies.
 
-Stationary weak form: 2 Pr viscous + advection + grad p + S B x (E + u x B)
-- Ra Pr theta e2 in the momentum row; heat equation with unit diffusivity;
-Ohm and augmented Faraday rows carry the Pr/Pm coefficient."""
+The (u, p, E, B) rows are `StandardMHD`'s form with its roles set to the
+Prandtl scaling: viscosity Pr, magnetic diffusivity Pr/Pm and Lorentz
+factor S.  This model adds the buoyancy - Ra Pr theta e2 in the momentum
+row, the heat equation with unit diffusivity, and the drop flags of the
+stability operators."""
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..elements import FunctionSpace
 from ..assembly import (cell_local, cell_matrix, cell_vector,
-                        field_at_quadrature, sipg_local,
-                        upwind_advection_local, upwind_advection_residual,
-                        EPS_CONTRACTION)
-from .base import QDEG, MixedModel, perp, velocity_pair
+                        field_at_quadrature)
+from .base import QDEG, MixedModel, velocity_pair
+from .standard import StandardMHD
 
 
-class BoussinesqMHD(MixedModel):
+class BoussinesqMHD(StandardMHD):
     fields = ("u", "p", "theta", "E", "B")
     mass_fields = ("u", "theta", "B")
     FORCING = {"f": "u", "q_theta": "theta"}
@@ -34,7 +35,8 @@ class BoussinesqMHD(MixedModel):
         self.variant = velocity_variant
         u, p = velocity_pair(mesh, velocity_variant)
         cg2 = FunctionSpace(mesh, "CG", 2)  # theta and E share it
-        super().__init__(mesh, params, {
+        # StandardMHD.__init__ fixes its own spaces
+        MixedModel.__init__(self, mesh, params, {
             "u": u,
             "p": p,
             "theta": cg2,
@@ -44,125 +46,46 @@ class BoussinesqMHD(MixedModel):
 
     def _weights(self, drop_buoyancy=False, drop_graddiv=False):
         pr = self.params
-        return {"one": 1.0, "Pr": pr.Pr,
+        return {"one": 1.0, "nu": pr.Pr,
                 "gamma": 0.0 if drop_graddiv else pr.gamma,
-                "stab_mu": pr.stab_mu, "Pr_Pm": pr.Pr / pr.Pm,
+                "stab_mu": pr.stab_mu, "inv_Rem": pr.Pr / pr.Pm,
                 "buoyancy": 0.0 if drop_buoyancy else -pr.Ra * pr.Pr}
 
     def _constant_terms(self):
-        u, p, th, E, B = (self.spaces[k] for k in self.fields)
-        yield "Pr", ("u", "u"), 2.0 * cell_local(
-            u, u, "grad", "grad", weight=EPS_CONTRACTION, qdeg=QDEG)
-        self.r_sipg_unit = 0.0
-        if self.variant == "hdiv":
-            sipg, self.r_sipg_unit = sipg_local(
-                u, nu=1.0, sym=True, qdeg=QDEG,
-                dirichlet_markers=self._vel_marker_list(),
-                g_d=self._velocity_bc_data())
-            for key, loc in self._facet_terms(sipg).items():
-                yield "Pr", key, loc
-            yield "gamma", ("u", "u"), cell_local(u, u, "div", "div",
-                                                  qdeg=QDEG)
-        D_up = cell_local(p, u, "val", "div", qdeg=QDEG)
-        yield "one", ("u", "p"), -D_up.transpose(0, 2, 1)
-        yield "one", ("p", "u"), -D_up
+        yield from super()._constant_terms()
+        u, th = self.spaces["u"], self.spaces["theta"]
         yield "buoyancy", ("u", "theta"), cell_local(
             u, th, weight=self.E3[:, None], qdeg=QDEG)
         yield "one", ("theta", "theta"), cell_local(th, th, "grad", "grad",
                                                     qdeg=QDEG)
-        yield "one", ("E", "E"), cell_local(E, E, qdeg=QDEG)
-        A_curl = cell_local(E, B, "vcurl", "val", qdeg=QDEG)
-        yield "Pr_Pm", ("E", "B"), -A_curl
-        yield "one", ("B", "E"), A_curl.transpose(0, 2, 1)
-        yield "Pr_Pm", ("B", "B"), cell_local(B, B, "div", "div", qdeg=QDEG)
 
     def residual(self, vec, constrain=True):
-        pr = self.params
-        st = self.state_template
         F = self._state_fields(vec)
-        u, th, E, B = F["u"], F["theta"], F["E"], F["B"]
         r = self._linear_residual(vec)
-        su, sth, sE = (st.field_slice(k) for k in ("u", "theta", "E"))
-
-        uq, guq = field_at_quadrature(u, QDEG, grad=True)
-        thq, gthq = field_at_quadrature(th, QDEG, grad=True)
-        Bq = field_at_quadrature(B, QDEG)
-        Eq = field_at_quadrature(E, QDEG)
-        perpB = perp(Bq)
-        uxB = np.einsum("cqk,cqk->cq", uq, perpB)
-
-        if self.variant == "hdiv":
-            r[su] -= pr.Pr * self.r_sipg_unit
-            r[su] += upwind_advection_residual(
-                self.spaces["u"], u, qdeg=QDEG,
-                dirichlet_markers=self._vel_marker_list(),
-                g_d=self._velocity_bc_data())
-        adv = np.einsum("cqd,cqkd->cqk", uq, guq)
-        r[su] += cell_vector(self.spaces["u"], "val", adv, qdeg=QDEG)
-        lor = pr.S * (Eq[..., 0] + uxB)[..., None] * perpB
-        r[su] += cell_vector(self.spaces["u"], "val", lor, qdeg=QDEG)
-
+        uq = self._mhd_residual(r, F)
+        _, gthq = field_at_quadrature(F["theta"], QDEG, grad=True)
         advt = np.einsum("cqd,cqkd->cqk", uq, gthq)
-        r[sth] += cell_vector(self.spaces["theta"], "val", advt, qdeg=QDEG)
-
-        r[sE] += cell_vector(self.spaces["E"], "val", uxB[..., None],
-                             qdeg=QDEG)
+        r[self.state_template.field_slice("theta")] += cell_vector(
+            self.spaces["theta"], "val", advt, qdeg=QDEG)
         return self._finish_residual(r, constrain)
 
     def jacobian(self, vec, linearisation="newton", mass_coeff=0.0,
                  steady_coeff=1.0, drop_buoyancy=False, drop_lorentz=False,
                  drop_graddiv=False):
-        pr = self.params
         delta = 1.0 if linearisation == "newton" else 0.0
         F = self._state_fields(vec)
-        u, th, E, B = (self.spaces[k] for k in ("u", "theta", "E", "B"))
-
-        uq, guq = field_at_quadrature(F["u"], QDEG, grad=True)
-        thq, gthq = field_at_quadrature(F["theta"], QDEG, grad=True)
-        Bq = field_at_quadrature(F["B"], QDEG)
-        Eq = field_at_quadrature(F["E"], QDEG)
-        perpB = perp(Bq)
-        perpU = perp(uq)
-
-        W1 = np.zeros(uq.shape[:2] + (2, 4))
-        for kk in range(2):
-            for d in range(2):
-                W1[..., kk, 2 * kk + d] = uq[..., d]
-        Sfac = 0.0 if drop_lorentz else pr.S
-        # the velocity-velocity weights: (du . grad u^n) and the Lorentz D
-        Wuu = guq + Sfac * np.einsum("cqi,cqj->cqij", perpB, perpB)
+        terms, uq, _ = self._mhd_terms(
+            F, delta, 0.0 if drop_lorentz else self.params.S)
         # temperature rows: (u^n . grad dth, tau) + (du . grad th^n, tau)
+        th = self.spaces["theta"]
+        _, gthq = field_at_quadrature(F["theta"], QDEG, grad=True)
         Wadv = np.zeros(uq.shape[:2] + (1, 2))
         Wadv[..., 0, :] = uq
-        terms = {
-            ("u", "u"): cell_local(u, u, "val", "grad", weight=W1, qdeg=QDEG)
-            + cell_local(u, u, weight=Wuu, qdeg=QDEG),
-            ("u", "E"): cell_local(u, E, weight=Sfac * perpB[..., None],
-                                   qdeg=QDEG),
-            ("theta", "theta"): cell_local(th, th, "val", "grad",
-                                           weight=Wadv, qdeg=QDEG),
-            ("theta", "u"): cell_local(th, u,
-                                       weight=gthq[..., 0, :][:, :, None, :],
-                                       qdeg=QDEG),
-            ("E", "u"): cell_local(E, u, weight=perpB[:, :, None, :],
-                                   qdeg=QDEG),
-        }
-        if self.variant == "hdiv":
-            terms.update(self._facet_terms(upwind_advection_local(
-                u, F["u"], qdeg=QDEG,
-                dirichlet_markers=self._vel_marker_list(),
-                g_d=self._velocity_bc_data())))
-        if delta and not drop_lorentz:
-            uxB = np.einsum("cqk,cqk->cq", uq, perpB)
-            Wt = np.zeros(uq.shape[:2] + (2, 2))
-            scal = pr.S * (Eq[..., 0] + uxB)
-            Wt[..., 0, 1] = scal
-            Wt[..., 1, 0] = -scal
-            Wt -= pr.S * np.einsum("cqi,cqj->cqij", perpB, perpU)
-            terms[("u", "B")] = cell_local(u, B, weight=Wt, qdeg=QDEG)
-        if delta:
-            terms[("E", "B")] = cell_local(E, B, weight=-perpU[:, :, None, :],
-                                           qdeg=QDEG)
+        terms[("theta", "theta")] = cell_local(th, th, "val", "grad",
+                                               weight=Wadv, qdeg=QDEG)
+        terms[("theta", "u")] = cell_local(
+            th, self.spaces["u"], weight=gthq[..., 0, :][:, :, None, :],
+            qdeg=QDEG)
         return self._finish_jacobian(
             terms, delta, mass_coeff, steady_coeff,
             weights=self._weights(drop_buoyancy, drop_graddiv))

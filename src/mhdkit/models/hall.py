@@ -13,9 +13,8 @@ import numpy as np
 
 from ..elements import FunctionSpace
 from ..assembly import (cell_local, cell_matrix, cell_vector,
-                        field_at_quadrature, sipg_local,
-                        upwind_advection_local, upwind_advection_residual)
-from .base import QDEG, MixedModel, perp, velocity_pair
+                        field_at_quadrature)
+from .base import QDEG, MixedModel, advection_weight, perp, velocity_pair
 
 # perp(b) = ROT @ b
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -59,16 +58,7 @@ class HallMHD(MixedModel):
         s = self.spaces
         yield "inv_Re", ("ut", "ut"), cell_local(s["ut"], s["ut"], "grad",
                                                  "grad", qdeg=QDEG)
-        self.r_sipg_unit = 0.0
-        if self.variant == "hdiv":
-            sipg, self.r_sipg_unit = sipg_local(
-                s["ut"], nu=1.0, sym=False, qdeg=QDEG,
-                dirichlet_markers=self._vel_marker_list(),
-                g_d=self._velocity_bc_data())
-            for key, loc in self._facet_terms(sipg).items():
-                yield "inv_Re", key, loc
-            yield "gamma", ("ut", "ut"), cell_local(s["ut"], s["ut"], "div",
-                                                    "div", qdeg=QDEG)
+        yield from self._velocity_constants("inv_Re", sym=False)
         yield "inv_Re", ("u3", "u3"), cell_local(s["u3"], s["u3"], "grad",
                                                  "grad", qdeg=QDEG)
         D_up = cell_local(s["p"], s["ut"], "val", "div", qdeg=QDEG)
@@ -118,13 +108,7 @@ class HallMHD(MixedModel):
 
         # momentum, in-plane
         if self.variant == "hdiv":
-            r[S["ut"]] -= (1.0 / pr.Re) * self.r_sipg_unit
-            r[S["ut"]] += upwind_advection_residual(
-                sp_["ut"], F["ut"], qdeg=QDEG,
-                dirichlet_markers=self._vel_marker_list(),
-                g_d=self._velocity_bc_data())
-            adv = np.einsum("cqd,cqkd->cqk", utq, gutq)
-            r[S["ut"]] += cell_vector(sp_["ut"], "val", adv, qdeg=QDEG)
+            self._add_advection(r[S["ut"]], F["ut"], utq, gutq, 1.0 / pr.Re)
         else:
             r[S["ut"]] += self._skew_vec_residual(utq, gutq)
         lor_t = -pr.S * (B3q[..., None] * pjt - j3q[..., None] * pBt)
@@ -197,15 +181,10 @@ class HallMHD(MixedModel):
         terms = {}
         # -- ut and u3 rows: advection
         if self.variant == "hdiv":
-            terms.update(self._facet_terms(upwind_advection_local(
-                s["ut"], F["ut"], qdeg=QDEG,
-                dirichlet_markers=self._vel_marker_list(),
-                g_d=self._velocity_bc_data())))
-            W1 = np.zeros(shp + (2, 4))
-            for kk in range(2):
-                for d in range(2):
-                    W1[..., kk, 2 * kk + d] = utq[..., d]
-            terms[("ut", "ut")] = term("ut", "ut", W1, trial_op="grad")
+            # the facet terms first: they share the cell term's slots
+            terms.update(self._upwind_terms(F["ut"]))
+            terms[("ut", "ut")] = term("ut", "ut", advection_weight(utq),
+                                       trial_op="grad")
             if delta:
                 terms[("ut", "ut")] += term("ut", "ut", gutq)
             Wadv = np.zeros(shp + (1, 2))
@@ -259,27 +238,22 @@ class HallMHD(MixedModel):
 
     def _skew_vec_jacobian(self, uq, guq, delta):
         s = self.spaces["ut"]
-        shp = uq.shape[:2]
-        W1 = np.zeros(shp + (2, 4))
-        for kk in range(2):
-            for d in range(2):
-                W1[..., kk, 2 * kk + d] = 0.5 * uq[..., d]
-        J = cell_local(s, s, "val", "grad", weight=W1, qdeg=QDEG)
-        # -1/2 (u . grad v) . du: test grad (k,d), trial val k'
-        W3 = np.zeros(shp + (4, 2))
-        for kk in range(2):
-            for d in range(2):
-                W3[..., 2 * kk + d, kk] = -0.5 * uq[..., d]
-        J = J + cell_local(s, s, "grad", "val", weight=W3, qdeg=QDEG)
+        J = cell_local(s, s, "val", "grad", weight=advection_weight(uq, 0.5),
+                       qdeg=QDEG)
+        # -1/2 (u . grad v) . du: test grad (k, d), trial val k', the
+        # transpose of W
+        W = advection_weight(uq, -0.5)
+        J = J + cell_local(s, s, "grad", "val", weight=W.swapaxes(-1, -2),
+                           qdeg=QDEG)
         if delta:
             J = J + cell_local(s, s, "val", "val", weight=0.5 * guq,
                                qdeg=QDEG)
-            # -1/2 (du . grad v) . u: test grad (k,d), trial val d'
-            W4 = np.zeros(shp + (4, 2))
-            for kk in range(2):
-                for d in range(2):
-                    W4[..., 2 * kk + d, d] = -0.5 * uq[..., kk]
-            J = J + cell_local(s, s, "grad", "val", weight=W4, qdeg=QDEG)
+            # -1/2 (du . grad v) . u: test grad (k, d), trial val d', so
+            # W4[(k, d), d'] = W[d, (d', k)]
+            W4 = W.reshape(W.shape[:2] + (2, 2, 2)).transpose(0, 1, 4, 2, 3)
+            J = J + cell_local(s, s, "grad", "val",
+                               weight=W4.reshape(W.shape[:2] + (4, 2)),
+                               qdeg=QDEG)
         return J
 
     def _skew_scalar_jacobian_33(self, uq):

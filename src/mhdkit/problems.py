@@ -104,7 +104,7 @@ class HartmannModel(StandardMHD):
         self.forcing = {"f": sol.forcing["f"], "g_E": sol.forcing["g_E"],
                         "g_B": sol.forcing["g_B"]}
         self._setup_constraints()
-        _, self.r_sipg_unit = self._sipg()
+        _, self.r_sipg_unit = self._sipg(sym=True)
         self._rhs_const = self._assemble_forcing()
 
 

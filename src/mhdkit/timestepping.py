@@ -12,13 +12,11 @@ from .assembly import cell_matrix, constrain_matrix
 from .linalg import LuSolver
 from .nonlinear import NonlinearConfig, solve_nonlinear
 
-from .conservative import MidpointState, ConservativeScheme
-
 log = logging.getLogger(__name__)
 
 __all__ = [
     "TimeConfig", "step_multistep", "run_transient", "ReconnectionProbe",
-    "FrozenJacobianFactory", "MidpointState", "ConservativeScheme",
+    "FrozenJacobianFactory",
 ]
 
 

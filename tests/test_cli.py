@@ -410,3 +410,88 @@ def test_direct_solver_rejects_elimination(monkeypatch, tmp_path, capsys,
                                  "--out-dir", str(tmp_path)])
     assert exit_.value.code == 1
     assert "--elimination" in capsys.readouterr().err
+
+
+def _fake_sweep(monkeypatch):
+    """Fake the problems and solves of `run` and `sweep`; record the
+    ModelParams each grid cell builds and the continuation stages it
+    walks."""
+    import types
+    from mhdkit import problems
+    seen = {"params": [], "stages": []}
+    solved = types.SimpleNamespace(vector=None)
+    report = types.SimpleNamespace(converged=True, steps=1, avg_linear=1.0,
+                                   cell=lambda: "( 1)")
+
+    def record_problem(name, levels=None, params=None, **extras):
+        seen["params"].append(problems._params(name, params))
+        return _fake_problem(name, levels, params, **extras)
+
+    def record_continuation(model, schedule, state, cfg, fac):
+        seen["stages"].append(schedule.stages)
+        return solved, report
+
+    monkeypatch.setattr(cli, "make_problem", record_problem)
+    monkeypatch.setattr(cli, "continue_parameters", record_continuation)
+    monkeypatch.setattr(cli, "solve_nonlinear",
+                        lambda *args: (solved, report))
+    return seen
+
+
+def test_sweep_grid_takes_the_flag_names(monkeypatch, tmp_path):
+    # "RH" names the Hall number as the --RH flag does
+    seen = _fake_sweep(monkeypatch)
+    assert cli.main(["sweep", "--problem", "hall_ldc", "--grid", "RH=0,0.1",
+                     "--out-dir", str(tmp_path)]) == 0
+    assert [pr.R_H for pr in seen["params"]] == [0.0, 0.1]
+
+
+@pytest.mark.parametrize("grid", ["S", "S=", "S=1,x", "stab_mu=1",
+                                  "R_H=0.1", "S=1;Re=2;Rem=3"])
+def test_malformed_sweep_grid_is_rejected(monkeypatch, tmp_path, capsys,
+                                          grid):
+    monkeypatch.setattr(cli, "make_problem", _no_problem)
+    assert cli.main(["sweep", "--problem", "hartmann", "--grid", grid,
+                     "--out-dir", str(tmp_path)]) == 1
+    assert "--grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, stages", [
+    # no continued parameter: toward the model's Re, as `run` does
+    (["sweep", "--grid", "gamma=1,10"], [[("Re", [1.0])]] * 2),
+    # only the continued grid parameter has stages
+    (["sweep", "--grid", "S=1,200;gamma=1e4"],
+     [[("S", [1.0])], [("S", [1.0, 100.0, 200.0])]]),
+    # the column, then the row, then the flags
+    (["sweep", "--Re", "2", "--grid", "S=200;Rem=3"],
+     [[("Rem", [1.0, 3.0]), ("S", [1.0, 100.0, 200.0]), ("Re", [1.0, 2.0])]]),
+    (["run", "--gamma", "10"], [[("Re", [1.0])]]),
+    (["run", "--Re", "2", "--S", "200"],
+     [[("S", [1.0, 100.0, 200.0]), ("Re", [1.0, 2.0])]]),
+], ids=["sweep-fallback", "sweep-grid", "sweep-order", "run-fallback",
+        "run-flags"])
+def test_run_and_sweep_share_the_continuation_targets(monkeypatch, tmp_path,
+                                                      argv, stages):
+    seen = _fake_sweep(monkeypatch)
+    monkeypatch.setattr(cli, "_dump_fields", lambda *args: None)
+    assert cli.main(argv + ["--problem", "hartmann", "--continuation",
+                            "--out-dir", str(tmp_path)]) == 0
+    assert seen["stages"] == stages
+
+
+def test_mms_run_uses_the_krylov_solver(monkeypatch, tmp_path):
+    # --linear-solver fgmres reaches every level's Newton solve
+    seen = []
+
+    def record(model, state, cfg, fac):
+        seen.append(fac)
+        raise _Stop
+
+    monkeypatch.setattr(cli, "solve_nonlinear", record)
+    with pytest.raises(_Stop):
+        cli.main(["run", "--problem", "mms", "--levels", "0",
+                  "--linear-solver", "fgmres", "--elimination",
+                  "eliminate_eb", "--out-dir", str(tmp_path)])
+    [fac] = seen
+    assert isinstance(fac, cli.KrylovSolverFactory)
+    assert fac.precond.config.elimination == "eliminate_eb"

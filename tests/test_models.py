@@ -376,3 +376,36 @@ def test_div_norms_match_the_full_gradient_formula():
         assert new.keys() == old.keys()
         for n in new:
             assert abs(new[n] - old[n]) <= 1e-13
+
+
+@pytest.mark.parametrize("lin", ["newton", "picard"])
+@pytest.mark.parametrize("mass_coeff", [0.0, 1.5])
+def test_standard_is_the_boussinesq_form_at_zero_rayleigh(lin, mass_coeff):
+    # with Ra = 0, Pr = 1/Re and Pm = Pr Rem the Boussinesq (u, p, E, B)
+    # rows are StandardMHD's; powers of two make Pr/Pm equal 1/Rem exactly
+    Re, Rem = 2.0, 4.0
+    mesh = build_rect_mesh((-0.5, 0.5, -0.5, 0.5), 4, 4, "crossed")
+    lid = lambda x, y: np.stack([np.where(np.abs(y - 0.5) < 1e-12, 1.0, 0.0),
+                                 np.zeros_like(x)], axis=-1)
+    bcs = {"u": ("all", lid), "E": ("all", None), "B": ("all", _unit_B)}
+    std = StandardMHD(mesh, ModelParams(Re=Re, Rem=Rem, S=1.5, gamma=7.0,
+                                        stab_mu=5e-3), bcs=bcs)
+    bou = BoussinesqMHD(mesh, ModelParams(Ra=0.0, Pr=1.0 / Re,
+                                          Pm=Rem / Re, S=1.5, gamma=7.0,
+                                          stab_mu=5e-3),
+                        bcs=dict(bcs, theta=(["top", "bottom"], None)))
+    rng = np.random.default_rng(11)
+    xb = bou.initial_state()
+    xb.vector[:] = rng.standard_normal(xb.total)
+    xb = bou.apply_state_bcs(xb).vector
+    block = np.concatenate([
+        np.arange(bou.state_template.total)[bou.state_template.field_slice(n)]
+        for n in std.fields])
+    xs = xb[block]
+    assert np.array_equal(std.apply_state_bcs(std.state_template.with_vector(
+        xs)).vector, xs)
+    As, _ = std.jacobian(xs, lin, mass_coeff=mass_coeff)
+    Ab, _ = bou.jacobian(xb, lin, mass_coeff=mass_coeff)
+    assert np.array_equal(Ab[block][:, block].toarray(), As.toarray())
+    rs, rb = std.residual(xs), bou.residual(xb)[block]
+    assert np.abs(rb - rs).max() <= 1e-14 * np.abs(rs).max()

@@ -1,0 +1,77 @@
+"""SHA-256 digests of the models' residuals and Jacobians.
+
+  PYTHONPATH=src python tools/model_digest.py > digests.txt
+
+Builds each case on a 4 x 4 base mesh (no refinement) with a small
+gradient-jump penalty, sets a seeded random state that satisfies the
+boundary conditions, and prints one line per evaluation: the digest of the
+residual, then of every Jacobian's CSR arrays (data, indices, indptr) for
+newton/picard x mass_coeff {0, 1.5} x steady_coeff {1, 0.5}, and for the
+Boussinesq models also each of the three drop flags.  Running it on two
+versions of the code and diffing the output shows which evaluations changed
+by even one bit.
+"""
+
+import argparse
+import hashlib
+import itertools
+import sys
+
+import numpy as np
+
+from mhdkit.problems import make_problem
+
+# (problem, velocity variant or None for the problem's own)
+CASES = (("hartmann", None), ("ldc2d", None),
+         ("rayleigh_benard", "hdiv"), ("rayleigh_benard", "taylor_hood"),
+         ("hall_ldc", "hdiv"), ("hall_ldc", "taylor_hood"),
+         ("hall_island", None))
+DROPS = ("drop_buoyancy", "drop_lorentz", "drop_graddiv")
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def seeded_state(model, seed):
+    """A random state whose constrained dofs hold the boundary values."""
+    rng = np.random.default_rng(seed)
+    st = model.initial_state()
+    st.vector[:] = rng.standard_normal(st.total)
+    return model.apply_state_bcs(st).vector
+
+
+def case_lines(problem, variant, seed):
+    extras = {} if variant is None else {"velocity_variant": variant}
+    model = make_problem(problem, levels=0, mesh_base=(4, 4),
+                         params={"stab_mu": 1e-3}, **extras).model
+    name = problem if variant is None else f"{problem}/{variant}"
+    x = seeded_state(model, seed)
+    yield f"{name} residual {digest(model.residual(x))}"
+    for lin, mass, steady in itertools.product(("newton", "picard"),
+                                               (0.0, 1.5), (1.0, 0.5)):
+        A, _ = model.jacobian(x, lin, mass_coeff=mass, steady_coeff=steady)
+        yield (f"{name} jacobian {lin} mass={mass} steady={steady} "
+               f"{digest(A.data, A.indices, A.indptr)}")
+    if problem == "rayleigh_benard":
+        for flag in DROPS:
+            A, _ = model.jacobian(x, "newton", **{flag: True})
+            yield (f"{name} jacobian newton {flag} "
+                   f"{digest(A.data, A.indices, A.indptr)}")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args(argv)
+    for problem, variant in CASES:
+        for line in case_lines(problem, variant, args.seed):
+            print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
