@@ -157,6 +157,16 @@ def _reject_elimination(args):
         sys.exit(1)
 
 
+def _unsupported(what, settings):
+    """Whether one of the (name, given) settings was given; the first one
+    given is reported as a setting `what` does not support."""
+    for name, given in settings:
+        if given:
+            print(f"error: {what} does not support {name}", file=sys.stderr)
+            return True
+    return False
+
+
 def _solver_factory(args, spec, ledger=None):
     if args.linear_solver == "direct":
         _reject_elimination(args)
@@ -212,6 +222,18 @@ def cmd_run(args):
     if not args.problem:
         print("error: --problem is required", file=sys.stderr)
         return 1
+    if args.problem == "mms":
+        # the convergence study neither time-steps nor continues and sets
+        # its own boundary data: a setting it would ignore is an error
+        if _unsupported("--problem mms", (
+                ("--dt ([time] dt)", args.dt is not None),
+                ("--T ([time] T)", args.T is not None),
+                ("--continuation ([solver] continuation)",
+                 args.continuation),
+                ("--bc-field ([problem] bc_field)",
+                 args.bc_field is not None))):
+            return 1
+        return _run_mms(args)
     transient = args.dt is not None and args.T is not None
     if transient and args.linear_solver != "direct":
         # time stepping solves with the frozen-Jacobian direct LU only
@@ -222,8 +244,6 @@ def cmd_run(args):
     if transient:
         # the stationary paths check in _solver_factory
         _reject_elimination(args)
-    if args.problem == "mms":
-        return _run_mms(args)
     params = _collect_params(args)
     spec = make_problem(args.problem, levels=args.levels, params=params,
                         bc_field=args.bc_field or "uniform")
@@ -411,7 +431,7 @@ def cmd_bifurcate(args):
     _apply_config_file(args)
     # it builds rayleigh_benard, solves with direct LU and never time-steps
     # or continues: a setting it would ignore is an error
-    for flag, given in (
+    if _unsupported("bifurcate", (
             ("--problem", args.problem not in (None, "rayleigh_benard")),
             ("--linear-solver", args.linear_solver not in (None, "direct")),
             ("--elimination", args.elimination is not None),
@@ -423,11 +443,8 @@ def cmd_bifurcate(args):
             ("--linearisation",
              args.critical and args.linearisation is not None),
             *((f"[solver] {key}", args.critical and getattr(args, key)
-               is not None) for key in ("rtol", "atol", "max_steps"))):
-        if given:
-            print(f"error: bifurcate does not support {flag}",
-                  file=sys.stderr)
-            return 1
+               is not None) for key in ("rtol", "atol", "max_steps")))):
+        return 1
     _apply_defaults(args)
     if args.count < 1:
         print(f"error: --count must be at least 1, got {args.count}",

@@ -16,9 +16,11 @@ current iterate, solves the velocity/pressure system and updates B
 explicitly.  The next iterate is the Anderson mixing of the last
 ANDERSON_DEPTH + 1 sweeps (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011);
 the step stops on the relative-increment criterion and accepts the last
-sweep's output.  A sweep makes three LU solve calls: the projections of the
-fields it reads in one call with several right-hand sides, those of the
-cross products in another, and the velocity solve.
+sweep's output.  An attempt whose increment sets no new minimum over
+STALL_SWEEPS sweeps restarts with a halved under-relaxation factor.  A
+sweep makes three LU solve calls: the projections of the fields it reads in
+one call with several right-hand sides, those of the cross products in
+another, and the velocity solve.
 
 The cross products of curl-type fields are a fixed trilinear form: the
 scheme tabulates T[c, i, j, k] = int_c phi_i . (phi_j x phi_k) over the six
@@ -40,6 +42,12 @@ QDEG = 5
 # sweeps of history, beyond the last, in the Anderson mixing of the
 # midpoint fixed point
 ANDERSON_DEPTH = 3
+# an attempt restarts once this many sweeps in a row set no new minimum of
+# the increment.  Measured on the stiff 16x16 cells of
+# tools/midpoint_sweeps.py: windows of 4 to 6 sweeps restart attempts that
+# would have converged, 7 is the smallest that does not, and 8 keeps one
+# sweep of margin
+STALL_SWEEPS = 8
 
 
 class FixedPointFailure(Exception):
@@ -438,11 +446,13 @@ def _anderson_mix(g, f):
 
 def _damped_fixed_point(sc, state, sweep):
     """Run the midpoint fixed point with Anderson mixing of the last
-    ANDERSON_DEPTH + 1 sweeps; on stagnation/divergence restart with a
-    halved under-relaxation factor and no history (the converged limit is
-    unaffected, only the iteration path changes).  The accepted state is a
-    sweep's output, and every iterate is an affine combination of outputs,
-    so B stays in B_k + range(CURL) and div B is kept exactly."""
+    ANDERSON_DEPTH + 1 sweeps.  An attempt whose relative increment sets no
+    new minimum over STALL_SWEEPS sweeps in a row has stagnated or
+    diverged; it restarts with a halved under-relaxation factor and no
+    history (the converged limit is unaffected, only the iteration path
+    changes).  The accepted state is a sweep's output, and every iterate is
+    an affine combination of outputs, so B stays in B_k + range(CURL) and
+    div B is kept exactly."""
     u_k, B_k = state.u, state.B
     n_u = len(u_k)
     theta = 1.0
@@ -451,8 +461,8 @@ def _damped_fixed_point(sc, state, sweep):
         u_new = u_k.copy()
         B_new = B_k.copy()
         g, f = [], []
-        prev = np.inf
-        grow = 0
+        best = np.inf
+        since_best = 0
         for _ in range(sc.max_fp):
             u_next, B_next, aux = sweep(u_k, B_k, u_new, B_new)
             sweeps += 1
@@ -473,10 +483,12 @@ def _damped_fixed_point(sc, state, sweep):
                 aux["B_mid"] = 0.5 * (B_k + B_next)
                 out.aux = aux
                 return out
-            grow = grow + 1 if inc > prev else 0
-            if grow >= 5:
-                break
-            prev = inc
+            if inc < best:
+                best, since_best = inc, 0
+            else:
+                since_best += 1
+                if since_best >= STALL_SWEEPS:
+                    break
             x_next = np.concatenate([u_next, B_next])
             g = g[-ANDERSON_DEPTH:] + [x_next]
             f = f[-ANDERSON_DEPTH:] + [

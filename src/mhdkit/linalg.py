@@ -240,13 +240,14 @@ def fgmres(A, b, M=None, x0=None, rtol=1e-7, atol=1e-7, restart=100,
 
 def fixed_iteration_solver(A, M, iters):
     """An approximate inverse given by `iters` FGMRES iterations with inner
-    preconditioner M and no tolerance (used for the 2-iteration inner solves
-    of the block preconditioner)."""
+    preconditioner M and no tolerance: the inner block solves of the block
+    preconditioners and the multigrid smoother.  `apply(b, x0)` starts from
+    x0, or from zero when x0 is None."""
     matvec = _as_operator(A)
 
-    def apply(b):
-        res = fgmres(matvec, b, M=M, rtol=0.0, atol=0.0, restart=iters,
-                     maxiter=iters)
+    def apply(b, x0=None):
+        res = fgmres(matvec, b, M=M, x0=x0, rtol=0.0, atol=0.0,
+                     restart=iters, maxiter=iters)
         return res.x
 
     return apply

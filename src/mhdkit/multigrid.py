@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 from .assembly import _entries, interpolation_matrix
 from .elements import FunctionSpace
-from .linalg import LuSolver, fgmres
+from .linalg import LuSolver, fixed_iteration_solver
 
 log = logging.getLogger(__name__)
 
@@ -244,11 +244,10 @@ class GeometricMultigrid:
         return self
 
     def _smooth(self, lv, b, x):
-        sm = self.smoothers[lv - 1]
-        res = fgmres(self.matrices[lv], b, M=sm.apply, x0=x,
-                     rtol=0.0, atol=0.0, restart=self.config.smooth_iters,
-                     maxiter=self.config.smooth_iters)
-        return res.x
+        smooth = fixed_iteration_solver(self.matrices[lv],
+                                        self.smoothers[lv - 1].apply,
+                                        self.config.smooth_iters)
+        return smooth(b, x)
 
     def vcycle(self, lv, b, x=None):
         """One V-cycle from x on level lv; x=None is the zero start."""

@@ -1,15 +1,24 @@
 """Newton and Picard drivers with full (undamped) updates, fixed-step
 parameter continuation, and deflation of previously found roots via the
 shifted inverse-distance multiplier (applied to the Newton step through the
-scalar Sherman-Morrison factor)."""
+scalar Sherman-Morrison factor).  A continuation stage whose undamped
+iteration fails is solved again from the same seed with a backtracking line
+search on the residual norm."""
+
+import logging
 
 import numpy as np
 
 from .linalg import LuSolver
 
+log = logging.getLogger(__name__)
+
 # an undeflated Newton/Picard solve gives up after this many steps that fail
 # to halve the residual norm since it last set a new minimum
 STALL_STEPS = 5
+# halvings of a step that does not lower the residual norm, in the retry of
+# a failed continuation stage
+BACKTRACKS = 5
 
 
 class NonlinearConfig:
@@ -64,7 +73,7 @@ def direct_solver_factory(A, parts=None):
 
 def solve_nonlinear(model, state, config=None, solver_factory=None,
                     residual_fn=None, jacobian_fn=None, deflation=None,
-                    callback=None):
+                    callback=None, backtracks=0):
     """Drive R(U) = 0 from `state` (which must satisfy the BCs).
 
     solver_factory(A, parts) returns solve(rhs) -> (delta, linear_iters);
@@ -73,8 +82,13 @@ def solve_nonlinear(model, state, config=None, solver_factory=None,
     driver finds a root of the deflated residual, which keeps the update
     direction and rescales its length.  Without deflation, the iteration
     stops unconverged once STALL_STEPS steps since the residual norm last
-    set a new minimum have failed to halve it.
+    set a new minimum have failed to halve it.  With `backtracks` > 0, a
+    step that does not lower the residual norm is halved, up to
+    `backtracks` times, and the last halving is taken; a deflated search
+    takes its steps whole.
     """
+    if backtracks and deflation is not None:
+        raise ValueError("a deflated search does not backtrack")
     config = config or NonlinearConfig()
     solver_factory = solver_factory or direct_solver_factory
     residual = residual_fn or model.residual
@@ -108,9 +122,17 @@ def solve_nonlinear(model, state, config=None, solver_factory=None,
         if deflation is not None:
             tau = deflation.step_scale(x, delta)
             delta = tau * delta
-        x = x + delta
-        r = residual(x)
+        x_new = x + delta
+        r = residual(x_new)
         rnorm = np.linalg.norm(r)
+        for _ in range(backtracks):
+            if rnorm < rprev:
+                break
+            delta = 0.5 * delta
+            x_new = x + delta
+            r = residual(x_new)
+            rnorm = np.linalg.norm(r)
+        x = x_new
         report.residuals.append(rnorm)
         report.linear_iters.append(nit)
         if callback is not None:
@@ -191,7 +213,10 @@ class StageFailure(Exception):
 def continue_parameters(model, schedule, state=None, config=None,
                         solver_factory=None, keep_reports=False):
     """Traverse the schedule, seeding every solve with the previous solution;
-    returns (final state, final-stage report[, all reports])."""
+    returns (final state, final-stage report[, all reports]).  A stage whose
+    undamped solve fails is solved again from the same seed with BACKTRACKS
+    halvings per step; its report is that of the second solve, and it fails
+    (StageFailure) only if that solve fails too."""
     state = state or model.initial_state()
     reports = []
     report = None
@@ -203,8 +228,15 @@ def continue_parameters(model, schedule, state=None, config=None,
             setattr(model.params, name, v)
             if hasattr(model, "params_changed"):
                 model.params_changed()
-            state, report = solve_nonlinear(model, state, config,
+            seed = state
+            state, report = solve_nonlinear(model, seed, config,
                                             solver_factory)
+            if not report.converged:
+                log.warning("continuation stage %s=%g failed undamped; "
+                            "retrying with a line search", name, v)
+                state, report = solve_nonlinear(model, seed, config,
+                                                solver_factory,
+                                                backtracks=BACKTRACKS)
             reports.append(((name, v), report))
             if not report.converged:
                 raise StageFailure(name, v, report)

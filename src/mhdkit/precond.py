@@ -11,8 +11,14 @@ from .assembly import cell_local, scatter
 from .linalg import LuSolver, fgmres, fixed_iteration_solver
 from .multigrid import MgHierarchy, GeometricMultigrid
 
-# FGMRES iterations of each inner block solve
-INNER_ITERS = 2
+# FGMRES iterations of the inner block solves.  The augmented-Lagrangian
+# fluid block sets the outer Krylov count (made exact, it cuts the count
+# threefold, where an exact electromagnetic block leaves it as it is), so it
+# gets the larger budget.  4 halves the outer count on `hartmann`, where 3
+# cuts it by less than a third; 5 and 6 are no faster.  An electromagnetic
+# budget of 1 fails at the Rem = 500 stage of (S, Re = Rem) = (1, 1000)
+AL_ITERS = 4
+MG_ITERS = 2
 
 
 ELIMINATIONS = ("eliminate_up", "eliminate_eb")
@@ -115,21 +121,23 @@ def lu_inverse(A):
 
 
 def mg_inverse(ctx, A):
-    """INNER_ITERS FGMRES iterations on A preconditioned by one V-cycle of
-    star-patch multigrid over the hierarchy ctx."""
+    """MG_ITERS FGMRES iterations on A preconditioned by one V-cycle of
+    star-patch multigrid over the hierarchy ctx (the electromagnetic
+    block)."""
     mg = GeometricMultigrid(ctx).setup(A)
-    return fixed_iteration_solver(A, mg.apply, INNER_ITERS)
+    return fixed_iteration_solver(A, mg.apply, MG_ITERS)
 
 
 def al_inverse(ctx, Mp_inv, schur_scale, A):
-    """INNER_ITERS FGMRES iterations on an augmented (flow | pressure) block
+    """AL_ITERS FGMRES iterations on an augmented (flow | pressure) block
     preconditioned by AugmentedLagrangianPrecond; the first pressure dof is
-    the model's pin."""
+    the model's pin.  This is the fluid block of every model's
+    preconditioner."""
     n_top = A.shape[0] - Mp_inv.shape[0]
     inner = AugmentedLagrangianPrecond(GeometricMultigrid(ctx), Mp_inv,
                                        schur_scale, n_top, pin_local=[0])
     inner.setup(A)
-    return fixed_iteration_solver(A, inner.apply, INNER_ITERS)
+    return fixed_iteration_solver(A, inner.apply, AL_ITERS)
 
 
 def require_eliminate_up(model, config):
@@ -152,10 +160,10 @@ class StandardMHDPrecond:
     """Outer block preconditioner for the standard-MHD Jacobian.
 
     eliminate_up (default): the (u,p) block is the 2x2 top-left group, its
-    approximate inverse is 2 FGMRES iterations preconditioned by the fluid
-    AL preconditioner, and the outer Schur approximation is the exact (E,B)
-    diagonal block, inverted by 2 FGMRES iterations preconditioned by the
-    monolithic electromagnetic multigrid.
+    approximate inverse is AL_ITERS FGMRES iterations preconditioned by the
+    fluid AL preconditioner, and the outer Schur approximation is the exact
+    (E,B) diagonal block, inverted by MG_ITERS FGMRES iterations
+    preconditioned by the monolithic electromagnetic multigrid.
 
     eliminate_eb: the roles swap; the Schur approximation is the fluid block
     with the linearised Lorentz term scaled by
@@ -259,11 +267,12 @@ class KrylovSolverFactory:
 
 class AnisothermalPrecond:
     """Outer preconditioner of the Boussinesq Jacobian: group (u, theta, p)
-    against (E, B); the top block is inverted by 2 FGMRES iterations with a
-    further ((u, theta) | p) splitting -- monolithic star-patch multigrid on
-    the (u, theta) block and -gamma M_p^{-1} for the pressure Schur
-    complement -- and the outer Schur approximation is the electromagnetic
-    diagonal block with its monolithic multigrid.  The grouping is fixed:
+    against (E, B); the top block is inverted by AL_ITERS FGMRES iterations
+    with a further ((u, theta) | p) splitting -- monolithic star-patch
+    multigrid on the (u, theta) block and -gamma M_p^{-1} for the pressure
+    Schur complement -- and the outer Schur approximation is the
+    electromagnetic diagonal block, inverted by MG_ITERS FGMRES iterations
+    of its monolithic multigrid.  The grouping is fixed:
     `config` may only ask for "eliminate_up"."""
 
     def __init__(self, model, hierarchy, config=None):
@@ -292,7 +301,8 @@ class AnisothermalPrecond:
 
 class HallPrecond:
     """Outer preconditioner of the 2.5D Hall Jacobian: fluid group
-    (ut, u3, p) with a monolithic (ut, u3) multigrid and AL pressure Schur;
+    (ut, u3, p), inverted by AL_ITERS FGMRES iterations with a monolithic
+    (ut, u3) multigrid and AL pressure Schur;
     the six-field electromagnetic Schur block is inverted, following the
     2.5D practice, by a direct factorisation.  The grouping is fixed:
     `config` may only ask for "eliminate_up"."""

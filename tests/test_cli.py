@@ -495,3 +495,47 @@ def test_mms_run_uses_the_krylov_solver(monkeypatch, tmp_path):
     [fac] = seen
     assert isinstance(fac, cli.KrylovSolverFactory)
     assert fac.precond.config.elimination == "eliminate_eb"
+
+
+@pytest.mark.parametrize("extra, text, name", [
+    (["--dt", "0.1"], "", "--dt"),
+    (["--T", "0.2"], "", "--T"),
+    (["--dt", "0.1", "--T", "0.2"], "", "--dt"),
+    (["--continuation"], "", "--continuation"),
+    (["--bc-field", "trig"], "", "--bc-field"),
+    ([], "[time]\ndt = 0.1\n", "[time] dt"),
+    ([], "[time]\nT = 0.2\n", "[time] T"),
+    ([], "[solver]\ncontinuation = true\n", "[solver] continuation"),
+    ([], "[problem]\nbc_field = trig\n", "[problem] bc_field"),
+])
+def test_mms_run_rejects_settings_it_would_ignore(monkeypatch, tmp_path,
+                                                   capsys, extra, text, name):
+    # the convergence study neither time-steps nor continues and sets its
+    # own boundary data; each of these settings stops it before any
+    # problem is built
+    monkeypatch.setattr(cli, "make_problem", _no_problem)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert cli.main(["run", "--problem", "mms", "--levels", "0", *extra,
+                     "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert name in err and "mms" in err
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_mms_run_takes_a_config_without_those_settings(monkeypatch,
+                                                       tmp_path):
+    # `continuation = false` asks for nothing the study would ignore
+    seen = []
+
+    def record(model, state, cfg, fac):
+        seen.append(fac)
+        raise _Stop
+
+    monkeypatch.setattr(cli, "solve_nonlinear", record)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[solver]\ncontinuation = false\n")
+    with pytest.raises(_Stop):
+        cli.main(["run", "--problem", "mms", "--levels", "0",
+                  "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert seen == [cli.direct_solver_factory]

@@ -234,6 +234,25 @@ def test_stiff_hall_steps_converge_and_conserve(fam):
         assert value <= 1e-12, name
 
 
+@pytest.mark.parametrize("fam", sorted(FAMILIES))
+def test_stagnating_attempts_restart_early(fam):
+    # R_H dt / h^2 = 0.256 on 16x16: the undamped attempt stagnates and the
+    # theta = 1/4 attempt converges in about 100 sweeps.  Restarting after
+    # STALL_SWEEPS sweeps without a new minimum of the increment keeps each
+    # step within 250 sweeps: 189-228 uxn and 152-186 udotn here, and at
+    # most 228 with the initial velocity scaled by 1 + 1e-12, 1 + 1e-9,
+    # 1 + 1e-6 or 1 +- 1e-3 (uxn at 1 - 1e-3 fails its second step under
+    # either restart test).  With five rises in a row as the only restart
+    # test, every converging run of these had a step of 295-300 sweeps.
+    sc, states, _ = _stepped(16, 0.1, 1e-2, fam, 3)
+    assert max(s.fp_iters for s in states[1:]) <= 250
+    u_space = sc.curlsp if fam == "uxn" else sc.divsp
+    e0 = sc.energy(states[0].u, states[0].B, u_space)
+    e1 = sc.energy(states[-1].u, states[-1].B, u_space)
+    assert abs(e1 - e0) <= 1e-11 * abs(e0)
+    assert sc.div_norm_d(states[-1].B) <= 1e-11
+
+
 def test_hall_steps_converge_on_16x16_at_unit_hall_number():
     # the undamped Picard iteration raises FixedPointFailure here
     _, states, _ = _stepped(16, 1.0, 1e-3, "uxn", 1)

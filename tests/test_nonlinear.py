@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -88,6 +90,59 @@ def test_return_from_overshoot_is_not_a_stall():
     # more than STALL_STEPS steps
     rep, _ = _scripted_solve([1.0] + [1e4 * 0.3 ** k for k in range(40)])
     assert rep.converged and rep.steps == 21  # 1e4 * 0.3**20 < atol
+
+
+def test_backtracking_halves_a_step_that_raises_the_residual():
+    # the full step and its first halving raise the norm; the second halving
+    # lowers it and is taken
+    prob = _ScalarProblem()
+    norms = iter([1.0, 4.0, 2.0, 0.5, 1e-12])
+    points = []
+
+    def residual(x):
+        points.append(x[0])
+        return np.array([next(norms)])
+
+    _, rep = solve_nonlinear(
+        prob, prob.initial_state(), NonlinearConfig(), residual_fn=residual,
+        jacobian_fn=lambda x: (sp.identity(1, format="csr"), {}),
+        backtracks=5)
+    x0 = points[0]
+    assert points[1:] == [x0 - 1.0, x0 - 0.5, x0 - 0.25, x0 - 0.75]
+    assert rep.converged and rep.residuals == [1.0, 0.5, 1e-12]
+    with pytest.raises(ValueError):
+        solve_nonlinear(prob, prob.initial_state(),
+                        deflation=DeflationOperator(sp.identity(1)),
+                        backtracks=5)
+
+
+class _Arctan(_ScalarProblem):
+    """arctan(x - p) = 0: undamped Newton diverges from |x - p| > 1.4."""
+
+    def __init__(self):
+        super().__init__()
+        self.params = types.SimpleNamespace(p=0.0)
+
+    def residual(self, x):
+        return np.arctan(x - self.params.p)
+
+    def jacobian(self, x, lin="newton"):
+        return sp.csr_matrix([[1.0 / (1.0 + (x[0] - self.params.p) ** 2)]]), {}
+
+
+def test_failed_stage_is_retried_with_a_line_search(caplog):
+    prob = _Arctan()
+    prob.params.p = 3.0
+    _, undamped = solve_nonlinear(prob, prob.initial_state(0.0))
+    assert not undamped.converged
+    prob.params.p = 0.0
+    with caplog.at_level("WARNING", logger="mhdkit.nonlinear"):
+        st, rep = continue_parameters(
+            prob, ContinuationSchedule([("p", [0.0, 3.0])]),
+            prob.initial_state(0.0))
+    assert rep.converged and st.vector[0] == pytest.approx(3.0)
+    assert [r.getMessage() for r in caplog.records] == [
+        "continuation stage p=3 failed undamped; retrying with a line search"]
 
 
 def test_report_totals_and_cell_format():
