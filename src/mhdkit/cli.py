@@ -17,8 +17,9 @@ from .nonlinear import (NonlinearConfig, solve_nonlinear,
                         StageFailure, direct_solver_factory)
 from .precond import (ELIMINATIONS, BlockPrecondConfig, KrylovSolverFactory,
                       IterationLedger)
-from .problems import (PROBLEM_NAMES, ISLAND_FIELDS, make_problem,
-                       parse_config, island_initial_state, ConfigError)
+from .problems import (PROBLEM_NAMES, BC_FIELDS, ISLAND_FIELDS,
+                       make_problem, parse_config, island_initial_state,
+                       ConfigError)
 from .timestepping import (TimeConfig, run_transient, FrozenJacobianFactory,
                            ReconnectionProbe, write_series_csv)
 
@@ -167,6 +168,20 @@ def _unsupported(what, settings):
     return False
 
 
+def _bad_bc_field(args):
+    """Whether --bc-field ([problem] bc_field) is given for a problem other
+    than ldc2d, or names no field of BC_FIELDS; the error is reported."""
+    name = "--bc-field ([problem] bc_field)"
+    if _unsupported(f"--problem {args.problem}", (
+            (name, args.bc_field is not None and args.problem != "ldc2d"),)):
+        return True
+    if args.bc_field not in (None, *BC_FIELDS):
+        print(f"error: {name} is {args.bc_field!r}; choose from "
+              f"{', '.join(BC_FIELDS)}", file=sys.stderr)
+        return True
+    return False
+
+
 def _solver_factory(args, spec, ledger=None):
     if args.linear_solver == "direct":
         _reject_elimination(args)
@@ -222,16 +237,16 @@ def cmd_run(args):
     if not args.problem:
         print("error: --problem is required", file=sys.stderr)
         return 1
+    if _bad_bc_field(args):
+        return 1
     if args.problem == "mms":
-        # the convergence study neither time-steps nor continues and sets
-        # its own boundary data: a setting it would ignore is an error
+        # the convergence study neither time-steps nor continues: a setting
+        # it would ignore is an error
         if _unsupported("--problem mms", (
                 ("--dt ([time] dt)", args.dt is not None),
                 ("--T ([time] T)", args.T is not None),
                 ("--continuation ([solver] continuation)",
-                 args.continuation),
-                ("--bc-field ([problem] bc_field)",
-                 args.bc_field is not None))):
+                 args.continuation))):
             return 1
         return _run_mms(args)
     transient = args.dt is not None and args.T is not None
@@ -246,7 +261,7 @@ def cmd_run(args):
         _reject_elimination(args)
     params = _collect_params(args)
     spec = make_problem(args.problem, levels=args.levels, params=params,
-                        bc_field=args.bc_field or "uniform")
+                        bc_field=args.bc_field)
     model = spec.model
 
     if transient:
@@ -352,6 +367,8 @@ def cmd_sweep(args):
     if not args.problem:
         print("error: --problem is required", file=sys.stderr)
         return 1
+    if _bad_bc_field(args):
+        return 1
     grid = _parse_grid(args.grid)
     if grid is None:
         return 1
@@ -370,8 +387,7 @@ def cmd_sweep(args):
             if cv is not None:
                 params[ckey] = cv
             spec = make_problem(args.problem, levels=args.levels,
-                                params=params,
-                                bc_field=args.bc_field or "uniform")
+                                params=params, bc_field=args.bc_field)
             fac = _solver_factory(args, spec)
             cfg = _nonlinear_config(args)
             try:

@@ -696,10 +696,6 @@ class ReferenceElement:
             return vals[0], grads[0]
         return vals[0]
 
-    def dual_matrix(self):
-        pts, wts = self.space.dual_points_weights()
-        vals, _ = self.space.tabulate_cells([0], pts[0:1])
-        return np.einsum("qik,qjk->ij", wts[0], vals[0])
 
 
 def tabulate(element, points, grad=False):

@@ -137,24 +137,6 @@ class Mesh2D:
         out[swap] = coords[swap][:, ::-1]
         return out
 
-    def facet_geometry(self, edge):
-        """(length, unit normal, adjacent cells) for one edge.
-
-        The normal points from the first adjacent cell to the second; for a
-        boundary edge it points outward.
-        """
-        pts = self.edge_endpoints_in_cell([edge], 0)[0]
-        t = pts[1] - pts[0]
-        length = float(np.hypot(*t))
-        t /= length
-        n = np.array([t[1], -t[0]])
-        cell0 = self.edge_cells[edge, 0]
-        centroid = self.cell_coords[cell0].mean(axis=0)
-        mid = pts.mean(axis=0)
-        if np.dot(n, mid - centroid) < 0:
-            n = -n
-        return length, n, tuple(int(c) for c in self.edge_cells[edge])
-
     def min_edge_length(self):
         p0 = self.edge_endpoints_in_cell(np.arange(self.num_edges), 0)
         return float(np.linalg.norm(p0[:, 1] - p0[:, 0], axis=1).min())
@@ -342,34 +324,3 @@ def write_vtk(path, mesh, point_data=None):
                     for row in arr:
                         z = row[2] if len(row) > 2 else 0.0
                         f.write(f"{row[0]:.16e} {row[1]:.16e} {z:.16e}\n")
-
-
-def read_vtk(path):
-    """Read back a legacy VTK file written by `write_vtk`."""
-    with open(path) as f:
-        tokens = f.read().split()
-    i = tokens.index("POINTS")
-    npts = int(tokens[i + 1])
-    pts = np.array(tokens[i + 3:i + 3 + 3 * npts], dtype=float).reshape(-1, 3)
-    i = tokens.index("CELLS")
-    ncells = int(tokens[i + 1])
-    cdata = np.array(tokens[i + 3:i + 3 + 4 * ncells], dtype=np.int64)
-    cells = cdata.reshape(-1, 4)[:, 1:]
-    mesh = Mesh2D(pts[:, :2], cells)
-    point_data = {}
-    j = 0
-    while j < len(tokens):
-        if tokens[j] == "SCALARS":
-            name = tokens[j + 1]
-            k = j + 6
-            point_data[name] = np.array(tokens[k:k + npts], dtype=float)
-            j = k + npts
-        elif tokens[j] == "VECTORS":
-            name = tokens[j + 1]
-            k = j + 3
-            point_data[name] = np.array(tokens[k:k + 3 * npts],
-                                        dtype=float).reshape(-1, 3)
-            j = k + 3 * npts
-        else:
-            j += 1
-    return mesh, point_data

@@ -21,7 +21,7 @@ class ModelParams:
     """
 
     def __init__(self, Re=1.0, Rem=1.0, S=1.0, R_H=0.0, Ra=1.0, Pr=1.0,
-                 Pm=1.0, gamma=1e4, dt=None, stab_mu=0.0, quad_degree_bc=None):
+                 Pm=1.0, gamma=1e4, stab_mu=0.0, quad_degree_bc=None):
         for name, val in [("Re", Re), ("Rem", Rem), ("S", S), ("Ra", Ra),
                           ("Pr", Pr), ("Pm", Pm)]:
             if val is not None and val <= 0 and name not in ("Ra",):
@@ -34,7 +34,6 @@ class ModelParams:
         self.Pr = Pr
         self.Pm = Pm
         self.gamma = gamma
-        self.dt = dt
         self.stab_mu = stab_mu
         self.quad_degree_bc = quad_degree_bc
         self.gravity = np.array([0.0, 1.0])
@@ -48,7 +47,7 @@ class ModelParams:
 
     def as_dict(self):
         return {k: getattr(self, k) for k in
-                ("Re", "Rem", "S", "R_H", "Ra", "Pr", "Pm", "gamma", "dt")}
+                ("Re", "Rem", "S", "R_H", "Ra", "Pr", "Pm", "gamma")}
 
 
 class MixedState:
@@ -124,24 +123,20 @@ def perp(v):
     return np.stack([v[..., 1], -v[..., 0]], axis=-1)
 
 
-def advection_weight(wq, scale=1.0):
-    """The weight of scale * (w . grad du, v) for a vector trial du under
-    cell_local's "val"/"grad" pairing: row k, column 2k + d holds
-    scale * w_d (the trial gradient is flattened as 2k + d)."""
+def advection_weight(wq):
+    """The weight of (w . grad du, v) for a vector trial du under
+    cell_local's "val"/"grad" pairing: row k, column 2k + d holds w_d (the
+    trial gradient is flattened as 2k + d)."""
     W = np.zeros(wq.shape[:2] + (2, 2, 2))
     for k in range(2):
-        W[..., k, k, :] = scale * wq
+        W[..., k, k, :] = wq
     return W.reshape(wq.shape[:2] + (2, 4))
 
 
-def velocity_pair(mesh, variant):
-    """(velocity, pressure) spaces: BDM2 x DG1 for "hdiv", vector CG2 x CG1
-    for "taylor_hood"."""
-    if variant == "hdiv":
-        return FunctionSpace(mesh, "BDM", 2), FunctionSpace(mesh, "DG", 1)
-    if variant == "taylor_hood":
-        return FunctionSpace(mesh, "VCG", 2), FunctionSpace(mesh, "CG", 1)
-    raise ValueError(variant)
+def velocity_pair(mesh):
+    """The (velocity, pressure) spaces BDM2 x DG1: div of the velocity space
+    lies in the pressure space, so a discrete solution is divergence-free."""
+    return FunctionSpace(mesh, "BDM", 2), FunctionSpace(mesh, "DG", 1)
 
 
 class JacobianParts(dict):
@@ -167,17 +162,17 @@ class MixedModel:
     `mass_fields` (the fields under a time derivative), `FORCING` (forcing
     key -> field), `QDEG_RHS` and `COUPLINGS`, the (test, trial) field pairs
     of the Jacobian's cell terms; `velocity` and `magnetic` name the fields
-    whose divergence `div_norms` reports ("u" and "B" unless overridden).
-    With the "hdiv" velocity variant the velocity's facet pairings join the
-    pattern too.  A subclass passes its spaces to `__init__`, yields its
-    constant terms from `_constant_terms` as (weight name, pairing key,
-    local array) and maps the weight names to values in `_weights`
+    whose divergence `div_norms` reports ("u" and "B" unless overridden);
+    the velocity's facet pairings join the pattern too.  A subclass passes
+    its spaces to `__init__`, yields its constant terms from
+    `_constant_terms` as (weight name, pairing key, local array) and maps
+    the weight names to values in `_weights`
     ("stab_mu", when present, weighs the velocity's gradient-jump penalty),
     and ends `residual`/`jacobian` with `_finish_residual`/
     `_finish_jacobian`.
 
-    The velocity block of the "hdiv" variant is written here once for all
-    models: `_velocity_constants` yields the SIPG facet terms and the
+    The H(div) velocity block (`velocity_pair`) is written here once for
+    all models: `_velocity_constants` yields the SIPG facet terms and the
     grad-div term and sets `r_sipg_unit`, the SIPG boundary data at unit
     viscosity (`_sipg` alone recomputes it when the boundary data change);
     `_add_advection` adds the boundary data, the upwind facets and the cell
@@ -199,7 +194,6 @@ class MixedModel:
 
     velocity = "u"
     magnetic = "B"
-    variant = "hdiv"
 
     def __init__(self, mesh, params, spaces, bcs=None, forcing=None):
         self.mesh = mesh
@@ -234,14 +228,13 @@ class MixedModel:
         pairs = dict.fromkeys(list(self.COUPLINGS)
                               + [(n, n) for n in self.mass_fields])
         pairings = {(t, r): (dofs[t], dofs[r]) for t, r in pairs}
-        if self.variant == "hdiv":
-            # facets pairing a cell with itself reuse the cell pairing's slots
-            v = self.velocity
-            for key, (ct, cr) in facet_pairings(
-                    self.spaces[v], QDEG, self._vel_marker_list()).items():
-                pairings[(v, v, key)] = (
-                    ((v, v), ct) if np.array_equal(ct, cr)
-                    else (dofs[v][ct], dofs[v][cr]))
+        # facets pairing a cell with itself reuse the cell pairing's slots
+        v = self.velocity
+        for key, (ct, cr) in facet_pairings(
+                self.spaces[v], QDEG, self._vel_marker_list()).items():
+            pairings[(v, v, key)] = (
+                ((v, v), ct) if np.array_equal(ct, cr)
+                else (dofs[v][ct], dofs[v][cr]))
         return SparsityPattern(st.total, pairings, self.constrained_idx)
 
     def _facet_terms(self, locals_):
@@ -254,8 +247,7 @@ class MixedModel:
         copy before changing it); rebuilt when a weight changes."""
         key = tuple(weights.items())
         if key != self._const_key:
-            if (weights.get("stab_mu") and self.variant == "hdiv"
-                    and "stab_mu" not in self._constants):
+            if weights.get("stab_mu") and "stab_mu" not in self._constants:
                 self._constants["stab_mu"] = self._stabilisation()
             data = np.zeros(self.pattern.nnz)
             for name, compact in self._constants.items():
@@ -265,13 +257,13 @@ class MixedModel:
         return self._const_data
 
     def _stabilisation(self):
-        """The gradient-jump penalty of an "hdiv" velocity at unit weight
-        (weight name "stab_mu"), built on first use: most runs have none."""
+        """The velocity's gradient-jump penalty at unit weight (weight name
+        "stab_mu"), built on first use: most runs have none."""
         local = burman_local(self.spaces[self.velocity], mu=1.0, qdeg=QDEG)
         return self.pattern.compact(self.pattern.scatter(
             self._facet_terms(local)))
 
-    # -- the "hdiv" velocity block --------------------------------------------
+    # -- the H(div) velocity block --------------------------------------------
 
     def _sipg(self, sym):
         """The velocity's SIPG facet terms at unit viscosity, keyed for the
@@ -284,13 +276,9 @@ class MixedModel:
         return self._facet_terms(sipg), r_unit
 
     def _velocity_constants(self, nu, sym):
-        """The constant terms of an "hdiv" velocity besides its cell viscous
-        term: the SIPG facet terms (weight name `nu`) and the grad-div term
-        (weight name "gamma").  Sets `r_sipg_unit`, zero for other
-        variants."""
-        self.r_sipg_unit = 0.0
-        if self.variant != "hdiv":
-            return
+        """The constant terms of the velocity besides its cell viscous term:
+        the SIPG facet terms (weight name `nu`) and the grad-div term (weight
+        name "gamma").  Sets `r_sipg_unit`."""
         v = self.velocity
         sipg, self.r_sipg_unit = self._sipg(sym)
         for key, loc in sipg.items():
@@ -299,16 +287,15 @@ class MixedModel:
                                           "div", "div", qdeg=QDEG)
 
     def _add_advection(self, ru, u, uq, guq, nu):
-        """Add to the velocity rows `ru` of a residual: for an "hdiv"
-        velocity the SIPG boundary data under viscosity `nu` and the upwind
-        facet advection, then the cell advection (u . grad u, v); `uq`, `guq`
-        are u and grad u at the quadrature points."""
-        if self.variant == "hdiv":
-            ru -= nu * self.r_sipg_unit
-            ru += upwind_advection_residual(
-                self.spaces[self.velocity], u, qdeg=QDEG,
-                dirichlet_markers=self._vel_marker_list(),
-                g_d=self._velocity_bc_data())
+        """Add to the velocity rows `ru` of a residual: the SIPG boundary
+        data under viscosity `nu`, the upwind facet advection and the cell
+        advection (u . grad u, v); `uq`, `guq` are u and grad u at the
+        quadrature points."""
+        ru -= nu * self.r_sipg_unit
+        ru += upwind_advection_residual(
+            self.spaces[self.velocity], u, qdeg=QDEG,
+            dirichlet_markers=self._vel_marker_list(),
+            g_d=self._velocity_bc_data())
         ru += cell_vector(self.spaces[self.velocity], "val",
                           np.einsum("cqd,cqkd->cqk", uq, guq), qdeg=QDEG)
 

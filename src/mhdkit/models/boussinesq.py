@@ -1,6 +1,6 @@
-"""Anisothermal (Boussinesq) MHD in 2D: (u, p, theta, E, B) with either the
+"""Anisothermal (Boussinesq) MHD in 2D: (u, p, theta, E, B) with the
 H(div) x L2 velocity pair (BDM2 x DG1, DG viscous/advection forms, grad-div
-augmentation) or Taylor-Hood (vector CG2 x CG1) for the bifurcation studies.
+augmentation).
 
 The (u, p, E, B) rows are `StandardMHD`'s form with its roles set to the
 Prandtl scaling: viscosity Pr, magnetic diffusivity Pr/Pm and Lorentz
@@ -30,10 +30,8 @@ class BoussinesqMHD(StandardMHD):
     # the buoyancy direction
     E3 = np.array([0.0, 1.0])
 
-    def __init__(self, mesh, params, bcs=None, forcing=None,
-                 velocity_variant="hdiv"):
-        self.variant = velocity_variant
-        u, p = velocity_pair(mesh, velocity_variant)
+    def __init__(self, mesh, params, bcs=None, forcing=None):
+        u, p = velocity_pair(mesh)
         cg2 = FunctionSpace(mesh, "CG", 2)  # theta and E share it
         # StandardMHD.__init__ fixes its own spaces
         MixedModel.__init__(self, mesh, params, {

@@ -3,17 +3,14 @@ fields over a 2D mesh with vanishing z-derivatives, keeping the current
 density as an unknown.
 
 State ordering: (ut, u3, p, Et, E3, Bt, B3, jt, j3) with in-plane parts in
-BDM2/NED2/RT2 and out-of-plane parts in CG2.  The "taylor_hood" velocity
-variant (vector CG2 velocity, CG1 pressure, skew-symmetrised advection,
-no grad-div term) reproduces the discrete energy identity exactly; the
-"hdiv" variant carries the DG advection/viscous machinery and the grad-div
-augmentation used by the solvers."""
+BDM2/NED2/RT2 and out-of-plane parts in CG2.  The in-plane velocity and the
+pressure are the H(div) x L2 pair BDM2 x DG1, with the DG advection/viscous
+forms and the grad-div augmentation the solvers use."""
 
 import numpy as np
 
 from ..elements import FunctionSpace
-from ..assembly import (cell_local, cell_matrix, cell_vector,
-                        field_at_quadrature)
+from ..assembly import cell_local, cell_vector, field_at_quadrature
 from .base import QDEG, MixedModel, advection_weight, perp, velocity_pair
 
 # perp(b) = ROT @ b
@@ -36,10 +33,8 @@ class HallMHD(MixedModel):
         ("jt", "ut"), ("jt", "u3"), ("jt", "j3"), ("jt", "B3"), ("jt", "Bt"),
         ("j3", "j3"), ("j3", "E3"), ("j3", "ut"), ("j3", "jt"), ("j3", "Bt"))
 
-    def __init__(self, mesh, params, bcs=None, forcing=None,
-                 velocity_variant="hdiv"):
-        self.variant = velocity_variant
-        ut, p = velocity_pair(mesh, velocity_variant)
+    def __init__(self, mesh, params, bcs=None, forcing=None):
+        ut, p = velocity_pair(mesh)
         # the out-of-plane parts share one CG2 space, Et and jt one NED2
         cg2 = FunctionSpace(mesh, "CG", 2)
         ned2 = FunctionSpace(mesh, "NED", 2)
@@ -107,21 +102,14 @@ class HallMHD(MixedModel):
         put = perp(utq)
 
         # momentum, in-plane
-        if self.variant == "hdiv":
-            self._add_advection(r[S["ut"]], F["ut"], utq, gutq, 1.0 / pr.Re)
-        else:
-            r[S["ut"]] += self._skew_vec_residual(utq, gutq)
+        self._add_advection(r[S["ut"]], F["ut"], utq, gutq, 1.0 / pr.Re)
         lor_t = -pr.S * (B3q[..., None] * pjt - j3q[..., None] * pBt)
         r[S["ut"]] += cell_vector(sp_["ut"], "val", lor_t, qdeg=QDEG)
 
         # momentum, out-of-plane
-        if self.variant == "hdiv":
-            adv3 = np.einsum("cqd,cqd->cq", utq, gu3q[..., 0, :])
-            r[S["u3"]] += cell_vector(sp_["u3"], "val", adv3[..., None],
-                                      qdeg=QDEG)
-        else:
-            r[S["u3"]] += self._skew_scalar_residual(utq, u3q[..., 0],
-                                                     gu3q[..., 0, :])
+        adv3 = np.einsum("cqd,cqd->cq", utq, gu3q[..., 0, :])
+        r[S["u3"]] += cell_vector(sp_["u3"], "val", adv3[..., None],
+                                  qdeg=QDEG)
         jxB = np.einsum("cqk,cqk->cq", jtq, pBt)  # jt x Bt (scalar)
         r[S["u3"]] += cell_vector(sp_["u3"], "val",
                                   (-pr.S * jxB)[..., None], qdeg=QDEG)
@@ -136,23 +124,6 @@ class HallMHD(MixedModel):
                                   qdeg=QDEG)
 
         return self._finish_residual(r, constrain)
-
-    def _skew_vec_residual(self, uq, guq):
-        adv = 0.5 * np.einsum("cqd,cqkd->cqk", uq, guq)
-        out = cell_vector(self.spaces["ut"], "val", adv, qdeg=QDEG)
-        # -1/2 (u . grad v) . u: test gradient against u_d u_k
-        W = 0.5 * np.einsum("cqk,cqd->cqkd", uq, uq)
-        out -= cell_vector(self.spaces["ut"], "grad",
-                           W.reshape(W.shape[:2] + (4,)), qdeg=QDEG)
-        return out
-
-    def _skew_scalar_residual(self, uq, sq, gsq):
-        adv = 0.5 * np.einsum("cqd,cqd->cq", uq, gsq)
-        out = cell_vector(self.spaces["u3"], "val", adv[..., None],
-                          qdeg=QDEG)
-        W = 0.5 * sq[..., None] * uq
-        out -= cell_vector(self.spaces["u3"], "grad", W, qdeg=QDEG)
-        return out
 
     # -- jacobian ---------------------------------------------------------------
 
@@ -179,26 +150,19 @@ class HallMHD(MixedModel):
                               weight=weight, qdeg=QDEG)
 
         terms = {}
-        # -- ut and u3 rows: advection
-        if self.variant == "hdiv":
-            # the facet terms first: they share the cell term's slots
-            terms.update(self._upwind_terms(F["ut"]))
-            terms[("ut", "ut")] = term("ut", "ut", advection_weight(utq),
-                                       trial_op="grad")
-            if delta:
-                terms[("ut", "ut")] += term("ut", "ut", gutq)
-            Wadv = np.zeros(shp + (1, 2))
-            Wadv[..., 0, :] = utq
-            terms[("u3", "u3")] = term("u3", "u3", Wadv, trial_op="grad")
-            if delta:
-                terms[("u3", "ut")] = term("u3", "ut",
-                                           gu3q[..., 0, :][:, :, None, :])
-        else:
-            terms[("ut", "ut")] = self._skew_vec_jacobian(utq, gutq, delta)
-            terms[("u3", "u3")] = self._skew_scalar_jacobian_33(utq)
-            if delta:
-                terms[("u3", "ut")] = self._skew_scalar_jacobian_3u(
-                    u3q[..., 0], gu3q[..., 0, :])
+        # -- ut and u3 rows: advection; the facet terms first, as they
+        # share the cell term's slots
+        terms.update(self._upwind_terms(F["ut"]))
+        terms[("ut", "ut")] = term("ut", "ut", advection_weight(utq),
+                                   trial_op="grad")
+        if delta:
+            terms[("ut", "ut")] += term("ut", "ut", gutq)
+        Wadv = np.zeros(shp + (1, 2))
+        Wadv[..., 0, :] = utq
+        terms[("u3", "u3")] = term("u3", "u3", Wadv, trial_op="grad")
+        if delta:
+            terms[("u3", "ut")] = term("u3", "ut",
+                                       gu3q[..., 0, :][:, :, None, :])
         # Lorentz: -S (B3 perp(djt) - j3 perp(dBt)
         #              + [dB3 perp(jt) - dj3 perp(Bt)])
         terms[("ut", "jt")] = term("ut", "jt",
@@ -235,65 +199,6 @@ class HallMHD(MixedModel):
                                        (put - pr.R_H * pjt)[:, :, None, :])
 
         return self._finish_jacobian(terms, delta, mass_coeff, steady_coeff)
-
-    def _skew_vec_jacobian(self, uq, guq, delta):
-        s = self.spaces["ut"]
-        J = cell_local(s, s, "val", "grad", weight=advection_weight(uq, 0.5),
-                       qdeg=QDEG)
-        # -1/2 (u . grad v) . du: test grad (k, d), trial val k', the
-        # transpose of W
-        W = advection_weight(uq, -0.5)
-        J = J + cell_local(s, s, "grad", "val", weight=W.swapaxes(-1, -2),
-                           qdeg=QDEG)
-        if delta:
-            J = J + cell_local(s, s, "val", "val", weight=0.5 * guq,
-                               qdeg=QDEG)
-            # -1/2 (du . grad v) . u: test grad (k, d), trial val d', so
-            # W4[(k, d), d'] = W[d, (d', k)]
-            W4 = W.reshape(W.shape[:2] + (2, 2, 2)).transpose(0, 1, 4, 2, 3)
-            J = J + cell_local(s, s, "grad", "val",
-                               weight=W4.reshape(W.shape[:2] + (4, 2)),
-                               qdeg=QDEG)
-        return J
-
-    def _skew_scalar_jacobian_33(self, uq):
-        s3 = self.spaces["u3"]
-        shp = uq.shape[:2]
-        Wa = np.zeros(shp + (1, 2))
-        Wa[..., 0, :] = 0.5 * uq
-        J = cell_local(s3, s3, "val", "grad", weight=Wa, qdeg=QDEG)
-        Wb = np.zeros(shp + (2, 1))
-        Wb[..., :, 0] = -0.5 * uq
-        return J + cell_local(s3, s3, "grad", "val", weight=Wb, qdeg=QDEG)
-
-    def _skew_scalar_jacobian_3u(self, sq, gsq):
-        s3, su = self.spaces["u3"], self.spaces["ut"]
-        Wa = gsq[:, :, None, :] * 0.5
-        J = cell_local(s3, su, "val", "val", weight=Wa, qdeg=QDEG)
-        Wb = -0.5 * sq[..., None, None] * np.eye(2)
-        return J + cell_local(s3, su, "grad", "val", weight=Wb, qdeg=QDEG)
-
-    # -- diagnostics ---------------------------------------------------------------
-
-    def energy_identity_error(self, vec):
-        """|Re^-1 ||grad u||^2 + Rem^-1 S ||j||^2 - <f, u>| scaled; the
-        identity of any discrete solution with homogeneous BCs."""
-        pr = self.params
-        st = self.state_template
-        s = self.spaces
-        ut = vec[st.field_slice("ut")]
-        u3 = vec[st.field_slice("u3")]
-        jt = vec[st.field_slice("jt")]
-        j3 = vec[st.field_slice("j3")]
-
-        def form(name, v, op):
-            return v @ (cell_matrix(s[name], s[name], op, op, qdeg=QDEG) @ v)
-        grad2 = form("ut", ut, "grad") + form("u3", u3, "grad")
-        j2 = form("jt", jt, "val") + form("j3", j3, "val")
-        fu = (self._rhs_const[st.field_slice("ut")] @ ut
-              + self._rhs_const[st.field_slice("u3")] @ u3)
-        lhs = grad2 / pr.Re + pr.S * j2 / pr.Rem
-        return abs(lhs - fu) / max(1.0, abs(fu))
 
 
 def compatible_hall_bcs(params, lid_velocity=1.0, ytop=0.5):

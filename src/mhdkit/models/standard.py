@@ -7,7 +7,7 @@ import numpy as np
 from ..elements import FunctionSpace
 from ..assembly import (cell_local, cell_matrix, cell_vector,
                         field_at_quadrature, EPS_CONTRACTION)
-from .base import QDEG, MixedModel, advection_weight, perp
+from .base import QDEG, MixedModel, advection_weight, perp, velocity_pair
 
 
 class StandardMHD(MixedModel):
@@ -27,9 +27,10 @@ class StandardMHD(MixedModel):
                  ("E", "u"), ("E", "E"), ("E", "B"), ("B", "E"), ("B", "B"))
 
     def __init__(self, mesh, params, bcs=None, forcing=None):
+        u, p = velocity_pair(mesh)
         super().__init__(mesh, params, {
-            "u": FunctionSpace(mesh, "BDM", 2),
-            "p": FunctionSpace(mesh, "DG", 1),
+            "u": u,
+            "p": p,
             "E": FunctionSpace(mesh, "CG", 2),
             "B": FunctionSpace(mesh, "RT", 2),
         }, bcs, forcing)
@@ -111,8 +112,7 @@ class StandardMHD(MixedModel):
             ("E", "u"): cell_local(E, u, weight=perpB[:, :, None, :],
                                    qdeg=QDEG),
         }
-        if self.variant == "hdiv":
-            terms.update(self._upwind_terms(F["u"]))
+        terms.update(self._upwind_terms(F["u"]))
         # tilde blocks: S (dB x E^n, v) + S(dB x (u^n x B^n), v)
         #             + S(B^n x (u^n x dB), v), none without a Lorentz force
         if delta and S:

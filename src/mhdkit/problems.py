@@ -17,6 +17,8 @@ from .precond import (StandardMHDPrecond, AnisothermalPrecond, HallPrecond,
 PROBLEM_NAMES = ("hartmann", "ldc2d", "island_coalescence", "hall_ldc",
                  "hall_island", "double_glazing", "cooling_channel",
                  "rayleigh_benard", "mms")
+# ldc2d's boundary magnetic fields, the first the default
+BC_FIELDS = ("uniform", "trig")
 
 
 class ProblemSpec:
@@ -109,11 +111,18 @@ class HartmannModel(StandardMHD):
 
 
 def make_problem(name, levels=None, params=None, mesh_base=None,
-                 pattern=None, **extras):
-    """Instantiate a named problem at the requested refinement level."""
+                 pattern=None, bc_field=None):
+    """Instantiate a named problem at the requested refinement level.
+    `bc_field`, one of BC_FIELDS, picks the boundary magnetic field of
+    ldc2d; no other problem takes one."""
     if name not in PROBLEM_NAMES:
         raise ValueError(f"unknown problem {name!r}; choose from "
                          f"{PROBLEM_NAMES}")
+    if bc_field is not None and name != "ldc2d":
+        raise ValueError(f"problem {name!r} takes no bc_field")
+    if bc_field not in (None, *BC_FIELDS):
+        raise ValueError(f"unknown bc_field {bc_field!r}; choose from "
+                         f"{BC_FIELDS}")
     pr = _params(name, params)
 
     if name == "hartmann":
@@ -141,7 +150,6 @@ def make_problem(name, levels=None, params=None, mesh_base=None,
 
     if name == "ldc2d":
         hier = _hierarchy(name, levels, mesh_base, pattern)
-        bc_field = extras.get("bc_field", "uniform")
         lid = _lid_velocity(0.5)
         if bc_field == "trig":
             Bbc = _trig_divfree_field()
@@ -177,8 +185,7 @@ def make_problem(name, levels=None, params=None, mesh_base=None,
         bcs = {"ut": ("all", lid), "u3": ("all", None),
                "Bt": ("all", Bbc), "B3": ("all", None)}
         bcs.update(hall_bcs)
-        variant = extras.get("velocity_variant", "hdiv")
-        model = HallMHD(hier.finest, pr, bcs=bcs, velocity_variant=variant)
+        model = HallMHD(hier.finest, pr, bcs=bcs)
         return ProblemSpec(name, hier, model, HallPrecond)
 
     if name == "hall_island":
@@ -191,8 +198,7 @@ def make_problem(name, levels=None, params=None, mesh_base=None,
                "Et": (markers, eq["Et"]), "E3": (markers, eq["E3"]),
                "jt": (markers, None), "j3": (markers, eq["j3"])}
         model = HallMHD(hier.finest, pr, bcs=bcs,
-                        forcing={"gB_t": eq["gB_t"], "gB_3": eq["gB_3"]},
-                        velocity_variant="hdiv")
+                        forcing={"gB_t": eq["gB_t"], "gB_3": eq["gB_3"]})
         return ProblemSpec(name, hier, model, HallPrecond,
                            extras={"equilibrium": eq})
 
@@ -226,11 +232,9 @@ def make_problem(name, levels=None, params=None, mesh_base=None,
                 inflow = np.abs(x) < 1e-9
                 return np.stack([np.where(inflow, 1.0, 0.0),
                                  np.zeros_like(y)], axis=-1)
-        variant = extras.get("velocity_variant", "hdiv")
         bcs = {"u": (u_markers, u_bc), "theta": (th_markers, th_bc),
                "E": ("all", None), "B": ("all", Bbc)}
-        model = BoussinesqMHD(hier.finest, pr, bcs=bcs,
-                              velocity_variant=variant)
+        model = BoussinesqMHD(hier.finest, pr, bcs=bcs)
         return ProblemSpec(name, hier, model, AnisothermalPrecond)
 
     raise AssertionError

@@ -60,10 +60,3 @@ def triangle_rule(degree):
     rule = QuadratureRule(np.column_stack([x, y]), w, degree)
     _tri_cache[degree] = rule
     return rule
-
-
-def monomial_integral_triangle(a, b):
-    """Exact value of the integral of x^a y^b over the reference triangle."""
-    from math import factorial
-
-    return factorial(a) * factorial(b) / factorial(a + b + 2)

@@ -153,6 +153,35 @@ def test_config_bc_field_acts_like_the_flag(monkeypatch, tmp_path):
             assert seen.pop() == field
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("problem, field", [("hartmann", "trig"),
+                                            ("ldc2d", "nonsense")])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_bc_field_is_rejected_where_it_would_be_ignored(
+        monkeypatch, tmp_path, capsys, command, problem, field, how):
+    # only ldc2d reads a boundary field, and only a field of BC_FIELDS: the
+    # run stops before any problem is built
+    monkeypatch.setattr(cli, "make_problem", _no_problem)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[problem]\nbc_field = {field}\n" if how == "config"
+                   else "")
+    extra = ["--grid", "S=1"] if command == "sweep" else []
+    flags = ["--bc-field", field] if how == "flag" else []
+    assert cli.main([command, "--problem", problem, "--levels", "0", *extra,
+                     *flags, "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "--bc-field" in err and "[problem] bc_field" in err
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_ldc2d_run_takes_the_trig_field(tmp_path):
+    # the one problem with a choice of boundary field still runs with it
+    assert cli.main(["run", "--problem", "ldc2d", "--levels", "0",
+                     "--bc-field", "trig", "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "report.csv").exists()
+
+
 @pytest.mark.parametrize("value, continued", [("true", True),
                                               ("false", False)])
 def test_config_continuation_acts_like_the_flag(monkeypatch, tmp_path,
@@ -250,14 +279,13 @@ def test_critical_values_at_the_count_exit_zero(monkeypatch, tmp_path,
     assert len((tmp_path / "critical.csv").read_text().splitlines()) == 3
 
 
-def test_dumped_fields_are_exact_on_linear_fields(tmp_path):
+def test_dumped_fields_are_exact_on_linear_fields(tmp_path, read_vtk):
     # the CG1 / VCG1 projections reproduce linear fields at the vertices
     from types import SimpleNamespace
 
     import numpy as np
 
     from mhdkit.elements import interpolate
-    from mhdkit.mesh import read_vtk
     from mhdkit.problems import make_problem
 
     spec = make_problem("ldc2d", levels=0, mesh_base=(4, 4))

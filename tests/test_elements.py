@@ -20,10 +20,18 @@ def unit_mesh():
     return build_rect_mesh((0, 1, 0, 1), 3, 3, "right")
 
 
+def dual_matrix(el):
+    """The element's dual functionals applied to its basis on the reference
+    cell: the identity when the basis is the dual basis."""
+    pts, wts = el.space.dual_points_weights()
+    vals, _ = el.space.tabulate_cells([0], pts[0:1])
+    return np.einsum("qik,qjk->ij", wts[0], vals[0])
+
+
 @pytest.mark.parametrize("fam,deg", ALL_FAMILIES)
 def test_reference_duality(fam, deg):
     el = ReferenceElement(fam, deg)
-    D = el.dual_matrix()
+    D = dual_matrix(el)
     assert np.abs(D - np.eye(el.dim)).max() < 1e-12
 
 
@@ -49,7 +57,7 @@ def test_cg1_nodal_at_vertices():
 def test_rt1_edge_moments():
     # integral over edge i of phi_j . n equals delta_ij by construction
     el = ReferenceElement("RT", 1)
-    D = el.dual_matrix()
+    D = dual_matrix(el)
     assert np.abs(D - np.eye(3)).max() < 1e-12
 
 

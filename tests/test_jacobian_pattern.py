@@ -72,11 +72,11 @@ def _velocity_facets(model, u_field, sym, weight, stab_mu=0.0):
     return J
 
 
-def _advection_weight(uq, scale=1.0):
+def _advection_weight(uq):
     W = np.zeros(uq.shape[:2] + (2, 4))
     for kk in range(2):
         for d in range(2):
-            W[..., kk, 2 * kk + d] = scale * uq[..., d]
+            W[..., kk, 2 * kk + d] = uq[..., d]
     return W
 
 
@@ -148,9 +148,8 @@ def old_boussinesq(model, vec, lin, mass_coeff, steady_coeff):
             + cell_matrix(u, u, weight=guq, qdeg=QDEG)
             + cell_matrix(u, u, weight=pr.S * np.einsum(
                 "cqi,cqj->cqij", perpB, perpB), qdeg=QDEG))
-    if model.variant == "hdiv":
-        J_uu = (J_uu + pr.gamma * cell_matrix(u, u, "div", "div", qdeg=QDEG)
-                + _velocity_facets(model, F["u"], True, pr.Pr, pr.stab_mu))
+    J_uu = (J_uu + pr.gamma * cell_matrix(u, u, "div", "div", qdeg=QDEG)
+            + _velocity_facets(model, F["u"], True, pr.Pr, pr.stab_mu))
     Wadv = np.zeros(uq.shape[:2] + (1, 2))
     Wadv[..., 0, :] = uq
     bm = _Blocks()
@@ -186,23 +185,6 @@ def old_boussinesq(model, vec, lin, mass_coeff, steady_coeff):
     return _old_finish(model, bm, mass_coeff, steady_coeff)
 
 
-def _skew_vec(s, uq, guq, delta):
-    shp = uq.shape[:2]
-    W3 = np.zeros(shp + (4, 2))
-    W4 = np.zeros(shp + (4, 2))
-    for kk in range(2):
-        for d in range(2):
-            W3[..., 2 * kk + d, kk] = -0.5 * uq[..., d]
-            W4[..., 2 * kk + d, d] = -0.5 * uq[..., kk]
-    J = (cell_matrix(s, s, "val", "grad", weight=_advection_weight(uq, 0.5),
-                     qdeg=QDEG)
-         + cell_matrix(s, s, "grad", "val", weight=W3, qdeg=QDEG))
-    if delta:
-        J = (J + cell_matrix(s, s, weight=0.5 * guq, qdeg=QDEG)
-             + cell_matrix(s, s, "grad", "val", weight=W4, qdeg=QDEG))
-    return J
-
-
 def old_hall(model, vec, lin, mass_coeff, steady_coeff):
     pr = model.params
     delta = lin == "newton"
@@ -222,32 +204,18 @@ def old_hall(model, vec, lin, mass_coeff, steady_coeff):
         return cell_matrix(s[t], s[r], top, rop, weight=weight, qdeg=QDEG)
 
     bm = _Blocks()
-    J_uu = inv_re * cm("ut", "ut", top="grad", rop="grad")
-    J_33 = inv_re * cm("u3", "u3", top="grad", rop="grad")
-    if model.variant == "hdiv":
-        J_uu = (J_uu + pr.gamma * cm("ut", "ut", top="div", rop="div")
-                + _velocity_facets(model, F["ut"], False, inv_re)
-                + cm("ut", "ut", _advection_weight(utq), rop="grad"))
-        if delta:
-            J_uu = J_uu + cm("ut", "ut", gutq)
-        Wadv = np.zeros(shp + (1, 2))
-        Wadv[..., 0, :] = utq
-        J_33 = J_33 + cm("u3", "u3", Wadv, rop="grad")
-        if delta:
-            bm.add("u3", "ut", cm("u3", "ut", gu3q[..., 0, :][:, :, None, :]))
-    else:
-        J_uu = J_uu + _skew_vec(s["ut"], utq, gutq, delta)
-        Wa = np.zeros(shp + (1, 2))
-        Wa[..., 0, :] = 0.5 * utq
-        Wb = np.zeros(shp + (2, 1))
-        Wb[..., :, 0] = -0.5 * utq
-        J_33 = (J_33 + cm("u3", "u3", Wa, rop="grad")
-                + cm("u3", "u3", Wb, top="grad"))
-        if delta:
-            bm.add("u3", "ut", cm("u3", "ut", gu3q[..., 0, :][:, :, None, :]
-                                  * 0.5)
-                   + cm("u3", "ut", -0.5 * u3q[..., 0][..., None, None]
-                        * np.eye(2), top="grad"))
+    J_uu = (inv_re * cm("ut", "ut", top="grad", rop="grad")
+            + pr.gamma * cm("ut", "ut", top="div", rop="div")
+            + _velocity_facets(model, F["ut"], False, inv_re)
+            + cm("ut", "ut", _advection_weight(utq), rop="grad"))
+    if delta:
+        J_uu = J_uu + cm("ut", "ut", gutq)
+    Wadv = np.zeros(shp + (1, 2))
+    Wadv[..., 0, :] = utq
+    J_33 = (inv_re * cm("u3", "u3", top="grad", rop="grad")
+            + cm("u3", "u3", Wadv, rop="grad"))
+    if delta:
+        bm.add("u3", "ut", cm("u3", "ut", gu3q[..., 0, :][:, :, None, :]))
     bm.add("ut", "ut", J_uu)
     bm.add("u3", "u3", J_33)
     D_up = cm("p", "ut", rop="div")
@@ -301,22 +269,25 @@ def _lid(x, y):
 MESH = dict(domain=(-0.5, 0.5, -0.5, 0.5), nx=2, ny=2)
 
 CASES = {
-    "standard": (lambda mesh, variant: StandardMHD(
+    "standard": (lambda mesh: StandardMHD(
         mesh, ModelParams(Re=2.0, Rem=3.0, S=1.5, gamma=7.0, stab_mu=5e-3),
         bcs={"u": ("all", _lid), "E": ("all", None),
-             "B": ("all", _unit_B)}), old_standard, ("hdiv",)),
-    "hall": (lambda mesh, variant: HallMHD(
+             "B": ("all", _unit_B)}), old_standard),
+    "hall": (lambda mesh: HallMHD(
         mesh, ModelParams(Re=2.0, Rem=3.0, S=1.5, R_H=0.7, gamma=4.0),
         bcs={n: ("all", None) for n in
-             ("ut", "u3", "Et", "E3", "Bt", "B3", "jt", "j3")},
-        velocity_variant=variant), old_hall, ("hdiv", "taylor_hood")),
-    "boussinesq": (lambda mesh, variant: BoussinesqMHD(
+             ("ut", "u3", "Et", "E3", "Bt", "B3", "jt", "j3")}), old_hall),
+    "boussinesq": (lambda mesh: BoussinesqMHD(
         mesh, ModelParams(Ra=50.0, Pr=0.7, Pm=1.3, S=2.0, gamma=3.0,
                           stab_mu=2e-3),
         bcs={"u": ("all", None), "theta": (["top", "bottom"], None),
-             "E": ("all", None), "B": ("all", _unit_B)},
-        velocity_variant=variant), old_boussinesq, ("hdiv", "taylor_hood")),
+             "E": ("all", None), "B": ("all", _unit_B)}), old_boussinesq),
 }
+
+
+def _hdiv_id(name):
+    """A case's test id: the model and its velocity pair, H(div) x L2."""
+    return f"{name}-hdiv"
 
 
 def _mesh():
@@ -331,16 +302,14 @@ def _random_state(model, seed):
     return x
 
 
-@pytest.mark.parametrize("name, variant", [
-    (name, variant) for name, (_, _, variants) in CASES.items()
-    for variant in variants])
+@pytest.mark.parametrize("name", list(CASES), ids=_hdiv_id)
 @pytest.mark.parametrize("lin", ["newton", "picard"])
 @pytest.mark.parametrize("mass_coeff, steady_coeff", [(0.0, 1.0),
                                                       (2.5, 0.5)])
-def test_jacobian_matches_per_term_assembly(name, variant, lin, mass_coeff,
+def test_jacobian_matches_per_term_assembly(name, lin, mass_coeff,
                                             steady_coeff):
-    make, old, _ = CASES[name]
-    model = make(_mesh(), variant)
+    make, old = CASES[name]
+    model = make(_mesh())
     x = _random_state(model, seed=7)
     A, _ = model.jacobian(x, lin, mass_coeff=mass_coeff,
                           steady_coeff=steady_coeff)
@@ -354,8 +323,8 @@ def test_jacobian_matches_per_term_assembly(name, variant, lin, mass_coeff,
 def test_zero_state_jacobian_keeps_the_reference_structure(name):
     # at the zero state the state-dependent terms vanish: the pattern keeps
     # their zeros, the LU input drops them like the product D A D did
-    make, old, _ = CASES[name]
-    model = make(_mesh(), "hdiv")
+    make, old = CASES[name]
+    model = make(_mesh())
     x = model.initial_state().vector
     A, _ = model.jacobian(x)
     ref = old(model, x, "newton", 0.0, 1.0)
@@ -378,8 +347,8 @@ def test_second_jacobian_builds_no_pattern(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(base, "SparsityPattern", Counting)
-    make, _, _ = CASES["standard"]
-    model = make(_mesh(), "hdiv")
+    make, _ = CASES["standard"]
+    model = make(_mesh())
     assert built == [1]
     x = _random_state(model, seed=3)
     A1, _ = model.jacobian(x)
@@ -413,11 +382,8 @@ def _one_sort_pattern(n, pairings, constrained):
             np.flatnonzero(mask[rows] | mask[cols]))
 
 
-@pytest.mark.parametrize("name, variant", [
-    (name, variant) for name, (_, _, variants) in CASES.items()
-    for variant in variants])
-def test_row_block_pattern_is_the_one_sort_pattern(monkeypatch, name,
-                                                    variant):
+@pytest.mark.parametrize("name", list(CASES), ids=_hdiv_id)
+def test_row_block_pattern_is_the_one_sort_pattern(monkeypatch, name):
     seen = []
 
     class Recording(base.SparsityPattern):
@@ -426,7 +392,7 @@ def test_row_block_pattern_is_the_one_sort_pattern(monkeypatch, name,
             super().__init__(*args)
 
     monkeypatch.setattr(base, "SparsityPattern", Recording)
-    pat = CASES[name][0](_mesh(), variant).pattern
+    pat = CASES[name][0](_mesh()).pattern
     indptr, indices, slots, diag, dropped = _one_sort_pattern(*seen[0])
     for got, ref in ((pat.indptr, indptr), (pat.indices, indices),
                      (pat.diag, diag), (pat.dropped, dropped)):
@@ -437,17 +403,15 @@ def test_row_block_pattern_is_the_one_sort_pattern(monkeypatch, name,
         assert np.array_equal(pat.slots[k], ref)
 
 
-@pytest.mark.parametrize("name, variant", [
-    (name, variant) for name, (_, _, variants) in CASES.items()
-    for variant in variants] + [("hartmann", "hdiv")])
-def test_streamed_constants_match_the_summed_terms(name, variant):
+@pytest.mark.parametrize("name", list(CASES) + ["hartmann"], ids=_hdiv_id)
+def test_streamed_constants_match_the_summed_terms(name):
     # each constant term is scattered into its group's data as it is
     # generated; the reference sums each group's local arrays per key first
     if name == "hartmann":
         from mhdkit.problems import make_problem
         model = make_problem("hartmann", levels=0, mesh_base=(4, 4)).model
     else:
-        model = CASES[name][0](_mesh(), variant)
+        model = CASES[name][0](_mesh())
     pat = model.pattern
     groups = {}
     for gname, key, local in model._constant_terms():

@@ -3,13 +3,16 @@ import pytest
 
 from mhdkit.mesh import build_rect_mesh
 from mhdkit.elements import interpolate, l2_project
-from mhdkit.models.base import ModelParams
+from mhdkit.assembly import (cell_matrix, cell_vector, facet_data,
+                             sipg_viscous)
+from mhdkit.models.base import QDEG, ModelParams
 from mhdkit.models.standard import StandardMHD
 from mhdkit.models.boussinesq import BoussinesqMHD
 from mhdkit.models.hall import HallMHD, compatible_hall_bcs
 from mhdkit import problems
 from mhdkit.models import analytic
 from mhdkit.nonlinear import NonlinearConfig, solve_nonlinear
+from mhdkit.quadrature import gauss_interval
 
 
 def _fd_check(model, state, lin="newton", n_cols=30, seed=0, tol=1e-5,
@@ -202,19 +205,17 @@ def test_interpolated_island_divfree():
     assert np.sqrt(np.sum(div ** 2 * w)) < 1e-10
 
 
-def test_boussinesq_fd_jacobian_both_variants():
+def test_boussinesq_fd_jacobian():
     def theta_bc(x, y):
         return np.where(np.abs(y) < 1e-12, 1.0, 0.0)
-    for variant in ("hdiv", "taylor_hood"):
-        mesh = build_rect_mesh((0, 1, 0, 1), 2, 2, "crossed")
-        model = BoussinesqMHD(
-            mesh, ModelParams(Ra=50.0, Pr=0.7, Pm=1.3, S=2.0, gamma=3.0),
-            bcs={"u": ("all", None), "theta": (["top", "bottom"], theta_bc),
-                 "E": ("all", None),
-                 "B": ("all", lambda x, y: np.stack(
-                     [0 * x, np.ones_like(y)], axis=-1))},
-            velocity_variant=variant)
-        _fd_check(model, model.initial_state(), seed=3)
+    mesh = build_rect_mesh((0, 1, 0, 1), 2, 2, "crossed")
+    model = BoussinesqMHD(
+        mesh, ModelParams(Ra=50.0, Pr=0.7, Pm=1.3, S=2.0, gamma=3.0),
+        bcs={"u": ("all", None), "theta": (["top", "bottom"], theta_bc),
+             "E": ("all", None),
+             "B": ("all", lambda x, y: np.stack(
+                 [0 * x, np.ones_like(y)], axis=-1))})
+    _fd_check(model, model.initial_state(), seed=3)
 
 
 def test_conduction_state_exact_root():
@@ -232,33 +233,93 @@ def test_conduction_state_exact_root():
         assert r <= 1e-10 * max(1.0, Ra * model.params.Pr)
 
 
-def test_hall_fd_jacobian_both_variants():
-    for variant in ("hdiv", "taylor_hood"):
-        mesh = _mesh22()
-        model = HallMHD(
-            mesh, ModelParams(Re=2.0, Rem=3.0, S=1.5, R_H=0.7, gamma=4.0),
-            bcs={n: ("all", None) for n in
-                 ("ut", "u3", "Et", "E3", "Bt", "B3", "jt", "j3")},
-            velocity_variant=variant)
-        _fd_check(model, model.initial_state(), n_cols=40, seed=4)
+def test_hall_fd_jacobian():
+    model = HallMHD(
+        _mesh22(), ModelParams(Re=2.0, Rem=3.0, S=1.5, R_H=0.7, gamma=4.0),
+        bcs={n: ("all", None) for n in
+             ("ut", "u3", "Et", "E3", "Bt", "B3", "jt", "j3")})
+    _fd_check(model, model.initial_state(), n_cols=40, seed=4)
+
+
+def _interior_facet_traces(field, qdeg):
+    """Both traces of `field` on the interior facets, their unit normals and
+    their quadrature weights.  The plus and minus sides and the normals,
+    which point from plus to minus, are those of the facet forms
+    (`assembly.facet_data`)."""
+    mesh = field.space.mesh
+    fd = facet_data(mesh, qdeg)
+    rule = gauss_interval(qdeg)
+    p = mesh.edge_endpoints_in_cell(fd.int_edges, 0)
+    pts = p[:, None, 0] + rule.points[None, :, None] * (p[:, None, 1]
+                                                       - p[:, None, 0])
+    plus, minus = (field.eval_cells(fd.int_cells[:, s], pts)
+                   for s in range(2))
+    return plus, minus, fd.int_normal, rule.weights * fd.int_len[:, None]
 
 
 def test_hall_energy_identity_forced():
+    # The discrete energy identity of the H(div) pair with homogeneous
+    # boundary data:
+    #   Re^-1 (a_h(ut, ut) + ||grad u3||^2) + c_F(ut) + S Rem^-1 ||j||^2
+    #     = <f, u>,
+    # a_h the SIPG form.  ut is divergence-free with ut.n = 0 on the
+    # boundary, so its cell advection (ut . grad ut, ut) is
+    # sum_F (ut.n) {ut} . [[ut]], (ut . grad u3, u3) vanishes, and the upwind
+    # facet term adds sum_F (ut.n)^+ |[[ut]]|^2.  Their sum c_F is the upwind
+    # dissipation 1/2 sum_F |ut.n| |[[ut]]|^2 (Cockburn, Kanschat & Schoetzau,
+    # J. Sci. Comput. 31, 2007) plus sum_F (ut.n) ut^+ . [[ut]], the part of
+    # the facet form that depends on which side of a facet is the plus side.
     mesh = build_rect_mesh((-0.5, 0.5, -0.5, 0.5), 8, 8)
     f_t = lambda x, y: np.stack([np.sin(np.pi * x) * np.cos(np.pi * y),
                                  np.cos(2 * np.pi * x) * np.sin(np.pi * y)],
                                 axis=-1)
     f_3 = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     for RH in (0.0, 0.1, 1.0):
+        pr = ModelParams(Re=10.0, Rem=5.0, S=2.0, R_H=RH, gamma=0.0)
         model = HallMHD(
-            mesh, ModelParams(Re=10.0, Rem=5.0, S=2.0, R_H=RH, gamma=0.0),
-            bcs={n: ("all", None) for n in
-                 ("ut", "u3", "Et", "E3", "Bt", "B3", "jt", "j3")},
-            forcing={"f_t": f_t, "f_3": f_3}, velocity_variant="taylor_hood")
+            mesh, pr, bcs={n: ("all", None) for n in
+                           ("ut", "u3", "Et", "E3", "Bt", "B3", "jt", "j3")},
+            forcing={"f_t": f_t, "f_3": f_3})
         st, rep = solve_nonlinear(model, model.initial_state(),
                                   NonlinearConfig(atol=1e-12, rtol=1e-13))
         assert rep.converged
-        assert model.energy_identity_error(st.vector) <= 1e-9
+        s = model.spaces
+        x = {n: st.view(n) for n in model.fields}
+
+        def form(name, op, extra=0.0):
+            A = cell_matrix(s[name], s[name], op, op, qdeg=QDEG) + extra
+            return x[name] @ (A @ x[name])
+        sipg, _ = sipg_viscous(s["ut"], nu=1.0, sym=False, qdeg=QDEG,
+                               dirichlet_markers=list(mesh.marker_names))
+        viscous = form("ut", "grad", sipg) + form("u3", "grad")
+        joule = form("jt", "val") + form("j3", "val")
+        up, um, n, w = _interior_facet_traces(st.field("ut"), QDEG)
+        un = np.einsum("eqk,ek->eq", up, n)
+        jump = up - um
+        upwind = 0.5 * np.sum(w * np.abs(un) * np.sum(jump ** 2, axis=-1))
+        sided = np.sum(w * un * np.sum(up * jump, axis=-1))
+        work = sum(cell_vector(s[name], "val", f, qdeg=HallMHD.QDEG_RHS)
+                   @ x[name] for name, f in (("ut", f_t), ("u3", f_3)))
+        lhs = viscous / pr.Re + upwind + sided + pr.S * joule / pr.Rem
+        assert abs(lhs - work) <= 1e-9 * abs(work)
+        # the flow is strong enough that the identity sees the dissipation
+        assert upwind >= 100 * 1e-9 * abs(work)
+
+
+def test_make_problem_takes_a_bc_field_for_ldc2d_only():
+    trig = problems.make_problem("ldc2d", levels=0, mesh_base=(2, 2),
+                                 bc_field="trig").model
+    uniform = problems.make_problem("ldc2d", levels=0, mesh_base=(2, 2),
+                                    bc_field="uniform").model
+    default = problems.make_problem("ldc2d", levels=0, mesh_base=(2, 2)).model
+    assert np.array_equal(default.constrained_vals, uniform.constrained_vals)
+    assert not np.array_equal(trig.constrained_vals, uniform.constrained_vals)
+    with pytest.raises(ValueError, match="bc_field"):
+        problems.make_problem("ldc2d", levels=0, mesh_base=(2, 2),
+                              bc_field="nonsense")
+    with pytest.raises(ValueError, match="bc_field"):
+        problems.make_problem("hartmann", levels=0, mesh_base=(2, 2),
+                              bc_field="trig")
 
 
 def test_compatible_hall_bcs():
