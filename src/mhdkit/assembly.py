@@ -1,7 +1,7 @@
 """Cell and facet assembly of bilinear/linear forms: mass/stiffness/grad-div
 kernels, interior-penalty (SIPG) viscous terms and upwinded advection for the
-H(div) x L2 velocity pair, gradient-jump stabilisation, and strong Dirichlet
-application with right-hand-side lifting.
+H(div) x L2 velocity pair, gradient-jump stabilisation, strong Dirichlet
+data and the constraining of matrices.
 
 Every sparse matrix built from local arrays comes out of this module:
 `scatter` sums local arrays into a CSR matrix, `interpolation_matrix`
@@ -26,10 +26,9 @@ from .quadrature import gauss_interval
 __all__ = [
     "scatter", "cell_local", "cell_matrix", "cell_vector",
     "interpolation_matrix",
-    "facet_data", "facet_pairings", "sipg_local", "sipg_viscous",
-    "upwind_advection_local", "upwind_advection_matrix",
-    "upwind_advection_residual", "burman_local", "burman_stabilisation",
-    "SparsityPattern", "apply_bcs", "constrain_matrix", "DirichletBC",
+    "facet_data", "facet_pairings", "sipg_local",
+    "upwind_advection_local", "upwind_advection_residual", "burman_local",
+    "SparsityPattern", "constrain_matrix", "DirichletBC",
 ]
 
 
@@ -387,18 +386,6 @@ def facet_pairings(space, qdeg, dirichlet_markers=None):
     return out
 
 
-def _facet_matrix(space, qdeg, dirichlet_markers, locals_):
-    """CSR sum of facet local arrays keyed as in `facet_pairings`, without
-    stored zeros."""
-    pairs = facet_pairings(space, qdeg, dirichlet_markers)
-    dm = space.dofmap
-    A = scatter([(dm[pairs[k][0]], dm[pairs[k][1]], loc)
-                 for k, loc in locals_.items()],
-                (space.total_dofs, space.total_dofs))
-    A.eliminate_zeros()
-    return A
-
-
 # -- SIPG viscous term ---------------------------------------------------------
 
 def _stress(normal, sym):
@@ -472,16 +459,6 @@ def sipg_local(space, nu, sigma=None, sym=True, qdeg=None,
                                        wLb))
             np.add.at(rhs, space.dofmap[cells].ravel(), rloc.ravel())
     return out, rhs
-
-
-def sipg_viscous(space, nu, sigma=None, sym=True, qdeg=None,
-                 dirichlet_markers=None, g_d=None):
-    """`sipg_local` assembled: (matrix, rhs)."""
-    if qdeg is None:
-        qdeg = 2 * space.element.degree + 2
-    locals_, rhs = sipg_local(space, nu, sigma, sym, qdeg,
-                              dirichlet_markers, g_d)
-    return _facet_matrix(space, qdeg, dirichlet_markers, locals_), rhs
 
 
 # -- upwinded DG advection -----------------------------------------------------
@@ -586,16 +563,6 @@ def upwind_advection_local(space, u_field, qdeg=None,
     return out
 
 
-def upwind_advection_matrix(space, u_field, qdeg=None,
-                            dirichlet_markers=None, g_d=None):
-    """`upwind_advection_local` assembled into a CSR matrix."""
-    if qdeg is None:
-        qdeg = 3 * space.element.degree + 1
-    locals_ = upwind_advection_local(space, u_field, qdeg,
-                                     dirichlet_markers, g_d)
-    return _facet_matrix(space, qdeg, dirichlet_markers, locals_)
-
-
 def burman_local(space, mu, qdeg=None):
     """Gradient-jump penalty sum_F mu h_F^2 int_F [grad u] : [grad v] ds over
     interior facets, as local arrays keyed as in `facet_pairings`."""
@@ -609,15 +576,6 @@ def burman_local(space, mu, qdeg=None):
                 grads[st], grads[sr], None, wL)
             for st, sgn_t in ((0, 1.0), (1, -1.0))
             for sr, sgn_r in ((0, 1.0), (1, -1.0))}
-
-
-def burman_stabilisation(space, mu, qdeg=None):
-    """`burman_local` assembled into a CSR matrix (empty for mu = 0)."""
-    if mu == 0.0:
-        return sp.csr_matrix((space.total_dofs, space.total_dofs))
-    if qdeg is None:
-        qdeg = 2 * space.element.degree + 2
-    return _facet_matrix(space, qdeg, None, burman_local(space, mu, qdeg))
 
 
 # -- Dirichlet boundary conditions ---------------------------------------------
@@ -648,28 +606,6 @@ class DirichletBC:
         for i, d in enumerate(self.dofs):
             out[i] = vals[order[d]] if d in order else 0.0
         return self.dofs, out
-
-
-def apply_bcs(A, b, constrained, values=None):
-    """Symmetric elimination: zero rows/cols of constrained dofs, unit
-    diagonal, and lift the right-hand side by A[:, c] g_c so interior
-    equations see the boundary data; b[c] = g_c afterwards."""
-    constrained = np.asarray(constrained, dtype=np.int64)
-    n = A.shape[0]
-    if values is None:
-        values = np.zeros(len(constrained))
-    g = np.zeros(n)
-    g[constrained] = values
-    b = b - A @ g
-    mask = np.ones(n)
-    mask[constrained] = 0.0
-    D = sp.diags(mask)
-    A = D @ A @ D
-    one = np.zeros(n)
-    one[constrained] = 1.0
-    A = (A + sp.diags(one)).tocsr()
-    b[constrained] = values
-    return A, b
 
 
 def constrain_matrix(A, constrained):

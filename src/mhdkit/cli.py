@@ -15,8 +15,7 @@ from .models.base import ModelParams
 from .nonlinear import (NonlinearConfig, solve_nonlinear,
                         ContinuationSchedule, continue_parameters,
                         StageFailure, direct_solver_factory)
-from .precond import (ELIMINATIONS, BlockPrecondConfig, KrylovSolverFactory,
-                      IterationLedger)
+from .precond import KrylovSolverFactory, IterationLedger
 from .problems import (PROBLEM_NAMES, BC_FIELDS, ISLAND_FIELDS,
                        make_problem, parse_config, island_initial_state,
                        ConfigError)
@@ -24,8 +23,8 @@ from .timestepping import (TimeConfig, run_transient, FrozenJacobianFactory,
                            ReconnectionProbe, write_series_csv)
 
 PARAM_FLAGS = ("Re", "Rem", "S", "RH", "Ra", "Pr", "Pm", "gamma")
-DEFAULTS = {"linearisation": "newton", "elimination": "eliminate_up",
-            "linear_solver": "direct", "out_dir": "."}
+DEFAULTS = {"linearisation": "newton", "linear_solver": "direct",
+            "out_dir": "."}
 
 
 def _add_common(p):
@@ -34,9 +33,8 @@ def _add_common(p):
     for f in PARAM_FLAGS:
         p.add_argument(f"--{f}", type=float)
     p.add_argument("--levels", type=int)
-    # these four take DEFAULTS only after the config file is read
+    # these three take DEFAULTS only after the config file is read
     p.add_argument("--linearisation", choices=["newton", "picard"])
-    p.add_argument("--elimination", choices=ELIMINATIONS)
     p.add_argument("--linear-solver", choices=["fgmres", "direct"])
     p.add_argument("--continuation", action="store_true", default=None,
                    help="apply the stationary continuation schedules")
@@ -113,7 +111,7 @@ def _apply_config_file(args):
         if getattr(args, flag, None) is None:
             setattr(args, flag, _config_value("params", k, v, float))
     sol = cfg.get("solver", {})
-    for key in ("linearisation", "elimination", "linear_solver"):
+    for key in ("linearisation", "linear_solver"):
         if key in sol and getattr(args, key) is None:
             setattr(args, key, sol[key])
     if "continuation" in sol and args.continuation is None:
@@ -133,9 +131,7 @@ def _apply_config_file(args):
 
 
 def _apply_defaults(args):
-    """DEFAULTS for the settings neither the flags nor the file gave; the
-    names of those they gave are kept in `args.given`."""
-    args.given = {key for key in DEFAULTS if getattr(args, key) is not None}
+    """DEFAULTS for the settings neither the flags nor the file gave."""
     for key, value in DEFAULTS.items():
         if getattr(args, key) is None:
             setattr(args, key, value)
@@ -147,15 +143,6 @@ def _nonlinear_config(args):
     given = {k: getattr(args, k) for k in ("rtol", "atol", "max_steps")
              if getattr(args, k) is not None}
     return NonlinearConfig(linearisation=args.linearisation, **given)
-
-
-def _reject_elimination(args):
-    """The direct LU reads no elimination: one that was given stops the run
-    with exit code 1 instead of being ignored."""
-    if "elimination" in args.given:
-        print("error: --elimination is only read by --linear-solver fgmres",
-              file=sys.stderr)
-        sys.exit(1)
 
 
 def _unsupported(what, settings):
@@ -184,16 +171,9 @@ def _bad_bc_field(args):
 
 def _solver_factory(args, spec, ledger=None):
     if args.linear_solver == "direct":
-        _reject_elimination(args)
         return direct_solver_factory
-    try:
-        pc = spec.make_precond(
-            BlockPrecondConfig(elimination=args.elimination))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(1)
-    return KrylovSolverFactory(pc, rtol=1e-7, atol=1e-7, maxiter=100,
-                               ledger=ledger)
+    return KrylovSolverFactory(spec.make_precond(), rtol=1e-7, atol=1e-7,
+                               maxiter=100, ledger=ledger)
 
 
 def _report_path(args, name):
@@ -256,9 +236,6 @@ def cmd_run(args):
               "supported with --dt/--T; time steps use --linear-solver "
               "direct", file=sys.stderr)
         return 1
-    if transient:
-        # the stationary paths check in _solver_factory
-        _reject_elimination(args)
     params = _collect_params(args)
     spec = make_problem(args.problem, levels=args.levels, params=params,
                         bc_field=args.bc_field)
@@ -450,7 +427,6 @@ def cmd_bifurcate(args):
     if _unsupported("bifurcate", (
             ("--problem", args.problem not in (None, "rayleigh_benard")),
             ("--linear-solver", args.linear_solver not in (None, "direct")),
-            ("--elimination", args.elimination is not None),
             ("--continuation", args.continuation),
             ("--dt", args.dt is not None), ("--T", args.T is not None),
             ("--bc-field", args.bc_field is not None),

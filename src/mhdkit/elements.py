@@ -695,11 +695,3 @@ class ReferenceElement:
         if grad:
             return vals[0], grads[0]
         return vals[0]
-
-
-
-def tabulate(element, points, grad=False):
-    """Module-level convenience wrapper over ReferenceElement.tabulate."""
-    if not isinstance(element, ReferenceElement):
-        element = ReferenceElement(*element)
-    return element.tabulate(points, grad)

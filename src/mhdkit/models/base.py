@@ -139,21 +139,6 @@ def velocity_pair(mesh):
     return FunctionSpace(mesh, "BDM", 2), FunctionSpace(mesh, "DG", 1)
 
 
-class JacobianParts(dict):
-    """The parts dict of a Jacobian: entries given in `lazy` as
-    zero-argument callables are built on first access."""
-
-    def __init__(self, lazy, **items):
-        super().__init__(**items)
-        self._lazy = lazy
-
-    def __missing__(self, key):
-        if key not in self._lazy:
-            raise KeyError(key)
-        value = self[key] = self._lazy.pop(key)()
-        return value
-
-
 class MixedModel:
     """Constraint, state, forcing, mass, operator and diagnostic plumbing
     shared by the mixed MHD models.
@@ -392,13 +377,12 @@ class MixedModel:
         return r
 
     def _finish_jacobian(self, terms, delta, mass_coeff, steady_coeff,
-                         weights=None, lazy=None, **parts):
+                         weights=None):
         """steady_coeff * J + mass_coeff * M, constrained, on the model's
         pattern: the weighted constants plus the state-dependent local
         arrays `terms` (pairing key -> local), scattered into them.  Returns
-        the matrix and the parts dict the block preconditioners read, with
-        the model's own `parts` and its `lazy` parts, built on first
-        access."""
+        the matrix and the parts dict passed on to the block
+        preconditioners."""
         pat = self.pattern
         data = pat.scatter(
             terms, self._constant_data(weights or self._weights()).copy())
@@ -408,10 +392,9 @@ class MixedModel:
             pat.expand(self._mass, mass_coeff, out=data)
         A = pat.constrain(data)
         st = self.state_template
-        parts.update(offsets=st.offsets, sizes=st.sizes(),
-                     mass_coeff=mass_coeff, steady_coeff=steady_coeff,
-                     delta=delta)
-        return A, JacobianParts(lazy or {}, **parts)
+        return A, dict(offsets=st.offsets, sizes=st.sizes(),
+                       mass_coeff=mass_coeff, steady_coeff=steady_coeff,
+                       delta=delta)
 
     # -- mass -----------------------------------------------------------------
 

@@ -72,7 +72,7 @@ class BoussinesqMHD(StandardMHD):
                  drop_graddiv=False):
         delta = 1.0 if linearisation == "newton" else 0.0
         F = self._state_fields(vec)
-        terms, uq, _ = self._mhd_terms(
+        terms, uq = self._mhd_terms(
             F, delta, 0.0 if drop_lorentz else self.params.S)
         # temperature rows: (u^n . grad dth, tau) + (du . grad th^n, tau)
         th = self.spaces["theta"]

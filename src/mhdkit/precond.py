@@ -1,11 +1,11 @@
-"""Block preconditioners: block upper-triangular application over a 2x2 field
-grouping, outer Schur approximations for both elimination orders, the
+"""Block preconditioners: block upper-triangular application over the one
+(flow | electromagnetic) field grouping, which eliminates the flow block and
+approximates the outer Schur complement by the electromagnetic block; the
 augmented-Lagrangian inner block (star-patch multigrid on the coupled flow
 fields + scaled pressure mass), the electromagnetic multigrid wiring and the
 Hall electromagnetic block."""
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import cell_local, scatter
 from .linalg import LuSolver, fgmres, fixed_iteration_solver
@@ -16,19 +16,17 @@ from .multigrid import MgHierarchy, GeometricMultigrid
 # threefold, where an exact electromagnetic block leaves it as it is), so it
 # gets the larger budget.  4 halves the outer count on `hartmann`, where 3
 # cuts it by less than a third; 5 and 6 are no faster.  An electromagnetic
-# budget of 1 fails at the Rem = 500 stage of (S, Re = Rem) = (1, 1000)
+# budget of 1 fails at the Rem = 500 stage of (S, Re = Rem) = (1, 1000).
+# The multigrid smoother's budget is multigrid.SMOOTH_ITERS
 AL_ITERS = 4
 MG_ITERS = 2
 
 
-ELIMINATIONS = ("eliminate_up", "eliminate_eb")
-
-
 class BlockPrecondConfig:
-    def __init__(self, elimination="eliminate_up"):
-        if elimination not in ELIMINATIONS:
-            raise ValueError(f"unknown elimination {elimination!r}")
-        self.elimination = elimination
+    """The block preconditioners have no options: every one has the single
+    (flow | electromagnetic) grouping.  The class stays, empty, because
+    perfbench/workloads.py constructs one and passes it to
+    `ProblemSpec.make_precond`."""
 
 
 class IterationLedger:
@@ -140,15 +138,6 @@ def al_inverse(ctx, Mp_inv, schur_scale, A):
     return fixed_iteration_solver(A, inner.apply, AL_ITERS)
 
 
-def require_eliminate_up(model, config):
-    """A preconditioner with the one (flow | electromagnetic) grouping
-    rejects any other elimination order rather than ignore it."""
-    if config is not None and config.elimination != "eliminate_up":
-        raise ValueError(
-            f"{type(model).__name__} preconditioner has only the "
-            f"'eliminate_up' grouping, not {config.elimination!r}")
-
-
 def field_indices(state_template, names):
     """Global dof indices of the named fields, in the given order."""
     return np.concatenate([np.arange(state_template.field_slice(n).start,
@@ -157,23 +146,15 @@ def field_indices(state_template, names):
 
 
 class StandardMHDPrecond:
-    """Outer block preconditioner for the standard-MHD Jacobian.
+    """Outer block preconditioner for the standard-MHD Jacobian: the (u, p)
+    block is the top-left group, its approximate inverse is AL_ITERS FGMRES
+    iterations preconditioned by the fluid AL preconditioner, and the outer
+    Schur approximation is the exact (E, B) diagonal block, inverted by
+    MG_ITERS FGMRES iterations preconditioned by the monolithic
+    electromagnetic multigrid."""
 
-    eliminate_up (default): the (u,p) block is the 2x2 top-left group, its
-    approximate inverse is AL_ITERS FGMRES iterations preconditioned by the
-    fluid AL preconditioner, and the outer Schur approximation is the exact
-    (E,B) diagonal block, inverted by MG_ITERS FGMRES iterations
-    preconditioned by the monolithic electromagnetic multigrid.
-
-    eliminate_eb: the roles swap; the Schur approximation is the fluid block
-    with the linearised Lorentz term scaled by
-    alpha = dt / (dt + Rem h^2 + delta Rem h ||u^n|| dt) in the transient
-    case (stationary: alpha = 1).
-    """
-
-    def __init__(self, model, hierarchy, config=None):
+    def __init__(self, model, hierarchy):
         self.model = model
-        self.config = config or BlockPrecondConfig()
         mk = model.bc_markers
         s = model.spaces
         self.vel_ctx = MgHierarchy(hierarchy, [s["u"]], [mk["u"]])
@@ -183,56 +164,15 @@ class StandardMHDPrecond:
         st = model.state_template
         self.up_idx = field_indices(st, ("u", "p"))
         self.eb_idx = field_indices(st, ("E", "B"))
-        self.nu_ = st.spaces["u"].total_dofs
-        self.np_ = st.spaces["p"].total_dofs
-        self._h = model.mesh.min_edge_length()
-
-    def _fluid_inverse(self, A_up):
-        pr = self.model.params
-        return al_inverse(self.vel_ctx, self.Mp_inv,
-                          -(1.0 / pr.Re + pr.gamma), A_up)
 
     def build(self, A, parts):
-        cfg = self.config
+        pr = self.model.params
         A_up = A[self.up_idx][:, self.up_idx].tocsr()
         A_eb = A[self.eb_idx][:, self.eb_idx].tocsr()
-        if cfg.elimination == "eliminate_up":
-            inv_up = self._fluid_inverse(A_up)
-            inv_eb = mg_inverse(self.em_ctx, A_eb)
-            return BlockUpperPrecond(A, self.up_idx, self.eb_idx,
-                                     inv_up, inv_eb)
-        # eliminate_EB: Schur approximation is the fluid block with the
-        # Lorentz term scaled by alpha
-        alpha = self.lorentz_alpha(parts)
-        S = A_up
-        if alpha != 1.0:
-            D = parts["D"]
-            con = self.model.constrained_idx
-            con_u = con[con < self.nu_]
-            mask = np.ones(self.nu_)
-            mask[con_u] = 0.0
-            Dz = sp.diags(mask) @ D @ sp.diags(mask)
-            Dfull = sp.bmat([[Dz, None],
-                             [None, sp.csr_matrix((self.np_, self.np_))]],
-                            format="csr")
-            S = (A_up + (alpha - 1.0) * Dfull).tocsr()
+        inv_up = al_inverse(self.vel_ctx, self.Mp_inv,
+                            -(1.0 / pr.Re + pr.gamma), A_up)
         inv_eb = mg_inverse(self.em_ctx, A_eb)
-        inv_up = self._fluid_inverse(S)
-        return BlockUpperPrecond(A, self.eb_idx, self.up_idx,
-                                 inv_eb, inv_up)
-
-    def lorentz_alpha(self, parts):
-        pr = self.model.params
-        mass_coeff = parts.get("mass_coeff", 0.0)
-        if not mass_coeff:
-            return 1.0
-        # the step size of the equivalent implicit-Euler Jacobian
-        # M / dt + J: dt / 2 for a Crank-Nicolson step (M / dt + J / 2)
-        dt = parts.get("steady_coeff", 1.0) / mass_coeff
-        delta = parts.get("delta", 1.0)
-        u_l2 = parts.get("u_l2", 0.0)
-        h = self._h
-        return dt / (dt + pr.Rem * h ** 2 + delta * pr.Rem * h * u_l2 * dt)
+        return BlockUpperPrecond(A, self.up_idx, self.eb_idx, inv_up, inv_eb)
 
 
 class KrylovSolverFactory:
@@ -272,11 +212,9 @@ class AnisothermalPrecond:
     multigrid on the (u, theta) block and -gamma M_p^{-1} for the pressure
     Schur complement -- and the outer Schur approximation is the
     electromagnetic diagonal block, inverted by MG_ITERS FGMRES iterations
-    of its monolithic multigrid.  The grouping is fixed:
-    `config` may only ask for "eliminate_up"."""
+    of its monolithic multigrid."""
 
-    def __init__(self, model, hierarchy, config=None):
-        require_eliminate_up(model, config)
+    def __init__(self, model, hierarchy):
         self.model = model
         mk = model.bc_markers
         s = model.spaces
@@ -304,11 +242,9 @@ class HallPrecond:
     (ut, u3, p), inverted by AL_ITERS FGMRES iterations with a monolithic
     (ut, u3) multigrid and AL pressure Schur;
     the six-field electromagnetic Schur block is inverted, following the
-    2.5D practice, by a direct factorisation.  The grouping is fixed:
-    `config` may only ask for "eliminate_up"."""
+    2.5D practice, by a direct factorisation."""
 
-    def __init__(self, model, hierarchy, config=None):
-        require_eliminate_up(model, config)
+    def __init__(self, model, hierarchy):
         self.model = model
         mk = model.bc_markers
         s = model.spaces

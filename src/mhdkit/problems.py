@@ -11,8 +11,7 @@ from .models.standard import StandardMHD
 from .models.boussinesq import BoussinesqMHD
 from .models.hall import HallMHD, compatible_hall_bcs
 from .models import analytic
-from .precond import (StandardMHDPrecond, AnisothermalPrecond, HallPrecond,
-                      BlockPrecondConfig)
+from .precond import StandardMHDPrecond, AnisothermalPrecond, HallPrecond
 
 PROBLEM_NAMES = ("hartmann", "ldc2d", "island_coalescence", "hall_ldc",
                  "hall_island", "double_glazing", "cooling_channel",
@@ -36,8 +35,9 @@ class ProblemSpec:
         self.extras = extras or {}
 
     def make_precond(self, config=None):
-        return self.precond_cls(self.model, self.hierarchy,
-                                config or BlockPrecondConfig())
+        """The problem's block preconditioner; `config`, an optionless
+        `BlockPrecondConfig`, is accepted and has nothing to set."""
+        return self.precond_cls(self.model, self.hierarchy)
 
 
 DEFAULT_MESH = {
@@ -311,8 +311,8 @@ KNOWN_KEYS = {
     "problem": {"name", "levels", "bc_field"},
     "params": {"Re", "Rem", "S", "RH", "Ra", "Pr", "Pm", "gamma",
                "stabilisation", "quad_degree_bc"},
-    "solver": {"linearisation", "elimination", "linear_solver", "rtol",
-               "atol", "max_steps", "continuation"},
+    "solver": {"linearisation", "linear_solver", "rtol", "atol",
+               "max_steps", "continuation"},
     "time": {"dt", "T"},
     "output": {"out_dir"},
 }

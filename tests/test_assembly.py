@@ -8,11 +8,34 @@ import scipy.sparse as sp
 from mhdkit.mesh import Mesh2D, build_rect_mesh
 from mhdkit.elements import FunctionSpace, Field, interpolate, complex_maps
 from mhdkit.quadrature import triangle_rule
-from mhdkit.assembly import (cell_matrix, cell_vector, sipg_viscous,
-                             upwind_advection_matrix,
-                             upwind_advection_residual, burman_stabilisation,
-                             apply_bcs, DirichletBC, EPS_CONTRACTION,
-                             facet_data)
+from mhdkit.assembly import (cell_matrix, cell_vector,
+                             upwind_advection_residual, DirichletBC,
+                             EPS_CONTRACTION, facet_data)
+
+from facet_matrices import (burman_stabilisation, sipg_viscous,
+                            upwind_advection_matrix)
+
+
+def apply_bcs(A, b, constrained, values=None):
+    """Symmetric elimination: zero rows/cols of constrained dofs, unit
+    diagonal, and lift the right-hand side by A[:, c] g_c so interior
+    equations see the boundary data; b[c] = g_c afterwards."""
+    constrained = np.asarray(constrained, dtype=np.int64)
+    n = A.shape[0]
+    if values is None:
+        values = np.zeros(len(constrained))
+    g = np.zeros(n)
+    g[constrained] = values
+    b = b - A @ g
+    mask = np.ones(n)
+    mask[constrained] = 0.0
+    D = sp.diags(mask)
+    A = D @ A @ D
+    one = np.zeros(n)
+    one[constrained] = 1.0
+    A = (A + sp.diags(one)).tocsr()
+    b[constrained] = values
+    return A, b
 
 
 def monomial_integral_triangle(a, b):

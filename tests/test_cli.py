@@ -1,6 +1,7 @@
 import pytest
 
 from mhdkit import cli
+from mhdkit.precond import StandardMHDPrecond
 
 
 def _no_problem(*args, **kwargs):
@@ -27,16 +28,17 @@ def test_transient_run_rejects_krylov_solver(monkeypatch, tmp_path, capsys,
     assert "--linear-solver" in capsys.readouterr().err
 
 
-def test_fixed_grouping_rejects_elimination(tmp_path, capsys):
-    # the Hall preconditioner has one grouping; asking for the other one
-    # is a configuration error
+def test_fixed_grouping_rejects_elimination(monkeypatch, tmp_path, capsys):
+    # every preconditioner has the one (flow | electromagnetic) grouping and
+    # no flag selects another: --elimination is a usage error, even naming
+    # the grouping that is used
+    monkeypatch.setattr(cli, "make_problem", _no_problem)
     with pytest.raises(SystemExit) as exit_:
-        cli.main(["run", "--problem", "hall_ldc", "--levels", "0",
-                  "--linear-solver", "fgmres", "--elimination",
-                  "eliminate_eb", "--out-dir", str(tmp_path)])
-    assert exit_.value.code == 1
-    err = capsys.readouterr().err
-    assert "HallMHD" in err and "eliminate_eb" in err
+        cli.main(["run", "--problem", "hartmann", "--linear-solver",
+                  "fgmres", "--elimination", "eliminate_up",
+                  "--out-dir", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert "--elimination" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["S", "stabilisation"])
@@ -311,8 +313,6 @@ def test_dumped_fields_are_exact_on_linear_fields(tmp_path, read_vtk):
 
 @pytest.mark.parametrize("flag, section, key, flag_value, file_value", [
     ("--linearisation", "solver", "linearisation", "newton", "picard"),
-    ("--elimination", "solver", "elimination", "eliminate_up",
-     "eliminate_eb"),
     ("--linear-solver", "solver", "linear_solver", "direct", "fgmres"),
     ("--out-dir", "output", "out_dir", ".", "elsewhere"),
 ])
@@ -344,7 +344,7 @@ def test_flag_beats_config_and_config_beats_default(monkeypatch, tmp_path,
 @pytest.mark.parametrize("extra, flag", [
     (["--problem", "hartmann"], "--problem"),
     (["--linear-solver", "fgmres"], "--linear-solver"),
-    (["--elimination", "eliminate_up"], "--elimination"),
+    (["--linearisation", "newton"], "--linearisation"),
     (["--continuation"], "--continuation"),
     (["--dt", "0.1"], "--dt"),
     (["--T", "1"], "--T"),
@@ -363,7 +363,6 @@ def test_bifurcate_rejects_flags_it_would_ignore(monkeypatch, tmp_path,
 @pytest.mark.parametrize("text, flag", [
     ("[problem]\nname = hartmann\n", "--problem"),
     ("[solver]\nlinear_solver = fgmres\n", "--linear-solver"),
-    ("[solver]\nelimination = eliminate_eb\n", "--elimination"),
     ("[solver]\ncontinuation = true\n", "--continuation"),
     ("[time]\ndt = 0.1\n", "--dt"),
     ("[problem]\nbc_field = trig\n", "--bc-field"),
@@ -425,19 +424,24 @@ def test_critical_rejects_newton_settings(monkeypatch, tmp_path, capsys,
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_direct_solver_rejects_elimination(monkeypatch, tmp_path, capsys,
                                            argv, how):
-    # the direct LU reads no elimination; giving one is an error, not a
-    # setting that is ignored
-    monkeypatch.setattr(cli, "make_problem", _fake_problem)
-    monkeypatch.setattr(cli, "NonlinearConfig", _no_problem)
+    # there is no elimination setting to choose; giving one is an error, not
+    # a setting that is ignored: the flag is a usage error (exit 2), the
+    # config key an unknown one (exit 1)
+    monkeypatch.setattr(cli, "make_problem", _no_problem)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("[solver]\nelimination = eliminate_eb\n"
+    cfg.write_text("[solver]\nelimination = eliminate_up\n"
                    if how == "config" else "")
-    extra = ["--elimination", "eliminate_eb"] if how == "flag" else []
+    extra = ["--elimination", "eliminate_up"] if how == "flag" else []
     with pytest.raises(SystemExit) as exit_:
         cli.main(argv + extra + ["--config", str(cfg),
                                  "--out-dir", str(tmp_path)])
-    assert exit_.value.code == 1
-    assert "--elimination" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if how == "flag":
+        assert exit_.value.code == 2
+        assert "--elimination" in err
+    else:
+        assert exit_.value.code == 1
+        assert "'elimination'" in err and "[solver]" in err
 
 
 def _fake_sweep(monkeypatch):
@@ -518,11 +522,10 @@ def test_mms_run_uses_the_krylov_solver(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "solve_nonlinear", record)
     with pytest.raises(_Stop):
         cli.main(["run", "--problem", "mms", "--levels", "0",
-                  "--linear-solver", "fgmres", "--elimination",
-                  "eliminate_eb", "--out-dir", str(tmp_path)])
+                  "--linear-solver", "fgmres", "--out-dir", str(tmp_path)])
     [fac] = seen
     assert isinstance(fac, cli.KrylovSolverFactory)
-    assert fac.precond.config.elimination == "eliminate_eb"
+    assert isinstance(fac.precond, StandardMHDPrecond)
 
 
 @pytest.mark.parametrize("extra, text, name", [

@@ -6,10 +6,12 @@ from mhdkit.elements import (SUPPORTED, FunctionSpace, Field,
                              ReferenceElement, UnsupportedElementError,
                              interpolate, l2_project, complex_maps,
                              grad_to_hcurl, curl_to_dg, reference_table,
-                             tabulate, scalar_monomials)
-from mhdkit.assembly import _Basis, cell_matrix, facet_data, sipg_viscous
+                             scalar_monomials)
+from mhdkit.assembly import _Basis, cell_matrix, facet_data
 from mhdkit.quadrature import gauss_interval
 from mhdkit.multigrid import build_transfer
+
+from facet_matrices import sipg_viscous
 
 ALL_FAMILIES = [("CG", 1), ("CG", 2), ("DG", 0), ("DG", 1), ("RT", 1),
                 ("RT", 2), ("BDM", 1), ("BDM", 2), ("NED", 1), ("NED", 2)]
@@ -250,7 +252,7 @@ def test_boundary_dofs(unit_mesh):
 
 def test_tabulate_module_level():
     pts = np.array([[0.25, 0.25]])
-    vals = tabulate(("CG", 1), pts)
+    vals = ReferenceElement("CG", 1).tabulate(pts)
     assert np.allclose(vals[:, :, 0].sum(), 1.0)
 
 

@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mhdkit.assembly import (EPS_CONTRACTION, burman_stabilisation,
-                             cell_matrix, field_at_quadrature, sipg_viscous,
-                             upwind_advection_matrix)
+from mhdkit.assembly import EPS_CONTRACTION, cell_matrix, field_at_quadrature
 from mhdkit.linalg import LuSolver
 from mhdkit.mesh import build_rect_mesh
 from mhdkit.models import base
@@ -18,6 +16,9 @@ from mhdkit.models.base import QDEG, ModelParams, perp
 from mhdkit.models.boussinesq import BoussinesqMHD
 from mhdkit.models.hall import HallMHD
 from mhdkit.models.standard import StandardMHD
+
+from facet_matrices import (burman_stabilisation, sipg_viscous,
+                            upwind_advection_matrix)
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 

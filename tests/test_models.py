@@ -3,8 +3,7 @@ import pytest
 
 from mhdkit.mesh import build_rect_mesh
 from mhdkit.elements import interpolate, l2_project
-from mhdkit.assembly import (cell_matrix, cell_vector, facet_data,
-                             sipg_viscous)
+from mhdkit.assembly import cell_matrix, cell_vector, facet_data
 from mhdkit.models.base import QDEG, ModelParams
 from mhdkit.models.standard import StandardMHD
 from mhdkit.models.boussinesq import BoussinesqMHD
@@ -13,6 +12,8 @@ from mhdkit import problems
 from mhdkit.models import analytic
 from mhdkit.nonlinear import NonlinearConfig, solve_nonlinear
 from mhdkit.quadrature import gauss_interval
+
+from facet_matrices import sipg_viscous
 
 
 def _fd_check(model, state, lin="newton", n_cols=30, seed=0, tol=1e-5,
@@ -91,10 +92,13 @@ def test_standard_coupling_vanishes_at_zero_fields():
     su = model.state_template.field_slice("u")
     st.vector[su] = rng.standard_normal(su.stop - su.start)
     st.vector[model.constrained_idx] = model.constrained_vals
-    A, parts = model.jacobian(st.vector, "newton")
+    A, _ = model.jacobian(st.vector, "newton")
+    model.params.S = 0.0
+    A0, _ = model.jacobian(st.vector, "newton")
     sE = model.state_template.field_slice("E")
-    # with B = 0, E = 0: D, J (u,E), G (E,u) all vanish
-    assert np.abs(parts["D"]).max() < 1e-14
+    # with B = 0, E = 0: the Lorentz block D (in the u-u block), J (u,E)
+    # and G (E,u) all vanish
+    assert abs(A[su, su] - A0[su, su]).max() == 0.0
     assert np.abs(A[su, sE]).max() < 1e-14
     assert np.abs(A[sE, su]).max() < 1e-14
 
@@ -422,10 +426,10 @@ def _full_gradient_div_norms(model, vec):
 
 
 def test_div_norms_match_the_full_gradient_formula():
-    from mhdkit.precond import BlockPrecondConfig, KrylovSolverFactory
+    from mhdkit.precond import KrylovSolverFactory
     spec = problems.make_problem("hartmann", levels=1, mesh_base=(4, 4))
     model = spec.model
-    factory = KrylovSolverFactory(spec.make_precond(BlockPrecondConfig()),
+    factory = KrylovSolverFactory(spec.make_precond(),
                                   rtol=1e-7, atol=1e-7, maxiter=100)
     st, rep = solve_nonlinear(model, model.initial_state(),
                               NonlinearConfig(), factory)

@@ -5,8 +5,9 @@ import scipy.sparse as sp
 from mhdkit.mesh import build_rect_mesh, refine_uniform
 from mhdkit.elements import FunctionSpace, interpolate, complex_maps
 from mhdkit.assembly import cell_matrix, constrain_matrix
+from mhdkit import multigrid
 from mhdkit.multigrid import (build_transfer, star_patches, PatchSmoother,
-                              MgConfig, MgHierarchy, GeometricMultigrid)
+                              MgHierarchy, GeometricMultigrid)
 from mhdkit.linalg import fgmres
 
 
@@ -231,7 +232,6 @@ def test_single_patch_exact_solve():
 
 def test_no_star_patches_on_the_coarse_level(hierarchy, monkeypatch):
     # the coarsest level is solved by LU and never smoothed
-    import mhdkit.multigrid as multigrid
     calls = []
 
     def counted(*args):
@@ -285,10 +285,11 @@ def test_vcycle_deterministic(hierarchy):
     assert np.array_equal(mg.apply(r), mg.apply(r))
 
 
-def test_poisson_h_independence():
+def test_poisson_h_independence(monkeypatch):
     # measured with a deliberately weak smoother (2 GMRES iterations) so the
     # contraction factor sits well above round-off and is comparable across
     # hierarchy depths
+    monkeypatch.setattr(multigrid, "SMOOTH_ITERS", 2)
     rates = []
     for lev in (2, 4):
         hier = refine_uniform(build_rect_mesh((0, 1, 0, 1), 2, 2), lev)
@@ -296,7 +297,7 @@ def test_poisson_h_independence():
         cg = ctx.fine_spaces[0]
         con = ctx.constrained[-1]
         A = constrain_matrix(cell_matrix(cg, cg, "grad", "grad"), con)
-        mg = GeometricMultigrid(ctx, MgConfig(smooth_iters=2)).setup(A)
+        mg = GeometricMultigrid(ctx).setup(A)
         rng = np.random.default_rng(0)
         b = rng.standard_normal(cg.total_dofs)
         b[con] = 0.0
@@ -405,8 +406,8 @@ def _vcycle_reference(mg, lv, b, x):
     def smooth(x):
         return fgmres(mg.matrices[lv], b, M=mg.smoothers[lv - 1].apply,
                       x0=x, rtol=0.0, atol=0.0,
-                      restart=mg.config.smooth_iters,
-                      maxiter=mg.config.smooth_iters).x
+                      restart=multigrid.SMOOTH_ITERS,
+                      maxiter=multigrid.SMOOTH_ITERS).x
 
     x = smooth(x)
     P = mg.ctx.transfers[lv - 1]
@@ -433,7 +434,7 @@ def test_zero_start_vcycle_is_bitwise_the_reference(hierarchy):
 def test_chunked_patch_inverses_are_bitwise_unchunked(monkeypatch):
     # the fine levels of the hartmann preconditioner (4x4, levels=1): the
     # patches are gathered and inverted in chunks, each block on its own
-    from mhdkit import multigrid, problems
+    from mhdkit import problems
     from mhdkit.precond import field_indices
 
     spec = problems.make_problem("hartmann", levels=1, mesh_base=(4, 4))

@@ -9,7 +9,7 @@ from mhdkit import problems
 from mhdkit.elements import FunctionSpace, reference_table
 from mhdkit.mesh import build_rect_mesh
 from mhdkit.nonlinear import NonlinearConfig, solve_nonlinear
-from mhdkit.precond import BlockPrecondConfig, KrylovSolverFactory
+from mhdkit.precond import KrylovSolverFactory
 from mhdkit.timestepping import ReconnectionProbe
 
 
@@ -78,7 +78,7 @@ def _check_no_point_tables(spaces):
 
 def _hartmann():
     spec = problems.make_problem("hartmann", levels=1, mesh_base=(4, 4))
-    return spec, spec.make_precond(BlockPrecondConfig())
+    return spec, spec.make_precond()
 
 
 def _all_spaces(spec, pc):

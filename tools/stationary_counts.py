@@ -5,9 +5,9 @@ solves across (S, Re = Rem).
 
 For each problem and level count it builds `make_problem(problem,
 levels=L, mesh_base=(n, n), params={"stab_mu": 1e-2})`, the problem's block
-preconditioner with `BlockPrecondConfig()` and FGMRES at rtol = atol = 1e-7
-with `maxiter` 100, and continues with `ContinuationSchedule.toward` the
-targets S, then Re, then Rem.  It prints one row per (problem, levels) and
+preconditioner and FGMRES at rtol = atol = 1e-7 with `maxiter` 100, and
+continues with `ContinuationSchedule.toward` the targets S, then Re, then
+Rem.  It prints one row per (problem, levels) and
 a column per cell (S, Re = Rem).  Each cell is the final stage's
 `(Newton) avg-linear`, or `NF at <parameter> = <value>` for the first
 continuation stage that converges neither undamped nor in its line-search
@@ -20,7 +20,7 @@ import time
 
 from mhdkit.nonlinear import (ContinuationSchedule, StageFailure,
                               continue_parameters)
-from mhdkit.precond import BlockPrecondConfig, KrylovSolverFactory
+from mhdkit.precond import KrylovSolverFactory
 from mhdkit.problems import make_problem
 
 CELLS = ((1.0, 1.0), (1.0, 1e3), (1e3, 1.0), (1e3, 1e3))
@@ -30,7 +30,7 @@ def stationary_cell(problem, levels, base, S, Re):
     """The `(Newton) avg-linear` cell of one continued solve."""
     spec = make_problem(problem, levels=levels, mesh_base=(base, base),
                         params={"stab_mu": 1e-2})
-    factory = KrylovSolverFactory(spec.make_precond(BlockPrecondConfig()),
+    factory = KrylovSolverFactory(spec.make_precond(),
                                   rtol=1e-7, atol=1e-7, maxiter=100)
     schedule = ContinuationSchedule.toward({"S": S, "Re": Re, "Rem": Re})
     try:
