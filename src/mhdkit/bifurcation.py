@@ -89,8 +89,8 @@ def _free_block(A, free):
 def _free_operator(model, vec, free, **drop):
     """The free-dof block of the Newton Jacobian at `vec`, without the
     grad-div term gamma (div u, div v) and the terms `drop` names."""
-    A, _ = model.jacobian(vec, "newton", drop_graddiv=True, **drop)
-    return _free_block(A, free)
+    return _free_block(
+        model.jacobian(vec, "newton", drop_graddiv=True, **drop), free)
 
 
 def stability_eigs(model, state_vec, k=6):

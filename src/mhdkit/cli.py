@@ -15,7 +15,7 @@ from .models.base import ModelParams
 from .nonlinear import (NonlinearConfig, solve_nonlinear,
                         ContinuationSchedule, continue_parameters,
                         StageFailure, direct_solver_factory)
-from .precond import KrylovSolverFactory, IterationLedger
+from .precond import KrylovSolverFactory
 from .problems import (PROBLEM_NAMES, BC_FIELDS, ISLAND_FIELDS,
                        make_problem, parse_config, island_initial_state,
                        ConfigError)
@@ -169,11 +169,10 @@ def _bad_bc_field(args):
     return False
 
 
-def _solver_factory(args, spec, ledger=None):
+def _solver_factory(args, spec):
     if args.linear_solver == "direct":
         return direct_solver_factory
-    return KrylovSolverFactory(spec.make_precond(), rtol=1e-7, atol=1e-7,
-                               maxiter=100, ledger=ledger)
+    return KrylovSolverFactory(spec.make_precond())
 
 
 def _report_path(args, name):
@@ -188,6 +187,14 @@ def _write_report(args, rows):
         for row in rows:
             f.write(",".join(str(c) for c in row) + "\n")
     return path
+
+
+def _write_iterations(args, rows):
+    """The outer Krylov rows (nonlinear step, iteration, residual)."""
+    with open(_report_path(args, "iterations.csv"), "w") as f:
+        f.write("step,iter,resid\n")
+        for s, i, r in rows:
+            f.write(f"{s},{i},{r:.6e}\n")
 
 
 def _dump_fields(args, spec, vec):
@@ -244,8 +251,7 @@ def cmd_run(args):
     if transient:
         return _run_transient(args, spec)
 
-    ledger = IterationLedger()
-    fac = _solver_factory(args, spec, ledger)
+    fac = _solver_factory(args, spec)
     cfg = _nonlinear_config(args)
     state = model.initial_state()
     try:
@@ -264,7 +270,7 @@ def cmd_run(args):
            str(rep.converged).lower(), rep.cell()]
     _write_report(args, [row])
     if args.linear_solver == "fgmres":
-        ledger.write_csv(_report_path(args, "iterations.csv"))
+        _write_iterations(args, fac.rows)
     _dump_fields(args, spec, state.vector)
     print(f"{args.problem}: {rep.cell()}")
     return 0 if rep.converged else 2

@@ -657,41 +657,3 @@ def reference_table(family, degree, qdeg, facet=False):
     for a in tables:
         a.flags.writeable = False
     return tables
-
-
-# -- reference element view ---------------------------------------------------
-
-_REF_MESH = None
-
-
-def _reference_mesh():
-    global _REF_MESH
-    if _REF_MESH is None:
-        from .mesh import Mesh2D
-        _REF_MESH = Mesh2D(REF_VERTICES, np.array([[0, 1, 2]]))
-        _REF_MESH.mark_boundary()
-    return _REF_MESH
-
-
-class ReferenceElement:
-    """Single-cell view of an element family on the reference triangle."""
-
-    PIOLA = {"RT": "contravariant", "BDM": "contravariant",
-             "NED": "covariant", "CG": None, "DG": None, "VCG": None}
-
-    def __init__(self, family, degree):
-        self.family = family
-        self.degree = degree
-        self.space = FunctionSpace(_reference_mesh(), family, degree)
-        el = self.space.element
-        self.value_shape = "scalar" if el.scalar else "vector2"
-        self.dofs_per_entity = (el.n_vertex, el.n_edge, el.n_cell)
-        self.dim = el.nloc
-        self.piola = self.PIOLA[family]
-
-    def tabulate(self, points, grad=False):
-        pts = np.asarray(points, dtype=float)[None, :, :]
-        vals, grads = self.space.tabulate_cells([0], pts, grad)
-        if grad:
-            return vals[0], grads[0]
-        return vals[0]

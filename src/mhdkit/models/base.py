@@ -260,14 +260,14 @@ class MixedModel:
             g_d=self._velocity_bc_data())
         return self._facet_terms(sipg), r_unit
 
-    def _velocity_constants(self, nu, sym):
+    def _velocity_constants(self, sym):
         """The constant terms of the velocity besides its cell viscous term:
-        the SIPG facet terms (weight name `nu`) and the grad-div term (weight
+        the SIPG facet terms (weight name "nu") and the grad-div term (weight
         name "gamma").  Sets `r_sipg_unit`."""
         v = self.velocity
         sipg, self.r_sipg_unit = self._sipg(sym)
         for key, loc in sipg.items():
-            yield nu, key, loc
+            yield "nu", key, loc
         yield "gamma", (v, v), cell_local(self.spaces[v], self.spaces[v],
                                           "div", "div", qdeg=QDEG)
 
@@ -376,13 +376,11 @@ class MixedModel:
             r[self.constrained_idx] = 0.0
         return r
 
-    def _finish_jacobian(self, terms, delta, mass_coeff, steady_coeff,
+    def _finish_jacobian(self, terms, mass_coeff, steady_coeff,
                          weights=None):
         """steady_coeff * J + mass_coeff * M, constrained, on the model's
         pattern: the weighted constants plus the state-dependent local
-        arrays `terms` (pairing key -> local), scattered into them.  Returns
-        the matrix and the parts dict passed on to the block
-        preconditioners."""
+        arrays `terms` (pairing key -> local), scattered into them."""
         pat = self.pattern
         data = pat.scatter(
             terms, self._constant_data(weights or self._weights()).copy())
@@ -390,11 +388,7 @@ class MixedModel:
             data *= steady_coeff
         if mass_coeff:
             pat.expand(self._mass, mass_coeff, out=data)
-        A = pat.constrain(data)
-        st = self.state_template
-        return A, dict(offsets=st.offsets, sizes=st.sizes(),
-                       mass_coeff=mass_coeff, steady_coeff=steady_coeff,
-                       delta=delta)
+        return pat.constrain(data)
 
     # -- mass -----------------------------------------------------------------
 

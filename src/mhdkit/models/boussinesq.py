@@ -85,7 +85,7 @@ class BoussinesqMHD(StandardMHD):
             th, self.spaces["u"], weight=gthq[..., 0, :][:, :, None, :],
             qdeg=QDEG)
         return self._finish_jacobian(
-            terms, delta, mass_coeff, steady_coeff,
+            terms, mass_coeff, steady_coeff,
             weights=self._weights(drop_buoyancy, drop_graddiv))
 
     # -- eigen/deflation support -----------------------------------------------------

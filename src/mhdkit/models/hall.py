@@ -46,16 +46,16 @@ class HallMHD(MixedModel):
 
     def _weights(self):
         pr = self.params
-        return {"one": 1.0, "inv_Re": 1.0 / pr.Re, "gamma": pr.gamma,
+        return {"one": 1.0, "nu": 1.0 / pr.Re, "gamma": pr.gamma,
                 "inv_Rem": 1.0 / pr.Rem}
 
     def _constant_terms(self):
         s = self.spaces
-        yield "inv_Re", ("ut", "ut"), cell_local(s["ut"], s["ut"], "grad",
-                                                 "grad", qdeg=QDEG)
-        yield from self._velocity_constants("inv_Re", sym=False)
-        yield "inv_Re", ("u3", "u3"), cell_local(s["u3"], s["u3"], "grad",
-                                                 "grad", qdeg=QDEG)
+        yield "nu", ("ut", "ut"), cell_local(s["ut"], s["ut"], "grad",
+                                             "grad", qdeg=QDEG)
+        yield from self._velocity_constants(sym=False)
+        yield "nu", ("u3", "u3"), cell_local(s["u3"], s["u3"], "grad",
+                                             "grad", qdeg=QDEG)
         D_up = cell_local(s["p"], s["ut"], "val", "div", qdeg=QDEG)
         yield "one", ("ut", "p"), -D_up.transpose(0, 2, 1)
         yield "one", ("p", "ut"), -D_up
@@ -198,7 +198,7 @@ class HallMHD(MixedModel):
             terms[("j3", "Bt")] = term("j3", "Bt",
                                        (put - pr.R_H * pjt)[:, :, None, :])
 
-        return self._finish_jacobian(terms, delta, mass_coeff, steady_coeff)
+        return self._finish_jacobian(terms, mass_coeff, steady_coeff)
 
 
 def compatible_hall_bcs(params, lid_velocity=1.0, ytop=0.5):

@@ -48,7 +48,7 @@ class StandardMHD(MixedModel):
         u, p, E, B = (self.spaces[k] for k in ("u", "p", "E", "B"))
         yield "nu", ("u", "u"), 2.0 * cell_local(
             u, u, "grad", "grad", weight=EPS_CONTRACTION, qdeg=QDEG)
-        yield from self._velocity_constants("nu", sym=True)
+        yield from self._velocity_constants(sym=True)
         D_up = cell_local(p, u, "val", "div", qdeg=QDEG)  # (div u, q)
         yield "one", ("u", "p"), -D_up.transpose(0, 2, 1)
         yield "one", ("p", "u"), -D_up
@@ -134,8 +134,8 @@ class StandardMHD(MixedModel):
 
     def jacobian(self, vec, linearisation="newton", mass_coeff=0.0,
                  steady_coeff=1.0):
-        """Constrained Jacobian matrix and its parts dict."""
+        """Constrained Jacobian matrix."""
         delta = 1.0 if linearisation == "newton" else 0.0
         terms, _ = self._mhd_terms(self._state_fields(vec), delta,
                                    self.params.S)
-        return self._finish_jacobian(terms, delta, mass_coeff, steady_coeff)
+        return self._finish_jacobian(terms, mass_coeff, steady_coeff)

@@ -76,8 +76,11 @@ def solve_nonlinear(model, state, config=None, solver_factory=None,
                     callback=None, backtracks=0):
     """Drive R(U) = 0 from `state` (which must satisfy the BCs).
 
-    solver_factory(A, parts) returns solve(rhs) -> (delta, linear_iters);
-    default is a sparse direct solve.  residual_fn/jacobian_fn override the
+    solver_factory(A, None) returns solve(rhs) -> (delta, linear_iters);
+    default is a sparse direct solve.  The second argument is unread; it
+    stays because the benchmark's span wrapper of
+    KrylovSolverFactory.__call__ (perfbench/layers.py) takes
+    (self, A, parts).  residual_fn/jacobian_fn override the
     model's steady forms (used by the time steppers).  With `deflation`, the
     driver finds a root of the deflated residual, which keeps the update
     direction and rescales its length.  Without deflation, the iteration
@@ -110,15 +113,12 @@ def solve_nonlinear(model, state, config=None, solver_factory=None,
     stalled = 0
     for step in range(config.max_steps):
         needs = getattr(solver_factory, "needs_matrix", None)
-        if needs is None or needs():
-            A, parts = jacobian(x)
-        else:
-            A, parts = None, None
-        solve = solver_factory(A, parts)
+        A = jacobian(x) if needs is None or needs() else None
+        solve = solver_factory(A, None)
         delta, nit = solve(-r)
         # free this step's solver (a block preconditioner holds multigrid
         # levels and factorisations) before the next one is built
-        del A, parts, solve
+        del A, solve
         if deflation is not None:
             tau = deflation.step_scale(x, delta)
             delta = tau * delta

@@ -47,7 +47,7 @@ def test_stability_eigs_keeps_a_double_eigenvalue(rb):
     lam, vecs, free = stability_eigs(model, state, k=4)
     assert lam.shape == (4,) and vecs.shape == (len(free), 4)
     assert np.all(np.diff(lam.real) <= 0)
-    A, _ = model.jacobian(state, "newton", drop_graddiv=True)
+    A = model.jacobian(state, "newton", drop_graddiv=True)
     Af = -A[free][:, free]
     Mf = model.mass_matrix()[free][:, free]
     ref = _dense_shift_invert(Af, Mf)
@@ -62,8 +62,8 @@ def test_critical_rayleigh_matches_dense_shift_invert(rb):
     model, state = rb
     vals, modes, free = critical_parameter(model, "Ra_c", count=2)
     assert free.size == 1191 and len(modes) == 2
-    A0, _ = model.jacobian(state, "newton", drop_buoyancy=True,
-                           drop_graddiv=True)
+    A0 = model.jacobian(state, "newton", drop_buoyancy=True,
+                        drop_graddiv=True)
     M = model.params.Pr * model.constant_matrix("buoyancy")
     ref = _dense_critical(A0, M, free)
     assert np.allclose(vals, ref, rtol=1e-10, atol=0.0)
@@ -76,7 +76,7 @@ def test_dense_critical_rayleigh_does_not_depend_on_gamma(rb):
     free = bifurcation._free_indices(model)
     M = model.params.Pr * model.constant_matrix("buoyancy")
     refs = [_dense_critical(model.jacobian(state, "newton", drop_buoyancy=True,
-                                           drop_graddiv=drop)[0], M, free)
+                                           drop_graddiv=drop), M, free)
             for drop in (False, True)]
     assert np.allclose(refs[0], refs[1], rtol=1e-9, atol=0.0)
 
@@ -89,9 +89,9 @@ def test_critical_coupling_matches_dense_shift_invert(rb, monkeypatch):
     state = conduction_state_vector(model).vector
     vals, modes, free = critical_parameter(model, "S_c", count=2)
     assert len(vals) == len(modes) == 2
-    A0, _ = model.jacobian(state, "newton", drop_lorentz=True,
-                           drop_graddiv=True)
-    A1, _ = model.jacobian(state.copy(), "newton", drop_graddiv=True)
+    A0 = model.jacobian(state, "newton", drop_lorentz=True,
+                        drop_graddiv=True)
+    A1 = model.jacobian(state.copy(), "newton", drop_graddiv=True)
     M = -(A1 - A0) / model.params.S
     assert np.allclose(vals, _dense_critical(A0, M, free), rtol=1e-10,
                        atol=0.0)
@@ -107,11 +107,11 @@ def test_eigen_calls_keep_gamma(rb, monkeypatch):
     # the Newton solves and the preconditioners keep the grad-div term, also
     # after an eigen-solve that raises
     model, state = rb
-    A = model.jacobian(state, "newton")[0]
+    A = model.jacobian(state, "newton")
     for call in _eigen_calls(model, state):
         call()
         assert model.params.gamma == 1e4
-    assert abs(model.jacobian(state, "newton")[0] - A).max() == 0.0
+    assert abs(model.jacobian(state, "newton") - A).max() == 0.0
 
     def fail(*args, **kwargs):
         raise RuntimeError("eigen-solve failed")
@@ -121,7 +121,7 @@ def test_eigen_calls_keep_gamma(rb, monkeypatch):
         with pytest.raises(RuntimeError, match="eigen-solve failed"):
             call()
         assert model.params.gamma == 1e4
-    assert abs(model.jacobian(state, "newton")[0] - A).max() == 0.0
+    assert abs(model.jacobian(state, "newton") - A).max() == 0.0
 
 
 class _Captured(Exception):

@@ -184,6 +184,33 @@ def test_ldc2d_run_takes_the_trig_field(tmp_path):
     assert (tmp_path / "report.csv").exists()
 
 
+def test_fgmres_run_writes_the_krylov_rows(monkeypatch, tmp_path):
+    # iterations.csv holds one row per outer FGMRES iteration, its steps
+    # the Newton steps of the report
+    reports = []
+
+    def recording(*args, **kwargs):
+        state, rep = solve_nonlinear(*args, **kwargs)
+        reports.append(rep)
+        return state, rep
+
+    solve_nonlinear = cli.solve_nonlinear
+    monkeypatch.setattr(cli, "solve_nonlinear", recording)
+    assert cli.main(["run", "--problem", "hartmann", "--levels", "0",
+                     "--linear-solver", "fgmres",
+                     "--out-dir", str(tmp_path)]) == 0
+    [rep] = reports
+    header, *lines = (tmp_path / "iterations.csv").read_text().splitlines()
+    assert header == "step,iter,resid"
+    rows = [line.split(",") for line in lines]
+    steps = [[int(i) for s, i, _ in rows if int(s) == k]
+             for k in range(1, rep.steps + 1)]
+    assert [len(its) for its in steps] == rep.linear_iters
+    assert all(its == list(range(1, len(its) + 1)) for its in steps)
+    assert len(rows) == sum(rep.linear_iters) > 0
+    assert all(float(r) >= 0.0 for _, _, r in rows)
+
+
 @pytest.mark.parametrize("value, continued", [("true", True),
                                               ("false", False)])
 def test_config_continuation_acts_like_the_flag(monkeypatch, tmp_path,
@@ -323,7 +350,7 @@ def test_flag_beats_config_and_config_beats_default(monkeypatch, tmp_path,
     # over the file
     seen = []
 
-    def record(args, spec, ledger=None):
+    def record(args, spec):
         seen.append(getattr(args, key))
         raise _Stop
 

@@ -1,9 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
-from mhdkit.mesh import build_rect_mesh, refine_uniform
-from mhdkit.elements import (SUPPORTED, FunctionSpace, Field,
-                             ReferenceElement, UnsupportedElementError,
+from mhdkit.mesh import Mesh2D, build_rect_mesh, refine_uniform
+from mhdkit.elements import (SUPPORTED, REF_VERTICES, FunctionSpace, Field,
+                             UnsupportedElementError,
                              interpolate, l2_project, complex_maps,
                              grad_to_hcurl, curl_to_dg, reference_table,
                              scalar_monomials)
@@ -15,6 +17,28 @@ from facet_matrices import sipg_viscous
 
 ALL_FAMILIES = [("CG", 1), ("CG", 2), ("DG", 0), ("DG", 1), ("RT", 1),
                 ("RT", 2), ("BDM", 1), ("BDM", 2), ("NED", 1), ("NED", 2)]
+
+
+@functools.cache
+def _reference_mesh():
+    mesh = Mesh2D(REF_VERTICES, np.array([[0, 1, 2]]))
+    mesh.mark_boundary()
+    return mesh
+
+
+class ReferenceElement:
+    """Single-cell view of an element family on the reference triangle."""
+
+    def __init__(self, family, degree):
+        self.space = FunctionSpace(_reference_mesh(), family, degree)
+        self.dim = self.space.element.nloc
+
+    def tabulate(self, points, grad=False):
+        pts = np.asarray(points, dtype=float)[None, :, :]
+        vals, grads = self.space.tabulate_cells([0], pts, grad)
+        if grad:
+            return vals[0], grads[0]
+        return vals[0]
 
 
 @pytest.fixture(scope="module")

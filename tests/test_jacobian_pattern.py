@@ -312,8 +312,8 @@ def test_jacobian_matches_per_term_assembly(name, lin, mass_coeff,
     make, old = CASES[name]
     model = make(_mesh())
     x = _random_state(model, seed=7)
-    A, _ = model.jacobian(x, lin, mass_coeff=mass_coeff,
-                          steady_coeff=steady_coeff)
+    A = model.jacobian(x, lin, mass_coeff=mass_coeff,
+                       steady_coeff=steady_coeff)
     ref = old(model, x, lin, mass_coeff, steady_coeff)
     assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()
     # the factorised matrix has the reference's nonzeros
@@ -327,7 +327,7 @@ def test_zero_state_jacobian_keeps_the_reference_structure(name):
     make, old = CASES[name]
     model = make(_mesh())
     x = model.initial_state().vector
-    A, _ = model.jacobian(x)
+    A = model.jacobian(x)
     ref = old(model, x, "newton", 0.0, 1.0)
     assert A.nnz > ref.nnz
     B = A.copy()
@@ -352,8 +352,8 @@ def test_second_jacobian_builds_no_pattern(monkeypatch):
     model = make(_mesh())
     assert built == [1]
     x = _random_state(model, seed=3)
-    A1, _ = model.jacobian(x)
-    A2, _ = model.jacobian(x, mass_coeff=1.0)
+    A1 = model.jacobian(x)
+    A2 = model.jacobian(x, mass_coeff=1.0)
     assert built == [1]
     for A in (A1, A2):
         assert np.shares_memory(A.indices, model.pattern.indices)

@@ -440,8 +440,8 @@ def test_chunked_patch_inverses_are_bitwise_unchunked(monkeypatch):
     spec = problems.make_problem("hartmann", levels=1, mesh_base=(4, 4))
     model = spec.model
     pc = spec.make_precond()
-    A, _ = model.jacobian(model.initial_state().vector)
-    for ctx, fields in ((pc.vel_ctx, ("u",)), (pc.em_ctx, ("E", "B"))):
+    A = model.jacobian(model.initial_state().vector)
+    for ctx, fields in ((pc.flow_ctx, ("u",)), (pc.em_ctx, ("E", "B"))):
         idx = field_indices(model.state_template, fields)
         block = A[idx][:, idx].tocsr()
         inverses = []

@@ -7,7 +7,8 @@ import pytest
 from mhdkit import precond
 from mhdkit.nonlinear import (ContinuationSchedule, NonlinearConfig,
                               continue_parameters, solve_nonlinear)
-from mhdkit.precond import BlockPrecondConfig, KrylovSolverFactory
+from mhdkit.precond import (BlockPrecondConfig, KrylovSolverFactory,
+                            field_indices)
 from mhdkit.problems import make_problem
 
 
@@ -15,8 +16,7 @@ def test_hartmann_block_preconditioned_newton():
     # augmented-Lagrangian block preconditioner over three-level star-patch
     # multigrid (4x4, 8x8, 16x16): the Krylov counts are pinned
     spec = make_problem("hartmann", levels=2, mesh_base=(4, 4))
-    factory = KrylovSolverFactory(spec.make_precond(),
-                                  rtol=1e-7, atol=1e-7, maxiter=100)
+    factory = KrylovSolverFactory(spec.make_precond())
     model = spec.model
     state, report = solve_nonlinear(model, model.initial_state(),
                                     NonlinearConfig(), factory)
@@ -27,8 +27,7 @@ def test_hartmann_block_preconditioned_newton():
 
 
 def _krylov_factory(spec):
-    return KrylovSolverFactory(spec.make_precond(),
-                               rtol=1e-7, atol=1e-7, maxiter=100)
+    return KrylovSolverFactory(spec.make_precond())
 
 
 @pytest.mark.parametrize("levels, S, Re, cell", [
@@ -61,16 +60,50 @@ def test_augmented_lagrangian_block_on_the_other_models(name, iters):
     assert report.linear_iters == iters
 
 
+# the (flow | electromagnetic) field groups of each model
+GROUPS = {"hartmann": (("u",), ("E", "B")),
+          "island_coalescence": (("u",), ("E", "B")),
+          "rayleigh_benard": (("u", "theta"), ("E", "B")),
+          "hall_ldc": (("ut", "u3"), ("Et", "E3", "Bt", "B3", "jt", "j3"))}
+
+
 @pytest.mark.parametrize("name, markers", [
-    ("hartmann", "all"), ("island_coalescence", ["top", "bottom"])])
+    ("hartmann", "all"), ("island_coalescence", ["top", "bottom"]),
+    ("hall_ldc", "all"), ("rayleigh_benard", "all")])
 def test_preconditioner_markers_follow_model_bcs(monkeypatch, name, markers):
-    # the multigrid hierarchies constrain the dofs the model constrains
+    # the multigrid hierarchies constrain the dofs the model constrains:
+    # one over the flow fields, then one over the electromagnetic fields,
+    # which Hall factorises instead.  Rayleigh-Benard holds theta on its
+    # heated and cooled walls only
     seen = []
     monkeypatch.setattr(precond, "MgHierarchy",
                         lambda hierarchy, specs, bc_markers:
-                        seen.append(bc_markers))
-    make_problem(name, levels=0, mesh_base=(4, 4)).make_precond()
-    assert seen == [[markers], [markers, markers]]
+                        seen.append((specs, bc_markers)))
+    spec = make_problem(name, levels=0, mesh_base=(4, 4))
+    spec.make_precond()
+    flow, em = GROUPS[name]
+    groups = [flow] if name == "hall_ldc" else [flow, em]
+    s = spec.model.spaces
+    assert seen == [([s[f] for f in g],
+                     [["top", "bottom"] if f == "theta" else markers
+                      for f in g]) for g in groups]
+
+
+@pytest.mark.parametrize("name", ["hartmann", "rayleigh_benard", "hall_ldc"])
+def test_field_split_partitions_the_state(name):
+    # the flow group is FLOW and p, the electromagnetic group the model's
+    # other fields in state order; together they cover every dof once
+    spec = make_problem(name, levels=0, mesh_base=(4, 4))
+    pc = spec.make_precond()
+    st = spec.model.state_template
+    flow, em = GROUPS[name]
+    assert pc.FLOW == flow
+    assert em == tuple(f for f in spec.model.fields if f not in flow + ("p",))
+    assert np.array_equal(pc.top_idx, field_indices(st, flow + ("p",)))
+    assert np.array_equal(pc.eb_idx, field_indices(st, em))
+    assert np.array_equal(np.sort(np.concatenate([pc.top_idx, pc.eb_idx])),
+                          np.arange(st.total))
+    assert (pc.em_ctx is None) == (name == "hall_ldc")
 
 
 def test_unknown_elimination_rejected():

@@ -83,7 +83,7 @@ def _hartmann():
 
 def _all_spaces(spec, pc):
     return _distinct(list(spec.model.spaces.values())
-                     + [s for ctx in (pc.vel_ctx, pc.em_ctx)
+                     + [s for ctx in (pc.flow_ctx, pc.em_ctx)
                         for level in ctx.spaces for s in level])
 
 
@@ -119,7 +119,7 @@ def test_hartmann_setup_keeps_only_the_solve_tables():
     # 2,506,752
     assert sum(a.nbytes for s in spaces for a in _held(s)) <= 0.6e6
     model = spec.model
-    factory = KrylovSolverFactory(pc, rtol=1e-7, atol=1e-7, maxiter=100)
+    factory = KrylovSolverFactory(pc)
     state, report = solve_nonlinear(model, model.initial_state(),
                                     NonlinearConfig(), factory)
     assert report.converged
@@ -156,8 +156,7 @@ def test_hartmann_solve_and_preconditioner_build_no_table(tabulations):
     model = spec.model
     x = model.initial_state().vector
     del tabulations[:]
-    A, parts = model.jacobian(x)
-    pc.build(A, parts).apply(model.residual(x))
+    pc.build(model.jacobian(x)).apply(model.residual(x))
     model.div_norms(x)
     assert tabulations == []
 
@@ -189,7 +188,7 @@ def test_identical_spaces_are_built_once():
     assert pc.flow_ctx.fine_spaces == (s["ut"], s["u3"])
     spec, pc = _hartmann()
     s = spec.model.spaces
-    assert pc.vel_ctx.fine_spaces == (s["u"],)
+    assert pc.flow_ctx.fine_spaces == (s["u"],)
     assert pc.em_ctx.fine_spaces == (s["E"], s["B"])
 
 

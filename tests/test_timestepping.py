@@ -50,7 +50,7 @@ def test_step_jacobian_is_derivative_of_step_residual(make, scheme, nhist):
     history = [_random_state(model, rng) for _ in range(nhist)]
     x = _random_state(model, rng)
     residual, jacobian = _transient_forms(model, scheme, 0.1, history)
-    A, _ = jacobian(x)
+    A = jacobian(x)
     free = np.setdiff1d(np.arange(len(x)), model.constrained_idx)
     h = 1e-6
     worst = 0.0

@@ -1,4 +1,5 @@
-"""SHA-256 digests of the models' residuals and Jacobians.
+"""SHA-256 digests of the models' residuals, Jacobians and block
+preconditioners.
 
   PYTHONPATH=src python tools/model_digest.py > digests.txt
 
@@ -7,7 +8,10 @@ gradient-jump penalty, sets a seeded random state that satisfies the
 boundary conditions, and prints one line per evaluation: the digest of the
 residual, then of every Jacobian's CSR arrays (data, indices, indptr) for
 newton/picard x mass_coeff {0, 1.5} x steady_coeff {1, 0.5}, and for the
-Boussinesq models also each of the three drop flags.  Running it on two
+Boussinesq models also each of the three drop flags.  The last line of a
+case is the digest of its block preconditioner, built on the Newton
+Jacobian and applied to the residual at the seeded state, with one level of
+refinement so that the multigrid's patch smoother runs.  Running it on two
 versions of the code and diffing the output shows which evaluations changed
 by even one bit.
 """
@@ -40,21 +44,29 @@ def seeded_state(model, seed):
     return model.apply_state_bcs(st).vector
 
 
+def _problem(problem, levels):
+    return make_problem(problem, levels=levels, mesh_base=(4, 4),
+                        params={"stab_mu": 1e-3})
+
+
 def case_lines(problem, seed):
-    model = make_problem(problem, levels=0, mesh_base=(4, 4),
-                         params={"stab_mu": 1e-3}).model
+    model = _problem(problem, 0).model
     x = seeded_state(model, seed)
     yield f"{problem} residual {digest(model.residual(x))}"
     for lin, mass, steady in itertools.product(("newton", "picard"),
                                                (0.0, 1.5), (1.0, 0.5)):
-        A, _ = model.jacobian(x, lin, mass_coeff=mass, steady_coeff=steady)
+        A = model.jacobian(x, lin, mass_coeff=mass, steady_coeff=steady)
         yield (f"{problem} jacobian {lin} mass={mass} steady={steady} "
                f"{digest(A.data, A.indices, A.indptr)}")
     if problem == "rayleigh_benard":
         for flag in DROPS:
-            A, _ = model.jacobian(x, "newton", **{flag: True})
+            A = model.jacobian(x, "newton", **{flag: True})
             yield (f"{problem} jacobian newton {flag} "
                    f"{digest(A.data, A.indices, A.indptr)}")
+    spec = _problem(problem, 1)
+    x = seeded_state(spec.model, seed)
+    M = spec.make_precond().build(spec.model.jacobian(x))
+    yield f"{problem} precond {digest(M.apply(spec.model.residual(x)))}"
 
 
 def main(argv=None):

@@ -30,8 +30,7 @@ def stationary_cell(problem, levels, base, S, Re):
     """The `(Newton) avg-linear` cell of one continued solve."""
     spec = make_problem(problem, levels=levels, mesh_base=(base, base),
                         params={"stab_mu": 1e-2})
-    factory = KrylovSolverFactory(spec.make_precond(),
-                                  rtol=1e-7, atol=1e-7, maxiter=100)
+    factory = KrylovSolverFactory(spec.make_precond())
     schedule = ContinuationSchedule.toward({"S": S, "Re": Re, "Rem": Re})
     try:
         _, report = continue_parameters(spec.model, schedule,
