@@ -41,8 +41,7 @@ class BranchRecord:
 
 
 class SweepConfig:
-    def __init__(self, parameter, start, stop, step, direction=None,
-                 max_deflated=4):
+    def __init__(self, parameter, start, stop, step, max_deflated=4):
         if step <= 0:
             raise ValueError("step must be positive")
         if start == stop:
@@ -51,8 +50,6 @@ class SweepConfig:
         self.start = float(start)
         self.stop = float(stop)
         self.step = float(step)
-        self.direction = direction or ("forward" if stop > start
-                                       else "backward")
         self.max_deflated = max_deflated
 
     def values(self):
@@ -156,13 +153,12 @@ def critical_parameter(model, which="Ra_c", count=2):
 
 
 def deflated_continuation(model, sweep, seeds, nl_config=None,
-                          solver_factory=None, compute_stability=False,
-                          eig_k=6, deflation_shift=1.0,
-                          distinct_tol=1e-4):
+                          solver_factory=None, compute_stability=False):
     """Fixed-step deflated continuation: at each parameter value every live
     branch is continued (plain Newton from its previous state), then deflated
-    searches run from the continued solutions until NF; branch identity is
-    kept by nearest-functional matching."""
+    searches run from the continued solutions until NF (a root within 1e-4
+    of a found one is not new); branch identity is kept by
+    nearest-functional matching."""
     nl_config = nl_config or NonlinearConfig()
     records = []
     branches = {}
@@ -185,7 +181,7 @@ def deflated_continuation(model, sweep, seeds, nl_config=None,
         if not found:
             break
         # deflation rounds for unseen solutions
-        defl = DeflationOperator(W, shift=deflation_shift)
+        defl = DeflationOperator(W)
         for _, v in found:
             defl.add(v)
         extra = 0
@@ -194,7 +190,7 @@ def deflated_continuation(model, sweep, seeds, nl_config=None,
                 st = model.state_template.with_vector(v)
                 sol, rep = deflated_solve(model, st, defl, nl_config,
                                           solver_factory,
-                                          distinctness=distinct_tol)
+                                          distinctness=1e-4)
                 if not rep.converged:
                     break
                 defl.add(sol.vector)
@@ -213,7 +209,7 @@ def deflated_continuation(model, sweep, seeds, nl_config=None,
             lam = None
             stable = None
             if compute_stability:
-                lam, _, _ = stability_eigs(model, v, k=eig_k)
+                lam, _, _ = stability_eigs(model, v)
                 stable = stability_tag(lam) == "stable"
             records.append(BranchRecord(bid, value, funcs, lam, stable,
                                         state=v.copy()))

@@ -42,7 +42,6 @@ def _add_common(p):
     p.add_argument("--T", type=float)
     p.add_argument("--out-dir")
     p.add_argument("--stabilisation", type=float)
-    p.add_argument("--quad-degree-bc", type=int)
     p.add_argument("--bc-field")
     # Newton tolerances: config keys only, NonlinearConfig defaults if unset
     p.set_defaults(rtol=None, atol=None, max_steps=None)
@@ -61,8 +60,6 @@ def _collect_params(args):
             out[_param_name(f)] = v
     if args.stabilisation:
         out["stab_mu"] = args.stabilisation
-    if args.quad_degree_bc is not None:
-        out["quad_degree_bc"] = args.quad_degree_bc
     return out
 
 
@@ -264,7 +261,8 @@ def cmd_run(args):
         rep = exc.report
         _write_report(args, [[args.problem, _pstr(model), rep.steps,
                               f"{rep.avg_linear:.2f}", "false", "NF"]])
-        print(f"NF at continuation stage {exc.parameter}={exc.value}")
+        print(f"NF at continuation stage {exc.parameter}={exc.value} "
+              f"({rep.reason})")
         return 2
     row = [args.problem, _pstr(model), rep.steps, f"{rep.avg_linear:.2f}",
            str(rep.converged).lower(), rep.cell()]
@@ -272,7 +270,8 @@ def cmd_run(args):
     if args.linear_solver == "fgmres":
         _write_iterations(args, fac.rows)
     _dump_fields(args, spec, state.vector)
-    print(f"{args.problem}: {rep.cell()}")
+    why = "" if rep.converged else f" ({rep.reason})"
+    print(f"{args.problem}: {rep.cell()}{why}")
     return 0 if rep.converged else 2
 
 

@@ -39,6 +39,10 @@ from .assembly import cell_matrix, constrain_matrix
 from .linalg import LuSolver
 
 QDEG = 5
+# a step stops at a relative increment below TOL (times the
+# under-relaxation factor); an attempt gives up after MAX_FP sweeps
+TOL = 1e-11
+MAX_FP = 100
 # sweeps of history, beyond the last, in the Anderson mixing of the
 # midpoint fixed point
 ANDERSON_DEPTH = 3
@@ -73,17 +77,15 @@ def _blockdiag(A, B):
 
 
 class ConservativeScheme:
-    """Shared operators of the u x n and u . n families on one mesh."""
+    """Shared operators of the u x n and u . n families on one mesh; each
+    step's fixed point runs to TOL within MAX_FP sweeps per attempt."""
 
-    def __init__(self, mesh, S=1.0, R_H=0.0, inv_Re=0.0, inv_Rem=0.0,
-                 tol=1e-11, max_fp=100):
+    def __init__(self, mesh, S=1.0, R_H=0.0, inv_Re=0.0, inv_Rem=0.0):
         self.mesh = mesh
         self.S = S
         self.R_H = R_H
         self.inv_Re = inv_Re
         self.inv_Rem = inv_Rem
-        self.tol = tol
-        self.max_fp = max_fp
         self._potential = None
 
         ned = FunctionSpace(mesh, "NED", 1)
@@ -259,25 +261,26 @@ class MidpointState:
         return MidpointState(self.scheme, u, B, self.family)
 
 
-def _interpolate_product(space, fn, con, quad_degree):
+def _interpolate_product(space, fn, con):
     """Coefficients of the interpolant of fn (x, y) -> (..., 3) in a
-    (tangential, third) product space, the dofs `con` zeroed."""
+    (tangential, third) product space by quadrature of exactness 10, the
+    dofs `con` zeroed."""
     t = interpolate(space.t, lambda x, y: fn(x, y)[..., :2],
-                    quad_degree).coefficients
+                    10).coefficients
     z = interpolate(space.z, lambda x, y: fn(x, y)[..., 2],
-                    quad_degree).coefficients
+                    10).coefficients
     out = np.concatenate([t, z])
     out[con] = 0.0
     return out
 
 
-def initial_uxn_state(scheme, u0_fn, B0_fn, quad_degree=10):
+def initial_uxn_state(scheme, u0_fn, B0_fn):
     """Interpolate initial data; the velocity is then projected onto the
     discrete constraint (u, grad Q) = 0 so the pressure term is exactly
     orthogonal from step one."""
     sc = scheme
-    u = _interpolate_product(sc.curlsp, u0_fn, sc.con_c, quad_degree)
-    B = _interpolate_product(sc.divsp, B0_fn, sc.con_d, quad_degree)
+    u = _interpolate_product(sc.curlsp, u0_fn, sc.con_c)
+    B = _interpolate_product(sc.divsp, B0_fn, sc.con_d)
     return MidpointState(sc, _project_constraint_uxn(sc, u), B, "uxn")
 
 
@@ -294,11 +297,11 @@ def _project_constraint_uxn(sc, u):
     return u - G @ lam
 
 
-def initial_udotn_state(scheme, u0_fn, B0_fn, quad_degree=10):
+def initial_udotn_state(scheme, u0_fn, B0_fn):
     """Interpolate initial data, both fields in the H(div)-type product."""
     sc = scheme
-    u = _interpolate_product(sc.divsp, u0_fn, sc.con_d, quad_degree)
-    B = _interpolate_product(sc.divsp, B0_fn, sc.con_d, quad_degree)
+    u = _interpolate_product(sc.divsp, u0_fn, sc.con_d)
+    B = _interpolate_product(sc.divsp, B0_fn, sc.con_d)
     return MidpointState(sc, u, B, "udotn")
 
 
@@ -463,7 +466,7 @@ def _damped_fixed_point(sc, state, sweep):
         g, f = [], []
         best = np.inf
         since_best = 0
-        for _ in range(sc.max_fp):
+        for _ in range(MAX_FP):
             u_next, B_next, aux = sweep(u_k, B_k, u_new, B_new)
             sweeps += 1
             if theta != 1.0:
@@ -476,7 +479,7 @@ def _damped_fixed_point(sc, state, sweep):
             inc = du + dB
             if not np.isfinite(inc):
                 break
-            if inc < sc.tol * theta:
+            if inc < TOL * theta:
                 out = state.copy_with(u_next, B_next)
                 out.fp_iters = sweeps
                 aux["u_mid"] = 0.5 * (u_k + u_next)
@@ -497,5 +500,5 @@ def _damped_fixed_point(sc, state, sweep):
             u_new, B_new = x[:n_u], x[n_u:]
         theta *= 0.5
     raise FixedPointFailure(
-        f"fixed point did not reach TOL={sc.tol} within {sc.max_fp} "
+        f"fixed point did not reach TOL={TOL} within {MAX_FP} "
         "iterations (after relaxation retries)")

@@ -1,9 +1,10 @@
 """Sparse LU (one diagonal block at a time for a block-triangular matrix),
-flexible GMRES with right preconditioning, ARPACK shift-invert eigenpairs of
-generalized problems."""
+flexible GMRES with right preconditioning and no restart length, ARPACK
+shift-invert eigenpairs of generalized problems."""
 
 import logging
 import math
+from collections import namedtuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -127,12 +128,16 @@ class LuSolver:
     __call__ = solve
 
 
-class FgmresResult:
-    def __init__(self, x, iterations, residuals, converged):
-        self.x = x
-        self.iterations = iterations
-        self.residuals = residuals
-        self.converged = converged
+FgmresResult = namedtuple("FgmresResult", "x iterations residuals converged")
+
+
+class LinearSolveFailure(Exception):
+    """An outer FGMRES solve that stopped unconverged."""
+
+    def __init__(self, iterations, residual):
+        super().__init__(f"FGMRES did not converge in {iterations} "
+                         f"iterations (residual {residual:.3e})")
+        self.iterations, self.residual = iterations, residual
 
 
 def _as_operator(A):
@@ -141,20 +146,19 @@ def _as_operator(A):
     return lambda v: A @ v
 
 
-def fgmres(A, b, M=None, x0=None, rtol=1e-7, atol=1e-7, restart=100,
-           maxiter=None, callback=None):
-    """Right-preconditioned flexible GMRES.
-
-    The preconditioner M may change between iterations (e.g. an inner
-    iterative solve); preconditioned directions are stored.  Stops when
-    ||r_k|| <= max(rtol*||r_0||, atol); returns a non-convergence report
-    rather than raising when the budget is exhausted.
-    """
+def fgmres(A, b, M=None, x0=None, rtol=1e-7, atol=1e-7, maxiter=100,
+           callback=None):
+    """Right-preconditioned flexible GMRES (Saad, SIAM J. Sci. Comput.
+    14(2), 1993) with no restart length: one Arnoldi cycle runs until its
+    residual estimate reaches max(rtol*||r_0||, atol) or `maxiter` steps
+    are spent.  A new cycle, from the true residual and with the rest of
+    the budget, starts only when the estimate meets that tolerance and the
+    true residual does not.  M may change between iterations (e.g. an inner
+    iterative solve).  rtol = atol = 0 runs all `maxiter` steps and forms
+    no true residual."""
     matvec = _as_operator(A)
     n = len(b)
     fixed = rtol == 0 and atol == 0
-    if maxiter is None:
-        maxiter = 10 * restart
     if M is None:
         M = lambda v: v
     if x0 is None:
@@ -172,15 +176,14 @@ def fgmres(A, b, M=None, x0=None, rtol=1e-7, atol=1e-7, restart=100,
     if beta <= tol:
         return FgmresResult(x, 0, residuals, True)
     total = 0
-    while total < maxiter:
-        m = min(restart, maxiter - total)
+    while True:
+        m = maxiter - total
         V = np.empty((m + 1, n))
         Z = np.empty((m, n))
         H = np.zeros((m, m))
         cs, sn = [], []
         g = [beta]
         V[0] = r / beta
-        k_used = 0
         for k in range(m):
             Z[k] = M(V[k])
             w = matvec(Z[k])
@@ -216,26 +219,24 @@ def fgmres(A, b, M=None, x0=None, rtol=1e-7, atol=1e-7, restart=100,
             H[:k + 1, k] = h
             g.append(-sn[k] * g[k])
             g[k] = cs[k] * g[k]
-            k_used = k + 1
             total += 1
             res = abs(g[k + 1])
             residuals.append(res)
             if callback is not None:
                 callback(total, res)
-            if res <= tol or total >= maxiter:
+            if res <= tol:
                 break
-        y = sla.solve_triangular(H[:k_used, :k_used], g[:k_used],
+        y = sla.solve_triangular(H[:k + 1, :k + 1], g[:k + 1],
                                  check_finite=False)
-        x = x + Z[:k_used].T @ y
+        x = x + Z[:k + 1].T @ y
         if fixed and total >= maxiter:
             # nothing reads the true residual of a spent fixed budget
             return FgmresResult(x, total, residuals, False)
         r = b - matvec(x)
         beta = math.sqrt(r @ r)
         residuals[-1] = beta
-        if beta <= tol:
-            return FgmresResult(x, total, residuals, True)
-    return FgmresResult(x, total, residuals, False)
+        if beta <= tol or total >= maxiter:
+            return FgmresResult(x, total, residuals, beta <= tol)
 
 
 def fixed_iteration_solver(A, M, iters):
@@ -246,9 +247,8 @@ def fixed_iteration_solver(A, M, iters):
     matvec = _as_operator(A)
 
     def apply(b, x0=None):
-        res = fgmres(matvec, b, M=M, x0=x0, rtol=0.0, atol=0.0,
-                     restart=iters, maxiter=iters)
-        return res.x
+        return fgmres(matvec, b, M=M, x0=x0, rtol=0.0, atol=0.0,
+                      maxiter=iters).x
 
     return apply
 

@@ -21,7 +21,7 @@ class ModelParams:
     """
 
     def __init__(self, Re=1.0, Rem=1.0, S=1.0, R_H=0.0, Ra=1.0, Pr=1.0,
-                 Pm=1.0, gamma=1e4, stab_mu=0.0, quad_degree_bc=None):
+                 Pm=1.0, gamma=1e4, stab_mu=0.0):
         for name, val in [("Re", Re), ("Rem", Rem), ("S", S), ("Ra", Ra),
                           ("Pr", Pr), ("Pm", Pm)]:
             if val is not None and val <= 0 and name not in ("Ra",):
@@ -35,15 +35,7 @@ class ModelParams:
         self.Pm = Pm
         self.gamma = gamma
         self.stab_mu = stab_mu
-        self.quad_degree_bc = quad_degree_bc
         self.gravity = np.array([0.0, 1.0])
-
-    def replace(self, **kw):
-        import copy
-        out = copy.copy(self)
-        for k, v in kw.items():
-            setattr(out, k, v)
-        return out
 
     def as_dict(self):
         return {k: getattr(self, k) for k in
@@ -313,7 +305,6 @@ class MixedModel:
 
     def _setup_constraints(self):
         pairs = []
-        qbc = self.params.quad_degree_bc
         st = self.state_template
         for name in self.fields:
             spec = self.bcs.get(name)
@@ -321,9 +312,8 @@ class MixedModel:
                 continue
             markers, value = spec
             space = self.spaces[name]
-            qd = qbc if qbc is not None else space.element.degree + 6
             bc = DirichletBC(space, None if markers == "all" else markers,
-                             value, quad_degree=qd)
+                             value, quad_degree=space.element.degree + 6)
             idx, vals = bc.values()
             pairs.append((idx + st.offsets[name], vals))
         pairs.append((np.array([st.offsets["p"]]), np.array([0.0])))

@@ -111,8 +111,9 @@ def _invert_blocks(blocks):
 
 
 class PatchSmoother:
-    """Additive Schwarz over precomputed patch index sets:
-    x = omega * sum_p R_p^T A_p^{-1} R_p r.
+    """Additive Schwarz over precomputed patch index sets, undamped:
+    x = sum_p R_p^T A_p^{-1} R_p r (inside the Krylov smoother a damping
+    factor would be absorbed).
 
     Patches are grouped by size.  `setup` gathers each group's dense blocks
     from the CSR matrix and inverts them in batches of `PATCH_CHUNK`
@@ -141,14 +142,12 @@ class PatchSmoother:
                 inv[a:b] = _invert_blocks(_gather_blocks(A, idx[a:b]))
             self._inv.append(inv)
 
-    def apply(self, r, omega=1.0):
-        """Sum of damped local solves of the restricted residual; inside a
-        Krylov smoother the scaling is absorbed, hence omega = 1 by
-        default."""
+    def apply(self, r):
+        """Sum of the local solves of the restricted residual."""
         local = [np.matmul(inv, r[idx][:, :, None]).ravel()
                  for idx, inv in zip(self.group_idx, self._inv)]
         x = np.concatenate([np.zeros(0)] + local)
-        return np.bincount(self._scatter, weights=omega * x, minlength=len(r))
+        return np.bincount(self._scatter, weights=x, minlength=len(r))
 
 
 class MgHierarchy:

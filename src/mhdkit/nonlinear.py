@@ -2,14 +2,14 @@
 parameter continuation, and deflation of previously found roots via the
 shifted inverse-distance multiplier (applied to the Newton step through the
 scalar Sherman-Morrison factor).  A continuation stage whose undamped
-iteration fails is solved again from the same seed with a backtracking line
-search on the residual norm."""
+iteration fails, for any reason the report names, is solved again from the
+same seed with a backtracking line search on the residual norm."""
 
 import logging
 
 import numpy as np
 
-from .linalg import LuSolver
+from .linalg import LinearSolveFailure, LuSolver
 
 log = logging.getLogger(__name__)
 
@@ -35,12 +35,14 @@ class NonlinearConfig:
 
 class SolverReport:
     """Per-step residual/linear-iteration ledger in the "(nonlinear)
-    avg-linear" convention."""
+    avg-linear" convention; `reason` says why an unconverged solve
+    stopped."""
 
     def __init__(self):
         self.residuals = []
         self.linear_iters = []
         self.converged = False
+        self.reason = None
 
     @property
     def steps(self):
@@ -73,7 +75,7 @@ def direct_solver_factory(A, parts=None):
 
 def solve_nonlinear(model, state, config=None, solver_factory=None,
                     residual_fn=None, jacobian_fn=None, deflation=None,
-                    callback=None, backtracks=0):
+                    backtracks=0):
     """Drive R(U) = 0 from `state` (which must satisfy the BCs).
 
     solver_factory(A, None) returns solve(rhs) -> (delta, linear_iters);
@@ -83,8 +85,10 @@ def solve_nonlinear(model, state, config=None, solver_factory=None,
     (self, A, parts).  residual_fn/jacobian_fn override the
     model's steady forms (used by the time steppers).  With `deflation`, the
     driver finds a root of the deflated residual, which keeps the update
-    direction and rescales its length.  Without deflation, the iteration
-    stops unconverged once STALL_STEPS steps since the residual norm last
+    direction and rescales its length.  It stops unconverged, with the
+    report's `reason`, at a LinearSolveFailure (its iterations are recorded
+    and the step is not taken), a non-finite residual, the step budget, or,
+    without deflation, once STALL_STEPS steps since the residual norm last
     set a new minimum have failed to halve it.  With `backtracks` > 0, a
     step that does not lower the residual norm is halved, up to
     `backtracks` times, and the last halving is taken; a deflated search
@@ -111,11 +115,16 @@ def solve_nonlinear(model, state, config=None, solver_factory=None,
         return out, report
     rbest = rprev = rnorm0
     stalled = 0
-    for step in range(config.max_steps):
+    for step in range(1, config.max_steps + 1):
         needs = getattr(solver_factory, "needs_matrix", None)
         A = jacobian(x) if needs is None or needs() else None
         solve = solver_factory(A, None)
-        delta, nit = solve(-r)
+        try:
+            delta, nit = solve(-r)
+        except LinearSolveFailure as exc:
+            report.linear_iters.append(exc.iterations)
+            report.reason = f"Newton step {step}: {exc}"
+            break
         # free this step's solver (a block preconditioner holds multigrid
         # levels and factorisations) before the next one is built
         del A, solve
@@ -135,9 +144,8 @@ def solve_nonlinear(model, state, config=None, solver_factory=None,
         x = x_new
         report.residuals.append(rnorm)
         report.linear_iters.append(nit)
-        if callback is not None:
-            callback(step, rnorm, nit)
         if not np.isfinite(rnorm):
+            report.reason = f"Newton step {step}: non-finite residual"
             break
         if rnorm < config.atol or rnorm < config.rtol * rnorm0:
             report.converged = True
@@ -152,7 +160,11 @@ def solve_nonlinear(model, state, config=None, solver_factory=None,
             stalled += 1
         rprev = rnorm
         if stalled >= STALL_STEPS and deflation is None:
+            report.reason = (f"Newton step {step}: stalled, {STALL_STEPS} "
+                             "steps without halving the residual")
             break
+    else:
+        report.reason = f"step budget of {config.max_steps} Newton steps spent"
     out = state.with_vector(x)
     return out, report
 
@@ -183,15 +195,14 @@ class ContinuationSchedule:
         self.stages = [(n, list(map(float, v))) for n, v in stages]
 
     @classmethod
-    def toward(cls, targets, order=None, steps=None):
-        """Build a schedule walking each parameter through the default step
+    def toward(cls, targets, order=None):
+        """Build a schedule walking each parameter through its DEFAULT_STEPS
         list truncated at its target (the target is always included)."""
-        steps = steps or cls.DEFAULT_STEPS
         order = order or list(targets.keys())
         stages = []
         for name in order:
             tgt = float(targets[name])
-            base = [v for v in steps.get(name, [tgt])]
+            base = cls.DEFAULT_STEPS.get(name, [tgt])
             increasing = base == sorted(base)
             if increasing:
                 vals = [v for v in base if v < tgt] + [tgt]
@@ -204,21 +215,20 @@ class ContinuationSchedule:
 class StageFailure(Exception):
     def __init__(self, parameter, value, report):
         super().__init__(f"continuation stage {parameter}={value} "
-                         "failed to converge (NF)")
+                         f"failed to converge (NF): {report.reason}")
         self.parameter = parameter
         self.value = value
         self.report = report
 
 
 def continue_parameters(model, schedule, state=None, config=None,
-                        solver_factory=None, keep_reports=False):
+                        solver_factory=None):
     """Traverse the schedule, seeding every solve with the previous solution;
-    returns (final state, final-stage report[, all reports]).  A stage whose
-    undamped solve fails is solved again from the same seed with BACKTRACKS
-    halvings per step; its report is that of the second solve, and it fails
+    returns (final state, final-stage report).  A stage whose undamped solve
+    fails is solved again from the same seed with BACKTRACKS halvings per
+    step; its report is that of the second solve, and it fails
     (StageFailure) only if that solve fails too."""
     state = state or model.initial_state()
-    reports = []
     report = None
     for name, values in schedule.stages:
         for v in values:
@@ -237,26 +247,21 @@ def continue_parameters(model, schedule, state=None, config=None,
                 state, report = solve_nonlinear(model, seed, config,
                                                 solver_factory,
                                                 backtracks=BACKTRACKS)
-            reports.append(((name, v), report))
             if not report.converged:
                 raise StageFailure(name, v, report)
-    if keep_reports:
-        return state, report, reports
     return state, report
 
 
 class DeflationOperator:
     """Product of shifted inverse-square-distance factors over found roots.
 
-    M(x) = prod_i (1 / d_i(x)^2 + shift) with d_i^2 = (x - x_i)^T W (x - x_i)
+    M(x) = prod_i (1 / d_i(x)^2 + 1) with d_i^2 = (x - x_i)^T W (x - x_i)
     and W the combined velocity mass + broken-gradient, temperature and
     magnetic Gram matrix provided by the model.
     """
 
-    def __init__(self, gram, shift=1.0, power=2):
+    def __init__(self, gram):
         self.W = gram
-        self.shift = shift
-        self.power = power
         self.solutions = []
 
     def add(self, vec):
@@ -267,8 +272,7 @@ class DeflationOperator:
         return float(d @ (self.W @ d))
 
     def factors(self, x):
-        return [1.0 / self.distance2(x, xi) ** (self.power // 2)
-                + self.shift for xi in self.solutions]
+        return [1.0 / self.distance2(x, xi) + 1.0 for xi in self.solutions]
 
     def value(self, x):
         return float(np.prod(self.factors(x)))
@@ -312,4 +316,5 @@ def deflated_solve(model, state, deflation, config=None, solver_factory=None,
                                   deflation=deflation)
     if report.converged and deflation.min_distance(out.vector) <= distinctness:
         report.converged = False
+        report.reason = "converged to a deflated root"
     return out, report

@@ -15,7 +15,8 @@ preconditioner into the nonlinear driver's linear solver interface."""
 import numpy as np
 
 from .assembly import cell_local, scatter
-from .linalg import LuSolver, fgmres, fixed_iteration_solver
+from .linalg import (LinearSolveFailure, LuSolver, fgmres,
+                     fixed_iteration_solver)
 from .multigrid import MgHierarchy, GeometricMultigrid
 
 # FGMRES iterations of the inner block solves.  The augmented-Lagrangian
@@ -178,17 +179,16 @@ class HallPrecond(FieldSplitPrecond):
 class KrylovSolverFactory:
     """Wraps a block preconditioner into the nonlinear driver's linear
     solver interface: each call builds the preconditioner on A and returns
-    an FGMRES solve.  `rows` records (call, outer iteration, residual),
-    the calls counted from 1.  The call's second argument is unread; it
-    stays because the benchmark's Krylov span wrapper (perfbench/layers.py)
-    takes (self, A, parts)."""
+    an FGMRES solve, which raises LinearSolveFailure if FGMRES does not
+    converge.  `rows` records (call, outer iteration, residual), the calls
+    counted from 1.  The second argument is unread; it stays because the
+    benchmark's Krylov span wrapper (perfbench/layers.py) takes (self, A,
+    parts)."""
 
-    def __init__(self, precond, rtol=1e-7, atol=1e-7, restart=100,
-                 maxiter=100):
+    def __init__(self, precond, rtol=1e-7, atol=1e-7, maxiter=100):
         self.precond = precond
         self.rtol = rtol
         self.atol = atol
-        self.restart = restart
         self.maxiter = maxiter
         self.rows = []
         self.calls = 0
@@ -200,9 +200,11 @@ class KrylovSolverFactory:
 
         def solve(rhs):
             res = fgmres(A, rhs, M=M.apply, rtol=self.rtol, atol=self.atol,
-                         restart=self.restart, maxiter=self.maxiter,
+                         maxiter=self.maxiter,
                          callback=lambda it, r: self.rows.append(
                              (call, it, r)))
+            if not res.converged:
+                raise LinearSolveFailure(res.iterations, res.residuals[-1])
             return res.x, res.iterations
 
         return solve

@@ -74,12 +74,11 @@ DEFAULT_PARAMS = {
 }
 
 
-def _hierarchy(name, levels=None, base=None, pattern=None, periodic_x=False):
+def _hierarchy(name, levels=None, base=None, periodic_x=False):
     cfg = DEFAULT_MESH[name]
     base = base or cfg["base"]
-    pattern = pattern or cfg["pattern"]
     levels = cfg["levels"] if levels is None else levels
-    mesh = build_rect_mesh(cfg["domain"], base[0], base[1], pattern,
+    mesh = build_rect_mesh(cfg["domain"], base[0], base[1], cfg["pattern"],
                            periodic_x=periodic_x)
     return refine_uniform(mesh, levels)
 
@@ -111,7 +110,7 @@ class HartmannModel(StandardMHD):
 
 
 def make_problem(name, levels=None, params=None, mesh_base=None,
-                 pattern=None, bc_field=None):
+                 bc_field=None):
     """Instantiate a named problem at the requested refinement level.
     `bc_field`, one of BC_FIELDS, picks the boundary magnetic field of
     ldc2d; no other problem takes one."""
@@ -126,7 +125,7 @@ def make_problem(name, levels=None, params=None, mesh_base=None,
     pr = _params(name, params)
 
     if name == "hartmann":
-        hier = _hierarchy(name, levels, mesh_base, pattern)
+        hier = _hierarchy(name, levels, mesh_base)
         sol = analytic.hartmann_solution(pr.Re, pr.Rem, pr.S)
         model = HartmannModel(
             hier.finest, pr,
@@ -138,7 +137,7 @@ def make_problem(name, levels=None, params=None, mesh_base=None,
         return ProblemSpec(name, hier, model, StandardMHDPrecond, sol)
 
     if name == "mms":
-        hier = _hierarchy(name, levels, mesh_base, pattern)
+        hier = _hierarchy(name, levels, mesh_base)
         sol = analytic.mms_solution(pr.Re, pr.Rem, pr.S)
         model = StandardMHD(
             hier.finest, pr,
@@ -149,7 +148,7 @@ def make_problem(name, levels=None, params=None, mesh_base=None,
         return ProblemSpec(name, hier, model, StandardMHDPrecond, sol)
 
     if name == "ldc2d":
-        hier = _hierarchy(name, levels, mesh_base, pattern)
+        hier = _hierarchy(name, levels, mesh_base)
         lid = _lid_velocity(0.5)
         if bc_field == "trig":
             Bbc = _trig_divfree_field()
@@ -162,7 +161,7 @@ def make_problem(name, levels=None, params=None, mesh_base=None,
         return ProblemSpec(name, hier, model, StandardMHDPrecond)
 
     if name == "island_coalescence":
-        hier = _hierarchy(name, levels, mesh_base, pattern, periodic_x=True)
+        hier = _hierarchy(name, levels, mesh_base, periodic_x=True)
         # Alfvenic units: the coupling number equals Rem for this problem
         pr.S = pr.Rem
         eq = analytic.island_equilibrium(pr.Rem, pr.S)
@@ -176,7 +175,7 @@ def make_problem(name, levels=None, params=None, mesh_base=None,
                            extras={"equilibrium": eq})
 
     if name == "hall_ldc":
-        hier = _hierarchy(name, levels, mesh_base, pattern)
+        hier = _hierarchy(name, levels, mesh_base)
         ytop = DEFAULT_MESH[name]["domain"][3]
         lid = _lid_velocity(ytop)
         hall_bcs = compatible_hall_bcs(pr, ytop=ytop)
@@ -189,7 +188,7 @@ def make_problem(name, levels=None, params=None, mesh_base=None,
         return ProblemSpec(name, hier, model, HallPrecond)
 
     if name == "hall_island":
-        hier = _hierarchy(name, levels, mesh_base, pattern, periodic_x=True)
+        hier = _hierarchy(name, levels, mesh_base, periodic_x=True)
         pr.S = 1.0
         eq = _hall_island_equilibrium(pr)
         markers = ["top", "bottom"]
@@ -203,7 +202,7 @@ def make_problem(name, levels=None, params=None, mesh_base=None,
                            extras={"equilibrium": eq})
 
     if name in ("double_glazing", "cooling_channel", "rayleigh_benard"):
-        hier = _hierarchy(name, levels, mesh_base, pattern)
+        hier = _hierarchy(name, levels, mesh_base)
         Bbc = lambda x, y: np.stack([np.zeros_like(x), np.ones_like(y)],
                                     axis=-1)
         if name == "double_glazing":
@@ -310,7 +309,7 @@ def _hall_island_equilibrium(pr):
 KNOWN_KEYS = {
     "problem": {"name", "levels", "bc_field"},
     "params": {"Re", "Rem", "S", "RH", "Ra", "Pr", "Pm", "gamma",
-               "stabilisation", "quad_degree_bc"},
+               "stabilisation"},
     "solver": {"linearisation", "linear_solver", "rtol", "atol",
                "max_steps", "continuation"},
     "time": {"dt", "T"},

@@ -23,22 +23,27 @@ __all__ = [
 # The implicit step of each scheme as one table: mass weights w on
 # [x, x_n, x_{n-1}] and the implicit weight theta of the step residual
 #   M (w_0 x + w_1 x_n [+ w_2 x_{n-1}]) / dt + theta R(x) + (1 - theta) R(x_n),
-# whose exact Jacobian is (w_0 / dt) M + theta J.  "bdf2_cn_start" runs its
-# first step (one state of history) with the Crank-Nicolson row.
+# whose exact Jacobian is (w_0 / dt) M + theta J.  run_transient's
+# "bdf2_cn_start" runs its first step with the Crank-Nicolson row.
 SCHEMES = {
     "implicit_euler": ((1.0, -1.0), 1.0),
     "crank_nicolson": ((1.0, -1.0), 0.5),
     "bdf2_cn_start": ((1.5, -2.0, 0.5), 1.0),
 }
+# FrozenJacobianFactory's refactorisation periods, in time steps and in
+# Newton steps of one solve
+REFRESH_EVERY = 20
+MAX_NEWTON = 6
 
 
 class TimeConfig:
-    def __init__(self, dt, T, scheme="bdf2_cn_start"):
+    """Step size dt and final time T of a run_transient run."""
+
+    def __init__(self, dt, T):
         if dt <= 0 or T < dt:
             raise ValueError("need dt > 0 and T >= dt")
         self.dt = dt
         self.T = T
-        self.scheme = scheme
 
 
 def _transient_forms(model, scheme, dt, history, linearisation="newton"):
@@ -114,15 +119,13 @@ class TimeStepFailure(Exception):
 
 class FrozenJacobianFactory:
     """Direct solver with quasi-Newton reuse: the factorisation is refreshed
-    every `refresh_every` time steps or whenever a nonlinear solve needs more
-    than `max_newton` iterations (the residual stays exact, so reuse affects
-    only the convergence rate).  run_transient invalidates it before its
-    first step and again when it returns or raises, so a factorisation
-    lives no longer than the run that made it."""
+    every REFRESH_EVERY time steps and at Newton steps MAX_NEWTON + 1,
+    2 MAX_NEWTON + 1, ... of one solve (the residual stays exact, so reuse
+    affects only the convergence rate).  run_transient invalidates it
+    before its first step and again when it returns or raises, so a
+    factorisation lives no longer than the run that made it."""
 
-    def __init__(self, refresh_every=20, max_newton=6):
-        self.refresh_every = refresh_every
-        self.max_newton = max_newton
+    def __init__(self):
         self._lu = None
         self._steps_since = 10 ** 9
         self._calls_this_solve = 0
@@ -136,10 +139,8 @@ class FrozenJacobianFactory:
         self._steps_since = 10 ** 9
 
     def _due(self, calls):
-        slow = calls > self.max_newton and \
-            (calls - 1) % self.max_newton == 0
-        return (self._lu is None
-                or self._steps_since >= self.refresh_every
+        slow = calls > MAX_NEWTON and (calls - 1) % MAX_NEWTON == 0
+        return (self._lu is None or self._steps_since >= REFRESH_EVERY
                 or slow)
 
     def needs_matrix(self):
@@ -161,8 +162,8 @@ class FrozenJacobianFactory:
 
 def run_transient(model, state0, tconfig, nl_config=None,
                   solver_factory=None, observers=None, linearisation="newton"):
-    """Advance to T; returns (final state vector, rows) with one observer row
-    per accepted step.  BDF2 runs its first step with Crank-Nicolson.  With
+    """Advance to T by BDF2; returns (final state vector, rows) with one
+    observer row per accepted step.  The first step is Crank-Nicolson.  With
     a FrozenJacobianFactory, a failed step is retried once with a fresh
     factorisation; a step that still fails raises TimeStepFailure naming
     it."""
@@ -192,7 +193,7 @@ def run_transient(model, state0, tconfig, nl_config=None,
                             step, t_next)
                 frozen.invalidate()
             try:
-                return step_multistep(model, tconfig.scheme, history,
+                return step_multistep(model, "bdf2_cn_start", history,
                                       tconfig.dt, nl_config, solver_factory,
                                       linearisation)
             except TimeStepFailure as exc:
@@ -207,7 +208,7 @@ def run_transient(model, state0, tconfig, nl_config=None,
         for n in range(nsteps):
             if frozen is not None:
                 frozen.new_step()
-                if tconfig.scheme == "bdf2_cn_start" and n == 1:
+                if n == 1:
                     frozen.invalidate()  # CN -> BDF2 operator switch
             vec, rep = advance(n + 1, t + tconfig.dt)
             t += tconfig.dt

@@ -471,6 +471,35 @@ def test_direct_solver_rejects_elimination(monkeypatch, tmp_path, capsys,
         assert "'elimination'" in err and "[solver]" in err
 
 
+def test_boundary_quadrature_degree_is_not_settable(monkeypatch, tmp_path,
+                                                   capsys):
+    # boundary data is always integrated at the element degree + 6: the
+    # flag is a usage error (exit 2), the config key an unknown one (exit 1)
+    monkeypatch.setattr(cli, "make_problem", _no_problem)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", "--problem", "hartmann", "--quad-degree-bc", "8",
+                  "--out-dir", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert ("unrecognized arguments: --quad-degree-bc 8"
+            in capsys.readouterr().err)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[params]\nquad_degree_bc = 8\n")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", "--problem", "hartmann", "--config", str(cfg),
+                  "--out-dir", str(tmp_path)])
+    assert exit_.value.code == 1
+    assert "'quad_degree_bc'" in capsys.readouterr().err
+
+
+def test_unconverged_run_prints_the_reason(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[solver]\nmax_steps = 1\n")
+    assert cli.main(["run", "--problem", "hartmann", "--levels", "0",
+                     "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().out == (
+        "hartmann: NF (step budget of 1 Newton steps spent)\n")
+
+
 def _fake_sweep(monkeypatch):
     """Fake the problems and solves of `run` and `sweep`; record the
     ModelParams each grid cell builds and the continuation stages it

@@ -175,7 +175,8 @@ def _fgmres_vector_potential(sc, B):
     A3 = LuSolver(K_a3).solve(rhs)
     res = fgmres(sp.csr_matrix(sc.C.T @ sc.M_dg @ sc.C),
                  sc.C.T @ (sc.M_dg @ B3_c), rtol=1e-10, atol=1e-12,
-                 maxiter=2000, restart=200)
+                 maxiter=200)
+    assert res.converged
     return np.concatenate([res.x, A3])
 
 

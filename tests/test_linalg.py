@@ -184,7 +184,7 @@ def test_fgmres_laplacian_and_two_level_mg():
     n = 64
     A = _laplacian_1d(n)
     b = np.ones(n)
-    plain = fgmres(A, b, restart=30, rtol=1e-8, atol=0.0, maxiter=400)
+    plain = fgmres(A, b, rtol=1e-8, atol=0.0, maxiter=400)
     assert plain.converged
     # crude 2-level preconditioner: damped Jacobi + coarse solve
     P = sp.lil_matrix((n, n // 2))
@@ -205,7 +205,7 @@ def test_fgmres_laplacian_and_two_level_mg():
         r = v - A @ x
         return x + 0.6 * r / d
 
-    pre = fgmres(A, b, M=mg, restart=30, rtol=1e-8, atol=0.0)
+    pre = fgmres(A, b, M=mg, rtol=1e-8, atol=0.0, maxiter=30)
     assert pre.converged and pre.iterations < 10
     assert pre.iterations < plain.iterations
 
@@ -214,7 +214,7 @@ def test_fgmres_monotone_history():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((60, 60)) + 12 * np.eye(60)
     b = rng.standard_normal(60)
-    res = fgmres(A, b, rtol=1e-10, atol=0.0, restart=60)
+    res = fgmres(A, b, rtol=1e-10, atol=0.0, maxiter=60)
     hist = np.array(res.residuals)
     assert np.all(hist[1:] <= hist[:-1] * (1 + 1e-12))
 
@@ -222,12 +222,12 @@ def test_fgmres_monotone_history():
 def test_fgmres_nonconvergence_report():
     A = sp.diags(np.linspace(1e-8, 1, 100)).tocsr()
     b = np.ones(100)
-    res = fgmres(A, b, rtol=1e-14, atol=0.0, restart=5, maxiter=10)
+    res = fgmres(A, b, rtol=1e-14, atol=0.0, maxiter=10)
     assert not res.converged
     assert res.iterations == 10
 
 
-def _reference_fgmres(A, b, M, x0, rtol, atol, restart, maxiter):
+def _reference_fgmres(A, b, M, x0, rtol, atol, maxiter):
     """The FGMRES loop with the Hessenberg matrix, the Givens rotations and
     the norms in numpy arrays and np.linalg.norm, kept as the reference for
     the float loop of linalg.fgmres."""
@@ -248,7 +248,7 @@ def _reference_fgmres(A, b, M, x0, rtol, atol, restart, maxiter):
         return x, residuals
     total = 0
     while total < maxiter:
-        m = min(restart, maxiter - total)
+        m = maxiter - total
         V = np.zeros((m + 1, n))
         Z = np.zeros((m, n))
         H = np.zeros((m + 1, m))
@@ -291,7 +291,7 @@ def _reference_fgmres(A, b, M, x0, rtol, atol, restart, maxiter):
             total += 1
             res = abs(g[k + 1])
             residuals.append(res)
-            if res <= tol or total >= maxiter:
+            if res <= tol:
                 break
         y = sla.solve_triangular(H[:k_used, :k_used], g[:k_used],
                                  check_finite=False)
@@ -323,7 +323,7 @@ def _flexible_scaling(d):
     return apply
 
 
-@pytest.mark.parametrize("case", ["fixed", "fixed_x0", "restarted",
+@pytest.mark.parametrize("case", ["fixed", "fixed_x0", "converging",
                                   "reorthogonalised"])
 def test_fgmres_iterates_are_bitwise_the_reference(case):
     A = _convection_diffusion()
@@ -331,24 +331,51 @@ def test_fgmres_iterates_are_bitwise_the_reference(case):
     b = np.sin(np.linspace(0.0, 3.0, n)) + 0.5
     d = A.diagonal()
     x0 = None
-    kw = dict(rtol=0.0, atol=0.0, restart=12, maxiter=12)
+    kw = dict(rtol=0.0, atol=0.0, maxiter=12)
     if case == "fixed_x0":
         x0 = np.cos(np.linspace(0.0, 2.0, n))
-    elif case == "restarted":
+    elif case == "converging":
         x0 = np.cos(np.linspace(0.0, 2.0, n))
-        kw = dict(rtol=1e-10, atol=0.0, restart=7, maxiter=400)
+        kw = dict(rtol=1e-10, atol=0.0, maxiter=400)
     elif case == "reorthogonalised":
         # three distinct eigenvalues: the Krylov space is exhausted after
         # three steps and the next products trigger the second MGS pass
         A = sp.diags(np.tile([1.0, 2.0, 5.0], n // 3 + 1)[:n]).tocsr()
         d = np.ones(n)
-        kw = dict(rtol=0.0, atol=0.0, restart=6, maxiter=6)
+        kw = dict(rtol=0.0, atol=0.0, maxiter=6)
     got = fgmres(A, b, M=_flexible_scaling(d), x0=x0, **kw)
     x, residuals = _reference_fgmres(A, b, _flexible_scaling(d), x0, **kw)
-    if case == "restarted":
-        assert got.converged and got.iterations > kw["restart"]
+    if case == "converging":
+        assert got.converged and got.iterations < kw["maxiter"]
     assert np.array_equal(got.x, x)
     assert got.residuals == residuals
+
+
+def test_fgmres_continues_when_the_true_residual_misses():
+    # the products change once the first cycle's estimate meets the
+    # tolerance, so its true residual does not: a second cycle starts from
+    # it with the rest of the budget, and the first cycle's last residual
+    # is the true one
+    A = _laplacian_1d(16)
+    b = np.ones(16)
+    scale = [1.1]
+    tol = 1e-8 * np.linalg.norm(b)
+    estimates = []
+
+    def callback(it, res):
+        estimates.append(res)
+        if res <= tol:
+            scale[0] = 1.0
+
+    res = fgmres(lambda v: scale[0] * (A @ v), b, rtol=1e-8, atol=0.0,
+                 maxiter=40, callback=callback)
+    first = next(i for i, r in enumerate(estimates, 1) if r <= tol)
+    assert res.converged and first < res.iterations <= 40
+    assert res.residuals[first] == pytest.approx(
+        np.linalg.norm(b - A @ np.linalg.solve(1.1 * A.toarray(), b)),
+        rel=1e-6)
+    assert res.residuals[first] > tol
+    assert np.linalg.norm(b - A @ res.x) <= tol
 
 
 def test_fixed_iteration_solver_runs_exactly_k():
@@ -378,7 +405,7 @@ def test_fixed_iteration_solver_forms_no_unread_residual():
     x = fixed_iteration_solver(matvec, lambda v: 0.5 * v, iters=2)(b)
     assert len(products) == 2
     ref = fgmres(A, b, M=lambda v: 0.5 * v, x0=np.zeros(32), rtol=0.0,
-                 atol=0.0, restart=2, maxiter=2)
+                 atol=0.0, maxiter=2)
     assert np.array_equal(x, ref.x)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mhdkit.linalg import LinearSolveFailure
 from mhdkit.mesh import build_rect_mesh
 from mhdkit.models.base import ModelParams
 from mhdkit.models.standard import StandardMHD
@@ -11,7 +12,7 @@ from mhdkit.models import analytic
 from mhdkit.nonlinear import (NonlinearConfig, SolverReport, solve_nonlinear,
                               ContinuationSchedule, continue_parameters,
                               StageFailure, DeflationOperator, deflated_solve,
-                              STALL_STEPS)
+                              STALL_STEPS, direct_solver_factory)
 
 
 class _ScalarProblem:
@@ -56,7 +57,7 @@ def test_linear_problem_one_step():
     assert rep.converged and rep.steps <= 3
 
 
-def _scripted_solve(norms):
+def _scripted_solve(norms, max_steps=50):
     """solve_nonlinear on residual norms given in advance; returns the report
     and the number of residual evaluations."""
     prob = _ScalarProblem()
@@ -68,7 +69,7 @@ def _scripted_solve(norms):
         return np.array([next(norms)])
 
     _, rep = solve_nonlinear(
-        prob, prob.initial_state(), NonlinearConfig(max_steps=50),
+        prob, prob.initial_state(), NonlinearConfig(max_steps=max_steps),
         residual_fn=residual,
         jacobian_fn=lambda x: sp.identity(1, format="csr"))
     return rep, len(evaluations)
@@ -82,6 +83,8 @@ def test_stalled_residual_stops_unconverged(plateau):
     assert not rep.converged
     assert rep.steps == 1 + STALL_STEPS <= 6
     assert evaluations == rep.steps + 1
+    assert rep.reason == (f"Newton step {rep.steps}: stalled, {STALL_STEPS} "
+                          "steps without halving the residual")
 
 
 def test_return_from_overshoot_is_not_a_stall():
@@ -143,6 +146,70 @@ def test_failed_stage_is_retried_with_a_line_search(caplog):
     assert rep.converged and st.vector[0] == pytest.approx(3.0)
     assert [r.getMessage() for r in caplog.records] == [
         "continuation stage p=3 failed undamped; retrying with a line search"]
+
+
+class _FailingAt:
+    """A direct-LU solver factory that reports 7 iterations per solve; the
+    solve built by its `fail_at`-th call, counted over every Newton solve it
+    serves, raises LinearSolveFailure after 100 iterations."""
+
+    def __init__(self, fail_at):
+        self.fail_at = fail_at
+        self.calls = 0
+
+    def __call__(self, A, parts):
+        self.calls += 1
+        failing = self.calls == self.fail_at
+        lu = direct_solver_factory(A)
+
+        def solve(rhs):
+            if failing:
+                raise LinearSolveFailure(100, 0.25)
+            return lu(rhs)[0], 7
+
+        return solve
+
+
+def test_linear_solve_failure_ends_the_attempt():
+    prob = _ScalarProblem()
+    jacobians = []
+
+    def jacobian(x):
+        jacobians.append(x[0])
+        return prob.jacobian(x)
+
+    _, rep = solve_nonlinear(prob, prob.initial_state(3.0),
+                             NonlinearConfig(atol=1e-13, rtol=1e-14),
+                             _FailingAt(2), jacobian_fn=jacobian)
+    assert not rep.converged
+    assert rep.linear_iters == [7, 100]
+    assert rep.reason == ("Newton step 2: FGMRES did not converge in 100 "
+                          "iterations (residual 2.500e-01)")
+    # the failed step is not taken and no Jacobian follows it
+    assert len(jacobians) == 2 and len(rep.residuals) == 2
+
+
+def test_stage_with_a_failed_linear_solve_is_retried(caplog):
+    prob = _Arctan()
+    factory = _FailingAt(2)
+    with caplog.at_level("WARNING", logger="mhdkit.nonlinear"):
+        st, rep = continue_parameters(
+            prob, ContinuationSchedule([("p", [0.0, 3.0])]),
+            prob.initial_state(0.0), solver_factory=factory)
+    # the undamped attempt at p = 3 stops at its second solve; the
+    # line-search retry converges
+    assert rep.converged and st.vector[0] == pytest.approx(3.0)
+    assert factory.calls == 2 + rep.steps
+    assert [r.getMessage() for r in caplog.records] == [
+        "continuation stage p=3 failed undamped; retrying with a line search"]
+
+
+@pytest.mark.parametrize("norms, max_steps, reason", [
+    ([1.0, np.inf], 50, "Newton step 1: non-finite residual"),
+    ([1.0, 0.5, 0.25], 2, "step budget of 2 Newton steps spent")])
+def test_unconverged_stops_name_their_reason(norms, max_steps, reason):
+    rep, _ = _scripted_solve(norms, max_steps)
+    assert not rep.converged and rep.reason == reason
 
 
 def test_report_totals_and_cell_format():
@@ -220,6 +287,11 @@ def test_deflation_scalar_cubic():
     assert rep3.converged
     roots = sorted([st.vector[0], st2.vector[0], st3.vector[0]])
     assert np.allclose(roots, [-1.0, 0.0, 1.0], atol=1e-7)
+    # a root within `distinctness` of a deflated one is not new
+    _, rep4 = deflated_solve(prob, prob.initial_state(0.6), defl, cfg,
+                             distinctness=10.0)
+    assert not rep4.converged
+    assert rep4.reason == "converged to a deflated root"
 
 
 def test_deflating_unique_root_gives_nf():
@@ -238,6 +310,7 @@ def test_deflating_unique_root_gives_nf():
     defl.add(st.vector)
     st2, rep2 = deflated_solve(prob, prob.initial_state(0.3), defl, cfg)
     assert not rep2.converged
+    assert rep2.reason == "step budget of 25 Newton steps spent"
 
 
 def test_deflation_operator_far_field():

@@ -47,6 +47,20 @@ def test_hartmann_counts_across_the_parameters(levels, S, Re, cell):
     assert report.cell() == cell
 
 
+def test_unconverged_fgmres_ends_the_newton_attempt():
+    # island_coalescence at its defaults (Re = Rem = S = 1e3) from 4x4:
+    # step 1's FGMRES converges in 39 iterations, the undamped step sends
+    # the residual to 1e20, and step 2's FGMRES spends its 100 iterations,
+    # which ends the attempt
+    spec = make_problem("island_coalescence", levels=1, mesh_base=(4, 4))
+    _, report = solve_nonlinear(spec.model, spec.model.initial_state(),
+                                NonlinearConfig(), _krylov_factory(spec))
+    assert not report.converged
+    assert report.linear_iters == [39, 100]
+    assert report.reason.startswith(
+        "Newton step 2: FGMRES did not converge in 100 iterations")
+
+
 @pytest.mark.parametrize("name, iters", [
     ("hall_ldc", [2, 3, 2]), ("rayleigh_benard", [2, 6, 1])])
 def test_augmented_lagrangian_block_on_the_other_models(name, iters):
@@ -130,11 +144,13 @@ def test_stationary_counts_tool_on_2x2(monkeypatch, capsys):
     spec.loader.exec_module(tool)
     # two of the four cells keep the run short; hartmann at S = 1000 does
     # not converge on this mesh, and its cell names the stage that failed
+    # and why its line-search retry stopped
     monkeypatch.setattr(tool, "CELLS", ((1.0, 1.0), (1e3, 1.0)))
     assert tool.main(["--base", "2", "--levels", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "problem | levels | (1, 1) | (1000, 1) | wall"
     rows = [line.split(" | ") for line in out[2:]]
     assert [row[:4] for row in rows] == [
-        ["hartmann", "1", "( 3) 2.7", "NF at S = 1000"],
+        ["hartmann", "1", "( 3) 2.7", "NF at S = 1000 (Newton step 5: "
+         "stalled, 5 steps without halving the residual)"],
         ["ldc2d", "1", "( 3) 1.7", "( 3) 2.3"]]

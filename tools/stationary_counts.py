@@ -9,9 +9,10 @@ preconditioner and FGMRES at rtol = atol = 1e-7 with `maxiter` 100, and
 continues with `ContinuationSchedule.toward` the targets S, then Re, then
 Rem.  It prints one row per (problem, levels) and
 a column per cell (S, Re = Rem).  Each cell is the final stage's
-`(Newton) avg-linear`, or `NF at <parameter> = <value>` for the first
-continuation stage that converges neither undamped nor in its line-search
-retry.  The last column is the wall time of the row.
+`(Newton) avg-linear`, or `NF at <parameter> = <value> (<reason>)` for the
+first continuation stage that converges neither undamped nor in its
+line-search retry, with the reason its retry stopped.  The last column is
+the wall time of the row.
 """
 
 import argparse
@@ -36,7 +37,8 @@ def stationary_cell(problem, levels, base, S, Re):
         _, report = continue_parameters(spec.model, schedule,
                                         solver_factory=factory)
     except StageFailure as exc:
-        return f"NF at {exc.parameter} = {exc.value:g}"
+        return (f"NF at {exc.parameter} = {exc.value:g} "
+                f"({exc.report.reason})")
     return report.cell()
 
 
