@@ -83,6 +83,12 @@ def _free_block(A, free):
     return A[free][:, free].tocsr()
 
 
+def _field_mask(model, free, name):
+    """Which of the free dofs `free` belong to the field `name`."""
+    s = model.state_template.field_slice(name)
+    return (free >= s.start) & (free < s.stop)
+
+
 def _free_operator(model, vec, free, **drop):
     """The free-dof block of the Newton Jacobian at `vec`, without the
     grad-div term gamma (div u, div v) and the terms `drop` names."""
@@ -126,14 +132,31 @@ def critical_parameter(model, which="Ra_c", count=2):
     Both operators are taken at gamma = 0, which moves no eigenpair: the
     right-hand side has no pressure rows either, so the argument of
     `stability_eigs` holds.  ARPACK then takes fewer steps, in a count
-    that round-off does not move."""
+    that round-off does not move.
+
+    The Ra_c operator also drops its (u, E) Lorentz block, which moves no
+    eigenpair: M has only u rows, so each solve's B rows read (vcurl E, C) +
+    (1/Rem)(div B, div C) = 0, and with E zero on the whole boundary C =
+    vcurl E gives E = 0.  `LuSolver` then factorises (u, p), theta and
+    (E, B) one at a time."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     st = conduction_state_vector(model)
     free = _free_indices(model)
     pr = model.params
     if which == "Ra_c":
+        if model.bc_markers["E"] != "all":
+            raise ValueError("the Ra_c operator drops its (u, E) block, "
+                             "which needs E constrained on the whole "
+                             "boundary (markers 'all'), got "
+                             f"{model.bc_markers['E']!r}")
+        if st.view("u").any() or st.view("E").any():
+            raise ValueError("the Ra_c operator drops its (u, E) block, "
+                             "which needs u = E = 0 in the conduction "
+                             "state; the boundary data make them nonzero")
         Af = _free_operator(model, st.vector, free, drop_buoyancy=True)
+        u_rows = np.repeat(_field_mask(model, free, "u"), np.diff(Af.indptr))
+        Af.data[u_rows & _field_mask(model, free, "E")[Af.indices]] = 0.0
         Mf = _free_block(pr.Pr * model.constant_matrix("buoyancy"), free)
     elif which == "S_c":
         Af = _free_operator(model, st.vector, free, drop_lorentz=True)

@@ -10,6 +10,7 @@ from mhdkit import bifurcation, linalg
 from mhdkit.bifurcation import (SweepConfig, conduction_state_vector,
                                 critical_parameter, deflated_continuation,
                                 stability_eigs)
+from mhdkit.models.boussinesq import BoussinesqMHD
 from mhdkit.problems import make_problem
 
 
@@ -19,6 +20,13 @@ def rb():
     state."""
     model = make_problem("rayleigh_benard", mesh_base=(4, 4)).model
     return model, conduction_state_vector(model).vector
+
+
+@pytest.fixture(scope="module")
+def rb12():
+    """The 12x12 Rayleigh-Benard model (11,063 free dofs), the benchmark's
+    eigen-solve size."""
+    return make_problem("rayleigh_benard", mesh_base=(12, 12)).model
 
 
 def _dense_shift_invert(A, M):
@@ -97,6 +105,88 @@ def test_critical_coupling_matches_dense_shift_invert(rb, monkeypatch):
                        atol=0.0)
 
 
+def _captured_arnoldi(monkeypatch, operator=None):
+    """Route `critical_parameter`'s eigen-solve through a recorder: it
+    notes each operator and the LU solves of the run, and solves with
+    `operator` in place of the given one when that is set."""
+    arnoldi, solve = linalg.shift_invert_arnoldi, linalg.LuSolver.solve
+    runs = []
+
+    def recorded(A, M, **kwargs):
+        runs.append({"A": A, "solves": 0})
+        return arnoldi(A if operator is None else operator, M, **kwargs)
+
+    def counted(self, b):
+        runs[-1]["solves"] += 1
+        return solve(self, b)
+
+    monkeypatch.setattr(bifurcation, "shift_invert_arnoldi", recorded)
+    monkeypatch.setattr(linalg.LuSolver, "solve", counted)
+    return runs
+
+
+def test_rayleigh_operator_drops_the_lorentz_block_of_a_zero_field(
+        rb, monkeypatch):
+    # the (u, E) block multiplies E, which every solve sets to zero: the
+    # operator handed to the eigen-solve has no entry there, and the modes
+    # carry no E
+    model, state = rb
+    runs = _captured_arnoldi(monkeypatch)
+    vals, modes, free = critical_parameter(model, "Ra_c", count=2)
+    (run,) = runs
+    u = bifurcation._field_mask(model, free, "u")
+    E = bifurcation._field_mask(model, free, "E")
+    assert run["A"][u][:, E].count_nonzero() == 0
+    coupled = bifurcation._free_operator(model, state, free,
+                                         drop_buoyancy=True)
+    assert coupled[u][:, E].count_nonzero() > 0
+    assert len(modes) == 2
+    for mode in modes:
+        assert np.linalg.norm(mode[E]) <= 1e-12 * np.linalg.norm(mode)
+
+
+def test_split_rayleigh_operator_matches_the_coupled_one(rb12, monkeypatch):
+    # at the benchmark's size the split operator solves the coupled one's
+    # systems: the same values in as many Arnoldi steps
+    model = rb12
+    free = bifurcation._free_indices(model)
+    coupled = bifurcation._free_operator(
+        model, conduction_state_vector(model).vector, free,
+        drop_buoyancy=True)
+    results = []
+    for operator in (None, coupled):
+        with monkeypatch.context() as mp:
+            runs = _captured_arnoldi(mp, operator)
+            vals, _, _ = critical_parameter(model, "Ra_c", count=2)
+        results.append((vals, runs[0]["solves"]))
+    (split, split_solves), (ref, ref_solves) = results
+    assert len(split) == len(ref) == 2
+    assert np.allclose(split, ref, rtol=1e-9, atol=0.0)
+    assert split_solves == ref_solves
+
+
+def _rb_variant(model, **bcs):
+    return BoussinesqMHD(model.mesh, model.params, bcs={**model.bcs, **bcs})
+
+
+def test_critical_rayleigh_rejects_a_partial_electric_constraint(rb):
+    # with E free on some facets vcurl E is no B test function, so E = 0
+    # does not follow
+    model = _rb_variant(rb[0], E=(["top", "bottom"], None))
+    with pytest.raises(ValueError, match="E constrained on the whole "
+                                         "boundary"):
+        critical_parameter(model, "Ra_c", count=1)
+
+
+def test_critical_rayleigh_rejects_a_moving_conduction_state(rb):
+    def sliding(x, y):
+        return np.stack([np.ones_like(x), np.zeros_like(y)], axis=-1)
+
+    model = _rb_variant(rb[0], u=("all", sliding))
+    with pytest.raises(ValueError, match="u = E = 0"):
+        critical_parameter(model, "Ra_c", count=1)
+
+
 def _eigen_calls(model, state):
     return [lambda: stability_eigs(model, state, k=4),
             lambda: critical_parameter(model, "Ra_c", count=1),
@@ -128,11 +218,11 @@ class _Captured(Exception):
     pass
 
 
-def test_arnoldi_count_does_not_depend_on_round_off(monkeypatch):
+def test_arnoldi_count_does_not_depend_on_round_off(rb12, monkeypatch):
     # on the 12x12 mesh the grad-div operator took 33 or 34 steps as
     # round-off fell; three draws of 1e-15 relative noise on the operator
     # must take as many LU solves as the operator itself
-    model = make_problem("rayleigh_benard", mesh_base=(12, 12)).model
+    model = rb12
     runs = []
 
     def capture(A, M, **kwargs):
@@ -170,12 +260,17 @@ def test_eigen_accuracy_tool_on_4x4(capsys):
     assert tool.main(["--base", "4", "4", "--draws", "1"]) == 0
     lines = dict(line.split(": ", 1)
                  for line in capsys.readouterr().out.splitlines())
+    # the dense reference is the coupled operator's
     assert float(lines["relative error"]) <= 1e-10
     # one count for the operator and each perturbed draw
     counts = re.findall(r"\d+", lines["Arnoldi LU solves"])
     assert len(counts) == 2 and len(set(counts)) == 1
-    assert int(lines["L + U nnz"]) > 0
-    assert float(lines["1-norm condition (onenormest)"]) > 1.0
+    blocks = [re.fullmatch(r"(\d+) dofs, L \+ U nnz (\d+), 1-norm "
+                           r"condition \(onenormest\) (\S+)",
+                           lines[f"block {k}"]) for k in range(3)]
+    assert [int(b[1]) for b in blocks] == [647, 127, 417]
+    assert all(int(b[2]) > 0 and float(b[3]) > 1.0 for b in blocks)
+    assert "block 3" not in lines
 
 
 @pytest.mark.parametrize("count", [0, -1])

@@ -137,15 +137,19 @@ def test_lu_singular_diagonal_block_raises():
         LuSolver(sp.csr_matrix(A))
 
 
-def test_rayleigh_operator_factorises_as_two_blocks(caplog):
-    # no (u, p, E, B) row reads theta once buoyancy is on the right-hand
-    # side, so the Ra_c operator splits into those dofs and theta's
+def test_rayleigh_operator_factorises_as_three_blocks(caplog):
+    # once buoyancy is on the right-hand side and the (u, E) Lorentz block,
+    # which multiplies E = 0, is dropped, (u, p) reads no other field, and
+    # theta and (E, B) read only u: the Ra_c operator splits into the three.
+    # The S_c operator drops the whole Lorentz term but keeps buoyancy, so
+    # it splits into (u, p, theta) and (E, B)
     model = make_problem("rayleigh_benard", mesh_base=(4, 4)).model
     with caplog.at_level("DEBUG", logger="mhdkit.linalg"):
         critical_parameter(model, "Ra_c", count=1)
+        critical_parameter(model, "S_c", count=1)
     blocks = [r.args[1] for r in caplog.records
               if r.name == "mhdkit.linalg" and r.args[0] == 1191]
-    assert blocks == [[1064, 127]]
+    assert blocks == [[647, 127, 417], [774, 417]]
 
 
 def test_fgmres_identity_one_iteration():

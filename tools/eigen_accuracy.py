@@ -5,12 +5,14 @@
 Builds `rayleigh_benard` on the crossed base mesh and prints:
   - the Ra_c values of `critical_parameter`;
   - on a base mesh of at most 4x4, the dense shift-invert reference on the
-    same operator pair, and the largest relative error against it;
+    coupled operator, the Jacobian with its (u, E) Lorentz block, and the
+    largest relative error against it;
   - the LU solves of the Arnoldi run (one per step), unperturbed and over
     `--draws` runs with the free operator's entries scaled by
     1 + 1e-15 N(0, 1), which shows whether round-off moves the count;
-  - the L + U nnz of the operator's factorisation (`LuSolver.nnz`);
-  - its 1-norm condition number, ||A||_1 ||A^-1||_1 by `onenormest`.
+  - per diagonal block that `LuSolver` factorises the operator by, its
+    size, its L + U nnz and its 1-norm condition number,
+    ||D||_1 ||D^-1||_1 by `onenormest`.
 The operator is the one `critical_parameter` hands to
 `shift_invert_arnoldi`, so the tool reads whichever gamma that uses.
 """
@@ -32,7 +34,8 @@ DENSE_MAX_BASE = 4
 def critical_run(model, count, rng=None):
     """`critical_parameter` with its free operator A scaled entrywise by
     1 + 1e-15 N(0, 1) when `rng` is given; returns the values, the operator
-    pair and the number of LU solves inside the Arnoldi run."""
+    pair, the free dofs and the number of LU solves inside the Arnoldi
+    run."""
     seen = {}
     arnoldi, solve = bifurcation.shift_invert_arnoldi, LuSolver.solve
 
@@ -50,10 +53,19 @@ def critical_run(model, count, rng=None):
     bifurcation.shift_invert_arnoldi = perturbed_arnoldi
     LuSolver.solve = counted_solve
     try:
-        vals, _, _ = bifurcation.critical_parameter(model, "Ra_c", count)
+        vals, _, free = bifurcation.critical_parameter(model, "Ra_c", count)
     finally:
         bifurcation.shift_invert_arnoldi, LuSolver.solve = arnoldi, solve
-    return vals, seen["A"], seen["M"], seen["solves"]
+    return vals, seen["A"], seen["M"], free, seen["solves"]
+
+
+def coupled_operator(model, free):
+    """The free-dof Ra_c operator with its (u, E) Lorentz block: the Newton
+    Jacobian at the conduction state without buoyancy and grad-div."""
+    state = bifurcation.conduction_state_vector(model).vector
+    A = model.jacobian(state, "newton", drop_buoyancy=True,
+                       drop_graddiv=True)
+    return A[free][:, free]
 
 
 def dense_critical(A, M, count):
@@ -65,13 +77,27 @@ def dense_critical(A, M, count):
     return np.sort(real.real[real.real > 0])[:count]
 
 
-def condition_1norm(A, lu):
-    """||A||_1 ||A^-1||_1, both by `onenormest`; A^-T is applied through a
-    factorisation of A^T."""
-    lu_t = LuSolver(A.T)
-    inv = spla.LinearOperator(A.shape, matvec=lu.solve, rmatvec=lu_t.solve,
+def condition_1norm(D, lu):
+    """||D||_1 ||D^-1||_1, both by `onenormest`; D^-1 and D^-T are applied
+    through the SuperLU factorisation `lu` of D."""
+    inv = spla.LinearOperator(D.shape, matvec=lu.solve,
+                              rmatvec=lambda b: lu.solve(b, trans="T"),
                               dtype=float)
-    return spla.onenormest(A) * spla.onenormest(inv)
+    return spla.onenormest(D) * spla.onenormest(inv)
+
+
+def diagonal_blocks(A):
+    """(size, L + U nnz, 1-norm condition) of each diagonal block that
+    `LuSolver` factorises A by, in its order."""
+    lu = LuSolver(A)
+    perm = np.arange(A.shape[0]) if lu._perm is None else lu._perm
+    A = A.tocsr()
+    out = []
+    for start, stop, block_lu, _ in lu._blocks:
+        idx = perm[start:stop]
+        D = A[idx][:, idx].tocsc()
+        out.append((stop - start, block_lu.nnz, condition_1norm(D, block_lu)))
+    return out
 
 
 def _values(vals):
@@ -87,25 +113,25 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     model = make_problem("rayleigh_benard", mesh_base=tuple(args.base)).model
-    vals, A, M, solves = critical_run(model, args.count)
+    vals, A, M, free, solves = critical_run(model, args.count)
     nx, ny = args.base
     print(f"rayleigh_benard {nx}x{ny} crossed: {A.shape[0]} free dofs, "
           f"model gamma {model.params.gamma:g}")
     print(f"Ra_c (critical_parameter): {_values(vals)}")
     if max(args.base) <= DENSE_MAX_BASE:
-        ref = dense_critical(A, M, args.count)
-        print(f"Ra_c (dense): {_values(ref)}")
+        ref = dense_critical(coupled_operator(model, free), M, args.count)
+        print(f"Ra_c (dense, coupled operator): {_values(ref)}")
         if len(ref) == len(vals):
             err = np.max(np.abs(vals - ref) / np.abs(ref))
             print(f"relative error: {err:.2e}")
     rng = np.random.default_rng(args.seed)
-    draws = [critical_run(model, args.count, rng)[3]
+    draws = [critical_run(model, args.count, rng)[4]
              for _ in range(args.draws)]
     print(f"Arnoldi LU solves: {solves} unperturbed; perturbed draws: "
           + (", ".join(map(str, draws)) or "none"))
-    lu = LuSolver(A)
-    print(f"L + U nnz: {lu.nnz}")
-    print(f"1-norm condition (onenormest): {condition_1norm(A, lu):.2e}")
+    for k, (size, nnz, cond) in enumerate(diagonal_blocks(A)):
+        print(f"block {k}: {size} dofs, L + U nnz {nnz}, "
+              f"1-norm condition (onenormest) {cond:.2e}")
     return 0
 
 
