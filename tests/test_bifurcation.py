@@ -5,6 +5,8 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from mhdkit import bifurcation, linalg
 from mhdkit.bifurcation import (SweepConfig, conduction_state_vector,
@@ -165,6 +167,29 @@ def test_split_rayleigh_operator_matches_the_coupled_one(rb12, monkeypatch):
     assert split_solves == ref_solves
 
 
+# the two Ra_c of the 12x12 model with every block ordered by COLAMD
+RA_C_COLAMD_12 = (2609.0337672692567, 6759.398797596882)
+
+
+def test_rayleigh_blocks_with_a_zero_free_diagonal_halve_their_fill(
+        rb12, monkeypatch):
+    # theta and (E, B) have a zero-free diagonal and near-symmetric values
+    # and are factorised in symmetric mode; the saddle (u, p) block keeps
+    # COLAMD and its fill
+    runs = _captured_arnoldi(monkeypatch)
+    vals, _, _ = critical_parameter(rb12, "Ra_c", count=2)
+    assert np.allclose(vals, RA_C_COLAMD_12, rtol=1e-9, atol=0.0)
+    A = sp.csc_matrix(runs[0]["A"])
+    A.eliminate_zeros()
+    lu = linalg.LuSolver(A)
+    assert lu.orderings == ["COLAMD", "MMD_AT_PLUS_A", "MMD_AT_PLUS_A"]
+    nnz = [block_lu.nnz for _, _, block_lu, _ in lu._blocks]
+    assert nnz[0] == 2133435
+    _, blocks = linalg._diagonal_blocks(A)
+    colamd = [spla.splu(D).nnz for _, _, D, _ in blocks[1:]]
+    assert all(2 * n <= c for n, c in zip(nnz[1:], colamd))
+
+
 def _rb_variant(model, **bcs):
     return BoussinesqMHD(model.mesh, model.params, bcs={**model.bcs, **bcs})
 
@@ -265,11 +290,15 @@ def test_eigen_accuracy_tool_on_4x4(capsys):
     # one count for the operator and each perturbed draw
     counts = re.findall(r"\d+", lines["Arnoldi LU solves"])
     assert len(counts) == 2 and len(set(counts)) == 1
-    blocks = [re.fullmatch(r"(\d+) dofs, L \+ U nnz (\d+), 1-norm "
+    blocks = [re.fullmatch(r"(\d+) dofs, (\w+), L \+ U nnz (\d+), 1-norm "
                            r"condition \(onenormest\) (\S+)",
                            lines[f"block {k}"]) for k in range(3)]
     assert [int(b[1]) for b in blocks] == [647, 127, 417]
-    assert all(int(b[2]) > 0 and float(b[3]) > 1.0 for b in blocks)
+    # the saddle (u, p) block keeps COLAMD; theta and (E, B) have a
+    # zero-free diagonal and near-symmetric values
+    assert [b[2] for b in blocks] == ["COLAMD", "MMD_AT_PLUS_A",
+                                      "MMD_AT_PLUS_A"]
+    assert all(int(b[3]) > 0 and float(b[4]) > 1.0 for b in blocks)
     assert "block 3" not in lines
 
 

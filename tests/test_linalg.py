@@ -84,6 +84,7 @@ def test_lu_block_triangular_matches_dense_solve(caplog):
 def test_lu_with_decoupled_unit_rows_is_plain_splu(caplog, parts):
     # one multi-dof component, or two that do not couple, and constrained
     # unit rows: factorised whole, so the solution is bitwise that of splu
+    # (the values are far from symmetric, so COLAMD orders them)
     rng = np.random.default_rng(5)
     n = 40
     A = sp.block_diag([sp.random(n // parts, n // parts, density=0.2 * parts,
@@ -94,8 +95,56 @@ def test_lu_with_decoupled_unit_rows_is_plain_splu(caplog, parts):
     assert np.count_nonzero(np.bincount(labels) > 1) == parts
     lu, blocks = _lu_block_sizes(caplog, A)
     assert blocks == [n]
+    assert lu.orderings == ["COLAMD"]
     b = rng.standard_normal(n)
     assert np.array_equal(lu.solve(b), spla.splu(A.tocsc()).solve(b))
+
+
+def _laplacian_2d(n):
+    T, I = _laplacian_1d(n), sp.identity(n)
+    return (sp.kron(I, T) + sp.kron(T, I)).tocsc()
+
+
+def _saddle():
+    K = _laplacian_1d(12)
+    B = sp.random(4, 12, density=0.5, random_state=9)
+    return sp.bmat([[K, B.T], [B, None]]).tocsc()
+
+
+def _convection_dominated():
+    # -Laplace(u) + 100 du/dx on a 10x10 grid, the derivative upwinded
+    h = 1.0 / 11
+    upwind = sp.diags([-1.0, 1.0], [-1, 0], shape=(10, 10)) / h
+    return (_laplacian_2d(10)
+            + 100.0 * sp.kron(sp.identity(10), upwind)).tocsc()
+
+
+@pytest.mark.parametrize("make", [_saddle, _convection_dominated],
+                         ids=["saddle", "convection-dominated"])
+def test_lu_keeps_colamd_for_a_saddle_or_a_nonsymmetric_matrix(make):
+    # a zero pressure diagonal, or values far from symmetric: COLAMD and
+    # partial pivoting, so the solution is bitwise that of splu at its
+    # defaults
+    A = make()
+    lu = LuSolver(A)
+    assert lu.orderings == ["COLAMD"]
+    b = np.random.default_rng(8).standard_normal(A.shape[0])
+    assert np.array_equal(lu.solve(b), spla.splu(A).solve(b))
+
+
+def test_lu_of_a_laplacian_fills_less_than_colamd():
+    # the 5-point Laplacian on a 20x20 grid: symmetric mode, which fills
+    # 7,344 against COLAMD's 12,142
+    A = _laplacian_2d(20)
+    lu = LuSolver(A)
+    assert lu.orderings == ["MMD_AT_PLUS_A"]
+    assert lu.nnz < spla.splu(A).nnz
+    b = np.random.default_rng(10).standard_normal(A.shape[0])
+    x = lu.solve(b)
+    assert np.array_equal(x, spla.splu(A, permc_spec="MMD_AT_PLUS_A",
+                                       options={"SymmetricMode": True})
+                          .solve(b))
+    assert np.linalg.norm(A @ x - b) <= 1e-14 * np.linalg.norm(b)
 
 
 def _block_lower_triangular(rng, sizes):

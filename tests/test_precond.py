@@ -49,16 +49,16 @@ def test_hartmann_counts_across_the_parameters(levels, S, Re, cell):
 
 def test_unconverged_fgmres_ends_the_newton_attempt():
     # island_coalescence at its defaults (Re = Rem = S = 1e3) from 4x4:
-    # step 1's FGMRES converges in 39 iterations, the undamped step sends
-    # the residual to 1e20, and step 2's FGMRES spends its 100 iterations,
-    # which ends the attempt
+    # eight of step 1's FGMRES cycles end on an Arnoldi estimate that meets
+    # the tolerance 1e-7 while the true residual is 3-50x above it, and the
+    # ninth spends the rest of the 100 iterations, which ends the attempt
     spec = make_problem("island_coalescence", levels=1, mesh_base=(4, 4))
     _, report = solve_nonlinear(spec.model, spec.model.initial_state(),
                                 NonlinearConfig(), _krylov_factory(spec))
     assert not report.converged
-    assert report.linear_iters == [39, 100]
+    assert report.linear_iters == [100]
     assert report.reason.startswith(
-        "Newton step 2: FGMRES did not converge in 100 iterations")
+        "Newton step 1: FGMRES did not converge in 100 iterations")
 
 
 @pytest.mark.parametrize("name, iters", [

@@ -11,7 +11,9 @@ Builds `rayleigh_benard` on the crossed base mesh and prints:
     `--draws` runs with the free operator's entries scaled by
     1 + 1e-15 N(0, 1), which shows whether round-off moves the count;
   - per diagonal block that `LuSolver` factorises the operator by, its
-    size, its L + U nnz and its 1-norm condition number,
+    size, its ordering (MMD_AT_PLUS_A in symmetric mode for a zero-free
+    diagonal and near-symmetric values, else COLAMD), its L + U nnz and
+    its 1-norm condition number,
     ||D||_1 ||D^-1||_1 by `onenormest`.
 The operator is the one `critical_parameter` hands to
 `shift_invert_arnoldi`, so the tool reads whichever gamma that uses.
@@ -87,16 +89,18 @@ def condition_1norm(D, lu):
 
 
 def diagonal_blocks(A):
-    """(size, L + U nnz, 1-norm condition) of each diagonal block that
-    `LuSolver` factorises A by, in its order."""
+    """(size, ordering, L + U nnz, 1-norm condition) of each diagonal block
+    that `LuSolver` factorises A by, in its order."""
     lu = LuSolver(A)
     perm = np.arange(A.shape[0]) if lu._perm is None else lu._perm
     A = A.tocsr()
     out = []
-    for start, stop, block_lu, _ in lu._blocks:
+    for (start, stop, block_lu, _), ordering in zip(lu._blocks,
+                                                    lu.orderings):
         idx = perm[start:stop]
         D = A[idx][:, idx].tocsc()
-        out.append((stop - start, block_lu.nnz, condition_1norm(D, block_lu)))
+        out.append((stop - start, ordering, block_lu.nnz,
+                    condition_1norm(D, block_lu)))
     return out
 
 
@@ -129,8 +133,8 @@ def main(argv=None):
              for _ in range(args.draws)]
     print(f"Arnoldi LU solves: {solves} unperturbed; perturbed draws: "
           + (", ".join(map(str, draws)) or "none"))
-    for k, (size, nnz, cond) in enumerate(diagonal_blocks(A)):
-        print(f"block {k}: {size} dofs, L + U nnz {nnz}, "
+    for k, (size, ordering, nnz, cond) in enumerate(diagonal_blocks(A)):
+        print(f"block {k}: {size} dofs, {ordering}, L + U nnz {nnz}, "
               f"1-norm condition (onenormest) {cond:.2e}")
     return 0
 
