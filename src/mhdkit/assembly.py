@@ -83,10 +83,10 @@ def _op_table(space, table, op):
     if op == "curl" and el.family == "NED":
         # curl (J^-T psihat) = curl^ psihat / det J
         return ((grads[..., 1, 0] - grads[..., 0, 1])[..., None],
-                (0.5 / space.cell_area)[:, None, None])
+                (0.5 / space.mesh.cell_area)[:, None, None])
     # grad (T psihat(xi(x)))[k, d] = T[k, K] dpsihat[K, D] Jinv[D, d]
     T = np.eye(el.ncomp)[None] if space.piola is None else space.piola
-    P = (T[:, :, None, :, None] * space.jac_inv.transpose(0, 2, 1)[
+    P = (T[:, :, None, :, None] * space.mesh.jac_inv.transpose(0, 2, 1)[
         :, None, :, None, :]).reshape(-1, 2 * el.ncomp, 2 * el.ncomp)
     R = grads.reshape(grads.shape[:-2] + (-1,))
     return R, P if op == "grad" else _FROM_GRAD[op] @ P
@@ -326,14 +326,11 @@ def facet_data(mesh, qdeg):
     fd.qweights = rule.weights
 
     interior = np.flatnonzero(mesh.edge_cells[:, 1] >= 0)
-    p0 = mesh.edge_endpoints_in_cell(interior, 0)
-    t = p0[:, 1] - p0[:, 0]
-    L = np.linalg.norm(t, axis=1)
-    t = t / L[:, None]
-    n = np.stack([t[:, 1], -t[:, 0]], axis=-1)
-    c0 = mesh.cell_coords[mesh.edge_cells[interior, 0]].mean(axis=1)
-    mid = p0.mean(axis=1)
-    outward0 = np.einsum("ek,ek->e", n, mid - c0) > 0
+    c0, le0 = mesh.edge_cells[interior, 0], mesh.edge_local[interior, 0]
+    n = mesh.cell_edge_normal[c0, le0]
+    L = mesh.cell_edge_len[c0, le0]
+    mid = mesh.cell_edge_points[c0, le0].mean(axis=1)
+    outward0 = np.einsum("ek,ek->e", n, mid - mesh.cell_centers[c0]) > 0
     plus = np.where(outward0, mesh.edge_cells[interior, 0],
                     mesh.edge_cells[interior, 1])
     minus = np.where(outward0, mesh.edge_cells[interior, 1],
@@ -347,17 +344,15 @@ def facet_data(mesh, qdeg):
     fd.int_len = L
 
     bdry = mesh.boundary_edges
-    pb = mesh.edge_endpoints_in_cell(bdry, 0)
-    tb = pb[:, 1] - pb[:, 0]
-    Lb = np.linalg.norm(tb, axis=1)
-    tb = tb / Lb[:, None]
-    nb = np.stack([tb[:, 1], -tb[:, 0]], axis=-1)
-    cb = mesh.cell_coords[mesh.edge_cells[bdry, 0]].mean(axis=1)
+    cb, leb = mesh.edge_cells[bdry, 0], mesh.edge_local[bdry, 0]
+    pb = mesh.cell_edge_points[cb, leb]
+    nb = mesh.cell_edge_normal[cb, leb]
+    Lb = mesh.cell_edge_len[cb, leb]
     midb = pb.mean(axis=1)
-    flip = np.einsum("ek,ek->e", nb, midb - cb) < 0
+    flip = np.einsum("ek,ek->e", nb, midb - mesh.cell_centers[cb]) < 0
     nb[flip] *= -1
     fd.bdry_edges = bdry
-    fd.bdry_cells = mesh.edge_cells[bdry, 0]
+    fd.bdry_cells = cb
     fd.bdry_var = _facet_variants(mesh, bdry, 0)
     fd.bdry_normal = nb
     fd.bdry_len = Lb

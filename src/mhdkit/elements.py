@@ -196,48 +196,17 @@ class FunctionSpace:
         self.edge_offset = el.n_vertex * nv
         self.cell_offset = self.edge_offset + el.n_edge * ne
         self.total_dofs = self.cell_offset + el.n_cell * nc
-        self._build_geometry()
+        # T_c, the Piola map of the basis (None for the identity)
+        self.piola = (mesh.jac if family in ("RT", "BDM")
+                      else mesh.jac_inv.transpose(0, 2, 1) if family == "NED"
+                      else None)
         self._build_dofmap()
         self._build_coefficients()
-
-    # geometry helpers ------------------------------------------------------
-
-    def _build_geometry(self):
-        m = self.mesh
-        p = m.cell_coords
-        self.cell_centers = p.mean(axis=1)
-        e = np.stack([p[:, 2] - p[:, 1], p[:, 2] - p[:, 0], p[:, 1] - p[:, 0]],
-                     axis=1)
-        self.cell_scale = np.linalg.norm(e, axis=2).max(axis=1)
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        self.cell_area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        # the affine map x = p0 + J xi from the reference cell, and T_c
-        self.jac = np.stack([d1, d2], axis=-1)
-        self.jac_inv = np.linalg.inv(self.jac)
-        family = self.element.family
-        self.piola = (self.jac if family in ("RT", "BDM")
-                      else self.jac_inv.transpose(0, 2, 1) if family == "NED"
-                      else None)
-        # per (cell, local edge): endpoints ordered along global direction
-        coords = p[:, _LOCAL_EDGE_VERTICES]          # (nc, 3, 2pts, 2)
-        cv = m.cells[:, _LOCAL_EDGE_VERTICES]        # (nc, 3, 2)
-        glob = m.edges[m.cell_edges]                 # (nc, 3, 2)
-        swap = cv[:, :, 0] != glob[:, :, 0]
-        ordered = coords.copy()
-        ordered[swap] = coords[swap][:, ::-1]
-        self.cell_edge_points = ordered              # global-direction order
-        t = ordered[:, :, 1] - ordered[:, :, 0]
-        L = np.linalg.norm(t, axis=2)
-        t = t / L[..., None]
-        self.cell_edge_len = L
-        self.cell_edge_tangent = t
-        self.cell_edge_normal = np.stack([t[..., 1], -t[..., 0]], axis=-1)
 
     def reference_coords(self, cells, pts):
         """Reference coordinates (n, nq, 2) of points pts (n, nq, 2)."""
         p0 = self.mesh.cell_coords[cells, 0]
-        return np.einsum("cij,cqj->cqi", self.jac_inv[cells],
+        return np.einsum("cij,cqj->cqi", self.mesh.jac_inv[cells],
                          pts - p0[:, None, :])
 
     # dofmap ------------------------------------------------------------------
@@ -292,7 +261,7 @@ class FunctionSpace:
         if el.n_edge:
             if el.nodal:
                 # CG/VCG edge midpoint evaluations
-                mids = self.cell_edge_points[cells].mean(axis=2)  # (n,3,2)
+                mids = m.cell_edge_points[cells].mean(axis=2)  # (n,3,2)
                 w = np.zeros((n, 3, nloc, el.ncomp))
                 base = 3 * el.n_vertex
                 for le in range(3):
@@ -305,14 +274,14 @@ class FunctionSpace:
                 rule = gauss_interval(edge_degree)
                 xi = rule.points
                 nq = len(xi)
-                ep = self.cell_edge_points[cells]             # (n,3,2,2)
+                ep = m.cell_edge_points[cells]             # (n,3,2,2)
                 pts = (ep[:, :, 0, None, :] * (1 - xi)[None, None, :, None]
                        + ep[:, :, 1, None, :] * xi[None, None, :, None])
-                L = self.cell_edge_len[cells]                 # (n,3)
+                L = m.cell_edge_len[cells]                 # (n,3)
                 if el.edge_trace_component == "normal":
-                    direc = self.cell_edge_normal[cells]      # (n,3,2)
+                    direc = m.cell_edge_normal[cells]      # (n,3,2)
                 else:
-                    direc = self.cell_edge_tangent[cells]
+                    direc = m.cell_edge_tangent[cells]
                 s = 2.0 * xi - 1.0
                 w = np.zeros((n, 3, nq, nloc, 2))
                 base = 3 * el.n_vertex
@@ -333,7 +302,7 @@ class FunctionSpace:
             pts = (p[:, None, 0, :]
                    + ref[None, :, 0:1] * (p[:, None, 1, :] - p[:, None, 0, :])
                    + ref[None, :, 1:2] * (p[:, None, 2, :] - p[:, None, 0, :]))
-            jac = 2.0 * self.cell_area[cells]
+            jac = 2.0 * m.cell_area[cells]
             wq = rule.weights[None, :] * jac[:, None]
             nq = len(ref)
             w = np.zeros((n, nq, nloc, el.ncomp))
@@ -364,7 +333,7 @@ class FunctionSpace:
                         return np.stack([-u[..., 1], u[..., 0]], axis=-1)
                     mom.append(rot)
                 for j, fn in enumerate(mom[:el.n_cell]):
-                    r = fn(pts, self.cell_centers[cells], self.cell_scale[cells])
+                    r = fn(pts, m.cell_centers[cells], m.cell_scale[cells])
                     w[:, :, base + j, :] = wq[:, :, None] * r
                 pts_list.append(pts)
                 wts_list.append(w)
@@ -429,7 +398,7 @@ class FunctionSpace:
         if not grad:
             return vals, None
         # physical monomial gradients: d/dx_d = sum_D Jinv[D, d] d/dxi_D
-        smg = np.einsum("cqsD,cDd->cqds", smg, self.jac_inv[cells])
+        smg = np.einsum("cqsD,cDd->cqds", smg, self.mesh.jac_inv[cells])
         G = (smg.reshape(n, nq * 2, nsm) @ Ct).reshape(n, nq, 2, nloc, ncomp)
         # C order, so the gradients reshape without copies downstream
         return vals, np.ascontiguousarray(np.moveaxis(G, 2, -1))
@@ -438,7 +407,7 @@ class FunctionSpace:
         """Physical quadrature weights (nc, nq) of the cell rule of exactness
         `degree`."""
         return (triangle_rule(degree).weights[None, :]
-                * (2.0 * self.cell_area)[:, None])
+                * (2.0 * self.mesh.cell_area)[:, None])
 
     def cell_quadrature(self, degree):
         """Physical quadrature points and weights on every cell."""

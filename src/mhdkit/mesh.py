@@ -18,20 +18,21 @@ class Mesh2D:
 
     `cell_coords` carries per-cell vertex coordinates.  For periodic meshes
     these are unwrapped so each cell sees a geometrically consistent frame,
-    while `vertices` keeps one representative coordinate per vertex.
+    while `vertices` keeps one representative coordinate per vertex.  The
+    cell geometry every space and form reads is computed once from these
+    frames (`_build_geometry`).
     """
 
-    def __init__(self, vertices, cells, cell_coords=None, x_period=None,
-                 pattern="right"):
+    def __init__(self, vertices, cells, cell_coords=None):
         self.vertices = np.asarray(vertices, dtype=float)
         self.cells = np.asarray(cells, dtype=np.int64)
-        self.x_period = x_period
-        self.pattern = pattern
         if cell_coords is None:
             cell_coords = self.vertices[self.cells]
         self.cell_coords = np.asarray(cell_coords, dtype=float)
         self._build_connectivity()
-        self._check_orientation()
+        self._build_geometry()
+        if np.any(self.cell_area <= 0):
+            raise MeshError("cells with non-positive area")
         self.edge_markers = np.zeros(self.num_edges, dtype=np.int64)
         self.marker_names = {}
         self.facet_cache = {}   # qdeg -> assembly.facet_data
@@ -65,20 +66,34 @@ class Mesh2D:
         self.edge_cells = edge_cells
         self.edge_local = edge_local
         self.boundary_edges = np.flatnonzero(edge_cells[:, 1] < 0)
-        bdry_vertex = np.zeros(len(self.vertices), dtype=bool)
-        bdry_vertex[self.edges[self.boundary_edges].ravel()] = True
-        self.boundary_vertices = np.flatnonzero(bdry_vertex)
 
-    def _check_orientation(self):
-        a = self.signed_areas()
-        if np.any(a <= 0):
-            raise MeshError("cells with non-positive area")
-
-    def signed_areas(self):
+    def _build_geometry(self):
+        """Per cell: signed area, centre, scale (longest edge), the affine
+        map x = p0 + J xi from the reference cell with J and J^-1; per
+        (cell, local edge): the endpoints ordered along the global edge
+        direction, with the edge's length, unit tangent and normal."""
         p = self.cell_coords
+        self.cell_centers = p.mean(axis=1)
+        e = np.stack([p[:, 2] - p[:, 1], p[:, 2] - p[:, 0], p[:, 1] - p[:, 0]],
+                     axis=1)
+        self.cell_scale = np.linalg.norm(e, axis=2).max(axis=1)
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        self.cell_area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        self.jac = np.stack([d1, d2], axis=-1)
+        self.jac_inv = np.linalg.inv(self.jac)
+        coords = p[:, _LOCAL_EDGE_VERTICES]             # (nc, 3, 2pts, 2)
+        cv = self.cells[:, _LOCAL_EDGE_VERTICES]        # (nc, 3, 2)
+        swap = cv[:, :, 0] != self.edges[self.cell_edges][:, :, 0]
+        ordered = coords.copy()
+        ordered[swap] = coords[swap][:, ::-1]
+        self.cell_edge_points = ordered
+        t = ordered[:, :, 1] - ordered[:, :, 0]
+        L = np.linalg.norm(t, axis=2)
+        t = t / L[..., None]
+        self.cell_edge_len = L
+        self.cell_edge_tangent = t
+        self.cell_edge_normal = np.stack([t[..., 1], -t[..., 0]], axis=-1)
 
     # -- queries -------------------------------------------------------------
 
@@ -126,20 +141,12 @@ class Mesh2D:
         """Endpoint coordinates of edges in the frame of the adjacent cell
         `side`, ordered along the global (low->high vertex) direction."""
         edge_ids = np.asarray(edge_ids)
-        cells = self.edge_cells[edge_ids, side]
-        loc = self.edge_local[edge_ids, side]
-        lv = _LOCAL_EDGE_VERTICES[loc]
-        coords = self.cell_coords[cells[:, None], lv]
-        glob = self.edges[edge_ids]
-        cell_vids = self.cells[cells[:, None], lv]
-        swap = cell_vids[:, 0] != glob[:, 0]
-        out = coords.copy()
-        out[swap] = coords[swap][:, ::-1]
-        return out
+        return self.cell_edge_points[self.edge_cells[edge_ids, side],
+                                     self.edge_local[edge_ids, side]]
 
     def min_edge_length(self):
-        p0 = self.edge_endpoints_in_cell(np.arange(self.num_edges), 0)
-        return float(np.linalg.norm(p0[:, 1] - p0[:, 0], axis=1).min())
+        return float(self.cell_edge_len[self.edge_cells[:, 0],
+                                        self.edge_local[:, 0]].min())
 
 
 _LOCAL_EDGE_VERTICES = np.array([[1, 2], [0, 2], [0, 1]])
@@ -196,10 +203,8 @@ def build_rect_mesh(domain, nx, ny, pattern="right", periodic_x=False):
         raise MeshError(f"unknown pattern {pattern!r}")
     cells = np.asarray(cells, dtype=np.int64)
 
-    x_period = None
     cell_coords = verts[cells]
     if periodic_x:
-        x_period = x1 - x0
         remap = np.arange(len(verts))
         right = np.isclose(verts[:, 0], x1)
         for v in np.flatnonzero(right):
@@ -214,8 +219,7 @@ def build_rect_mesh(domain, nx, ny, pattern="right", periodic_x=False):
         cells = new_id[cells]
         verts = verts[keep]
 
-    mesh = Mesh2D(verts, cells, cell_coords=cell_coords, x_period=x_period,
-                  pattern=pattern)
+    mesh = Mesh2D(verts, cells, cell_coords=cell_coords)
     mesh.mark_boundary()
     return mesh
 
@@ -223,10 +227,9 @@ def build_rect_mesh(domain, nx, ny, pattern="right", periodic_x=False):
 class MeshHierarchy:
     """Nested uniformly refined meshes, coarse to fine."""
 
-    def __init__(self, levels, cell_children, vertex_embedding):
+    def __init__(self, levels, cell_children):
         self.levels = levels
         self.cell_children = cell_children
-        self.vertex_embedding = vertex_embedding
 
     def __len__(self):
         return len(self.levels)
@@ -242,13 +245,11 @@ def refine_uniform(mesh, levels):
         raise MeshError("levels must be >= 0")
     meshes = [mesh]
     children = []
-    embeddings = []
     for _ in range(levels):
-        fine, child, emb = _refine_once(meshes[-1])
+        fine, child = _refine_once(meshes[-1])
         meshes.append(fine)
         children.append(child)
-        embeddings.append(emb)
-    return MeshHierarchy(meshes, children, embeddings)
+    return MeshHierarchy(meshes, children)
 
 
 def _refine_once(mesh):
@@ -279,8 +280,7 @@ def _refine_once(mesh):
     child_coords[:, 3] = mc
 
     fine = Mesh2D(verts, child_cells.reshape(-1, 3),
-                  cell_coords=child_coords.reshape(-1, 3, 2),
-                  x_period=mesh.x_period, pattern=mesh.pattern)
+                  cell_coords=child_coords.reshape(-1, 3, 2))
     # markers: fine boundary edges inherit from their coarse parent
     fine.marker_names = dict(mesh.marker_names)
     fine_edge_lookup = {tuple(e): i for i, e in enumerate(map(tuple, fine.edges))}
@@ -293,8 +293,7 @@ def _refine_once(mesh):
             if fe is not None:
                 fine.edge_markers[fe] = mesh.edge_markers[e]
     child_map = np.arange(mesh.num_cells * 4).reshape(mesh.num_cells, 4)
-    embedding = np.arange(nv)
-    return fine, child_map, embedding
+    return fine, child_map
 
 
 def write_vtk(path, mesh, point_data=None):

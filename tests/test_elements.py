@@ -282,8 +282,8 @@ def test_tabulate_module_level():
 
 def _scaled(space, cells, pts):
     """Scaled local coordinates (x - centroid) / h of the cells."""
-    return ((pts - space.cell_centers[cells][:, None, :])
-            / space.cell_scale[cells][:, None, None])
+    return ((pts - space.mesh.cell_centers[cells][:, None, :])
+            / space.mesh.cell_scale[cells][:, None, None])
 
 
 def _scaled_monomial_coeff(space):
@@ -310,7 +310,7 @@ def _scaled_monomial_tabulation(space, cells, pts, coeff=None):
                      np.einsum("vks,cqs->cqvk", el.vmono, sm))
     grads = np.einsum("civ,cqvkd->cqikd", coeff,
                       np.einsum("vks,cqsd->cqvkd", el.vmono, smg))
-    return vals, grads / space.cell_scale[cells][:, None, None, None, None]
+    return vals, grads / space.mesh.cell_scale[cells][:, None, None, None, None]
 
 
 def _close(a, ref, rtol=1e-13):
