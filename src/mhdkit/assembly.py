@@ -1,7 +1,8 @@
 """Cell and facet assembly of bilinear/linear forms: mass/stiffness/grad-div
 kernels, interior-penalty (SIPG) viscous terms and upwinded advection for the
-H(div) x L2 velocity pair, gradient-jump stabilisation, strong Dirichlet
-data and the constraining of matrices.
+H(div) x L2 velocity pair, gradient-jump stabilisation and the constraining
+of matrices on strong Dirichlet dofs (whose values `elements.dirichlet_values`
+computes).
 
 Every sparse matrix built from local arrays comes out of this module:
 `scatter` sums local arrays into a CSR matrix, `interpolation_matrix`
@@ -14,8 +15,8 @@ contract the element's shared reference table (`elements.reference_table`)
 with the space's per-cell coefficients and the per-cell maps T_c and
 J_c^-1 (`_Basis`); a local matrix is the product of the per-point weights,
 pulled back to the reference components, with the reference tensor of the
-two tables (`_local`).  Facet geometry is held by the mesh
-(`facet_data`)."""
+two tables (`_local`).  The cell and edge geometry is the mesh's, and the
+facet quadrature is cached on the mesh (`facet_data`)."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +29,7 @@ __all__ = [
     "interpolation_matrix",
     "facet_data", "facet_pairings", "sipg_local",
     "upwind_advection_local", "upwind_advection_residual", "burman_local",
-    "SparsityPattern", "constrain_matrix", "DirichletBC",
+    "SparsityPattern", "constrain_matrix",
 ]
 
 
@@ -571,36 +572,6 @@ def burman_local(space, mu, qdeg=None):
                 grads[st], grads[sr], None, wL)
             for st, sgn_t in ((0, 1.0), (1, -1.0))
             for sr, sgn_r in ((0, 1.0), (1, -1.0))}
-
-
-# -- Dirichlet boundary conditions ---------------------------------------------
-
-
-class DirichletBC:
-    """Strong condition on the dofs of `space` over `markers`.
-
-    `value` is a pointwise callable (or None for homogeneous); dof values of
-    non-nodal families are edge moments evaluated with quadrature of exactness
-    `quad_degree` (this is the divergence-preservation mechanism for RT data).
-    """
-
-    def __init__(self, space, markers=None, value=None, quad_degree=None):
-        self.space = space
-        self.markers = markers
-        self.value = value
-        self.quad_degree = quad_degree
-        self.dofs = space.boundary_dofs(markers)
-
-    def values(self):
-        if self.value is None:
-            return self.dofs, np.zeros(len(self.dofs))
-        idx, vals = self.space.boundary_dof_values(
-            self.value, self.markers, self.quad_degree)
-        order = {d: i for i, d in enumerate(idx)}
-        out = np.zeros(len(self.dofs))
-        for i, d in enumerate(self.dofs):
-            out[i] = vals[order[d]] if d in order else 0.0
-        return self.dofs, out
 
 
 def constrain_matrix(A, constrained):

@@ -104,9 +104,8 @@ def _apply_config_file(args):
     if "bc_field" in prob and args.bc_field is None:
         args.bc_field = prob["bc_field"]
     for k, v in cfg.get("params", {}).items():
-        flag = "RH" if k == "RH" else k
-        if getattr(args, flag, None) is None:
-            setattr(args, flag, _config_value("params", k, v, float))
+        if getattr(args, k, None) is None:
+            setattr(args, k, _config_value("params", k, v, float))
     sol = cfg.get("solver", {})
     for key in ("linearisation", "linear_solver"):
         if key in sol and getattr(args, key) is None:

@@ -1,14 +1,17 @@
-"""Reference elements, function spaces, dof maps, interpolation and the
-discrete differential-complex maps (CG -vcurl-> RT -div-> DG and the rotated
-H(curl) family).
+"""Reference elements, function spaces, dof maps, interpolation, strong
+Dirichlet data and the discrete differential-complex maps (CG -vcurl-> RT
+-div-> DG and the rotated H(curl) family).
 
 Basis functions are constructed cell by cell: on each cell the local basis is
 the dual of a set of *globally defined* functionals (point evaluations, edge
 moments taken along the global low-to-high edge direction, interior
 moments).  Shared functionals then automatically produce normal/tangential
-continuity without any sign bookkeeping.  The sparse operators themselves
-(mass matrices, the complex maps) are built by `assembly`: `cell_matrix` and
-`interpolation_matrix`.
+continuity without any sign bookkeeping.  `FunctionSpace.dual_points_weights`
+is the one definition of these functionals: the basis, `interpolate`,
+`dirichlet_values` and, through `assembly.interpolation_matrix`, the complex
+maps and the multigrid transfers all apply it.  The sparse operators
+themselves (mass matrices, the complex maps) are built by `assembly`:
+`cell_matrix` and `interpolation_matrix`.
 
 The per-cell coefficients `coeff` combine a prime basis that is written in
 each cell's affine reference coordinates xi = J_c^-1 (x - p_c0) and mapped by
@@ -17,9 +20,10 @@ the contravariant Piola map) or J_c^-T (NED: the covariant one).  So one
 table of psihat and its reference gradients per element and quadrature rule
 (`reference_table`), and one per reference facet variant, serves every cell
 of every mesh, and a space holds no per-cell table: `assembly` contracts the
-shared table with `coeff`, T_c and J_c^-1.  Nodal families share one `coeff`
-for all cells.  `FunctionSpace.tabulate_cells` evaluates the basis at
-arbitrary physical points (transfers, interpolation, projection).
+shared table with `coeff`, T_c and J_c^-1.  J_c, J_c^-1 and the rest of the
+cell geometry are computed once per mesh (`Mesh2D`).  Nodal families share
+one `coeff` for all cells.  `FunctionSpace.tabulate_cells` evaluates the
+basis at arbitrary physical points (transfers, interpolation, projection).
 """
 
 import functools
@@ -425,11 +429,7 @@ class FunctionSpace:
         edges (all boundary edges if markers is None)."""
         m = self.mesh
         el = self.element
-        if markers is None:
-            edges = m.boundary_edges
-        else:
-            edges = np.intersect1d(m.boundary_edges,
-                                   m.edges_with_markers(markers))
+        edges = _marked_boundary_edges(m, markers)
         dofs = []
         if el.n_vertex:
             verts = np.unique(m.edges[edges].ravel())
@@ -442,69 +442,23 @@ class FunctionSpace:
             return np.unique(np.concatenate(dofs))
         return np.zeros(0, dtype=np.int64)
 
-    def boundary_dof_values(self, g, markers=None, quad_degree=None):
-        """Interpolate boundary data onto the boundary dofs of the marked
-        edges using edge quadrature of exactness `quad_degree`."""
-        m = self.mesh
-        el = self.element
-        if markers is None:
-            edges = m.boundary_edges
-        else:
-            edges = np.intersect1d(m.boundary_edges,
-                                   m.edges_with_markers(markers))
-        if quad_degree is None:
-            quad_degree = el.degree
-        idx_list = []
-        val_list = []
-        if el.n_vertex:
-            verts = np.unique(m.edges[edges].ravel())
-            gv = _eval_pointwise(g, m.vertices[verts])
-            for j in range(el.n_vertex):
-                idx_list.append(self.vertex_offset + verts * el.n_vertex + j)
-                val_list.append(gv[:, j if el.ncomp > 1 else 0])
-            if el.n_edge:  # CG/VCG midpoints
-                ep = m.vertices[m.edges[edges]]
-                mids = ep.mean(axis=1)
-                gm = _eval_pointwise(g, mids)
-                for j in range(el.n_edge):
-                    idx_list.append(self.edge_offset + edges * el.n_edge + j)
-                    val_list.append(gm[:, j if el.ncomp > 1 else 0])
-        elif el.n_edge:
-            rule = gauss_interval(quad_degree)
-            xi = rule.points
-            side_pts = m.edge_endpoints_in_cell(edges, 0)
-            pts = (side_pts[:, None, 0, :] * (1 - xi)[None, :, None]
-                   + side_pts[:, None, 1, :] * xi[None, :, None])
-            t = side_pts[:, 1] - side_pts[:, 0]
-            L = np.linalg.norm(t, axis=1)
-            t = t / L[:, None]
-            direc = (np.stack([t[:, 1], -t[:, 0]], axis=-1)
-                     if el.edge_trace_component == "normal" else t)
-            gvals = _eval_pointwise(g, pts.reshape(-1, 2)).reshape(
-                len(edges), len(xi), -1)
-            comp = np.einsum("eqk,ek->eq", gvals, direc)
-            s = 2 * xi - 1
-            for mdeg in range(el.n_edge):
-                leg = _legendre(mdeg, s)
-                mom = np.einsum("q,eq->e", rule.weights * 1.0,
-                                comp * leg[None, :]) * L
-                idx_list.append(self.edge_offset + edges * el.n_edge + mdeg)
-                val_list.append(mom)
-        if not idx_list:
-            return np.zeros(0, dtype=np.int64), np.zeros(0)
-        idx = np.concatenate(idx_list)
-        vals = np.concatenate(val_list)
-        # moments are duals of the basis: dof value = functional applied to g
-        return idx, vals
+
+def _marked_boundary_edges(mesh, markers):
+    if markers is None:
+        return mesh.boundary_edges
+    return np.intersect1d(mesh.boundary_edges,
+                          mesh.edges_with_markers(markers))
 
 
 def _eval_pointwise(g, pts):
+    """g(x, y) at points pts (n, 2) as (n, ncomp); g returns (n,) or (n,
+    ncomp) values."""
     out = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
-    if out.ndim == 1:
-        out = out[:, None]
-    elif out.ndim == 2 and out.shape[0] in (1, 2) and out.shape[0] != len(pts):
-        out = np.moveaxis(out, 0, -1)
-    return out
+    if out.ndim not in (1, 2) or out.shape[0] != len(pts):
+        raise ValueError(f"pointwise data at {len(pts)} points has shape "
+                         f"{out.shape}; expected the points on the leading "
+                         "axis")
+    return out[:, None] if out.ndim == 1 else out
 
 
 class Field:
@@ -535,21 +489,43 @@ class Field:
 # -- interpolation / projection ----------------------------------------------
 
 
-def interpolate(space, f, quad_degree=None):
-    """Interpolate a pointwise function via the dual functionals, evaluated
-    with quadrature of exactness `quad_degree` (default degree + 6)."""
-    el = space.element
+def _dual_values(space, f, quad_degree=None, cells=None):
+    """The dual functionals of `space` on `cells` (every cell if None)
+    applied to the pointwise function f, evaluated with quadrature of
+    exactness `quad_degree` (default degree + 6), as a coefficient vector
+    that is 0 on the dofs of no cell in `cells`."""
     if quad_degree is None:
-        quad_degree = el.degree + 6
+        quad_degree = space.element.degree + 6
     pts, wts = space.dual_points_weights(
-        edge_degree=quad_degree, cell_degree=quad_degree)
+        cells, edge_degree=quad_degree, cell_degree=quad_degree)
     shp = pts.shape
     fv = _eval_pointwise(f, pts.reshape(-1, 2)).reshape(shp[0], shp[1], -1)
     local = np.einsum("cqik,cqk->ci", wts, fv, optimize=True)
     out = np.zeros(space.total_dofs)
     # "set" semantics; shared functionals agree across cells
-    out[space.dofmap.ravel()] = local.ravel()
-    return Field(space, out)
+    dofmap = space.dofmap if cells is None else space.dofmap[cells]
+    out[dofmap.ravel()] = local.ravel()
+    return out
+
+
+def interpolate(space, f, quad_degree=None):
+    """Interpolate a pointwise function via the dual functionals, evaluated
+    with quadrature of exactness `quad_degree` (default degree + 6)."""
+    return Field(space, _dual_values(space, f, quad_degree))
+
+
+def dirichlet_values(space, g, markers=None):
+    """Strong Dirichlet data: the dofs of `space` on the boundary edges with
+    `markers` (every boundary edge if None) and their values, the dual
+    functionals applied to the pointwise function g as `interpolate` applies
+    them (0 if g is None).  For RT data the values are the normal edge
+    moments of g, so a field that matches them has the boundary flux of g."""
+    dofs = space.boundary_dofs(markers)
+    if g is None:
+        return dofs, np.zeros(len(dofs))
+    m = space.mesh
+    cells = np.unique(m.edge_cells[_marked_boundary_edges(m, markers), 0])
+    return dofs, _dual_values(space, g, cells=cells)[dofs]
 
 
 def l2_project(space, source, quad_degree=None):

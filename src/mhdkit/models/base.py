@@ -4,11 +4,11 @@ forcing, mass and diagnostic plumbing of all three MHD models."""
 
 import numpy as np
 
-from ..assembly import (DirichletBC, SparsityPattern, burman_local,
-                        cell_local, cell_vector, facet_pairings,
-                        field_op_at_quadrature, sipg_local,
-                        upwind_advection_local, upwind_advection_residual)
-from ..elements import Field, FunctionSpace
+from ..assembly import (SparsityPattern, burman_local, cell_local,
+                        cell_vector, facet_pairings, field_op_at_quadrature,
+                        sipg_local, upwind_advection_local,
+                        upwind_advection_residual)
+from ..elements import Field, FunctionSpace, dirichlet_values
 
 QDEG = 6
 
@@ -84,23 +84,6 @@ class MixedState:
 
     def sizes(self):
         return {n: self.spaces[n].total_dofs for n in self.names}
-
-
-def merge_bc_values(pairs):
-    """Merge (index, value) pairs from several DirichletBC objects; raise on
-    conflicting prescriptions for one dof."""
-    seen = {}
-    for idx, vals in pairs:
-        for i, v in zip(idx, vals):
-            if i in seen and abs(seen[i] - v) > 1e-12 * (1 + abs(v)):
-                raise ValueError(f"conflicting boundary values at dof {i}")
-            seen[i] = v
-    if not seen:
-        return np.zeros(0, dtype=np.int64), np.zeros(0)
-    idx = np.fromiter(seen.keys(), dtype=np.int64)
-    order = np.argsort(idx)
-    vals = np.fromiter(seen.values(), dtype=float)
-    return idx[order], vals[order]
 
 
 def _drop_zeros(A):
@@ -304,20 +287,23 @@ class MixedModel:
                 for n in self.fields}
 
     def _setup_constraints(self):
-        pairs = []
+        # the fields own disjoint dof ranges and the DG pressure has no
+        # boundary dofs, so no dof is prescribed twice
         st = self.state_template
+        idx = [np.array([st.offsets["p"]])]
+        vals = [np.zeros(1)]
         for name in self.fields:
-            spec = self.bcs.get(name)
-            if spec is None:
+            if name not in self.bcs:
                 continue
-            markers, value = spec
-            space = self.spaces[name]
-            bc = DirichletBC(space, None if markers == "all" else markers,
-                             value, quad_degree=space.element.degree + 6)
-            idx, vals = bc.values()
-            pairs.append((idx + st.offsets[name], vals))
-        pairs.append((np.array([st.offsets["p"]]), np.array([0.0])))
-        self.constrained_idx, self.constrained_vals = merge_bc_values(pairs)
+            markers, value = self.bcs[name]
+            dofs, v = dirichlet_values(self.spaces[name], value,
+                                       None if markers == "all" else markers)
+            idx.append(dofs + st.offsets[name])
+            vals.append(v)
+        idx = np.concatenate(idx)
+        order = np.argsort(idx)
+        self.constrained_idx = idx[order]
+        self.constrained_vals = np.concatenate(vals)[order]
 
     def apply_state_bcs(self, state):
         state.vector[self.constrained_idx] = self.constrained_vals

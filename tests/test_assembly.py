@@ -6,10 +6,11 @@ import pytest
 import scipy.sparse as sp
 
 from mhdkit.mesh import Mesh2D, build_rect_mesh
-from mhdkit.elements import FunctionSpace, Field, interpolate, complex_maps
+from mhdkit.elements import (FunctionSpace, Field, interpolate, complex_maps,
+                             dirichlet_values)
 from mhdkit.quadrature import triangle_rule
 from mhdkit.assembly import (cell_matrix, cell_vector,
-                             upwind_advection_residual, DirichletBC,
+                             upwind_advection_residual,
                              EPS_CONTRACTION, facet_data)
 
 from facet_matrices import (burman_stabilisation, sipg_viscous,
@@ -223,8 +224,7 @@ def test_apply_bcs_homogeneous_zero_solution():
     cg = FunctionSpace(m, "CG", 1)
     K = cell_matrix(cg, cg, "grad", "grad")
     b = np.zeros(cg.total_dofs)
-    bc = DirichletBC(cg)
-    A, bb = apply_bcs(K, b, *bc.values())
+    A, bb = apply_bcs(K, b, *dirichlet_values(cg, None))
     x = np.linalg.solve(A.toarray(), bb)
     assert np.abs(x).max() < 1e-14
 
@@ -235,25 +235,12 @@ def test_apply_bcs_lifting_poisson():
     cg = FunctionSpace(m, "CG", 1)
     K = cell_matrix(cg, cg, "grad", "grad")
     b = np.zeros(cg.total_dofs)
-    bc = DirichletBC(cg, value=lambda x, y: x)
-    idx, vals = bc.values()
+    idx, vals = dirichlet_values(cg, lambda x, y: x)
     A, bb = apply_bcs(K, b, idx, vals)
     x = np.linalg.solve(A.toarray(), bb)
     exact = interpolate(cg, lambda x, y: x, 4).coefficients
     assert np.abs(x - exact).max() < 1e-12
     assert np.abs(x[idx] - vals).max() == 0.0
-
-
-def test_bc_conflict_detection():
-    m = build_rect_mesh((0, 1, 0, 1), 2, 2)
-    cg = FunctionSpace(m, "CG", 1)
-    from mhdkit.models.base import merge_bc_values
-    i1 = np.array([0, 1])
-    v1 = np.array([1.0, 2.0])
-    i2 = np.array([1, 2])
-    v2 = np.array([3.0, 4.0])
-    with pytest.raises(ValueError):
-        merge_bc_values([(i1, v1), (i2, v2)])
 
 
 def test_facet_data_cached_per_mesh():
@@ -295,3 +282,29 @@ def test_only_assembly_builds_coo_matrices():
                  if p != root / "assembly.py"
                  and re.search(r"\bcoo_(matrix|array)\b", p.read_text())]
     assert offenders == []
+
+
+def test_only_the_dual_functionals_weight_edge_moments():
+    # one set of dof functionals: the Legendre edge-moment weight is applied
+    # in FunctionSpace.dual_points_weights alone, so interpolation,
+    # Dirichlet data, the transfers and the complex maps share its scaling
+    import ast
+    import pathlib
+
+    import mhdkit
+
+    root = pathlib.Path(mhdkit.__file__).parent
+    callers = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_legendre"):
+            callers.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for p in sorted(root.rglob("*.py")):
+        visit(ast.parse(p.read_text()), (str(p.relative_to(root)),))
+    assert callers == [("elements.py", "FunctionSpace", "dual_points_weights")]

@@ -7,8 +7,8 @@ from mhdkit.mesh import Mesh2D, build_rect_mesh, refine_uniform
 from mhdkit.elements import (SUPPORTED, REF_VERTICES, FunctionSpace, Field,
                              UnsupportedElementError,
                              interpolate, l2_project, complex_maps,
-                             grad_to_hcurl, curl_to_dg, reference_table,
-                             scalar_monomials)
+                             dirichlet_values, grad_to_hcurl, curl_to_dg,
+                             reference_table, scalar_monomials)
 from mhdkit.assembly import _Basis, cell_matrix, facet_data
 from mhdkit.quadrature import gauss_interval
 from mhdkit.multigrid import build_transfer
@@ -274,6 +274,60 @@ def test_boundary_dofs(unit_mesh):
     assert len(allb) == 24
 
 
+def _data(ncomp):
+    """g = sin(pi x)(1 + y), of period 2 in x; a second component 2 g."""
+    def g(x, y):
+        v = np.sin(np.pi * x) * (1.0 + y)
+        return v if ncomp == 1 else np.stack([v, 2.0 * v], axis=-1)
+    return g
+
+
+@pytest.mark.parametrize("fam", ["CG", "VCG"])
+def test_periodic_dirichlet_data_read_the_true_edge_midpoints(fam):
+    # a wrap-around top/bottom edge ends on the representative vertex at
+    # x = -1: its midpoint is read in the frame of its cell, not half a
+    # period away
+    mesh = build_rect_mesh((-1, 1, -1, 1), 6, 5, "right", periodic_x=True)
+    space = FunctionSpace(mesh, fam, 2)
+    ncomp = space.element.ncomp
+    g = _data(ncomp)
+    dofs, vals = dirichlet_values(space, g, ["top", "bottom"])
+    edges = mesh.edges_with_markers(["top", "bottom"])
+    ends = mesh.vertices[mesh.edges[edges]]
+    dx = ends[:, 1, 0] - ends[:, 0, 0]
+    ends[:, 1, 0] -= 2.0 * np.round(dx / 2.0)     # unwrap across the period
+    assert np.any(np.abs(dx) > 1.0)
+    expect = np.full(space.total_dofs, np.nan)
+    gm = g(*ends.mean(axis=1).T).reshape(len(edges), ncomp)
+    for j in range(ncomp):
+        expect[space.edge_offset + edges * ncomp + j] = gm[:, j]
+    got = dict(zip(dofs, vals))
+    edge_dofs = [d for d in dofs if d >= space.edge_offset]
+    assert len(edge_dofs) == 12 * ncomp
+    assert max(abs(got[d] - expect[d]) for d in edge_dofs) < 1e-14
+
+
+@pytest.mark.parametrize("fam,deg", sorted(SUPPORTED))
+@pytest.mark.parametrize("markers", [None, ["top", "bottom"]])
+def test_dirichlet_values_are_the_interpolant_on_the_boundary(fam, deg,
+                                                              markers,
+                                                              unit_mesh):
+    space = FunctionSpace(unit_mesh, fam, deg)
+    g = _data(space.element.ncomp)
+    dofs, vals = dirichlet_values(space, g, markers)
+    assert np.array_equal(dofs, space.boundary_dofs(markers))
+    ref = interpolate(space, g).coefficients[dofs]
+    assert np.abs(vals - ref).max(initial=0.0) < 1e-14
+
+
+def test_pointwise_data_must_put_the_points_first(unit_mesh):
+    vcg = FunctionSpace(unit_mesh, "VCG", 1)
+    with pytest.raises(ValueError, match="leading axis"):
+        interpolate(vcg, lambda x, y: np.stack([x, y]))
+    with pytest.raises(ValueError, match="leading axis"):
+        dirichlet_values(vcg, lambda x, y: 1.0)
+
+
 def test_tabulate_module_level():
     pts = np.array([[0.25, 0.25]])
     vals = ReferenceElement("CG", 1).tabulate(pts)
@@ -310,7 +364,8 @@ def _scaled_monomial_tabulation(space, cells, pts, coeff=None):
                      np.einsum("vks,cqs->cqvk", el.vmono, sm))
     grads = np.einsum("civ,cqvkd->cqikd", coeff,
                       np.einsum("vks,cqsd->cqvkd", el.vmono, smg))
-    return vals, grads / space.mesh.cell_scale[cells][:, None, None, None, None]
+    h = space.mesh.cell_scale[cells]
+    return vals, grads / h[:, None, None, None, None]
 
 
 def _close(a, ref, rtol=1e-13):
