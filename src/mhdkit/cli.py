@@ -3,87 +3,171 @@ bifurcation analyses, writing iteration tables, time series and field dumps.
 
 Exit codes: 0 success, 1 bad configuration, 2 nonlinear non-convergence
 (an NF row is still written, mirroring the iteration-table convention) or
-fewer critical values than `--count` (those found are still written)."""
+fewer critical values than `--count` (those found are still written).
+
+Every setting is one row of SETTINGS.  A problem reads the parameters of its
+`problems.DEFAULT_PARAMS` row (and ldc2d its bc_field), and a command path
+the settings of its PATH_READS row; any other setting that is given stops
+the run with exit code 1 before a problem is built."""
 
 import argparse
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
-from .models.base import ModelParams
 from .nonlinear import (NonlinearConfig, solve_nonlinear,
                         ContinuationSchedule, continue_parameters,
                         StageFailure, direct_solver_factory)
 from .precond import KrylovSolverFactory
-from .problems import (PROBLEM_NAMES, BC_FIELDS, ISLAND_FIELDS,
-                       make_problem, parse_config, island_initial_state,
-                       ConfigError)
+from .problems import (PROBLEM_NAMES, BC_FIELDS, DEFAULT_PARAMS,
+                       ISLAND_FIELDS, make_problem, island_initial_state)
 from .timestepping import (TimeConfig, run_transient, FrozenJacobianFactory,
-                           ReconnectionProbe, write_series_csv)
+                           ReconnectionProbe)
 
-PARAM_FLAGS = ("Re", "Rem", "S", "RH", "Ra", "Pr", "Pm", "gamma")
-DEFAULTS = {"linearisation": "newton", "linear_solver": "direct",
-            "out_dir": "."}
+COMMANDS = ("run", "sweep", "bifurcate")
 
 
-def _add_common(p):
-    p.add_argument("--problem", choices=PROBLEM_NAMES, required=False)
-    p.add_argument("--config", help="run configuration file")
-    for f in PARAM_FLAGS:
-        p.add_argument(f"--{f}", type=float)
-    p.add_argument("--levels", type=int)
-    # these three take DEFAULTS only after the config file is read
-    p.add_argument("--linearisation", choices=["newton", "picard"])
-    p.add_argument("--linear-solver", choices=["fgmres", "direct"])
-    p.add_argument("--continuation", action="store_true", default=None,
-                   help="apply the stationary continuation schedules")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--T", type=float)
-    p.add_argument("--out-dir")
-    p.add_argument("--stabilisation", type=float)
-    p.add_argument("--bc-field")
-    # Newton tolerances: config keys only, NonlinearConfig defaults if unset
-    p.set_defaults(rtol=None, atol=None, max_steps=None)
+class Setting(namedtuple("Setting", "dest flag kind section key default "
+                                    "param commands help",
+                         defaults=(None,) * 5 + (COMMANDS, None))):
+    """One run setting: its argparse dest, its flag, its kind (float, int,
+    str, bool for a switch, or the tuple of its values), its config-file
+    [section] key, its default, the ModelParams name of a model parameter
+    and the commands that take it; None where it has none."""
+
+    @property
+    def label(self):
+        """The flag and the config key, as errors name the setting."""
+        key = self.key and f"[{self.section}] {self.key}"
+        if self.flag and key:
+            return f"{self.flag} ({key})"
+        return self.flag or key
 
 
-def _param_name(flag):
-    """The ModelParams name of a parameter flag."""
-    return "R_H" if flag == "RH" else flag
+_BIF = ("bifurcate",)
+SETTINGS = (
+    Setting("problem", "--problem", PROBLEM_NAMES, "problem", "name"),
+    Setting("levels", "--levels", int, "problem", "levels"),
+    Setting("bc_field", "--bc-field", str, "problem", "bc_field"),
+    *(Setting(flag, f"--{flag}", float, "params", flag, param=param)
+      for flag, param in (("Re", "Re"), ("Rem", "Rem"), ("S", "S"),
+                          ("RH", "R_H"), ("Ra", "Ra"), ("Pr", "Pr"),
+                          ("Pm", "Pm"), ("gamma", "gamma"),
+                          ("stabilisation", "stab_mu"))),
+    Setting("linearisation", "--linearisation", ("newton", "picard"),
+            "solver", "linearisation", "newton"),
+    Setting("linear_solver", "--linear-solver", ("fgmres", "direct"),
+            "solver", "linear_solver", "direct"),
+    Setting("continuation", "--continuation", bool, "solver", "continuation",
+            help="apply the stationary continuation schedules"),
+    # Newton tolerances: NonlinearConfig's defaults where unset
+    Setting("rtol", None, float, "solver", "rtol"),
+    Setting("atol", None, float, "solver", "atol"),
+    Setting("max_steps", None, int, "solver", "max_steps"),
+    Setting("dt", "--dt", float, "time", "dt"),
+    Setting("T", "--T", float, "time", "T"),
+    Setting("out_dir", "--out-dir", str, "output", "out_dir", "."),
+    Setting("grid", "--grid", str, commands=("sweep",),
+            help="e.g. 'S=1,1000;Re=1,1000' (rows;cols)"),
+    Setting("param", "--param", ("Ra", "S"), default="Ra", commands=_BIF),
+    Setting("from_", "--from", float, commands=_BIF),
+    Setting("to_", "--to", float, commands=_BIF),
+    Setting("step", "--step", float, commands=_BIF),
+    Setting("critical", "--critical", ("Ra", "S"), commands=_BIF),
+    Setting("count", "--count", int, default=2, commands=_BIF),
+    Setting("stability", "--stability", bool, commands=_BIF),
+)
+# the model-parameter settings by dest, which --grid also names
+PARAMS = {s.dest: s for s in SETTINGS if s.param}
+
+# the settings each command path reads besides the problem's parameters and
+# bc_field; errors name a path as its key does
+_EVERY = ("problem", "levels", "out_dir")
+_NEWTON = ("linearisation", "rtol", "atol", "max_steps")
+PATH_READS = {
+    "a stationary run": (*_EVERY, "linear_solver", "continuation", *_NEWTON),
+    "run --problem mms": (*_EVERY, "linear_solver", *_NEWTON),
+    "a transient run": (*_EVERY, "dt", "T", "linear_solver", *_NEWTON),
+    "sweep": (*_EVERY, "grid", "linear_solver", "continuation", *_NEWTON),
+    "bifurcate": (*_EVERY, "param", "from_", "to_", "step", "stability",
+                  *_NEWTON),
+    "bifurcate --critical": (*_EVERY, "critical", "count"),
+}
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
+
+
+def _add_flags(parser, command):
+    parser.add_argument("--config", help="run configuration file")
+    for s in SETTINGS:
+        if command not in s.commands:
+            continue
+        if s.flag is None:
+            parser.set_defaults(**{s.dest: None})
+            continue
+        kw = (dict(action="store_true", default=None) if s.kind is bool
+              else dict(choices=s.kind) if isinstance(s.kind, tuple)
+              else dict(type=s.kind))
+        parser.add_argument(s.flag, dest=s.dest, help=s.help, **kw)
 
 
 def _collect_params(args):
+    """The model parameters given, by their ModelParams names."""
+    return {s.param: getattr(args, s.dest) for s in PARAMS.values()
+            if getattr(args, s.dest) is not None}
+
+
+class ConfigError(Exception):
+    pass
+
+
+def parse_config(text):
+    """Sectioned key=value text; a section or key that no setting has is
+    rejected."""
+    known = {}
+    for s in SETTINGS:
+        if s.key:
+            known.setdefault(s.section, set()).add(s.key)
     out = {}
-    for f in PARAM_FLAGS:
-        v = getattr(args, f, None)
-        if v is not None:
-            out[_param_name(f)] = v
-    if args.stabilisation:
-        out["stab_mu"] = args.stabilisation
+    section = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            if section not in known:
+                raise ConfigError(f"unknown section [{section}] "
+                                  f"(line {lineno})")
+            out.setdefault(section, {})
+            continue
+        if section is None or "=" not in line:
+            raise ConfigError(f"malformed line {lineno}: {raw!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key not in known[section]:
+            raise ConfigError(f"unknown key {key!r} in section "
+                              f"[{section}] (line {lineno})")
+        out[section][key] = val
     return out
 
 
-def _config_value(section, key, value, kind):
-    """value converted by kind; a value that does not convert stops the run
-    with exit code 1."""
+def _config_value(s, value):
+    """A config-file value converted by the setting's kind; a value that
+    does not convert stops the run with exit code 1."""
     try:
-        return kind(value)
-    except ValueError:
-        print(f"error: [{section}] {key} = {value!r} is not "
-              f"{_KIND_NAMES[kind]}", file=sys.stderr)
+        if s.kind is bool:
+            return _BOOLEANS[value.strip().lower()]
+        if isinstance(s.kind, tuple):
+            return s.kind[s.kind.index(value)]
+        return s.kind(value)
+    except (KeyError, ValueError):
+        kind = ({float: "a number", int: "an integer", bool: "a boolean"}
+                .get(s.kind) or f"one of {', '.join(s.kind)}")
+        print(f"error: [{s.section}] {s.key} = {value!r} is not {kind}",
+              file=sys.stderr)
         sys.exit(1)
-
-
-def _boolean(value):
-    v = value.strip().lower()
-    if v in ("true", "yes", "on", "1"):
-        return True
-    if v in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(value)
-
-
-_KIND_NAMES = {float: "a number", int: "an integer", _boolean: "a boolean"}
 
 
 def _apply_config_file(args):
@@ -96,41 +180,54 @@ def _apply_config_file(args):
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
-    prob = cfg.get("problem", {})
-    if "name" in prob and not args.problem:
-        args.problem = prob["name"]
-    if "levels" in prob and args.levels is None:
-        args.levels = _config_value("problem", "levels", prob["levels"], int)
-    if "bc_field" in prob and args.bc_field is None:
-        args.bc_field = prob["bc_field"]
-    for k, v in cfg.get("params", {}).items():
-        if getattr(args, k, None) is None:
-            setattr(args, k, _config_value("params", k, v, float))
-    sol = cfg.get("solver", {})
-    for key in ("linearisation", "linear_solver"):
-        if key in sol and getattr(args, key) is None:
-            setattr(args, key, sol[key])
-    if "continuation" in sol and args.continuation is None:
-        args.continuation = _config_value("solver", "continuation",
-                                          sol["continuation"], _boolean)
-    for key, kind in (("rtol", float), ("atol", float), ("max_steps", int)):
-        if key in sol:
-            setattr(args, key, _config_value("solver", key, sol[key], kind))
-    tm = cfg.get("time", {})
-    if "dt" in tm and args.dt is None:
-        args.dt = _config_value("time", "dt", tm["dt"], float)
-    if "T" in tm and args.T is None:
-        args.T = _config_value("time", "T", tm["T"], float)
-    out = cfg.get("output", {})
-    if "out_dir" in out and args.out_dir is None:
-        args.out_dir = out["out_dir"]
+    for s in SETTINGS:
+        value = cfg.get(s.section, {}).get(s.key)
+        if value is not None and getattr(args, s.dest) is None:
+            setattr(args, s.dest, _config_value(s, value))
 
 
 def _apply_defaults(args):
-    """DEFAULTS for the settings neither the flags nor the file gave."""
-    for key, value in DEFAULTS.items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
+    """The defaults of the command's settings that neither the flags nor the
+    file gave; returns the dests of those that were given (a switch left
+    off is not given)."""
+    given = set()
+    for s in SETTINGS:
+        if args.command not in s.commands:
+            continue
+        value = getattr(args, s.dest)
+        if value is None:
+            if s.default is not None:
+                setattr(args, s.dest, s.default)
+        elif value is not False:
+            given.add(s.dest)
+    return given
+
+
+def _unread(args, given, path, sets=None, grid=()):
+    """Whether a given setting goes unread, reporting the first: a
+    parameter the problem does not read or the path sets itself (`sets`
+    maps it to the setting that does), bc_field on a problem but ldc2d, a
+    `grid` setting the problem does not read, or any other setting that is
+    not in the PATH_READS of `path`."""
+    problem = f"--problem {args.problem}"
+    reads = DEFAULT_PARAMS[args.problem]
+    sets = sets or {}
+    unread = [(problem, f"--grid {s.dest}") for s in grid
+              if s.param not in reads]
+    for s in SETTINGS:
+        if s.dest not in given:
+            continue
+        if s.param:
+            what = problem if s.param not in reads else sets.get(s.param)
+        elif s.dest == "bc_field":
+            what = problem if args.problem != "ldc2d" else None
+        else:
+            what = path if s.dest not in PATH_READS[path] else None
+        if what:
+            unread.append((what, s.label))
+    if unread:
+        print("error: %s does not support %s" % unread[0], file=sys.stderr)
+    return bool(unread)
 
 
 def _nonlinear_config(args):
@@ -141,28 +238,14 @@ def _nonlinear_config(args):
     return NonlinearConfig(linearisation=args.linearisation, **given)
 
 
-def _unsupported(what, settings):
-    """Whether one of the (name, given) settings was given; the first one
-    given is reported as a setting `what` does not support."""
-    for name, given in settings:
-        if given:
-            print(f"error: {what} does not support {name}", file=sys.stderr)
-            return True
-    return False
-
-
 def _bad_bc_field(args):
-    """Whether --bc-field ([problem] bc_field) is given for a problem other
-    than ldc2d, or names no field of BC_FIELDS; the error is reported."""
-    name = "--bc-field ([problem] bc_field)"
-    if _unsupported(f"--problem {args.problem}", (
-            (name, args.bc_field is not None and args.problem != "ldc2d"),)):
-        return True
-    if args.bc_field not in (None, *BC_FIELDS):
-        print(f"error: {name} is {args.bc_field!r}; choose from "
-              f"{', '.join(BC_FIELDS)}", file=sys.stderr)
-        return True
-    return False
+    """Whether --bc-field ([problem] bc_field) names no field of BC_FIELDS;
+    the error is reported."""
+    if args.bc_field in (None, *BC_FIELDS):
+        return False
+    print(f"error: --bc-field ([problem] bc_field) is {args.bc_field!r}; "
+          f"choose from {', '.join(BC_FIELDS)}", file=sys.stderr)
+    return True
 
 
 def _solver_factory(args, spec):
@@ -176,21 +259,15 @@ def _report_path(args, name):
     return os.path.join(args.out_dir, name)
 
 
-def _write_report(args, rows):
-    path = _report_path(args, "report.csv")
+def _write_csv(args, name, header, rows):
+    """The file `name` in the output directory: the header line, then one
+    line of comma-separated cells per row."""
+    path = _report_path(args, name)
     with open(path, "w") as f:
-        f.write("problem,params,nonlin_its,avg_lin_its,converged,cell\n")
+        f.write(header + "\n")
         for row in rows:
             f.write(",".join(str(c) for c in row) + "\n")
     return path
-
-
-def _write_iterations(args, rows):
-    """The outer Krylov rows (nonlinear step, iteration, residual)."""
-    with open(_report_path(args, "iterations.csv"), "w") as f:
-        f.write("step,iter,resid\n")
-        for s, i, r in rows:
-            f.write(f"{s},{i},{r:.6e}\n")
 
 
 def _dump_fields(args, spec, vec):
@@ -215,24 +292,14 @@ def _dump_fields(args, spec, vec):
 
 
 def cmd_run(args):
-    _apply_config_file(args)
-    _apply_defaults(args)
-    if not args.problem:
-        print("error: --problem is required", file=sys.stderr)
-        return 1
-    if _bad_bc_field(args):
+    # a run time-steps when it is given both --dt and --T
+    transient = args.dt is not None and args.T is not None
+    path = ("run --problem mms" if args.problem == "mms"
+            else "a transient run" if transient else "a stationary run")
+    if _unread(args, _apply_defaults(args), path) or _bad_bc_field(args):
         return 1
     if args.problem == "mms":
-        # the convergence study neither time-steps nor continues: a setting
-        # it would ignore is an error
-        if _unsupported("--problem mms", (
-                ("--dt ([time] dt)", args.dt is not None),
-                ("--T ([time] T)", args.T is not None),
-                ("--continuation ([solver] continuation)",
-                 args.continuation))):
-            return 1
         return _run_mms(args)
-    transient = args.dt is not None and args.T is not None
     if transient and args.linear_solver != "direct":
         # time stepping solves with the frozen-Jacobian direct LU only
         print(f"error: --linear-solver {args.linear_solver} is not "
@@ -243,13 +310,12 @@ def cmd_run(args):
     spec = make_problem(args.problem, levels=args.levels, params=params,
                         bc_field=args.bc_field)
     model = spec.model
-
     if transient:
         return _run_transient(args, spec)
 
     fac = _solver_factory(args, spec)
     cfg = _nonlinear_config(args)
-    state = model.initial_state()
+    state, failure = model.initial_state(), None
     try:
         if args.continuation:
             state, rep = continue_parameters(
@@ -257,17 +323,22 @@ def cmd_run(args):
         else:
             state, rep = solve_nonlinear(model, state, cfg, fac)
     except StageFailure as exc:
-        rep = exc.report
-        _write_report(args, [[args.problem, _pstr(model), rep.steps,
-                              f"{rep.avg_linear:.2f}", "false", "NF"]])
-        print(f"NF at continuation stage {exc.parameter}={exc.value} "
-              f"({rep.reason})")
+        failure, rep = exc, exc.report
+    # the params column holds the parameters the problem reads
+    _write_csv(args, "report.csv",
+               "problem,params,nonlin_its,avg_lin_its,converged,cell",
+               [[args.problem, ";".join(f"{k}={getattr(model.params, k)}"
+                                        for k in DEFAULT_PARAMS[args.problem]),
+                 rep.steps, f"{rep.avg_linear:.2f}",
+                 str(rep.converged).lower(), rep.cell()]])
+    if failure:
+        print(f"NF at continuation stage {failure.parameter}="
+              f"{failure.value} ({rep.reason})")
         return 2
-    row = [args.problem, _pstr(model), rep.steps, f"{rep.avg_linear:.2f}",
-           str(rep.converged).lower(), rep.cell()]
-    _write_report(args, [row])
     if args.linear_solver == "fgmres":
-        _write_iterations(args, fac.rows)
+        # the outer Krylov rows (nonlinear step, iteration, residual)
+        _write_csv(args, "iterations.csv", "step,iter,resid",
+                   [(s, i, f"{r:.6e}") for s, i, r in fac.rows])
     _dump_fields(args, spec, state.vector)
     why = "" if rep.converged else f" ({rep.reason})"
     print(f"{args.problem}: {rep.cell()}{why}")
@@ -285,11 +356,6 @@ def _continuation(params, model, lead=()):
         targets, order=order + [k for k in targets if k not in order])
 
 
-def _pstr(model):
-    d = model.params.as_dict()
-    return ";".join(f"{k}={v}" for k, v in d.items() if v is not None)
-
-
 def _run_mms(args):
     params = _collect_params(args)
     levels = args.levels if args.levels is not None else 3
@@ -304,19 +370,13 @@ def _run_mms(args):
         e = sp.model.l2_error(st.vector, sp.exact.fields, zero_mean=("p",))
         errs.append(e)
         hs.append(sp.mesh.min_edge_length())
-    path = _report_path(args, "report.csv")
-    with open(path, "w") as f:
-        f.write("level,h," + ",".join(f"err_{n},rate_{n}" for n in names)
-                + "\n")
-        for i, e in enumerate(errs):
-            cols = [str(i), f"{hs[i]:.6e}"]
-            for n in names:
-                cols.append(f"{e[n]:.6e}")
-                if i == 0:
-                    cols.append("")
-                else:
-                    cols.append(f"{np.log2(errs[i-1][n] / e[n]):.2f}")
-            f.write(",".join(cols) + "\n")
+    rows = [[i, f"{h:.6e}"] for i, h in enumerate(hs)]
+    for i, e in enumerate(errs):
+        for n in names:
+            rate = f"{np.log2(errs[i - 1][n] / e[n]):.2f}" if i else ""
+            rows[i] += [f"{e[n]:.6e}", rate]
+    path = _write_csv(args, "report.csv", "level,h," + ",".join(
+        f"err_{n},rate_{n}" for n in names), rows)
     print(open(path).read())
     return 0
 
@@ -336,35 +396,39 @@ def _run_transient(args, spec):
     tcfg = TimeConfig(dt=args.dt, T=args.T)
     vec, rows = run_transient(model, st, tcfg, _nonlinear_config(args),
                               fac, observers=observers)
-    write_series_csv(_report_path(args, "series.csv"), rows)
+    _write_series(args, rows)
     _dump_fields(args, spec, vec)
     print(f"{args.problem}: {len(rows) - 1} steps to T={args.T}")
     return 0
 
 
+def _write_series(args, rows):
+    """series.csv: one line per observer row, under every column any row
+    has, in the order they first appear (the t = 0 row has no solver
+    counts)."""
+    columns = list(dict.fromkeys(k for row in rows for k in row))
+    _write_csv(args, "series.csv", ",".join(columns),
+               [[row.get(c, "") for c in columns] for row in rows])
+
+
 def cmd_sweep(args):
-    _apply_config_file(args)
-    _apply_defaults(args)
-    if not args.problem:
-        print("error: --problem is required", file=sys.stderr)
-        return 1
-    if _bad_bc_field(args):
-        return 1
     grid = _parse_grid(args.grid)
     if grid is None:
         return 1
-    if len(grid) == 1:
-        grid.append(("_", [None]))
-    (rname, rvals), (cname, cvals) = grid
-    rkey, ckey = _param_name(rname), _param_name(cname)
+    # a parameter on the grid takes the grid's values only
+    sets = {s.param: f"--grid {s.dest}" for s, _ in grid}
+    if (_unread(args, _apply_defaults(args), "sweep", sets,
+                [s for s, _ in grid]) or _bad_bc_field(args)):
+        return 1
+    (rset, rvals), (cset, cvals) = grid + [(None, [None])] * (2 - len(grid))
+    rname, rkey = rset.dest, rset.param
+    cname, ckey = (cset.dest, cset.param) if cset else ("_", None)
     table = []
-    any_nf = False
     for rv in rvals:
         row = []
         for cv in cvals:
             params = _collect_params(args)
-            if rv is not None:
-                params[rkey] = rv
+            params[rkey] = rv
             if cv is not None:
                 params[ckey] = cv
             spec = make_problem(args.problem, levels=args.levels,
@@ -381,38 +445,32 @@ def cmd_sweep(args):
                     state, rep = solve_nonlinear(
                         spec.model, spec.model.initial_state(), cfg, fac)
                 cell = rep.cell()
-                if not rep.converged:
-                    any_nf = True
             except StageFailure:
                 cell = "NF"
-                any_nf = True
             row.append(cell)
             print(f"  {rname}={rv} {cname}={cv}: {cell}", flush=True)
         table.append(row)
-    path = _report_path(args, "report.csv")
-    with open(path, "w") as f:
-        f.write(f"{rname}\\{cname}," + ",".join(str(c) for c in cvals)
-                + "\n")
-        for rv, row in zip(rvals, table):
-            f.write(f"{rv}," + ",".join(row) + "\n")
+    path = _write_csv(args, "report.csv", f"{rname}\\{cname}," + ",".join(
+        str(c) for c in cvals), [[rv, *row] for rv, row in zip(rvals, table)])
     print(open(path).read())
-    return 2 if any_nf else 0
+    return 2 if any("NF" in row for row in table) else 0
 
 
 def _parse_grid(text):
-    """[(flag name, values)] of a --grid "A=a1,a2;B=b1" spec, one or two
-    parameter flags; None, with a message, when it is malformed."""
+    """[(setting, values)] of a --grid "A=a1,a2;B=b1" spec, one or two
+    parameters named as their flags; None, with a message, when it is
+    malformed."""
     grid = []
     for item in (text or "").split(";"):
         if not item:
             continue
         name, _, vals = item.partition("=")
-        if name not in PARAM_FLAGS:
+        if name not in PARAMS:
             print(f"error: --grid names {name!r}; choose from "
-                  f"{', '.join(PARAM_FLAGS)}", file=sys.stderr)
+                  f"{', '.join(PARAMS)}", file=sys.stderr)
             return None
         try:
-            grid.append((name, [float(v) for v in vals.split(",")]))
+            grid.append((PARAMS[name], [float(v) for v in vals.split(",")]))
         except ValueError:
             print(f"error: --grid {item!r} is not NAME=v1,v2,...",
                   file=sys.stderr)
@@ -425,23 +483,22 @@ def _parse_grid(text):
 
 
 def cmd_bifurcate(args):
-    _apply_config_file(args)
-    # it builds rayleigh_benard, solves with direct LU and never time-steps
-    # or continues: a setting it would ignore is an error
-    if _unsupported("bifurcate", (
-            ("--problem", args.problem not in (None, "rayleigh_benard")),
-            ("--linear-solver", args.linear_solver not in (None, "direct")),
-            ("--continuation", args.continuation),
-            ("--dt", args.dt is not None), ("--T", args.T is not None),
-            ("--bc-field", args.bc_field is not None),
-            ("--stability", args.stability and args.critical),
-            # the critical path solves no Newton problem
-            ("--linearisation",
-             args.critical and args.linearisation is not None),
-            *((f"[solver] {key}", args.critical and getattr(args, key)
-               is not None) for key in ("rtol", "atol", "max_steps")))):
+    if args.problem not in (None, "rayleigh_benard"):
+        print("error: bifurcate builds rayleigh_benard and does not support "
+              f"--problem ([problem] name) {args.problem}", file=sys.stderr)
         return 1
-    _apply_defaults(args)
+    args.problem = "rayleigh_benard"
+    given = _apply_defaults(args)
+    if args.critical:
+        # the critical operators are taken at gamma = 0, and the critical
+        # parameter is their eigenvalue
+        which = f"--critical {args.critical}"
+        path, sets = "bifurcate --critical", {args.critical: which,
+                                               "gamma": which}
+    else:
+        path, sets = "bifurcate", {args.param: f"--param {args.param}"}
+    if _unread(args, given, path, sets):
+        return 1
     if args.count < 1:
         print(f"error: --count must be at least 1, got {args.count}",
               file=sys.stderr)
@@ -457,11 +514,8 @@ def cmd_bifurcate(args):
         vals, modes, free = critical_parameter(model, which=args.critical
                                                + "_c", count=args.count)
         print(",".join(f"{v:.1f}" for v in vals))
-        path = _report_path(args, "critical.csv")
-        with open(path, "w") as f:
-            f.write("index,value\n")
-            for i, v in enumerate(vals):
-                f.write(f"{i + 1},{v:.6e}\n")
+        _write_csv(args, "critical.csv", "index,value",
+                   [(i + 1, f"{v:.6e}") for i, v in enumerate(vals)])
         if len(vals) < args.count:
             print(f"found {len(vals)} of {args.count} positive critical "
                   f"{args.critical} values", file=sys.stderr)
@@ -480,43 +534,31 @@ def cmd_bifurcate(args):
     seeds = [conduction_state_vector(model).vector]
     records = deflated_continuation(model, sweep, seeds, nl_config=nl_config,
                                     compute_stability=args.stability)
-    path = _report_path(args, "diagram.csv")
-    with open(path, "w") as f:
-        f.write(BranchRecord.CSV_HEADER + "\n")
-        for r in records:
-            f.write(r.csv_row() + "\n")
+    path = _write_csv(args, "diagram.csv", BranchRecord.CSV_HEADER,
+                      [[r.csv_row()] for r in records])
     print(f"wrote {len(records)} branch records to {path}")
     return 0
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(prog="mhdkit",
-                                     description=__doc__)
+def _parser():
+    parser = argparse.ArgumentParser(prog="mhdkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    prun = sub.add_parser("run", help="solve one problem")
-    _add_common(prun)
-    psweep = sub.add_parser("sweep", help="parameter-grid iteration table")
-    _add_common(psweep)
-    psweep.add_argument("--grid",
-                        help="e.g. 'S=1,1000;Re=1,1000' (rows;cols)")
-    pbif = sub.add_parser("bifurcate", help="deflated continuation / "
-                                            "critical parameters")
-    _add_common(pbif)
-    pbif.add_argument("--param", default="Ra", choices=["Ra", "S"])
-    pbif.add_argument("--from", dest="from_", type=float)
-    pbif.add_argument("--to", dest="to_", type=float)
-    pbif.add_argument("--step", type=float)
-    pbif.add_argument("--critical", choices=["Ra", "S"])
-    pbif.add_argument("--count", type=int, default=2)
-    pbif.add_argument("--stability", action="store_true")
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "sweep":
-        return cmd_sweep(args)
-    if args.command == "bifurcate":
-        return cmd_bifurcate(args)
-    return 1
+    for command, text in (("run", "solve one problem"),
+                          ("sweep", "parameter-grid iteration table"),
+                          ("bifurcate", "deflated continuation / critical "
+                                        "parameters")):
+        _add_flags(sub.add_parser(command, help=text), command)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
+    _apply_config_file(args)
+    if args.command != "bifurcate" and not args.problem:
+        print("error: --problem is required", file=sys.stderr)
+        return 1
+    return {"run": cmd_run, "sweep": cmd_sweep,
+            "bifurcate": cmd_bifurcate}[args.command](args)
 
 
 if __name__ == "__main__":

@@ -137,13 +137,6 @@ class Mesh2D:
                for m in markers]
         return np.flatnonzero(np.isin(self.edge_markers, ids))
 
-    def edge_endpoints_in_cell(self, edge_ids, side):
-        """Endpoint coordinates of edges in the frame of the adjacent cell
-        `side`, ordered along the global (low->high vertex) direction."""
-        edge_ids = np.asarray(edge_ids)
-        return self.cell_edge_points[self.edge_cells[edge_ids, side],
-                                     self.edge_local[edge_ids, side]]
-
     def min_edge_length(self):
         return float(self.cell_edge_len[self.edge_cells[:, 0],
                                         self.edge_local[:, 0]].min())

@@ -35,11 +35,6 @@ class ModelParams:
         self.Pm = Pm
         self.gamma = gamma
         self.stab_mu = stab_mu
-        self.gravity = np.array([0.0, 1.0])
-
-    def as_dict(self):
-        return {k: getattr(self, k) for k in
-                ("Re", "Rem", "S", "R_H", "Ra", "Pr", "Pm", "gamma")}
 
 
 class MixedState:

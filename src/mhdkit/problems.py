@@ -1,6 +1,5 @@
 """Named benchmark problems: meshes, boundary data, forcing, model and
-preconditioner wiring, plus the sectioned key=value run-configuration
-format."""
+preconditioner wiring."""
 
 import numpy as np
 
@@ -61,16 +60,23 @@ DEFAULT_MESH = {
                             domain=(0.0, 1.0, 0.0, 1.0)),
 }
 
+# each problem's defaults of exactly the ModelParams parameters it reads:
+# the island problems derive their S, and the Hall model has no
+# gradient-jump penalty stab_mu
 DEFAULT_PARAMS = {
-    "hartmann": dict(Re=1.0, Rem=1.0, S=1.0, gamma=1e4),
-    "ldc2d": dict(Re=1.0, Rem=1.0, S=1.0, gamma=1e4),
-    "mms": dict(Re=1.0, Rem=1.0, S=1.0, gamma=1.0),
-    "island_coalescence": dict(Re=1000.0, Rem=1000.0, S=1000.0, gamma=1e4),
+    "hartmann": dict(Re=1.0, Rem=1.0, S=1.0, gamma=1e4, stab_mu=0.0),
+    "ldc2d": dict(Re=1.0, Rem=1.0, S=1.0, gamma=1e4, stab_mu=0.0),
+    "mms": dict(Re=1.0, Rem=1.0, S=1.0, gamma=1.0, stab_mu=0.0),
+    "island_coalescence": dict(Re=1000.0, Rem=1000.0, gamma=1e4,
+                               stab_mu=0.0),
     "hall_ldc": dict(Re=1.0, Rem=1.0, S=1.0, R_H=0.1, gamma=1e4),
-    "hall_island": dict(Re=500.0, Rem=500.0, S=1.0, R_H=0.1, gamma=1e4),
-    "double_glazing": dict(Ra=1.0, Pr=1.0, Pm=1.0, S=1.0, gamma=1e4),
-    "cooling_channel": dict(Ra=1.0, Pr=1.0, Pm=1.0, S=1.0, gamma=1e4),
-    "rayleigh_benard": dict(Ra=1000.0, Pr=1.0, Pm=1.0, S=1.0, gamma=1e4),
+    "hall_island": dict(Re=500.0, Rem=500.0, R_H=0.1, gamma=1e4),
+    "double_glazing": dict(Ra=1.0, Pr=1.0, Pm=1.0, S=1.0, gamma=1e4,
+                           stab_mu=0.0),
+    "cooling_channel": dict(Ra=1.0, Pr=1.0, Pm=1.0, S=1.0, gamma=1e4,
+                            stab_mu=0.0),
+    "rayleigh_benard": dict(Ra=1000.0, Pr=1.0, Pm=1.0, S=1.0, gamma=1e4,
+                            stab_mu=0.0),
 }
 
 
@@ -84,7 +90,14 @@ def _hierarchy(name, levels=None, base=None, periodic_x=False):
 
 
 def _params(name, overrides):
+    """The ModelParams of problem `name` with `overrides`; a parameter the
+    problem does not read is a ValueError."""
     kw = dict(DEFAULT_PARAMS[name])
+    unread = set(overrides or ()) - set(kw)
+    if unread:
+        raise ValueError(f"problem {name!r} does not read "
+                         f"{', '.join(sorted(unread))}; it reads "
+                         f"{', '.join(kw)}")
     for k, v in (overrides or {}).items():
         if v is not None:
             kw[k] = v
@@ -112,8 +125,9 @@ class HartmannModel(StandardMHD):
 def make_problem(name, levels=None, params=None, mesh_base=None,
                  bc_field=None):
     """Instantiate a named problem at the requested refinement level.
-    `bc_field`, one of BC_FIELDS, picks the boundary magnetic field of
-    ldc2d; no other problem takes one."""
+    `params` overrides the problem's DEFAULT_PARAMS, and may name no other
+    parameter.  `bc_field`, one of BC_FIELDS, picks the boundary magnetic
+    field of ldc2d; no other problem takes one."""
     if name not in PROBLEM_NAMES:
         raise ValueError(f"unknown problem {name!r}; choose from "
                          f"{PROBLEM_NAMES}")
@@ -302,45 +316,3 @@ def _hall_island_equilibrium(pr):
         "gB_3": analytic._zero,
         "dB": lambda x, y: eye(x, y).dB,
     }
-
-
-# -- run configuration files ------------------------------------------------------
-
-KNOWN_KEYS = {
-    "problem": {"name", "levels", "bc_field"},
-    "params": {"Re", "Rem", "S", "RH", "Ra", "Pr", "Pm", "gamma",
-               "stabilisation"},
-    "solver": {"linearisation", "linear_solver", "rtol", "atol",
-               "max_steps", "continuation"},
-    "time": {"dt", "T"},
-    "output": {"out_dir"},
-}
-
-
-class ConfigError(Exception):
-    pass
-
-
-def parse_config(text):
-    """Sectioned key=value text; unknown sections or keys are rejected."""
-    out = {}
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section not in KNOWN_KEYS:
-                raise ConfigError(f"unknown section [{section}] "
-                                  f"(line {lineno})")
-            out.setdefault(section, {})
-            continue
-        if section is None or "=" not in line:
-            raise ConfigError(f"malformed line {lineno}: {raw!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key not in KNOWN_KEYS[section]:
-            raise ConfigError(f"unknown key {key!r} in section "
-                              f"[{section}] (line {lineno})")
-        out[section][key] = val
-    return out

@@ -46,9 +46,10 @@ class TimeConfig:
         self.T = T
 
 
-def _transient_forms(model, scheme, dt, history, linearisation="newton"):
+def _transient_forms(model, scheme, dt, history, linearisation):
     """residual_fn/jacobian_fn closures for one implicit step, both read
-    from the scheme's row of SCHEMES.
+    from the scheme's row of SCHEMES; the Jacobian is the model's
+    `linearisation` of the steady part.
 
     history: list of previous state vectors, newest last."""
     if scheme not in SCHEMES:
@@ -81,12 +82,13 @@ def _transient_forms(model, scheme, dt, history, linearisation="newton"):
 
 
 def step_multistep(model, scheme, history, dt, nl_config=None,
-                   solver_factory=None, linearisation="newton"):
-    """One implicit step; `history` holds previous state vectors (1 for
-    Euler/CN, 2 for BDF2).  Returns (state_vector, report)."""
+                   solver_factory=None):
+    """One implicit step, linearised as `nl_config` says; `history` holds
+    previous state vectors (1 for Euler/CN, 2 for BDF2).  Returns
+    (state_vector, report)."""
     nl_config = nl_config or NonlinearConfig()
     residual, jacobian = _transient_forms(model, scheme, dt, history,
-                                          linearisation)
+                                          nl_config.linearisation)
     state = model.state_template.with_vector(history[-1])
     # extrapolated initial guess
     if len(history) >= 2:
@@ -161,7 +163,7 @@ class FrozenJacobianFactory:
 
 
 def run_transient(model, state0, tconfig, nl_config=None,
-                  solver_factory=None, observers=None, linearisation="newton"):
+                  solver_factory=None, observers=None):
     """Advance to T by BDF2; returns (final state vector, rows) with one
     observer row per accepted step.  The first step is Crank-Nicolson.  With
     a FrozenJacobianFactory, a failed step is retried once with a fresh
@@ -194,8 +196,7 @@ def run_transient(model, state0, tconfig, nl_config=None,
                 frozen.invalidate()
             try:
                 return step_multistep(model, "bdf2_cn_start", history,
-                                      tconfig.dt, nl_config, solver_factory,
-                                      linearisation)
+                                      tconfig.dt, nl_config, solver_factory)
             except TimeStepFailure as exc:
                 report = exc.report
         raise TimeStepFailure(report, step, t_next, tconfig.dt)
@@ -272,11 +273,3 @@ class ReconnectionProbe:
             return 0.0
         return (val - self.j00_initial) / np.sqrt(self.model.params.Rem)
 
-
-def write_series_csv(path, rows, columns=None):
-    if columns is None:
-        columns = list(rows[0].keys()) if rows else ["t"]
-    with open(path, "w") as f:
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(f"{row.get(c, '')}" for c in columns) + "\n")

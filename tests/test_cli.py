@@ -1,6 +1,6 @@
 import pytest
 
-from mhdkit import cli
+from mhdkit import cli, problems
 from mhdkit.precond import StandardMHDPrecond
 
 
@@ -52,6 +52,24 @@ def test_non_numeric_param_is_rejected(monkeypatch, tmp_path, capsys, key):
         cli.main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert exit_.value.code == 1
     assert f"[params] {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value, choices", [
+    ("problem", "name", "hartman", ", ".join(problems.PROBLEM_NAMES)),
+    ("solver", "linearisation", "quasi", "newton, picard"),
+    ("solver", "linear_solver", "gmres", "fgmres, direct")])
+def test_config_value_outside_its_choices_is_rejected(
+        monkeypatch, tmp_path, capsys, section, key, value, choices):
+    # the file's value is held to the flag's choices
+    monkeypatch.setattr(cli, "make_problem", _no_problem)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[problem]\nname = hartmann\n[{section}]\n"
+                   f"{key} = {value}\n")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert exit_.value.code == 1
+    assert capsys.readouterr().err == (
+        f"error: [{section}] {key} = {value!r} is not one of {choices}\n")
 
 
 def test_config_stabilisation_reaches_the_model(monkeypatch, tmp_path):
@@ -256,7 +274,7 @@ def test_non_boolean_continuation_is_rejected(monkeypatch, tmp_path, capsys):
     ("problem", "velocity_variant"), ("time", "scheme"), ("output", "vtk"),
     ("output", "series")])
 def test_keys_nothing_reads_are_rejected(section, key):
-    from mhdkit.problems import ConfigError, parse_config
+    from mhdkit.cli import ConfigError, parse_config
     with pytest.raises(ConfigError, match=repr(key)):
         parse_config(f"[{section}]\n{key} = 1\n")
 
@@ -338,34 +356,48 @@ def test_dumped_fields_are_exact_on_linear_fields(tmp_path, read_vtk):
         assert np.abs(got - f(x, y)).max() <= 1e-10, name
 
 
-@pytest.mark.parametrize("flag, section, key, flag_value, file_value", [
-    ("--linearisation", "solver", "linearisation", "newton", "picard"),
-    ("--linear-solver", "solver", "linear_solver", "direct", "fgmres"),
-    ("--out-dir", "output", "out_dir", ".", "elsewhere"),
-])
-def test_flag_beats_config_and_config_beats_default(monkeypatch, tmp_path,
-                                                    flag, section, key,
-                                                    flag_value, file_value):
-    # the flag gives the default value, so only the flag itself can win
-    # over the file
-    seen = []
+def _precedence_cases():
+    """(flag, section, key, flag value, file value) of every setting with
+    both a flag and a config key.  The flag gives the default value where
+    there is one, so only the flag itself can win over the file."""
+    for s in cli.SETTINGS:
+        if not (s.flag and s.key):
+            continue
+        if s.kind is bool:
+            yield s.flag, s.section, s.key, None, "false"
+        elif isinstance(s.kind, tuple):
+            flag_value = s.default or s.kind[0]
+            yield (s.flag, s.section, s.key, flag_value,
+                   next(v for v in s.kind if v != flag_value))
+        else:
+            yield (s.flag, s.section, s.key, s.default or {
+                float: "2.5", int: "2", str: "here"}[s.kind],
+                {float: "3.5", int: "3", str: "elsewhere"}[s.kind])
 
-    def record(args, spec):
-        seen.append(getattr(args, key))
-        raise _Stop
 
-    monkeypatch.setattr(cli, "make_problem", _fake_problem)
-    monkeypatch.setattr(cli, "_solver_factory", record)
+@pytest.mark.parametrize("flag, section, key, flag_value, file_value",
+                         list(_precedence_cases()))
+def test_flag_beats_config_and_config_beats_default(tmp_path, flag, section,
+                                                    key, flag_value,
+                                                    file_value):
+    [s] = [s for s in cli.SETTINGS if (s.section, s.key) == (section, key)]
+
+    def typed(text):
+        if s.kind is bool:
+            return text is None or text == "true"
+        return text if isinstance(s.kind, tuple) else s.kind(text)
+
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"[{section}]\n{key} = {file_value}\n")
-    assert cli.DEFAULTS[key] == flag_value
-    for extra, value in ((["--config", str(cfg), flag, flag_value],
-                          flag_value),
-                         (["--config", str(cfg)], file_value),
-                         ([], flag_value)):
-        with pytest.raises(_Stop):
-            cli.main(["run", "--problem", "hartmann", *extra])
-        assert seen.pop() == value
+    flag_argv = [flag] if flag_value is None else [flag, flag_value]
+    for argv, value in ((["--config", str(cfg), *flag_argv],
+                         typed(flag_value)),
+                        (["--config", str(cfg)], typed(file_value)),
+                        ([], s.default)):
+        args = cli._parser().parse_args(["run", *argv])
+        cli._apply_config_file(args)
+        cli._apply_defaults(args)
+        assert getattr(args, s.dest) == value
 
 
 @pytest.mark.parametrize("extra, flag", [
@@ -626,3 +658,131 @@ def test_mms_run_takes_a_config_without_those_settings(monkeypatch,
         cli.main(["run", "--problem", "mms", "--levels", "0",
                   "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert seen == [cli.direct_solver_factory]
+
+
+def _params_read(problem):
+    """The parameter settings the problem reads and those it does not."""
+    reads = problems.DEFAULT_PARAMS[problem]
+    return ([s for s in cli.PARAMS.values() if s.param in reads],
+            [s for s in cli.PARAMS.values() if s.param not in reads])
+
+
+def _argv(problem, settings, how, tmp_path):
+    """`run` (or, for a grid, `sweep`) of the problem with each setting at
+    2, given as `how` says."""
+    if how == "grid":
+        grid = ";".join(f"{s.dest}=2" for s in settings)
+        return ["sweep", "--problem", problem, "--grid", grid]
+    argv = ["run", "--problem", problem, "--levels", "0"]
+    if how == "flag":
+        return argv + [a for s in settings for a in (s.flag, "2")]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[params]\n" + "".join(f"{s.key} = 2\n"
+                                          for s in settings))
+    return argv + ["--config", str(cfg)]
+
+
+@pytest.mark.parametrize("how", ["flag", "config", "grid"])
+@pytest.mark.parametrize("problem", problems.PROBLEM_NAMES)
+def test_a_parameter_the_problem_does_not_read_is_rejected(
+        monkeypatch, tmp_path, capsys, problem, how):
+    # each one stops the run before the problem is built, naming the
+    # problem, the flag and the key
+    monkeypatch.setattr(cli, "make_problem", _no_problem)
+    _, unread = _params_read(problem)
+    assert unread
+    for s in unread:
+        assert cli.main(_argv(problem, [s], how, tmp_path)
+                        + ["--out-dir", str(tmp_path)]) == 1
+        label = f"--grid {s.dest}" if how == "grid" else s.label
+        assert capsys.readouterr().err == (
+            f"error: --problem {problem} does not support {label}\n")
+
+
+@pytest.mark.parametrize("how", ["flag", "config", "grid"])
+@pytest.mark.parametrize("problem", problems.PROBLEM_NAMES)
+def test_the_parameters_the_problem_reads_reach_it(monkeypatch, tmp_path,
+                                                   problem, how):
+    seen = []
+
+    def record(name, levels=None, params=None, **extras):
+        seen.append(params)
+        raise _Stop
+
+    monkeypatch.setattr(cli, "make_problem", record)
+    reads, _ = _params_read(problem)
+    # a grid takes at most two parameters
+    batches = ([reads[i:i + 2] for i in range(0, len(reads), 2)]
+               if how == "grid" else [reads])
+    for given in batches:
+        with pytest.raises(_Stop):
+            cli.main(_argv(problem, given, how, tmp_path)
+                     + ["--out-dir", str(tmp_path)])
+        assert seen.pop() == {s.param: 2.0 for s in given}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--problem", "hartmann", "--Ra", "5", "--RH", "0.5", "--Pr", "3",
+      "--Pm", "2"], "--problem hartmann does not support --RH ([params] RH)"),
+    (["--problem", "hall_ldc", "--stabilisation", "0.5"],
+     "--problem hall_ldc does not support "
+     "--stabilisation ([params] stabilisation)"),
+    (["--problem", "rayleigh_benard", "--Re", "50", "--Rem", "7"],
+     "--problem rayleigh_benard does not support --Re ([params] Re)"),
+    (["--problem", "hall_island", "--dt", "0.05", "--T", "0.05", "--S", "10"],
+     "--problem hall_island does not support --S ([params] S)"),
+], ids=["hartmann-boussinesq", "hall-stabilisation", "rayleigh-re",
+        "hall-island-s"])
+def test_parameters_that_used_to_be_ignored_are_rejected(
+        monkeypatch, tmp_path, capsys, argv, message):
+    monkeypatch.setattr(cli, "make_problem", _no_problem)
+    assert cli.main(["run", "--levels", "0", *argv,
+                     "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--problem", "hartmann", "--dt", "0.1"],
+     "a stationary run does not support --dt ([time] dt)"),
+    (["run", "--problem", "hall_island", "--dt", "0.05", "--T", "0.05",
+      "--continuation"],
+     "a transient run does not support --continuation "
+     "([solver] continuation)"),
+    (["sweep", "--problem", "hartmann", "--grid", "S=1", "--T", "1"],
+     "sweep does not support --T ([time] T)"),
+    (["sweep", "--problem", "hartmann", "--grid", "S=1;Re=1,2", "--Re", "3"],
+     "--grid Re does not support --Re ([params] Re)"),
+    (["bifurcate", "--from", "1", "--to", "2", "--step", "1", "--Ra", "5"],
+     "--param Ra does not support --Ra ([params] Ra)"),
+    (["bifurcate", "--from", "1", "--to", "2", "--step", "1", "--count", "3"],
+     "bifurcate does not support --count"),
+    (["bifurcate", "--critical", "Ra", "--Ra", "5000"],
+     "--critical Ra does not support --Ra ([params] Ra)"),
+    (["bifurcate", "--critical", "S", "--gamma", "1"],
+     "--critical S does not support --gamma ([params] gamma)"),
+    (["bifurcate", "--critical", "Ra", "--from", "1"],
+     "bifurcate --critical does not support --from"),
+    (["bifurcate", "--critical", "Ra", "--param", "S"],
+     "bifurcate --critical does not support --param"),
+    (["bifurcate", "--critical", "Ra", "--linear-solver", "direct"],
+     "bifurcate --critical does not support "
+     "--linear-solver ([solver] linear_solver)"),
+], ids=["stationary-dt", "transient-continuation", "sweep-T", "sweep-grid",
+        "bifurcate-param", "bifurcate-count", "critical-Ra", "critical-gamma",
+        "critical-from", "critical-param", "critical-solver"])
+def test_a_setting_the_command_path_does_not_read_is_rejected(
+        monkeypatch, tmp_path, capsys, argv, message):
+    monkeypatch.setattr(cli, "make_problem", _no_problem)
+    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_series_takes_the_columns_of_every_row(tmp_path):
+    # the t = 0 row has no solver counts; the later rows' columns still get
+    # a header, in the order they first appear
+    from types import SimpleNamespace
+    cli._write_series(SimpleNamespace(out_dir=str(tmp_path)), [
+        {"t": 0.0, "div_B": 1e-10},
+        {"t": 0.05, "div_B": 2e-10, "newton_its": 4, "lin_its": 1.0}])
+    assert (tmp_path / "series.csv").read_text().splitlines() == [
+        "t,div_B,newton_its,lin_its", "0.0,1e-10,,", "0.05,2e-10,4,1.0"]

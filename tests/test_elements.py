@@ -452,7 +452,8 @@ def _facet_points(mesh, fd, qdeg):
     sides = []
     for s in range(2):
         cells = fd.int_cells[:, s]
-        ends = [mesh.edge_endpoints_in_cell(fd.int_edges, side)
+        ends = [mesh.cell_edge_points[mesh.edge_cells[fd.int_edges, side],
+                                      mesh.edge_local[fd.int_edges, side]]
                 for side in range(2)]
         first = (mesh.edge_cells[fd.int_edges, 0] == cells)[:, None, None]
         e = np.where(first, ends[0], ends[1])

@@ -8,7 +8,8 @@ from mhdkit.mesh import (MeshError, build_rect_mesh, refine_uniform,
 def facet_geometry(mesh, edge):
     """(length, unit normal, adjacent cells) of one edge; the normal points
     out of the first adjacent cell."""
-    pts = mesh.edge_endpoints_in_cell([edge], 0)[0]
+    pts = mesh.cell_edge_points[mesh.edge_cells[edge, 0],
+                                mesh.edge_local[edge, 0]]
     t = pts[1] - pts[0]
     length = float(np.hypot(*t))
     n = np.array([t[1], -t[0]]) / length

@@ -253,7 +253,8 @@ def _interior_facet_traces(field, qdeg):
     mesh = field.space.mesh
     fd = facet_data(mesh, qdeg)
     rule = gauss_interval(qdeg)
-    p = mesh.edge_endpoints_in_cell(fd.int_edges, 0)
+    p = mesh.cell_edge_points[mesh.edge_cells[fd.int_edges, 0],
+                              mesh.edge_local[fd.int_edges, 0]]
     pts = p[:, None, 0] + rule.points[None, :, None] * (p[:, None, 1]
                                                        - p[:, None, 0])
     plus, minus = (field.eval_cells(fd.int_cells[:, s], pts)
@@ -324,6 +325,17 @@ def test_make_problem_takes_a_bc_field_for_ldc2d_only():
     with pytest.raises(ValueError, match="bc_field"):
         problems.make_problem("hartmann", levels=0, mesh_base=(2, 2),
                               bc_field="trig")
+
+
+@pytest.mark.parametrize("name, param", [
+    ("hartmann", "Ra"), ("hall_ldc", "stab_mu"), ("rayleigh_benard", "Re"),
+    ("island_coalescence", "S"), ("hall_island", "S")])
+def test_make_problem_rejects_a_parameter_it_does_not_read(name, param):
+    # the island problems derive their S, and the Hall model has no
+    # gradient-jump penalty: a value for either would be ignored
+    with pytest.raises(ValueError, match=f"does not read {param};"):
+        problems.make_problem(name, levels=0, mesh_base=(2, 2),
+                              params={param: 2.0})
 
 
 def test_compatible_hall_bcs():

@@ -49,7 +49,8 @@ def test_step_jacobian_is_derivative_of_step_residual(make, scheme, nhist):
     rng = np.random.default_rng(11)
     history = [_random_state(model, rng) for _ in range(nhist)]
     x = _random_state(model, rng)
-    residual, jacobian = _transient_forms(model, scheme, 0.1, history)
+    residual, jacobian = _transient_forms(model, scheme, 0.1, history,
+                                          "newton")
     A = jacobian(x)
     free = np.setdiff1d(np.arange(len(x)), model.constrained_idx)
     h = 1e-6
@@ -140,3 +141,28 @@ def test_crank_nicolson_step_converges_quadratically():
     assert rep.converged
     assert rep.steps <= 3
 
+
+
+def test_picard_step_assembles_the_picard_jacobian():
+    # the linearisation of the NonlinearConfig reaches the step Jacobian
+    model = _hall(build_rect_mesh((-0.5, 0.5, -0.5, 0.5), 2, 2))
+    x0 = _random_state(model, np.random.default_rng(5))
+    seen = []
+
+    def record(A, parts):
+        seen.append(A)
+        raise _Stop
+
+    with pytest.raises(_Stop):
+        step_multistep(model, "crank_nicolson", [x0], 0.1,
+                       NonlinearConfig(linearisation="picard"), record)
+    picard, newton = (model.jacobian(x0, lin, mass_coeff=10.0,
+                                     steady_coeff=0.5)
+                      for lin in ("picard", "newton"))
+    [A] = seen
+    assert abs(A - picard).max() == 0.0
+    assert abs(A - newton).max() > 0.0
+
+
+class _Stop(Exception):
+    pass

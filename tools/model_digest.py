@@ -4,16 +4,16 @@ preconditioners.
   PYTHONPATH=src python tools/model_digest.py > digests.txt
 
 Builds each case on a 4 x 4 base mesh (no refinement) with a small
-gradient-jump penalty, sets a seeded random state that satisfies the
-boundary conditions, and prints one line per evaluation: the digest of the
-residual, then of every Jacobian's CSR arrays (data, indices, indptr) for
-newton/picard x mass_coeff {0, 1.5} x steady_coeff {1, 0.5}, and for the
-Boussinesq models also each of the three drop flags.  The last line of a
-case is the digest of its block preconditioner, built on the Newton
-Jacobian and applied to the residual at the seeded state, with one level of
-refinement so that the multigrid's patch smoother runs.  Running it on two
-versions of the code and diffing the output shows which evaluations changed
-by even one bit.
+gradient-jump penalty where the model has one, sets a seeded random state
+that satisfies the boundary conditions, and prints one line per evaluation:
+the digest of the residual, then of every Jacobian's CSR arrays (data,
+indices, indptr) for newton/picard x mass_coeff {0, 1.5} x steady_coeff
+{1, 0.5}, and for the Boussinesq models also each of the three drop
+flags.  The last line of a case is the digest of its block preconditioner,
+built on the Newton Jacobian and applied to the residual at the seeded
+state, with one level of refinement so that the multigrid's patch smoother
+runs.  Running it on two versions of the code and diffing the output shows
+which evaluations changed by even one bit.
 """
 
 import argparse
@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from mhdkit.problems import make_problem
+from mhdkit.problems import DEFAULT_PARAMS, make_problem
 
 CASES = ("hartmann", "ldc2d", "rayleigh_benard", "hall_ldc", "hall_island")
 DROPS = ("drop_buoyancy", "drop_lorentz", "drop_graddiv")
@@ -45,8 +45,9 @@ def seeded_state(model, seed):
 
 
 def _problem(problem, levels):
+    stab = "stab_mu" in DEFAULT_PARAMS[problem]
     return make_problem(problem, levels=levels, mesh_base=(4, 4),
-                        params={"stab_mu": 1e-3})
+                        params={"stab_mu": 1e-3} if stab else None)
 
 
 def case_lines(problem, seed):
