@@ -491,10 +491,15 @@ def cmd_bifurcate(args):
     given = _apply_defaults(args)
     if args.critical:
         # the critical operators are taken at gamma = 0, and the critical
-        # parameter is their eigenvalue
+        # parameter is their eigenvalue.  Pm enters only the (E, B) block,
+        # which the Ra_c operator decouples from its eigenvalues (it drops
+        # the (u, E) block, which multiplies E = 0); the S_c operator
+        # couples it
         which = f"--critical {args.critical}"
-        path, sets = "bifurcate --critical", {args.critical: which,
-                                               "gamma": which}
+        sets = {args.critical: which, "gamma": which}
+        if args.critical == "Ra":
+            sets["Pm"] = which
+        path = "bifurcate --critical"
     else:
         path, sets = "bifurcate", {args.param: f"--param {args.param}"}
     if _unread(args, given, path, sets):

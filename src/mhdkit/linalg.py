@@ -96,14 +96,18 @@ class LuSolver:
     components of more than one dof and a coupling between them, is
     factorised one diagonal block at a time and solved by block forward
     substitution; this is the block-triangular step of KLU (Davis &
-    Palamadai Natarajan, ACM TOMS 37(3), 2010).  Any other matrix is
-    factorised whole: one whose only extra components are decoupled unit
-    rows, and a block-diagonal one, whose whole factorisation has the same
-    fill as its blocks'.  Each block is ordered by the rule of `_splu`, read
-    from the block itself; `orderings` names each block's ordering.  `nnz` is
-    the stored L + U count over all blocks; each factorisation logs n, the
-    block sizes, `nnz` and each block's ordering and L + U count at DEBUG
-    level to the `mhdkit.linalg` logger."""
+    Palamadai Natarajan, ACM TOMS 37(3), 2010).  Such matrices are the
+    Ra_c operator without its (u, E) block (`bifurcation`) and the
+    transient Jacobians times their Faraday map
+    (`timestepping.FrozenJacobianFactory`), whose B block reads only B.
+    Any other matrix is factorised whole: one whose only extra components
+    are decoupled unit rows, and a block-diagonal one, whose whole
+    factorisation has the same fill as its blocks'.  Each block is ordered
+    by the rule of `_splu`, read from the block itself; `orderings` names
+    each block's ordering.  `nnz` is the stored L + U count over all
+    blocks; each factorisation logs n, the block sizes, `nnz` and each
+    block's ordering and L + U count at DEBUG level to the `mhdkit.linalg`
+    logger."""
 
     def __init__(self, A):
         A = sp.csc_matrix(A, dtype=float, copy=True)

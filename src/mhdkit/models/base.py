@@ -3,11 +3,12 @@ ordered field tuples, and the MixedModel base that owns the constraint, state,
 forcing, mass and diagnostic plumbing of all three MHD models."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..assembly import (SparsityPattern, burman_local, cell_local,
                         cell_vector, facet_pairings, field_op_at_quadrature,
-                        sipg_local, upwind_advection_local,
-                        upwind_advection_residual)
+                        interpolation_matrix, sipg_local,
+                        upwind_advection_local, upwind_advection_residual)
 from ..elements import Field, FunctionSpace, dirichlet_values
 
 QDEG = 6
@@ -117,7 +118,9 @@ class MixedModel:
     `mass_fields` (the fields under a time derivative), `FORCING` (forcing
     key -> field), `QDEG_RHS` and `COUPLINGS`, the (test, trial) field pairs
     of the Jacobian's cell terms; `velocity` and `magnetic` name the fields
-    whose divergence `div_norms` reports ("u" and "B" unless overridden);
+    whose divergence `div_norms` reports ("u" and "B" unless overridden),
+    and `electric` the field whose vcurl is the magnetic field's rate in
+    Faraday's law ("E" unless overridden; see `faraday_map`);
     the velocity's facet pairings join the pattern too.  A subclass passes
     its spaces to `__init__`, yields its constant terms from
     `_constant_terms` as (weight name, pairing key, local array) and maps
@@ -149,6 +152,7 @@ class MixedModel:
 
     velocity = "u"
     magnetic = "B"
+    electric = "E"
 
     def __init__(self, mesh, params, spaces, bcs=None, forcing=None):
         self.mesh = mesh
@@ -171,7 +175,7 @@ class MixedModel:
         self._mass = pat.compact(pat.scatter({
             (n, n): cell_local(spaces[n], spaces[n], qdeg=QDEG)
             for n in self.mass_fields}))
-        self._mass_csr = None
+        self._mass_csr = self._faraday = None
         self._const_key = self._const_data = None
         self._rhs_const = self._assemble_forcing()
 
@@ -373,6 +377,43 @@ class MixedModel:
 
     def apply_mass(self, vec):
         return self.mass_matrix() @ vec
+
+    # -- Faraday's law --------------------------------------------------------
+
+    def faraday_map(self, mass_coeff, steady_coeff):
+        """T = I - (theta / a) P_B V P_E^T for the transient Jacobian a M +
+        theta J (a = `mass_coeff`, theta = `steady_coeff`), or None when a
+        is 0.  V is the coefficient matrix of vcurl from the `electric`
+        space into the `magnetic` one, exact because the two spaces are
+        drawn from one discrete complex (`elements.complex_maps`), and P_B,
+        P_E drop its rows at constrained magnetic dofs and its columns at
+        constrained electric dofs.  The magnetic rows hold only the mass a
+        M_B, the Faraday term theta (vcurl E, C) = theta M_B V and a
+        div-div term that vanishes on V's image, so the Jacobian's (B, E)
+        block is (theta / a) J_BB P_B V P_E^T and that of the Jacobian times
+        T is zero: B drops out of the factorisation of J T, and J^-1 = T
+        (J T)^-1.  V is built on first use."""
+        if not mass_coeff:
+            return None
+        if self._faraday is None:
+            st = self.state_template
+            n, b, e = st.total, self.magnetic, self.electric
+            V = interpolation_matrix(self.spaces[e], self.spaces[b],
+                                     op="vcurl")
+            # V in the state's numbering: rows at b's offset, columns at e's
+            rows = np.r_[np.zeros(st.offsets[b], dtype=V.indptr.dtype),
+                         V.indptr, np.full(n - st.offsets[b] - V.shape[0],
+                                           V.nnz, dtype=V.indptr.dtype)]
+            V = sp.csr_matrix((V.data, V.indices + st.offsets[e], rows),
+                              shape=(n, n))
+            free = np.ones(n)
+            free[self.constrained_idx] = 0.0
+            free = sp.diags(free)
+            V = free @ V @ free
+            V.eliminate_zeros()
+            self._faraday = V
+        return (sp.identity(self.state_template.total, format="csr")
+                - (steady_coeff / mass_coeff) * self._faraday)
 
     # -- diagnostics ----------------------------------------------------------
 

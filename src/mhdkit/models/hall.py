@@ -22,6 +22,7 @@ class HallMHD(MixedModel):
     mass_fields = ("ut", "u3", "Bt", "B3")
     velocity = "ut"
     magnetic = "Bt"
+    electric = "E3"
     FORCING = {"f_t": "ut", "f_3": "u3", "gB_t": "Bt", "gB_3": "B3",
                "gj_t": "jt", "gj_3": "j3"}
     QDEG_RHS = 10

@@ -1,7 +1,8 @@
 """Implicit time integrators for the MHD models: implicit Euler,
 Crank-Nicolson and BDF2 (with a Crank-Nicolson first step), quasi-Newton
-Jacobian reuse across steps, and the island-coalescence reconnection-rate
-diagnostic via a weak curl solve."""
+Jacobian reuse across steps with B eliminated from the factorisation
+through the exact discrete Faraday law, and the island-coalescence
+reconnection-rate diagnostic via a weak curl solve."""
 
 import logging
 
@@ -46,17 +47,22 @@ class TimeConfig:
         self.T = T
 
 
+def _scheme_row(scheme, history):
+    """The row of SCHEMES that a step of `scheme` takes after `history`."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme == "bdf2_cn_start" and len(history) < 2:
+        scheme = "crank_nicolson"
+    return SCHEMES[scheme]
+
+
 def _transient_forms(model, scheme, dt, history, linearisation):
     """residual_fn/jacobian_fn closures for one implicit step, both read
     from the scheme's row of SCHEMES; the Jacobian is the model's
     `linearisation` of the steady part.
 
     history: list of previous state vectors, newest last."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if scheme == "bdf2_cn_start" and len(history) < 2:
-        scheme = "crank_nicolson"
-    weights, theta = SCHEMES[scheme]
+    weights, theta = _scheme_row(scheme, history)
     past = history[::-1][:len(weights) - 1]  # x_n, x_{n-1}
     con = model.constrained_idx
     explicit = None
@@ -89,6 +95,10 @@ def step_multistep(model, scheme, history, dt, nl_config=None,
     nl_config = nl_config or NonlinearConfig()
     residual, jacobian = _transient_forms(model, scheme, dt, history,
                                           nl_config.linearisation)
+    if isinstance(solver_factory, FrozenJacobianFactory):
+        weights, theta = _scheme_row(scheme, history)
+        solver_factory.set_faraday_map(
+            model, model.faraday_map(weights[0] / dt, theta))
     state = model.state_template.with_vector(history[-1])
     # extrapolated initial guess
     if len(history) >= 2:
@@ -125,10 +135,21 @@ class FrozenJacobianFactory:
     2 MAX_NEWTON + 1, ... of one solve (the residual stays exact, so reuse
     affects only the convergence rate).  run_transient invalidates it
     before its first step and again when it returns or raises, so a
-    factorisation lives no longer than the run that made it."""
+    factorisation lives no longer than the run that made it.
+
+    B is eliminated through the discrete Faraday law: with the step's map T
+    (`MixedModel.faraday_map`, handed over by `step_multistep`) the factory
+    factorises A T, whose (B, E) block it sets to exact zero, and solves A
+    x = b as x = T (A T)^-1 b.  The B rows of A T then read only B, so
+    `LuSolver` factorises the B block (a M + theta K, symmetric) apart from
+    the other fields, which fill less than A whole.  A block of A T that
+    is above round-off, 1e-12 of A's (B, E) block, raises a ValueError
+    naming the model.  Each factorisation keeps the T it was built from, so
+    a frozen one solves with its own step's map."""
 
     def __init__(self):
         self._lu = None
+        self._map = None
         self._steps_since = 10 ** 9
         self._calls_this_solve = 0
 
@@ -137,8 +158,13 @@ class FrozenJacobianFactory:
         self._calls_this_solve = 0
 
     def invalidate(self):
-        self._lu = None
+        self._lu = self._map = None
         self._steps_since = 10 ** 9
+
+    def set_faraday_map(self, model, T):
+        """The Faraday map T of `model`'s current step; None factorises the
+        Jacobian as it is."""
+        self._map = (model, T)
 
     def _due(self, calls):
         slow = calls > MAX_NEWTON and (calls - 1) % MAX_NEWTON == 0
@@ -151,15 +177,48 @@ class FrozenJacobianFactory:
     def __call__(self, A, parts):
         self._calls_this_solve += 1
         if A is not None and self._due(self._calls_this_solve):
-            self._lu = LuSolver(A)
+            model, T = self._map or (None, None)
+            if T is None:
+                self._lu = LuSolver(A), None
+            else:
+                self._lu = LuSolver(_faraday_product(model, A, T)), T
             self._steps_since = 0
 
-        lu = self._lu
+        lu, T = self._lu
 
         def solve(rhs):
-            return lu.solve(rhs), 1
+            z = lu.solve(rhs)
+            return (z if T is None else T @ z), 1
 
         return solve
+
+
+def _block_slots(A, rows, cols):
+    """Positions in the CSR matrix A's data of its entries in the (rows,
+    cols) block, both slices."""
+    lo, hi = A.indptr[rows.start], A.indptr[rows.stop]
+    ind = A.indices[lo:hi]
+    return lo + np.flatnonzero((ind >= cols.start) & (ind < cols.stop))
+
+
+def _faraday_product(model, A, T):
+    """A T, both CSR, with its (B, E) block set to zero; a block above
+    1e-12 of A's raises a ValueError naming the model."""
+    st = model.state_template
+    rows = st.field_slice(model.magnetic)
+    cols = st.field_slice(model.electric)
+    ref = np.linalg.norm(A.data[_block_slots(A, rows, cols)])
+    AT = A @ T
+    slots = _block_slots(AT, rows, cols)
+    left = np.linalg.norm(AT.data[slots])
+    if not left <= 1e-12 * ref:
+        raise ValueError(
+            f"{type(model).__name__}: the step Jacobian's ({model.magnetic}, "
+            f"{model.electric}) block is not (theta / a) J_BB V, so B cannot "
+            f"be eliminated through Faraday's law: {left:.3e} is left of a "
+            f"block of norm {ref:.3e}")
+    AT.data[slots] = 0.0
+    return AT
 
 
 def run_transient(model, state0, tconfig, nl_config=None,

@@ -760,6 +760,8 @@ def test_parameters_that_used_to_be_ignored_are_rejected(
      "--critical Ra does not support --Ra ([params] Ra)"),
     (["bifurcate", "--critical", "S", "--gamma", "1"],
      "--critical S does not support --gamma ([params] gamma)"),
+    (["bifurcate", "--critical", "Ra", "--Pm", "3"],
+     "--critical Ra does not support --Pm ([params] Pm)"),
     (["bifurcate", "--critical", "Ra", "--from", "1"],
      "bifurcate --critical does not support --from"),
     (["bifurcate", "--critical", "Ra", "--param", "S"],
@@ -769,7 +771,8 @@ def test_parameters_that_used_to_be_ignored_are_rejected(
      "--linear-solver ([solver] linear_solver)"),
 ], ids=["stationary-dt", "transient-continuation", "sweep-T", "sweep-grid",
         "bifurcate-param", "bifurcate-count", "critical-Ra", "critical-gamma",
-        "critical-from", "critical-param", "critical-solver"])
+        "critical-Ra-Pm", "critical-from", "critical-param",
+        "critical-solver"])
 def test_a_setting_the_command_path_does_not_read_is_rejected(
         monkeypatch, tmp_path, capsys, argv, message):
     monkeypatch.setattr(cli, "make_problem", _no_problem)

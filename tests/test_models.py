@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mhdkit.mesh import build_rect_mesh
 from mhdkit.elements import interpolate, l2_project
@@ -485,3 +486,32 @@ def test_standard_is_the_boussinesq_form_at_zero_rayleigh(lin, mass_coeff):
     assert np.array_equal(Ab[block][:, block].toarray(), As.toarray())
     rs, rb = std.residual(xs), bou.residual(xb)[block]
     assert np.abs(rb - rs).max() <= 1e-14 * np.abs(rs).max()
+
+
+@pytest.mark.parametrize("lin", ["newton", "picard"])
+@pytest.mark.parametrize("mass_coeff, steady_coeff", [(20.0, 0.5),
+                                                      (30.0, 1.0)],
+                         ids=["cn", "bdf2"])
+@pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+def test_faraday_map_cancels_the_magnetic_rows_electric_block(
+        name, mass_coeff, steady_coeff, lin):
+    # the Crank-Nicolson and BDF2 step coefficients at dt 0.05: the B rows
+    # of the step Jacobian satisfy J_BE = (theta / a) J_BB V exactly, so J T
+    # has a zero (B, E) block up to round-off, and T changes nothing else
+    model = problems.make_problem(name, levels=0, mesh_base=(4, 4)).model
+    st = model.initial_state()
+    st.vector[:] = np.random.default_rng(3).standard_normal(st.total)
+    x = model.apply_state_bcs(st).vector
+    J = model.jacobian(x, lin, mass_coeff=mass_coeff,
+                       steady_coeff=steady_coeff)
+    T = model.faraday_map(mass_coeff, steady_coeff)
+    B = model.state_template.field_slice(model.magnetic)
+    E = model.state_template.field_slice(model.electric)
+    block = np.linalg.norm(J[B][:, E].toarray())
+    assert block > 0.0
+    assert np.linalg.norm((J @ T)[B][:, E].toarray()) <= 1e-12 * block
+    D = (T - sp.identity(st.total)).tocoo()
+    inside = ((B.start <= D.row) & (D.row < B.stop)
+              & (E.start <= D.col) & (D.col < E.stop))
+    assert D.data[inside].any() and not D.data[~inside].any()
+    assert model.faraday_map(0.0, steady_coeff) is None

@@ -69,18 +69,31 @@ def test_hall_island_newton_counts_and_factorisations(monkeypatch):
     # Jacobian gives quadratic convergence in every step, so one
     # factorisation serves the CN step and one the two BDF2 steps.  A
     # second run with the same factory starts from a fresh factorisation,
-    # not from the first run's BDF2 one, and repeats the first run.
+    # not from the first run's BDF2 one, and repeats the first run.  Each
+    # factorisation is of A T: its first block holds the free Bt dofs,
+    # ordered by symmetric minimum degree, and the constrained dofs' unit
+    # rows; the other free dofs fill less than A whole.
     spec = make_problem("hall_island", levels=0, mesh_base=(8, 8))
     model = spec.model
     n = model.state_template.total
-    factorised = []
+    con = np.zeros(n, dtype=bool)
+    con[model.constrained_idx] = True
+    Bt = np.zeros(n, dtype=bool)
+    Bt[model.state_template.field_slice("Bt")] = True
+    factorised, jacobians = [], []
 
     class CountingLu(timestepping.LuSolver):
         def __init__(self, A):
-            factorised.append(A.shape[0])
             super().__init__(A)
+            factorised.append(self)
 
+    def product(model, A, T):
+        jacobians.append(A)
+        return faraday_product(model, A, T)
+
+    faraday_product = timestepping._faraday_product
     monkeypatch.setattr(timestepping, "LuSolver", CountingLu)
+    monkeypatch.setattr(timestepping, "_faraday_product", product)
     factory = FrozenJacobianFactory()
     rates = []
     for _ in range(2):
@@ -90,11 +103,67 @@ def test_hall_island_newton_counts_and_factorisations(monkeypatch):
             NonlinearConfig(), factory,
             observers={"rate": timestepping.ReconnectionProbe(model, "Bt")})
         assert [r["newton_its"] for r in rows[1:]] == [4, 4, 4]
-        assert factorised.count(n) == 2
+        steps = [lu for lu in factorised if lu.shape[0] == n]
+        assert len(steps) == 2
+        for lu in steps:
+            assert lu.orderings == ["MMD_AT_PLUS_A", "COLAMD"]
+            (_, stop, _, _), _ = lu._blocks
+            first = lu._perm[:stop]
+            assert sorted(first) == sorted(np.flatnonzero(Bt | con))
         # the run's factorisation is freed when it returns
         assert factory.needs_matrix()
         rates.append([r["rate"] for r in rows])
     assert rates[0] == rates[1]
+    assert len(jacobians) == 4
+    for A, lu in zip(jacobians[2:], steps):
+        assert lu.nnz < timestepping.LuSolver(A).nnz
+
+
+def _island_run(spec, factory):
+    model = spec.model
+    return run_transient(
+        model, island_initial_state(spec), TimeConfig(dt=0.05, T=0.15),
+        NonlinearConfig(), factory,
+        observers={"rate": timestepping.ReconnectionProbe(model),
+                   "div_B": lambda v: model.div_norms(v)["B"]})[1]
+
+
+def test_island_coalescence_run_matches_the_whole_matrix_lu(monkeypatch):
+    # the Standard model on the frozen path: the B block is factorised
+    # apart, and the run is the one that factorises each Jacobian whole
+    spec = make_problem("island_coalescence", levels=0, mesh_base=(4, 4))
+    model = spec.model
+    n = model.state_template.total
+    blocks = []
+
+    class CountingLu(timestepping.LuSolver):
+        def __init__(self, A):
+            super().__init__(A)
+            if A.shape[0] == n:
+                blocks.append(len(self.orderings))
+
+    monkeypatch.setattr(timestepping, "LuSolver", CountingLu)
+    split = _island_run(spec, FrozenJacobianFactory())
+    assert blocks == [2, 2]
+    blocks.clear()
+    monkeypatch.setattr(model, "faraday_map", lambda a, theta: None)
+    whole = _island_run(spec, FrozenJacobianFactory())
+    assert blocks == [1, 1]
+    assert ([r.get("newton_its") for r in split]
+            == [r.get("newton_its") for r in whole])
+    for key in ("rate", "div_B"):
+        a, b = (np.array([r[key] for r in rows]) for rows in (split, whole))
+        assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
+
+
+def test_a_jacobian_off_the_faraday_map_is_not_factorised():
+    # a (B, E) block that the map does not cancel raises, naming the model
+    model = _standard(build_rect_mesh((-0.5, 0.5, -0.5, 0.5), 2, 2))
+    x = _random_state(model, np.random.default_rng(2))
+    factory = FrozenJacobianFactory()
+    factory.set_faraday_map(model, model.faraday_map(20.0, 1.0))
+    with pytest.raises(ValueError, match=r"^StandardMHD: .* \(B, E\) block"):
+        factory(model.jacobian(x, mass_coeff=20.0, steady_coeff=0.5), None)
 
 
 def test_failed_step_names_its_step_and_time(caplog):

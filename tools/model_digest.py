@@ -9,7 +9,9 @@ that satisfies the boundary conditions, and prints one line per evaluation:
 the digest of the residual, then of every Jacobian's CSR arrays (data,
 indices, indptr) for newton/picard x mass_coeff {0, 1.5} x steady_coeff
 {1, 0.5}, and for the Boussinesq models also each of the three drop
-flags.  The last line of a case is the digest of its block preconditioner,
+flags, then of the CSR arrays of the Faraday map at mass_coeff 1.5 and
+steady_coeff 0.5, which the frozen-Jacobian transient solve factorises
+with.  The last line of a case is the digest of its block preconditioner,
 built on the Newton Jacobian and applied to the residual at the seeded
 state, with one level of refinement so that the multigrid's patch smoother
 runs.  Running it on two versions of the code and diffing the output shows
@@ -64,6 +66,9 @@ def case_lines(problem, seed):
             A = model.jacobian(x, "newton", **{flag: True})
             yield (f"{problem} jacobian newton {flag} "
                    f"{digest(A.data, A.indices, A.indptr)}")
+    T = model.faraday_map(1.5, 0.5)
+    yield (f"{problem} faraday_map mass=1.5 steady=0.5 "
+           f"{digest(T.data, T.indices, T.indptr)}")
     spec = _problem(problem, 1)
     x = seeded_state(spec.model, seed)
     M = spec.make_precond().build(spec.model.jacobian(x))
