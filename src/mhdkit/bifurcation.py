@@ -175,13 +175,15 @@ def critical_parameter(model, which="Ra_c", count=2):
     return pos[:count], modes, free
 
 
-def deflated_continuation(model, sweep, seeds, nl_config=None,
+def deflated_continuation(problem, sweep, seeds, nl_config=None,
                           solver_factory=None, compute_stability=False):
-    """Fixed-step deflated continuation: at each parameter value every live
-    branch is continued (plain Newton from its previous state), then deflated
-    searches run from the continued solutions until NF (a root within 1e-4
-    of a found one is not new); branch identity is kept by
-    nearest-functional matching."""
+    """Fixed-step deflated continuation of `problem` (a
+    `problems.ProblemSpec`, whose `set_params` re-derives its data at each
+    value): at each parameter value every live branch is continued (plain
+    Newton from its previous state), then deflated searches run from the
+    continued solutions until NF (a root within 1e-4 of a found one is not
+    new); branch identity is kept by nearest-functional matching."""
+    model = problem.model
     nl_config = nl_config or NonlinearConfig()
     records = []
     branches = {}
@@ -191,9 +193,7 @@ def deflated_continuation(model, sweep, seeds, nl_config=None,
         branches[i] = np.array(vec, dtype=float)
         next_id = i + 1
     for value in sweep.values():
-        setattr(model.params, sweep.parameter, value)
-        if hasattr(model, "params_changed"):
-            model.params_changed()
+        problem.set_params(**{sweep.parameter: value})
         found = []
         # continue live branches
         for bid in sorted(branches):

@@ -319,7 +319,8 @@ def cmd_run(args):
     try:
         if args.continuation:
             state, rep = continue_parameters(
-                model, _continuation(params, model), state, cfg, fac)
+                spec, _continuation(args.problem, params, model), state, cfg,
+                fac)
         else:
             state, rep = solve_nonlinear(model, state, cfg, fac)
     except StageFailure as exc:
@@ -345,12 +346,15 @@ def cmd_run(args):
     return 0 if rep.converged else 2
 
 
-def _continuation(params, model, lead=()):
+def _continuation(problem, params, model, lead=()):
     """The stationary continuation toward the given parameters that have
-    default steps, the `lead` ones traversed first; toward the model's Re
-    when none is given."""
-    targets = {k: params[k] for k in ContinuationSchedule.DEFAULT_STEPS
-               if k in params} or {"Re": model.params.Re}
+    default steps, the `lead` ones traversed first; when none is given,
+    toward the model's value of the first such parameter the problem reads
+    (Re, or Ra for the anisothermal problems)."""
+    steps = ContinuationSchedule.DEFAULT_STEPS
+    first = next(k for k in DEFAULT_PARAMS[problem] if k in steps)
+    targets = ({k: params[k] for k in steps if k in params}
+               or {first: getattr(model.params, first)})
     order = [k for k in lead if k in targets]
     return ContinuationSchedule.toward(
         targets, order=order + [k for k in targets if k not in order])
@@ -438,8 +442,8 @@ def cmd_sweep(args):
             try:
                 if args.continuation:
                     state, rep = continue_parameters(
-                        spec.model,
-                        _continuation(params, spec.model, (ckey, rkey)),
+                        spec, _continuation(args.problem, params, spec.model,
+                                            (ckey, rkey)),
                         None, cfg, fac)
                 else:
                     state, rep = solve_nonlinear(
@@ -535,9 +539,9 @@ def cmd_bifurcate(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    setattr(model.params, args.param, sweep.start)
+    spec.set_params(**{args.param: sweep.start})
     seeds = [conduction_state_vector(model).vector]
-    records = deflated_continuation(model, sweep, seeds, nl_config=nl_config,
+    records = deflated_continuation(spec, sweep, seeds, nl_config=nl_config,
                                     compute_stability=args.stability)
     path = _write_csv(args, "diagram.csv", BranchRecord.CSV_HEADER,
                       [[r.csv_row()] for r in records])

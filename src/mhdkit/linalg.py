@@ -24,15 +24,18 @@ def _splu(A, what):
     name of their column ordering.  A matrix whose diagonal has no zero and
     whose values are symmetric to 1 %, ||A - A^T||_F <= 0.01 ||A||_F, is
     factorised in SuperLU's symmetric mode: minimum degree on A + A^T, with
-    the diagonal pivot preferred (X. S. Li, ACM TOMS 31(3), 2005).  On the
-    mass, theta and (E, B) blocks and the multigrid coarse blocks this fills
-    2-65 % less than COLAMD.  Any other matrix gets COLAMD and partial
+    the diagonal pivot taken while it is at least 0.1 of its column's
+    largest entry (X. S. Li, ACM TOMS 31(3), 2005); the default threshold
+    1 pivots off the diagonal whenever an entry below it is larger, which
+    spoils the symmetric order.  On the mass, theta and (E, B) blocks and
+    the multigrid coarse blocks this fills 2-65 % less than COLAMD.  Any other matrix gets COLAMD and partial
     pivoting: a saddle block with a zero pressure diagonal, on which the
     symmetric order fills 3-6x more, and an advection-dominated block, on
     which it filled up to 19 % more (coarse velocity blocks at Re = Rem >=
     400)."""
     if A.diagonal().all() and spla.norm(A - A.T) <= 1e-2 * spla.norm(A):
-        ordering, options = "MMD_AT_PLUS_A", {"SymmetricMode": True}
+        ordering = "MMD_AT_PLUS_A"
+        options = {"SymmetricMode": True, "DiagPivotThresh": 0.1}
     else:
         ordering, options = "COLAMD", {}
     try:

@@ -109,12 +109,12 @@ class Mesh2D:
     def num_edges(self):
         return len(self.edges)
 
-    def mark_boundary(self, tol_rel=1e-12):
+    def mark_boundary(self):
         """Assign left/right/top/bottom markers from coordinates."""
         v = self.vertices
         lo = v.min(axis=0)
         hi = v.max(axis=0)
-        tol = tol_rel * max(hi[0] - lo[0], hi[1] - lo[1], 1.0)
+        tol = 1e-12 * max(hi[0] - lo[0], hi[1] - lo[1], 1.0)
         names = {1: "left", 2: "right", 3: "bottom", 4: "top"}
         self.marker_names = {v_: k for k, v_ in names.items()}
         for e in self.boundary_edges:

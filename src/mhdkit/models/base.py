@@ -132,7 +132,8 @@ class MixedModel:
     The H(div) velocity block (`velocity_pair`) is written here once for
     all models: `_velocity_constants` yields the SIPG facet terms and the
     grad-div term and sets `r_sipg_unit`, the SIPG boundary data at unit
-    viscosity (`_sipg` alone recomputes it when the boundary data change);
+    viscosity, with the symmetric gradient unless `symmetric_viscosity` is
+    False;
     `_add_advection` adds the boundary data, the upwind facets and the cell
     advection to a residual; `_upwind_terms` gives the upwind facets'
     derivative, and `advection_weight` the cell advection's weight.
@@ -147,12 +148,14 @@ class MixedModel:
 
     `bcs` maps a field to (markers, value): markers "all" or a list of facet
     marker names, value a callable or None (homogeneous).  One pressure dof
-    is pinned to fix the constant mode.
+    is pinned to fix the constant mode.  `set_data` replaces the boundary
+    values and the forcing.
     """
 
     velocity = "u"
     magnetic = "B"
     electric = "E"
+    symmetric_viscosity = True
 
     def __init__(self, mesh, params, spaces, bcs=None, forcing=None):
         self.mesh = mesh
@@ -224,22 +227,22 @@ class MixedModel:
 
     # -- the H(div) velocity block --------------------------------------------
 
-    def _sipg(self, sym):
+    def _sipg(self):
         """The velocity's SIPG facet terms at unit viscosity, keyed for the
-        pattern, and the residual of their boundary data; `sym` picks the
-        symmetric gradient."""
+        pattern, and the residual of their boundary data."""
         sipg, r_unit = sipg_local(
-            self.spaces[self.velocity], nu=1.0, sym=sym, qdeg=QDEG,
+            self.spaces[self.velocity], nu=1.0,
+            sym=self.symmetric_viscosity, qdeg=QDEG,
             dirichlet_markers=self._vel_marker_list(),
             g_d=self._velocity_bc_data())
         return self._facet_terms(sipg), r_unit
 
-    def _velocity_constants(self, sym):
+    def _velocity_constants(self):
         """The constant terms of the velocity besides its cell viscous term:
         the SIPG facet terms (weight name "nu") and the grad-div term (weight
         name "gamma").  Sets `r_sipg_unit`."""
         v = self.velocity
-        sipg, self.r_sipg_unit = self._sipg(sym)
+        sipg, self.r_sipg_unit = self._sipg()
         for key, loc in sipg.items():
             yield "nu", key, loc
         yield "gamma", (v, v), cell_local(self.spaces[v], self.spaces[v],
@@ -303,6 +306,20 @@ class MixedModel:
         order = np.argsort(idx)
         self.constrained_idx = idx[order]
         self.constrained_vals = np.concatenate(vals)[order]
+
+    def set_data(self, bcs, forcing=None):
+        """Replace the boundary data and the forcing, and rebuild what is
+        derived from them: the constrained values, the SIPG boundary term
+        and the assembled forcing.  The new boundary data must constrain
+        the same dofs, on which the Jacobian pattern is built."""
+        idx = self.constrained_idx
+        self.bcs, self.forcing = bcs, forcing or {}
+        self._setup_constraints()
+        if not np.array_equal(idx, self.constrained_idx):
+            raise ValueError("set_data: the boundary data constrain other "
+                             "dofs than the model was built with")
+        _, self.r_sipg_unit = self._sipg()
+        self._rhs_const = self._assemble_forcing()
 
     def apply_state_bcs(self, state):
         state.vector[self.constrained_idx] = self.constrained_vals

@@ -23,6 +23,7 @@ class HallMHD(MixedModel):
     velocity = "ut"
     magnetic = "Bt"
     electric = "E3"
+    symmetric_viscosity = False
     FORCING = {"f_t": "ut", "f_3": "u3", "gB_t": "Bt", "gB_3": "B3",
                "gj_t": "jt", "gj_3": "j3"}
     QDEG_RHS = 10
@@ -54,7 +55,7 @@ class HallMHD(MixedModel):
         s = self.spaces
         yield "nu", ("ut", "ut"), cell_local(s["ut"], s["ut"], "grad",
                                              "grad", qdeg=QDEG)
-        yield from self._velocity_constants(sym=False)
+        yield from self._velocity_constants()
         yield "nu", ("u3", "u3"), cell_local(s["u3"], s["u3"], "grad",
                                              "grad", qdeg=QDEG)
         D_up = cell_local(s["p"], s["ut"], "val", "div", qdeg=QDEG)

@@ -48,7 +48,7 @@ class StandardMHD(MixedModel):
         u, p, E, B = (self.spaces[k] for k in ("u", "p", "E", "B"))
         yield "nu", ("u", "u"), 2.0 * cell_local(
             u, u, "grad", "grad", weight=EPS_CONTRACTION, qdeg=QDEG)
-        yield from self._velocity_constants(sym=True)
+        yield from self._velocity_constants()
         D_up = cell_local(p, u, "val", "div", qdeg=QDEG)  # (div u, q)
         yield "one", ("u", "p"), -D_up.transpose(0, 2, 1)
         yield "one", ("p", "u"), -D_up

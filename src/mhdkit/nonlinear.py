@@ -221,13 +221,16 @@ class StageFailure(Exception):
         self.report = report
 
 
-def continue_parameters(model, schedule, state=None, config=None,
+def continue_parameters(problem, schedule, state=None, config=None,
                         solver_factory=None):
-    """Traverse the schedule, seeding every solve with the previous solution;
-    returns (final state, final-stage report).  A stage whose undamped solve
-    fails is solved again from the same seed with BACKTRACKS halvings per
-    step; its report is that of the second solve, and it fails
-    (StageFailure) only if that solve fails too."""
+    """Traverse the schedule on `problem` (a `problems.ProblemSpec`, whose
+    `set_params` re-derives its data at each stage), seeding every solve of
+    its model with the previous solution; returns (final state, final-stage
+    report).  A stage whose undamped solve fails is solved again from the
+    same seed with BACKTRACKS halvings per step; its report is that of the
+    second solve, and it fails (StageFailure) only if that solve fails
+    too."""
+    model = problem.model
     state = state or model.initial_state()
     report = None
     for name, values in schedule.stages:
@@ -235,9 +238,7 @@ def continue_parameters(model, schedule, state=None, config=None,
             if report is not None and report.converged and \
                     getattr(model.params, name) == v:
                 continue  # parameter unchanged: previous solution stands
-            setattr(model.params, name, v)
-            if hasattr(model, "params_changed"):
-                model.params_changed()
+            problem.set_params(**{name: v})
             seed = state
             state, report = solve_nonlinear(model, seed, config,
                                             solver_factory)

@@ -21,22 +21,36 @@ BC_FIELDS = ("uniform", "trig")
 
 class ProblemSpec:
     """A named problem resolved to meshes, model, preconditioner factory and
-    (when known) the exact reference solution."""
+    (when known) the exact reference solution, its data derived from the
+    ModelParams `params` by `problem_data`; `set_params` changes the
+    parameters and derives the data again."""
 
-    def __init__(self, name, hierarchy, model, precond_cls, exact=None,
-                 extras=None):
+    def __init__(self, name, hierarchy, params, bc_field=None):
         self.name = name
         self.hierarchy = hierarchy
         self.mesh = hierarchy.finest
-        self.model = model
-        self.precond_cls = precond_cls
-        self.exact = exact
-        self.extras = extras or {}
+        self.bc_field = bc_field
+        model_cls, self.precond_cls = CLASSES[name]
+        bcs, forcing, self.exact, self.extras = problem_data(name, params,
+                                                             bc_field)
+        self.model = model_cls(self.mesh, params, bcs=bcs, forcing=forcing)
 
     def make_precond(self, config=None):
         """The problem's block preconditioner; `config`, an optionless
         `BlockPrecondConfig`, is accepted and has nothing to set."""
         return self.precond_cls(self.model, self.hierarchy)
+
+    def set_params(self, **values):
+        """Set the given parameters, as `make_problem`'s `params` do (a
+        parameter the problem does not read is a ValueError), and re-derive
+        the derived parameters, the boundary data, the forcing, `exact` and
+        `extras` from them."""
+        pr = self.model.params
+        for k, v in _overrides(self.name, values).items():
+            setattr(pr, k, v)
+        bcs, forcing, self.exact, self.extras = problem_data(
+            self.name, pr, self.bc_field)
+        self.model.set_data(bcs, forcing)
 
 
 DEFAULT_MESH = {
@@ -47,11 +61,12 @@ DEFAULT_MESH = {
     "mms": dict(base=(8, 8), levels=0, pattern="right",
                 domain=(-0.5, 0.5, -0.5, 0.5)),
     "island_coalescence": dict(base=(16, 16), levels=1, pattern="right",
-                               domain=(-1.0, 1.0, -1.0, 1.0)),
+                               domain=(-1.0, 1.0, -1.0, 1.0),
+                               periodic_x=True),
     "hall_ldc": dict(base=(8, 8), levels=1, pattern="right",
                      domain=(-0.5, 0.5, -0.5, 0.5)),
     "hall_island": dict(base=(16, 16), levels=1, pattern="right",
-                        domain=(-1.0, 1.0, -1.0, 1.0)),
+                        domain=(-1.0, 1.0, -1.0, 1.0), periodic_x=True),
     "double_glazing": dict(base=(16, 16), levels=1, pattern="right",
                            domain=(-0.5, 0.5, -0.5, 0.5)),
     "cooling_channel": dict(base=(40, 8), levels=1, pattern="right",
@@ -79,47 +94,110 @@ DEFAULT_PARAMS = {
                             stab_mu=0.0),
 }
 
+# each problem's model and block preconditioner
+CLASSES = {
+    **dict.fromkeys(("hartmann", "ldc2d", "island_coalescence", "mms"),
+                    (StandardMHD, StandardMHDPrecond)),
+    **dict.fromkeys(("hall_ldc", "hall_island"), (HallMHD, HallPrecond)),
+    **dict.fromkeys(("double_glazing", "cooling_channel", "rayleigh_benard"),
+                    (BoussinesqMHD, AnisothermalPrecond)),
+}
 
-def _hierarchy(name, levels=None, base=None, periodic_x=False):
+
+def _hierarchy(name, levels=None, base=None):
     cfg = DEFAULT_MESH[name]
     base = base or cfg["base"]
     levels = cfg["levels"] if levels is None else levels
     mesh = build_rect_mesh(cfg["domain"], base[0], base[1], cfg["pattern"],
-                           periodic_x=periodic_x)
+                           periodic_x=cfg.get("periodic_x", False))
     return refine_uniform(mesh, levels)
+
+
+def _overrides(name, overrides):
+    """The given parameters of problem `name` that are not None; a
+    parameter the problem does not read is a ValueError."""
+    unread = set(overrides or ()) - set(DEFAULT_PARAMS[name])
+    if unread:
+        raise ValueError(f"problem {name!r} does not read "
+                         f"{', '.join(sorted(unread))}; it reads "
+                         f"{', '.join(DEFAULT_PARAMS[name])}")
+    return {k: v for k, v in (overrides or {}).items() if v is not None}
 
 
 def _params(name, overrides):
     """The ModelParams of problem `name` with `overrides`; a parameter the
     problem does not read is a ValueError."""
-    kw = dict(DEFAULT_PARAMS[name])
-    unread = set(overrides or ()) - set(kw)
-    if unread:
-        raise ValueError(f"problem {name!r} does not read "
-                         f"{', '.join(sorted(unread))}; it reads "
-                         f"{', '.join(kw)}")
-    for k, v in (overrides or {}).items():
-        if v is not None:
-            kw[k] = v
-    return ModelParams(**kw)
+    return ModelParams(**{**DEFAULT_PARAMS[name],
+                          **_overrides(name, overrides)})
 
 
-class HartmannModel(StandardMHD):
-    """Hartmann problem whose boundary data and forcing track the analytic
-    profile when continuation changes the parameters."""
+def problem_data(name, pr, bc_field=None):
+    """The data of problem `name` at the parameters `pr`, the only code
+    that derives them: sets the parameters the problem derives on `pr` (the
+    island problems' S) and returns (bcs, forcing, exact, extras), the
+    model's boundary data and forcing and the problem's exact solution
+    (None when unknown) and extras."""
+    if name in ("hartmann", "mms"):
+        solution = (analytic.hartmann_solution if name == "hartmann"
+                    else analytic.mms_solution)
+        sol = solution(pr.Re, pr.Rem, pr.S)
+        return ({f: ("all", sol.fields[f]) for f in ("u", "E", "B")},
+                sol.forcing, sol, {})
 
-    def params_changed(self):
-        sol = analytic.hartmann_solution(self.params.Re, self.params.Rem,
-                                         self.params.S)
-        self.exact = sol
-        self.bcs = {"u": ("all", sol.fields["u"]),
-                    "E": ("all", sol.fields["E"]),
-                    "B": ("all", sol.fields["B"])}
-        self.forcing = {"f": sol.forcing["f"], "g_E": sol.forcing["g_E"],
-                        "g_B": sol.forcing["g_B"]}
-        self._setup_constraints()
-        _, self.r_sipg_unit = self._sipg(sym=True)
-        self._rhs_const = self._assemble_forcing()
+    ytop = DEFAULT_MESH[name]["domain"][3]
+    if name == "ldc2d":
+        Bbc = _trig_divfree_field() if bc_field == "trig" else _unit_y
+        return ({"u": ("all", _lid_velocity(ytop)), "E": ("all", None),
+                 "B": ("all", Bbc)}, {}, None, {})
+
+    if name == "hall_ldc":
+        bcs = {"ut": ("all", _lid_velocity(ytop)), "u3": ("all", None),
+               "Bt": ("all", _unit_y), "B3": ("all", None),
+               **compatible_hall_bcs(pr, ytop=ytop)}
+        return bcs, {}, None, {}
+
+    markers = ["top", "bottom"]
+    if name == "island_coalescence":
+        # Alfvenic units: the coupling number equals Rem for this problem
+        pr.S = pr.Rem
+        eq = analytic.island_equilibrium(pr.Rem, pr.S)
+        return ({"u": (markers, None), "E": (markers, eq.fields["E"]),
+                 "B": (markers, eq.fields["B"])},
+                {"g_B": eq.forcing["g_B"]}, eq, {"equilibrium": eq})
+
+    if name == "hall_island":
+        pr.S = 1.0
+        eq = _hall_island_equilibrium(pr)
+        bcs = {"ut": (markers, None), "u3": (markers, None),
+               "Bt": (markers, eq["Bt"]), "B3": (markers, None),
+               "Et": (markers, eq["Et"]), "E3": (markers, eq["E3"]),
+               "jt": (markers, None), "j3": (markers, eq["j3"])}
+        return (bcs, {"gB_t": eq["gB_t"], "gB_3": eq["gB_3"]}, None,
+                {"equilibrium": eq})
+
+    # the anisothermal problems, whose data read no parameter
+    u_markers, u_bc = "all", None
+    if name == "double_glazing":
+        th_markers = ["left", "right"]
+
+        def th_bc(x, y):
+            return np.where(np.abs(x + 0.5) < 1e-9, 1.0, 0.0)
+    elif name == "rayleigh_benard":
+        th_markers = ["top", "bottom"]
+
+        def th_bc(x, y):
+            return np.where(np.abs(y) < 1e-9, 1.0, 0.0)
+    else:  # cooling channel
+        th_markers = u_markers = ["left", "top", "bottom"]
+
+        def th_bc(x, y):
+            return np.where(x < 1.0, 1.0, np.clip(2.0 - x, 0.0, 1.0))
+
+        def u_bc(x, y):
+            return np.stack([np.where(np.abs(x) < 1e-9, 1.0, 0.0),
+                             np.zeros_like(y)], axis=-1)
+    return ({"u": (u_markers, u_bc), "theta": (th_markers, th_bc),
+             "E": ("all", None), "B": ("all", _unit_y)}, {}, None, {})
 
 
 def make_problem(name, levels=None, params=None, mesh_base=None,
@@ -137,120 +215,8 @@ def make_problem(name, levels=None, params=None, mesh_base=None,
         raise ValueError(f"unknown bc_field {bc_field!r}; choose from "
                          f"{BC_FIELDS}")
     pr = _params(name, params)
-
-    if name == "hartmann":
-        hier = _hierarchy(name, levels, mesh_base)
-        sol = analytic.hartmann_solution(pr.Re, pr.Rem, pr.S)
-        model = HartmannModel(
-            hier.finest, pr,
-            bcs={"u": ("all", sol.fields["u"]),
-                 "E": ("all", sol.fields["E"]),
-                 "B": ("all", sol.fields["B"])},
-            forcing=sol.forcing)
-        model.exact = sol
-        return ProblemSpec(name, hier, model, StandardMHDPrecond, sol)
-
-    if name == "mms":
-        hier = _hierarchy(name, levels, mesh_base)
-        sol = analytic.mms_solution(pr.Re, pr.Rem, pr.S)
-        model = StandardMHD(
-            hier.finest, pr,
-            bcs={"u": ("all", sol.fields["u"]),
-                 "E": ("all", sol.fields["E"]),
-                 "B": ("all", sol.fields["B"])},
-            forcing=sol.forcing)
-        return ProblemSpec(name, hier, model, StandardMHDPrecond, sol)
-
-    if name == "ldc2d":
-        hier = _hierarchy(name, levels, mesh_base)
-        lid = _lid_velocity(0.5)
-        if bc_field == "trig":
-            Bbc = _trig_divfree_field()
-        else:
-            Bbc = lambda x, y: np.stack([np.zeros_like(x),
-                                         np.ones_like(y)], axis=-1)
-        model = StandardMHD(
-            hier.finest, pr,
-            bcs={"u": ("all", lid), "E": ("all", None), "B": ("all", Bbc)})
-        return ProblemSpec(name, hier, model, StandardMHDPrecond)
-
-    if name == "island_coalescence":
-        hier = _hierarchy(name, levels, mesh_base, periodic_x=True)
-        # Alfvenic units: the coupling number equals Rem for this problem
-        pr.S = pr.Rem
-        eq = analytic.island_equilibrium(pr.Rem, pr.S)
-        markers = ["top", "bottom"]
-        model = StandardMHD(
-            hier.finest, pr,
-            bcs={"u": (markers, None), "E": (markers, eq.fields["E"]),
-                 "B": (markers, eq.fields["B"])},
-            forcing={"g_B": eq.forcing["g_B"]})
-        return ProblemSpec(name, hier, model, StandardMHDPrecond, eq,
-                           extras={"equilibrium": eq})
-
-    if name == "hall_ldc":
-        hier = _hierarchy(name, levels, mesh_base)
-        ytop = DEFAULT_MESH[name]["domain"][3]
-        lid = _lid_velocity(ytop)
-        hall_bcs = compatible_hall_bcs(pr, ytop=ytop)
-        Bbc = lambda x, y: np.stack([np.zeros_like(x), np.ones_like(y)],
-                                    axis=-1)
-        bcs = {"ut": ("all", lid), "u3": ("all", None),
-               "Bt": ("all", Bbc), "B3": ("all", None)}
-        bcs.update(hall_bcs)
-        model = HallMHD(hier.finest, pr, bcs=bcs)
-        return ProblemSpec(name, hier, model, HallPrecond)
-
-    if name == "hall_island":
-        hier = _hierarchy(name, levels, mesh_base, periodic_x=True)
-        pr.S = 1.0
-        eq = _hall_island_equilibrium(pr)
-        markers = ["top", "bottom"]
-        bcs = {"ut": (markers, None), "u3": (markers, None),
-               "Bt": (markers, eq["Bt"]), "B3": (markers, None),
-               "Et": (markers, eq["Et"]), "E3": (markers, eq["E3"]),
-               "jt": (markers, None), "j3": (markers, eq["j3"])}
-        model = HallMHD(hier.finest, pr, bcs=bcs,
-                        forcing={"gB_t": eq["gB_t"], "gB_3": eq["gB_3"]})
-        return ProblemSpec(name, hier, model, HallPrecond,
-                           extras={"equilibrium": eq})
-
-    if name in ("double_glazing", "cooling_channel", "rayleigh_benard"):
-        hier = _hierarchy(name, levels, mesh_base)
-        Bbc = lambda x, y: np.stack([np.zeros_like(x), np.ones_like(y)],
-                                    axis=-1)
-        if name == "double_glazing":
-            th_markers = ["left", "right"]
-
-            def th_bc(x, y):
-                return np.where(np.abs(x + 0.5) < 1e-9, 1.0, 0.0)
-            u_markers = "all"
-            u_bc = None
-        elif name == "rayleigh_benard":
-            th_markers = ["top", "bottom"]
-
-            def th_bc(x, y):
-                return np.where(np.abs(y) < 1e-9, 1.0, 0.0)
-            u_markers = "all"
-            u_bc = None
-        else:  # cooling channel
-            th_markers = ["left", "top", "bottom"]
-
-            def th_bc(x, y):
-                ramp = np.clip(2.0 - x, 0.0, 1.0)
-                return np.where(x < 1.0, 1.0, ramp)
-            u_markers = ["left", "top", "bottom"]
-
-            def u_bc(x, y):
-                inflow = np.abs(x) < 1e-9
-                return np.stack([np.where(inflow, 1.0, 0.0),
-                                 np.zeros_like(y)], axis=-1)
-        bcs = {"u": (u_markers, u_bc), "theta": (th_markers, th_bc),
-               "E": ("all", None), "B": ("all", Bbc)}
-        model = BoussinesqMHD(hier.finest, pr, bcs=bcs)
-        return ProblemSpec(name, hier, model, AnisothermalPrecond)
-
-    raise AssertionError
+    return ProblemSpec(name, _hierarchy(name, levels, mesh_base), pr,
+                       bc_field)
 
 
 # the island problems' equilibrium fields interpolated into the initial
@@ -278,12 +244,15 @@ def island_initial_state(spec):
     return model.apply_state_bcs(st)
 
 
-def _lid_velocity(ytop, speed=1.0):
+def _lid_velocity(ytop):
     def lid(x, y):
         on = np.abs(y - ytop) < 1e-9
-        return np.stack([np.where(on, speed, 0.0), np.zeros_like(y)],
-                        axis=-1)
+        return np.stack([np.where(on, 1.0, 0.0), np.zeros_like(y)], axis=-1)
     return lid
+
+
+def _unit_y(x, y):
+    return np.stack([np.zeros_like(x), np.ones_like(y)], axis=-1)
 
 
 def _trig_divfree_field():

@@ -309,12 +309,12 @@ def test_critical_parameter_rejects_count_below_one(rb, count):
 
 
 def test_deflated_continuation_logs_one_record_per_branch_and_value(caplog):
-    model = make_problem("rayleigh_benard", mesh_base=(4, 4)).model
-    model.params.Ra = 1000.0
+    spec = make_problem("rayleigh_benard", mesh_base=(4, 4))
+    spec.set_params(Ra=1000.0)
     sweep = SweepConfig("Ra", 1000.0, 1100.0, 100.0, max_deflated=0)
-    seeds = [conduction_state_vector(model).vector]
+    seeds = [conduction_state_vector(spec.model).vector]
     with caplog.at_level("INFO", logger="mhdkit.bifurcation"):
-        records = deflated_continuation(model, sweep, seeds)
+        records = deflated_continuation(spec, sweep, seeds)
     messages = [r.getMessage() for r in caplog.records
                 if r.name == "mhdkit.bifurcation"]
     assert len(messages) == len(records) == 2

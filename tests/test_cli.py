@@ -547,7 +547,7 @@ def _fake_sweep(monkeypatch):
         seen["params"].append(problems._params(name, params))
         return _fake_problem(name, levels, params, **extras)
 
-    def record_continuation(model, schedule, state, cfg, fac):
+    def record_continuation(problem, schedule, state, cfg, fac):
         seen["stages"].append(schedule.stages)
         return solved, report
 
@@ -597,6 +597,16 @@ def test_run_and_sweep_share_the_continuation_targets(monkeypatch, tmp_path,
     assert cli.main(argv + ["--problem", "hartmann", "--continuation",
                             "--out-dir", str(tmp_path)]) == 0
     assert seen["stages"] == stages
+
+
+def test_anisothermal_continuation_falls_back_to_ra(monkeypatch, tmp_path):
+    # the anisothermal problems read no Re: with no continued parameter
+    # given, `run` continues toward the model's Ra
+    seen = _fake_sweep(monkeypatch)
+    monkeypatch.setattr(cli, "_dump_fields", lambda *args: None)
+    assert cli.main(["run", "--problem", "rayleigh_benard", "--continuation",
+                     "--out-dir", str(tmp_path)]) == 0
+    assert seen["stages"] == [[("Ra", [1.0])]]
 
 
 def test_mms_run_uses_the_krylov_solver(monkeypatch, tmp_path):

@@ -147,6 +147,24 @@ def test_lu_of_a_laplacian_fills_less_than_colamd():
     assert np.linalg.norm(A @ x - b) <= 1e-14 * np.linalg.norm(b)
 
 
+def test_lu_in_symmetric_mode_keeps_the_diagonal_pivots():
+    # tridiag(2, 1, 2): every diagonal entry is half its column's largest.
+    # SuperLU's default threshold 1 pivots off the diagonal here and fills
+    # 94; the threshold 0.1 keeps the symmetric order's diagonal pivots and
+    # fills 78
+    n = 20
+    A = sp.diags([2.0 * np.ones(n - 1), np.ones(n), 2.0 * np.ones(n - 1)],
+                 [-1, 0, 1], format="csc")
+    lu = LuSolver(A)
+    assert lu.orderings == ["MMD_AT_PLUS_A"]
+    [(_, _, factors, _)] = lu._blocks
+    assert np.array_equal(factors.perm_r, factors.perm_c)
+    assert lu.nnz == 78
+    b = np.random.default_rng(11).standard_normal(n)
+    x = lu.solve(b)
+    assert np.linalg.norm(A @ x - b) <= 1e-13 * np.linalg.norm(b)
+
+
 def _block_lower_triangular(rng, sizes):
     """A dense block lower-triangular matrix with the given diagonal block
     sizes, symmetrically permuted so that no block is contiguous."""

@@ -9,6 +9,7 @@ from mhdkit.mesh import build_rect_mesh
 from mhdkit.models.base import ModelParams
 from mhdkit.models.standard import StandardMHD
 from mhdkit.models import analytic
+from mhdkit.problems import make_problem
 from mhdkit.nonlinear import (NonlinearConfig, SolverReport, solve_nonlinear,
                               ContinuationSchedule, continue_parameters,
                               StageFailure, DeflationOperator, deflated_solve,
@@ -120,11 +121,16 @@ def test_backtracking_halves_a_step_that_raises_the_residual():
 
 
 class _Arctan(_ScalarProblem):
-    """arctan(x - p) = 0: undamped Newton diverges from |x - p| > 1.4."""
+    """arctan(x - p) = 0: undamped Newton diverges from |x - p| > 1.4.  It
+    is its own continuation problem: its `model` is itself."""
 
     def __init__(self):
         super().__init__()
         self.params = types.SimpleNamespace(p=0.0)
+        self.model = self
+
+    def set_params(self, **values):
+        vars(self.params).update(values)
 
     def residual(self, x):
         return np.arctan(x - self.params.p)
@@ -257,14 +263,10 @@ def test_continuation_schedule_validation():
 
 
 def test_single_stage_schedule_is_plain_solve():
-    sol = analytic.hartmann_solution(1.0, 1.0, 1.0)
-    mesh = build_rect_mesh((-0.5, 0.5, -0.5, 0.5), 4, 4)
-    model = StandardMHD(mesh, ModelParams(Re=1.0, Rem=1.0, S=1.0, gamma=1.0),
-                        bcs={"u": ("all", sol.fields["u"]),
-                             "E": ("all", sol.fields["E"]),
-                             "B": ("all", sol.fields["B"])},
-                        forcing=sol.forcing)
-    st1, rep1 = continue_parameters(model,
+    spec = make_problem("hartmann", levels=0, mesh_base=(4, 4),
+                        params={"gamma": 1.0})
+    model = spec.model
+    st1, rep1 = continue_parameters(spec,
                                     ContinuationSchedule([("S", [1.0])]))
     st2, rep2 = solve_nonlinear(model, model.initial_state())
     assert rep1.steps == rep2.steps

@@ -42,7 +42,7 @@ def test_hartmann_counts_across_the_parameters(levels, S, Re, cell):
     spec = make_problem("hartmann", levels=levels, mesh_base=(4, 4),
                         params={"stab_mu": 1e-2})
     schedule = ContinuationSchedule.toward({"S": S, "Re": Re, "Rem": Re})
-    _, report = continue_parameters(spec.model, schedule,
+    _, report = continue_parameters(spec, schedule,
                                     solver_factory=_krylov_factory(spec))
     assert report.cell() == cell
 

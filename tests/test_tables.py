@@ -169,8 +169,7 @@ def test_continuation_keeps_the_solve_tables(tabulations):
     spaces = _distinct(model.spaces.values())
     held = [sorted(a.nbytes for a in _held(s)) for s in spaces]
     del tabulations[:]
-    model.params.Re = 2.0
-    model.params_changed()
+    spec.set_params(Re=2.0)
     assert tabulations == []
     assert [sorted(a.nbytes for a in _held(s)) for s in spaces] == held
     _check_no_point_tables(spaces)

@@ -34,7 +34,7 @@ def stationary_cell(problem, levels, base, S, Re):
     factory = KrylovSolverFactory(spec.make_precond())
     schedule = ContinuationSchedule.toward({"S": S, "Re": Re, "Rem": Re})
     try:
-        _, report = continue_parameters(spec.model, schedule,
+        _, report = continue_parameters(spec, schedule,
                                         solver_factory=factory)
     except StageFailure as exc:
         return (f"NF at {exc.parameter} = {exc.value:g} "
