@@ -260,14 +260,13 @@ def _report_path(args, name):
 
 
 def _write_csv(args, name, header, rows):
-    """The file `name` in the output directory: the header line, then one
-    line of comma-separated cells per row."""
-    path = _report_path(args, name)
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(",".join(str(c) for c in row) + "\n")
-    return path
+    """Write the file `name` in the output directory: the header line, then
+    one line of comma-separated cells per row.  Returns the text written."""
+    lines = [header] + [",".join(str(c) for c in row) for row in rows]
+    text = "".join(line + "\n" for line in lines)
+    with open(_report_path(args, name), "w") as f:
+        f.write(text)
+    return text
 
 
 def _dump_fields(args, spec, vec):
@@ -379,9 +378,9 @@ def _run_mms(args):
         for n in names:
             rate = f"{np.log2(errs[i - 1][n] / e[n]):.2f}" if i else ""
             rows[i] += [f"{e[n]:.6e}", rate]
-    path = _write_csv(args, "report.csv", "level,h," + ",".join(
+    text = _write_csv(args, "report.csv", "level,h," + ",".join(
         f"err_{n},rate_{n}" for n in names), rows)
-    print(open(path).read())
+    print(text)
     return 0
 
 
@@ -454,9 +453,9 @@ def cmd_sweep(args):
             row.append(cell)
             print(f"  {rname}={rv} {cname}={cv}: {cell}", flush=True)
         table.append(row)
-    path = _write_csv(args, "report.csv", f"{rname}\\{cname}," + ",".join(
+    text = _write_csv(args, "report.csv", f"{rname}\\{cname}," + ",".join(
         str(c) for c in cvals), [[rv, *row] for rv, row in zip(rvals, table)])
-    print(open(path).read())
+    print(text)
     return 2 if any("NF" in row for row in table) else 0
 
 
@@ -543,9 +542,10 @@ def cmd_bifurcate(args):
     seeds = [conduction_state_vector(model).vector]
     records = deflated_continuation(spec, sweep, seeds, nl_config=nl_config,
                                     compute_stability=args.stability)
-    path = _write_csv(args, "diagram.csv", BranchRecord.CSV_HEADER,
-                      [[r.csv_row()] for r in records])
-    print(f"wrote {len(records)} branch records to {path}")
+    _write_csv(args, "diagram.csv", BranchRecord.CSV_HEADER,
+               [[r.csv_row()] for r in records])
+    print(f"wrote {len(records)} branch records to "
+          f"{_report_path(args, 'diagram.csv')}")
     return 0
 
 

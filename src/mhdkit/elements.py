@@ -9,7 +9,12 @@ moments).  Shared functionals then automatically produce normal/tangential
 continuity without any sign bookkeeping.  `FunctionSpace.dual_points_weights`
 is the one definition of these functionals: the basis, `interpolate`,
 `dirichlet_values` and, through `assembly.interpolation_matrix`, the complex
-maps and the multigrid transfers all apply it.  The sparse operators
+maps and the multigrid transfers all apply it.  `DOF_COUNTS` gives each
+family's dofs per vertex, per edge and per cell, and
+`FunctionSpace.entity_dofs` is the one global numbering of them (vertex
+block, then edge block, then cell block, each entity's dofs consecutive):
+the dofmap, `FunctionSpace.boundary_dofs` and `multigrid.star_patches` read
+it.  The sparse operators
 themselves (mass matrices, the complex maps) are built by `assembly`:
 `cell_matrix` and `interpolation_matrix`.
 
@@ -38,6 +43,16 @@ from .quadrature import gauss_interval, triangle_rule
 SUPPORTED = {
     ("CG", 1), ("CG", 2), ("DG", 0), ("DG", 1), ("VCG", 1), ("VCG", 2),
     ("RT", 1), ("RT", 2), ("BDM", 1), ("BDM", 2), ("NED", 1), ("NED", 2),
+}
+
+# dofs per vertex, per edge and per cell of each family at degree k
+DOF_COUNTS = {
+    "CG": lambda k: (1, k - 1, 0),
+    "VCG": lambda k: (2, 2 * (k - 1), 0),
+    "DG": lambda k: (0, 0, (k + 1) * (k + 2) // 2),
+    "RT": lambda k: (0, k, 2 * (k - 1)),
+    "NED": lambda k: (0, k, 2 * (k - 1)),
+    "BDM": lambda k: (0, k + 1, 3 * (k - 1)),
 }
 
 
@@ -91,7 +106,8 @@ class ElementFamily:
         self.nodal = family in ("CG", "DG", "VCG")
         self.ncomp = 1 if self.scalar else 2
         self._build_span()
-        self._build_duals()
+        self.n_vertex, self.n_edge, self.n_cell = DOF_COUNTS[family](degree)
+        self.nloc = 3 * self.n_vertex + 3 * self.n_edge + self.n_cell
         assert self.nloc == len(self.vmono)
 
     def _build_span(self):
@@ -139,30 +155,6 @@ class ElementFamily:
             self.vmono = np.array(rows)
         self.nsm = self.vmono.shape[2]
 
-    def _build_duals(self):
-        fam, k = self.family, self.degree
-        if fam == "CG":
-            self.n_vertex = 1
-            self.n_edge = k - 1
-            self.n_cell = 0
-        elif fam == "VCG":
-            self.n_vertex = 2
-            self.n_edge = 2 * (k - 1)
-            self.n_cell = 0
-        elif fam == "DG":
-            self.n_vertex = 0
-            self.n_edge = 0
-            self.n_cell = (k + 1) * (k + 2) // 2
-        elif fam in ("RT", "NED"):
-            self.n_vertex = 0
-            self.n_edge = k
-            self.n_cell = 2 * (k - 1)
-        elif fam == "BDM":
-            self.n_vertex = 0
-            self.n_edge = k + 1
-            self.n_cell = 3 * (k - 1)
-        self.nloc = 3 * self.n_vertex + 3 * self.n_edge + self.n_cell
-
     def prime_basis(self, xi, grad=True):
         """The prime basis psihat (..., nvm, ncomp) and its reference
         gradients (..., nvm, ncomp, 2) (None unless `grad`) at reference
@@ -176,15 +168,6 @@ class ElementFamily:
         G = (np.swapaxes(smg, -1, -2) @ M).reshape(
             smg.shape[:-2] + (2, nvm, ncomp))
         return vals, np.moveaxis(G, -3, -1)
-
-    @property
-    def edge_trace_component(self):
-        """'normal' or 'tangent' for vector families."""
-        if self.family in ("RT", "BDM"):
-            return "normal"
-        if self.family == "NED":
-            return "tangent"
-        return None
 
 
 class FunctionSpace:
@@ -215,21 +198,24 @@ class FunctionSpace:
 
     # dofmap ------------------------------------------------------------------
 
+    def entity_dofs(self, dim, ids):
+        """Global dofs (ids.shape + (n,)) of the vertices (dim 0), edges
+        (dim 1) or cells (dim 2) `ids`, in local order: the last axis holds
+        the n dofs of each entity."""
+        el = self.element
+        first, n = ((self.vertex_offset, el.n_vertex),
+                    (self.edge_offset, el.n_edge),
+                    (self.cell_offset, el.n_cell))[dim]
+        return first + np.asarray(ids)[..., None] * n + np.arange(n)
+
     def _build_dofmap(self):
         el = self.element
         m = self.mesh
         nc = m.num_cells
-        cols = []
-        for lv in range(3):
-            for j in range(el.n_vertex):
-                cols.append(self.vertex_offset + m.cells[:, lv] * el.n_vertex + j)
-        for le in range(3):
-            for j in range(el.n_edge):
-                cols.append(self.edge_offset + m.cell_edges[:, le] * el.n_edge + j)
-        for j in range(el.n_cell):
-            cols.append(self.cell_offset + np.arange(nc) * el.n_cell + j)
-        self.dofmap = (np.stack(cols, axis=1) if cols
-                       else np.zeros((nc, 0), dtype=np.int64))
+        self.dofmap = np.concatenate([
+            self.entity_dofs(0, m.cells).reshape(nc, 3 * el.n_vertex),
+            self.entity_dofs(1, m.cell_edges).reshape(nc, 3 * el.n_edge),
+            self.entity_dofs(2, np.arange(nc))], axis=1)
 
     # dual functionals -------------------------------------------------------
 
@@ -253,53 +239,51 @@ class FunctionSpace:
         pts_list = []
         wts_list = []
         nloc = el.nloc
-        if el.n_vertex:
-            p = m.cell_coords[cells]                      # (n,3,2)
-            w = np.zeros((n, 3, nloc, el.ncomp))
-            for lv in range(3):
-                for j in range(el.n_vertex):
-                    comp = j if el.ncomp > 1 else 0
-                    w[:, lv, lv * el.n_vertex + j, comp] = 1.0
+
+        def point_values(p, first):
+            """Each component's value at each point of p (n, np, 2): the
+            functionals first, first + 1, ..., points outer, components
+            inner."""
+            w = np.zeros(p.shape[:2] + (nloc, el.ncomp))
+            for a in range(p.shape[1]):
+                for j in range(el.ncomp):
+                    w[:, a, first + a * el.ncomp + j, j] = 1.0
             pts_list.append(p)
             wts_list.append(w)
-        if el.n_edge:
-            if el.nodal:
-                # CG/VCG edge midpoint evaluations
-                mids = m.cell_edge_points[cells].mean(axis=2)  # (n,3,2)
-                w = np.zeros((n, 3, nloc, el.ncomp))
-                base = 3 * el.n_vertex
-                for le in range(3):
-                    for j in range(el.n_edge):
-                        comp = j if el.ncomp > 1 else 0
-                        w[:, le, base + le * el.n_edge + j, comp] = 1.0
-                pts_list.append(mids)
-                wts_list.append(w)
-            else:
-                rule = gauss_interval(edge_degree)
-                xi = rule.points
-                nq = len(xi)
-                ep = m.cell_edge_points[cells]             # (n,3,2,2)
-                pts = (ep[:, :, 0, None, :] * (1 - xi)[None, None, :, None]
-                       + ep[:, :, 1, None, :] * xi[None, None, :, None])
-                L = m.cell_edge_len[cells]                 # (n,3)
-                if el.edge_trace_component == "normal":
-                    direc = m.cell_edge_normal[cells]      # (n,3,2)
-                else:
-                    direc = m.cell_edge_tangent[cells]
-                s = 2.0 * xi - 1.0
-                w = np.zeros((n, 3, nq, nloc, 2))
-                base = 3 * el.n_vertex
-                for le in range(3):
-                    for mdeg in range(el.n_edge):
-                        i = base + le * el.n_edge + mdeg
-                        leg = _legendre(mdeg, s)
-                        w[:, le, :, i, :] = (rule.weights[None, :, None]
-                                             * leg[None, :, None]
-                                             * L[:, le, None, None]
-                                             * direc[:, le, None, :])
-                pts_list.append(pts.reshape(n, 3 * nq, 2))
-                wts_list.append(w.reshape(n, 3 * nq, nloc, 2))
-        if el.n_cell:
+
+        if el.n_vertex:
+            point_values(m.cell_coords[cells], 0)
+        if el.n_edge and el.nodal:
+            point_values(m.cell_edge_points[cells].mean(axis=2),
+                         3 * el.n_vertex)
+        elif el.n_edge:
+            rule = gauss_interval(edge_degree)
+            xi = rule.points
+            nq = len(xi)
+            ep = m.cell_edge_points[cells]             # (n,3,2,2)
+            pts = (ep[:, :, 0, None, :] * (1 - xi)[None, None, :, None]
+                   + ep[:, :, 1, None, :] * xi[None, None, :, None])
+            L = m.cell_edge_len[cells]                 # (n,3)
+            # normal moments for H(div), tangential ones for H(curl)
+            direc = (m.cell_edge_normal[cells] if el.family in ("RT", "BDM")
+                     else m.cell_edge_tangent[cells])  # (n,3,2)
+            s = 2.0 * xi - 1.0
+            w = np.zeros((n, 3, nq, nloc, 2))
+            for le in range(3):
+                for mdeg in range(el.n_edge):
+                    i = le * el.n_edge + mdeg
+                    leg = _legendre(mdeg, s)
+                    w[:, le, :, i, :] = (rule.weights[None, :, None]
+                                         * leg[None, :, None]
+                                         * L[:, le, None, None]
+                                         * direc[:, le, None, :])
+            pts_list.append(pts.reshape(n, 3 * nq, 2))
+            wts_list.append(w.reshape(n, 3 * nq, nloc, 2))
+        if el.family == "DG":
+            # DG0: the centroid value; DG1: the vertex values
+            p = m.cell_coords[cells]
+            point_values(p if el.degree else p.mean(axis=1)[:, None, :], 0)
+        elif el.n_cell:
             rule = triangle_rule(cell_degree)
             ref = rule.points
             p = m.cell_coords[cells]
@@ -308,39 +292,23 @@ class FunctionSpace:
                    + ref[None, :, 1:2] * (p[:, None, 2, :] - p[:, None, 0, :]))
             jac = 2.0 * m.cell_area[cells]
             wq = rule.weights[None, :] * jac[:, None]
-            nq = len(ref)
-            w = np.zeros((n, nq, nloc, el.ncomp))
-            base = 3 * (el.n_vertex + el.n_edge)
-            if el.scalar:
-                # DG: nodal at mapped reference nodes -> use point evals
-                if el.family == "DG" and el.degree == 0:
-                    c = p.mean(axis=1)[:, None, :]
-                    w = np.zeros((n, 1, nloc, 1))
-                    w[:, 0, base, 0] = 1.0
-                    pts_list.append(c)
-                    wts_list.append(w)
-                elif el.family == "DG" and el.degree == 1:
-                    w = np.zeros((n, 3, nloc, 1))
-                    for j in range(3):
-                        w[:, j, base + j, 0] = 1.0
-                    pts_list.append(p)
-                    wts_list.append(w)
-            else:
-                mom = []
-                mom.append(lambda x, c, h: np.broadcast_to(
-                    np.array([1.0, 0.0]), x.shape))
-                mom.append(lambda x, c, h: np.broadcast_to(
-                    np.array([0.0, 1.0]), x.shape))
-                if el.family == "BDM":
-                    def rot(x, c, h):
-                        u = (x - c[:, None, :]) / h[:, None, None]
-                        return np.stack([-u[..., 1], u[..., 0]], axis=-1)
-                    mom.append(rot)
-                for j, fn in enumerate(mom[:el.n_cell]):
-                    r = fn(pts, m.cell_centers[cells], m.cell_scale[cells])
-                    w[:, :, base + j, :] = wq[:, :, None] * r
-                pts_list.append(pts)
-                wts_list.append(w)
+            w = np.zeros((n, len(ref), nloc, 2))
+            base = 3 * el.n_edge
+            mom = []
+            mom.append(lambda x, c, h: np.broadcast_to(
+                np.array([1.0, 0.0]), x.shape))
+            mom.append(lambda x, c, h: np.broadcast_to(
+                np.array([0.0, 1.0]), x.shape))
+            if el.family == "BDM":
+                def rot(x, c, h):
+                    u = (x - c[:, None, :]) / h[:, None, None]
+                    return np.stack([-u[..., 1], u[..., 0]], axis=-1)
+                mom.append(rot)
+            for j, fn in enumerate(mom[:el.n_cell]):
+                r = fn(pts, m.cell_centers[cells], m.cell_scale[cells])
+                w[:, :, base + j, :] = wq[:, :, None] * r
+            pts_list.append(pts)
+            wts_list.append(w)
         points = np.concatenate(pts_list, axis=1)
         weights = np.concatenate(wts_list, axis=1)
         return points, weights
@@ -428,19 +396,10 @@ class FunctionSpace:
         """Global dofs whose functionals are supported on marked boundary
         edges (all boundary edges if markers is None)."""
         m = self.mesh
-        el = self.element
         edges = _marked_boundary_edges(m, markers)
-        dofs = []
-        if el.n_vertex:
-            verts = np.unique(m.edges[edges].ravel())
-            for j in range(el.n_vertex):
-                dofs.append(self.vertex_offset + verts * el.n_vertex + j)
-        if el.n_edge:
-            for j in range(el.n_edge):
-                dofs.append(self.edge_offset + edges * el.n_edge + j)
-        if dofs:
-            return np.unique(np.concatenate(dofs))
-        return np.zeros(0, dtype=np.int64)
+        return np.unique(np.concatenate([
+            self.entity_dofs(0, np.unique(m.edges[edges])).ravel(),
+            self.entity_dofs(1, edges).ravel()]))
 
 
 def _marked_boundary_edges(mesh, markers):

@@ -110,27 +110,22 @@ class Mesh2D:
         return len(self.edges)
 
     def mark_boundary(self):
-        """Assign left/right/top/bottom markers from coordinates."""
-        v = self.vertices
-        lo = v.min(axis=0)
-        hi = v.max(axis=0)
+        """Assign left/right/top/bottom markers from coordinates: a boundary
+        edge takes the first of these sides of the cells' bounding box that
+        its midpoint lies on.  The box is taken over the unwrapped
+        `cell_coords`, so a periodic mesh's box is its whole domain."""
+        lo = self.cell_coords.min(axis=(0, 1))
+        hi = self.cell_coords.max(axis=(0, 1))
         tol = 1e-12 * max(hi[0] - lo[0], hi[1] - lo[1], 1.0)
-        names = {1: "left", 2: "right", 3: "bottom", 4: "top"}
-        self.marker_names = {v_: k for k, v_ in names.items()}
-        for e in self.boundary_edges:
-            cell = self.edge_cells[e, 0]
-            loc = self.edge_local[e, 0]
-            lv = _local_edge_vertices(loc)
-            xy = self.cell_coords[cell][lv]
-            mid = xy.mean(axis=0)
-            if abs(mid[0] - lo[0]) < tol:
-                self.edge_markers[e] = 1
-            elif abs(mid[0] - hi[0]) < tol:
-                self.edge_markers[e] = 2
-            elif abs(mid[1] - lo[1]) < tol:
-                self.edge_markers[e] = 3
-            elif abs(mid[1] - hi[1]) < tol:
-                self.edge_markers[e] = 4
+        self.marker_names = {"left": 1, "right": 2, "bottom": 3, "top": 4}
+        e = self.boundary_edges
+        mid = self.cell_edge_points[self.edge_cells[e, 0],
+                                    self.edge_local[e, 0]].mean(axis=1)
+        # last side first, so that an earlier side overwrites a later one
+        for marker, axis, end in ((4, 1, hi), (3, 1, lo), (2, 0, hi),
+                                  (1, 0, lo)):
+            on_side = np.abs(mid[:, axis] - end[axis]) < tol
+            self.edge_markers[e[on_side]] = marker
 
     def edges_with_markers(self, markers):
         ids = [self.marker_names[m] if isinstance(m, str) else m
@@ -143,10 +138,6 @@ class Mesh2D:
 
 
 _LOCAL_EDGE_VERTICES = np.array([[1, 2], [0, 2], [0, 1]])
-
-
-def _local_edge_vertices(loc):
-    return _LOCAL_EDGE_VERTICES[loc]
 
 
 def build_rect_mesh(domain, nx, ny, pattern="right", periodic_x=False):
@@ -233,13 +224,16 @@ class MeshHierarchy:
 
 
 def refine_uniform(mesh, levels):
-    """Refine `levels` times; each triangle splits into 4 via edge midpoints."""
+    """Refine `levels` times; each triangle splits into 4 via edge midpoints.
+    Each fine mesh marks its boundary from coordinates, as the base mesh of
+    `build_rect_mesh` does."""
     if levels < 0:
         raise MeshError("levels must be >= 0")
     meshes = [mesh]
     children = []
     for _ in range(levels):
         fine, child = _refine_once(meshes[-1])
+        fine.mark_boundary()
         meshes.append(fine)
         children.append(child)
     return MeshHierarchy(meshes, children)
@@ -274,17 +268,6 @@ def _refine_once(mesh):
 
     fine = Mesh2D(verts, child_cells.reshape(-1, 3),
                   cell_coords=child_coords.reshape(-1, 3, 2))
-    # markers: fine boundary edges inherit from their coarse parent
-    fine.marker_names = dict(mesh.marker_names)
-    fine_edge_lookup = {tuple(e): i for i, e in enumerate(map(tuple, fine.edges))}
-    for e in mesh.boundary_edges:
-        a, b = mesh.edges[e]
-        mmid = mid_id[e]
-        for pair in ((a, mmid), (mmid, b)):
-            key = tuple(sorted(pair))
-            fe = fine_edge_lookup.get(key)
-            if fe is not None:
-                fine.edge_markers[fe] = mesh.edge_markers[e]
     child_map = np.arange(mesh.num_cells * 4).reshape(mesh.num_cells, 4)
     return fine, child_map
 

@@ -42,8 +42,10 @@ def star_patches(spaces, constrained=None):
     mesh.  Patch i collects, for every space, the dofs attached to vertex i,
     to the edges meeting i and to the cells meeting i (their basis functions
     are supported inside the star); constrained dofs are excluded and empty
-    patches dropped.  Each patch is a sorted int64 array; patches come in
-    vertex order."""
+    patches dropped.  The dof numbers are each space's
+    `FunctionSpace.entity_dofs` of those entities, shifted by the sizes of
+    the spaces before it.  Each patch is a sorted int64 array; patches come
+    in vertex order."""
     mesh = spaces[0].mesh
     nv = mesh.num_vertices
     # vertex-entity incidence: each edge meets its two vertices, each cell
@@ -57,15 +59,10 @@ def star_patches(spaces, constrained=None):
     total = int(offsets[-1])
     verts, dofs = [], []
     for k, s in enumerate(spaces):
-        el = s.element
-        entity_dofs = ((s.vertex_offset, el.n_vertex),
-                       (s.edge_offset, el.n_edge),
-                       (s.cell_offset, el.n_cell))
-        for (v, ent), (first, n) in zip(incidence, entity_dofs):
-            if n:
-                verts.append(np.repeat(v, n))
-                dofs.append((offsets[k] + first + ent[:, None] * n
-                             + np.arange(n)).ravel())
+        for dim, (v, ent) in enumerate(incidence):
+            d = s.entity_dofs(dim, ent)
+            verts.append(np.repeat(v, d.shape[1]))
+            dofs.append(offsets[k] + d.ravel())
     verts = np.concatenate(verts)
     dofs = np.concatenate(dofs)
     if constrained is not None and len(constrained):

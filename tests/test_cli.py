@@ -799,3 +799,17 @@ def test_series_takes_the_columns_of_every_row(tmp_path):
         {"t": 0.05, "div_B": 2e-10, "newton_its": 4, "lin_its": 1.0}])
     assert (tmp_path / "series.csv").read_text().splitlines() == [
         "t,div_B,newton_its,lin_its", "0.0,1e-10,,", "0.05,2e-10,4,1.0"]
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--problem", "hartmann", "--levels", "0", "--grid", "S=1"],
+    ["run", "--problem", "mms", "--levels", "0"],
+], ids=["sweep", "mms"])
+def test_the_echoed_report_leaves_no_file_open(tmp_path, capsys, argv):
+    # the report is printed from the text written, not read back through a
+    # file object that is never closed
+    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
+    report = (tmp_path / "report.csv").read_text()
+    assert capsys.readouterr().out.endswith(report + "\n")

@@ -118,17 +118,27 @@ def test_refine_vertex_embedding():
 
 
 def test_refine_marker_inheritance():
-    m = build_rect_mesh((0, 1, 0, 1), 2, 2)
-    h = refine_uniform(m, 2)
-    fine = h.finest
-    for e in fine.boundary_edges:
-        mid = fine.vertices[fine.edges[e]].mean(axis=0)
-        marker = fine.edge_markers[e]
-        assert marker != 0
-        name = {v: k for k, v in fine.marker_names.items()}[marker]
-        expected = {"left": mid[0] == 0, "right": mid[0] == 1,
-                    "bottom": mid[1] == 0, "top": mid[1] == 1}
-        assert expected[name]
+    # every boundary edge of the finest mesh is marked with the side of the
+    # domain it lies on; an x-periodic mesh has only top and bottom edges
+    for domain, n, pattern, periodic_x in [
+            ((0, 1, 0, 1), 2, "right", False),
+            ((-1, 1, -1, 1), 4, "right", True),
+            ((-1, 1, -1, 1), 4, "crossed", True)]:
+        x0, x1, y0, y1 = domain
+        m = build_rect_mesh(domain, n, n, pattern, periodic_x=periodic_x)
+        fine = refine_uniform(m, 2).finest
+        names = {v: k for k, v in fine.marker_names.items()}
+        for e in fine.boundary_edges:
+            # the midpoint in the unwrapped frame of the edge's cell
+            mid = fine.cell_edge_points[fine.edge_cells[e, 0],
+                                        fine.edge_local[e, 0]].mean(axis=0)
+            assert fine.edge_markers[e] in names
+            name = names[fine.edge_markers[e]]
+            expected = {"left": mid[0] == x0, "right": mid[0] == x1,
+                        "bottom": mid[1] == y0, "top": mid[1] == y1}
+            assert expected[name]
+            if periodic_x:
+                assert name in ("top", "bottom")
 
 
 def test_facet_geometry():

@@ -166,6 +166,35 @@ def test_a_jacobian_off_the_faraday_map_is_not_factorised():
         factory(model.jacobian(x, mass_coeff=20.0, steady_coeff=0.5), None)
 
 
+def _factorisations(monkeypatch, steps, calls):
+    """The (step, call) pairs, both from 1, at which one frozen factory
+    factorises over `steps` time steps of `calls` Newton calls each."""
+    import scipy.sparse as sp
+    lus = []
+    monkeypatch.setattr(timestepping, "LuSolver", lus.append)
+    A = sp.csr_matrix(np.diag([2.0, 3.0, 4.0]))
+    factory = FrozenJacobianFactory()
+    made = []
+    for step in range(1, steps + 1):
+        factory.new_step()
+        for call in range(1, calls + 1):
+            before = len(lus)
+            factory(A, None)
+            if len(lus) > before:
+                made.append((step, call))
+    return made
+
+
+def test_frozen_factory_refreshes_every_twenty_steps(monkeypatch):
+    made = _factorisations(monkeypatch, steps=43, calls=1)
+    assert made == [(1, 1), (21, 1), (41, 1)]
+
+
+def test_frozen_factory_refreshes_every_six_newton_calls(monkeypatch):
+    made = _factorisations(monkeypatch, steps=1, calls=19)
+    assert made == [(1, 1), (1, 7), (1, 13), (1, 19)]
+
+
 def test_failed_step_names_its_step_and_time(caplog):
     # one Newton step cannot converge: the frozen factory refactorises and
     # retries once (one WARNING), then the run raises naming the step, and

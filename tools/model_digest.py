@@ -14,8 +14,17 @@ steady_coeff 0.5, which the frozen-Jacobian transient solve factorises
 with.  The last line of a case is the digest of its block preconditioner,
 built on the Newton Jacobian and applied to the residual at the seeded
 state, with one level of refinement so that the multigrid's patch smoother
-runs.  Running it on two versions of the code and diffing the output shows
-which evaluations changed by even one bit.
+runs.
+
+After the cases comes one line per element of `elements.SUPPORTED` on each
+of two meshes: the x-periodic 4 x 4 mesh of (-1, 1)^2 refined once and the
+4 x 4 crossed unit square.  It digests the space's dofmap, its basis
+coefficients, both arrays of its dual functionals, its boundary dofs (all,
+and those on top and bottom), its star patches without the boundary dofs
+and the mesh's edge markers.
+
+Running it on two versions of the code and diffing the output shows which
+evaluations changed by even one bit.
 """
 
 import argparse
@@ -25,6 +34,9 @@ import sys
 
 import numpy as np
 
+from mhdkit.elements import SUPPORTED, FunctionSpace
+from mhdkit.mesh import build_rect_mesh, refine_uniform
+from mhdkit.multigrid import star_patches
 from mhdkit.problems import DEFAULT_PARAMS, make_problem
 
 CASES = ("hartmann", "ldc2d", "rayleigh_benard", "hall_ldc", "hall_island")
@@ -75,6 +87,23 @@ def case_lines(problem, seed):
     yield f"{problem} precond {digest(M.apply(spec.model.residual(x)))}"
 
 
+def element_lines():
+    meshes = {
+        "periodic": refine_uniform(build_rect_mesh(
+            (-1, 1, -1, 1), 4, 4, periodic_x=True), 1).finest,
+        "crossed": build_rect_mesh((0, 1, 0, 1), 4, 4, "crossed"),
+    }
+    for (mesh_name, mesh), (family, degree) in itertools.product(
+            meshes.items(), sorted(SUPPORTED)):
+        space = FunctionSpace(mesh, family, degree)
+        patches = star_patches((space,), space.boundary_dofs())
+        h = digest(space.dofmap, space.coeff, *space.dual_points_weights(),
+                   space.boundary_dofs(),
+                   space.boundary_dofs(["top", "bottom"]),
+                   [len(p) for p in patches], *patches, mesh.edge_markers)
+        yield f"{family}{degree} {mesh_name} {h}"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
@@ -82,6 +111,8 @@ def main(argv=None):
     for problem in CASES:
         for line in case_lines(problem, args.seed):
             print(line, flush=True)
+    for line in element_lines():
+        print(line, flush=True)
     return 0
 
 
