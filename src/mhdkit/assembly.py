@@ -212,15 +212,11 @@ def cell_local(test, trial, test_op="val", trial_op="val", weight=None,
                qdeg=None):
     """Local arrays (nc, nt, nr) of int_K (T_test v) . W . (T_trial u) dx.
 
-    weight: None (identity contraction), scalar, constant (Ct, Cr) array,
-    per-point (nc, nq, Ct, Cr) array, or callable(x, y) -> (Ct, Cr) blocks.
+    weight: None (identity contraction), scalar, constant (Ct, Cr) array
+    or per-point (nc, nq, Ct, Cr) array.
     """
     if qdeg is None:
         qdeg = 2 * max(test.element.degree, trial.element.degree) + 2
-    if callable(weight):
-        pts, _ = test.cell_quadrature(qdeg)
-        Wv = np.asarray(weight(pts[..., 0], pts[..., 1]), dtype=float)
-        weight = np.broadcast_to(Wv, pts.shape[:2] + Wv.shape[-2:])
     return _local(_Basis(test, test_op, qdeg),
                   _Basis(trial, trial_op, qdeg), weight,
                   test.quadrature_weights(qdeg))

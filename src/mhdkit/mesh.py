@@ -1,5 +1,6 @@
 """Oriented 2D triangle meshes of rectangles, facet connectivity and nested
-uniform refinement hierarchies."""
+uniform refinement hierarchies.  A mesh is its cells and their frames: each
+cell's vertex numbers and its own copy of their coordinates."""
 
 import numpy as np
 
@@ -16,18 +17,16 @@ class Mesh2D:
     with its vertex ids sorted ascending; `cell_edge_signs` records whether the
     local tangent agrees (+1) or disagrees (-1) with that global orientation.
 
-    `cell_coords` carries per-cell vertex coordinates.  For periodic meshes
-    these are unwrapped so each cell sees a geometrically consistent frame,
-    while `vertices` keeps one representative coordinate per vertex.  The
-    cell geometry every space and form reads is computed once from these
-    frames (`_build_geometry`).
+    `cell_coords` (nc, 3, 2) is each cell's frame: the coordinates of its
+    vertices as that cell sees them.  On a periodic mesh the frames are
+    unwrapped, so a vertex on the seam has one position in the cells on
+    each side of it.  The cell geometry every space and form reads is
+    computed once from these frames (`_build_geometry`).  The vertices are
+    numbered 0 .. cells.max().
     """
 
-    def __init__(self, vertices, cells, cell_coords=None):
-        self.vertices = np.asarray(vertices, dtype=float)
+    def __init__(self, cells, cell_coords):
         self.cells = np.asarray(cells, dtype=np.int64)
-        if cell_coords is None:
-            cell_coords = self.vertices[self.cells]
         self.cell_coords = np.asarray(cell_coords, dtype=float)
         self._build_connectivity()
         self._build_geometry()
@@ -99,7 +98,7 @@ class Mesh2D:
 
     @property
     def num_vertices(self):
-        return len(self.vertices)
+        return int(self.cells.max()) + 1
 
     @property
     def num_cells(self):
@@ -128,8 +127,7 @@ class Mesh2D:
             self.edge_markers[e[on_side]] = marker
 
     def edges_with_markers(self, markers):
-        ids = [self.marker_names[m] if isinstance(m, str) else m
-               for m in markers]
+        ids = [self.marker_names[m] for m in markers]
         return np.flatnonzero(np.isin(self.edge_markers, ids))
 
     def min_edge_length(self):
@@ -138,6 +136,9 @@ class Mesh2D:
 
 
 _LOCAL_EDGE_VERTICES = np.array([[1, 2], [0, 2], [0, 1]])
+# the corners of the four children of a cell among its corners (0-2) and
+# its edge midpoints (3 + local edge)
+_CHILD_CORNERS = np.array([[0, 5, 4], [1, 3, 5], [2, 4, 3], [3, 4, 5]])
 
 
 def build_rect_mesh(domain, nx, ny, pattern="right", periodic_x=False):
@@ -145,7 +146,10 @@ def build_rect_mesh(domain, nx, ny, pattern="right", periodic_x=False):
 
     pattern "right" splits each quad along the lower-left to upper-right
     diagonal (2 triangles); "crossed" adds the cell centers and splits each
-    quad into 4 triangles, preserving both reflection symmetries.
+    quad into 4 triangles, preserving both reflection symmetries.  Grid
+    vertex (i, j) is numbered i (ny + 1) + j, and the cell centers follow.
+    With `periodic_x` the right grid column is the left one: its cells keep
+    their frames at x1 but share the left column's vertex numbers.
     """
     x0, x1, y0, y1 = domain
     if not (x1 > x0 and y1 > y0):
@@ -157,53 +161,30 @@ def build_rect_mesh(domain, nx, ny, pattern="right", periodic_x=False):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     verts = np.column_stack([X.ravel(), Y.ravel()])
     vid = np.arange((nx + 1) * (ny + 1)).reshape(nx + 1, ny + 1)
+    # the corners of quad (i, j), in the order i then j
+    sw, se = vid[:-1, :-1].ravel(), vid[1:, :-1].ravel()
+    nw, ne = vid[:-1, 1:].ravel(), vid[1:, 1:].ravel()
 
-    cells = []
     if pattern == "right":
-        for i in range(nx):
-            for j in range(ny):
-                sw, se = vid[i, j], vid[i + 1, j]
-                nw, ne = vid[i, j + 1], vid[i + 1, j + 1]
-                cells.append((sw, se, ne))
-                cells.append((sw, ne, nw))
+        tris = [(sw, se, ne), (sw, ne, nw)]
     elif pattern == "crossed":
-        centers = []
-        cid0 = len(verts)
-        for i in range(nx):
-            for j in range(ny):
-                centers.append([0.5 * (xs[i] + xs[i + 1]),
-                                0.5 * (ys[j] + ys[j + 1])])
-        verts = np.vstack([verts, np.array(centers)])
-        k = cid0
-        for i in range(nx):
-            for j in range(ny):
-                sw, se = vid[i, j], vid[i + 1, j]
-                nw, ne = vid[i, j + 1], vid[i + 1, j + 1]
-                c = k
-                k += 1
-                cells.extend([(sw, se, c), (se, ne, c), (ne, nw, c),
-                              (nw, sw, c)])
+        CX, CY = np.meshgrid(0.5 * (xs[:-1] + xs[1:]),
+                             0.5 * (ys[:-1] + ys[1:]), indexing="ij")
+        c = len(verts) + np.arange(nx * ny)
+        verts = np.vstack([verts, np.column_stack([CX.ravel(), CY.ravel()])])
+        tris = [(sw, se, c), (se, ne, c), (ne, nw, c), (nw, sw, c)]
     else:
         raise MeshError(f"unknown pattern {pattern!r}")
-    cells = np.asarray(cells, dtype=np.int64)
+    cells = np.array(tris).transpose(2, 0, 1).reshape(-1, 3)
 
     cell_coords = verts[cells]
     if periodic_x:
         remap = np.arange(len(verts))
-        right = np.isclose(verts[:, 0], x1)
-        for v in np.flatnonzero(right):
-            match = np.flatnonzero(np.isclose(verts[:, 0], x0)
-                                   & np.isclose(verts[:, 1], verts[v, 1]))
-            remap[v] = match[0]
+        remap[vid[nx]] = vid[0]
+        remap[vid.size:] -= ny + 1
         cells = remap[cells]
-        # unwrapped frames already stored in cell_coords
-        keep = np.unique(cells)
-        new_id = -np.ones(len(verts), dtype=np.int64)
-        new_id[keep] = np.arange(len(keep))
-        cells = new_id[cells]
-        verts = verts[keep]
 
-    mesh = Mesh2D(verts, cells, cell_coords=cell_coords)
+    mesh = Mesh2D(cells, cell_coords)
     mesh.mark_boundary()
     return mesh
 
@@ -240,56 +221,50 @@ def refine_uniform(mesh, levels):
 
 
 def _refine_once(mesh):
-    nv = mesh.num_vertices
-    ne = mesh.num_edges
-    mid_id = nv + np.arange(ne)
-    midpoints = 0.5 * (mesh.vertices[mesh.edges[:, 0]]
-                       + mesh.vertices[mesh.edges[:, 1]])
-    verts = np.vstack([mesh.vertices, midpoints])
-
-    c = mesh.cells
-    m = mid_id[mesh.cell_edges]  # (nc, 3): midpoint of local edge i
-    child_cells = np.empty((mesh.num_cells, 4, 3), dtype=np.int64)
-    child_cells[:, 0] = np.stack([c[:, 0], m[:, 2], m[:, 1]], axis=1)
-    child_cells[:, 1] = np.stack([c[:, 1], m[:, 0], m[:, 2]], axis=1)
-    child_cells[:, 2] = np.stack([c[:, 2], m[:, 1], m[:, 0]], axis=1)
-    child_cells[:, 3] = np.stack([m[:, 0], m[:, 1], m[:, 2]], axis=1)
-
-    p = mesh.cell_coords
-    mc = np.empty((mesh.num_cells, 3, 2))
-    mc[:, 0] = 0.5 * (p[:, 1] + p[:, 2])
-    mc[:, 1] = 0.5 * (p[:, 0] + p[:, 2])
-    mc[:, 2] = 0.5 * (p[:, 0] + p[:, 1])
-    child_coords = np.empty((mesh.num_cells, 4, 3, 2))
-    child_coords[:, 0] = np.stack([p[:, 0], mc[:, 2], mc[:, 1]], axis=1)
-    child_coords[:, 1] = np.stack([p[:, 1], mc[:, 0], mc[:, 2]], axis=1)
-    child_coords[:, 2] = np.stack([p[:, 2], mc[:, 1], mc[:, 0]], axis=1)
-    child_coords[:, 3] = mc
-
-    fine = Mesh2D(verts, child_cells.reshape(-1, 3),
-                  cell_coords=child_coords.reshape(-1, 3, 2))
-    child_map = np.arange(mesh.num_cells * 4).reshape(mesh.num_cells, 4)
-    return fine, child_map
+    """Split each cell into four; the midpoint of edge e is vertex
+    num_vertices + e, and its position in each child's frame is the mean of
+    the edge's ends in the parent's frame.  Child k < 3 starts at the
+    parent's corner k, and child 3 joins the three midpoints."""
+    nc = mesh.num_cells
+    q = mesh.cell_coords[:, _LOCAL_EDGE_VERTICES]   # (nc, 3, 2pts, 2)
+    corners = np.concatenate([mesh.cells, mesh.num_vertices + mesh.cell_edges],
+                             axis=1)
+    coords = np.concatenate([mesh.cell_coords,
+                             0.5 * (q[:, :, 0] + q[:, :, 1])], axis=1)
+    fine = Mesh2D(corners[:, _CHILD_CORNERS].reshape(-1, 3),
+                  coords[:, _CHILD_CORNERS].reshape(-1, 3, 2))
+    return fine, np.arange(nc * 4).reshape(nc, 4)
 
 
 def write_vtk(path, mesh, point_data=None):
-    """Legacy ASCII VTK unstructured grid dump (cell type 5)."""
+    """Legacy ASCII VTK unstructured grid dump (cell type 5).
+
+    The points are the distinct (vertex, position) pairs of the cells'
+    frames, ordered by vertex: one point per vertex on a mesh without a
+    seam, and one on each side of the seam for a periodic seam vertex.
+    `point_data` arrays are indexed by vertex, and each point takes its
+    vertex's value."""
+    corners = np.concatenate([mesh.cells[..., None], mesh.cell_coords],
+                             axis=2).reshape(-1, 3)
+    points, cells = np.unique(corners, axis=0, return_inverse=True)
+    cells = cells.reshape(-1, 3)
+    vertex = points[:, 0].astype(np.int64)
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\nmhdkit mesh\nASCII\n")
         f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {mesh.num_vertices} double\n")
-        for x, y in mesh.vertices:
+        f.write(f"POINTS {len(points)} double\n")
+        for _, x, y in points:
             f.write(f"{x:.16e} {y:.16e} 0.0\n")
         nc = mesh.num_cells
         f.write(f"CELLS {nc} {4 * nc}\n")
-        for c in mesh.cells:
+        for c in cells:
             f.write(f"3 {c[0]} {c[1]} {c[2]}\n")
         f.write(f"CELL_TYPES {nc}\n")
         f.write("5\n" * nc)
         if point_data:
-            f.write(f"POINT_DATA {mesh.num_vertices}\n")
+            f.write(f"POINT_DATA {len(points)}\n")
             for name, arr in point_data.items():
-                arr = np.asarray(arr, dtype=float)
+                arr = np.asarray(arr, dtype=float)[vertex]
                 if arr.ndim == 1:
                     f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
                     for v in arr:

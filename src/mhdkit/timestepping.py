@@ -307,13 +307,13 @@ class ReconnectionProbe:
         self.Mlu = LuSolver(constrain_matrix(M, con))
         self.con = con
         self.M1lu = LuSolver(M1.tocsc())
-        # origin must be a mesh vertex
-        d = np.linalg.norm(mesh.vertices, axis=1)
-        i = int(np.argmin(d))
+        # origin must be a cell corner; take that corner's vertex
+        d = np.linalg.norm(mesh.cell_coords, axis=2)
+        i = np.unravel_index(np.argmin(d), d.shape)
         if d[i] > 1e-10:
             raise ValueError("origin is not a mesh vertex; choose an even "
                              "mesh so (0, 0) is a grid point")
-        self.origin_vertex = i
+        self.origin_vertex = int(mesh.cells[i])
         self.j00_initial = None
 
     def weak_curl_at_origin(self, vec):

@@ -16,7 +16,7 @@ def _read_vtk(path):
     ncells = int(tokens[i + 1])
     cdata = np.array(tokens[i + 3:i + 3 + 4 * ncells], dtype=np.int64)
     cells = cdata.reshape(-1, 4)[:, 1:]
-    mesh = Mesh2D(pts[:, :2], cells)
+    mesh = Mesh2D(cells, pts[:, :2][cells])
     point_data = {}
     j = 0
     while j < len(tokens):

@@ -175,7 +175,7 @@ def test_upwind_single_facet_block():
     # the dofs of both cells
     verts = np.array([[0., 0.], [1., 0.], [1., 1.], [2., 0.]])
     cells = np.array([[0, 1, 2], [1, 3, 2]])
-    m = Mesh2D(verts, cells)
+    m = Mesh2D(cells, verts[cells])
     m.mark_boundary()
     bdm = FunctionSpace(m, "BDM", 1)
     wind = interpolate(bdm, lambda x, y: np.stack(

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
+from mhdkit.elements import FunctionSpace, interpolate
 from mhdkit.mesh import (MeshError, build_rect_mesh, refine_uniform,
                          write_vtk)
+
+
+def vertex_positions(mesh):
+    """One position per vertex, from the cells' frames (each vertex's
+    position in the last cell that lists it)."""
+    pos = np.empty((mesh.num_vertices, 2))
+    pos[mesh.cells] = mesh.cell_coords
+    return pos
 
 
 def facet_geometry(mesh, edge):
@@ -109,12 +118,19 @@ def test_refine_five_levels_cell_count():
 
 
 def test_refine_vertex_embedding():
+    # child k of a cell keeps the parent's corner k as its corner 0: its
+    # number and its position in the frame
     m = build_rect_mesh((0, 1, 0, 1), 2, 3)
     h = refine_uniform(m, 2)
     for k in range(2):
         coarse, fine = h.levels[k], h.levels[k + 1]
-        assert np.array_equal(fine.vertices[:coarse.num_vertices],
-                              coarse.vertices)
+        children = h.cell_children[k]
+        for j in range(3):
+            child = children[:, j]
+            assert np.array_equal(fine.cells[child, 0], coarse.cells[:, j])
+            assert np.array_equal(fine.cell_coords[child, 0],
+                                  coarse.cell_coords[:, j])
+        assert fine.num_vertices == coarse.num_vertices + coarse.num_edges
 
 
 def test_refine_marker_inheritance():
@@ -143,9 +159,10 @@ def test_refine_marker_inheritance():
 
 def test_facet_geometry():
     m = build_rect_mesh((0, 1, 0, 1), 1, 1, "right")
+    pos = vertex_positions(m)
     # horizontal bottom edge
     for e in range(m.num_edges):
-        va, vb = m.vertices[m.edges[e]]
+        va, vb = pos[m.edges[e]]
         L, n, cells = facet_geometry(m, e)
         assert abs(L - np.linalg.norm(vb - va)) < 1e-14
         if np.allclose([va[1], vb[1]], 0.0):
@@ -155,23 +172,27 @@ def test_facet_geometry():
             assert abs(L - np.sqrt(2)) < 1e-14
             assert np.allclose(np.abs(n), [1 / np.sqrt(2)] * 2)
     mm = build_rect_mesh((-0.5, 0.5, -0.5, 0.5), 4, 4)
+    pos = vertex_positions(mm)
     for e in mm.boundary_edges:
         L, n, cells = facet_geometry(mm, e)
-        mid = mm.vertices[mm.edges[e]].mean(axis=0)
+        mid = pos[mm.edges[e]].mean(axis=0)
         if abs(mid[0] + 0.5) < 1e-12:
             assert np.allclose(n, [-1, 0])
         assert cells[1] == -1
 
 
 def test_periodic_mesh():
-    m = build_rect_mesh((-1, 1, -1, 1), 4, 4, periodic_x=True)
-    # the right vertex column is identified with the left one
-    assert m.num_vertices == 5 * 5 - 5
-    assert np.all(m.cell_area > 0)
-    # every vertical seam edge is interior now
-    assert all(m.edge_markers[e] in
-               (m.marker_names.get("top"), m.marker_names.get("bottom"))
-               for e in m.boundary_edges)
+    for pattern, centers in (("right", 0), ("crossed", 16)):
+        m = build_rect_mesh((-1, 1, -1, 1), 4, 4, pattern, periodic_x=True)
+        # the right vertex column is identified with the left one, and the
+        # vertices are numbered contiguously
+        assert m.num_vertices == 5 * 5 - 5 + centers
+        assert np.array_equal(np.unique(m.cells), np.arange(m.num_vertices))
+        assert np.all(m.cell_area > 0)
+        # every vertical seam edge is interior now
+        assert all(m.edge_markers[e] in
+                   (m.marker_names.get("top"), m.marker_names.get("bottom"))
+                   for e in m.boundary_edges)
 
 
 def test_vtk_roundtrip(tmp_path, read_vtk):
@@ -181,5 +202,25 @@ def test_vtk_roundtrip(tmp_path, read_vtk):
     write_vtk(p, m, data)
     m2, d2 = read_vtk(p)
     assert m2.num_cells == m.num_cells
-    assert np.allclose(m2.vertices, m.vertices)
+    assert np.array_equal(m2.cells, m.cells)
+    assert np.allclose(m2.cell_coords, m.cell_coords)
     assert np.allclose(d2["f"], data["f"])
+
+
+@pytest.mark.parametrize("levels", [0, 1, 2])
+def test_written_periodic_mesh_is_the_mesh(tmp_path, read_vtk, levels):
+    # the file holds every cell in its own frame, seam cells included, and
+    # each corner carries the value of its vertex
+    mesh = refine_uniform(build_rect_mesh((-1, 1, -1, 1), 4, 4,
+                                          periodic_x=True), levels).finest
+
+    def f(x, y):
+        return np.sin(np.pi * x) + y
+
+    data = {"f": interpolate(FunctionSpace(mesh, "CG", 1), f).coefficients}
+    p = tmp_path / "mesh.vtk"
+    write_vtk(p, mesh, data)
+    m2, d2 = read_vtk(p)
+    assert np.array_equal(m2.cell_area, mesh.cell_area)
+    x, y = np.moveaxis(mesh.cell_coords, -1, 0)
+    assert np.abs(d2["f"][m2.cells] - f(x, y)).max() < 1e-14

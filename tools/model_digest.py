@@ -23,6 +23,11 @@ coefficients, both arrays of its dual functionals, its boundary dofs (all,
 and those on top and bottom), its star patches without the boundary dofs
 and the mesh's edge markers.
 
+Last comes one line per mesh: each `DEFAULT_MESH` domain, on the problem's
+own base and on 4 x 4, at levels 0, 1 and 2.  It digests the cells, their
+frames, the edges, the cell-edge, edge-cell and edge-local incidences, the
+boundary edges, the edge markers and the number of vertices.
+
 Running it on two versions of the code and diffing the output shows which
 evaluations changed by even one bit.
 """
@@ -37,7 +42,7 @@ import numpy as np
 from mhdkit.elements import SUPPORTED, FunctionSpace
 from mhdkit.mesh import build_rect_mesh, refine_uniform
 from mhdkit.multigrid import star_patches
-from mhdkit.problems import DEFAULT_PARAMS, make_problem
+from mhdkit.problems import DEFAULT_MESH, DEFAULT_PARAMS, make_problem
 
 CASES = ("hartmann", "ldc2d", "rayleigh_benard", "hall_ldc", "hall_island")
 DROPS = ("drop_buoyancy", "drop_lorentz", "drop_graddiv")
@@ -104,6 +109,18 @@ def element_lines():
         yield f"{family}{degree} {mesh_name} {h}"
 
 
+def mesh_lines():
+    for problem, cfg in DEFAULT_MESH.items():
+        for nx, ny in (cfg["base"], (4, 4)):
+            base = build_rect_mesh(cfg["domain"], nx, ny, cfg["pattern"],
+                                   periodic_x=cfg.get("periodic_x", False))
+            for level, m in enumerate(refine_uniform(base, 2).levels):
+                h = digest(m.cells, m.cell_coords, m.edges, m.cell_edges,
+                           m.edge_cells, m.edge_local, m.boundary_edges,
+                           m.edge_markers, [m.num_vertices])
+                yield f"mesh {problem} {nx}x{ny} level={level} {h}"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
@@ -111,7 +128,7 @@ def main(argv=None):
     for problem in CASES:
         for line in case_lines(problem, args.seed):
             print(line, flush=True)
-    for line in element_lines():
+    for line in itertools.chain(element_lines(), mesh_lines()):
         print(line, flush=True)
     return 0
 
