@@ -117,7 +117,7 @@ class _Basis:
         sel = slice(None) if cells is None else cells
         self.var = var
         self.P = None if P is None else P[sel]
-        if space.element.nodal:
+        if space.element.shared:
             self.R = np.einsum("iv,gqva->gqia", space.coeff[0], R)
             self.coeff = None
         else:

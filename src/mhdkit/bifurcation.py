@@ -7,7 +7,7 @@ import logging
 import numpy as np
 
 from .elements import interpolate, l2_project
-from .linalg import shift_invert_arnoldi
+from .linalg import LuSolver, shift_invert_arnoldi
 from .nonlinear import (NonlinearConfig, solve_nonlinear, DeflationOperator,
                         deflated_solve)
 from .models.analytic import conduction_state
@@ -96,22 +96,54 @@ def _free_operator(model, vec, free, **drop):
         model.jacobian(vec, "newton", drop_graddiv=True, **drop), free)
 
 
+def _stream_eigs(model, Af, Mf, free, k, pick):
+    """Eigenpairs of the free pencil A x = lambda M x, solved on the stream
+    function: the k pairs of L^T A L y = lambda L^T M L y nearest 0 by
+    shift-invert Arnoldi (L = `model.stream_lift`), those that `pick` (the
+    eigenvalues -> their indices) selects lifted by x = L y, each with its
+    pressure.  This moves no eigenpair: M has no pressure rows, so every
+    eigenvector's velocity passes every continuity test and, as div BDM2
+    lies in DG1 (the no-flux wall stands in for the pinned test), is
+    divergence-free, u = V psi; and V^T A_up = 0.  The pressure is the
+    least-squares solution of the u rows, A_up p = -(A - lambda M) L y,
+    from one factorisation of the pressure normal matrix A_up^T A_up and
+    one solve for every mode.  Returns the eigenvalues and the unit
+    vectors (columns), complex."""
+    L = model.stream_lift()
+    res = shift_invert_arnoldi((L.T @ Af @ L).tocsr(),
+                               (L.T @ Mf @ L).tocsr(), k=k, tol=1e-6)
+    idx = pick(res.values)
+    lam, Y = res.values[idx], res.vectors[:, idx]
+    X = L @ Y.real + 1j * (L @ Y.imag)
+    u, p = _field_mask(model, free, "u"), _field_mask(model, free, "p")
+    G = Af[u][:, p]
+    R = Af[u] @ X - (Mf[u] @ X) * lam
+    P = LuSolver((G.T @ G).tocsc()).solve(G.T @ np.hstack([R.real, R.imag]))
+    X[p] = -(P[:, :len(lam)] + 1j * P[:, len(lam):])
+    return lam, X / np.linalg.norm(X, axis=0)
+
+
 def stability_eigs(model, state_vec, k=6):
     """Leading eigenvalues of the linearised time evolution -J x = lambda M x
-    with the singular mass (u, theta, B rows only): the k pairs nearest 0 by
-    shift-invert Arnoldi, sorted by decreasing real part.
+    with the singular mass (u, theta, B rows only): the k pairs nearest 0,
+    sorted by decreasing real part, solved on the stream function
+    (`_stream_eigs`).  ARPACK computes k + 4 pairs: from one start vector
+    it finds the second copy of a double eigenvalue only through
+    round-off, which a larger Krylov space gives more room.
 
-    J is taken at gamma = 0, which moves no eigenpair: M has no pressure
-    rows, so an eigenvector's velocity passes every continuity test, and as
-    div BDM2 lies in DG1 (the no-flux wall stands in for the pinned test)
-    it is divergence-free and the grad-div term vanishes on it.  The
-    operator is far better conditioned without it."""
+    J is taken at gamma = 0, which moves no eigenpair: the eigenvectors are
+    divergence-free (`_stream_eigs`), so the grad-div term vanishes on
+    them.  The operator is far better conditioned without it."""
     free = _free_indices(model)
     Af = -_free_operator(model, state_vec, free)
     Mf = _free_block(model.mass_matrix(), free)
-    res = shift_invert_arnoldi(Af, Mf, k=k, tol=1e-6)
-    order = np.argsort(-res.values.real, kind="stable")
-    return res.values[order], res.vectors[:, order], free
+
+    def pick(lam):
+        # the k nearest 0, by decreasing real part
+        return np.argsort(-lam[:k].real, kind="stable")
+
+    lam, X = _stream_eigs(model, Af, Mf, free, k + 4, pick)
+    return lam, X, free
 
 
 def stability_tag(eigenvalues, tol=1e-7):
@@ -129,16 +161,18 @@ def critical_parameter(model, which="Ra_c", count=2):
     right-hand side) or S (Lorentz coupling moved to the right-hand side),
     linearised at the conduction state, plus the eigenmodes.
 
-    Both operators are taken at gamma = 0, which moves no eigenpair: the
-    right-hand side has no pressure rows either, so the argument of
-    `stability_eigs` holds.  ARPACK then takes fewer steps, in a count
-    that round-off does not move.
+    Both pencils are solved on the stream function (`_stream_eigs`) and
+    taken at gamma = 0, neither of which moves an eigenpair: the
+    right-hand side has no pressure rows either, so the eigenvectors are
+    divergence-free and the grad-div term vanishes on them.  ARPACK then
+    takes fewer steps, in a count that round-off does not move.
 
     The Ra_c operator also drops its (u, E) Lorentz block, which moves no
     eigenpair: M has only u rows, so each solve's B rows read (vcurl E, C) +
     (1/Rem)(div B, div C) = 0, and with E zero on the whole boundary C =
-    vcurl E gives E = 0.  `LuSolver` then factorises (u, p), theta and
-    (E, B) one at a time."""
+    vcurl E gives E = 0.  `LuSolver` then factorises psi, theta and (E, B)
+    one at a time; the saddle (u, p) block and its near-singular pressure
+    mode are never formed."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     st = conduction_state_vector(model)
@@ -164,15 +198,14 @@ def critical_parameter(model, which="Ra_c", count=2):
         Mf = -(_free_operator(model, st.vector.copy(), free) - Af) / pr.S
     else:
         raise ValueError(which)
-    res = shift_invert_arnoldi(Af, Mf, k=3 * count + 4, tol=1e-6)
-    lam = res.values
-    real = lam[np.abs(lam.imag) <= 1e-6 * np.maximum(np.abs(lam.real), 1.0)]
-    pos = np.sort(real.real[real.real > 0])
-    modes = []
-    for target in pos[:count]:
-        i = int(np.argmin(np.abs(lam - target)))
-        modes.append(res.vectors[:, i].real)
-    return pos[:count], modes, free
+
+    def pick(lam):
+        real = np.abs(lam.imag) <= 1e-6 * np.maximum(np.abs(lam.real), 1.0)
+        pos = np.flatnonzero(real & (lam.real > 0))
+        return pos[np.argsort(lam.real[pos], kind="stable")][:count]
+
+    lam, X = _stream_eigs(model, Af, Mf, free, 3 * count + 4, pick)
+    return lam.real, list(X.real.T), free
 
 
 def deflated_continuation(problem, sweep, seeds, nl_config=None,

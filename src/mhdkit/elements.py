@@ -1,12 +1,18 @@
 """Reference elements, function spaces, dof maps, interpolation, strong
 Dirichlet data and the discrete differential-complex maps (CG -vcurl-> RT
--div-> DG and the rotated H(curl) family).
+-div-> DG and the rotated H(curl) family).  CG3 -vcurl-> BDM2 -div-> DG1 is
+an exact complex as well (Arnold, Falk & Winther, Acta Numerica 15, 2006):
+with zero normal trace, every divergence-free BDM2 velocity is vcurl of one
+CG3 stream function that vanishes on the boundary of a non-periodic mesh
+(`MixedModel.stream_lift`).
 
 Basis functions are constructed cell by cell: on each cell the local basis is
 the dual of a set of *globally defined* functionals (point evaluations, edge
 moments taken along the global low-to-high edge direction, interior
-moments).  Shared functionals then automatically produce normal/tangential
-continuity without any sign bookkeeping.  `FunctionSpace.dual_points_weights`
+moments).  A CG_k space evaluates at the vertices, at the k - 1 points i / k
+along each global edge direction and, for k = 3, at the centroid.  Shared
+functionals then automatically produce normal/tangential continuity without
+any sign bookkeeping.  `FunctionSpace.dual_points_weights`
 is the one definition of these functionals: the basis, `interpolate`,
 `dirichlet_values` and, through `assembly.interpolation_matrix`, the complex
 maps and the multigrid transfers all apply it.  `DOF_COUNTS` gives each
@@ -26,9 +32,10 @@ table of psihat and its reference gradients per element and quadrature rule
 (`reference_table`), and one per reference facet variant, serves every cell
 of every mesh, and a space holds no per-cell table: `assembly` contracts the
 shared table with `coeff`, T_c and J_c^-1.  J_c, J_c^-1 and the rest of the
-cell geometry are computed once per mesh (`Mesh2D`).  Nodal families share
-one `coeff` for all cells.  `FunctionSpace.tabulate_cells` evaluates the
-basis at arbitrary physical points (transfers, interpolation, projection).
+cell geometry are computed once per mesh (`Mesh2D`).  Nodal families with
+at most one point per edge share one `coeff` for all cells; CG3 has one per
+cell.  `FunctionSpace.tabulate_cells` evaluates the basis at arbitrary
+physical points (transfers, interpolation, projection).
 """
 
 import functools
@@ -41,13 +48,14 @@ from .mesh import _LOCAL_EDGE_VERTICES
 from .quadrature import gauss_interval, triangle_rule
 
 SUPPORTED = {
-    ("CG", 1), ("CG", 2), ("DG", 0), ("DG", 1), ("VCG", 1), ("VCG", 2),
-    ("RT", 1), ("RT", 2), ("BDM", 1), ("BDM", 2), ("NED", 1), ("NED", 2),
+    ("CG", 1), ("CG", 2), ("CG", 3), ("DG", 0), ("DG", 1), ("VCG", 1),
+    ("VCG", 2), ("RT", 1), ("RT", 2), ("BDM", 1), ("BDM", 2), ("NED", 1),
+    ("NED", 2),
 }
 
 # dofs per vertex, per edge and per cell of each family at degree k
 DOF_COUNTS = {
-    "CG": lambda k: (1, k - 1, 0),
+    "CG": lambda k: (1, k - 1, (k - 1) * (k - 2) // 2),
     "VCG": lambda k: (2, 2 * (k - 1), 0),
     "DG": lambda k: (0, 0, (k + 1) * (k + 2) // 2),
     "RT": lambda k: (0, k, 2 * (k - 1)),
@@ -107,6 +115,10 @@ class ElementFamily:
         self.ncomp = 1 if self.scalar else 2
         self._build_span()
         self.n_vertex, self.n_edge, self.n_cell = DOF_COUNTS[family](degree)
+        # nodal functionals with at most one point per edge sit at the same
+        # reference points in every cell, so one `coeff` serves them all;
+        # CG3's two edge points are ordered along the global edge instead
+        self.shared = self.nodal and self.n_edge <= self.ncomp
         self.nloc = 3 * self.n_vertex + 3 * self.n_edge + self.n_cell
         assert self.nloc == len(self.vmono)
 
@@ -254,7 +266,11 @@ class FunctionSpace:
         if el.n_vertex:
             point_values(m.cell_coords[cells], 0)
         if el.n_edge and el.nodal:
-            point_values(m.cell_edge_points[cells].mean(axis=2),
+            # the points at i / k along the global edge direction
+            t = np.arange(1, el.degree)[:, None] / el.degree
+            ep = m.cell_edge_points[cells]
+            point_values((ep[:, :, None, 0] * (1 - t)
+                          + ep[:, :, None, 1] * t).reshape(n, -1, 2),
                          3 * el.n_vertex)
         elif el.n_edge:
             rule = gauss_interval(edge_degree)
@@ -283,6 +299,10 @@ class FunctionSpace:
             # DG0: the centroid value; DG1: the vertex values
             p = m.cell_coords[cells]
             point_values(p if el.degree else p.mean(axis=1)[:, None, :], 0)
+        elif el.n_cell and el.nodal:
+            # CG3: the centroid value
+            point_values(m.cell_centers[cells][:, None, :],
+                         3 * (el.n_vertex + el.n_edge))
         elif el.n_cell:
             rule = triangle_rule(cell_degree)
             ref = rule.points
@@ -318,9 +338,8 @@ class FunctionSpace:
     def _build_coefficients(self):
         el = self.element
         nc = self.mesh.num_cells
-        # nodal functionals evaluate at fixed reference points, so the first
-        # cell's coefficients serve every cell
-        cells = np.arange(1 if el.nodal else nc)
+        # shared functionals: the first cell's coefficients serve every cell
+        cells = np.arange(1 if el.shared else nc)
         pts, wts = self.dual_points_weights(cells)
         prime, _ = el.prime_basis(self.reference_coords(cells, pts),
                                   grad=False)

@@ -27,12 +27,13 @@ def _splu(A, what):
     the diagonal pivot taken while it is at least 0.1 of its column's
     largest entry (X. S. Li, ACM TOMS 31(3), 2005); the default threshold
     1 pivots off the diagonal whenever an entry below it is larger, which
-    spoils the symmetric order.  On the mass, theta and (E, B) blocks and
-    the multigrid coarse blocks this fills 2-65 % less than COLAMD.  Any other matrix gets COLAMD and partial
-    pivoting: a saddle block with a zero pressure diagonal, on which the
-    symmetric order fills 3-6x more, and an advection-dominated block, on
-    which it filled up to 19 % more (coarse velocity blocks at Re = Rem >=
-    400)."""
+    spoils the symmetric order.  On the mass blocks, the stream-function
+    (psi), theta and (E, B) blocks of the eigen-solves and the multigrid
+    coarse blocks this fills 2-65 % less than COLAMD.  Any other matrix
+    gets COLAMD and partial pivoting: a saddle block with a zero pressure
+    diagonal, on which the symmetric order fills 3-6x more, and an
+    advection-dominated block, on which it filled up to 19 % more (coarse
+    velocity blocks at Re = Rem >= 400)."""
     if A.diagonal().all() and spla.norm(A - A.T) <= 1e-2 * spla.norm(A):
         ordering = "MMD_AT_PLUS_A"
         options = {"SymmetricMode": True, "DiagPivotThresh": 0.1}
@@ -100,7 +101,7 @@ class LuSolver:
     factorised one diagonal block at a time and solved by block forward
     substitution; this is the block-triangular step of KLU (Davis &
     Palamadai Natarajan, ACM TOMS 37(3), 2010).  Such matrices are the
-    Ra_c operator without its (u, E) block (`bifurcation`) and the
+    Ra_c operator on the stream function (`bifurcation`) and the
     transient Jacobians times their Faraday map
     (`timestepping.FrozenJacobianFactory`), whose B block reads only B.
     Any other matrix is factorised whole: one whose only extra components

@@ -178,7 +178,7 @@ class MixedModel:
         self._mass = pat.compact(pat.scatter({
             (n, n): cell_local(spaces[n], spaces[n], qdeg=QDEG)
             for n in self.mass_fields}))
-        self._mass_csr = self._faraday = None
+        self._mass_csr = self._faraday = self._stream = None
         self._const_key = self._const_data = None
         self._rhs_const = self._assemble_forcing()
 
@@ -431,6 +431,43 @@ class MixedModel:
             self._faraday = V
         return (sp.identity(self.state_template.total, format="csr")
                 - (steady_coeff / mass_coeff) * self._faraday)
+
+    # -- the stream function --------------------------------------------------
+
+    def stream_lift(self):
+        """L, which lifts the free dofs of (psi, the fields other than the
+        velocity and the pressure) to the model's free dofs: u = V psi, p =
+        0, the other fields as they are.  psi lies in CG3, vanishes on the
+        boundary and comes first; the other fields follow in state order.
+        V is the coefficient matrix of vcurl from CG3 into the velocity's
+        BDM2.  CG3 -vcurl-> BDM2 -div-> DG1 is an exact complex (Arnold,
+        Falk & Winther, Acta Numerica 15, 2006): with the velocity's normal
+        trace constrained on the whole boundary of a non-periodic mesh, V
+        maps the free psi dofs one to one onto the free velocities without
+        divergence, so n_psi = n_u - n_p over the free dofs.  Raises
+        ValueError when that count fails.  Built on first use."""
+        if self._stream is None:
+            st = self.state_template
+            free = np.setdiff1d(np.arange(st.total), self.constrained_idx)
+            u, p = st.field_slice(self.velocity), st.field_slice("p")
+            in_u, in_p = ((free >= s.start) & (free < s.stop) for s in (u, p))
+            cg = FunctionSpace(self.mesh, "CG", 3)
+            psi = np.ones(cg.total_dofs, dtype=bool)
+            psi[cg.boundary_dofs()] = False
+            n_u, n_p = in_u.sum(), in_p.sum()
+            if psi.sum() != n_u - n_p:
+                raise ValueError(
+                    f"{type(self).__name__}: the stream-function lift needs "
+                    "the velocity's normal trace constrained on the whole "
+                    "boundary of a non-periodic mesh (velocity markers "
+                    f"{self.bc_markers[self.velocity]!r}); the free dofs "
+                    f"count {psi.sum()} psi, {n_u} u and {n_p} p")
+            V = interpolation_matrix(cg, self.spaces[self.velocity],
+                                     op="vcurl")[free[in_u] - u.start][:, psi]
+            I = sp.identity(len(free), format="csc")
+            self._stream = sp.hstack([I[:, in_u] @ V, I[:, ~(in_u | in_p)]],
+                                     format="csr")
+        return self._stream
 
     # -- diagnostics ----------------------------------------------------------
 

@@ -12,6 +12,7 @@ from mhdkit import bifurcation, linalg
 from mhdkit.bifurcation import (SweepConfig, conduction_state_vector,
                                 critical_parameter, deflated_continuation,
                                 stability_eigs)
+from mhdkit.mesh import build_rect_mesh
 from mhdkit.models.boussinesq import BoussinesqMHD
 from mhdkit.problems import make_problem
 
@@ -107,19 +108,63 @@ def test_critical_coupling_matches_dense_shift_invert(rb, monkeypatch):
                        atol=0.0)
 
 
-def _captured_arnoldi(monkeypatch, operator=None):
+def _assert_eigenpairs(model, A, M, lam, X, free):
+    """Each column of X, with the eigenvalue in lam, is an eigenpair of the
+    free pencil (A, M), its pressure included, and its velocity is
+    divergence-free."""
+    u = model.state_template.field_slice("u")
+    Mu = model.mass_matrix()[u][:, u]
+    scale = spla.norm(A) + np.abs(lam) * spla.norm(M)
+    for lam_k, x, s in zip(lam, np.asarray(X).T, scale):
+        assert (np.linalg.norm(A @ x - lam_k * (M @ x))
+                <= 1e-10 * s * np.linalg.norm(x))
+        for part in (x.real, x.imag):
+            vec = np.zeros(model.state_template.total)
+            vec[free] = part
+            assert (model.div_norms(vec)["u"]
+                    <= 1e-12 * np.sqrt(vec[u] @ (Mu @ vec[u])))
+
+
+def test_eigen_modes_are_eigenpairs_of_the_full_pencil(rb, monkeypatch):
+    # the stream-function solves return modes of the full free pencil: the
+    # velocity lifted from psi, the pressure recovered from the u rows
+    model, state = rb
+    free = bifurcation._free_indices(model)
+
+    def J(state, **drop):
+        return bifurcation._free_operator(model, state, free, **drop)
+
+    vals, modes, _ = critical_parameter(model, "Ra_c", count=2)
+    buoyancy = model.params.Pr * model.constant_matrix("buoyancy")
+    _assert_eigenpairs(model, J(state, drop_buoyancy=True),
+                       bifurcation._free_block(buoyancy, free), vals,
+                       np.transpose(modes), free)
+    lam, X, _ = stability_eigs(model, state, k=4)
+    _assert_eigenpairs(model, -J(state),
+                       bifurcation._free_block(model.mass_matrix(), free),
+                       lam, X, free)
+    monkeypatch.setattr(model.params, "Ra", 1e4)
+    state = conduction_state_vector(model).vector
+    vals, modes, _ = critical_parameter(model, "S_c", count=2)
+    A0 = J(state, drop_lorentz=True)
+    _assert_eigenpairs(model, A0, -(J(state) - A0) / model.params.S, vals,
+                       np.transpose(modes), free)
+
+
+def _captured_arnoldi(monkeypatch):
     """Route `critical_parameter`'s eigen-solve through a recorder: it
-    notes each operator and the LU solves of the run, and solves with
-    `operator` in place of the given one when that is set."""
+    notes each operator and the LU solves made inside the Arnoldi run."""
     arnoldi, solve = linalg.shift_invert_arnoldi, linalg.LuSolver.solve
-    runs = []
+    runs, solves = [], [0]
 
     def recorded(A, M, **kwargs):
-        runs.append({"A": A, "solves": 0})
-        return arnoldi(A if operator is None else operator, M, **kwargs)
+        before = solves[0]
+        res = arnoldi(A, M, **kwargs)
+        runs.append({"A": A, "solves": solves[0] - before})
+        return res
 
     def counted(self, b):
-        runs[-1]["solves"] += 1
+        solves[0] += 1
         return solve(self, b)
 
     monkeypatch.setattr(bifurcation, "shift_invert_arnoldi", recorded)
@@ -127,64 +172,74 @@ def _captured_arnoldi(monkeypatch, operator=None):
     return runs
 
 
+def _reduced_mask(model, free, name):
+    """Which unknowns of the stream-function pencil lift to the field
+    `name` (psi for the velocity)."""
+    L = model.stream_lift()
+    return L[bifurcation._field_mask(model, free, name)].getnnz(axis=0) > 0
+
+
 def test_rayleigh_operator_drops_the_lorentz_block_of_a_zero_field(
         rb, monkeypatch):
     # the (u, E) block multiplies E, which every solve sets to zero: the
-    # operator handed to the eigen-solve has no entry there, and the modes
-    # carry no E
+    # operator handed to the eigen-solve has no (psi, E) entry, and the
+    # modes carry no E
     model, state = rb
     runs = _captured_arnoldi(monkeypatch)
     vals, modes, free = critical_parameter(model, "Ra_c", count=2)
     (run,) = runs
-    u = bifurcation._field_mask(model, free, "u")
-    E = bifurcation._field_mask(model, free, "E")
-    assert run["A"][u][:, E].count_nonzero() == 0
-    coupled = bifurcation._free_operator(model, state, free,
-                                         drop_buoyancy=True)
-    assert coupled[u][:, E].count_nonzero() > 0
+    psi = _reduced_mask(model, free, "u")
+    E = _reduced_mask(model, free, "E")
+    assert run["A"][psi][:, E].count_nonzero() == 0
+    L = model.stream_lift()
+    coupled = L.T @ bifurcation._free_operator(model, state, free,
+                                               drop_buoyancy=True) @ L
+    assert coupled.tocsr()[psi][:, E].count_nonzero() > 0
     assert len(modes) == 2
+    E = bifurcation._field_mask(model, free, "E")
     for mode in modes:
         assert np.linalg.norm(mode[E]) <= 1e-12 * np.linalg.norm(mode)
 
 
 def test_split_rayleigh_operator_matches_the_coupled_one(rb12, monkeypatch):
-    # at the benchmark's size the split operator solves the coupled one's
-    # systems: the same values in as many Arnoldi steps
+    # at the benchmark's size the stream-function pencil without the (u, E)
+    # block gives the full coupled free pencil's values in as many Arnoldi
+    # steps
     model = rb12
     free = bifurcation._free_indices(model)
-    coupled = bifurcation._free_operator(
-        model, conduction_state_vector(model).vector, free,
-        drop_buoyancy=True)
-    results = []
-    for operator in (None, coupled):
-        with monkeypatch.context() as mp:
-            runs = _captured_arnoldi(mp, operator)
-            vals, _, _ = critical_parameter(model, "Ra_c", count=2)
-        results.append((vals, runs[0]["solves"]))
-    (split, split_solves), (ref, ref_solves) = results
-    assert len(split) == len(ref) == 2
-    assert np.allclose(split, ref, rtol=1e-9, atol=0.0)
-    assert split_solves == ref_solves
+    state = conduction_state_vector(model).vector
+    A = bifurcation._free_operator(model, state, free, drop_buoyancy=True)
+    M = bifurcation._free_block(
+        model.params.Pr * model.constant_matrix("buoyancy"), free)
+    runs = _captured_arnoldi(monkeypatch)
+    vals, _, _ = critical_parameter(model, "Ra_c", count=2)
+    lam = bifurcation.shift_invert_arnoldi(A, M, k=10, tol=1e-6).values
+    real = lam[np.abs(lam.imag) <= 1e-6 * np.maximum(np.abs(lam.real), 1.0)]
+    ref = np.sort(real.real[real.real > 0])[:2]
+    assert len(vals) == len(ref) == 2
+    assert np.allclose(vals, ref, rtol=1e-9, atol=0.0)
+    assert runs[0]["solves"] == runs[1]["solves"]
 
 
-# the two Ra_c of the 12x12 model with every block ordered by COLAMD
+# the two Ra_c of the 12x12 model, from the full free pencil with every
+# block ordered by COLAMD
 RA_C_COLAMD_12 = (2609.0337672692567, 6759.398797596882)
 
 
 def test_rayleigh_blocks_with_a_zero_free_diagonal_halve_their_fill(
         rb12, monkeypatch):
-    # theta and (E, B) have a zero-free diagonal and near-symmetric values
-    # and are factorised in symmetric mode; the saddle (u, p) block keeps
-    # COLAMD and its fill
+    # psi, theta and (E, B) have a zero-free diagonal and near-symmetric
+    # values and are factorised in symmetric mode; theta and (E, B) fill
+    # at most half of COLAMD's
     runs = _captured_arnoldi(monkeypatch)
     vals, _, _ = critical_parameter(rb12, "Ra_c", count=2)
     assert np.allclose(vals, RA_C_COLAMD_12, rtol=1e-9, atol=0.0)
     A = sp.csc_matrix(runs[0]["A"])
     A.eliminate_zeros()
     lu = linalg.LuSolver(A)
-    assert lu.orderings == ["COLAMD", "MMD_AT_PLUS_A", "MMD_AT_PLUS_A"]
+    assert lu.orderings == ["MMD_AT_PLUS_A"] * 3
     nnz = [block_lu.nnz for _, _, block_lu, _ in lu._blocks]
-    assert nnz[0] == 2133435
+    assert nnz[0] == 368562
     _, blocks = linalg._diagonal_blocks(A)
     colamd = [spla.splu(D).nnz for _, _, D, _ in blocks[1:]]
     assert all(2 * n <= c for n, c in zip(nnz[1:], colamd))
@@ -200,6 +255,29 @@ def test_critical_rayleigh_rejects_a_partial_electric_constraint(rb):
     model = _rb_variant(rb[0], E=(["top", "bottom"], None))
     with pytest.raises(ValueError, match="E constrained on the whole "
                                          "boundary"):
+        critical_parameter(model, "Ra_c", count=1)
+
+
+def test_eigen_solves_reject_a_partial_velocity_constraint(rb):
+    # with the normal trace free on the side walls some divergence-free
+    # velocities are no vcurl of a psi that vanishes on the boundary
+    model = _rb_variant(rb[0], u=(["top", "bottom"], None))
+    state = conduction_state_vector(model).vector
+    for call in (lambda: critical_parameter(model, "Ra_c", count=1),
+                 lambda: stability_eigs(model, state, k=2)):
+        with pytest.raises(ValueError, match="BoussinesqMHD: the stream-"
+                                             "function lift needs"):
+            call()
+
+
+def test_eigen_solves_reject_an_x_periodic_mesh(rb):
+    # a channel's uniform flow is divergence-free but has no stream
+    # function that vanishes on both walls
+    mesh = build_rect_mesh((0.0, 1.0, 0.0, 1.0), 4, 4, "crossed",
+                           periodic_x=True)
+    model = BoussinesqMHD(mesh, rb[0].params, bcs=rb[0].bcs)
+    with pytest.raises(ValueError, match="BoussinesqMHD: the stream-"
+                                         "function lift needs"):
         critical_parameter(model, "Ra_c", count=1)
 
 
@@ -285,20 +363,19 @@ def test_eigen_accuracy_tool_on_4x4(capsys):
     assert tool.main(["--base", "4", "4", "--draws", "1"]) == 0
     lines = dict(line.split(": ", 1)
                  for line in capsys.readouterr().out.splitlines())
-    # the dense reference is the coupled operator's
+    # the dense reference is the coupled free pencil's
     assert float(lines["relative error"]) <= 1e-10
     # one count for the operator and each perturbed draw
     counts = re.findall(r"\d+", lines["Arnoldi LU solves"])
     assert len(counts) == 2 and len(set(counts)) == 1
-    blocks = [re.fullmatch(r"(\d+) dofs, (\w+), L \+ U nnz (\d+), 1-norm "
-                           r"condition \(onenormest\) (\S+)",
+    blocks = [re.fullmatch(r"(\S+|\(.+\)), (\d+) dofs, (\w+), L \+ U nnz "
+                           r"(\d+), 1-norm condition \(onenormest\) (\S+)",
                            lines[f"block {k}"]) for k in range(3)]
-    assert [int(b[1]) for b in blocks] == [647, 127, 417]
-    # the saddle (u, p) block keeps COLAMD; theta and (E, B) have a
-    # zero-free diagonal and near-symmetric values
-    assert [b[2] for b in blocks] == ["COLAMD", "MMD_AT_PLUS_A",
-                                      "MMD_AT_PLUS_A"]
-    assert all(int(b[3]) > 0 and float(b[4]) > 1.0 for b in blocks)
+    assert [b[1] for b in blocks] == ["psi", "theta", "(E, B)"]
+    assert [int(b[2]) for b in blocks] == [265, 127, 417]
+    # each block has a zero-free diagonal and near-symmetric values
+    assert [b[3] for b in blocks] == ["MMD_AT_PLUS_A"] * 3
+    assert all(int(b[4]) > 0 and float(b[5]) > 1.0 for b in blocks)
     assert "block 3" not in lines
 
 

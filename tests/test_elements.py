@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from mhdkit.mesh import Mesh2D, build_rect_mesh, refine_uniform
 from mhdkit.elements import (SUPPORTED, REF_VERTICES, FunctionSpace, Field,
@@ -9,14 +10,16 @@ from mhdkit.elements import (SUPPORTED, REF_VERTICES, FunctionSpace, Field,
                              interpolate, l2_project, complex_maps,
                              dirichlet_values, grad_to_hcurl, curl_to_dg,
                              reference_table, scalar_monomials)
-from mhdkit.assembly import _Basis, cell_matrix, facet_data
+from mhdkit.assembly import (_Basis, cell_matrix, facet_data,
+                             interpolation_matrix)
 from mhdkit.quadrature import gauss_interval
 from mhdkit.multigrid import build_transfer
 
 from facet_matrices import sipg_viscous
 
-ALL_FAMILIES = [("CG", 1), ("CG", 2), ("DG", 0), ("DG", 1), ("RT", 1),
-                ("RT", 2), ("BDM", 1), ("BDM", 2), ("NED", 1), ("NED", 2)]
+ALL_FAMILIES = [("CG", 1), ("CG", 2), ("CG", 3), ("DG", 0), ("DG", 1),
+                ("RT", 1), ("RT", 2), ("BDM", 1), ("BDM", 2), ("NED", 1),
+                ("NED", 2)]
 
 
 @functools.cache
@@ -228,6 +231,36 @@ def test_complex_maps_exactness(unit_mesh):
     free = np.setdiff1d(np.arange(rt2.total_dofs), rt2.boundary_dofs())
     rank = np.linalg.matrix_rank(D2.toarray()[:, free], tol=1e-9)
     assert rank == dg2.total_dofs - 1
+
+
+def _cubic(x, y):
+    return x ** 3 - 2 * x * y ** 2 + y ** 3 + x * y + 1
+
+
+def _vcurl_cubic(x, y):
+    return np.stack([-4 * x * y + 3 * y ** 2 + x,
+                     -(3 * x ** 2 - 2 * y ** 2 + y)], axis=-1)
+
+
+@pytest.mark.parametrize("n,pattern", [(4, "right"), (12, "crossed")])
+def test_stream_function_complex_is_exact(n, pattern):
+    # CG3 -vcurl-> BDM2 -div-> DG1: V is the BDM2 interpolant of vcurl and
+    # div V vanishes.  With psi and the velocity's normal trace zero on the
+    # boundary and one pressure dof pinned, the free psi dofs count the
+    # free divergence-free velocities
+    mesh = build_rect_mesh((0, 1, 0, 1), n, n, pattern)
+    cg, bdm, dg = (FunctionSpace(mesh, f, d)
+                   for f, d in [("CG", 3), ("BDM", 2), ("DG", 1)])
+    V = interpolation_matrix(cg, bdm, op="vcurl")
+    D = interpolation_matrix(bdm, dg, op="div")
+    Vpsi = V @ interpolate(cg, _cubic).coefficients
+    ref = interpolate(bdm, _vcurl_cubic).coefficients
+    assert np.abs(Vpsi - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert (spla.norm(D @ V)
+            <= 1e-14 * spla.norm(D) * spla.norm(V))
+    n_psi = cg.total_dofs - len(cg.boundary_dofs())
+    n_u = bdm.total_dofs - len(bdm.boundary_dofs())
+    assert n_psi == n_u - (dg.total_dofs - 1)
 
 
 def test_grad_and_curl_maps(unit_mesh):

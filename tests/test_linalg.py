@@ -205,18 +205,20 @@ def test_lu_singular_diagonal_block_raises():
 
 
 def test_rayleigh_operator_factorises_as_three_blocks(caplog):
-    # once buoyancy is on the right-hand side and the (u, E) Lorentz block,
-    # which multiplies E = 0, is dropped, (u, p) reads no other field, and
-    # theta and (E, B) read only u: the Ra_c operator splits into the three.
-    # The S_c operator drops the whole Lorentz term but keeps buoyancy, so
-    # it splits into (u, p, theta) and (E, B)
+    # the eigen-solves run on the stream function psi (u = vcurl psi) and
+    # the fields other than u and p.  Once buoyancy is on the right-hand
+    # side and the (u, E) Lorentz block, which multiplies E = 0, is dropped,
+    # psi reads no other field, and theta and (E, B) read only psi: the Ra_c
+    # operator splits into the three.  The S_c operator drops the whole
+    # Lorentz term but keeps buoyancy, so it splits into (psi, theta) and
+    # (E, B)
     model = make_problem("rayleigh_benard", mesh_base=(4, 4)).model
     with caplog.at_level("DEBUG", logger="mhdkit.linalg"):
         critical_parameter(model, "Ra_c", count=1)
         critical_parameter(model, "S_c", count=1)
     blocks = [r.args[1] for r in caplog.records
-              if r.name == "mhdkit.linalg" and r.args[0] == 1191]
-    assert blocks == [[647, 127, 417], [774, 417]]
+              if r.name == "mhdkit.linalg" and r.args[0] == 809]
+    assert blocks == [[265, 127, 417], [392, 417]]
 
 
 def test_fgmres_identity_one_iteration():

@@ -5,18 +5,20 @@
 Builds `rayleigh_benard` on the crossed base mesh and prints:
   - the Ra_c values of `critical_parameter`;
   - on a base mesh of at most 4x4, the dense shift-invert reference on the
-    coupled operator, the Jacobian with its (u, E) Lorentz block, and the
-    largest relative error against it;
+    coupled free pencil, the Jacobian with its (u, p) rows and its (u, E)
+    Lorentz block, and the largest relative error against it;
   - the LU solves of the Arnoldi run (one per step), unperturbed and over
-    `--draws` runs with the free operator's entries scaled by
+    `--draws` runs with the operator's entries scaled by
     1 + 1e-15 N(0, 1), which shows whether round-off moves the count;
   - per diagonal block that `LuSolver` factorises the operator by, its
-    size, its ordering (MMD_AT_PLUS_A in symmetric mode for a zero-free
-    diagonal and near-symmetric values, else COLAMD), its L + U nnz and
-    its 1-norm condition number,
-    ||D||_1 ||D^-1||_1 by `onenormest`.
+    fields, its size, its ordering (MMD_AT_PLUS_A in symmetric mode for a
+    zero-free diagonal and near-symmetric values, else COLAMD), its L + U
+    nnz and its 1-norm condition number, ||D||_1 ||D^-1||_1 by
+    `onenormest`.
 The operator is the one `critical_parameter` hands to
-`shift_invert_arnoldi`, so the tool reads whichever gamma that uses.
+`shift_invert_arnoldi`: the stream-function pencil, whose unknowns are psi
+(the velocity is vcurl psi) and the fields other than u and p.  So the tool
+reads whichever gamma that uses.
 """
 
 import argparse
@@ -34,19 +36,22 @@ DENSE_MAX_BASE = 4
 
 
 def critical_run(model, count, rng=None):
-    """`critical_parameter` with its free operator A scaled entrywise by
+    """`critical_parameter` with its operator A scaled entrywise by
     1 + 1e-15 N(0, 1) when `rng` is given; returns the values, the operator
     pair, the free dofs and the number of LU solves inside the Arnoldi
     run."""
-    seen = {}
+    seen = {"solves": 0}
     arnoldi, solve = bifurcation.shift_invert_arnoldi, LuSolver.solve
 
     def perturbed_arnoldi(A, M, **kwargs):
         if rng is not None:
             A = A.copy()
             A.data *= 1.0 + 1e-15 * rng.standard_normal(A.nnz)
-        seen.update(A=A, M=M, solves=0)
-        return arnoldi(A, M, **kwargs)
+        before = seen["solves"]
+        res = arnoldi(A, M, **kwargs)
+        # the pressure recovery's solve comes after the Arnoldi run
+        seen.update(A=A, M=M, arnoldi_solves=seen["solves"] - before)
+        return res
 
     def counted_solve(self, b):
         seen["solves"] += 1
@@ -58,16 +63,29 @@ def critical_run(model, count, rng=None):
         vals, _, free = bifurcation.critical_parameter(model, "Ra_c", count)
     finally:
         bifurcation.shift_invert_arnoldi, LuSolver.solve = arnoldi, solve
-    return vals, seen["A"], seen["M"], free, seen["solves"]
+    return vals, seen["A"], seen["M"], free, seen["arnoldi_solves"]
 
 
-def coupled_operator(model, free):
-    """The free-dof Ra_c operator with its (u, E) Lorentz block: the Newton
-    Jacobian at the conduction state without buoyancy and grad-div."""
+def coupled_pencil(model, free):
+    """The free-dof Ra_c pencil with its (u, p) rows and its (u, E) Lorentz
+    block: the Newton Jacobian at the conduction state without buoyancy and
+    grad-div, and Pr times the buoyancy term."""
     state = bifurcation.conduction_state_vector(model).vector
     A = model.jacobian(state, "newton", drop_buoyancy=True,
                        drop_graddiv=True)
-    return A[free][:, free]
+    M = model.params.Pr * model.constant_matrix("buoyancy")
+    return A[free][:, free], M[free][:, free]
+
+
+def reduced_fields(model, free):
+    """The field of each unknown of the stream-function pencil, "psi" for
+    the velocity's."""
+    L = model.stream_lift()
+    names = np.empty(L.shape[1], dtype=object)
+    for name in model.fields:
+        lifts = L[bifurcation._field_mask(model, free, name)].getnnz(axis=0)
+        names[lifts > 0] = "psi" if name == model.velocity else name
+    return names
 
 
 def dense_critical(A, M, count):
@@ -88,9 +106,10 @@ def condition_1norm(D, lu):
     return spla.onenormest(D) * spla.onenormest(inv)
 
 
-def diagonal_blocks(A):
-    """(size, ordering, L + U nnz, 1-norm condition) of each diagonal block
-    that `LuSolver` factorises A by, in its order."""
+def diagonal_blocks(A, names):
+    """(fields, size, ordering, L + U nnz, 1-norm condition) of each
+    diagonal block that `LuSolver` factorises A by, in its order; `names`
+    gives the field of each unknown."""
     lu = LuSolver(A)
     perm = np.arange(A.shape[0]) if lu._perm is None else lu._perm
     A = A.tocsr()
@@ -99,8 +118,10 @@ def diagonal_blocks(A):
                                                     lu.orderings):
         idx = perm[start:stop]
         D = A[idx][:, idx].tocsc()
-        out.append((stop - start, ordering, block_lu.nnz,
-                    condition_1norm(D, block_lu)))
+        fields = list(dict.fromkeys(names[np.sort(idx)]))
+        out.append((fields[0] if len(fields) == 1
+                    else f"({', '.join(fields)})", stop - start, ordering,
+                    block_lu.nnz, condition_1norm(D, block_lu)))
     return out
 
 
@@ -119,12 +140,13 @@ def main(argv=None):
     model = make_problem("rayleigh_benard", mesh_base=tuple(args.base)).model
     vals, A, M, free, solves = critical_run(model, args.count)
     nx, ny = args.base
-    print(f"rayleigh_benard {nx}x{ny} crossed: {A.shape[0]} free dofs, "
-          f"model gamma {model.params.gamma:g}")
+    print(f"rayleigh_benard {nx}x{ny} crossed: {len(free)} free dofs, "
+          f"{A.shape[0]} on the stream function, model gamma "
+          f"{model.params.gamma:g}")
     print(f"Ra_c (critical_parameter): {_values(vals)}")
     if max(args.base) <= DENSE_MAX_BASE:
-        ref = dense_critical(coupled_operator(model, free), M, args.count)
-        print(f"Ra_c (dense, coupled operator): {_values(ref)}")
+        ref = dense_critical(*coupled_pencil(model, free), args.count)
+        print(f"Ra_c (dense, coupled pencil): {_values(ref)}")
         if len(ref) == len(vals):
             err = np.max(np.abs(vals - ref) / np.abs(ref))
             print(f"relative error: {err:.2e}")
@@ -133,9 +155,10 @@ def main(argv=None):
              for _ in range(args.draws)]
     print(f"Arnoldi LU solves: {solves} unperturbed; perturbed draws: "
           + (", ".join(map(str, draws)) or "none"))
-    for k, (size, ordering, nnz, cond) in enumerate(diagonal_blocks(A)):
-        print(f"block {k}: {size} dofs, {ordering}, L + U nnz {nnz}, "
-              f"1-norm condition (onenormest) {cond:.2e}")
+    for k, (fields, size, ordering, nnz, cond) in enumerate(
+            diagonal_blocks(A, reduced_fields(model, free))):
+        print(f"block {k}: {fields}, {size} dofs, {ordering}, L + U nnz "
+              f"{nnz}, 1-norm condition (onenormest) {cond:.2e}")
     return 0
 
 
