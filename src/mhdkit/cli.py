@@ -523,7 +523,7 @@ def cmd_bifurcate(args):
                                                + "_c", count=args.count)
         print(",".join(f"{v:.1f}" for v in vals))
         _write_csv(args, "critical.csv", "index,value",
-                   [(i + 1, f"{v:.6e}") for i, v in enumerate(vals)])
+                   [(i + 1, f"{v:.11e}") for i, v in enumerate(vals)])
         if len(vals) < args.count:
             print(f"found {len(vals)} of {args.count} positive critical "
                   f"{args.critical} values", file=sys.stderr)

@@ -112,7 +112,11 @@ class ConservativeScheme:
         # cross mass: curl-type test x div-type trial
         self.M_cd = _blockdiag(cell_matrix(ned, rt, qdeg=QDEG),
                                cell_matrix(cg, dg, qdeg=QDEG))
-        self.K_cc = (self.CURL.T @ self.M_d @ self.CURL).tocsr()
+        # the transposes the sweeps apply, held once: CSC views of the CSR
+        # matrices, which share their arrays
+        self.CURL_T = self.CURL.T
+        self.M_cd_T = self.M_cd.T
+        self.K_cc = (self.CURL_T @ self.M_d @ self.CURL).tocsr()
 
         # H0(curl) constraints for the auxiliary fields
         self.con_c = np.concatenate([
@@ -367,7 +371,7 @@ class UxnStepper(_Stepper):
         u_mid = 0.5 * (u_k + u_new)
         B_mid = 0.5 * (B_k + B_new)
         j, H, omega = sc.project_curl([
-            sc.CURL.T @ (sc.M_d @ B_mid), sc.M_cd @ B_mid,
+            sc.CURL_T @ (sc.M_d @ B_mid), sc.M_cd @ B_mid,
             sc.M_cd @ (sc.CURL @ u_mid)])
         # E = invRem j + Q_c[(R_H j - u_mid) x H]
         wH, jH = sc.cross_rhs([sc.R_H * j - u_mid, j], H)
@@ -416,13 +420,13 @@ class UdotnStepper(_Stepper):
         u_mid = 0.5 * (u_k + u_new)
         B_mid = 0.5 * (B_k + B_new)
         j, H, omega, U = sc.project_curl([
-            sc.CURL.T @ (sc.M_d @ B_mid), sc.M_cd @ B_mid,
-            sc.CURL.T @ (sc.M_d @ u_mid), sc.M_cd @ u_mid])
+            sc.CURL_T @ (sc.M_d @ B_mid), sc.M_cd @ B_mid,
+            sc.CURL_T @ (sc.M_d @ u_mid), sc.M_cd @ u_mid])
         # alpha = Qc[w x U] - S Qc[j x H], E = invRem j + Qc[(R_H j - U) x H]
         jH, wH = sc.cross_rhs([j, sc.R_H * j - U], H)
         alpha, E = sc.project_curl([sc.cross_rhs(omega, U) - sc.S * jH, wH])
         E = sc.inv_Rem * j + E
-        rhs_u = rhs_k - (sc.M_cd.T @ alpha)
+        rhs_u = rhs_k - (sc.M_cd_T @ alpha)
         u_next, p = self.solve_velocity(rhs_u)
         B_next = B_k - dt * (sc.CURL @ E)
         aux = {"j": j, "H": H, "omega": omega, "E": E, "U": U}

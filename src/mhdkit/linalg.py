@@ -33,7 +33,11 @@ def _splu(A, what):
     gets COLAMD and partial pivoting: a saddle block with a zero pressure
     diagonal, on which the symmetric order fills 3-6x more, and an
     advection-dominated block, on which it filled up to 19 % more (coarse
-    velocity blocks at Re = Rem >= 400)."""
+    velocity blocks at Re = Rem >= 400).  A block of a Schur complement
+    that `LuSolver` forms by condensing interior dofs is ordered by the
+    same rule: on the transient Hall step matrices the B block stays
+    symmetric (symmetric mode) and the saddle block keeps COLAMD, which
+    `MMD_ATA` and symmetric mode do not beat there either."""
     if A.diagonal().all() and spla.norm(A - A.T) <= 1e-2 * spla.norm(A):
         ordering = "MMD_AT_PLUS_A"
         options = {"SymmetricMode": True, "DiagPivotThresh": 0.1}
@@ -91,17 +95,90 @@ def _diagonal_blocks(A):
     return perm, blocks
 
 
+def _split_rows(M, is_inner, number):
+    """The rows of the CSC matrix M at the mask `is_inner` and those off
+    it, both renumbered by `number`."""
+    at = is_inner[M.indices]
+    # the entries at the mask before each column's start
+    before = np.concatenate([[0], np.cumsum(at, dtype=M.indptr.dtype)])[
+        M.indptr]
+    parts = []
+    for keep, ends, n in ((at, before, np.count_nonzero(is_inner)),
+                          (~at, M.indptr - before,
+                           np.count_nonzero(~is_inner))):
+        parts.append(sp.csc_matrix(
+            (M.data[keep], number[M.indices[keep]], ends),
+            shape=(n, M.shape[1])))
+    return parts
+
+
+def _condense(A, groups):
+    """Condense the interior dofs `groups` (one row of dofs per group) out
+    of the zero-free CSC matrix A.  With i the groups' dofs in row order
+    and b the others in index order, returns the Schur complement S = A_bb
+    - A_bi W (CSC) and what a solve needs besides it: (i, b, A_ii^-1
+    (CSR), A_bi (CSC), W = A_ii^-1 A_ib (CSR)).
+
+    A_ii must be block diagonal by group: an entry that couples two groups
+    raises a ValueError naming the first such group.  Its blocks are
+    inverted in one batch; a singular one raises SingularMatrixError."""
+    ng, k = groups.shape
+    inner = groups.ravel()
+    is_inner = np.zeros(A.shape[0], dtype=bool)
+    is_inner[inner] = True
+    if np.count_nonzero(is_inner) != inner.size:
+        raise ValueError("interior groups share a dof")
+    outer = np.flatnonzero(~is_inner)
+    number = np.empty(A.shape[0], dtype=A.indices.dtype)
+    number[inner] = np.arange(inner.size)
+    number[outer] = np.arange(outer.size)
+    A_ii, A_bi = _split_rows(A[:, inner], is_inner, number)
+    A_ib, A_bb = _split_rows(A[:, outer], is_inner, number)
+    col = np.repeat(np.arange(inner.size), np.diff(A_ii.indptr))
+    row = A_ii.indices
+    coupled = row // k != col // k
+    if coupled.any():
+        g = int(col[coupled].min() // k)
+        raise ValueError(f"interior group {g} (dofs {groups[g].tolist()}) "
+                         "couples to another group")
+    blocks = np.zeros((ng, k, k))
+    blocks[col // k, row % k, col % k] = A_ii.data
+    try:
+        inv = np.linalg.inv(blocks)
+    except np.linalg.LinAlgError:
+        g = int(np.flatnonzero(np.linalg.matrix_rank(blocks) < k)[0])
+        raise SingularMatrixError(
+            f"singular interior block of group {g} (dofs "
+            f"{groups[g].tolist()})") from None
+    A_inv = sp.bsr_matrix((inv, np.arange(ng), np.arange(ng + 1)),
+                          shape=(inner.size,) * 2).tocsr()
+    W = A_inv @ A_ib.tocsr()
+    return A_bb - A_bi @ W, (inner, outer, A_inv, A_bi, W)
+
+
 class LuSolver:
     """Sparse LU factorisation handle for a square matrix (a dense array is
     converted).  The matrix is factorised without its stored zeros (a
     fixed-pattern Jacobian keeps the zeros of its state-dependent terms).
 
-    A block lower-triangular matrix, one with two or more strongly connected
-    components of more than one dof and a coupling between them, is
-    factorised one diagonal block at a time and solved by block forward
-    substitution; this is the block-triangular step of KLU (Davis &
-    Palamadai Natarajan, ACM TOMS 37(3), 2010).  Such matrices are the
-    Ra_c operator on the stream function (`bifurcation`) and the
+    `groups`, when given, is an (ngroups, k) array of interior dofs, one
+    row per group (`MixedModel.interior_groups`: each cell's interior dofs
+    of the fields that only cell integrals couple).  They are condensed out
+    first, as in static condensation: A_ii must be block diagonal by group
+    (else a ValueError names the first coupling group), its blocks are
+    inverted in one batch (a singular one raises SingularMatrixError), and
+    only the Schur complement S = A_bb - A_bi A_ii^-1 A_ib of the other dofs
+    goes to SuperLU.  A solve eliminates b_i forward, solves with S and
+    substitutes back for x_i.  On the Hall island's 8 x 8 step matrices
+    (`timestepping.FrozenJacobianFactory`) L + U goes 2.34 M -> 2.16 M
+    (Crank-Nicolson) and 2.66 M -> 2.23 M (BDF2).
+
+    A block lower-triangular matrix (S, when condensed), one with two or
+    more strongly connected components of more than one dof and a coupling
+    between them, is factorised one diagonal block at a time and solved by
+    block forward substitution; this is the block-triangular step of KLU
+    (Davis & Palamadai Natarajan, ACM TOMS 37(3), 2010).  Such matrices are
+    the Ra_c operator on the stream function (`bifurcation`) and the
     transient Jacobians times their Faraday map
     (`timestepping.FrozenJacobianFactory`), whose B block reads only B.
     Any other matrix is factorised whole: one whose only extra components
@@ -109,16 +186,19 @@ class LuSolver:
     factorisation has the same fill as its blocks'.  Each block is ordered
     by the rule of `_splu`, read from the block itself; `orderings` names
     each block's ordering.  `nnz` is the stored L + U count over all
-    blocks; each factorisation logs n, the block sizes, `nnz` and each
-    block's ordering and L + U count at DEBUG level to the `mhdkit.linalg`
-    logger."""
+    blocks; each factorisation logs n, the block sizes, `nnz`, each
+    block's ordering and L + U count and the number of condensed dofs at
+    DEBUG level to the `mhdkit.linalg` logger."""
 
-    def __init__(self, A):
+    def __init__(self, A, groups=None):
         A = sp.csc_matrix(A, dtype=float, copy=True)
         A.eliminate_zeros()
         if A.shape[0] != A.shape[1]:
             raise ValueError("matrix must be square")
         self.shape = A.shape
+        self._condensed = None
+        if groups is not None and np.size(groups):
+            A, self._condensed = _condense(A, np.asarray(groups))
         split = _diagonal_blocks(A)
         if split is None:
             self._perm, blocks = None, [(0, A.shape[0], A, None)]
@@ -134,16 +214,18 @@ class LuSolver:
             self.orderings.append(ordering)
         self.nnz = sum(lu.nnz for _, _, lu, _ in self._blocks)
         if log.isEnabledFor(logging.DEBUG):
-            log.debug("sparse LU: n=%d, blocks %s, L+U nnz %d (%s)",
-                      self.shape[0],
+            log.debug("sparse LU: n=%d, blocks %s, L+U nnz %d (%s), %d "
+                      "interior dofs condensed", self.shape[0],
                       [stop - start for start, stop, _, _ in self._blocks],
                       self.nnz,
                       ", ".join(f"{ordering} {lu.nnz}" for ordering,
                                 (_, _, lu, _) in zip(self.orderings,
-                                                     self._blocks)))
+                                                     self._blocks)),
+                      0 if self._condensed is None
+                      else len(self._condensed[0]))
 
-    def solve(self, b):
-        b = np.asarray(b, dtype=float)
+    def _solve_factors(self, b):
+        """The solve with the factorised matrix (S, when condensed)."""
         if self._perm is None:
             return self._blocks[0][2].solve(b)
         x = b[self._perm]
@@ -153,6 +235,17 @@ class LuSolver:
         out = np.empty_like(x)
         out[self._perm] = x
         return out
+
+    def solve(self, b):
+        b = np.asarray(b, dtype=float)
+        if self._condensed is None:
+            return self._solve_factors(b)
+        inner, outer, A_inv, A_bi, W = self._condensed
+        y = A_inv @ b[inner]
+        x = np.empty_like(b)
+        x[outer] = self._solve_factors(b[outer] - A_bi @ y)
+        x[inner] = y - W @ x[outer]
+        return x
 
     __call__ = solve
 

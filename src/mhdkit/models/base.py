@@ -432,6 +432,21 @@ class MixedModel:
         return (sp.identity(self.state_template.total, format="csr")
                 - (steady_coeff / mass_coeff) * self._faraday)
 
+    # -- interior dofs --------------------------------------------------------
+
+    def interior_groups(self):
+        """One row per cell: the state indices of the cell's interior dofs
+        (`FunctionSpace.entity_dofs(2, cells)`) of every field but the
+        velocity and the pressure, field by field in state order.  Only
+        the velocity has facet terms, so only cell integrals couple these
+        dofs, and the Jacobian's block on them is block diagonal by cell:
+        `LuSolver` condenses them out.  The pressure's block is zero."""
+        st = self.state_template
+        cells = np.arange(self.mesh.num_cells)
+        return np.hstack([st.offsets[n] + self.spaces[n].entity_dofs(2, cells)
+                          for n in self.fields
+                          if n not in (self.velocity, "p")])
+
     # -- the stream function --------------------------------------------------
 
     def stream_lift(self):

@@ -69,9 +69,10 @@ class BlockUpperPrecond:
         return y
 
 
-def lu_inverse(A):
-    lu = LuSolver(A.tocsc())
-    return lu.solve
+def lu_inverse(A, groups):
+    """The solve of a sparse LU of A, with the interior dofs `groups`
+    condensed out (see `LuSolver`)."""
+    return LuSolver(A.tocsc(), groups).solve
 
 
 def mg_inverse(ctx, A):
@@ -115,9 +116,10 @@ class FieldSplitPrecond:
     Jacobian.  The flow group is FLOW + ("p",), inverted by al_inverse with
     the pressure Schur scale -(nu + gamma) of the model's weights; the
     electromagnetic group is the model's other fields in state order,
-    inverted by mg_inverse, or by a direct factorisation when EM_MULTIGRID
-    is false.  The multigrid hierarchies constrain the dofs the model
-    constrains."""
+    inverted by mg_inverse, or, when EM_MULTIGRID is false, by a direct
+    factorisation that condenses out the model's interior groups
+    (`MixedModel.interior_groups`) in the block's numbering.  The
+    multigrid hierarchies constrain the dofs the model constrains."""
 
     FLOW = ("u",)
     EM_MULTIGRID = True
@@ -138,6 +140,13 @@ class FieldSplitPrecond:
         st = model.state_template
         self.top_idx = field_indices(st, flow)
         self.eb_idx = field_indices(st, em)
+        self.em_groups = None
+        if not self.EM_MULTIGRID:
+            # the model's interior groups in the block's numbering: besides
+            # the velocity and p, the flow fields (u3) have no interior dofs
+            number = np.empty(st.total, dtype=int)
+            number[self.eb_idx] = np.arange(len(self.eb_idx))
+            self.em_groups = number[model.interior_groups()]
 
     def build(self, A):
         w = self.model._weights()
@@ -146,7 +155,7 @@ class FieldSplitPrecond:
         inv_top = al_inverse(self.flow_ctx, self.Mp_inv,
                              -(w["nu"] + w["gamma"]), A_top)
         inv_eb = (mg_inverse(self.em_ctx, A_eb) if self.EM_MULTIGRID
-                  else lu_inverse(A_eb))
+                  else lu_inverse(A_eb, self.em_groups))
         return BlockUpperPrecond(A, self.top_idx, self.eb_idx,
                                  inv_top, inv_eb)
 

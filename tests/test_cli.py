@@ -290,11 +290,13 @@ def test_critical_count_below_one_is_rejected(monkeypatch, tmp_path, capsys,
     assert not (tmp_path / "critical.csv").exists()
 
 
-@pytest.mark.parametrize("found", [[], [220.09]], ids=["none", "one"])
+@pytest.mark.parametrize("found", [[], [220.0912345678]],
+                         ids=["none", "one"])
 def test_critical_shortfall_is_reported(monkeypatch, tmp_path, capsys,
                                         found):
     # fewer positive critical values than --count: the ones found are
-    # written, one stderr line says how many, and the exit code is 2
+    # written to 12 significant digits, one stderr line says how many, and
+    # the exit code is 2
     import mhdkit.bifurcation as bif
 
     def fake_critical(model, which, count):
@@ -308,8 +310,9 @@ def test_critical_shortfall_is_reported(monkeypatch, tmp_path, capsys,
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"found {len(found)} of 2 positive critical S values"]
     rows = (tmp_path / "critical.csv").read_text().splitlines()
-    assert rows == ["index,value"] + [f"{i + 1},{v:.6e}"
+    assert rows == ["index,value"] + [f"{i + 1},{v:.11e}"
                                       for i, v in enumerate(found)]
+    assert rows[1:] in ([], ["1,2.20091234568e+02"])
 
 
 def test_critical_values_at_the_count_exit_zero(monkeypatch, tmp_path,

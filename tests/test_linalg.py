@@ -9,7 +9,8 @@ from mhdkit.assembly import constrain_matrix
 from mhdkit.bifurcation import critical_parameter
 from mhdkit.linalg import (LuSolver, SingularMatrixError, fgmres,
                            fixed_iteration_solver, shift_invert_arnoldi)
-from mhdkit.problems import make_problem
+from mhdkit.problems import island_initial_state, make_problem
+from mhdkit.timestepping import _faraday_product, _transient_forms
 
 
 def test_lu_identity():
@@ -202,6 +203,81 @@ def test_lu_singular_diagonal_block_raises():
                   [0.0, 1.0, 1.0, 1.0]])
     with pytest.raises(SingularMatrixError, match="diagonal block 1"):
         LuSolver(sp.csr_matrix(A))
+
+
+def _step_matrix(problem, scheme):
+    """A T of the first Newton step of `scheme` (dt = 0.05) on the 4 x 4
+    `problem`, from its island state or else its initial state, and the
+    model."""
+    spec = make_problem(problem, levels=0, mesh_base=(4, 4))
+    model = spec.model
+    x = (island_initial_state(spec) if "equilibrium" in spec.extras
+         else model.initial_state()).vector
+    history = [x] * (2 if scheme == "bdf2_cn_start" else 1)
+    _, jacobian = _transient_forms(model, scheme, 0.05, history, "newton")
+    a, theta = (1.5 / 0.05, 1.0) if len(history) == 2 else (1 / 0.05, 0.5)
+    T = model.faraday_map(a, theta)
+    return _faraday_product(model, jacobian(x), T), model
+
+
+def _backward_error(A, x, b):
+    """max over columns of ||A x - b|| / (||A|| ||x|| + ||b||), inf-norms."""
+    r = np.abs(A @ x - b).max(axis=0)
+    return np.max(r / (spla.norm(A, np.inf) * np.abs(x).max(axis=0)
+                       + np.abs(b).max(axis=0)))
+
+
+@pytest.mark.parametrize("problem, scheme", [
+    ("hall_island", "crank_nicolson"), ("hall_island", "bdf2_cn_start"),
+    ("island_coalescence", "crank_nicolson"),
+    ("rayleigh_benard", "crank_nicolson")],
+    ids=["hall-cn", "hall-bdf2", "standard-cn", "boussinesq-cn"])
+def test_lu_condensing_interior_groups_solves_like_the_whole_lu(
+        caplog, problem, scheme):
+    # the cells' interior dofs condensed out of a transient A T: the Schur
+    # complement still splits off the B block, fills less, and solves as
+    # stably as the uncondensed LU.  The step matrices' pressure has near-
+    # null modes (smallest singular values 7e-9 and 5e-7 against 1e7 for
+    # the largest), so both sparse solves agree with a refined dense solve
+    # only to about 1e-6; the backward error is the measure that both meet
+    AT, model = _step_matrix(problem, scheme)
+    groups = model.interior_groups()
+    whole = LuSolver(AT)
+    with caplog.at_level("DEBUG", logger="mhdkit.linalg"):
+        lu = LuSolver(AT, groups)
+    record = caplog.records[-1]
+    assert record.args[0] == AT.shape[0]
+    assert sum(record.args[1]) == AT.shape[0] - groups.size
+    assert record.args[4] == groups.size
+    assert lu.orderings == ["MMD_AT_PLUS_A", "COLAMD"]
+    assert lu.nnz < whole.nnz
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((AT.shape[0], 3))
+    x = lu.solve(b)
+    assert x.shape == b.shape
+    for k in range(3):
+        assert np.array_equal(lu.solve(b[:, k]), x[:, k])
+    assert _backward_error(AT, x, b) <= 1e-15
+    assert _backward_error(AT, whole.solve(b), b) <= 1e-15
+
+
+def test_lu_condensation_rejects_coupled_or_singular_groups():
+    # groups [0, 1] and [2, 3] of a 6 x 6 matrix: an entry between them
+    # raises naming the first coupling group; a singular block raises too
+    A = np.diag([2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    A[4, :] += 1.0
+    A[:, 5] += 1.0
+    groups = np.array([[0, 1], [2, 3]])
+    x = LuSolver(sp.csr_matrix(A), groups).solve(np.arange(6.0))
+    assert np.allclose(A @ x, np.arange(6.0), rtol=0, atol=1e-13)
+    coupled = A.copy()
+    coupled[3, 1] = 0.5
+    with pytest.raises(ValueError, match=r"interior group 0 \(dofs \[0, 1\]\)"):
+        LuSolver(sp.csr_matrix(coupled), groups)
+    singular = A.copy()
+    singular[2:4, 2:4] = 1.0
+    with pytest.raises(SingularMatrixError, match=r"group 1 \(dofs \[2, 3\]\)"):
+        LuSolver(sp.csr_matrix(singular), groups)
 
 
 def test_rayleigh_operator_factorises_as_three_blocks(caplog):

@@ -70,9 +70,10 @@ def test_hall_island_newton_counts_and_factorisations(monkeypatch):
     # factorisation serves the CN step and one the two BDF2 steps.  A
     # second run with the same factory starts from a fresh factorisation,
     # not from the first run's BDF2 one, and repeats the first run.  Each
-    # factorisation is of A T: its first block holds the free Bt dofs,
-    # ordered by symmetric minimum degree, and the constrained dofs' unit
-    # rows; the other free dofs fill less than A whole.
+    # factorisation is of A T with the cells' interior dofs condensed out:
+    # the first block of the Schur complement holds the free Bt dofs but
+    # Bt's interior ones, ordered by symmetric minimum degree, and the
+    # constrained dofs' unit rows; the other dofs fill less than A whole.
     spec = make_problem("hall_island", levels=0, mesh_base=(8, 8))
     model = spec.model
     n = model.state_template.total
@@ -80,11 +81,13 @@ def test_hall_island_newton_counts_and_factorisations(monkeypatch):
     con[model.constrained_idx] = True
     Bt = np.zeros(n, dtype=bool)
     Bt[model.state_template.field_slice("Bt")] = True
+    interior = np.zeros(n, dtype=bool)
+    interior[model.interior_groups()] = True
     factorised, jacobians = [], []
 
     class CountingLu(timestepping.LuSolver):
-        def __init__(self, A):
-            super().__init__(A)
+        def __init__(self, A, groups=None):
+            super().__init__(A, groups)
             factorised.append(self)
 
     def product(model, A, T):
@@ -108,8 +111,11 @@ def test_hall_island_newton_counts_and_factorisations(monkeypatch):
         for lu in steps:
             assert lu.orderings == ["MMD_AT_PLUS_A", "COLAMD"]
             (_, stop, _, _), _ = lu._blocks
-            first = lu._perm[:stop]
-            assert sorted(first) == sorted(np.flatnonzero(Bt | con))
+            inner, outer = lu._condensed[:2]
+            assert sorted(inner) == sorted(np.flatnonzero(interior))
+            first = outer[lu._perm[:stop]]
+            assert sorted(first) == sorted(np.flatnonzero((Bt | con)
+                                                          & ~interior))
         # the run's factorisation is freed when it returns
         assert factory.needs_matrix()
         rates.append([r["rate"] for r in rows])
@@ -117,6 +123,31 @@ def test_hall_island_newton_counts_and_factorisations(monkeypatch):
     assert len(jacobians) == 4
     for A, lu in zip(jacobians[2:], steps):
         assert lu.nnz < timestepping.LuSolver(A).nnz
+
+
+def test_frozen_hall_run_solves_once_per_newton_step(monkeypatch):
+    # the condensation solves inside LuSolver.solve: a frozen run makes one
+    # call per Newton step and the reconnection probe two per observation,
+    # 9 + 8 on the 4 x 4 island, as before the condensation
+    spec = make_problem("hall_island", levels=0, mesh_base=(4, 4))
+    n = spec.model.state_template.total
+    calls = []
+    solve = timestepping.LuSolver.solve
+
+    def counted(self, b):
+        calls.append(self.shape[0])
+        return solve(self, b)
+
+    monkeypatch.setattr(timestepping.LuSolver, "solve", counted)
+    monkeypatch.setattr(timestepping.LuSolver, "__call__", counted)
+    _, rows = run_transient(
+        spec.model, island_initial_state(spec), TimeConfig(dt=0.05, T=0.15),
+        NonlinearConfig(), FrozenJacobianFactory(),
+        observers={"rate": timestepping.ReconnectionProbe(spec.model,
+                                                          "Bt")})
+    assert [r["newton_its"] for r in rows[1:]] == [3, 3, 3]
+    assert calls.count(n) == 9
+    assert len(calls) == 17
 
 
 def _island_run(spec, factory):
@@ -137,8 +168,8 @@ def test_island_coalescence_run_matches_the_whole_matrix_lu(monkeypatch):
     blocks = []
 
     class CountingLu(timestepping.LuSolver):
-        def __init__(self, A):
-            super().__init__(A)
+        def __init__(self, A, groups=None):
+            super().__init__(A, groups)
             if A.shape[0] == n:
                 blocks.append(len(self.orderings))
 
@@ -171,7 +202,8 @@ def _factorisations(monkeypatch, steps, calls):
     factorises over `steps` time steps of `calls` Newton calls each."""
     import scipy.sparse as sp
     lus = []
-    monkeypatch.setattr(timestepping, "LuSolver", lus.append)
+    monkeypatch.setattr(timestepping, "LuSolver",
+                        lambda A, groups: lus.append(A))
     A = sp.csr_matrix(np.diag([2.0, 3.0, 4.0]))
     factory = FrozenJacobianFactory()
     made = []

@@ -11,10 +11,12 @@ indices, indptr) for newton/picard x mass_coeff {0, 1.5} x steady_coeff
 {1, 0.5}, and for the Boussinesq models also each of the three drop
 flags, then of the CSR arrays of the Faraday map at mass_coeff 1.5 and
 steady_coeff 0.5, which the frozen-Jacobian transient solve factorises
-with.  The last line of a case is the digest of its block preconditioner,
-built on the Newton Jacobian and applied to the residual at the seeded
-state, with one level of refinement so that the multigrid's patch smoother
-runs.
+with, then of the model's interior groups (`MixedModel.interior_groups`),
+which that solve and the Hall preconditioner's direct factorisation
+condense out (with their shape).  The last line of a case is the digest
+of its block preconditioner, built on the Newton Jacobian and applied to
+the residual at the seeded state, with one level of refinement so that
+the multigrid's patch smoother runs.
 
 After the cases comes one line per element of `elements.SUPPORTED` on each
 of two meshes: the x-periodic 4 x 4 mesh of (-1, 1)^2 refined once and the
@@ -86,6 +88,8 @@ def case_lines(problem, seed):
     T = model.faraday_map(1.5, 0.5)
     yield (f"{problem} faraday_map mass=1.5 steady=0.5 "
            f"{digest(T.data, T.indices, T.indptr)}")
+    groups = model.interior_groups()
+    yield f"{problem} interior_groups {groups.shape} {digest(groups)}"
     spec = _problem(problem, 1)
     x = seeded_state(spec.model, seed)
     M = spec.make_precond().build(spec.model.jacobian(x))
